@@ -21,18 +21,8 @@ import math
 
 import numpy as np
 
-from jarlskog import SeededRng, haar_unitary
+from jarlskog import SeededRng, ginibre, haar_unitary
 from jarlskog.sampling import _qr_householder
-
-
-def ginibre(n, rng):
-    g = np.empty((n, n), dtype=complex)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(n):
-            re, im = rng.normal_pair()
-            g[i, j] = complex(re * inv_sqrt2, im * inv_sqrt2)
-    return g
 
 
 def main():

@@ -22,34 +22,20 @@ import argparse
 from jarlskog import (
     MassPairInput,
     SeededRng,
+    cycle_groups,
     derive_seed,
     det4_closed,
     det_direct,
     haar_unitary,
     random_spectrum,
-    t_factors,
 )
-from jarlskog.determinant import _det4_pieces, _sum3_cycle, _sum4_cycle
 
 
 def cycle_sums(inp):
-    """Raw complex one-orientation cycle sums with their T weights."""
-    tf = t_factors(inp.a)
-    bw, q, x, mod2 = _det4_pieces(inp)
-    m1, m2, m3 = mod2
-    m23 = tuple(m2[k] + m3[k] for k in range(3))
-    m12 = tuple(m1[k] + m2[k] for k in range(3))
-    m13 = tuple(m1[k] + m3[k] for k in range(3))
-    cyc312 = (x[(3, 1)], x[(1, 2)], x[(2, 3)])
-    cyc132 = (x[(1, 3)], x[(3, 2)], x[(2, 1)])
-    cyc123 = (x[(1, 2)], x[(2, 3)], x[(3, 1)])
+    """Total of the six cycle groups kept as raw complex values."""
     total = 0j
-    total += -2.0 * tf.cycle[(1, 2, 4, 3)] * _sum3_cycle(bw, *cyc312)
-    total += -2.0 * tf.cycle[(1, 3, 2, 4)] * _sum3_cycle(bw, *cyc132)
-    total += -2.0 * tf.cycle[(1, 2, 3, 4)] * _sum3_cycle(bw, *cyc123)
-    total += 2.0 * tf.cycle[(1, 2, 4, 3)] * _sum4_cycle(bw, *cyc312, m23)
-    total += 2.0 * tf.cycle[(1, 3, 2, 4)] * _sum4_cycle(bw, *cyc132, m12)
-    total += 2.0 * tf.cycle[(1, 2, 3, 4)] * _sum4_cycle(bw, *cyc123, m13)
+    for weight, raw in cycle_groups(inp).values():
+        total += weight * raw
     return total
 
 

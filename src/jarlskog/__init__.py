@@ -3,7 +3,8 @@
 Library layout:
 
 * linalg      - small dense complex matrices, LU determinant, Jacobi
-                eigensolver, validated Spectrum / UnitaryMatrix types
+                eigensolver, validated Spectrum / UnitaryMatrix types, the
+                split real/imaginary product kernel behind every plaquette
 * sampling    - seeded splitmix64 stream, Haar-random unitaries, random
                 simple spectra, the rephasing group action
 * determinant - the commutator determinant: direct oracle plus closed
@@ -21,12 +22,12 @@ __version__ = "0.1.0"
 from .determinant import (
     MassPairInput,
     TFactors,
+    cycle_groups,
     decompose_det4,
     det3_closed,
     det4_closed,
     det_direct,
     t_factors,
-    u_entry,
 )
 from .linalg import (
     ConvergenceError,
@@ -47,6 +48,7 @@ from .phases import (
     PlaquetteIndex,
     SingleLevelPhaseReport,
     expand_phases,
+    expansion_residual,
     im_phase,
     jr_matrices,
     n3_phase_table,
@@ -61,6 +63,7 @@ from .sampling import (
     RephasingAngles,
     SeededRng,
     derive_seed,
+    ginibre,
     haar_unitary,
     random_spectrum,
     rephase,
@@ -83,6 +86,7 @@ __all__ = [
     "__version__",
     "adjoint",
     "commutator",
+    "cycle_groups",
     "decompose_det4",
     "derive_seed",
     "det",
@@ -90,6 +94,8 @@ __all__ = [
     "det4_closed",
     "det_direct",
     "expand_phases",
+    "expansion_residual",
+    "ginibre",
     "haar_unitary",
     "hermitian_from_spectrum",
     "im_phase",
@@ -105,6 +111,5 @@ __all__ = [
     "reconstruct_J",
     "rephase",
     "t_factors",
-    "u_entry",
     "unitary_relation_residuals",
 ]

@@ -24,6 +24,7 @@ from . import __version__
 from .determinant import MassPairInput, det3_closed, det4_closed, det_direct
 from .phases import (
     expand_phases,
+    expansion_residual,
     jr_matrices,
     n3_phase_table,
     phase_table,
@@ -147,17 +148,7 @@ def _phase_report_text(v):
         for i in range(3):
             rrow = "  ".join(f"{jr.r_mat[i, j]:+.17e}" for j in range(3))
             lines.append(f"  R[{i + 1},:] {rrow}")
-        expanded = expand_phases(jr)
-        worst = 0.0
-        for rp in pairs:
-            for cp in pairs:
-                worst = max(
-                    worst,
-                    abs(
-                        expanded.im_value(rp[0], rp[1], cp[0], cp[1])
-                        - table.im_value(rp[0], rp[1], cp[0], cp[1])
-                    ),
-                )
+        worst = expansion_residual(table, expand_phases(jr))
         lines.append("")
         lines.append(f"expansion check (36 phases from J): max residual {worst:.17e}")
         recon = reconstruct_J(v)

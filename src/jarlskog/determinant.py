@@ -12,14 +12,18 @@ purely imaginary for odd n and real for even n.
 Three evaluations are provided:
 
 * det_direct: build the commutator entrywise and take an LU determinant.
-  This is the ground-truth oracle for the closed forms.
+  This is the ground-truth oracle for the closed forms.  The products
+  V[i,k] conj(V[j,k]) come from the same split real/imaginary kernel as the
+  plaquettes (linalg._row_products, applied to V^T), so every entry is
+  bit-equal to its scalar complex evaluation.
 * det3_closed (n = 3): 2i T B im(12;12) with T, B the cyclic products of
-  eigenvalue differences.
+  eigenvalue differences, im(12;12) read from the plaquette tensor.
 * det4_closed (n = 4): the expanded closed form in which the fourth column
   of V has been eliminated through unitarity.  Nine term groups survive,
   weighted by squared-pair factors T_(ij)(kl) and 4-cycle factors T_(ijkl)
   of the a-spectrum; the b-spectrum enters only through the differences
-  b_k - b_4.
+  b_k - b_4.  Its plaquettes and column products are read from the same
+  kernel; only the 3-term sums over k are scalar code.
 
 Reconciliation note for det4_closed: the three pair-weighted groups are
 self-conjugate sums (their imaginary parts cancel index-by-index), but each
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, Spectrum, UnitaryMatrix, det
+from .linalg import DimensionError, Spectrum, UnitaryMatrix, _cmul, _row_products, det
 from .phases import PlaquetteIndex, im_phase
 
 #: canonical order of the nine term groups of det4_closed; decompose_det4
@@ -77,33 +81,29 @@ class MassPairInput:
         return self.a.n
 
 
-def u_entry(inp, i, j):
-    """Commutator entry u[i, j], 1-based indices.
-
-    The k-th term is grouped as b_k * (V[i,k] * conj(V[j,k])), which makes
-    the anti-Hermitian symmetry u[j, i] == -conj(u[i, j]) exact in floating
-    point, not just in exact arithmetic.
-    """
-    n = inp.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"indices ({i}, {j}) out of range for n={n}")
-    a = inp.a.values
-    b = inp.b.values
-    v = inp.v.matrix
-    acc = 0j
-    for k in range(n):
-        acc += b[k] * (v[i - 1, k] * np.conj(v[j - 1, k]))
-    return (a[i - 1] - a[j - 1]) * complex(acc)
+def _complex(re, im):
+    """Complex array with exactly the given real and imaginary parts."""
+    out = re.astype(np.complex128)
+    out.imag = im
+    return out
 
 
 def commutator_matrix(inp):
-    """The full commutator D V D' V^+ - V D' V^+ D, built entrywise."""
-    n = inp.n
-    m = np.empty((n, n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m[i - 1, j - 1] = u_entry(inp, i, j)
-    return m
+    """The full commutator D V D' V^+ - V D' V^+ D, built entrywise.
+
+    Entry (i, j) is (a_i - a_j) * sum_k b_k (V[i,k] conj(V[j,k])), with the
+    k-sum accumulated in ascending order.  The bracketed products are the
+    row products of V^T, so u[j, i] == -conj(u[i, j]) holds exactly in
+    floating point, not just in exact arithmetic.
+    """
+    a = np.array(inp.a.values)
+    b = np.array(inp.b.values)[:, None, None]
+    # term k of entry (i, j) is b_k x[k, i, j], x[k, i, j] = V[i,k] conj(V[j,k])
+    tr, ti = _cmul(b, 0.0, *_row_products(inp.v.matrix.T))
+    acc_r = acc_i = np.zeros((inp.n, inp.n))
+    for k in range(inp.n):
+        acc_r, acc_i = acc_r + tr[k], acc_i + ti[k]
+    return _complex(*_cmul(a[:, None] - a[None, :], 0.0, acc_r, acc_i))
 
 
 def det_direct(inp):
@@ -178,36 +178,20 @@ def _det4_pieces(inp):
 
     Returns (bw, q, x, mod2):
       bw[k]      = b_k - b_4                       (k = 0..2)
-      q[(a,b)]   = 3x3 list of plaquettes [ab; j k] over columns 1..3,
-                   grouped as (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j]))
-      x[(a,b)]   = column products V[a,k] conj(V[b,k]) for k = 0..2
+      q[(a,b)]   = 3x3 nested list of plaquettes [ab; j k] over columns 1..3,
+                   read from UnitaryMatrix.plaquettes
+      x[(a,b)]   = column products V[a,k] conj(V[b,k]) for k = 0..2, the
+                   row products of V^T
       mod2[r][k] = |V[r+1, k+1]|^2 for rows/columns 1..3
     """
     b = inp.b.values
     v = inp.v.matrix
     bw = [b[k] - b[3] for k in range(3)]
-    q = {}
-    for (a, bb) in ((1, 2), (1, 3), (2, 3)):
-        rows = []
-        for j in range(3):
-            row = []
-            for k in range(3):
-                row.append(
-                    complex(
-                        (v[a - 1, j] * np.conj(v[a - 1, k]))
-                        * (v[bb - 1, k] * np.conj(v[bb - 1, j]))
-                    )
-                )
-            rows.append(tuple(row))
-        q[(a, bb)] = tuple(rows)
-    x = {}
-    for a in (1, 2, 3):
-        for bb in (1, 2, 3):
-            if a == bb:
-                continue
-            x[(a, bb)] = tuple(
-                complex(v[a - 1, k] * np.conj(v[bb - 1, k])) for k in range(3)
-            )
+    p = _complex(*inp.v.plaquettes)[:3, :3, :3, :3]
+    q = {(a, bb): p[a - 1, bb - 1].tolist() for (a, bb) in ((1, 2), (1, 3), (2, 3))}
+    xt = _complex(*_row_products(v.T))[:3, :3, :3]
+    x = {(a, bb): xt[:, a - 1, bb - 1].tolist()
+         for a in (1, 2, 3) for bb in (1, 2, 3) if a != bb}
     mod2 = tuple(
         tuple(float(abs(v[r, k]) ** 2) for k in range(3)) for r in range(3)
     )
@@ -266,6 +250,46 @@ def _sum4_cycle(bw, xa, xb, xc, mweights):
     return _wsum(bw, xa) * _wsum(bw, xb) * _wsum(bw, xc) * _wsum(bw, mweights)
 
 
+def _check_n4(inp):
+    if inp.n != 4:
+        raise DimensionError(f"the four-level closed form requires n=4, got n={inp.n}")
+
+
+def _cycle_groups(tf, bw, x, mod2):
+    m1, m2, m3 = mod2
+    cyc312 = (x[(3, 1)], x[(1, 2)], x[(2, 3)])
+    cyc132 = (x[(1, 3)], x[(3, 2)], x[(2, 1)])
+    cyc123 = (x[(1, 2)], x[(2, 3)], x[(3, 1)])
+    m23 = tuple(m2[k] + m3[k] for k in range(3))
+    m12 = tuple(m1[k] + m2[k] for k in range(3))
+    m13 = tuple(m1[k] + m3[k] for k in range(3))
+    t1243 = tf.cycle[(1, 2, 4, 3)]
+    t1324 = tf.cycle[(1, 3, 2, 4)]
+    t1234 = tf.cycle[(1, 2, 3, 4)]
+    return {
+        "cycle3_1243": (-2.0 * t1243, _sum3_cycle(bw, *cyc312)),
+        "cycle3_1324": (-2.0 * t1324, _sum3_cycle(bw, *cyc132)),
+        "cycle3_1234": (-2.0 * t1234, _sum3_cycle(bw, *cyc123)),
+        "cycle4_1243": (2.0 * t1243, _sum4_cycle(bw, *cyc312, m23)),
+        "cycle4_1324": (2.0 * t1324, _sum4_cycle(bw, *cyc132, m12)),
+        "cycle4_1234": (2.0 * t1234, _sum4_cycle(bw, *cyc123, m13)),
+    }
+
+
+def cycle_groups(inp):
+    """The six cycle groups of det4_closed before their real part is taken.
+
+    Returns {name: (weight, raw)} in DET4_GROUPS order, where raw is the
+    complex sum over one orientation of the 3-cycle and weight its factor
+    -2 T_(ijkl) (cycle3) or +2 T_(ijkl) (cycle4).  decompose_det4 reports
+    weight * raw.real for each; weight * raw keeps the imaginary part that
+    the expansion discards (see the module docstring).
+    """
+    _check_n4(inp)
+    bw, _, x, mod2 = _det4_pieces(inp)
+    return _cycle_groups(t_factors(inp.a), bw, x, mod2)
+
+
 def decompose_det4(inp):
     """The nine term groups of det4_closed, in DET4_GROUPS order.
 
@@ -274,19 +298,15 @@ def decompose_det4(inp):
     module docstring).  The values sum, in dict order, to exactly the value
     det4_closed returns.
     """
-    if inp.n != 4:
-        raise DimensionError(f"the four-level closed form requires n=4, got n={inp.n}")
+    _check_n4(inp)
     tf = t_factors(inp.a)
     bw, q, x, mod2 = _det4_pieces(inp)
-    m1, m2, m3 = mod2[0], mod2[1], mod2[2]
+    m1, m2, m3 = mod2
     q12, q13, q23 = q[(1, 2)], q[(1, 3)], q[(2, 3)]
 
     t12_34 = tf.pair[((1, 2), (3, 4))]
     t13_24 = tf.pair[((1, 3), (2, 4))]
     t14_23 = tf.pair[((1, 4), (2, 3))]
-    t1243 = tf.cycle[(1, 2, 4, 3)]
-    t1324 = tf.cycle[(1, 3, 2, 4)]
-    t1234 = tf.cycle[(1, 2, 3, 4)]
 
     parts = {}
     parts["pair_12_34"] = t12_34 * (
@@ -304,27 +324,8 @@ def decompose_det4(inp):
         - _sum4_pair_pair(bw, q12, q13)
         - _sum4_pair_mod(bw, q23, m1)
     )
-
-    cyc312 = (x[(3, 1)], x[(1, 2)], x[(2, 3)])
-    cyc132 = (x[(1, 3)], x[(3, 2)], x[(2, 1)])
-    cyc123 = (x[(1, 2)], x[(2, 3)], x[(3, 1)])
-
-    parts["cycle3_1243"] = complex(-2.0 * t1243 * _sum3_cycle(bw, *cyc312).real, 0.0)
-    parts["cycle3_1324"] = complex(-2.0 * t1324 * _sum3_cycle(bw, *cyc132).real, 0.0)
-    parts["cycle3_1234"] = complex(-2.0 * t1234 * _sum3_cycle(bw, *cyc123).real, 0.0)
-
-    m23 = tuple(m2[k] + m3[k] for k in range(3))
-    m12 = tuple(m1[k] + m2[k] for k in range(3))
-    m13 = tuple(m1[k] + m3[k] for k in range(3))
-    parts["cycle4_1243"] = complex(
-        2.0 * t1243 * _sum4_cycle(bw, *cyc312, m23).real, 0.0
-    )
-    parts["cycle4_1324"] = complex(
-        2.0 * t1324 * _sum4_cycle(bw, *cyc132, m12).real, 0.0
-    )
-    parts["cycle4_1234"] = complex(
-        2.0 * t1234 * _sum4_cycle(bw, *cyc123, m13).real, 0.0
-    )
+    for name, (weight, raw) in _cycle_groups(tf, bw, x, mod2).items():
+        parts[name] = complex(weight * raw.real, 0.0)
     return parts
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,27 @@ def _as_square(m, name="matrix"):
 def check_dimension(n):
     if not (MIN_DIM <= n <= MAX_DIM):
         raise DimensionError(f"dimension {n} unsupported (need {MIN_DIM} <= n <= {MAX_DIM})")
+
+
+def _cmul(xr, xi, yr, yi):
+    """(xr + i xi) * (yr + i yi) as a (re, im) pair of float arrays.
+
+    The operations are those of CPython's complex product, one float ufunc
+    each, so every entry is bit-equal to the scalar product.  A real factor
+    s enters as (s, 0.0), which is how mixed real-complex products are
+    evaluated in scalar code.
+    """
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _row_products(m):
+    """h[a, j, k] = m[a, j] * conj(m[a, k]) as a (re, im) pair of float arrays.
+
+    The one place where products of a matrix with its own conjugate are
+    formed: the plaquettes use it on V, the commutator entries on V^T.
+    """
+    re, im = m.real, m.imag
+    return _cmul(re[:, :, None], im[:, :, None], re[:, None, :], -im[:, None, :])
 
 
 def matmul(a, b):
@@ -164,8 +186,9 @@ class Spectrum:
 class UnitaryMatrix:
     """A validated unitary matrix.
 
-    Construction fails unless max|V V^+ - I| <= UNITARITY_TOL and |det V| is
-    within UNIT_DET_TOL of 1.  The wrapped array is frozen (non-writeable).
+    Construction fails unless every entry is finite, max|V V^+ - I| <=
+    UNITARITY_TOL and |det V| is within UNIT_DET_TOL of 1.  The wrapped
+    array is frozen (non-writeable).
     """
 
     matrix: np.ndarray
@@ -174,6 +197,8 @@ class UnitaryMatrix:
     def __post_init__(self):
         m = _as_square(self.matrix, "unitary candidate")
         check_dimension(m.shape[0])
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         defect = float(np.max(np.abs(matmul(m, adjoint(m)) - np.eye(m.shape[0]))))
         if defect > UNITARITY_TOL:
             raise ValueError(
@@ -190,6 +215,21 @@ class UnitaryMatrix:
     @property
     def n(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def plaquettes(self):
+        """p[a, b, j, k] = V[a,j] conj(V[a,k]) V[b,k] conj(V[b,j]), 0-based.
+
+        A read-only (re, im) pair of float tensors, built once per matrix as
+        h[a, j, k] * h[b, k, j] from the row products h.  Each entry is
+        bit-equal to the scalar complex evaluation with that grouping.
+        """
+        hr, hi = _row_products(self.matrix)
+        hr_t, hi_t = hr.transpose(0, 2, 1), hi.transpose(0, 2, 1)
+        pair = _cmul(hr[:, None], hi[:, None], hr_t[None], hi_t[None])
+        for x in pair:
+            x.setflags(write=False)
+        return pair
 
 
 def hermitian_from_spectrum(u, d):

@@ -9,12 +9,16 @@ are unchanged when rows and columns of V are multiplied by phases.  All
 indices in this module are 1-based, matching the usual physics convention
 for mixing matrices.
 
-Exactness note: the plaquette is evaluated with the grouping
-(V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).  With that grouping the
-antisymmetry of the imaginary part (and symmetry of the real part) under
-swapping alpha<->beta or j<->k holds bitwise in floating point, and entries
-with alpha == beta or j == k have imaginary part exactly zero, not merely
-roundoff-small.
+Exactness note: every plaquette value here is read from the one tensor
+UnitaryMatrix.plaquettes, which evaluates the grouping
+(V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])) on separate real and
+imaginary float arrays with the operations of a scalar complex product.
+With that grouping the antisymmetry of the imaginary part (and symmetry of
+the real part) under swapping alpha<->beta or j<->k holds bitwise in
+floating point, and entries with alpha == beta or j == k have imaginary
+part exactly zero, not merely roundoff-small.  The tensor stores every
+index order, so these properties are carried by its entries rather than
+imposed by lookup rules.
 
 For n = 4 the 36 independent imaginary parts are generated by the 3x3 array
 J of adjacent-index phases J[a, j] = im(a, a+1; j, j+1) together with the
@@ -28,6 +32,7 @@ rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,22 +71,12 @@ class PlaquetteIndex:
                 raise IndexError(f"index {name}={v} out of range for an {n}x{n} matrix")
 
 
-def _plaquette_scalar(m, a, b, j, k):
-    """0-based plaquette through plain Python complex arithmetic.
-
-    Scalar values must all come through this one path: mixing arithmetic
-    backends (e.g. numpy's vectorised loops, which may contract with FMA)
-    would break the bitwise symmetry guarantees.
-    """
-    za = complex(m[a, j]) * complex(m[a, k]).conjugate()
-    zb = complex(m[b, k]) * complex(m[b, j]).conjugate()
-    return za * zb
-
-
 def plaquette(v, idx):
     """Complex plaquette product at the given index quadruple."""
     idx.check(v.n)
-    return _plaquette_scalar(v.matrix, idx.alpha - 1, idx.beta - 1, idx.j - 1, idx.k - 1)
+    re, im = v.plaquettes
+    key = (idx.alpha - 1, idx.beta - 1, idx.j - 1, idx.k - 1)
+    return complex(re[key], im[key])
 
 
 def im_phase(v, idx):
@@ -94,81 +89,71 @@ def re_phase(v, idx):
     return plaquette(v, idx).real
 
 
-def _plaquette_tensor(v):
-    """All plaquettes as a tensor p[a, b, j, k] (0-based).
-
-    Vectorised companion of the scalar path, used only for tolerance-based
-    residual sweeps (cross-path bit equality is not guaranteed: numpy's
-    vectorised product may round differently from scalar arithmetic).
-    """
-    m = v.matrix
-    half = m[:, :, None] * np.conj(m)[:, None, :]  # half[a, j, k] = V[a,j] conj(V[a,k])
-    return half[:, None, :, :] * np.conj(half)[None, :, :, :]
-
-
 def _canonical_pairs(n):
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _canonical_index(n):
+    """Canonical 1-based keys and the matching 0-based tensor index arrays."""
+    pairs = _canonical_pairs(n)
+    keys = tuple((a, b, j, k) for (a, b) in pairs for (j, k) in pairs)
+    return keys, tuple(np.array(axis) - 1 for axis in zip(*keys))
+
+
 @dataclass(frozen=True)
 class PhaseTable:
-    """Invariant phases stored on canonical indices alpha < beta, j < k.
+    """Invariant phases as full (n, n, n, n) tensors, 0-based:
+    im_tensor[a, b, j, k] = im(a+1, b+1; j+1, k+1), likewise re_tensor.
 
-    Values at other index orders follow from the bitwise symmetry of the
-    plaquette: the imaginary part flips sign under swapping either pair, the
-    real part does not.  re may be None for tables that carry only the
-    imaginary parts (e.g. the output of expand_phases).
+    Every index order is stored, so lookups at swapped or repeated indices
+    read the tensor directly.  im and re map the canonical 1-based indices
+    alpha < beta, j < k to their values.  re_tensor is None for tables that
+    carry only the imaginary parts (e.g. the output of expand_phases).
     """
 
     n: int
-    im: dict
-    re: dict | None = None
+    im_tensor: np.ndarray
+    re_tensor: np.ndarray | None = None
 
-    def _lookup(self, table, alpha, beta, j, k, antisymmetric):
+    def canonical(self, tensor):
+        """The canonical entries of a full tensor, in table order."""
+        return tensor[_canonical_index(self.n)[1]]
+
+    def _as_dict(self, tensor):
+        return dict(zip(_canonical_index(self.n)[0], self.canonical(tensor).tolist()))
+
+    @cached_property
+    def im(self):
+        return self._as_dict(self.im_tensor)
+
+    @cached_property
+    def re(self):
+        return None if self.re_tensor is None else self._as_dict(self.re_tensor)
+
+    def _lookup(self, tensor, alpha, beta, j, k):
         if not all(1 <= x <= self.n for x in (alpha, beta, j, k)):
             raise IndexError(f"indices ({alpha},{beta};{j},{k}) out of range for n={self.n}")
-        if alpha == beta or j == k:
-            if antisymmetric:
-                return 0.0
-            raise KeyError(
-                f"re({alpha},{beta};{j},{k}) has a repeated index and is not tabulated"
-            )
-        sign = 1.0
-        if alpha > beta:
-            alpha, beta = beta, alpha
-            sign = -sign
-        if j > k:
-            j, k = k, j
-            sign = -sign
-        value = table[(alpha, beta, j, k)]
-        return sign * value if antisymmetric else value
+        return float(tensor[alpha - 1, beta - 1, j - 1, k - 1])
 
     def im_value(self, alpha, beta, j, k):
-        return self._lookup(self.im, alpha, beta, j, k, antisymmetric=True)
+        return self._lookup(self.im_tensor, alpha, beta, j, k)
 
     def re_value(self, alpha, beta, j, k):
-        if self.re is None:
+        if self.re_tensor is None:
             raise KeyError("this table holds imaginary parts only")
-        return self._lookup(self.re, alpha, beta, j, k, antisymmetric=False)
+        return self._lookup(self.re_tensor, alpha, beta, j, k)
 
     def canonical_pairs(self):
         return _canonical_pairs(self.n)
 
 
 def phase_table(v):
-    """Tabulate all canonical invariant phases of v (n in {3, 4})."""
+    """The invariant phases of v (n in {3, 4}), read from its plaquette tensor."""
     if v.n not in (3, 4):
         raise DimensionError(f"phase tables are defined for n in {{3, 4}}, got n={v.n}")
-    m = v.matrix
-    pairs = _canonical_pairs(v.n)
-    im = {}
-    re = {}
-    for (a, b) in pairs:
-        for (j, k) in pairs:
-            z = _plaquette_scalar(m, a - 1, b - 1, j - 1, k - 1)
-            im[(a, b, j, k)] = z.imag
-            re[(a, b, j, k)] = z.real
-    return PhaseTable(n=v.n, im=im, re=re)
+    re, im = v.plaquettes
+    return PhaseTable(n=v.n, im_tensor=im, re_tensor=re)
 
 
 @dataclass(frozen=True)
@@ -191,11 +176,9 @@ def unitary_relation_residuals(v):
     """Evaluate all eight sum rules on v and report residuals per family."""
     if v.n not in (3, 4):
         raise DimensionError(f"sum rules are tabulated for n in {{3, 4}}, got n={v.n}")
-    p = _plaquette_tensor(v)
-    im, re = p.imag, p.real
-    n = v.n
+    re, im = v.plaquettes
     mod2 = np.abs(v.matrix) ** 2
-    eye = np.eye(n)
+    eye = np.eye(v.n)
 
     fams = {}
 
@@ -308,15 +291,10 @@ def jr_matrices(v):
     """Extract the adjacent-index phase arrays J and R from a 4x4 unitary."""
     if v.n != 4:
         raise DimensionError(f"adjacent-index arrays require n=4, got n={v.n}")
-    m = v.matrix
-    j_mat = np.empty((3, 3))
-    r_mat = np.empty((3, 3))
-    for a in range(3):
-        for j in range(3):
-            z = _plaquette_scalar(m, a, a + 1, j, j + 1)
-            j_mat[a, j] = z.imag
-            r_mat[a, j] = z.real
-    return JRMatrices(j_mat=j_mat, r_mat=r_mat)
+    re, im = v.plaquettes
+    a = np.arange(3)[:, None]
+    j = np.arange(3)[None, :]
+    return JRMatrices(j_mat=im[a, a + 1, j, j + 1], r_mat=re[a, a + 1, j, j + 1])
 
 
 def _mat3_mul(x, y):
@@ -337,27 +315,23 @@ def expand_phases(jr):
     ordered (24), (14), (13) in both directions.
     """
     j = np.asarray(jr.j_mat, dtype=float)
-    ja = _mat3_mul(j, A_MATRIX)
     aj = _mat3_mul(A_MATRIX, j)
-    aja = _mat3_mul(aj, A_MATRIX)
+    # block rows and columns run over the adjacent pairs, then the
+    # non-adjacent ones; pick them out in canonical pair order
+    block = np.block([[j, _mat3_mul(j, A_MATRIX)], [aj, _mat3_mul(aj, A_MATRIX)]])
+    order = [(_ADJACENT_ORDER + _NON_ADJACENT_ORDER).index(p) for p in _canonical_pairs(4)]
+    t = np.zeros((4, 4, 4, 4))
+    t[_canonical_index(4)[1]] = block[np.ix_(order, order)].ravel()
+    # the other index orders follow by antisymmetry; repeated-index entries
+    # are zero
+    im = t - t.transpose(1, 0, 2, 3) - t.transpose(0, 1, 3, 2) + t.transpose(1, 0, 3, 2)
+    return PhaseTable(n=4, im_tensor=im)
 
-    adj = {pair: i for i, pair in enumerate(_ADJACENT_ORDER)}
-    non = {pair: i for i, pair in enumerate(_NON_ADJACENT_ORDER)}
 
-    im = {}
-    pairs = _canonical_pairs(4)
-    for rp in pairs:
-        for cp in pairs:
-            if rp in adj and cp in adj:
-                value = j[adj[rp], adj[cp]]
-            elif rp in adj:
-                value = ja[adj[rp], non[cp]]
-            elif cp in adj:
-                value = aj[non[rp], adj[cp]]
-            else:
-                value = aja[non[rp], non[cp]]
-            im[(rp[0], rp[1], cp[0], cp[1])] = float(value)
-    return PhaseTable(n=4, im=im, re=None)
+def expansion_residual(table, expanded):
+    """Largest |expanded - direct| over the canonical imaginary phases."""
+    return float(np.max(np.abs(expanded.canonical(expanded.im_tensor)
+                                - table.canonical(table.im_tensor))))
 
 
 @dataclass(frozen=True)
@@ -387,9 +361,7 @@ def nonlinear_relation_residuals(v):
     """Evaluate the four product identity families on v."""
     if v.n not in (3, 4):
         raise DimensionError(f"product identities are tabulated for n in {{3, 4}}, got n={v.n}")
-    p = _plaquette_tensor(v)
-    re, im = p.real, p.imag
-    n = v.n
+    re, im = v.plaquettes
 
     # mixed_same_rows over (a, b, j, k, l)
     re_kk = np.einsum("abkk->abk", re)
@@ -441,10 +413,6 @@ class ReconstructionResult:
     gate_ratio: float
     degenerate: bool
     max_error: float | None
-
-    @property
-    def coefficient_rank_ok(self):
-        return not self.degenerate
 
 
 def band_system(v, jr=None):

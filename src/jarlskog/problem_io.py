@@ -137,8 +137,3 @@ def render_problem(inp):
         "V": _matrix_payload(inp.v.matrix),
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def write_problem(path, inp):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_problem(inp))

@@ -146,11 +146,11 @@ def _qr_householder(a):
     return q, r
 
 
-def haar_unitary(n, rng):
-    """Haar-distributed n x n unitary drawn from the given stream.
+def ginibre(n, rng):
+    """n x n complex Ginibre matrix drawn from the given stream.
 
-    Ginibre entries are filled row-major, real component before imaginary,
-    each scaled by 1/sqrt(2); then QR plus the diag(R) phase correction.
+    Entries are filled row-major, real component before imaginary, each a
+    standard normal scaled by 1/sqrt(2), so E|g_ij|^2 = 1.
     """
     check_dimension(n)
     g = np.empty((n, n), dtype=np.complex128)
@@ -159,7 +159,15 @@ def haar_unitary(n, rng):
         for j in range(n):
             re, im = rng.normal_pair()
             g[i, j] = complex(re * inv_sqrt2, im * inv_sqrt2)
-    q, r = _qr_householder(g)
+    return g
+
+
+def haar_unitary(n, rng):
+    """Haar-distributed n x n unitary drawn from the given stream.
+
+    A Ginibre draw, then QR plus the diag(R) phase correction.
+    """
+    q, r = _qr_householder(ginibre(n, rng))
     for k in range(n):
         d = r[k, k]
         mag = abs(d)

@@ -22,6 +22,7 @@ from jarlskog import (
     det4_closed,
     det_direct,
     expand_phases,
+    expansion_residual,
     haar_unitary,
     hermitian_from_spectrum,
     jacobi_eig,
@@ -119,16 +120,9 @@ class EnsembleN4:
             )
             table = phase_table(v)
             jr = jr_matrices(v)
-            expanded = expand_phases(jr)
-            for rp in table.canonical_pairs():
-                for cp in table.canonical_pairs():
-                    self.worst_expansion = max(
-                        self.worst_expansion,
-                        abs(
-                            expanded.im_value(rp[0], rp[1], cp[0], cp[1])
-                            - table.im_value(rp[0], rp[1], cp[0], cp[1])
-                        ),
-                    )
+            self.worst_expansion = max(
+                self.worst_expansion, expansion_residual(table, expand_phases(jr))
+            )
             j = jr.j_mat
             spots = (
                 abs(table.im_value(1, 2, 2, 4) - (j[0, 0] - j[0, 1])),

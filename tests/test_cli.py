@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from jarlskog import MassPairInput, SeededRng, haar_unitary, random_spectrum
+from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -88,6 +90,32 @@ def test_problem_rejects_degenerate_spectrum():
     doc["a"] = [0.1, 0.1, 0.5]
     with pytest.raises(ProblemFileError, match="field 'a'"):
         parse_problem(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ("V", "U", "U_prime", "a", "b"))
+@pytest.mark.parametrize("token", ("NaN", "Infinity", "-Infinity"))
+def test_det_rejects_non_finite_input_by_name(field, token, tmp_path, capsys):
+    doc = json.loads(render_problem_sample())
+    if field in ("U", "U_prime"):
+        rng = SeededRng(9)
+        for name in ("U", "U_prime"):
+            matrix = haar_unitary(3, rng).matrix
+            doc[name] = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        del doc["V"]
+    if field in ("a", "b"):
+        doc[field][0] = float(token)
+    else:
+        doc[field][0][0][0] = float(token)
+    text = json.dumps(doc)
+    assert token in text
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["det", str(path)])
+    assert code == 1
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert caught == []
 
 
 # ---------------------------------------------------------------- sample

@@ -19,7 +19,6 @@ from jarlskog import (
     matmul,
     random_spectrum,
     t_factors,
-    u_entry,
 )
 from jarlskog.determinant import DET4_GROUPS, commutator_matrix
 
@@ -35,23 +34,23 @@ def swapped(inp):
     return MassPairInput(a=inp.b, b=inp.a, v=UnitaryMatrix(adjoint(inp.v.matrix)))
 
 
-# ---------------------------------------------------------------- u entries
+# ---------------------------------------------------------------- commutator entries
 
-def test_u_entry_vanishes_on_diagonal():
-    inp = seeded_input(4, 31)
-    for i in range(1, 5):
-        assert u_entry(inp, i, i) == 0j
+def test_commutator_matrix_vanishes_on_diagonal():
+    m = commutator_matrix(seeded_input(4, 31))
+    for i in range(4):
+        assert m[i, i] == 0j
 
 
-def test_u_entry_identity_mixing_vanishes_off_diagonal():
-    inp = identity_input(4)
-    for i in range(1, 5):
-        for j in range(1, 5):
+def test_commutator_matrix_identity_mixing_vanishes_off_diagonal():
+    m = commutator_matrix(identity_input(4))
+    for i in range(4):
+        for j in range(4):
             if i != j:
-                assert u_entry(inp, i, j) == 0j
+                assert m[i, j] == 0j
 
 
-def test_u_entry_matches_matrix_product_oracle():
+def test_commutator_matrix_matches_matrix_product_oracle():
     # oracle: assemble D V D' V+ - V D' V+ D from explicit products
     inp = seeded_input(4, 77)
     d = np.diag(inp.a.values).astype(complex)
@@ -60,24 +59,7 @@ def test_u_entry_matches_matrix_product_oracle():
     x = matmul(matmul(matmul(d, v), dp), adjoint(v)) - matmul(
         matmul(matmul(v, dp), adjoint(v)), d
     )
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert abs(u_entry(inp, i, j) - x[i - 1, j - 1]) <= 1e-13
-
-
-def test_u_entry_anti_hermitian_bitwise():
-    inp = seeded_input(4, 5)
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert u_entry(inp, j, i) == -u_entry(inp, i, j).conjugate()
-
-
-def test_u_entry_index_range():
-    inp = seeded_input(3, 2)
-    with pytest.raises(IndexError):
-        u_entry(inp, 0, 1)
-    with pytest.raises(IndexError):
-        u_entry(inp, 1, 4)
+    assert np.max(np.abs(commutator_matrix(inp) - x)) <= 1e-13
 
 
 # ---------------------------------------------------------------- direct det
@@ -298,6 +280,6 @@ def test_decompose_group_names_are_stable():
 # ---------------------------------------------------------------- commutator build
 
 def test_commutator_matrix_is_anti_hermitian_bitwise():
-    inp = seeded_input(4, 55)
-    m = commutator_matrix(inp)
-    assert np.array_equal(m, -adjoint(m))
+    for seed in (5, 55):
+        m = commutator_matrix(seeded_input(4, seed))
+        assert np.array_equal(m, -adjoint(m))
