@@ -32,14 +32,11 @@ from .phases import (
 )
 from .problem_io import ProblemFileError, load_problem, render_problem
 from .sampling import SeededRng, haar_unitary, random_spectrum
-from .verify import run_suite
+from .verify import CLOSED_REL, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
-
-#: default closed-vs-direct agreement tolerances for `det --method both`
-DET_BOTH_REL = {3: 1e-10, 4: 1e-9}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,7 +89,7 @@ def _cmd_det(args):
         lines.append(f"det_closed: {_fmt_complex(c)}")
     code = EXIT_OK
     if method == "both":
-        tol_rel = args.tol_rel if args.tol_rel is not None else DET_BOTH_REL[inp.n]
+        tol_rel = args.tol_rel if args.tol_rel is not None else CLOSED_REL[inp.n]
         tol_abs = args.tol_abs if args.tol_abs is not None else 0.0
         disc = abs(c - d)
         bound = tol_rel * max(1.0, abs(d)) + tol_abs

@@ -13,17 +13,20 @@ Three evaluations are provided:
 
 * det_direct: build the commutator entrywise and take an LU determinant.
   This is the ground-truth oracle for the closed forms.  The products
-  V[i,k] conj(V[j,k]) come from the same split real/imaginary kernel as the
-  plaquettes (linalg._row_products, applied to V^T), so every entry is
-  bit-equal to its scalar complex evaluation.
+  V[i,k] conj(V[j,k]) are UnitaryMatrix.column_products, the same split
+  real/imaginary kernel as the plaquettes applied to V^T, and the k-sum is
+  linalg._ksum, so every entry is bit-equal to its scalar complex
+  evaluation.
 * det3_closed (n = 3): 2i T B im(12;12) with T, B the cyclic products of
   eigenvalue differences, im(12;12) read from the plaquette tensor.
 * det4_closed (n = 4): the expanded closed form in which the fourth column
   of V has been eliminated through unitarity.  Nine term groups survive,
   weighted by squared-pair factors T_(ij)(kl) and 4-cycle factors T_(ijkl)
   of the a-spectrum; the b-spectrum enters only through the differences
-  b_k - b_4.  Its plaquettes and column products are read from the same
-  kernel; only the 3-term sums over k are scalar code.
+  b_k - b_4.  Each group is a product of 3-term sums over k; all of them
+  come from two batched _ksum passes over the plaquettes, the column
+  products and |V|^2, and are then multiplied as Python complex numbers,
+  so every group is bit-equal to its scalar evaluation.
 
 Reconciliation note for det4_closed: the three pair-weighted groups are
 self-conjugate sums (their imaginary parts cancel index-by-index), but each
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, Spectrum, UnitaryMatrix, _cmul, _row_products, det
+from .linalg import DimensionError, Spectrum, UnitaryMatrix, _cmul, _ksum, det
 from .phases import PlaquetteIndex, im_phase
 
 #: canonical order of the nine term groups of det4_closed; decompose_det4
@@ -98,12 +101,9 @@ def commutator_matrix(inp):
     """
     a = np.array(inp.a.values)
     b = np.array(inp.b.values)[:, None, None]
-    # term k of entry (i, j) is b_k x[k, i, j], x[k, i, j] = V[i,k] conj(V[j,k])
-    tr, ti = _cmul(b, 0.0, *_row_products(inp.v.matrix.T))
-    acc_r = acc_i = np.zeros((inp.n, inp.n))
-    for k in range(inp.n):
-        acc_r, acc_i = acc_r + tr[k], acc_i + ti[k]
-    return _complex(*_cmul(a[:, None] - a[None, :], 0.0, acc_r, acc_i))
+    # term k of entry (i, j) is b_k c[k, i, j], c[k, i, j] = V[i,k] conj(V[j,k])
+    tr, ti = _cmul(b, 0.0, *inp.v.column_products)
+    return _complex(*_cmul(a[:, None] - a[None, :], 0.0, _ksum(tr), _ksum(ti)))
 
 
 def det_direct(inp):
@@ -173,107 +173,81 @@ def t_factors(s):
     return TFactors(pair=pair, cycle=cycle)
 
 
-def _det4_pieces(inp):
-    """Scalar tables used by the nine term groups of det4_closed.
-
-    Returns (bw, q, x, mod2):
-      bw[k]      = b_k - b_4                       (k = 0..2)
-      q[(a,b)]   = 3x3 nested list of plaquettes [ab; j k] over columns 1..3,
-                   read from UnitaryMatrix.plaquettes
-      x[(a,b)]   = column products V[a,k] conj(V[b,k]) for k = 0..2, the
-                   row products of V^T
-      mod2[r][k] = |V[r+1, k+1]|^2 for rows/columns 1..3
-    """
-    b = inp.b.values
-    v = inp.v.matrix
-    bw = [b[k] - b[3] for k in range(3)]
-    p = _complex(*inp.v.plaquettes)[:3, :3, :3, :3]
-    q = {(a, bb): p[a - 1, bb - 1].tolist() for (a, bb) in ((1, 2), (1, 3), (2, 3))}
-    xt = _complex(*_row_products(v.T))[:3, :3, :3]
-    x = {(a, bb): xt[:, a - 1, bb - 1].tolist()
-         for a in (1, 2, 3) for bb in (1, 2, 3) if a != bb}
-    mod2 = tuple(
-        tuple(float(abs(v[r, k]) ** 2) for k in range(3)) for r in range(3)
-    )
-    return bw, q, x, mod2
-
-
-# The multi-index sums below all factorise exactly: every summand is a
-# product of factors that each depend on a single summation index, so a sum
-# over (k1, .., k4) is a product of independent 3-term sums.  Each helper
-# accumulates its 3-term sums in ascending k, which fixes the evaluation
-# order completely.
-
-
-def _wsum(bw, x):
-    """sum_k bw[k] x[k]."""
-    return bw[0] * x[0] + bw[1] * x[1] + bw[2] * x[2]
-
-
-def _w2sum(bw, x):
-    """sum_k bw[k]^2 x[k]."""
-    return (bw[0] * bw[0]) * x[0] + (bw[1] * bw[1]) * x[1] + (bw[2] * bw[2]) * x[2]
-
-
-def _qform(bw, q):
-    """sum_{k1,k2} bw[k1] bw[k2] q[k1][k2], k2 innermost."""
-    acc = 0j
-    for k1 in range(3):
-        for k2 in range(3):
-            acc += (bw[k1] * bw[k2]) * q[k1][k2]
-    return acc
-
-
-def _sum3_pair(bw, q, mrow):
-    """sum_{k1,k2,k3} bw1 bw2 bw3^2 q[k1][k2] mrow[k3]."""
-    return _qform(bw, q) * _w2sum(bw, mrow)
-
-
-def _sum4_pair_pair(bw, qx, qy):
-    """sum over k1..k4 of bw1 bw2 bw3 bw4 qx[k1][k2] qy[k3][k4]."""
-    return _qform(bw, qx) * _qform(bw, qy)
-
-
-def _sum4_pair_mod(bw, q, mrow):
-    """sum over k1..k4 of bw1 bw2 bw3 bw4 q[k1][k2] mrow[k3] mrow[k4]."""
-    wm = _wsum(bw, mrow)
-    return _qform(bw, q) * (wm * wm)
-
-
-def _sum3_cycle(bw, xa, xb, xc):
-    """sum_{k1,k2,k3} bw1 bw2 bw3^2 xa[k1] xb[k2] xc[k3]."""
-    return _wsum(bw, xa) * _wsum(bw, xb) * _w2sum(bw, xc)
-
-
-def _sum4_cycle(bw, xa, xb, xc, mweights):
-    """sum over k1..k4 of bw1 bw2 bw3 bw4 xa[k1] xb[k2] xc[k3] mweights[k4]."""
-    return _wsum(bw, xa) * _wsum(bw, xb) * _wsum(bw, xc) * _wsum(bw, mweights)
-
-
 def _check_n4(inp):
     if inp.n != 4:
         raise DimensionError(f"the four-level closed form requires n=4, got n={inp.n}")
 
 
-def _cycle_groups(tf, bw, x, mod2):
-    m1, m2, m3 = mod2
-    cyc312 = (x[(3, 1)], x[(1, 2)], x[(2, 3)])
-    cyc132 = (x[(1, 3)], x[(3, 2)], x[(2, 1)])
-    cyc123 = (x[(1, 2)], x[(2, 3)], x[(3, 1)])
-    m23 = tuple(m2[k] + m3[k] for k in range(3))
-    m12 = tuple(m1[k] + m2[k] for k in range(3))
-    m13 = tuple(m1[k] + m3[k] for k in range(3))
-    t1243 = tf.cycle[(1, 2, 4, 3)]
-    t1324 = tf.cycle[(1, 3, 2, 4)]
-    t1234 = tf.cycle[(1, 2, 3, 4)]
-    return {
-        "cycle3_1243": (-2.0 * t1243, _sum3_cycle(bw, *cyc312)),
-        "cycle3_1324": (-2.0 * t1324, _sum3_cycle(bw, *cyc132)),
-        "cycle3_1234": (-2.0 * t1234, _sum3_cycle(bw, *cyc123)),
-        "cycle4_1243": (2.0 * t1243, _sum4_cycle(bw, *cyc312, m23)),
-        "cycle4_1324": (2.0 * t1324, _sum4_cycle(bw, *cyc132, m12)),
-        "cycle4_1234": (2.0 * t1234, _sum4_cycle(bw, *cyc123, m13)),
-    }
+# Every summand of the nine groups is a product of factors that each depend
+# on a single summation index, so each group is a product of 3-term sums
+# over k (columns 1..3), weighted by bw[k] = b_k - b_4, bw[k]^2 or
+# bw[k1] bw[k2].  The sums, 0-based:
+#   q[f]    = sum bw[k1] bw[k2] [ab; k1 k2], rows (a, b) = (12), (13), (23)
+#   x[3a+b] = sum bw[k] V[a,k] conj(V[b,k]), x2 with bw[k]^2
+#   m[r]    = sum bw[k] |V[r,k]|^2,          m2 with bw[k]^2
+#   mp[g]   = sum bw[k] (|V[r,k]|^2 + |V[s,k]|^2), r, s = _CYCLE_ROWS[:][g]
+# In DET4_GROUPS order, with the T factors of the a-spectrum:
+#   pair g   = T (q[g] m2[r] - q[i] q[j] - q[g] m[r]^2), r from _PAIR_ROW,
+#              (i, j) from _PAIR_QQ
+#   cycle3 g = -2T x[a] x[b] x2[c], cycle4 g = 2T x[a] x[b] x[c] mp[g],
+#              (a, b, c) from _CYCLE_X
+
+#: flat positions of [ab; k1 k2] in the plaquette tensor; row 3 k1 + k2,
+#: column f
+_Q_TAKE = np.array([[64 * a + 16 * b + 4 * k1 + k2 for a, b in ((0, 1), (0, 2), (1, 2))]
+                    for k1 in range(3) for k2 in range(3)])
+_PAIR_ROW = (2, 1, 0)
+_PAIR_QQ = ((1, 2), (0, 2), (0, 1))
+#: x31 x12 x23, x13 x32 x21, x12 x23 x31
+_CYCLE_X = ((6, 1, 5), (2, 7, 3), (1, 5, 6))
+_CYCLE_ROWS = ((1, 0, 0), (2, 1, 2))
+
+
+def _complexes(re, im):
+    return [complex(r, i) for r, i in zip(re, im)]
+
+
+def _det4_groups(inp):
+    """The nine term groups of det4_closed and the six raw cycle groups.
+
+    Returns (parts, cycles): parts lists the nine group values in
+    DET4_GROUPS order, each cycle group with only its real part kept;
+    cycles lists the (weight, raw) pairs of the six cycle groups.  Every
+    3-term sum over k comes from one of two batched _ksum passes; the
+    products of those sums are scalar complex arithmetic.
+    """
+    b = inp.b.values
+    bw = [b[k] - b[3] for k in range(3)]
+    # |V|^2 by CPython's abs(z) ** 2, whose bits differ from np.abs(V) ** 2
+    rows = np.array([[abs(z) ** 2 for z in row] for row in inp.v.matrix[:3, :3].T.tolist()])
+    cr, ci = inp.v.column_products
+    # one pass over k with weights [bw, bw^2]; items: the nine column
+    # products, the three |V|^2 rows and the cycle4 row-pair sums.  These
+    # sums are spelled out term by term, so they start from -0.0.
+    pairs = rows[:, _CYCLE_ROWS[0]] + rows[:, _CYCLE_ROWS[1]]
+    items_r = np.concatenate([cr[:3, :3, :3].reshape(3, 9), rows, pairs], axis=1)
+    items_i = np.concatenate([ci[:3, :3, :3].reshape(3, 9), np.zeros((3, 6))], axis=1)
+    w = np.array([(d, d * d) for d in bw])[:, :, None]
+    terms = _cmul(w, 0.0, items_r[:, None], items_i[:, None])
+    sr, si = _ksum(np.stack(terms, axis=1), -0.0).tolist()
+    x, x2 = _complexes(sr[0][:9], si[0][:9]), _complexes(sr[1][:9], si[1][:9])
+    m, m2, mp = sr[0][9:12], sr[1][9:12], sr[0][12:]
+    # the plaquette forms: 9 terms over (k1, k2), k2 innermost
+    ww = np.array([d1 * d2 for d1 in bw for d2 in bw])[:, None]
+    p = (t.take(_Q_TAKE) for t in inp.v.plaquettes)
+    q = _complexes(*_ksum(np.stack(_cmul(ww, 0.0, *p), axis=1)).tolist())
+
+    tf = t_factors(inp.a)
+    parts = [
+        t * (q[g] * m2[r] - q[i] * q[j] - q[g] * (m[r] * m[r]))
+        for g, (t, r, (i, j)) in enumerate(zip(tf.pair.values(), _PAIR_ROW, _PAIR_QQ))
+    ]
+    cycles = [(-2.0 * t, x[a] * x[b] * x2[c])
+              for t, (a, b, c) in zip(tf.cycle.values(), _CYCLE_X)]
+    cycles += [(2.0 * t, x[a] * x[b] * x[c] * s)
+               for t, (a, b, c), s in zip(tf.cycle.values(), _CYCLE_X, mp)]
+    parts += [complex(weight * raw.real, 0.0) for weight, raw in cycles]
+    return parts, cycles
 
 
 def cycle_groups(inp):
@@ -286,8 +260,7 @@ def cycle_groups(inp):
     the expansion discards (see the module docstring).
     """
     _check_n4(inp)
-    bw, _, x, mod2 = _det4_pieces(inp)
-    return _cycle_groups(t_factors(inp.a), bw, x, mod2)
+    return dict(zip(DET4_GROUPS[3:], _det4_groups(inp)[1]))
 
 
 def decompose_det4(inp):
@@ -299,34 +272,7 @@ def decompose_det4(inp):
     det4_closed returns.
     """
     _check_n4(inp)
-    tf = t_factors(inp.a)
-    bw, q, x, mod2 = _det4_pieces(inp)
-    m1, m2, m3 = mod2
-    q12, q13, q23 = q[(1, 2)], q[(1, 3)], q[(2, 3)]
-
-    t12_34 = tf.pair[((1, 2), (3, 4))]
-    t13_24 = tf.pair[((1, 3), (2, 4))]
-    t14_23 = tf.pair[((1, 4), (2, 3))]
-
-    parts = {}
-    parts["pair_12_34"] = t12_34 * (
-        _sum3_pair(bw, q12, m3)
-        - _sum4_pair_pair(bw, q13, q23)
-        - _sum4_pair_mod(bw, q12, m3)
-    )
-    parts["pair_13_24"] = t13_24 * (
-        _sum3_pair(bw, q13, m2)
-        - _sum4_pair_pair(bw, q12, q23)
-        - _sum4_pair_mod(bw, q13, m2)
-    )
-    parts["pair_14_23"] = t14_23 * (
-        _sum3_pair(bw, q23, m1)
-        - _sum4_pair_pair(bw, q12, q13)
-        - _sum4_pair_mod(bw, q23, m1)
-    )
-    for name, (weight, raw) in _cycle_groups(tf, bw, x, mod2).items():
-        parts[name] = complex(weight * raw.real, 0.0)
-    return parts
+    return dict(zip(DET4_GROUPS, _det4_groups(inp)[0]))
 
 
 def det4_closed(inp):
@@ -335,8 +281,5 @@ def det4_closed(inp):
     Returns a complex number whose imaginary part is a pure roundoff
     residue of the pair groups; its real part is the determinant.
     """
-    parts = decompose_det4(inp)
-    acc = 0j
-    for name in DET4_GROUPS:
-        acc += parts[name]
-    return acc
+    _check_n4(inp)
+    return _ksum(_det4_groups(inp)[0])

@@ -69,6 +69,21 @@ def _cmul(xr, xi, yr, yi):
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
+def _ksum(t, start=0.0):
+    """start + t[0] + t[1] + ... over the leading axis, in ascending order.
+
+    The one fixed-order accumulation of the package, applied to the real and
+    the imaginary arrays of _cmul products separately.  With start 0.0 these
+    are the operations of the scalar `acc = 0j; acc += term` loop.  With
+    start -0.0, the additive identity, they are those of the spelled-out
+    t[0] + t[1] + ...; the two differ only when every term is -0.0.
+    """
+    acc = start
+    for term in t:
+        acc = acc + term
+    return acc
+
+
 def _row_products(m):
     """h[a, j, k] = m[a, j] * conj(m[a, k]) as a (re, im) pair of float arrays.
 
@@ -227,6 +242,18 @@ class UnitaryMatrix:
         hr, hi = _row_products(self.matrix)
         hr_t, hi_t = hr.transpose(0, 2, 1), hi.transpose(0, 2, 1)
         pair = _cmul(hr[:, None], hi[:, None], hr_t[None], hi_t[None])
+        for x in pair:
+            x.setflags(write=False)
+        return pair
+
+    @cached_property
+    def column_products(self):
+        """c[k, i, j] = V[i,k] conj(V[j,k]), 0-based: the row products of V^T.
+
+        A read-only (re, im) pair of float tensors, built once per matrix and
+        shared by the commutator entries and the n=4 closed form.
+        """
+        pair = _row_products(self.matrix.T)
         for x in pair:
             x.setflags(write=False)
         return pair

@@ -47,8 +47,8 @@ from .sampling import (
 #: relative part applies
 PARITY_REL = 1e-9
 PARITY_ABS = 1e-12
-CLOSED3_REL = 1e-10
-CLOSED4_REL = 1e-9
+#: closed form vs det_direct, by n; `det --method both` uses it too
+CLOSED_REL = {3: 1e-10, 4: 1e-9}
 SUM_RULE_ABS = 1e-13
 SIGN_TABLE_REL = 1e-12
 EXPANSION_ABS = 1e-12
@@ -165,7 +165,7 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    closed_rel = tol_rel if tol_rel is not None else (CLOSED3_REL if n == 3 else CLOSED4_REL)
+    closed_rel = tol_rel if tol_rel is not None else CLOSED_REL[n]
     parity_abs = tol_abs if tol_abs is not None else PARITY_ABS
 
     results = {}
@@ -229,8 +229,8 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
         antisym.record(_antisymmetry_residual(table), 0.0, seed)
 
         rel = unitary_relation_residuals(v)
-        im_worst = max(rel.families[k][0] for k in rel.families if k.startswith("im_"))
-        re_worst = max(rel.families[k][0] for k in rel.families if k.startswith("re_"))
+        im_worst = max(rel.families[k] for k in rel.families if k.startswith("im_"))
+        re_worst = max(rel.families[k] for k in rel.families if k.startswith("re_"))
         sums_im.record(im_worst, SUM_RULE_ABS, seed)
         sums_re.record(re_worst, SUM_RULE_ABS, seed)
 

@@ -158,11 +158,10 @@ def test_det_both_on_golden_fixture_agrees():
     assert "agreement: pass" in res.stdout
 
 
-def test_det_direct_only_runs_for_any_supported_n():
+def test_det_direct_only_runs_for_any_supported_n(tmp_path):
     out = run_cli("sample", "--n", "5", "--seed", "2")
-    path = "/tmp/jarlskog_n5_problem.json"
-    with open(path, "w") as fh:
-        fh.write(out.stdout)
+    path = tmp_path / "n5_problem.json"
+    path.write_text(out.stdout)
     res = run_cli("det", path, "--method", "direct")
     assert res.returncode == 0
     assert "det_direct" in res.stdout
