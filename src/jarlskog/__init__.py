@@ -2,9 +2,9 @@
 
 Library layout:
 
-* linalg      - small dense complex matrices, LU determinant, Jacobi
-                eigensolver, validated Spectrum / UnitaryMatrix types, the
-                split real/imaginary product kernel behind every plaquette
+* linalg      - small dense complex matrices, LU determinant, validated
+                Spectrum / UnitaryMatrix types, the split real/imaginary
+                product kernel behind every complex product
 * sampling    - seeded splitmix64 stream, Haar-random unitaries, random
                 simple spectra, the rephasing group action
 * determinant - the commutator determinant: direct oracle plus closed
@@ -30,16 +30,12 @@ from .determinant import (
     t_factors,
 )
 from .linalg import (
-    ConvergenceError,
     DegenerateSpectrumError,
     DimensionError,
     Spectrum,
     UnitaryMatrix,
     adjoint,
-    commutator,
     det,
-    hermitian_from_spectrum,
-    jacobi_eig,
     matmul,
 )
 from .phases import (
@@ -70,7 +66,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "ConvergenceError",
     "DegenerateSpectrumError",
     "DimensionError",
     "JRMatrices",
@@ -85,7 +80,6 @@ __all__ = [
     "UnitaryMatrix",
     "__version__",
     "adjoint",
-    "commutator",
     "cycle_groups",
     "decompose_det4",
     "derive_seed",
@@ -97,9 +91,7 @@ __all__ = [
     "expansion_residual",
     "ginibre",
     "haar_unitary",
-    "hermitian_from_spectrum",
     "im_phase",
-    "jacobi_eig",
     "jr_matrices",
     "matmul",
     "n3_phase_table",

@@ -15,13 +15,12 @@ to stderr so that report bytes depend only on the inputs.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
 
-
 from . import __version__
-from .determinant import MassPairInput, det3_closed, det4_closed, det_direct
+from .determinant import MassPairInput, closed_form, det_direct
 from .phases import (
     expand_phases,
     expansion_residual,
@@ -51,16 +50,33 @@ def _fmt_complex(z):
     return f"{z.real:.17e} {z.imag:+.17e}j"
 
 
+def _tolerance(text):
+    """argparse type of --tol-rel/--tol-abs: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _emit(text, out_path):
-    """Print to stdout, or write to a fresh file when out_path is given."""
+    """Print to stdout, or write to a fresh file when out_path is given.
+
+    The file is created exclusively, in one call: an existing path, a
+    symlink included (even a dangling one), is refused, never followed.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
-    if os.path.exists(out_path):
+    try:
+        fh = open(out_path, "x", encoding="utf-8")
+    except FileExistsError:
         raise FileExistsError(
             f"refusing to overwrite existing report '{out_path}' (reports are append-only)"
-        )
-    with open(out_path, "w", encoding="utf-8") as fh:
+        ) from None
+    with fh:
         fh.write(text)
 
 
@@ -72,7 +88,7 @@ def _cmd_det(args):
         return EXIT_INPUT
 
     method = args.method
-    closed_fn = {3: det3_closed, 4: det4_closed}.get(inp.n)
+    closed_fn = closed_form(inp.n)
     if method in ("closed", "both") and closed_fn is None:
         print(
             f"error: no closed form for n={inp.n}; closed evaluation supports n in {{3, 4}}",
@@ -229,9 +245,9 @@ def build_parser():
         "--method", choices=("direct", "closed", "both"), default="both",
         help="evaluation route (default: both)",
     )
-    p_det.add_argument("--tol-rel", type=float, default=None,
+    p_det.add_argument("--tol-rel", type=_tolerance, default=None,
                        help="relative agreement tolerance for --method both")
-    p_det.add_argument("--tol-abs", type=float, default=None,
+    p_det.add_argument("--tol-abs", type=_tolerance, default=None,
                        help="absolute agreement tolerance for --method both")
     p_det.set_defaults(func=_cmd_det)
 
@@ -244,9 +260,9 @@ def build_parser():
     p_ver.add_argument("--n", type=int, default=4, help="dimension, 3 or 4 (default: 4)")
     p_ver.add_argument("--trials", type=int, default=1000, help="ensemble size (default: 1000)")
     p_ver.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    p_ver.add_argument("--tol-rel", type=float, default=None,
+    p_ver.add_argument("--tol-rel", type=_tolerance, default=None,
                        help="override the closed-vs-direct relative tolerance")
-    p_ver.add_argument("--tol-abs", type=float, default=None,
+    p_ver.add_argument("--tol-abs", type=_tolerance, default=None,
                        help="override the parity absolute floor")
     p_ver.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_ver.set_defaults(func=_cmd_verify)

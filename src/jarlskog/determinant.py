@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, Spectrum, UnitaryMatrix, _cmul, _ksum, det
+from .linalg import DimensionError, Spectrum, UnitaryMatrix, _cmul, _complex, _ksum, det
 from .phases import PlaquetteIndex, im_phase
 
 #: canonical order of the nine term groups of det4_closed; decompose_det4
@@ -82,13 +82,6 @@ class MassPairInput:
     @property
     def n(self):
         return self.a.n
-
-
-def _complex(re, im):
-    """Complex array with exactly the given real and imaginary parts."""
-    out = re.astype(np.complex128)
-    out.imag = im
-    return out
 
 
 def commutator_matrix(inp):
@@ -283,3 +276,13 @@ def det4_closed(inp):
     """
     _check_n4(inp)
     return _ksum(_det4_groups(inp)[0])
+
+
+def closed_form(n):
+    """The closed-form evaluation for dimension n, or None if n has none.
+
+    The function is looked up at each call rather than stored in a table,
+    so rebinding det3_closed/det4_closed on this module (as the layer
+    tracer in perfbench/tracing.py does) reaches every caller.
+    """
+    return {3: det3_closed, 4: det4_closed}.get(n)

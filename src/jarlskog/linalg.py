@@ -5,8 +5,9 @@ routines favour determinism and transparency over asymptotic speed.  All
 loops accumulate in a fixed index order, which makes results bit-reproducible
 across platforms (no BLAS dispatch).
 
-Determinants use LU with partial pivoting on the complex modulus; the
-eigensolver is a cyclic Jacobi iteration specialised to Hermitian input.
+Every complex product goes through one kernel, _cmul on split real and
+imaginary float arrays, and every k-sum through _ksum.  Determinants use LU
+with partial pivoting on the complex modulus.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ MIN_DIM = 2
 #: construction tolerances for validated types
 UNITARITY_TOL = 1e-10
 UNIT_DET_TOL = 1e-9
-HERMITICITY_TOL = 1e-10
-
-#: Jacobi sweep control: converged when the off-diagonal Frobenius norm drops
-#: below JACOBI_OFF_TOL times the Frobenius norm of the input.
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
-
-#: eigenvalue gaps below DEGENERACY_TOL * spread are treated as degenerate
-DEGENERACY_TOL = 1e-8
 
 
 class DimensionError(ValueError):
@@ -40,10 +32,6 @@ class DimensionError(ValueError):
 
 class DegenerateSpectrumError(ValueError):
     """Raised when eigenvalues coincide; every formula here assumes simple spectra."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the Jacobi iteration fails to reach its tolerance."""
 
 
 def _as_square(m, name="matrix"):
@@ -88,17 +76,26 @@ def _row_products(m):
     """h[a, j, k] = m[a, j] * conj(m[a, k]) as a (re, im) pair of float arrays.
 
     The one place where products of a matrix with its own conjugate are
-    formed: the plaquettes use it on V, the commutator entries on V^T.
+    formed: the plaquettes use it on V, V V^+ and the commutator entries
+    on V^T.
     """
     re, im = m.real, m.imag
     return _cmul(re[:, :, None], im[:, :, None], re[:, None, :], -im[:, None, :])
 
 
+def _complex(re, im):
+    """Complex array with exactly the given real and imaginary parts."""
+    out = re.astype(np.complex128)
+    out.imag = im
+    return out
+
+
 def matmul(a, b):
     """Matrix product of two equal-sized square complex matrices.
 
-    Written as an explicit triple loop (k innermost, ascending) so the
-    result is independent of the BLAS in use.
+    Entry (i, j) is the k-ascending sum of a[i,k] * b[k,j] from the product
+    kernel, bit-equal to the scalar `acc = 0j; acc += a[i,k] * b[k,j]` loop
+    and independent of the BLAS in use.
     """
     a = _as_square(a, "left factor")
     b = _as_square(b, "right factor")
@@ -107,15 +104,10 @@ def matmul(a, b):
             f"dimension mismatch in product: left is {a.shape[0]}x{a.shape[0]}, "
             f"right is {b.shape[0]}x{b.shape[0]}"
         )
-    n = a.shape[0]
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
+    # term k of entry (i, j) is a[i, k] * b[k, j]
+    ar, ai = a.T.real[:, :, None], a.T.imag[:, :, None]
+    tr, ti = _cmul(ar, ai, b.real[:, None, :], b.imag[:, None, :])
+    return _complex(_ksum(tr), _ksum(ti))
 
 
 def adjoint(m):
@@ -156,17 +148,6 @@ def det(m):
     return sign * value
 
 
-def commutator(h, hp):
-    """h @ hp - hp @ h.  Anti-Hermitian whenever both inputs are Hermitian."""
-    h = _as_square(h)
-    hp = _as_square(hp)
-    if h.shape[0] != hp.shape[0]:
-        raise DimensionError(
-            f"dimension mismatch in commutator: {h.shape[0]} vs {hp.shape[0]}"
-        )
-    return matmul(h, hp) - matmul(hp, h)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Ordered real eigenvalues with all pairwise gaps nonzero."""
@@ -204,17 +185,25 @@ class UnitaryMatrix:
     Construction fails unless every entry is finite, max|V V^+ - I| <=
     UNITARITY_TOL and |det V| is within UNIT_DET_TOL of 1.  The wrapped
     array is frozen (non-writeable).
+
+    column_products holds c[k, i, j] = V[i,k] conj(V[j,k]), 0-based: the
+    row products of V^T, as a read-only (re, im) pair of float tensors.
+    Their k-sums are the entries of V V^+ checked at construction; the
+    commutator entries and the n=4 closed form reuse them.
     """
 
     matrix: np.ndarray
     unitarity_defect: float = field(init=False)
+    column_products: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_square(self.matrix, "unitary candidate")
         check_dimension(m.shape[0])
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        defect = float(np.max(np.abs(matmul(m, adjoint(m)) - np.eye(m.shape[0]))))
+        cr, ci = _row_products(m.T)
+        gram = _complex(_ksum(cr), _ksum(ci))
+        defect = float(np.max(np.abs(gram - np.eye(m.shape[0]))))
         if defect > UNITARITY_TOL:
             raise ValueError(
                 f"matrix is not unitary: max|V V+ - I| = {defect:.3e} > {UNITARITY_TOL:.0e}"
@@ -223,9 +212,11 @@ class UnitaryMatrix:
         if not (1.0 - UNIT_DET_TOL <= mod_det <= 1.0 + UNIT_DET_TOL):
             raise ValueError(f"|det| = {mod_det!r} is not within {UNIT_DET_TOL:.0e} of 1")
         m = m.copy()
-        m.setflags(write=False)
+        for x in (m, cr, ci):
+            x.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "unitarity_defect", defect)
+        object.__setattr__(self, "column_products", (cr, ci))
 
     @property
     def n(self):
@@ -245,132 +236,3 @@ class UnitaryMatrix:
         for x in pair:
             x.setflags(write=False)
         return pair
-
-    @cached_property
-    def column_products(self):
-        """c[k, i, j] = V[i,k] conj(V[j,k]), 0-based: the row products of V^T.
-
-        A read-only (re, im) pair of float tensors, built once per matrix and
-        shared by the commutator entries and the n=4 closed form.
-        """
-        pair = _row_products(self.matrix.T)
-        for x in pair:
-            x.setflags(write=False)
-        return pair
-
-
-def hermitian_from_spectrum(u, d):
-    """Assemble U diag(d) U^+ and symmetrise it.
-
-    The average with its own adjoint is returned, so the result is Hermitian
-    exactly (bitwise), not merely to roundoff.
-    """
-    if u.n != d.n:
-        raise DimensionError(f"unitary is {u.n}x{u.n} but spectrum has {d.n} values")
-    dm = np.diag(d.as_array()).astype(np.complex128)
-    h = matmul(matmul(u.matrix, dm), adjoint(u.matrix))
-    return (h + adjoint(h)) / 2.0
-
-
-def hermiticity_defect(h):
-    h = _as_square(h)
-    return float(np.max(np.abs(h - adjoint(h))))
-
-
-def jacobi_eig(h):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
-
-    Returns (u, spectrum) with h = u diag(spectrum) u^+ and eigenvalues in
-    ascending order.  Each rotation annihilates one off-diagonal entry using
-    a phase factor followed by a real Givens rotation.
-
-    Raises if the input is not Hermitian to HERMITICITY_TOL, if the spectrum
-    is degenerate (smallest gap below DEGENERACY_TOL times the spread; all
-    eigenvalue multiplicities must be 1), or if JACOBI_MAX_SWEEPS sweeps do
-    not reach the convergence tolerance.
-    """
-    h = _as_square(h, "hermitian input")
-    n = h.shape[0]
-    check_dimension(n)
-    defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(
-            f"input is not Hermitian: max|H - H+| = {defect:.3e} > {HERMITICITY_TOL:.0e}"
-        )
-
-    w = h.copy()
-    v = np.eye(n, dtype=np.complex128)
-    fro = float(np.sqrt(np.sum(np.abs(h) ** 2)))
-    threshold = JACOBI_OFF_TOL * fro
-    # entries this small cannot push the off-norm above the convergence
-    # threshold, so rotating on them only risks overflow in 1/|entry|
-    skip_tol = threshold / (2.0 * n)
-
-    def off_norm(m):
-        mags = np.abs(m) ** 2
-        np.fill_diagonal(mags, 0.0)
-        return float(np.sqrt(mags.sum()))
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm(w) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = w[p, q]
-                mag = abs(b)
-                if mag <= skip_tol:
-                    continue
-                phase = b / mag
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # column combine with the phase folded into index q
-                pc = np.conj(phase)
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                w[:, p] = c * wp - s * pc * wq
-                w[:, q] = s * wp + c * pc * wq
-                rp = w[p, :].copy()
-                rq = w[q, :].copy()
-                w[p, :] = c * rp - s * phase * rq
-                w[q, :] = s * rp + c * phase * rq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * pc * vq
-                v[:, q] = s * vp + c * pc * vq
-    else:
-        off = off_norm(w)
-        if off > threshold:
-            raise ConvergenceError(
-                f"Jacobi iteration stalled: off-norm {off:.3e} > {threshold:.3e} "
-                f"after {JACOBI_MAX_SWEEPS} sweeps"
-            )
-        converged = True
-
-    if not converged:  # pragma: no cover - loop exits set the flag
-        raise ConvergenceError("Jacobi iteration did not converge")
-
-    evals = np.diag(w).real.copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    v = v[:, order]
-
-    spread = float(evals[-1] - evals[0])
-    gap = float(np.min(np.diff(evals))) if n > 1 else spread
-    if gap <= DEGENERACY_TOL * spread:
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap {gap:.3e} is below {DEGENERACY_TOL:.0e} x spread "
-            f"{spread:.3e}; only spectra with all multiplicities 1 are supported"
-        )
-
-    return UnitaryMatrix(v), Spectrum(tuple(evals))

@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .determinant import (
     MassPairInput,
-    det3_closed,
-    det4_closed,
+    closed_form,
     det_direct,
     t_factors,
 )
@@ -165,6 +164,7 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
+    closed_fn = closed_form(n)
     closed_rel = tol_rel if tol_rel is not None else CLOSED_REL[n]
     parity_abs = tol_abs if tol_abs is not None else PARITY_ABS
 
@@ -219,10 +219,9 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
         d = det_direct(inp)
         if n % 2 == 0:
             parity.record(abs(d.imag), PARITY_REL * abs(d) + parity_abs, seed)
-            c = det4_closed(inp)
         else:
             parity.record(abs(d.real), PARITY_REL * abs(d) + parity_abs, seed)
-            c = det3_closed(inp)
+        c = closed_fn(inp)
         closed.record(abs(c - d), closed_rel * max(1.0, abs(d)), seed)
 
         table = phase_table(v)
@@ -242,7 +241,7 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
         rephase_phases.record(_phase_shift(table, phase_table(v2)), REPHASE_PHASE_ABS, seed)
         inp2 = MassPairInput(a=a, b=b, v=v2)
         d2 = det_direct(inp2)
-        c2 = det4_closed(inp2) if n == 4 else det3_closed(inp2)
+        c2 = closed_fn(inp2)
         det_shift = max(abs(d2 - d), abs(c2 - c))
         rephase_dets.record(det_shift, REPHASE_DET_REL * max(1.0, abs(d)), seed)
 

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from jarlskog import MassPairInput, SeededRng, haar_unitary, random_spectrum
+from jarlskog import MassPairInput, SeededRng, UnitaryMatrix, haar_unitary, random_spectrum
 
 
 def seeded_input(n, seed):
@@ -22,6 +24,20 @@ def givens(n, p, q, theta, phi=0.0):
     m[p, q] = s * np.exp(1j * phi)
     m[q, p] = -s * np.exp(-1j * phi)
     return m
+
+
+def signed_permutations(n):
+    """Every n x n permutation matrix times each of the phases 1, -i, -1."""
+    for perm in itertools.permutations(range(n)):
+        for phase in (1, -1j, -1):
+            m = np.zeros((n, n), dtype=complex)
+            m[np.arange(n), perm] = phase
+            yield UnitaryMatrix(m)
+
+
+def bits(x):
+    """float64 bit patterns as uint64, so signed zeros compare unequal."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
 @pytest.fixture

@@ -24,8 +24,6 @@ from jarlskog import (
     expand_phases,
     expansion_residual,
     haar_unitary,
-    hermitian_from_spectrum,
-    jacobi_eig,
     jr_matrices,
     n3_phase_table,
     nonlinear_relation_residuals,
@@ -343,40 +341,6 @@ def test_acceptance_10_rephasing_invariance():
         ok,
         f"worst phase shift {worst_phase:.3e} vs 1e-12, "
         f"worst det shift {worst_det:.3e} vs 1e-10",
-        elapsed,
-    )
-    assert ok
-
-
-def test_acceptance_11_eigensolver_round_trip():
-    from jarlskog import adjoint, matmul
-
-    started = time.perf_counter()
-    worst = 0.0
-    worst_res = 0.0
-    for n in (3, 4):
-        rng = SeededRng(derive_seed(MASTER_SEED, 300 + n))
-        for _ in range(1000):
-            u0 = haar_unitary(n, rng)
-            d0 = random_spectrum(n, rng)
-            h = hermitian_from_spectrum(u0, d0)
-            u1, d1 = jacobi_eig(h)
-            worst = max(
-                worst, max(abs(x - y) for x, y in zip(d0.values, d1.values))
-            )
-            rebuilt = matmul(
-                matmul(u1.matrix, np.diag(d1.values).astype(complex)),
-                adjoint(u1.matrix),
-            )
-            worst_res = max(worst_res, float(np.max(np.abs(h - rebuilt))))
-    elapsed = time.perf_counter() - started
-    ok = worst <= 1e-10 and worst_res <= 1e-10
-    announce(
-        11,
-        "eigensolver round trip over 1000 trials per n in {3,4}",
-        ok,
-        f"worst spectrum error {worst:.3e}, worst rebuild residual "
-        f"{worst_res:.3e} vs 1e-10",
         elapsed,
     )
     assert ok

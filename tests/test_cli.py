@@ -233,6 +233,15 @@ def test_phases_out_file_written_once(tmp_path):
     assert out.read_text() == first
 
 
+def test_out_refuses_dangling_symlink(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    link = tmp_path / "report.txt"
+    link.symlink_to(target)
+    assert main(["phases", N3_FIXTURE, "--out", str(link)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_single_trial_is_bit_identical():
@@ -270,6 +279,17 @@ def test_verify_impossible_tolerance_exits_with_violation():
     res = run_cli("verify", "--n", "3", "--trials", "5", "--seed", "1", "--tol-rel", "0")
     assert res.returncode == 2
     assert "overall: FAIL" in res.stdout
+
+
+@pytest.mark.parametrize("option", ("--tol-rel", "--tol-abs"))
+@pytest.mark.parametrize("command", ("det", "verify"))
+@pytest.mark.parametrize("value", ("nan", "inf", "-1"))
+def test_malformed_tolerance_is_input_error(value, command, option, capsys):
+    args = [N4_FIXTURE] if command == "det" else ["--n", "3", "--trials", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, option, value])
+    assert exc.value.code == 1
+    assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
 
 
 def test_verify_rejects_bad_arguments():

@@ -2,8 +2,9 @@
 
 The references below are plain scalar complex arithmetic with the grouping
 and the summation order the library documents: the plaquettes, the
-commutator entries, the nine term groups of the n=4 closed form and the
-3x3 products of the 36-phase expansion.  The library must reproduce them
+column products and V V^+ of the unitarity check, the commutator entries,
+the nine term groups of the n=4 closed form and the 3x3 products of the
+36-phase expansion.  The library must reproduce them
 bit for bit, signed zeros included, so results are compared as uint64 bit
 patterns.  Golden report files pin the printed digits end to end.
 """
@@ -13,6 +14,8 @@ import os
 
 import numpy as np
 import pytest
+
+from conftest import bits, signed_permutations
 
 from jarlskog import (
     MassPairInput,
@@ -35,6 +38,8 @@ from jarlskog.problem_io import load_problem
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 PROBLEMS = ("problem_n3_identity", "problem_n3_seed501", "problem_n4_seed2024")
+#: problems given as the diagonalising pair U, U_prime, so V = U^+ U_prime
+PAIR_PROBLEMS = ("problem_n3_uu_seed601", "problem_n4_uu_seed602")
 
 
 def scalar_plaquette(m, a, b, j, k):
@@ -138,21 +143,8 @@ def reference_expansion(j):
     return t - t.transpose(1, 0, 2, 3) - t.transpose(0, 1, 3, 2) + t.transpose(1, 0, 3, 2)
 
 
-def bits(x):
-    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-
-
 def cbits(z):
     return bits([z.real, z.imag])
-
-
-def signed_permutations(n):
-    """Every n x n permutation matrix times each of the phases 1, -i, -1."""
-    for perm in itertools.permutations(range(n)):
-        for phase in (1, -1j, -1):
-            m = np.zeros((n, n), dtype=complex)
-            m[np.arange(n), perm] = phase
-            yield UnitaryMatrix(m)
 
 
 def pinned_matrices():
@@ -192,6 +184,31 @@ def test_column_products_are_read_only_and_computed_once():
         im[0, 1, 0] = 0.0
 
 
+def test_unitarity_check_is_bit_equal_to_scalar_reference():
+    # V V^+ from `acc = 0j; acc += V[i,k] * conj(V[j,k])`, k ascending.  The
+    # defect takes np.abs of V V^+ - I, as the library does: numpy's complex
+    # modulus and CPython's abs() differ in the last bit on some entries.
+    rng = SeededRng(2718)
+    mats = [*pinned_matrices(), *signed_permutations(3), *signed_permutations(4)]
+    mats.extend(haar_unitary(n, rng) for n in (2, 5, 8) for _ in range(10))
+    for v in mats:
+        n, m = v.n, v.matrix
+        cols = np.empty((n, n, n), dtype=np.complex128)
+        gram = np.empty((n, n), dtype=np.complex128)
+        for i, j in itertools.product(range(n), repeat=2):
+            acc = 0j
+            for k in range(n):
+                term = complex(m[i, k]) * complex(m[j, k]).conjugate()
+                cols[k, i, j] = term
+                acc += term
+            gram[i, j] = acc
+        re, im = v.column_products
+        assert np.array_equal(bits(re), bits(cols.real))
+        assert np.array_equal(bits(im), bits(cols.imag))
+        defect = np.max(np.abs(gram - np.eye(n)))
+        assert bits([v.unitarity_defect]) == bits([defect])
+
+
 def test_commutator_matrix_is_bit_equal_to_scalar_reference():
     rng = SeededRng(777)
     mats = [*pinned_matrices(), *signed_permutations(3), *signed_permutations(4)]
@@ -203,7 +220,7 @@ def test_commutator_matrix_is_bit_equal_to_scalar_reference():
         assert np.array_equal(bits(got.imag), bits(ref.imag))
 
 
-@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("problem", PROBLEMS + PAIR_PROBLEMS)
 @pytest.mark.parametrize("command", (("det", "--method", "both"), ("phases",)))
 def test_report_bytes_match_golden_file(problem, command, capsys):
     path = os.path.join(DATA, f"{problem}.json")
