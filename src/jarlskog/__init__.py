@@ -41,17 +41,13 @@ from .linalg import (
 from .phases import (
     JRMatrices,
     PhaseTable,
-    PlaquetteIndex,
     SingleLevelPhaseReport,
     expand_phases,
     expansion_residual,
-    im_phase,
     jr_matrices,
     n3_phase_table,
     nonlinear_relation_residuals,
     phase_table,
-    plaquette,
-    re_phase,
     reconstruct_J,
     unitary_relation_residuals,
 )
@@ -71,7 +67,6 @@ __all__ = [
     "JRMatrices",
     "MassPairInput",
     "PhaseTable",
-    "PlaquetteIndex",
     "RephasingAngles",
     "SeededRng",
     "SingleLevelPhaseReport",
@@ -91,15 +86,12 @@ __all__ = [
     "expansion_residual",
     "ginibre",
     "haar_unitary",
-    "im_phase",
     "jr_matrices",
     "matmul",
     "n3_phase_table",
     "nonlinear_relation_residuals",
     "phase_table",
-    "plaquette",
     "random_spectrum",
-    "re_phase",
     "reconstruct_J",
     "rephase",
     "t_factors",

@@ -19,6 +19,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .determinant import MassPairInput, closed_form, det_direct
 from .phases import (
@@ -31,7 +33,7 @@ from .phases import (
 )
 from .problem_io import ProblemFileError, load_problem, render_problem
 from .sampling import SeededRng, haar_unitary, random_spectrum
-from .verify import CLOSED_REL, run_suite
+from .verify import CLOSED_REL, check_tolerance, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -50,15 +52,20 @@ def _fmt_complex(z):
     return f"{z.real:.17e} {z.imag:+.17e}j"
 
 
-def _tolerance(text):
-    """argparse type of --tol-rel/--tol-abs: a finite float >= 0."""
+def _finite(z):
+    """True when z and its modulus are finite floats."""
     try:
-        value = float(text)
+        return math.isfinite(abs(z))
+    except OverflowError:
+        return False
+
+
+def _tolerance(text):
+    """argparse type of --tol-rel/--tol-abs: verify.check_tolerance's rule."""
+    try:
+        return check_tolerance(float(text))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
-    return value
 
 
 def _emit(text, out_path):
@@ -97,12 +104,19 @@ def _cmd_det(args):
         return EXIT_INPUT
 
     lines = [f"n: {inp.n}"]
-    if method in ("direct", "both"):
-        d = det_direct(inp)
-        lines.append(f"det_direct: {_fmt_complex(d)}")
-    if method in ("closed", "both"):
-        c = closed_fn(inp)
-        lines.append(f"det_closed: {_fmt_complex(c)}")
+    values = {}
+    # overflow is reported below as an input error, not as a numpy warning
+    with np.errstate(all="ignore"):
+        if method in ("direct", "both"):
+            values["det_direct"] = d = det_direct(inp)
+        if method in ("closed", "both"):
+            values["det_closed"] = c = closed_fn(inp)
+    for name, value in values.items():
+        if not _finite(value):
+            print(f"error: {name} is not a finite number ({_fmt_complex(value)}); "
+                  "a and b are too large for float64", file=sys.stderr)
+            return EXIT_INPUT
+        lines.append(f"{name}: {_fmt_complex(value)}")
     code = EXIT_OK
     if method == "both":
         tol_rel = args.tol_rel if args.tol_rel is not None else CLOSED_REL[inp.n]
@@ -111,7 +125,7 @@ def _cmd_det(args):
         bound = tol_rel * max(1.0, abs(d)) + tol_abs
         lines.append(f"discrepancy: {disc:.17e}")
         lines.append(f"bound: {bound:.17e}")
-        if disc > bound:
+        if not disc <= bound:
             lines.append("agreement: FAIL")
             code = EXIT_VIOLATION
         else:
@@ -129,13 +143,11 @@ def _phase_report_text(v):
     lines.append("")
     lines.append("canonical phases (rows alpha<beta, columns j<k):")
     pairs = table.canonical_pairs()
-    for rp in pairs:
-        for cp in pairs:
-            key = (rp[0], rp[1], cp[0], cp[1])
-            lines.append(
-                f"  ({rp[0]}{rp[1]};{cp[0]}{cp[1]})  im {table.im[key]:+.17e}  "
-                f"re {table.re[key]:+.17e}"
-            )
+    labels = [f"({a}{b};{j}{k})" for (a, b) in pairs for (j, k) in pairs]
+    ims = table.canonical(table.im_tensor).tolist()
+    res = table.canonical(table.re_tensor).tolist()
+    for label, im, re in zip(labels, ims, res):
+        lines.append(f"  {label}  im {im:+.17e}  re {re:+.17e}")
     if v.n == 3:
         rep = n3_phase_table(v)
         lines.append("")
@@ -144,11 +156,8 @@ def _phase_report_text(v):
             lines.append("sign table: indeterminate (base phase is zero)")
         else:
             lines.append("sign table (phase = sign * base):")
-            for (rp, cp), sign in rep.signs.items():
-                lines.append(
-                    f"  ({rp[0]}{rp[1]};{cp[0]}{cp[1]})  sign {sign:+d}  "
-                    f"residual {rep.residuals[(rp, cp)]:.17e}"
-                )
+            for label, sign, residual in zip(labels, rep.signs, rep.residuals):
+                lines.append(f"  {label}  sign {sign:+d}  residual {residual:.17e}")
             lines.append(f"sign pattern matches expected: {rep.matches_expected()}")
         lines.append(f"max sign-table residual: {rep.max_residual:.17e}")
     else:

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError, Spectrum, UnitaryMatrix, _cmul, _complex, _ksum, det
-from .phases import PlaquetteIndex, im_phase
 
 #: canonical order of the nine term groups of det4_closed; decompose_det4
 #: returns them in this order and det4_closed sums them in this order.
@@ -112,7 +111,7 @@ def det3_closed(inp):
     b = inp.b.values
     t = (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0])
     bb = (b[0] - b[1]) * (b[1] - b[2]) * (b[2] - b[0])
-    return 2j * (t * bb * im_phase(inp.v, PlaquetteIndex(1, 2, 1, 2)))
+    return 2j * (t * bb * float(inp.v.plaquettes[1][0, 1, 0, 1]))
 
 
 #: index content of the squared-pair and 4-cycle factors
@@ -124,45 +123,40 @@ CYCLES = ((1, 2, 4, 3), (1, 3, 2, 4), (1, 2, 3, 4))
 class TFactors:
     """Eigenvalue-difference factors of a 4-value spectrum.
 
-    pair[((i,j),(k,l))] = (s_i - s_j)^2 (s_k - s_l)^2  (always >= 0)
-    cycle[(i,j,k,l)]    = (s_i - s_j)(s_j - s_k)(s_k - s_l)(s_l - s_i)
+    pair[g]  = (s_i - s_j)^2 (s_k - s_l)^2 for ((i,j),(k,l)) = PAIRINGS[g]
+               (always >= 0)
+    cycle[g] = (s_i - s_j)(s_j - s_k)(s_k - s_l)(s_l - s_i) for
+               (i,j,k,l) = CYCLES[g]
 
     The three pair factors minus twice the three cycle factors sum to zero;
     sum_rule_residual exposes that combination for testing.
     """
 
-    pair: dict
-    cycle: dict
+    pair: tuple
+    cycle: tuple
 
     def sum_rule_residual(self):
         """Signed value of pair-sum minus twice the cycle-sum (zero exactly)."""
-        return sum(self.pair.values()) - 2.0 * sum(self.cycle.values())
+        return sum(self.pair) - 2.0 * sum(self.cycle)
 
     def sum_rule_scale(self):
         """Sum of absolute term magnitudes, for relative residual checks."""
-        return sum(abs(x) for x in self.pair.values()) + sum(
-            2.0 * abs(x) for x in self.cycle.values()
-        )
+        return sum(abs(x) for x in self.pair) + sum(2.0 * abs(x) for x in self.cycle)
 
 
 def t_factors(s):
     """All pair and cycle difference factors of a 4-value spectrum."""
     if s.n != 4:
         raise DimensionError(f"difference factors require n=4, got n={s.n}")
-    v = s.values
-    pair = {}
-    for (i, j), (k, l) in PAIRINGS:
-        d1 = v[i - 1] - v[j - 1]
-        d2 = v[k - 1] - v[l - 1]
-        pair[((i, j), (k, l))] = (d1 * d1) * (d2 * d2)
-    cycle = {}
-    for (i, j, k, l) in CYCLES:
-        cycle[(i, j, k, l)] = (
-            (v[i - 1] - v[j - 1])
-            * (v[j - 1] - v[k - 1])
-            * (v[k - 1] - v[l - 1])
-            * (v[l - 1] - v[i - 1])
-        )
+    v = [None, *s.values]  # 1-based, as in PAIRINGS and CYCLES
+    pair = tuple(
+        ((v[i] - v[j]) * (v[i] - v[j])) * ((v[k] - v[l]) * (v[k] - v[l]))
+        for (i, j), (k, l) in PAIRINGS
+    )
+    cycle = tuple(
+        (v[i] - v[j]) * (v[j] - v[k]) * (v[k] - v[l]) * (v[l] - v[i])
+        for (i, j, k, l) in CYCLES
+    )
     return TFactors(pair=pair, cycle=cycle)
 
 
@@ -233,12 +227,12 @@ def _det4_groups(inp):
     tf = t_factors(inp.a)
     parts = [
         t * (q[g] * m2[r] - q[i] * q[j] - q[g] * (m[r] * m[r]))
-        for g, (t, r, (i, j)) in enumerate(zip(tf.pair.values(), _PAIR_ROW, _PAIR_QQ))
+        for g, (t, r, (i, j)) in enumerate(zip(tf.pair, _PAIR_ROW, _PAIR_QQ))
     ]
     cycles = [(-2.0 * t, x[a] * x[b] * x2[c])
-              for t, (a, b, c) in zip(tf.cycle.values(), _CYCLE_X)]
+              for t, (a, b, c) in zip(tf.cycle, _CYCLE_X)]
     cycles += [(2.0 * t, x[a] * x[b] * x[c] * s)
-               for t, (a, b, c), s in zip(tf.cycle.values(), _CYCLE_X, mp)]
+               for t, (a, b, c), s in zip(tf.cycle, _CYCLE_X, mp)]
     parts += [complex(weight * raw.real, 0.0) for weight, raw in cycles]
     return parts, cycles
 

@@ -174,9 +174,6 @@ class Spectrum:
     def n(self):
         return len(self.values)
 
-    def as_array(self):
-        return np.array(self.values, dtype=float)
-
 
 @dataclass(frozen=True)
 class UnitaryMatrix:

@@ -5,9 +5,15 @@ The basic object is the plaquette product
     V[alpha, j] * conj(V[alpha, k]) * V[beta, k] * conj(V[beta, j])
 
 whose imaginary part im(alpha beta; j k) and real part re(alpha beta; j k)
-are unchanged when rows and columns of V are multiplied by phases.  All
-indices in this module are 1-based, matching the usual physics convention
-for mixing matrices.
+are unchanged when rows and columns of V are multiplied by phases.
+
+The phases have one representation: the (re, im) pair of full plaquette
+tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.  A
+PhaseTable wraps that pair for n in {3, 4}.  Its im_value/re_value are the
+one 1-based lookup, matching the usual physics convention for mixing
+matrices, and its canonical() returns the entries alpha < beta, j < k as an
+array in table order (row pairs outer, column pairs inner, both as listed
+by canonical_pairs()).  Other n read V.plaquettes directly.
 
 Exactness note: every plaquette value here is read from the one tensor
 UnitaryMatrix.plaquettes, which evaluates the grouping
@@ -32,7 +38,7 @@ rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,56 +55,16 @@ _NON_ADJACENT_ORDER = ((2, 4), (1, 4), (1, 3))
 RECONSTRUCTION_GATE = 1e-8
 
 
-@dataclass(frozen=True)
-class PlaquetteIndex:
-    """Row pair (alpha, beta) and column pair (j, k), 1-based."""
-
-    alpha: int
-    beta: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "j", "k"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"index {name}={v!r} must be a positive integer")
-
-    def check(self, n):
-        for name in ("alpha", "beta", "j", "k"):
-            v = getattr(self, name)
-            if v > n:
-                raise IndexError(f"index {name}={v} out of range for an {n}x{n} matrix")
-
-
-def plaquette(v, idx):
-    """Complex plaquette product at the given index quadruple."""
-    idx.check(v.n)
-    re, im = v.plaquettes
-    key = (idx.alpha - 1, idx.beta - 1, idx.j - 1, idx.k - 1)
-    return complex(re[key], im[key])
-
-
-def im_phase(v, idx):
-    """Imaginary part of the plaquette: the invariant phase im(ab; jk)."""
-    return plaquette(v, idx).imag
-
-
-def re_phase(v, idx):
-    """Real part of the plaquette: the invariant re(ab; jk)."""
-    return plaquette(v, idx).real
-
-
 def _canonical_pairs(n):
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def _canonical_index(n):
-    """Canonical 1-based keys and the matching 0-based tensor index arrays."""
+    """0-based tensor index arrays of the canonical entries, in table order."""
     pairs = _canonical_pairs(n)
-    keys = tuple((a, b, j, k) for (a, b) in pairs for (j, k) in pairs)
-    return keys, tuple(np.array(axis) - 1 for axis in zip(*keys))
+    keys = [(a, b, j, k) for (a, b) in pairs for (j, k) in pairs]
+    return tuple(np.array(axis) - 1 for axis in zip(*keys))
 
 
 @dataclass(frozen=True)
@@ -107,9 +73,11 @@ class PhaseTable:
     im_tensor[a, b, j, k] = im(a+1, b+1; j+1, k+1), likewise re_tensor.
 
     Every index order is stored, so lookups at swapped or repeated indices
-    read the tensor directly.  im and re map the canonical 1-based indices
-    alpha < beta, j < k to their values.  re_tensor is None for tables that
-    carry only the imaginary parts (e.g. the output of expand_phases).
+    read the tensor directly.  im_value/re_value take 1-based indices;
+    canonical(tensor) gives the entries alpha < beta, j < k as an array,
+    row pairs outer and column pairs inner, in canonical_pairs() order.
+    re_tensor is None for tables that carry only the imaginary parts
+    (e.g. the output of expand_phases).
     """
 
     n: int
@@ -118,18 +86,7 @@ class PhaseTable:
 
     def canonical(self, tensor):
         """The canonical entries of a full tensor, in table order."""
-        return tensor[_canonical_index(self.n)[1]]
-
-    def _as_dict(self, tensor):
-        return dict(zip(_canonical_index(self.n)[0], self.canonical(tensor).tolist()))
-
-    @cached_property
-    def im(self):
-        return self._as_dict(self.im_tensor)
-
-    @cached_property
-    def re(self):
-        return None if self.re_tensor is None else self._as_dict(self.re_tensor)
+        return tensor[_canonical_index(self.n)]
 
     def _lookup(self, tensor, alpha, beta, j, k):
         if not all(1 <= x <= self.n for x in (alpha, beta, j, k)):
@@ -157,14 +114,8 @@ def phase_table(v):
 
 
 @dataclass(frozen=True)
-class UnitaryRelationResiduals:
-    """Max absolute residual of each of the eight sum rules.
-
-    Summing a plaquette's imaginary part over either full row index or
-    either full column index gives zero; the same sums of the real part
-    give delta-weighted squared moduli.  Families are keyed by the summed
-    index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
-    """
+class RelationResiduals:
+    """Max absolute residual of each family of an identity, keyed by name."""
 
     families: dict
 
@@ -173,47 +124,32 @@ class UnitaryRelationResiduals:
 
 
 def unitary_relation_residuals(v):
-    """Evaluate all eight sum rules on v and report residuals per family."""
+    """Evaluate all eight sum rules on v and report residuals per family.
+
+    Summing a plaquette's imaginary part over either full row index or
+    either full column index gives zero; the same sums of the real part
+    give delta-weighted squared moduli.  Families are keyed by the summed
+    index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
+    """
     if v.n not in (3, 4):
         raise DimensionError(f"sum rules are tabulated for n in {{3, 4}}, got n={v.n}")
     re, im = v.plaquettes
     mod2 = np.abs(v.matrix) ** 2
     eye = np.eye(v.n)
-
-    fams = {}
-
-    def worst(x):
-        return float(np.abs(x).max())
-
-    fams["im_row_alpha"] = worst(im.sum(axis=0))
-    fams["im_row_beta"] = worst(im.sum(axis=1))
-    fams["im_col_j"] = worst(im.sum(axis=2))
-    fams["im_col_k"] = worst(im.sum(axis=3))
-
-    # sum over alpha: target depends on (beta, j, k)
-    fams["re_row_alpha"] = worst(re.sum(axis=0) - eye[None, :, :] * mod2[:, :, None])
-    # sum over beta: target depends on (alpha, j, k)
-    fams["re_row_beta"] = worst(re.sum(axis=1) - eye[None, :, :] * mod2[:, :, None])
-    # sum over j: target[alpha, beta, k] = delta_ab |V[alpha, k]|^2
-    fams["re_col_j"] = worst(re.sum(axis=2) - eye[:, :, None] * mod2[:, None, :])
-    # sum over k: target[alpha, beta, j] = delta_ab |V[alpha, j]|^2
-    fams["re_col_k"] = worst(re.sum(axis=3) - eye[:, :, None] * mod2[:, None, :])
-
-    return UnitaryRelationResiduals(families=fams)
+    # targets of the real-part sums: over alpha or beta, delta_jk |V[c, j]|^2
+    # at the remaining (c, j, k); over j or k, delta_ab |V[a, c]|^2 at (a, b, c)
+    row_target = eye[None, :, :] * mod2[:, :, None]
+    col_target = eye[:, :, None] * mod2[:, None, :]
+    summed = {"row_alpha": 0, "row_beta": 1, "col_j": 2, "col_k": 3}
+    sums = {f"im_{name}": im.sum(axis=axis) for name, axis in summed.items()}
+    sums.update({f"re_{name}": re.sum(axis=axis) - (row_target if axis < 2 else col_target)
+                 for name, axis in summed.items()})
+    return RelationResiduals({name: float(np.abs(x).max()) for name, x in sums.items()})
 
 
-#: sign of each canonical three-level phase as a multiple of im(12;12)
-N3_SIGN_PATTERN = {
-    ((1, 2), (1, 2)): +1,
-    ((1, 2), (1, 3)): -1,
-    ((1, 2), (2, 3)): +1,
-    ((1, 3), (1, 2)): -1,
-    ((1, 3), (1, 3)): +1,
-    ((1, 3), (2, 3)): -1,
-    ((2, 3), (1, 2)): +1,
-    ((2, 3), (1, 3)): -1,
-    ((2, 3), (2, 3)): +1,
-}
+#: sign of each canonical three-level phase as a multiple of im(12;12), in
+#: table order: (12;12), (12;13), (12;23), (13;12), ..., (23;23)
+N3_SIGN_PATTERN = (+1, -1, +1, -1, +1, -1, +1, -1, +1)
 
 #: below this, the base phase is treated as zero and signs are indeterminate
 _N3_DEGENERATE_TOL = 1e-12
@@ -222,18 +158,21 @@ _N3_DEGENERATE_TOL = 1e-12
 @dataclass(frozen=True)
 class SingleLevelPhaseReport:
     """n = 3 structure report: every canonical phase as a signed multiple of
-    the base phase im(12;12)."""
+    the base phase im(12;12).
+
+    signs and residuals run over the nine canonical phases in table order,
+    as N3_SIGN_PATTERN does.  signs holds +1/-1, or is None when the base
+    phase is zero; residuals holds |value - sign * base|, or |value| then.
+    """
 
     base: float
-    signs: dict          # (row pair, col pair) -> +1 / -1 / None
-    residuals: dict      # (row pair, col pair) -> |value - sign * base|
+    signs: tuple | None
+    residuals: tuple
     max_residual: float
     indeterminate: bool
 
     def matches_expected(self):
-        if self.indeterminate:
-            return True
-        return self.signs == N3_SIGN_PATTERN
+        return self.indeterminate or self.signs == N3_SIGN_PATTERN
 
 
 def n3_phase_table(v):
@@ -243,24 +182,20 @@ def n3_phase_table(v):
         raise DimensionError(f"single-phase structure requires n=3, got n={v.n}")
     table = phase_table(v)
     base = table.im_value(1, 2, 1, 2)
+    x = table.canonical(table.im_tensor)
     indeterminate = abs(base) <= _N3_DEGENERATE_TOL
-    signs = {}
-    residuals = {}
-    for rp in table.canonical_pairs():
-        for cp in table.canonical_pairs():
-            value = table.im_value(rp[0], rp[1], cp[0], cp[1])
-            if indeterminate:
-                signs[(rp, cp)] = None
-                residuals[(rp, cp)] = abs(value)
-            else:
-                sign = 1 if abs(value - base) <= abs(value + base) else -1
-                signs[(rp, cp)] = sign
-                residuals[(rp, cp)] = abs(value - sign * base)
+    if indeterminate:
+        signs = None
+        residuals = np.abs(x)
+    else:
+        s = np.where(np.abs(x - base) <= np.abs(x + base), 1, -1)
+        signs = tuple(s.tolist())
+        residuals = np.abs(x - s * base)
     return SingleLevelPhaseReport(
         base=base,
         signs=signs,
-        residuals=residuals,
-        max_residual=max(residuals.values()),
+        residuals=tuple(residuals.tolist()),
+        max_residual=float(residuals.max()),
         indeterminate=indeterminate,
     )
 
@@ -314,7 +249,7 @@ def expand_phases(jr):
     block = np.hstack([left, right])
     order = [(_ADJACENT_ORDER + _NON_ADJACENT_ORDER).index(p) for p in _canonical_pairs(4)]
     t = np.zeros((4, 4, 4, 4))
-    t[_canonical_index(4)[1]] = block[np.ix_(order, order)].ravel()
+    t[_canonical_index(4)] = block[np.ix_(order, order)].ravel()
     # the other index orders follow by antisymmetry; repeated-index entries
     # are zero
     im = t - t.transpose(1, 0, 2, 3) - t.transpose(0, 1, 3, 2) + t.transpose(1, 0, 3, 2)
@@ -327,9 +262,8 @@ def expansion_residual(table, expanded):
                                 - table.canonical(table.im_tensor))))
 
 
-@dataclass(frozen=True)
-class NonlinearRelationResiduals:
-    """Max absolute residual of each product identity family.
+def nonlinear_relation_residuals(v):
+    """Evaluate the four product identity families on v.
 
     mixed_same_rows:   re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk)
                          = re(ab;kk) im(ab;jl)
@@ -343,15 +277,6 @@ class NonlinearRelationResiduals:
     Each is an exact identity of any unitary matrix, evaluated over every
     index tuple (repeats included).
     """
-
-    families: dict
-
-    def max_residual(self):
-        return max(self.families.values())
-
-
-def nonlinear_relation_residuals(v):
-    """Evaluate the four product identity families on v."""
     if v.n not in (3, 4):
         raise DimensionError(f"product identities are tabulated for n in {{3, 4}}, got n={v.n}")
     re, im = v.plaquettes
@@ -382,7 +307,7 @@ def nonlinear_relation_residuals(v):
     t3 = im[:, None, :, None, :, :] * im[None, :, None, :, :, :]   # (ag)(bd)
     product_cols = float(np.abs(t1 - t2 - t3).max())
 
-    return NonlinearRelationResiduals(
+    return RelationResiduals(
         families={
             "mixed_same_rows": mixed_rows,
             "mixed_same_cols": mixed_cols,
@@ -408,9 +333,10 @@ class ReconstructionResult:
     max_error: float | None
 
 
-def band_system(v, jr=None):
+def band_system(v, jr):
     """Coefficient matrix and right-hand side of the 6x6 linear system that
-    determines the off-diagonal J entries from J11, J22, J33.
+    determines the off-diagonal J entries from J11, J22, J33; jr is
+    jr_matrices(v).
 
     Unknown order: [J12, J13, J21, J23, J31, J32] (1-based labels).  Rows
     are product identities with the expanded non-adjacent phases already
@@ -419,8 +345,6 @@ def band_system(v, jr=None):
     """
     if v.n != 4:
         raise DimensionError(f"band reconstruction requires n=4, got n={v.n}")
-    if jr is None:
-        jr = jr_matrices(v)
     r = jr.r_mat
     jd = jr.j_mat
     m2 = np.abs(v.matrix) ** 2
@@ -471,27 +395,18 @@ def reconstruct_J(v):
     smax = float(singular_values[0])
     smin = float(singular_values[-1])
     ratio = smin / smax if smax > 0.0 else 0.0
-    if ratio < RECONSTRUCTION_GATE:
-        return ReconstructionResult(
-            j_direct=jr.j_mat,
-            j_reconstructed=None,
-            singular_values=singular_values,
-            gate_ratio=ratio,
-            degenerate=True,
-            max_error=None,
-        )
-    solution = np.linalg.solve(coeff, rhs)
-    recon = np.empty((3, 3))
-    recon[0, 0], recon[1, 1], recon[2, 2] = jr.j_mat[0, 0], jr.j_mat[1, 1], jr.j_mat[2, 2]
-    recon[0, 1], recon[0, 2] = solution[0], solution[1]
-    recon[1, 0], recon[1, 2] = solution[2], solution[3]
-    recon[2, 0], recon[2, 1] = solution[4], solution[5]
-    max_error = float(np.max(np.abs(recon - jr.j_mat)))
+    degenerate = ratio < RECONSTRUCTION_GATE
+    recon = max_error = None
+    if not degenerate:
+        # the unknowns are the off-diagonal entries in row-major order
+        recon = jr.j_mat.copy()
+        recon[~np.eye(3, dtype=bool)] = np.linalg.solve(coeff, rhs)
+        max_error = float(np.max(np.abs(recon - jr.j_mat)))
     return ReconstructionResult(
         j_direct=jr.j_mat,
         j_reconstructed=recon,
         singular_values=singular_values,
         gate_ratio=ratio,
-        degenerate=False,
+        degenerate=degenerate,
         max_error=max_error,
     )

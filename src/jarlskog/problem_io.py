@@ -82,6 +82,8 @@ def parse_problem(text):
         raise ProblemFileError(
             f"not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError:
+        raise ProblemFileError("not valid JSON: nested too deeply to parse") from None
     _require(isinstance(doc, dict), "top level must be a JSON object")
     _require(doc.get("format") == FORMAT_TAG, f"field 'format' must be '{FORMAT_TAG}'")
     n = doc.get("n")
@@ -119,8 +121,12 @@ def parse_problem(text):
 
 
 def load_problem(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_problem(text)
 
 
 def _matrix_payload(m):

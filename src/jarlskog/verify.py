@@ -153,11 +153,23 @@ def _phase_shift(t1, t2):
     ))
 
 
+def check_tolerance(value, name="tolerance"):
+    """value, if it is a usable tolerance (finite and >= 0); else ValueError.
+
+    A NaN tolerance would make every `residual > limit` comparison false
+    and so switch a check off; a negative one would fail every trial.
+    """
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
     """Run the identity suite for dimension n in {3, 4} over `trials` draws.
 
     tol_rel overrides the closed-form-vs-direct relative tolerance; tol_abs
     overrides the parity absolute floor.  Everything else keeps its default.
+    Each override must pass check_tolerance, or ValueError is raised.
     """
     if n not in (3, 4):
         raise ValueError(f"verification suites exist for n in {{3, 4}}, got n={n}")
@@ -165,8 +177,8 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
         raise ValueError("trials must be >= 1")
 
     closed_fn = closed_form(n)
-    closed_rel = tol_rel if tol_rel is not None else CLOSED_REL[n]
-    parity_abs = tol_abs if tol_abs is not None else PARITY_ABS
+    closed_rel = check_tolerance(tol_rel, "tol_rel") if tol_rel is not None else CLOSED_REL[n]
+    parity_abs = check_tolerance(tol_abs, "tol_abs") if tol_abs is not None else PARITY_ABS
 
     results = {}
 

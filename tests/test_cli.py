@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from jarlskog import MassPairInput, SeededRng, haar_unitary, random_spectrum
 from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
+from jarlskog.verify import run_suite
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 N4_FIXTURE = os.path.join(DATA, "problem_n4_seed2024.json")
@@ -189,6 +191,46 @@ def test_det_missing_file_is_input_error():
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("command", ("det", "phases"))
+@pytest.mark.parametrize(
+    "content",
+    (
+        b'{"format": "jarlskog-problem/1", "n": 3, "a": ["\xe9"]}',  # Latin-1, not UTF-8
+        b"[" * 100_000,
+    ),
+    ids=("non_utf8", "over_nested"),
+)
+def test_unreadable_problem_file_is_input_error(command, content, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    res = run_cli(command, str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("method", ("both", "direct", "closed"))
+@pytest.mark.parametrize("fixture", (N3_FIXTURE, N4_FIXTURE), ids=("n3", "n4"))
+def test_det_overflow_is_input_error(fixture, method, tmp_path, capsys):
+    # a and b scaled by 1e60 overflow the LU determinant and the closed
+    # forms to NaN/inf, which must not read as agreement
+    with open(fixture, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for name in ("a", "b"):
+        doc[name] = [x * 1e60 for x in doc[name]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["det", str(path), "--method", method])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: det_")
+    assert "not a finite number" in err
+    assert caught == []
+
+
 # ---------------------------------------------------------------- phases
 
 def test_phases_n3_report_contains_base_and_signs():
@@ -290,6 +332,13 @@ def test_malformed_tolerance_is_input_error(value, command, option, capsys):
         main([command, *args, option, value])
     assert exc.value.code == 1
     assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ("tol_rel", "tol_abs"))
+@pytest.mark.parametrize("value", (math.nan, math.inf, -1.0))
+def test_run_suite_rejects_unusable_tolerance(value, option):
+    with pytest.raises(ValueError, match=f"{option} must be a finite number >= 0"):
+        run_suite(3, 3, 0, **{option: value})
 
 
 def test_verify_rejects_bad_arguments():

@@ -20,7 +20,7 @@ from jarlskog import (
     random_spectrum,
     t_factors,
 )
-from jarlskog.determinant import DET4_GROUPS, commutator_matrix
+from jarlskog.determinant import CYCLES, DET4_GROUPS, PAIRINGS, commutator_matrix
 
 
 def identity_input(n):
@@ -148,8 +148,10 @@ def test_det3_degeneracy_limit_is_linear():
 
 def test_t_factors_hand_values():
     tf = t_factors(Spectrum((0.0, 1.0, 2.0, 3.0)))
-    assert tf.pair[((1, 2), (3, 4))] == 1.0
-    assert tf.pair[((1, 4), (2, 3))] == 9.0
+    assert PAIRINGS[0] == ((1, 2), (3, 4))
+    assert PAIRINGS[2] == ((1, 4), (2, 3))
+    assert tf.pair[0] == 1.0
+    assert tf.pair[2] == 9.0
 
 
 def test_t_factors_match_defining_products():
@@ -161,20 +163,17 @@ def test_t_factors_match_defining_products():
         return v[i - 1] - v[j - 1]
 
     tf = t_factors(s)
-    for (i, j), (k, l) in tf.pair:
-        assert tf.pair[((i, j), (k, l))] == pytest.approx(
-            gap(i, j) ** 2 * gap(k, l) ** 2, rel=1e-14
-        )
-    for (i, j, k, l) in tf.cycle:
-        assert tf.cycle[(i, j, k, l)] == pytest.approx(
-            gap(i, j) * gap(j, k) * gap(k, l) * gap(l, i), rel=1e-14
-        )
+    assert len(tf.pair) == len(PAIRINGS) and len(tf.cycle) == len(CYCLES)
+    for value, ((i, j), (k, l)) in zip(tf.pair, PAIRINGS):
+        assert value == pytest.approx(gap(i, j) ** 2 * gap(k, l) ** 2, rel=1e-14)
+    for value, (i, j, k, l) in zip(tf.cycle, CYCLES):
+        assert value == pytest.approx(gap(i, j) * gap(j, k) * gap(k, l) * gap(l, i), rel=1e-14)
 
 
 def test_t_factors_pair_values_nonnegative(rng):
     for _ in range(50):
         tf = t_factors(random_spectrum(4, rng))
-        assert all(x >= 0.0 for x in tf.pair.values())
+        assert all(x >= 0.0 for x in tf.pair)
 
 
 def test_t_factor_sum_rule_on_integers():
@@ -196,10 +195,8 @@ def test_t_factors_translation_invariant(shift):
     tf0 = t_factors(base)
     tf1 = t_factors(moved)
     scale = max(1.0, abs(shift))
-    for key in tf0.pair:
-        assert tf1.pair[key] == pytest.approx(tf0.pair[key], rel=1e-10, abs=1e-12 * scale)
-    for key in tf0.cycle:
-        assert tf1.cycle[key] == pytest.approx(tf0.cycle[key], rel=1e-10, abs=1e-12 * scale)
+    for x0, x1 in (*zip(tf0.pair, tf1.pair), *zip(tf0.cycle, tf1.cycle)):
+        assert x1 == pytest.approx(x0, rel=1e-10, abs=1e-12 * scale)
 
 
 def test_t_factors_wrong_dimension():

@@ -7,19 +7,15 @@ from conftest import givens, seeded_input
 
 from jarlskog import (
     DimensionError,
-    PlaquetteIndex,
     SeededRng,
     UnitaryMatrix,
     det_direct,
     expand_phases,
     haar_unitary,
-    im_phase,
     jr_matrices,
     n3_phase_table,
     nonlinear_relation_residuals,
     phase_table,
-    plaquette,
-    re_phase,
     reconstruct_J,
     unitary_relation_residuals,
 )
@@ -44,9 +40,14 @@ def orthogonal3():
 
 # ---------------------------------------------------------------- plaquette
 
+def plaquette(table, a, b, j, k):
+    """The complex plaquette at 1-based indices, from the table's lookups."""
+    return complex(table.re_value(a, b, j, k), table.im_value(a, b, j, k))
+
+
 def test_plaquette_same_rows_is_modulus_product(rng):
     v = haar_unitary(4, rng)
-    z = plaquette(v, PlaquetteIndex(2, 2, 1, 3))
+    z = plaquette(phase_table(v), 2, 2, 1, 3)
     assert z.imag == 0.0
     assert z.real >= 0.0
     expected = abs(v.matrix[1, 0]) ** 2 * abs(v.matrix[1, 2]) ** 2
@@ -54,50 +55,52 @@ def test_plaquette_same_rows_is_modulus_product(rng):
 
 
 def test_plaquette_identity_off_diagonal_is_zero():
-    v = UnitaryMatrix(np.eye(4))
-    assert plaquette(v, PlaquetteIndex(1, 2, 1, 2)) == 0j
+    table = phase_table(UnitaryMatrix(np.eye(4)))
+    assert plaquette(table, 1, 2, 1, 2) == 0j
 
 
 def test_plaquette_index_validation(rng):
-    v = haar_unitary(3, rng)
+    table = phase_table(haar_unitary(3, rng))
     with pytest.raises(IndexError):
-        plaquette(v, PlaquetteIndex(1, 4, 1, 2))
-    with pytest.raises(ValueError):
-        PlaquetteIndex(0, 1, 1, 2)
+        plaquette(table, 1, 4, 1, 2)
+    with pytest.raises(IndexError):
+        table.im_value(0, 1, 1, 2)
 
 
 def test_im_phase_equal_columns_exactly_zero(rng):
-    v = haar_unitary(4, rng)
+    table = phase_table(haar_unitary(4, rng))
     for a in range(1, 5):
         for b in range(1, 5):
-            assert im_phase(v, PlaquetteIndex(a, b, 2, 2)) == 0.0
+            assert table.im_value(a, b, 2, 2) == 0.0
 
 
 def test_real_orthogonal_phases_all_exactly_zero():
-    v = orthogonal3()
+    table = phase_table(orthogonal3())
     for a in range(1, 4):
         for b in range(1, 4):
             for j in range(1, 4):
                 for k in range(1, 4):
-                    assert im_phase(v, PlaquetteIndex(a, b, j, k)) == 0.0
+                    assert table.im_value(a, b, j, k) == 0.0
 
 
 def test_phase_symmetry_is_bitwise(rng):
     # swapping either index pair conjugates the plaquette exactly
-    v = haar_unitary(4, rng)
+    table = phase_table(haar_unitary(4, rng))
     for idx in ((1, 2, 3, 4), (2, 4, 1, 3), (1, 3, 1, 2)):
         a, b, j, k = idx
-        z = plaquette(v, PlaquetteIndex(a, b, j, k))
-        assert plaquette(v, PlaquetteIndex(b, a, j, k)) == z.conjugate()
-        assert plaquette(v, PlaquetteIndex(a, b, k, j)) == z.conjugate()
-        assert plaquette(v, PlaquetteIndex(b, a, k, j)) == z
+        z = plaquette(table, a, b, j, k)
+        assert plaquette(table, b, a, j, k) == z.conjugate()
+        assert plaquette(table, a, b, k, j) == z.conjugate()
+        assert plaquette(table, b, a, k, j) == z
 
 
 # ---------------------------------------------------------------- table
 
 def test_phase_table_sizes(rng):
-    assert len(phase_table(haar_unitary(3, rng)).im) == 9
-    assert len(phase_table(haar_unitary(4, rng)).im) == 36
+    for n, size in ((3, 9), (4, 36)):
+        table = phase_table(haar_unitary(n, rng))
+        assert table.canonical(table.im_tensor).shape == (size,)
+        assert table.canonical(table.re_tensor).shape == (size,)
 
 
 def test_phase_table_rejects_other_dimensions(rng):
@@ -105,31 +108,28 @@ def test_phase_table_rejects_other_dimensions(rng):
         phase_table(haar_unitary(5, rng))
 
 
-def test_phase_table_matches_scalar_path_bitwise(rng):
-    v = haar_unitary(4, rng)
-    table = phase_table(v)
-    for (a, b, j, k), value in table.im.items():
-        assert value == im_phase(v, PlaquetteIndex(a, b, j, k))
-        assert table.re[(a, b, j, k)] == re_phase(v, PlaquetteIndex(a, b, j, k))
-
-
 def test_phase_table_symmetry_lookup_bitwise(rng):
     v = haar_unitary(4, rng)
     table = phase_table(v)
-    for (a, b, j, k), value in table.im.items():
+    ims = table.canonical(table.im_tensor).tolist()
+    res = table.canonical(table.re_tensor).tolist()
+    pairs = table.canonical_pairs()
+    keys = [(a, b, j, k) for (a, b) in pairs for (j, k) in pairs]
+    for (a, b, j, k), value, re in zip(keys, ims, res, strict=True):
+        assert table.im_value(a, b, j, k) == value
         assert table.im_value(b, a, j, k) == -value
         assert table.im_value(a, b, k, j) == -value
         assert table.im_value(b, a, k, j) == value
-        assert table.re_value(b, a, j, k) == table.re[(a, b, j, k)]
+        assert table.re_value(b, a, j, k) == re
     assert table.im_value(2, 2, 1, 3) == 0.0
     assert table.im_value(1, 2, 3, 3) == 0.0
 
 
 def test_phase_table_identity_pattern():
     table = phase_table(UnitaryMatrix(np.eye(4)))
-    assert all(v == 0.0 for v in table.im.values())
+    assert np.all(table.canonical(table.im_tensor) == 0.0)
     # real parts: |delta| products, all zero off the diagonal pairs
-    assert all(v == 0.0 for v in table.re.values())
+    assert np.all(table.canonical(table.re_tensor) == 0.0)
 
 
 # ---------------------------------------------------------------- sum rules
@@ -173,14 +173,15 @@ def test_n3_sign_pattern_on_haar_samples(rng):
 
 def test_n3_specific_signs(rng):
     rep = n3_phase_table(haar_unitary(3, rng))
-    assert rep.signs[((1, 3), (1, 3))] == +1
-    assert rep.signs[((1, 2), (1, 3))] == -1
+    # table order: (12;12), (12;13), (12;23), (13;12), (13;13), ...
+    assert rep.signs[4] == +1
+    assert rep.signs[1] == -1
 
 
 def test_n3_real_orthogonal_is_indeterminate():
     rep = n3_phase_table(orthogonal3())
     assert rep.indeterminate
-    assert all(s is None for s in rep.signs.values())
+    assert rep.signs is None
     assert rep.matches_expected()
 
 
@@ -211,9 +212,10 @@ def test_jr_identity_is_zero():
 def test_jr_entries_match_scalar_phases_bitwise(rng):
     v = haar_unitary(4, rng)
     jr = jr_matrices(v)
-    assert jr.j_mat[0, 0] == im_phase(v, PlaquetteIndex(1, 2, 1, 2))
-    assert jr.j_mat[2, 1] == im_phase(v, PlaquetteIndex(3, 4, 2, 3))
-    assert jr.r_mat[1, 2] == re_phase(v, PlaquetteIndex(2, 3, 3, 4))
+    table = phase_table(v)
+    assert jr.j_mat[0, 0] == table.im_value(1, 2, 1, 2)
+    assert jr.j_mat[2, 1] == table.im_value(3, 4, 2, 3)
+    assert jr.r_mat[1, 2] == table.re_value(2, 3, 3, 4)
 
 
 def test_jr_requires_four_levels(rng):
@@ -277,11 +279,11 @@ def test_product_identity_collapses_when_outer_columns_repeat(rng):
     # with l = j the mixed-rows identity reads
     #   re(ab;jk) im(ab;kj) + re(ab;kj) im(ab;jk) = re(ab;kk) im(ab;jj)
     # and antisymmetry makes both sides exactly zero
-    v = haar_unitary(4, rng)
+    t = phase_table(haar_unitary(4, rng))
     a, b, j, k = 1, 2, 1, 3
-    lhs = re_phase(v, PlaquetteIndex(a, b, j, k)) * im_phase(v, PlaquetteIndex(a, b, k, j))
-    lhs += re_phase(v, PlaquetteIndex(a, b, k, j)) * im_phase(v, PlaquetteIndex(a, b, j, k))
-    rhs = re_phase(v, PlaquetteIndex(a, b, k, k)) * im_phase(v, PlaquetteIndex(a, b, j, j))
+    lhs = t.re_value(a, b, j, k) * t.im_value(a, b, k, j)
+    lhs += t.re_value(a, b, k, j) * t.im_value(a, b, j, k)
+    rhs = t.re_value(a, b, k, k) * t.im_value(a, b, j, j)
     assert lhs == 0.0
     assert rhs == 0.0
 
@@ -366,9 +368,8 @@ def test_all_invariants_survive_rephasing(seed):
     )
     w = rephase(v, angles)
     t1, t2 = phase_table(v), phase_table(w)
-    for key in t1.im:
-        assert abs(t1.im[key] - t2.im[key]) <= 1e-12
-        assert abs(t1.re[key] - t2.re[key]) <= 1e-12
+    assert np.max(np.abs(t1.canonical(t1.im_tensor) - t2.canonical(t2.im_tensor))) <= 1e-12
+    assert np.max(np.abs(t1.canonical(t1.re_tensor) - t2.canonical(t2.re_tensor))) <= 1e-12
     jr1, jr2 = jr_matrices(v), jr_matrices(w)
     assert np.max(np.abs(jr1.j_mat - jr2.j_mat)) <= 1e-13
     assert np.max(np.abs(jr1.r_mat - jr2.r_mat)) <= 1e-13

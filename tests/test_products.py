@@ -99,7 +99,7 @@ def scalar_det4_groups(inp):
         return t * (qform(q) * w2sum(row) - qform(qx) * qform(qy) - qform(q) * (wm * wm))
 
     tf = t_factors(inp.a)
-    tp, tc = list(tf.pair.values()), list(tf.cycle.values())
+    tp, tc = tf.pair, tf.cycle
     parts = {
         "pair_12_34": pair(tp[0], q12, m3, q13, q23),
         "pair_13_24": pair(tp[1], q13, m2, q12, q23),
