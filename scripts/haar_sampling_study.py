@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from jarlskog import SeededRng, ginibre, haar_unitary
-from jarlskog.sampling import _qr_householder
+from jarlskog import SeededRng, ginibre, haar_unitary, householder_qr
 
 
 def main():
@@ -49,13 +48,8 @@ def main():
         acc = 0j
         count = 0
         for _ in range(args.samples):
-            g = ginibre(n, rng)
-            q, r = _qr_householder(g)
-            if corrected:
-                for k in range(n):
-                    d = r[k, k]
-                    mag = abs(d)
-                    q[:, k] *= d / mag if mag != 0.0 else 1.0
+            # both branches draw one Ginibre matrix from the stream
+            q = haar_unitary(n, rng).matrix if corrected else householder_qr(ginibre(n, rng))[0]
             for lam in np.linalg.eigvals(q):
                 acc += lam / abs(lam)
                 count += 1

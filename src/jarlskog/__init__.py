@@ -57,6 +57,7 @@ from .sampling import (
     derive_seed,
     ginibre,
     haar_unitary,
+    householder_qr,
     random_spectrum,
     rephase,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "expansion_residual",
     "ginibre",
     "haar_unitary",
+    "householder_qr",
     "jr_matrices",
     "matmul",
     "n3_phase_table",

@@ -15,6 +15,7 @@ to stderr so that report bytes depend only on the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -284,9 +285,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on first use.  Parsing leaves no
+    state in it: each call returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -25,8 +25,12 @@ Three evaluations are provided:
   of the a-spectrum; the b-spectrum enters only through the differences
   b_k - b_4.  Each group is a product of 3-term sums over k; all of them
   come from two batched _ksum passes over the plaquettes, the column
-  products and |V|^2, and are then multiplied as Python complex numbers,
-  so every group is bit-equal to its scalar evaluation.
+  products and |V|^2, and are then multiplied by _cmul, the scalar complex
+  product, so every group is bit-equal to its scalar evaluation.
+
+Every evaluation runs on a stack of trials: _commutators, _det3_closed and
+_det4_groups take (T, ...) arrays, and the functions on one MassPairInput
+call them with a stack of one.
 
 Reconciliation note for det4_closed: the three pair-weighted groups are
 self-conjugate sums (their imaginary parts cancel index-by-index), but each
@@ -83,6 +87,21 @@ class MassPairInput:
         return self.a.n
 
 
+def _commutators(a, b, cols):
+    """(T, n, n) commutator entries from (T, n) spectra a, b and the (re, im)
+    pair of (T, n, n, n) column products c[t, k, i, j] = V_t[i,k] conj(V_t[j,k])."""
+    cr, ci = cols
+    # term k of entry (i, j) is b_k c[k, i, j]
+    tr, ti = _cmul(b[:, :, None, None], 0.0, cr, ci)
+    diff = a[:, :, None] - a[:, None, :]
+    return _complex(*_cmul(diff, 0.0, _ksum(tr, axis=1), _ksum(ti, axis=1)))
+
+
+def _spectra(inp):
+    """a and b of one input as (1, n) arrays: a stack of one trial."""
+    return np.array([inp.a.values]), np.array([inp.b.values])
+
+
 def commutator_matrix(inp):
     """The full commutator D V D' V^+ - V D' V^+ D, built entrywise.
 
@@ -91,11 +110,7 @@ def commutator_matrix(inp):
     row products of V^T, so u[j, i] == -conj(u[i, j]) holds exactly in
     floating point, not just in exact arithmetic.
     """
-    a = np.array(inp.a.values)
-    b = np.array(inp.b.values)[:, None, None]
-    # term k of entry (i, j) is b_k c[k, i, j], c[k, i, j] = V[i,k] conj(V[j,k])
-    tr, ti = _cmul(b, 0.0, *inp.v.column_products)
-    return _complex(*_cmul(a[:, None] - a[None, :], 0.0, _ksum(tr), _ksum(ti)))
+    return _commutators(*_spectra(inp), tuple(x[None] for x in inp.v.column_products))[0]
 
 
 def det_direct(inp):
@@ -103,15 +118,21 @@ def det_direct(inp):
     return det(commutator_matrix(inp))
 
 
+def _det3_closed(a, b, plaq_im):
+    """(re, im) of 2i T B im(12;12) for (T, 3) spectra and (T, 3, 3, 3, 3)
+    imaginary plaquettes."""
+    t = (a[:, 0] - a[:, 1]) * (a[:, 1] - a[:, 2]) * (a[:, 2] - a[:, 0])
+    bb = (b[:, 0] - b[:, 1]) * (b[:, 1] - b[:, 2]) * (b[:, 2] - b[:, 0])
+    # 2j * x is the scalar complex product (0, 2) (x, 0)
+    return _cmul(0.0, 2.0, t * bb * plaq_im[:, 0, 1, 0, 1], 0.0)
+
+
 def det3_closed(inp):
     """Closed form for n = 3: 2i T B im(12;12)."""
     if inp.n != 3:
         raise DimensionError(f"det3_closed requires n=3, got n={inp.n}")
-    a = inp.a.values
-    b = inp.b.values
-    t = (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0])
-    bb = (b[0] - b[1]) * (b[1] - b[2]) * (b[2] - b[0])
-    return 2j * (t * bb * float(inp.v.plaquettes[1][0, 1, 0, 1]))
+    re, im = _det3_closed(*_spectra(inp), inp.v.plaquettes[1][None])
+    return complex(re[0], im[0])
 
 
 #: index content of the squared-pair and 4-cycle factors
@@ -137,27 +158,43 @@ class TFactors:
 
     def sum_rule_residual(self):
         """Signed value of pair-sum minus twice the cycle-sum (zero exactly)."""
-        return sum(self.pair) - 2.0 * sum(self.cycle)
+        return float(_sum_rule(np.array([self.pair]), np.array([self.cycle]))[0][0])
 
     def sum_rule_scale(self):
         """Sum of absolute term magnitudes, for relative residual checks."""
-        return sum(abs(x) for x in self.pair) + sum(2.0 * abs(x) for x in self.cycle)
+        return float(_sum_rule(np.array([self.pair]), np.array([self.cycle]))[1][0])
+
+
+def _sum_rule(pair, cycle):
+    """(residual, scale) of the difference-factor sum rule for (T, 3) pair
+    and cycle factors: pair-sum minus twice the cycle-sum, and the sum of the
+    absolute term magnitudes, both accumulated left to right from 0.0."""
+    residual = _ksum(pair, axis=1) - 2.0 * _ksum(cycle, axis=1)
+    scale = _ksum(np.abs(pair), axis=1) + _ksum(2.0 * np.abs(cycle), axis=1)
+    return residual, scale
+
+
+#: 0-based spectrum columns of the factors: rows i, j, k, l, one column per
+#: entry of PAIRINGS (flattened) and of CYCLES
+_PAIR_COLUMNS = np.array(PAIRINGS).reshape(3, 4).T - 1
+_CYCLE_COLUMNS = np.array(CYCLES).T - 1
+
+
+def _t_factors(s):
+    """(pair, cycle) difference factors of (T, 4) spectra, each (T, 3)."""
+    i, j, k, l = (s[:, c] for c in _PAIR_COLUMNS)
+    pair = ((i - j) * (i - j)) * ((k - l) * (k - l))
+    i, j, k, l = (s[:, c] for c in _CYCLE_COLUMNS)
+    cycle = (i - j) * (j - k) * (k - l) * (l - i)
+    return pair, cycle
 
 
 def t_factors(s):
     """All pair and cycle difference factors of a 4-value spectrum."""
     if s.n != 4:
         raise DimensionError(f"difference factors require n=4, got n={s.n}")
-    v = [None, *s.values]  # 1-based, as in PAIRINGS and CYCLES
-    pair = tuple(
-        ((v[i] - v[j]) * (v[i] - v[j])) * ((v[k] - v[l]) * (v[k] - v[l]))
-        for (i, j), (k, l) in PAIRINGS
-    )
-    cycle = tuple(
-        (v[i] - v[j]) * (v[j] - v[k]) * (v[k] - v[l]) * (v[l] - v[i])
-        for (i, j, k, l) in CYCLES
-    )
-    return TFactors(pair=pair, cycle=cycle)
+    pair, cycle = _t_factors(np.array([s.values]))
+    return TFactors(pair=tuple(pair[0].tolist()), cycle=tuple(cycle[0].tolist()))
 
 
 def _check_n4(inp):
@@ -174,67 +211,91 @@ def _check_n4(inp):
 #   m[r]    = sum bw[k] |V[r,k]|^2,          m2 with bw[k]^2
 #   mp[g]   = sum bw[k] (|V[r,k]|^2 + |V[s,k]|^2), r, s = _CYCLE_ROWS[:][g]
 # In DET4_GROUPS order, with the T factors of the a-spectrum:
-#   pair g   = T (q[g] m2[r] - q[i] q[j] - q[g] m[r]^2), r from _PAIR_ROW,
-#              (i, j) from _PAIR_QQ
+#   pair g   = T (q[g] m2[r] - q[i] q[j] - q[g] m[r]^2), r = _PAIR_ROW[g],
+#              (i, j) = _PAIR_QQ[:][g]
 #   cycle3 g = -2T x[a] x[b] x2[c], cycle4 g = 2T x[a] x[b] x[c] mp[g],
-#              (a, b, c) from _CYCLE_X
+#              (a, b, c) = _CYCLE_X[:][g]
+# The three groups of each kind are evaluated together, one _cmul per
+# product for all of them.
 
 #: flat positions of [ab; k1 k2] in the plaquette tensor; row 3 k1 + k2,
 #: column f
 _Q_TAKE = np.array([[64 * a + 16 * b + 4 * k1 + k2 for a, b in ((0, 1), (0, 2), (1, 2))]
                     for k1 in range(3) for k2 in range(3)])
-_PAIR_ROW = (2, 1, 0)
-_PAIR_QQ = ((1, 2), (0, 2), (0, 1))
+_PAIR_ROW = [2, 1, 0]
+_PAIR_QQ = ([1, 0, 0], [2, 2, 1])
 #: x31 x12 x23, x13 x32 x21, x12 x23 x31
-_CYCLE_X = ((6, 1, 5), (2, 7, 3), (1, 5, 6))
-_CYCLE_ROWS = ((1, 0, 0), (2, 1, 2))
+_CYCLE_X = ([6, 2, 1], [1, 7, 5], [5, 3, 6])
+_CYCLE_ROWS = ([1, 0, 0], [2, 1, 2])
 
 
-def _complexes(re, im):
-    return [complex(r, i) for r, i in zip(re, im)]
+def _det4_groups(a, b, vmat, cols, plaq):
+    """The nine term groups of det4_closed and the six raw cycle groups, for
+    (T, 4) spectra a, b, the (T, 4, 4) matrices V and their column products
+    and plaquettes.
 
-
-def _det4_groups(inp):
-    """The nine term groups of det4_closed and the six raw cycle groups.
-
-    Returns (parts, cycles): parts lists the nine group values in
-    DET4_GROUPS order, each cycle group with only its real part kept;
-    cycles lists the (weight, raw) pairs of the six cycle groups.  Every
-    3-term sum over k comes from one of two batched _ksum passes; the
-    products of those sums are scalar complex arithmetic.
+    Returns (parts, cycles): parts is the (re, im) pair of (T, 9) arrays of
+    the nine groups in DET4_GROUPS order, each cycle group with only its
+    real part kept; cycles is (weights, (re, im)), three (T, 6) arrays of
+    the six raw cycle groups and their weights.  Every 3-term sum over k
+    comes from one of two batched _ksum passes; the products of those sums
+    are _cmul, the scalar complex product, so each group is bit-equal to its
+    scalar evaluation.
     """
-    b = inp.b.values
-    bw = [b[k] - b[3] for k in range(3)]
-    # |V|^2 by CPython's abs(z) ** 2, whose bits differ from np.abs(V) ** 2
-    rows = np.array([[abs(z) ** 2 for z in row] for row in inp.v.matrix[:3, :3].T.tolist()])
-    cr, ci = inp.v.column_products
+    t = len(a)
+    bw = b[:, :3] - b[:, 3:]
+    # |V|^2 by CPython's abs(z) ** 2, whose bits differ from np.abs(V) ** 2;
+    # rows[t, k, r] = |V[r, k]|^2
+    rows = np.array([abs(z) ** 2 for z in vmat[:, :3, :3].swapaxes(1, 2).ravel().tolist()])
+    rows = rows.reshape(t, 3, 3)
+    cr, ci = cols
     # one pass over k with weights [bw, bw^2]; items: the nine column
     # products, the three |V|^2 rows and the cycle4 row-pair sums.  These
     # sums are spelled out term by term, so they start from -0.0.
-    pairs = rows[:, _CYCLE_ROWS[0]] + rows[:, _CYCLE_ROWS[1]]
-    items_r = np.concatenate([cr[:3, :3, :3].reshape(3, 9), rows, pairs], axis=1)
-    items_i = np.concatenate([ci[:3, :3, :3].reshape(3, 9), np.zeros((3, 6))], axis=1)
-    w = np.array([(d, d * d) for d in bw])[:, :, None]
-    terms = _cmul(w, 0.0, items_r[:, None], items_i[:, None])
-    sr, si = _ksum(np.stack(terms, axis=1), -0.0).tolist()
-    x, x2 = _complexes(sr[0][:9], si[0][:9]), _complexes(sr[1][:9], si[1][:9])
-    m, m2, mp = sr[0][9:12], sr[1][9:12], sr[0][12:]
+    pairs = rows[:, :, _CYCLE_ROWS[0]] + rows[:, :, _CYCLE_ROWS[1]]
+    items_r = np.concatenate([cr[:, :3, :3, :3].reshape(t, 3, 9), rows, pairs], axis=2)
+    items_i = np.concatenate([ci[:, :3, :3, :3].reshape(t, 3, 9), np.zeros((t, 3, 6))], axis=2)
+    w = np.stack([bw, bw * bw], axis=2)[:, :, :, None]
+    sr, si = (_ksum(y, -0.0, axis=1)
+              for y in _cmul(w, 0.0, items_r[:, :, None], items_i[:, :, None]))
+    m, m2, mp = sr[:, 0, 9:12], sr[:, 1, 9:12], sr[:, 0, 12:]
     # the plaquette forms: 9 terms over (k1, k2), k2 innermost
-    ww = np.array([d1 * d2 for d1 in bw for d2 in bw])[:, None]
-    p = (t.take(_Q_TAKE) for t in inp.v.plaquettes)
-    q = _complexes(*_ksum(np.stack(_cmul(ww, 0.0, *p), axis=1)).tolist())
+    ww = (bw[:, :, None] * bw[:, None, :]).reshape(t, 9, 1)
+    q = tuple(_ksum(y, axis=1)
+              for y in _cmul(ww, 0.0, *(p.reshape(t, -1)[:, _Q_TAKE] for p in plaq)))
 
-    tf = t_factors(inp.a)
-    parts = [
-        t * (q[g] * m2[r] - q[i] * q[j] - q[g] * (m[r] * m[r]))
-        for g, (t, r, (i, j)) in enumerate(zip(tf.pair, _PAIR_ROW, _PAIR_QQ))
-    ]
-    cycles = [(-2.0 * t, x[a] * x[b] * x2[c])
-              for t, (a, b, c) in zip(tf.cycle, _CYCLE_X)]
-    cycles += [(2.0 * t, x[a] * x[b] * x[c] * s)
-               for t, (a, b, c), s in zip(tf.cycle, _CYCLE_X, mp)]
-    parts += [complex(weight * raw.real, 0.0) for weight, raw in cycles]
-    return parts, cycles
+    def pick(z, index):
+        return z[0][:, index], z[1][:, index]
+
+    tp, tc = _t_factors(a)
+    # pair groups: T (q[g] m2[r] - q[i] q[j] - q[g] (m[r] m[r]))
+    mr = m[:, _PAIR_ROW]
+    s1 = _cmul(*q, m2[:, _PAIR_ROW], 0.0)
+    s2 = _cmul(*pick(q, _PAIR_QQ[0]), *pick(q, _PAIR_QQ[1]))
+    s3 = _cmul(*q, mr * mr, 0.0)
+    pair = _cmul(tp, 0.0, s1[0] - s2[0] - s3[0], s1[1] - s2[1] - s3[1])
+    # cycle groups: x[a] x[b] x2[c] and x[a] x[b] x[c] mp[g]
+    x, x2 = (sr[:, 0, :9], si[:, 0, :9]), (sr[:, 1, :9], si[:, 1, :9])
+    xab = _cmul(*pick(x, _CYCLE_X[0]), *pick(x, _CYCLE_X[1]))
+    raw3 = _cmul(*xab, *pick(x2, _CYCLE_X[2]))
+    raw4 = _cmul(*_cmul(*xab, *pick(x, _CYCLE_X[2])), mp, 0.0)
+    weights = np.concatenate([-2.0 * tc, 2.0 * tc], axis=1)
+    raw = tuple(np.concatenate(part, axis=1) for part in zip(raw3, raw4))
+    parts = (np.concatenate([pair[0], weights * raw[0]], axis=1),
+             np.concatenate([pair[1], np.zeros((t, 6))], axis=1))
+    return parts, (weights, raw)
+
+
+def _det4_stack_of_one(inp):
+    _check_n4(inp)
+    v = inp.v
+    return _det4_groups(*_spectra(inp), v.matrix[None], tuple(x[None] for x in v.column_products),
+                        tuple(x[None] for x in v.plaquettes))
+
+
+def _det4_closed(parts):
+    """(re, im) of the nine groups summed in DET4_GROUPS order from 0.0."""
+    return tuple(_ksum(x, axis=1) for x in parts)
 
 
 def cycle_groups(inp):
@@ -246,8 +307,9 @@ def cycle_groups(inp):
     weight * raw.real for each; weight * raw keeps the imaginary part that
     the expansion discards (see the module docstring).
     """
-    _check_n4(inp)
-    return dict(zip(DET4_GROUPS[3:], _det4_groups(inp)[1]))
+    weights, (re, im) = _det4_stack_of_one(inp)[1]
+    return {name: (weights[0, g].item(), complex(re[0, g], im[0, g]))
+            for g, name in enumerate(DET4_GROUPS[3:])}
 
 
 def decompose_det4(inp):
@@ -258,8 +320,8 @@ def decompose_det4(inp):
     module docstring).  The values sum, in dict order, to exactly the value
     det4_closed returns.
     """
-    _check_n4(inp)
-    return dict(zip(DET4_GROUPS, _det4_groups(inp)[0]))
+    re, im = _det4_stack_of_one(inp)[0]
+    return {name: complex(re[0, g], im[0, g]) for g, name in enumerate(DET4_GROUPS)}
 
 
 def det4_closed(inp):
@@ -268,8 +330,8 @@ def det4_closed(inp):
     Returns a complex number whose imaginary part is a pure roundoff
     residue of the pair groups; its real part is the determinant.
     """
-    _check_n4(inp)
-    return _ksum(_det4_groups(inp)[0])
+    re, im = _det4_closed(_det4_stack_of_one(inp)[0])
+    return complex(re[0], im[0])
 
 
 def closed_form(n):

@@ -8,6 +8,11 @@ across platforms (no BLAS dispatch).
 Every complex product goes through one kernel, _cmul on split real and
 imaginary float arrays, and every k-sum through _ksum.  Determinants use LU
 with partial pivoting on the complex modulus.
+
+The kernels take a leading trial axis: det, the unitarity check and the
+plaquette tensors work on a (T, n, n) stack at once, one numpy call per step
+for the whole stack, and a single matrix is the stack of one.  Slice t of a
+stacked result is bit-equal to the call on matrix t alone.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ class DegenerateSpectrumError(ValueError):
     """Raised when eigenvalues coincide; every formula here assumes simple spectra."""
 
 
-def _as_square(m, name="matrix"):
+def _as_square(m, name="matrix", stack=False):
+    """m as a complex array of one square matrix, or with stack=True also of
+    a (T, n, n) stack of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -57,8 +64,9 @@ def _cmul(xr, xi, yr, yi):
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _ksum(t, start=0.0):
-    """start + t[0] + t[1] + ... over the leading axis, in ascending order.
+def _ksum(t, start=0.0, axis=0):
+    """start + t[0] + t[1] + ... over one axis (the leading one by default),
+    in ascending order.
 
     The one fixed-order accumulation of the package, applied to the real and
     the imaginary arrays of _cmul products separately.  With start 0.0 these
@@ -67,20 +75,22 @@ def _ksum(t, start=0.0):
     t[0] + t[1] + ...; the two differ only when every term is -0.0.
     """
     acc = start
-    for term in t:
-        acc = acc + term
+    lead = (slice(None),) * axis
+    for k in range(t.shape[axis]):
+        acc = acc + t[(*lead, k)]
     return acc
 
 
 def _row_products(m):
-    """h[a, j, k] = m[a, j] * conj(m[a, k]) as a (re, im) pair of float arrays.
+    """h[..., a, j, k] = m[..., a, j] * conj(m[..., a, k]) as a (re, im) pair
+    of float arrays, for one matrix or a stack.
 
     The one place where products of a matrix with its own conjugate are
     formed: the plaquettes use it on V, V V^+ and the commutator entries
     on V^T.
     """
     re, im = m.real, m.imag
-    return _cmul(re[:, :, None], im[:, :, None], re[:, None, :], -im[:, None, :])
+    return _cmul(re[..., :, :, None], im[..., :, :, None], re[..., :, None, :], -im[..., :, None, :])
 
 
 def _complex(re, im):
@@ -119,33 +129,60 @@ def adjoint(m):
 def det(m):
     """Determinant via LU with partial pivoting on the complex modulus.
 
-    Pivot rule: at column k pick the row with the largest |entry|, lowest
-    index on ties.  A zero pivot column means the matrix is singular and 0
-    is returned directly.
+    m is one square matrix, giving a complex number, or a (T, n, n) stack,
+    giving a complex array of T determinants.  Pivot rule, per matrix: at
+    column k pick the row with the largest |entry|, lowest index on ties,
+    where a NaN candidate never wins (a NaN on the diagonal keeps its row).
+    A zero pivot column means the matrix is singular and its determinant is
+    exactly 0j.
+
+    Each step is one set of numpy calls for the whole stack, with the
+    operations of the scalar elimination: moduli by np.hypot (the bits of
+    CPython's abs, not of np.abs), pivots multiplied into the product by the
+    scalar complex product _cmul, row updates by numpy's complex product.
     """
-    a = _as_square(m).copy()
-    n = a.shape[0]
-    sign = 1.0
-    value = complex(1.0, 0.0)
+    a = _as_square(m, stack=True)
+    single = a.ndim == 2
+    a = a.reshape(-1, *a.shape[-2:]).copy()
+    t, n = a.shape[0], a.shape[-1]
+    trials = np.arange(t)
+    odd = np.zeros(t, dtype=bool)
+    singular = None
+    vr, vi = np.ones(t), np.zeros(t)
     for k in range(n):
-        pivot_row = k
-        pivot_mag = abs(a[k, k])
-        for i in range(k + 1, n):
-            mag = abs(a[i, k])
-            if mag > pivot_mag:
-                pivot_mag = mag
-                pivot_row = i
-        if pivot_mag == 0.0:
-            return 0j
-        if pivot_row != k:
-            a[[k, pivot_row], :] = a[[pivot_row, k], :]
-            sign = -sign
-        pivot = a[k, k]
-        value *= complex(pivot)
-        for i in range(k + 1, n):
-            factor = a[i, k] / pivot
-            a[i, k + 1:] -= factor * a[k, k + 1:]
-    return sign * value
+        col = a[:, k:, k]
+        mag = np.hypot(col.real, col.imag)
+        # argmax takes the first maximum; a NaN candidate is lifted to -1 so
+        # it never wins, except on the diagonal, where it keeps its row
+        key = np.fmax(mag, -1.0)
+        key[:, 0] = np.fmin(mag[:, 0], np.inf)
+        offset = key.argmax(axis=1)
+        if any(offset.tolist()):
+            rows = k + offset
+            top = a[:, k].copy()
+            a[:, k] = a[trials, rows]
+            a[trials, rows] = top
+            odd ^= offset != 0
+        pivot = a[:, k, k]
+        if 0j in pivot.tolist():
+            # a zero pivot column: the matrix is singular.  It carries the
+            # identity through the remaining steps, so they raise no
+            # warnings, and reports 0j.
+            zero = pivot == 0.0
+            singular = zero if singular is None else singular | zero
+            a[zero] = np.eye(n)
+        vr, vi = _cmul(vr, vi, pivot.real, pivot.imag)
+        if k + 1 < n:
+            factor = a[:, k + 1:, k] / pivot[:, None]
+            a[:, k + 1:, k + 1:] -= factor[:, :, None] * a[:, None, k, k + 1:]
+    # the sign of the row permutation: 1.0 - 2.0 * odd is exactly +-1.0
+    vr, vi = _cmul(1.0 - 2.0 * odd, 0.0, vr, vi)
+    if singular is not None:
+        vr[singular] = 0.0
+        vi[singular] = 0.0
+    if single:
+        return complex(vr[0], vi[0])
+    return _complex(vr, vi)
 
 
 @dataclass(frozen=True)
@@ -175,6 +212,42 @@ class Spectrum:
         return len(self.values)
 
 
+def _validate_unitaries(m):
+    """Validate a (T, n, n) stack of candidate unitaries.
+
+    Returns (defects, column_products): max|V V^+ - I| per matrix and the
+    (re, im) pair of c[t, k, i, j] = V_t[i,k] conj(V_t[j,k]), whose k-sums
+    are the V V^+ entries.  Raises ValueError, for the first matrix that
+    fails it, on the first check failed of: finite entries, the defect
+    within UNITARITY_TOL, |det V| within UNIT_DET_TOL of 1.
+    """
+    check_dimension(m.shape[-1])
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    cr, ci = _row_products(m.swapaxes(-1, -2))
+    gram = _complex(_ksum(cr, axis=1), _ksum(ci, axis=1))
+    defects = np.abs(gram - np.eye(m.shape[-1])).max(axis=(1, 2))
+    for defect in defects.tolist():
+        if not defect <= UNITARITY_TOL:
+            raise ValueError(
+                f"matrix is not unitary: max|V V+ - I| = {defect:.3e} > {UNITARITY_TOL:.0e}"
+            )
+    d = det(m)
+    for mod_det in np.hypot(d.real, d.imag).tolist():
+        if not (1.0 - UNIT_DET_TOL <= mod_det <= 1.0 + UNIT_DET_TOL):
+            raise ValueError(f"|det| = {mod_det!r} is not within {UNIT_DET_TOL:.0e} of 1")
+    return defects, (cr, ci)
+
+
+def _plaquettes(m):
+    """p[t, a, b, j, k] = V_t[a,j] conj(V_t[a,k]) V_t[b,k] conj(V_t[b,j]) for a
+    (T, n, n) stack, as an (re, im) pair of float tensors built as
+    h[a, j, k] * h[b, k, j] from the row products h."""
+    hr, hi = _row_products(m)
+    hr_t, hi_t = hr.swapaxes(-1, -2), hi.swapaxes(-1, -2)
+    return _cmul(hr[:, :, None], hi[:, :, None], hr_t[:, None], hi_t[:, None])
+
+
 @dataclass(frozen=True)
 class UnitaryMatrix:
     """A validated unitary matrix.
@@ -187,6 +260,9 @@ class UnitaryMatrix:
     row products of V^T, as a read-only (re, im) pair of float tensors.
     Their k-sums are the entries of V V^+ checked at construction; the
     commutator entries and the n=4 closed form reuse them.
+
+    Validation and the plaquettes are the stack-of-one case of
+    _validate_unitaries and _plaquettes.
     """
 
     matrix: np.ndarray
@@ -195,24 +271,12 @@ class UnitaryMatrix:
 
     def __post_init__(self):
         m = _as_square(self.matrix, "unitary candidate")
-        check_dimension(m.shape[0])
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        cr, ci = _row_products(m.T)
-        gram = _complex(_ksum(cr), _ksum(ci))
-        defect = float(np.max(np.abs(gram - np.eye(m.shape[0]))))
-        if defect > UNITARITY_TOL:
-            raise ValueError(
-                f"matrix is not unitary: max|V V+ - I| = {defect:.3e} > {UNITARITY_TOL:.0e}"
-            )
-        mod_det = abs(det(m))
-        if not (1.0 - UNIT_DET_TOL <= mod_det <= 1.0 + UNIT_DET_TOL):
-            raise ValueError(f"|det| = {mod_det!r} is not within {UNIT_DET_TOL:.0e} of 1")
-        m = m.copy()
+        defects, (cr, ci) = _validate_unitaries(m[None])
+        m, cr, ci = m.copy(), cr[0], ci[0]
         for x in (m, cr, ci):
             x.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "unitarity_defect", defect)
+        object.__setattr__(self, "unitarity_defect", float(defects[0]))
         object.__setattr__(self, "column_products", (cr, ci))
 
     @property
@@ -223,13 +287,11 @@ class UnitaryMatrix:
     def plaquettes(self):
         """p[a, b, j, k] = V[a,j] conj(V[a,k]) V[b,k] conj(V[b,j]), 0-based.
 
-        A read-only (re, im) pair of float tensors, built once per matrix as
-        h[a, j, k] * h[b, k, j] from the row products h.  Each entry is
-        bit-equal to the scalar complex evaluation with that grouping.
+        A read-only (re, im) pair of float tensors, built once per matrix.
+        Each entry is bit-equal to the scalar complex evaluation with the
+        grouping (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).
         """
-        hr, hi = _row_products(self.matrix)
-        hr_t, hi_t = hr.transpose(0, 2, 1), hi.transpose(0, 2, 1)
-        pair = _cmul(hr[:, None], hi[:, None], hr_t[None], hi_t[None])
+        pair = tuple(x[0] for x in _plaquettes(self.matrix[None]))
         for x in pair:
             x.setflags(write=False)
         return pair

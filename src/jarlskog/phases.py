@@ -8,7 +8,11 @@ whose imaginary part im(alpha beta; j k) and real part re(alpha beta; j k)
 are unchanged when rows and columns of V are multiplied by phases.
 
 The phases have one representation: the (re, im) pair of full plaquette
-tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.  A
+tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.
+Every computation on them (sum rules, product identities, the n = 3 sign
+table, J and R, the expansion, the band reconstruction) runs on a stack of
+such tensors with a leading trial axis; the functions on one UnitaryMatrix
+call it with a stack of one.  A
 PhaseTable wraps that pair for n in {3, 4}.  Its im_value/re_value are the
 one 1-based lookup, matching the usual physics convention for mixing
 matrices, and its canonical() returns the entries alpha < beta, j < k as an
@@ -67,6 +71,11 @@ def _canonical_index(n):
     return tuple(np.array(axis) - 1 for axis in zip(*keys))
 
 
+def _canonical(tensor):
+    """Canonical entries of (..., n, n, n, n) tensors, in table order."""
+    return tensor[(..., *_canonical_index(tensor.shape[-1]))]
+
+
 @dataclass(frozen=True)
 class PhaseTable:
     """Invariant phases as full (n, n, n, n) tensors, 0-based:
@@ -86,7 +95,7 @@ class PhaseTable:
 
     def canonical(self, tensor):
         """The canonical entries of a full tensor, in table order."""
-        return tensor[_canonical_index(self.n)]
+        return _canonical(tensor)
 
     def _lookup(self, tensor, alpha, beta, j, k):
         if not all(1 <= x <= self.n for x in (alpha, beta, j, k)):
@@ -120,7 +129,8 @@ class RelationResiduals:
     families: dict
 
     def max_residual(self):
-        return max(self.families.values())
+        """The largest family residual; NaN if any family is NaN."""
+        return float(np.max(list(self.families.values())))
 
 
 def unitary_relation_residuals(v):
@@ -133,18 +143,24 @@ def unitary_relation_residuals(v):
     """
     if v.n not in (3, 4):
         raise DimensionError(f"sum rules are tabulated for n in {{3, 4}}, got n={v.n}")
-    re, im = v.plaquettes
-    mod2 = np.abs(v.matrix) ** 2
-    eye = np.eye(v.n)
+    families = _sum_rule_residuals(v.matrix[None], *(x[None] for x in v.plaquettes))
+    return RelationResiduals({name: float(x[0]) for name, x in families.items()})
+
+
+def _sum_rule_residuals(m, re, im):
+    """{family: (T,) max residual} of the eight sum rules, for (T, n, n)
+    matrices and their plaquettes."""
+    mod2 = np.abs(m) ** 2
+    eye = np.eye(m.shape[-1])
     # targets of the real-part sums: over alpha or beta, delta_jk |V[c, j]|^2
     # at the remaining (c, j, k); over j or k, delta_ab |V[a, c]|^2 at (a, b, c)
-    row_target = eye[None, :, :] * mod2[:, :, None]
-    col_target = eye[:, :, None] * mod2[:, None, :]
-    summed = {"row_alpha": 0, "row_beta": 1, "col_j": 2, "col_k": 3}
+    row_target = eye[None, None, :, :] * mod2[:, :, :, None]
+    col_target = eye[None, :, :, None] * mod2[:, :, None, :]
+    summed = {"row_alpha": 1, "row_beta": 2, "col_j": 3, "col_k": 4}
     sums = {f"im_{name}": im.sum(axis=axis) for name, axis in summed.items()}
-    sums.update({f"re_{name}": re.sum(axis=axis) - (row_target if axis < 2 else col_target)
+    sums.update({f"re_{name}": re.sum(axis=axis) - (row_target if axis < 3 else col_target)
                  for name, axis in summed.items()})
-    return RelationResiduals({name: float(np.abs(x).max()) for name, x in sums.items()})
+    return {name: np.abs(x).max(axis=(1, 2, 3)) for name, x in sums.items()}
 
 
 #: sign of each canonical three-level phase as a multiple of im(12;12), in
@@ -180,24 +196,28 @@ def n3_phase_table(v):
     im(12;12); report the realised signs and how well each matches."""
     if v.n != 3:
         raise DimensionError(f"single-phase structure requires n=3, got n={v.n}")
-    table = phase_table(v)
-    base = table.im_value(1, 2, 1, 2)
-    x = table.canonical(table.im_tensor)
-    indeterminate = abs(base) <= _N3_DEGENERATE_TOL
-    if indeterminate:
-        signs = None
-        residuals = np.abs(x)
-    else:
-        s = np.where(np.abs(x - base) <= np.abs(x + base), 1, -1)
-        signs = tuple(s.tolist())
-        residuals = np.abs(x - s * base)
+    base, signs, residuals, indeterminate = _n3_signs(v.plaquettes[1][None])
     return SingleLevelPhaseReport(
-        base=base,
-        signs=signs,
-        residuals=tuple(residuals.tolist()),
-        max_residual=float(residuals.max()),
-        indeterminate=indeterminate,
+        base=float(base[0]),
+        signs=None if indeterminate[0] else tuple(signs[0].tolist()),
+        residuals=tuple(residuals[0].tolist()),
+        max_residual=float(residuals[0].max()),
+        indeterminate=bool(indeterminate[0]),
     )
+
+
+def _n3_signs(im):
+    """(base, signs, residuals, indeterminate) of the n = 3 sign table for
+    (T, 3, 3, 3, 3) imaginary plaquettes: base (T,), signs and residuals
+    (T, 9) in table order, indeterminate (T,).  Where the base phase is
+    zero the residuals are |value| and the signs carry no meaning."""
+    base = im[:, 0, 1, 0, 1]
+    x = _canonical(im)
+    indeterminate = np.abs(base) <= _N3_DEGENERATE_TOL
+    b = base[:, None]
+    signs = np.where(np.abs(x - b) <= np.abs(x + b), 1, -1)
+    residuals = np.where(indeterminate[:, None], np.abs(x), np.abs(x - signs * b))
+    return base, signs, residuals, indeterminate
 
 
 @dataclass(frozen=True)
@@ -225,10 +245,15 @@ def jr_matrices(v):
     """Extract the adjacent-index phase arrays J and R from a 4x4 unitary."""
     if v.n != 4:
         raise DimensionError(f"adjacent-index arrays require n=4, got n={v.n}")
-    re, im = v.plaquettes
+    j_mat, r_mat = _jr(*(x[None] for x in v.plaquettes))
+    return JRMatrices(j_mat=j_mat[0], r_mat=r_mat[0])
+
+
+def _jr(re, im):
+    """(J, R) as (T, 3, 3) arrays from (T, 4, 4, 4, 4) plaquettes."""
     a = np.arange(3)[:, None]
     j = np.arange(3)[None, :]
-    return JRMatrices(j_mat=im[a, a + 1, j, j + 1], r_mat=re[a, a + 1, j, j + 1])
+    return im[:, a, a + 1, j, j + 1], re[:, a, a + 1, j, j + 1]
 
 
 def expand_phases(jr):
@@ -239,27 +264,38 @@ def expand_phases(jr):
     are A J; doubly non-adjacent entries are A J A.  Non-adjacent pairs are
     ordered (24), (14), (13) in both directions.
     """
-    j = np.asarray(jr.j_mat, dtype=float)
+    return PhaseTable(n=4, im_tensor=_expand(np.asarray(jr.j_mat, dtype=float)[None])[0])
+
+
+def _expand(j):
+    """The (T, 4, 4, 4, 4) imaginary-phase tensors expanded from (T, 3, 3) J."""
+    t = len(j)
     # block column [J; A J] and, right-multiplied by A, [J A; A J A]; each
     # product x y is the ascending k-sum of x[i, k] y[k, j]
-    left = np.vstack([j, _ksum(A_MATRIX.T[:, :, None] * j[:, None, :])])
-    right = _ksum(left.T[:, :, None] * A_MATRIX[:, None, :])
+    left = np.concatenate([j, _ksum(A_MATRIX.T[None, :, :, None] * j[:, :, None, :], axis=1)],
+                          axis=1)
+    right = _ksum(left[:, :, :, None] * A_MATRIX[None, None], axis=2)
     # block rows and columns run over the adjacent pairs, then the
     # non-adjacent ones; pick them out in canonical pair order
-    block = np.hstack([left, right])
+    block = np.concatenate([left, right], axis=2)
     order = [(_ADJACENT_ORDER + _NON_ADJACENT_ORDER).index(p) for p in _canonical_pairs(4)]
-    t = np.zeros((4, 4, 4, 4))
-    t[_canonical_index(4)] = block[np.ix_(order, order)].ravel()
+    full = np.zeros((t, 4, 4, 4, 4))
+    full[(slice(None), *_canonical_index(4))] = block[:, order][:, :, order].reshape(t, 36)
     # the other index orders follow by antisymmetry; repeated-index entries
     # are zero
-    im = t - t.transpose(1, 0, 2, 3) - t.transpose(0, 1, 3, 2) + t.transpose(1, 0, 3, 2)
-    return PhaseTable(n=4, im_tensor=im)
+    return (full - full.transpose(0, 2, 1, 3, 4) - full.transpose(0, 1, 2, 4, 3)
+            + full.transpose(0, 2, 1, 4, 3))
 
 
 def expansion_residual(table, expanded):
     """Largest |expanded - direct| over the canonical imaginary phases."""
-    return float(np.max(np.abs(expanded.canonical(expanded.im_tensor)
-                                - table.canonical(table.im_tensor))))
+    return float(_expansion_residuals(table.im_tensor[None], expanded.im_tensor[None])[0])
+
+
+def _expansion_residuals(direct, expanded):
+    """(T,) largest |expanded - direct| over the canonical entries of
+    (T, 4, 4, 4, 4) imaginary-phase tensors."""
+    return np.abs(_canonical(expanded) - _canonical(direct)).max(axis=1)
 
 
 def nonlinear_relation_residuals(v):
@@ -279,42 +315,61 @@ def nonlinear_relation_residuals(v):
     """
     if v.n not in (3, 4):
         raise DimensionError(f"product identities are tabulated for n in {{3, 4}}, got n={v.n}")
-    re, im = v.plaquettes
+    families = _product_residuals(*(x[None] for x in v.plaquettes))
+    return RelationResiduals(families={name: float(x[0]) for name, x in families.items()})
 
-    # mixed_same_rows over (a, b, j, k, l)
-    re_kk = np.einsum("abkk->abk", re)
-    t1 = re[:, :, :, :, None] * im[:, :, None, :, :]          # re(ab;jk) im(ab;kl)
-    t2 = re[:, :, None, :, :] * im[:, :, :, :, None]          # re(ab;kl) im(ab;jk)
-    t3 = re_kk[:, :, None, :, None] * im[:, :, :, None, :]    # re(ab;kk) im(ab;jl)
-    mixed_rows = float(np.abs(t1 + t2 - t3).max())
 
-    # mixed_same_cols over (a, b, g, j, k)
-    re_bb = np.einsum("bbjk->bjk", re)
-    t1 = re[:, :, None, :, :] * im[None, :, :, :, :]          # re(ab;jk) im(bg;jk)
-    t2 = im[:, :, None, :, :] * re[None, :, :, :, :]          # re(bg;jk) im(ab;jk)
-    t3 = re_bb[None, :, None, :, :] * im[:, None, :, :, :]    # re(bb;jk) im(ag;jk)
-    mixed_cols = float(np.abs(t1 + t2 - t3).max())
+def _product_residuals(re, im):
+    """{family: (T,) max residual} of the four product identities for
+    (T, n, n, n, n) plaquettes.
 
-    # product_same_rows over (a, b, j, k, l, m)
-    t1 = re[:, :, :, :, None, None] * re[:, :, None, None, :, :]   # (jk)(lm)
-    t2 = re[:, :, :, None, None, :] * re[:, :, None, :, :, None]   # (jm)(kl)
-    t3 = im[:, :, :, None, :, None] * im[:, :, None, :, None, :]   # (jl)(km)
-    product_rows = float(np.abs(t1 - t2 - t3).max())
+    Each family evaluates |t1 +/- t2 - t3| over every index tuple.  The
+    three product arrays of a family are written into one reused buffer,
+    so a chunk of trials allocates it once.
+    """
+    t, n = len(re), re.shape[-1]
+    flat = np.empty((3, t * n ** 6))
 
-    # product_same_cols over (a, b, g, d, j, k)
-    t1 = re[:, :, None, None, :, :] * re[None, None, :, :, :, :]   # (ab)(gd)
-    t2 = re[:, None, None, :, :, :] * re[None, :, :, None, :, :]   # (ad)(bg)
-    t3 = im[:, None, :, None, :, :] * im[None, :, None, :, :, :]   # (ag)(bd)
-    product_cols = float(np.abs(t1 - t2 - t3).max())
+    def worst(terms, combine):
+        shape = np.broadcast_shapes(*(x.shape for pair in terms for x in pair))
+        t1, t2, t3 = (np.multiply(x, y, out=flat[i, :np.prod(shape)].reshape(shape))
+                      for i, (x, y) in enumerate(terms))
+        combine(t1, t2, out=t1)
+        np.subtract(t1, t3, out=t1)
+        return np.abs(t1, out=t1).reshape(t, -1).max(axis=1)
 
-    return RelationResiduals(
-        families={
-            "mixed_same_rows": mixed_rows,
-            "mixed_same_cols": mixed_cols,
-            "product_same_rows": product_rows,
-            "product_same_cols": product_cols,
-        }
-    )
+    re_kk = np.einsum("tabkk->tabk", re)
+    re_bb = np.einsum("tbbjk->tbjk", re)
+    return {
+        # over (a, b, j, k, l):
+        # re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk) - re(ab;kk) im(ab;jl)
+        "mixed_same_rows": worst((
+            (re[:, :, :, :, :, None], im[:, :, :, None, :, :]),
+            (re[:, :, :, None, :, :], im[:, :, :, :, :, None]),
+            (re_kk[:, :, :, None, :, None], im[:, :, :, :, None, :]),
+        ), np.add),
+        # over (a, b, g, j, k):
+        # re(ab;jk) im(bg;jk) + re(bg;jk) im(ab;jk) - re(bb;jk) im(ag;jk)
+        "mixed_same_cols": worst((
+            (re[:, :, :, None, :, :], im[:, None, :, :, :, :]),
+            (im[:, :, :, None, :, :], re[:, None, :, :, :, :]),
+            (re_bb[:, None, :, None, :, :], im[:, :, None, :, :, :]),
+        ), np.add),
+        # over (a, b, j, k, l, m): re(ab;jk) re(ab;lm) - re(ab;jm) re(ab;kl)
+        # - im(ab;jl) im(ab;km)
+        "product_same_rows": worst((
+            (re[:, :, :, :, :, None, None], re[:, :, :, None, None, :, :]),
+            (re[:, :, :, :, None, None, :], re[:, :, :, None, :, :, None]),
+            (im[:, :, :, :, None, :, None], im[:, :, :, None, :, None, :]),
+        ), np.subtract),
+        # over (a, b, g, d, j, k): re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk)
+        # - im(ag;jk) im(bd;jk)
+        "product_same_cols": worst((
+            (re[:, :, :, None, None, :, :], re[:, None, None, :, :, :, :]),
+            (re[:, :, None, None, :, :, :], re[:, None, :, :, None, :, :]),
+            (im[:, :, None, :, None, :, :], im[:, None, :, None, :, :, :]),
+        ), np.subtract),
+    }
 
 
 @dataclass(frozen=True)
@@ -345,40 +400,73 @@ def band_system(v, jr):
     """
     if v.n != 4:
         raise DimensionError(f"band reconstruction requires n=4, got n={v.n}")
-    r = jr.r_mat
-    jd = jr.j_mat
-    m2 = np.abs(v.matrix) ** 2
+    coeff, rhs = _band_systems(v.matrix[None], jr.j_mat[None], jr.r_mat[None])
+    return coeff[0], rhs[0]
+
+
+def _band_systems(m, jd, r):
+    """(T, 6, 6) coefficients and (T, 6) right-hand sides of the band
+    systems of (T, 4, 4) matrices with (T, 3, 3) J and R arrays."""
+    m2 = np.abs(m) ** 2
 
     # squared modulus products appearing in the system, named by 1-based
     # entry labels: q_ijkl = |V[i,j]|^2 |V[k,l]|^2
-    q_1222 = m2[0, 1] * m2[1, 1]
-    q_3334 = m2[2, 2] * m2[2, 3]
-    q_2122 = m2[1, 0] * m2[1, 1]
-    q_3343 = m2[2, 2] * m2[3, 2]
-    q_3233 = m2[2, 1] * m2[2, 2]
-    q_2333 = m2[1, 2] * m2[2, 2]
+    q_1222 = m2[:, 0, 1] * m2[:, 1, 1]
+    q_3334 = m2[:, 2, 2] * m2[:, 2, 3]
+    q_2122 = m2[:, 1, 0] * m2[:, 1, 1]
+    q_3343 = m2[:, 2, 2] * m2[:, 3, 2]
+    q_3233 = m2[:, 2, 1] * m2[:, 2, 2]
+    q_2333 = m2[:, 1, 2] * m2[:, 2, 2]
 
-    r11, r22, r33 = r[0, 0], r[1, 1], r[2, 2]
-    r12, r21, r23, r32 = r[0, 1], r[1, 0], r[1, 2], r[2, 1]
-    j11, j22, j33 = jd[0, 0], jd[1, 1], jd[2, 2]
+    r11, r22, r33 = r[:, 0, 0], r[:, 1, 1], r[:, 2, 2]
+    r12, r21, r23, r32 = r[:, 0, 1], r[:, 1, 0], r[:, 1, 2], r[:, 2, 1]
+    j11, j22, j33 = jd[:, 0, 0], jd[:, 1, 1], jd[:, 2, 2]
 
-    coeff = np.array([
-        [-(q_1222 + r11), q_1222, 0.0, 0.0, 0.0, 0.0],
-        [0.0, q_3334, 0.0, -(q_3334 + r33), 0.0, 0.0],
-        [0.0, 0.0, -(q_2122 + r11), 0.0, q_2122, 0.0],
-        [0.0, 0.0, 0.0, 0.0, q_3343, -(q_3343 + r33)],
-        [q_3233, 0.0, 0.0, 0.0, 0.0, -r22],
-        [0.0, 0.0, q_2333, -r22, 0.0, 0.0],
-    ])
-    rhs = np.array([
+    coeff = np.zeros((len(m), 6, 6))
+    for (row, col), value in {
+        (0, 0): -(q_1222 + r11), (0, 1): q_1222,
+        (1, 1): q_3334, (1, 3): -(q_3334 + r33),
+        (2, 2): -(q_2122 + r11), (2, 4): q_2122,
+        (3, 4): q_3343, (3, 5): -(q_3343 + r33),
+        (4, 0): q_3233, (4, 5): -r22,
+        (5, 2): q_2333, (5, 3): -r22,
+    }.items():
+        coeff[:, row, col] = value
+    rhs = np.stack([
         r12 * j11,
         r23 * j33,
         r21 * j11,
         r32 * j33,
         (q_3233 + r32) * j22,
         (q_2333 + r23) * j22,
-    ])
+    ], axis=1)
     return coeff, rhs
+
+
+def _reconstructions(m, jd, r):
+    """Band reconstructions of (T, 4, 4) matrices with (T, 3, 3) J and R.
+
+    Returns (singular_values (T, 6), gate_ratio (T,), degenerate (T,),
+    reconstructed (T, 3, 3), max_error (T,)); reconstructed and max_error
+    are NaN where degenerate.  One stacked SVD covers every system; the
+    stacked solve covers only the non-degenerate ones, since it would raise
+    for the whole stack if one matrix were singular.
+    """
+    coeff, rhs = _band_systems(m, jd, r)
+    singular_values = np.linalg.svd(coeff, compute_uv=False)
+    smax, smin = singular_values[:, 0], singular_values[:, -1]
+    ratio = np.where(smax > 0.0, smin / np.where(smax > 0.0, smax, 1.0), 0.0)
+    degenerate = ratio < RECONSTRUCTION_GATE
+    solved = ~degenerate
+    recon = np.full(jd.shape, np.nan)
+    max_error = np.full(len(jd), np.nan)
+    if solved.any():
+        # the unknowns are the off-diagonal entries in row-major order
+        fill = jd[solved]
+        fill[:, ~np.eye(3, dtype=bool)] = np.linalg.solve(coeff[solved], rhs[solved, :, None])[..., 0]
+        recon[solved] = fill
+        max_error[solved] = np.abs(fill - jd[solved]).max(axis=(1, 2))
+    return singular_values, ratio, degenerate, recon, max_error
 
 
 def reconstruct_J(v):
@@ -390,23 +478,14 @@ def reconstruct_J(v):
     RECONSTRUCTION_GATE) the result is flagged degenerate instead of solved.
     """
     jr = jr_matrices(v)
-    coeff, rhs = band_system(v, jr)
-    singular_values = np.linalg.svd(coeff, compute_uv=False)
-    smax = float(singular_values[0])
-    smin = float(singular_values[-1])
-    ratio = smin / smax if smax > 0.0 else 0.0
-    degenerate = ratio < RECONSTRUCTION_GATE
-    recon = max_error = None
-    if not degenerate:
-        # the unknowns are the off-diagonal entries in row-major order
-        recon = jr.j_mat.copy()
-        recon[~np.eye(3, dtype=bool)] = np.linalg.solve(coeff, rhs)
-        max_error = float(np.max(np.abs(recon - jr.j_mat)))
+    sv, ratio, degenerate, recon, max_error = _reconstructions(
+        v.matrix[None], jr.j_mat[None], jr.r_mat[None])
+    solved = not degenerate[0]
     return ReconstructionResult(
         j_direct=jr.j_mat,
-        j_reconstructed=recon,
-        singular_values=singular_values,
-        gate_ratio=ratio,
-        degenerate=degenerate,
-        max_error=max_error,
+        j_reconstructed=recon[0] if solved else None,
+        singular_values=sv[0],
+        gate_ratio=float(ratio[0]),
+        degenerate=bool(degenerate[0]),
+        max_error=float(max_error[0]) if solved else None,
     )

@@ -55,8 +55,17 @@ def _parse_complex_matrix(raw, n, name):
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell),
                 f"field '{name}' entry ({i + 1},{j + 1}) must be a [re, im] pair",
             )
-            m[i, j] = complex(float(cell[0]), float(cell[1]))
+            m[i, j] = complex(_float(cell[0], name), _float(cell[1], name))
     return m
+
+
+def _float(x, name):
+    """float(x) for a JSON number; an integer too large for a float is a
+    ProblemFileError naming the field, not an OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ProblemFileError(f"field '{name}' holds an integer too large for a float") from None
 
 
 def _parse_spectrum(raw, n, name):
@@ -68,8 +77,17 @@ def _parse_spectrum(raw, n, name):
         all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw),
         f"field '{name}' must contain only numbers",
     )
+    values = tuple(_float(x, name) for x in raw)
     try:
-        return Spectrum(tuple(float(x) for x in raw))
+        return Spectrum(values)
+    except ValueError as exc:
+        raise ProblemFileError(f"field '{name}': {exc}") from exc
+
+
+def _parse_unitary(doc, n, name):
+    m = _parse_complex_matrix(doc[name], n, name)
+    try:
+        return UnitaryMatrix(m)
     except ValueError as exc:
         raise ProblemFileError(f"field '{name}': {exc}") from exc
 
@@ -84,6 +102,10 @@ def parse_problem(text):
         ) from exc
     except RecursionError:
         raise ProblemFileError("not valid JSON: nested too deeply to parse") from None
+    except ValueError as exc:
+        # json turns integers of more digits than sys.get_int_max_str_digits()
+        # into a ValueError of its own
+        raise ProblemFileError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level must be a JSON object")
     _require(doc.get("format") == FORMAT_TAG, f"field 'format' must be '{FORMAT_TAG}'")
     n = doc.get("n")
@@ -98,21 +120,10 @@ def parse_problem(text):
         "exactly one of 'V' or the pair 'U'/'U_prime' must be given",
     )
     if has_v:
-        raw_v = _parse_complex_matrix(doc["V"], n, "V")
-        try:
-            v = UnitaryMatrix(raw_v)
-        except ValueError as exc:
-            raise ProblemFileError(f"field 'V': {exc}") from exc
+        v = _parse_unitary(doc, n, "V")
     else:
         _require("U" in doc and "U_prime" in doc, "'U' and 'U_prime' must be given together")
-        try:
-            u = UnitaryMatrix(_parse_complex_matrix(doc["U"], n, "U"))
-        except ValueError as exc:
-            raise ProblemFileError(f"field 'U': {exc}") from exc
-        try:
-            up = UnitaryMatrix(_parse_complex_matrix(doc["U_prime"], n, "U_prime"))
-        except ValueError as exc:
-            raise ProblemFileError(f"field 'U_prime': {exc}") from exc
+        u, up = _parse_unitary(doc, n, "U"), _parse_unitary(doc, n, "U_prime")
         v = UnitaryMatrix(matmul(adjoint(u.matrix), up.matrix))
     try:
         return MassPairInput(a=a, b=b, v=v)

@@ -13,7 +13,10 @@ Haar-distributed Q, because the QR factorisation is only unique up to the
 phases of diag(R).  Each column of Q must be rescaled by the phase of the
 corresponding diagonal entry of R; with that correction the distribution is
 exactly Haar.  The QR factorisation itself is a plain Householder sweep,
-kept in-repo so no result depends on the LAPACK/BLAS build in use.
+kept in-repo so no result depends on the LAPACK/BLAS build in use.  It and
+the phase correction run on a (T, n, n) stack of Ginibre draws at once;
+haar_unitary is the stack of one.  The draws themselves stay one trial at a
+time, in stream order.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, Spectrum, UnitaryMatrix, check_dimension
+from .linalg import DimensionError, Spectrum, UnitaryMatrix, _as_square, _cmul, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -117,33 +120,69 @@ class RephasingAngles:
         return len(self.theta)
 
 
-def _qr_householder(a):
-    """QR of a square complex matrix by Householder reflections.
+def householder_qr(a):
+    """QR by Householder reflections, without the diag(R) phase correction.
 
-    Returns (q, r) with a = q r.  Loop order is fixed, so the factorisation
-    is deterministic everywhere.
+    a is one square complex matrix or a (T, n, n) stack of them; returns
+    (q, r) of the same shape with a = q r per matrix.  Each reflection is
+    one set of numpy calls for the whole stack, in a fixed loop order, so
+    the factorisation is deterministic everywhere and slice t of a stacked
+    result is bit-equal to the QR of matrix t alone.  |x0| is taken by
+    np.hypot, the bits of the scalar modulus, and phase(x0) * norm by the
+    scalar complex product _cmul.
     """
-    a = np.array(a, dtype=np.complex128)
-    n = a.shape[0]
-    q = np.eye(n, dtype=np.complex128)
-    r = a
+    r = _as_square(a, stack=True)
+    single = r.ndim == 2
+    r = r.reshape(-1, *r.shape[-2:]).copy()
+    n = r.shape[-1]
+    q = np.zeros_like(r)
+    q.reshape(len(r), -1)[:, ::n + 1] = 1.0
     for k in range(n - 1):
-        x = r[k:, k]
-        norm_x = float(np.sqrt(np.sum(np.abs(x) ** 2)))
-        if norm_x == 0.0:
-            continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if x0 != 0 else complex(1.0, 0.0)
+        x = r[:, k:, k]
+        norm_x = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
+        phase = _phase_of(x[:, 0])
         v = x.copy()
-        v[0] += phase * norm_x
-        vnorm = float(np.sqrt(np.sum(np.abs(v) ** 2)))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
+        # v[0] += phase * norm_x, the scalar complex product, part by part
+        shift_r, shift_i = _cmul(phase.real, phase.imag, norm_x, 0.0)
+        v.real[:, 0] += shift_r
+        v.imag[:, 0] += shift_i
+        vnorm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
+        # a zero reflector, as from a zero column (norm_x == 0 implies
+        # vnorm == 0), leaves r and q as they are
+        skip = 0.0 in vnorm.tolist()
+        if skip:
+            act = vnorm != 0.0
+            vnorm = np.where(act, vnorm, 1.0)
+        v /= vnorm[:, None]
         # reductions spelled out with numpy sums (not @) to stay off BLAS
-        r[k:, k:] -= 2.0 * np.outer(v, (np.conj(v)[:, None] * r[k:, k:]).sum(axis=0))
-        q[:, k:] -= 2.0 * np.outer((q[:, k:] * v[None, :]).sum(axis=1), np.conj(v))
+        r_upd = 2.0 * (v[:, :, None] * (np.conj(v)[:, :, None] * r[:, k:, k:]).sum(axis=1)[:, None, :])
+        q_upd = 2.0 * ((q[:, :, k:] * v[:, None, :]).sum(axis=2)[:, :, None] * np.conj(v)[:, None, :])
+        if skip:
+            r[act, k:, k:] -= r_upd[act]
+            q[act, :, k:] -= q_upd[act]
+        else:
+            r[:, k:, k:] -= r_upd
+            q[:, :, k:] -= q_upd
+    if single:
+        return q[0], r[0]
     return q, r
+
+
+def _phase_of(z):
+    """z / |z| per entry, with the bits of the scalar modulus (np.hypot), and
+    1 where z == 0."""
+    mag = np.hypot(z.real, z.imag)
+    if 0.0 in mag.ravel().tolist():
+        return np.where(mag != 0.0, z / np.where(mag != 0.0, mag, 1.0), 1.0)
+    return z / mag
+
+
+def _haar_from_ginibre(g):
+    """Haar unitaries from a (T, n, n) Ginibre stack: QR, then each column
+    of Q times the phase of the matching diagonal entry of R."""
+    q, r = householder_qr(g)
+    q *= _phase_of(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q
 
 
 def ginibre(n, rng):
@@ -167,12 +206,7 @@ def haar_unitary(n, rng):
 
     A Ginibre draw, then QR plus the diag(R) phase correction.
     """
-    q, r = _qr_householder(ginibre(n, rng))
-    for k in range(n):
-        d = r[k, k]
-        mag = abs(d)
-        q[:, k] *= d / mag if mag != 0.0 else 1.0
-    return UnitaryMatrix(q)
+    return UnitaryMatrix(_haar_from_ginibre(ginibre(n, rng)[None])[0])
 
 
 def random_spectrum(n, rng, min_gap=DEFAULT_MIN_GAP):
@@ -208,6 +242,16 @@ def rephase(v, angles):
     """
     if angles.n != v.n:
         raise DimensionError(f"matrix is {v.n}x{v.n} but angles have length {angles.n}")
-    row = np.array([complex(math.cos(t), math.sin(t)) for t in angles.theta])
-    col = np.array([complex(math.cos(t), math.sin(t)) for t in angles.theta_prime])
-    return UnitaryMatrix(row[:, None] * v.matrix * col[None, :])
+    row, col = _unit_phases([angles.theta]), _unit_phases([angles.theta_prime])
+    return UnitaryMatrix(_rephased(v.matrix[None], row, col)[0])
+
+
+def _unit_phases(angle_rows):
+    """(T, n) array of complex(cos t, sin t), by libm, for T rows of n angles."""
+    return np.array([[complex(math.cos(t), math.sin(t)) for t in row] for row in angle_rows])
+
+
+def _rephased(m, row, col):
+    """m[t, i, j] * row[t, i] * col[t, j] for a (T, n, n) stack, by numpy's
+    complex product in that order."""
+    return row[:, :, None] * m * col[:, None, :]

@@ -7,6 +7,13 @@ set of rephasing angles.  Residual accumulation follows trial order, so a
 report is a pure function of (suite, master_seed, trials, tolerances): the
 rendered text is byte-identical across runs.  Wall time is therefore kept
 out of the rendered report and surfaced separately by the CLI.
+
+Trials run in chunks of TRIAL_CHUNK: the draws of a chunk are made trial by
+trial in stream order, then every layer (QR, validation, plaquettes,
+determinants, closed forms, residual families) runs once on the stack of
+the chunk's trials.  Each stacked layer gives, in slice t, the bits of the
+single-matrix call on trial t, so the report does not depend on the chunk
+size.
 """
 
 from __future__ import annotations
@@ -18,29 +25,40 @@ import numpy as np
 
 from . import __version__
 from .determinant import (
-    MassPairInput,
-    closed_form,
-    det_direct,
-    t_factors,
+    _commutators,
+    _det3_closed,
+    _det4_closed,
+    _det4_groups,
+    _sum_rule,
+    _t_factors,
 )
+from .linalg import _complex, _plaquettes, _validate_unitaries, det
 from .phases import (
-    expand_phases,
-    expansion_residual,
-    jr_matrices,
-    n3_phase_table,
-    nonlinear_relation_residuals,
-    phase_table,
-    reconstruct_J,
-    unitary_relation_residuals,
+    _canonical,
+    _expand,
+    _expansion_residuals,
+    _jr,
+    _n3_signs,
+    _product_residuals,
+    _reconstructions,
+    _sum_rule_residuals,
+    N3_SIGN_PATTERN,
 )
 from .sampling import (
     RephasingAngles,
     SeededRng,
+    _haar_from_ginibre,
+    _rephased,
+    _unit_phases,
     derive_seed,
-    haar_unitary,
+    ginibre,
     random_spectrum,
-    rephase,
 )
+
+#: trials per stacked batch in run_suite.  Larger chunks spread numpy's
+#: per-call cost over more trials; the n=4 product identities hold
+#: T * 4^6 entries per temporary, which bounds it from above.
+TRIAL_CHUNK = 64
 
 #: default tolerances, keyed by identity name; (rel, abs) pairs where a
 #: relative part applies
@@ -71,12 +89,15 @@ class IdentityResult:
     passed: bool = True
 
     def record(self, residual, limit, seed):
-        if residual > self.max_residual or self.count == 0:
+        """Add one trial's residual.  A NaN residual fails the check and
+        becomes the worst one, so it is never hidden by a comparison."""
+        if (self.count == 0 or residual > self.max_residual
+                or (math.isnan(residual) and not math.isnan(self.max_residual))):
             self.max_residual = residual
             self.worst_seed = seed
         self.sum_residual += residual
         self.count += 1
-        if residual > limit:
+        if not residual <= limit:
             self.passed = False
 
     @property
@@ -128,40 +149,152 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _antisymmetry_residual(table):
-    """Exact comparison of the phase symmetries across the full tensors.
+def _antisymmetry_residuals(re, im):
+    """(T,) exact comparison of the phase symmetries across (T, n, n, n, n)
+    plaquette tensors.
 
     The plaquette tensor evaluates every index order on its own operands,
     so entries at swapped indices are computed independently of each other.
     Both swaps conjugate the product exactly at the bit level, so the
     residual of a correct implementation is exactly zero.
     """
-    im, re = table.im_tensor, table.re_tensor
-    return float(max(
-        np.max(np.abs(im + im.transpose(1, 0, 2, 3))),
-        np.max(np.abs(im + im.transpose(0, 1, 3, 2))),
-        np.max(np.abs(re - re.transpose(1, 0, 2, 3))),
-        np.max(np.abs(re - re.transpose(0, 1, 3, 2))),
-    ))
+    swapped = (
+        im + im.swapaxes(1, 2),
+        im + im.swapaxes(3, 4),
+        re - re.swapaxes(1, 2),
+        re - re.swapaxes(3, 4),
+    )
+    return np.abs(np.stack(swapped, axis=1)).reshape(len(re), -1).max(axis=1)
 
 
-def _phase_shift(t1, t2):
-    """Largest change of a canonical phase between two tables."""
-    return float(max(
-        np.max(np.abs(t2.canonical(t2.im_tensor) - t1.canonical(t1.im_tensor))),
-        np.max(np.abs(t2.canonical(t2.re_tensor) - t1.canonical(t1.re_tensor))),
-    ))
+def _phase_shifts(tensors, shifted):
+    """(T,) largest change of a canonical phase between two (re, im) pairs
+    of (T, n, n, n, n) plaquette tensors."""
+    diff = [_canonical(y) - _canonical(x) for x, y in zip(tensors, shifted)]
+    return np.abs(np.concatenate(diff, axis=1)).max(axis=1)
+
+
+def _modulus(z):
+    """|z| per entry, with the bits of CPython's abs(complex)."""
+    return np.hypot(z.real, z.imag)
 
 
 def check_tolerance(value, name="tolerance"):
     """value, if it is a usable tolerance (finite and >= 0); else ValueError.
 
-    A NaN tolerance would make every `residual > limit` comparison false
-    and so switch a check off; a negative one would fail every trial.
+    A check passes when `residual <= limit`, so a NaN or negative
+    tolerance would fail every trial.
     """
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     return value
+
+
+def _identities(n, closed_rel, parity_abs):
+    """(name, bound label) of each identity of the n suite, in report order."""
+    rows = [
+        (f"parity_no_{'imag' if n % 2 == 0 else 'real'}_part",
+         f"{PARITY_REL:.0e}*|det| + {parity_abs:.0e}"),
+        (f"closed_form_n{n}_vs_direct", f"{closed_rel:.0e}*max(1,|det|)"),
+        ("phase_antisymmetry_bitwise", "0 (exact)"),
+        ("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}"),
+        ("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}"),
+        ("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}"),
+        ("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)"),
+        ("product_identities", f"{PRODUCT_ABS:.0e}"),
+    ]
+    if n == 3:
+        rows.append(("single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)"))
+    else:
+        rows += [
+            ("phase_expansion_36", f"{EXPANSION_ABS:.0e}"),
+            ("difference_factor_sum", f"{FACTOR_SUM_REL:.0e} (relative)"),
+            ("band_reconstruction", f"{RECONSTRUCT_REL:.0e}*max(1,max|J|)"),
+        ]
+    return rows
+
+
+def _draw_chunk(n, seeds):
+    """The draws of each trial, in stream order: the Ginibre matrix of V,
+    the a- and b-spectra and the rephasing angles.  Returns the (T, n, n)
+    Ginibre stack, the (T, n) spectra and the (T, n) rephasing factors."""
+    g, a, b, angles = [], [], [], []
+    for seed in seeds:
+        rng = SeededRng(seed)
+        g.append(ginibre(n, rng))
+        a.append(random_spectrum(n, rng).values)
+        b.append(random_spectrum(n, rng).values)
+        angles.append(RephasingAngles(
+            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
+            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
+        ))
+    row_phases = _unit_phases([x.theta for x in angles])
+    col_phases = _unit_phases([x.theta_prime for x in angles])
+    return np.array(g), np.array(a), np.array(b), row_phases, col_phases
+
+
+def _check_chunk(n, seeds, closed_rel, parity_abs):
+    """Residuals of one chunk of trials, each layer run once on the stack.
+
+    Returns (rows, degenerate): rows holds (residual, limit, kept) per
+    identity in _identities order, where kept masks the trials to record;
+    degenerate (n = 4 only) flags the trials that fail the band gate.
+    """
+    g, a, b, row_phases, col_phases = _draw_chunk(n, seeds)
+    t = len(seeds)
+    v = _haar_from_ginibre(g)
+    # V and its rephased copy share every layer up to the closed forms
+    both = np.concatenate([v, _rephased(v, row_phases, col_phases)])
+    a2, b2 = np.concatenate([a, a]), np.concatenate([b, b])
+    _, cols = _validate_unitaries(both)
+    plaq = _plaquettes(both)
+    dets = det(_commutators(a2, b2, cols))
+    if n == 3:
+        closed = _complex(*_det3_closed(a2, b2, plaq[1]))
+    else:
+        closed = _complex(*_det4_closed(_det4_groups(a2, b2, both, cols, plaq)[0]))
+    d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
+    re, im = (x[:t] for x in plaq)
+
+    mod_d = _modulus(d)
+    det_scale = np.maximum(1.0, mod_d)
+    sums = _sum_rule_residuals(v, re, im)
+    every = np.ones(t, dtype=bool)
+
+    def const(value):
+        return np.full(t, value)
+
+    rows = [
+        (np.abs(d.imag if n % 2 == 0 else d.real), PARITY_REL * mod_d + parity_abs, every),
+        (_modulus(c - d), closed_rel * det_scale, every),
+        (_antisymmetry_residuals(re, im), const(0.0), every),
+        (np.max([x for k, x in sums.items() if k.startswith("im_")], axis=0),
+         const(SUM_RULE_ABS), every),
+        (np.max([x for k, x in sums.items() if k.startswith("re_")], axis=0),
+         const(SUM_RULE_ABS), every),
+        (_phase_shifts((re, im), (x[t:] for x in plaq)), const(REPHASE_PHASE_ABS), every),
+        (np.maximum(_modulus(d2 - d), _modulus(c2 - c)), REPHASE_DET_REL * det_scale, every),
+        (np.max(list(_product_residuals(re, im).values()), axis=0), const(PRODUCT_ABS), every),
+    ]
+    if n == 3:
+        base, signs, residuals, indeterminate = _n3_signs(im)
+        matches = indeterminate | (signs == N3_SIGN_PATTERN).all(axis=1)
+        # a wrong sign pattern fails its trial whatever the residual
+        limit = np.where(matches, SIGN_TABLE_REL * np.maximum(1.0, np.abs(base)), -np.inf)
+        rows.append((residuals.max(axis=1), limit, every))
+        return rows, None
+    j, r = _jr(re, im)
+    factor_sum = [np.abs(res) / scale
+                  for res, scale in (_sum_rule(*_t_factors(x)) for x in (a, b))]
+    _, _, degenerate, _, max_error = _reconstructions(v, j, r)
+    j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))
+    rows += [
+        (_expansion_residuals(im, _expand(j)), const(EXPANSION_ABS), every),
+        (np.maximum(np.maximum(0.0, factor_sum[0]), factor_sum[1]),
+         const(FACTOR_SUM_REL), every),
+        (max_error, RECONSTRUCT_REL * j_scale, ~degenerate),
+    ]
+    return rows, degenerate
 
 
 def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
@@ -176,119 +309,29 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    closed_fn = closed_form(n)
     closed_rel = check_tolerance(tol_rel, "tol_rel") if tol_rel is not None else CLOSED_REL[n]
     parity_abs = check_tolerance(tol_abs, "tol_abs") if tol_abs is not None else PARITY_ABS
-
-    results = {}
-
-    def ident(name, bound):
-        results[name] = IdentityResult(name=name, bound=bound)
-        return results[name]
-
-    parity_kind = "imag" if n % 2 == 0 else "real"
-    parity = ident(
-        f"parity_no_{parity_kind}_part",
-        f"{PARITY_REL:.0e}*|det| + {parity_abs:.0e}",
-    )
-    closed = ident(
-        f"closed_form_n{n}_vs_direct", f"{closed_rel:.0e}*max(1,|det|)"
-    )
-    antisym = ident("phase_antisymmetry_bitwise", "0 (exact)")
-    sums_im = ident("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}")
-    sums_re = ident("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}")
-    rephase_phases = ident("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}")
-    rephase_dets = ident(
-        "rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)"
-    )
-    products = ident("product_identities", f"{PRODUCT_ABS:.0e}")
-    if n == 3:
-        signs = ident(
-            "single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)"
-        )
-    else:
-        expansion = ident("phase_expansion_36", f"{EXPANSION_ABS:.0e}")
-        factor_sum = ident("difference_factor_sum", f"{FACTOR_SUM_REL:.0e} (relative)")
-        reconstruct = ident(
-            "band_reconstruction", f"{RECONSTRUCT_REL:.0e}*max(1,max|J|)"
-        )
-
+    results = [IdentityResult(name=name, bound=bound)
+               for name, bound in _identities(n, closed_rel, parity_abs)]
     gate_passes = 0
-    gate_total = 0
 
-    for t in range(trials):
-        seed = derive_seed(master_seed, t)
-        rng = SeededRng(seed)
-        v = haar_unitary(n, rng)
-        a = random_spectrum(n, rng)
-        b = random_spectrum(n, rng)
-        angles = RephasingAngles(
-            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
-            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
-        )
-        inp = MassPairInput(a=a, b=b, v=v)
+    for first in range(0, trials, TRIAL_CHUNK):
+        seeds = np.array([derive_seed(master_seed, t)
+                          for t in range(first, min(first + TRIAL_CHUNK, trials))],
+                         dtype=np.uint64)
+        rows, degenerate = _check_chunk(n, seeds.tolist(), closed_rel, parity_abs)
+        for result, (residual, limit, kept) in zip(results, rows):
+            for x, bound, seed in zip(residual[kept].tolist(), limit[kept].tolist(),
+                                      seeds[kept].tolist()):
+                result.record(x, bound, seed)
+        if degenerate is not None:
+            gate_passes += int(np.count_nonzero(~degenerate))
 
-        d = det_direct(inp)
-        if n % 2 == 0:
-            parity.record(abs(d.imag), PARITY_REL * abs(d) + parity_abs, seed)
-        else:
-            parity.record(abs(d.real), PARITY_REL * abs(d) + parity_abs, seed)
-        c = closed_fn(inp)
-        closed.record(abs(c - d), closed_rel * max(1.0, abs(d)), seed)
-
-        table = phase_table(v)
-        antisym.record(_antisymmetry_residual(table), 0.0, seed)
-
-        rel = unitary_relation_residuals(v)
-        im_worst = max(rel.families[k] for k in rel.families if k.startswith("im_"))
-        re_worst = max(rel.families[k] for k in rel.families if k.startswith("re_"))
-        sums_im.record(im_worst, SUM_RULE_ABS, seed)
-        sums_re.record(re_worst, SUM_RULE_ABS, seed)
-
-        products.record(
-            nonlinear_relation_residuals(v).max_residual(), PRODUCT_ABS, seed
-        )
-
-        v2 = rephase(v, angles)
-        rephase_phases.record(_phase_shift(table, phase_table(v2)), REPHASE_PHASE_ABS, seed)
-        inp2 = MassPairInput(a=a, b=b, v=v2)
-        d2 = det_direct(inp2)
-        c2 = closed_fn(inp2)
-        det_shift = max(abs(d2 - d), abs(c2 - c))
-        rephase_dets.record(det_shift, REPHASE_DET_REL * max(1.0, abs(d)), seed)
-
-        if n == 3:
-            rep = n3_phase_table(v)
-            limit = SIGN_TABLE_REL * max(1.0, abs(rep.base))
-            residual = rep.max_residual
-            signs.record(residual, limit, seed)
-            if not rep.matches_expected():
-                signs.passed = False
-        else:
-            expanded = expand_phases(jr_matrices(v))
-            expansion.record(expansion_residual(table, expanded), EXPANSION_ABS, seed)
-
-            worst_tf = 0.0
-            for spectrum in (a, b):
-                tf = t_factors(spectrum)
-                worst_tf = max(
-                    worst_tf, abs(tf.sum_rule_residual()) / tf.sum_rule_scale()
-                )
-            factor_sum.record(worst_tf, FACTOR_SUM_REL, seed)
-
-            recon = reconstruct_J(v)
-            gate_total += 1
-            if not recon.degenerate:
-                gate_passes += 1
-                j_scale = max(1.0, float(np.max(np.abs(recon.j_direct))))
-                reconstruct.record(recon.max_error, RECONSTRUCT_REL * j_scale, seed)
-
-    gate_rate = gate_passes / gate_total if gate_total else None
     return VerificationReport(
         suite=f"n={n}",
         master_seed=int(master_seed),
         trials=trials,
         tool_version=__version__,
-        identities=list(results.values()),
-        gate_pass_rate=gate_rate if n == 4 else None,
+        identities=results,
+        gate_pass_rate=gate_passes / trials if n == 4 else None,
     )

@@ -38,6 +38,13 @@ from jarlskog import (
 MASTER_SEED = 987654321
 
 
+def nan_max(*values):
+    """The largest of the values, or NaN if any is NaN.  The built-in max
+    keeps its first argument when compared with NaN, so it would hide a NaN
+    residual."""
+    return float(np.max(values))
+
+
 def announce(number, description, passed, detail, elapsed):
     status = "PASS" if passed else "FAIL"
     print(
@@ -69,10 +76,10 @@ class EnsembleN3:
             inp = trial_input(3, t)
             d = det_direct(inp)
             c = det3_closed(inp)
-            self.worst_closed = max(
+            self.worst_closed = nan_max(
                 self.worst_closed, abs(c - d) / max(1.0, abs(d))
             )
-            self.worst_parity_excess = max(
+            self.worst_parity_excess = nan_max(
                 self.worst_parity_excess, abs(d.real) - (1e-9 * abs(d) + 1e-12)
             )
             rep = n3_phase_table(inp.v)
@@ -80,14 +87,14 @@ class EnsembleN3:
                 self.indeterminate += 1
             else:
                 self.pattern_ok = self.pattern_ok and rep.matches_expected()
-                self.worst_signs = max(
+                self.worst_signs = nan_max(
                     self.worst_signs, rep.max_residual / max(1.0, abs(rep.base))
                 )
             a, b = inp.a.values, inp.b.values
             tt = (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0])
             bb = (b[0] - b[1]) * (b[1] - b[2]) * (b[2] - b[0])
             link = 2j * (tt * bb * rep.base)
-            self.worst_link = max(
+            self.worst_link = nan_max(
                 self.worst_link, abs(link - d) / max(1.0, abs(d))
             )
         self.elapsed = time.perf_counter() - started
@@ -110,15 +117,15 @@ class EnsembleN4:
             v = inp.v
             d = det_direct(inp)
             c = det4_closed(inp)
-            self.worst_closed = max(
+            self.worst_closed = nan_max(
                 self.worst_closed, abs(c - d) / max(1.0, abs(d))
             )
-            self.worst_parity_excess = max(
+            self.worst_parity_excess = nan_max(
                 self.worst_parity_excess, abs(d.imag) - (1e-9 * abs(d) + 1e-12)
             )
             table = phase_table(v)
             jr = jr_matrices(v)
-            self.worst_expansion = max(
+            self.worst_expansion = nan_max(
                 self.worst_expansion, expansion_residual(table, expand_phases(jr))
             )
             j = jr.j_mat
@@ -127,15 +134,15 @@ class EnsembleN4:
                 abs(table.im_value(1, 2, 1, 3) - (-j[0, 1] + j[0, 2])),
                 abs(table.im_value(1, 2, 1, 4) - (-j[0, 0] + j[0, 1] - j[0, 2])),
             )
-            self.worst_spots = max(self.worst_spots, *spots)
-            self.worst_products = max(
+            self.worst_spots = nan_max(self.worst_spots, *spots)
+            self.worst_products = nan_max(
                 self.worst_products, nonlinear_relation_residuals(v).max_residual()
             )
             recon = reconstruct_J(v)
             if not recon.degenerate:
                 self.gate_passes += 1
                 scale = max(1.0, float(np.max(np.abs(recon.j_direct))))
-                self.worst_reconstruction = max(
+                self.worst_reconstruction = nan_max(
                     self.worst_reconstruction, recon.max_error / scale
                 )
         self.elapsed = time.perf_counter() - started
@@ -197,7 +204,7 @@ def test_acceptance_04_difference_factor_sum_rule():
     worst = 0.0
     for _ in range(10_000):
         tf = t_factors(random_spectrum(4, rng))
-        worst = max(worst, abs(tf.sum_rule_residual()) / tf.sum_rule_scale())
+        worst = nan_max(worst, abs(tf.sum_rule_residual()) / tf.sum_rule_scale())
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     announce(
@@ -217,7 +224,7 @@ def test_acceptance_05_unitarity_sum_rules():
         rng = SeededRng(derive_seed(MASTER_SEED, 500 + n))
         for _ in range(10_000):
             rep = unitary_relation_residuals(haar_unitary(n, rng))
-            worst = max(worst, rep.max_residual())
+            worst = nan_max(worst, rep.max_residual())
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-13
     announce(
@@ -319,10 +326,10 @@ def test_acceptance_10_rephasing_invariance():
                 for tensor, base_tensor in ((table.im_tensor, base_table.im_tensor),
                                             (table.re_tensor, base_table.re_tensor)):
                     shift = table.canonical(tensor) - base_table.canonical(base_tensor)
-                    worst_phase = max(worst_phase, float(np.max(np.abs(shift))))
+                    worst_phase = nan_max(worst_phase, float(np.max(np.abs(shift))))
                 if n == 4:
                     jr = jr_matrices(w)
-                    worst_phase = max(
+                    worst_phase = nan_max(
                         worst_phase,
                         float(np.max(np.abs(jr.j_mat - base_jr.j_mat))),
                         float(np.max(np.abs(jr.r_mat - base_jr.r_mat))),
@@ -331,7 +338,7 @@ def test_acceptance_10_rephasing_invariance():
                 d1 = det_direct(inp_w)
                 c1 = closed_fn(inp_w)
                 scale = max(1.0, abs(d0))
-                worst_det = max(
+                worst_det = nan_max(
                     worst_det, abs(d1 - d0) / scale, abs(c1 - c0) / scale
                 )
     elapsed = time.perf_counter() - started

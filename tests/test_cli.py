@@ -350,3 +350,91 @@ def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
     assert "jarlskog" in res.stdout
+
+
+# ---------------------------------------------------------------- NaN residuals
+
+def test_record_fails_and_keeps_a_nan_residual():
+    from jarlskog.verify import IdentityResult
+
+    result = IdentityResult(name="x", bound="1")
+    for residual, seed in ((0.5, 3), (math.nan, 7), (0.9, 8)):
+        result.record(residual, 1.0, seed)
+    assert not result.passed
+    assert math.isnan(result.max_residual)
+    assert result.worst_seed == 7
+
+
+def test_verify_reports_an_injected_nan_residual_as_fail(monkeypatch):
+    import jarlskog.verify as verify
+
+    exact = verify._antisymmetry_residuals
+
+    def nan_on_trial_2(re, im):
+        out = exact(re, im)
+        out[2] = math.nan
+        return out
+
+    monkeypatch.setattr(verify, "_antisymmetry_residuals", nan_on_trial_2)
+    report = run_suite(3, 5, 11)
+    row = next(r for r in report.identities if r.name == "phase_antisymmetry_bitwise")
+    assert not row.passed
+    assert math.isnan(row.max_residual)
+    assert row.worst_seed == verify.derive_seed(11, 2)
+    assert [r.name for r in report.identities if not r.passed] == [row.name]
+    assert report.render().endswith("\noverall: FAIL\n")
+
+
+# ---------------------------------------------------------------- oversized numbers
+
+@pytest.mark.parametrize("field", ("a", "b", "V", "U", "U_prime"))
+def test_integer_too_large_for_a_float_is_input_error(field, tmp_path, capsys):
+    with open(os.path.join(DATA, "problem_n3_uu_seed601.json" if field.startswith("U")
+                           else "problem_n3_seed501.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if field in ("a", "b"):
+        doc[field][1] = 10 ** 400
+    else:
+        doc[field][1][2][0] = 10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("det", "phases"):
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: field '{field}' holds an integer too large for a float\n"
+
+
+def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys):
+    with open(N3_FIXTURE, encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "digits.json"
+    path.write_text(text.replace('"n": 3', '"n": 3, "pad": ' + "9" * 5000, 1))
+    assert main(["det", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: not valid JSON: ")
+
+
+# ---------------------------------------------------------------- parser reuse
+
+def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
+    from jarlskog.cli import build_parser
+
+    assert build_parser() is not build_parser()
+    assert main(["det", N4_FIXTURE, "--method", "direct"]) == 0
+    direct = capsys.readouterr().out
+    assert "det_closed" not in direct and "agreement" not in direct
+    # an option given once must not stick to the next call
+    assert main(["det", N4_FIXTURE, "--tol-rel", "0", "--tol-abs", "0"]) == 2
+    assert "agreement: FAIL" in capsys.readouterr().out
+    assert main(["det", N4_FIXTURE]) == 0
+    default = capsys.readouterr().out
+    assert default.startswith(direct) and "agreement: pass" in default
+    # nor may a parse error
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--n", "not-a-number"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(["sample", "--seed", "4", "--out", str(tmp_path / "s.json")]) == 0
+    assert json.loads((tmp_path / "s.json").read_text())["n"] == 4

@@ -1,12 +1,15 @@
-"""Bitwise pins of the product kernel and the fixed-order k-sums built on it.
+"""Bitwise pins of the product kernel, the fixed-order k-sums built on it
+and the stacked (trial-axis) kernels.
 
 The references below are plain scalar complex arithmetic with the grouping
 and the summation order the library documents: the plaquettes, the
 column products and V V^+ of the unitarity check, the commutator entries,
 the nine term groups of the n=4 closed form and the 3x3 products of the
-36-phase expansion.  The library must reproduce them
-bit for bit, signed zeros included, so results are compared as uint64 bit
-patterns.  Golden report files pin the printed digits end to end.
+36-phase expansion, and the one-matrix-at-a-time LU determinant and
+Householder QR.  The library must reproduce them bit for bit, signed zeros
+included, so results are compared as uint64 bit patterns.  Every stacked
+layer must give, in slice t of a stack, the bits of its call on trial t
+alone.  Golden report files pin the printed digits end to end.
 """
 
 import itertools
@@ -21,9 +24,13 @@ from jarlskog import (
     MassPairInput,
     SeededRng,
     UnitaryMatrix,
+    det,
+    ginibre,
     haar_unitary,
+    householder_qr,
     random_spectrum,
 )
+from jarlskog import determinant, linalg, phases, sampling, verify
 from jarlskog.cli import main
 from jarlskog.determinant import (
     DET4_GROUPS,
@@ -118,6 +125,62 @@ def scalar_det4_groups(inp):
     for name, (weight, raw) in cycles.items():
         parts[name] = complex(weight * raw.real, 0.0)
     return parts, cycles
+
+
+def scalar_det(m):
+    """LU determinant one matrix at a time, with scalar pivot arithmetic.
+
+    Pivot rule: at column k pick the row with the largest |entry|, lowest
+    index on ties (strict >, so a NaN candidate never wins).  A zero pivot
+    column returns 0j.
+    """
+    a = np.array(m, dtype=np.complex128)
+    n = a.shape[0]
+    sign = 1.0
+    value = complex(1.0, 0.0)
+    for k in range(n):
+        pivot_row = k
+        pivot_mag = abs(a[k, k])
+        for i in range(k + 1, n):
+            mag = abs(a[i, k])
+            if mag > pivot_mag:
+                pivot_mag = mag
+                pivot_row = i
+        if pivot_mag == 0.0:
+            return 0j
+        if pivot_row != k:
+            a[[k, pivot_row], :] = a[[pivot_row, k], :]
+            sign = -sign
+        pivot = a[k, k]
+        value *= complex(pivot)
+        for i in range(k + 1, n):
+            factor = a[i, k] / pivot
+            a[i, k + 1:] -= factor * a[k, k + 1:]
+    return sign * value
+
+
+def scalar_qr(a):
+    """Householder QR of one matrix, scalar phase arithmetic, no diag(R) fix."""
+    a = np.array(a, dtype=np.complex128)
+    n = a.shape[0]
+    q = np.eye(n, dtype=np.complex128)
+    r = a
+    for k in range(n - 1):
+        x = r[k:, k]
+        norm_x = float(np.sqrt(np.sum(np.abs(x) ** 2)))
+        if norm_x == 0.0:
+            continue
+        x0 = x[0]
+        phase = x0 / abs(x0) if x0 != 0 else complex(1.0, 0.0)
+        v = x.copy()
+        v[0] += phase * norm_x
+        vnorm = float(np.sqrt(np.sum(np.abs(v) ** 2)))
+        if vnorm == 0.0:
+            continue
+        v /= vnorm
+        r[k:, k:] -= 2.0 * np.outer(v, (np.conj(v)[:, None] * r[k:, k:]).sum(axis=0))
+        q[:, k:] -= 2.0 * np.outer((q[:, k:] * v[None, :]).sum(axis=1), np.conj(v))
+    return q, r
 
 
 def spelled_product(x, y):
@@ -259,9 +322,222 @@ def test_phase_expansion_is_bit_equal_to_spelled_out_products():
         assert np.array_equal(bits(got), bits(reference_expansion(jr.j_mat)))
 
 
-@pytest.mark.parametrize("n", (3, 4))
-def test_verify_report_bytes_match_golden_file(n, capsys):
-    assert main(["verify", "--n", str(n), "--trials", "20", "--seed", "13579"]) == 0
-    name = f"verify_n{n}_seed13579_t20.txt"
+def verify_report_matches_golden_file(n, trials, capsys):
+    assert main(["verify", "--n", str(n), "--trials", str(trials), "--seed", "13579"]) == 0
+    name = f"verify_n{n}_seed13579_t{trials}.txt"
     with open(os.path.join(DATA, name), encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_verify_report_bytes_match_golden_file(n, capsys):
+    verify_report_matches_golden_file(n, 20, capsys)
+
+
+# The golden files were written by the one-trial-at-a-time run_suite; 20
+# trials fit in one chunk, TRIAL_CHUNK + 5 cross a chunk boundary.
+@pytest.mark.parametrize("n", (3, 4))
+def test_verify_report_across_a_chunk_boundary_matches_golden_file(n, capsys):
+    verify_report_matches_golden_file(n, verify.TRIAL_CHUNK + 5, capsys)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_verify_report_does_not_depend_on_the_chunk_size(n, monkeypatch):
+    expected = verify.run_suite(n, 11, 4242).render()
+    for chunk in (1, 4):
+        monkeypatch.setattr(verify, "TRIAL_CHUNK", chunk)
+        assert verify.run_suite(n, 11, 4242).render() == expected
+
+
+# ---------------------------------------------------------------- stacked LU and QR
+
+def scalar_haar(g):
+    """Haar unitary from one Ginibre matrix: scalar QR, then the diag(R) fix."""
+    q, r = scalar_qr(g)
+    for k in range(g.shape[0]):
+        d = r[k, k]
+        mag = abs(d)
+        q[:, k] *= d / mag if mag != 0.0 else 1.0
+    return q
+
+
+def zero_column_matrices(n, rng):
+    """Ginibre matrices with one column zeroed, one matrix per column."""
+    mats = []
+    for col in range(n):
+        m = ginibre(n, rng)
+        m[:, col] = 0.0
+        mats.append(m)
+    return mats
+
+
+def modulus_near_ties(count):
+    """3x3 matrices whose first column holds z and the real number r that
+    numpy's array modulus and the scalar modulus order differently: one of
+    them ties |z| with r, the other does not, so the LU pivot row depends on
+    which modulus is used."""
+    rng = SeededRng(91)
+    mats = []
+    while len(mats) < count:
+        m = ginibre(3, rng)
+        z = m[0, 0]
+        scalar, array = np.hypot(z.real, z.imag), np.abs(m[:1, 0])[0]
+        if scalar != array:
+            m[1, 0] = max(scalar, array)
+            mats.append(m)
+    return mats
+
+
+def matrix_groups():
+    """Stacks of one size each: the pinned matrices, the signed permutations
+    (exact modulus ties), modulus near-ties, Haar and Ginibre draws at
+    n = 2..8, and Ginibre draws with a zero column mixed into regular ones."""
+    rng = SeededRng(86)
+    groups = {"modulus_near_ties": modulus_near_ties(8)}
+    for v in pinned_matrices():
+        groups.setdefault(f"pinned_n{v.n}", []).append(v.matrix)
+    for n in (3, 4):
+        groups[f"signed_permutations_n{n}"] = [v.matrix for v in signed_permutations(n)]
+    for n in range(2, 9):
+        groups[f"haar_n{n}"] = [haar_unitary(n, rng).matrix for _ in range(12)]
+        groups[f"ginibre_n{n}"] = [ginibre(n, rng) for _ in range(12)]
+    for n in (2, 3, 4, 6):
+        groups[f"zero_column_n{n}"] = [ginibre(n, rng), *zero_column_matrices(n, rng),
+                                       ginibre(n, rng)]
+    return groups
+
+
+MATRIX_GROUPS = matrix_groups()
+
+
+@pytest.mark.parametrize("group", sorted(MATRIX_GROUPS))
+def test_stacked_lu_is_bit_equal_to_scalar_lu(group):
+    mats = MATRIX_GROUPS[group]
+    stacked = det(np.array(mats))
+    for t, m in enumerate(mats):
+        ref = scalar_det(m)
+        assert np.array_equal(cbits(stacked[t]), cbits(ref)), t
+        assert np.array_equal(cbits(det(m)), cbits(ref)), t
+
+
+def test_zero_pivot_column_gives_exact_zero_without_warnings():
+    # pytest turns any warning into an error, so a division by the zero
+    # pivot would fail here
+    rng = SeededRng(17)
+    for n in (2, 3, 4, 6):
+        mats = zero_column_matrices(n, rng)
+        assert all(det(m) == 0j for m in mats)
+        assert np.array_equal(bits(det(np.array(mats)).view(float)), bits(np.zeros(2 * n)))
+
+
+def test_non_finite_candidates_follow_the_scalar_pivot_rule():
+    # a NaN candidate never wins the pivot, a NaN on the diagonal keeps its
+    # row, and infinities take part like any modulus
+    rng = SeededRng(6)
+    mats = []
+    for value in (np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)):
+        for row in range(4):
+            for col in range(3):
+                m = ginibre(4, rng)
+                m[row, col] = value
+                mats.append(m)
+    with np.errstate(all="ignore"):
+        stacked = det(np.array(mats))
+        for t, m in enumerate(mats):
+            assert np.array_equal(cbits(stacked[t]), cbits(scalar_det(m))), t
+
+
+@pytest.mark.parametrize("group", sorted(MATRIX_GROUPS))
+def test_stacked_qr_and_haar_fix_are_bit_equal_to_scalar_references(group):
+    mats = MATRIX_GROUPS[group]
+    q, r = householder_qr(np.array(mats))
+    haar = sampling._haar_from_ginibre(np.array(mats))
+    for t, m in enumerate(mats):
+        q_ref, r_ref = scalar_qr(m)
+        for got, ref in ((q[t], q_ref), (r[t], r_ref), (householder_qr(m)[0], q_ref),
+                         (haar[t], scalar_haar(m))):
+            assert np.array_equal(bits(got.view(float)), bits(ref.view(float))), t
+
+
+# ---------------------------------------------------------------- every stacked layer
+
+def stack_slice(x, t):
+    """Trial t of a stacked argument, kept as a stack of one."""
+    if isinstance(x, tuple):
+        return tuple(stack_slice(y, t) for y in x)
+    return x[t:t + 1]
+
+
+def leaves(x):
+    """The arrays of a nested result, complex ones split into re and im."""
+    if isinstance(x, dict):
+        return [y for key in sorted(x) for y in leaves(x[key])]
+    if isinstance(x, (tuple, list)):
+        return [y for item in x for y in leaves(item)]
+    x = np.asarray(x)
+    return [x.real, x.imag] if np.iscomplexobj(x) else [x]
+
+
+#: trials in the stacks of stacked_layers
+LAYER_TRIALS = 7
+
+
+def stacked_layers(n):
+    """{name: (function, stacked arguments)} of every layer that takes a
+    leading trial axis, on LAYER_TRIALS seeded trials."""
+    rng = SeededRng(1000 + n)
+    trials = LAYER_TRIALS
+    g = np.array([ginibre(n, rng) for _ in range(trials)])
+    a, b = (np.array([random_spectrum(n, rng).values for _ in range(trials)]) for _ in "ab")
+    row, col = (sampling._unit_phases([[rng.uniform() * 6.3 for _ in range(n)]
+                                       for _ in range(trials)]) for _ in "rc")
+    v = sampling._haar_from_ginibre(g)
+    w = sampling._rephased(v, row, col)
+    _, cols = linalg._validate_unitaries(v)
+    plaq = linalg._plaquettes(v)
+    layers = {
+        "householder_qr": (householder_qr, (g,)),
+        "haar_from_ginibre": (sampling._haar_from_ginibre, (g,)),
+        "rephased": (sampling._rephased, (v, row, col)),
+        "validate_unitaries": (linalg._validate_unitaries, (w,)),
+        "plaquettes": (linalg._plaquettes, (v,)),
+        "commutators": (determinant._commutators, (a, b, cols)),
+        "det": (det, (determinant._commutators(a, b, cols),)),
+        "sum_rule_residuals": (phases._sum_rule_residuals, (v, *plaq)),
+        "product_residuals": (phases._product_residuals, plaq),
+        "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq),
+        "phase_shifts": (verify._phase_shifts, (plaq, linalg._plaquettes(w))),
+    }
+    if n == 3:
+        layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]))
+        layers["n3_signs"] = (phases._n3_signs, (plaq[1],))
+    else:
+        j, r = phases._jr(*plaq)
+        groups = determinant._det4_groups(a, b, v, cols, plaq)
+        layers.update({
+            "det4_groups": (determinant._det4_groups, (a, b, v, cols, plaq)),
+            "det4_closed": (determinant._det4_closed, (groups[0],)),
+            "t_factors": (determinant._t_factors, (a,)),
+            "sum_rule": (determinant._sum_rule, determinant._t_factors(b)),
+            "jr": (phases._jr, plaq),
+            "expand": (phases._expand, (j,)),
+            "expansion_residuals": (phases._expansion_residuals, (plaq[1], phases._expand(j))),
+            "band_systems": (phases._band_systems, (v, j, r)),
+            "reconstructions": (phases._reconstructions, (v, j, r)),
+        })
+    return layers
+
+
+LAYER_CASES = [(n, name) for n in (3, 4) for name in stacked_layers(n)]
+
+
+@pytest.mark.parametrize(("n", "name"), LAYER_CASES, ids=[f"n{n}-{name}" for n, name in LAYER_CASES])
+def test_slice_of_a_stacked_layer_is_bit_equal_to_its_stack_of_one(n, name):
+    fn, args = stacked_layers(n)[name]
+    full = leaves(fn(*args))
+    for t in range(LAYER_TRIALS):
+        single = leaves(fn(*(stack_slice(x, t) for x in args)))
+        assert len(single) == len(full)
+        for got, ref in zip(full, single):
+            assert np.array_equal(bits(np.asarray(got[t], dtype=float)),
+                                  bits(np.asarray(ref[0], dtype=float))), t

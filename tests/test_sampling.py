@@ -11,11 +11,11 @@ from jarlskog import (
     SeededRng,
     derive_seed,
     haar_unitary,
+    householder_qr,
     phase_table,
     random_spectrum,
     rephase,
 )
-from jarlskog.sampling import _qr_householder
 
 # frozen vectors from the reference C implementation of splitmix64
 SPLITMIX64_VECTORS = {
@@ -93,7 +93,7 @@ def test_householder_qr_factorises(rng):
             for j in range(n):
                 re, im = rng.normal_pair()
                 a[i, j] = complex(re, im)
-        q, r = _qr_householder(a)
+        q, r = householder_qr(a)
         assert np.max(np.abs(q @ r - a)) <= 1e-13
         assert np.max(np.abs(q @ np.conj(q.T) - np.eye(n))) <= 1e-13
         lower = np.tril(r, -1)
