@@ -22,7 +22,7 @@ import argparse
 from jarlskog import (
     MassPairInput,
     SeededRng,
-    cycle_groups,
+    decompose_det4,
     derive_seed,
     det4_closed,
     det_direct,
@@ -34,7 +34,7 @@ from jarlskog import (
 def cycle_sums(inp):
     """Total of the six cycle groups kept as raw complex values."""
     total = 0j
-    for weight, raw in cycle_groups(inp).values():
+    for weight, raw in decompose_det4(inp)[1].values():
         total += weight * raw
     return total
 

@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 from .determinant import (
     MassPairInput,
     TFactors,
-    cycle_groups,
     decompose_det4,
     det3_closed,
     det4_closed,
@@ -76,7 +75,6 @@ __all__ = [
     "UnitaryMatrix",
     "__version__",
     "adjoint",
-    "cycle_groups",
     "decompose_det4",
     "derive_seed",
     "det",

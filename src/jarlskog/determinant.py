@@ -298,30 +298,26 @@ def _det4_closed(parts):
     return tuple(_ksum(x, axis=1) for x in parts)
 
 
-def cycle_groups(inp):
-    """The six cycle groups of det4_closed before their real part is taken.
-
-    Returns {name: (weight, raw)} in DET4_GROUPS order, where raw is the
-    complex sum over one orientation of the 3-cycle and weight its factor
-    -2 T_(ijkl) (cycle3) or +2 T_(ijkl) (cycle4).  decompose_det4 reports
-    weight * raw.real for each; weight * raw keeps the imaginary part that
-    the expansion discards (see the module docstring).
-    """
-    weights, (re, im) = _det4_stack_of_one(inp)[1]
-    return {name: (weights[0, g].item(), complex(re[0, g], im[0, g]))
-            for g, name in enumerate(DET4_GROUPS[3:])}
-
-
 def decompose_det4(inp):
-    """The nine term groups of det4_closed, in DET4_GROUPS order.
+    """The term groups of det4_closed, as (parts, cycles).
 
-    Pair groups are complex sums whose imaginary parts cancel to roundoff;
-    cycle groups carry only the real part of their orientation sum (see the
-    module docstring).  The values sum, in dict order, to exactly the value
-    det4_closed returns.
+    parts maps the nine groups, in DET4_GROUPS order, to their complex
+    values.  Pair groups are complex sums whose imaginary parts cancel to
+    roundoff; cycle groups carry only the real part of their orientation
+    sum (see the module docstring).  The values sum, in dict order, to
+    exactly the value det4_closed returns.
+
+    cycles maps the six cycle groups to (weight, raw) before their real part
+    is taken: raw is the complex sum over one orientation of the 3-cycle and
+    weight its factor -2 T_(ijkl) (cycle3) or +2 T_(ijkl) (cycle4).  parts
+    holds weight * raw.real for each; weight * raw keeps the imaginary part
+    that the expansion discards.
     """
-    re, im = _det4_stack_of_one(inp)[0]
-    return {name: complex(re[0, g], im[0, g]) for g, name in enumerate(DET4_GROUPS)}
+    (re, im), (weights, (raw_re, raw_im)) = _det4_stack_of_one(inp)
+    parts = {name: complex(re[0, g], im[0, g]) for g, name in enumerate(DET4_GROUPS)}
+    cycles = {name: (weights[0, g].item(), complex(raw_re[0, g], raw_im[0, g]))
+              for g, name in enumerate(DET4_GROUPS[3:])}
+    return parts, cycles
 
 
 def det4_closed(inp):

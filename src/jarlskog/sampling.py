@@ -217,7 +217,8 @@ def random_spectrum(n, rng, min_gap=DEFAULT_MIN_GAP):
     in the interval) are rejected up front.
     """
     check_dimension(n)
-    if min_gap <= 0.0:
+    # NaN must fail here: it passes the feasibility check and no gap reaches it
+    if not min_gap > 0.0:
         raise ValueError("min_gap must be positive")
     if min_gap * (n - 1) >= 2.0:
         raise ValueError(

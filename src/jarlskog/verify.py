@@ -190,30 +190,6 @@ def check_tolerance(value, name="tolerance"):
     return value
 
 
-def _identities(n, closed_rel, parity_abs):
-    """(name, bound label) of each identity of the n suite, in report order."""
-    rows = [
-        (f"parity_no_{'imag' if n % 2 == 0 else 'real'}_part",
-         f"{PARITY_REL:.0e}*|det| + {parity_abs:.0e}"),
-        (f"closed_form_n{n}_vs_direct", f"{closed_rel:.0e}*max(1,|det|)"),
-        ("phase_antisymmetry_bitwise", "0 (exact)"),
-        ("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}"),
-        ("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}"),
-        ("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}"),
-        ("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)"),
-        ("product_identities", f"{PRODUCT_ABS:.0e}"),
-    ]
-    if n == 3:
-        rows.append(("single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)"))
-    else:
-        rows += [
-            ("phase_expansion_36", f"{EXPANSION_ABS:.0e}"),
-            ("difference_factor_sum", f"{FACTOR_SUM_REL:.0e} (relative)"),
-            ("band_reconstruction", f"{RECONSTRUCT_REL:.0e}*max(1,max|J|)"),
-        ]
-    return rows
-
-
 def _draw_chunk(n, seeds):
     """The draws of each trial, in stream order: the Ginibre matrix of V,
     the a- and b-spectra and the rephasing angles.  Returns the (T, n, n)
@@ -234,10 +210,12 @@ def _draw_chunk(n, seeds):
 
 
 def _check_chunk(n, seeds, closed_rel, parity_abs):
-    """Residuals of one chunk of trials, each layer run once on the stack.
+    """The identities of the n suite on one chunk of trials, each layer run
+    once on the stack.
 
-    Returns (rows, degenerate): rows holds (residual, limit, kept) per
-    identity in _identities order, where kept masks the trials to record;
+    Returns (rows, degenerate).  rows is the table of identities, in report
+    order: one (name, bound label, residual, limit, kept) per identity, with
+    (T,) residuals and limits, and kept masking the trials to record.
     degenerate (n = 4 only) flags the trials that fail the band gate.
     """
     g, a, b, row_phases, col_phases = _draw_chunk(n, seeds)
@@ -261,27 +239,34 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     sums = _sum_rule_residuals(v, re, im)
     every = np.ones(t, dtype=bool)
 
-    def const(value):
-        return np.full(t, value)
+    def row(name, bound, residual, limit, kept=every):
+        return name, bound, residual, np.full(t, limit), kept
 
     rows = [
-        (np.abs(d.imag if n % 2 == 0 else d.real), PARITY_REL * mod_d + parity_abs, every),
-        (_modulus(c - d), closed_rel * det_scale, every),
-        (_antisymmetry_residuals(re, im), const(0.0), every),
-        (np.max([x for k, x in sums.items() if k.startswith("im_")], axis=0),
-         const(SUM_RULE_ABS), every),
-        (np.max([x for k, x in sums.items() if k.startswith("re_")], axis=0),
-         const(SUM_RULE_ABS), every),
-        (_phase_shifts((re, im), (x[t:] for x in plaq)), const(REPHASE_PHASE_ABS), every),
-        (np.maximum(_modulus(d2 - d), _modulus(c2 - c)), REPHASE_DET_REL * det_scale, every),
-        (np.max(list(_product_residuals(re, im).values()), axis=0), const(PRODUCT_ABS), every),
+        row(f"parity_no_{'imag' if n % 2 == 0 else 'real'}_part",
+            f"{PARITY_REL:.0e}*|det| + {parity_abs:.0e}",
+            np.abs(d.imag if n % 2 == 0 else d.real), PARITY_REL * mod_d + parity_abs),
+        row(f"closed_form_n{n}_vs_direct", f"{closed_rel:.0e}*max(1,|det|)",
+            _modulus(c - d), closed_rel * det_scale),
+        row("phase_antisymmetry_bitwise", "0 (exact)", _antisymmetry_residuals(re, im), 0.0),
+        row("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}",
+            np.max([x for k, x in sums.items() if k.startswith("im_")], axis=0), SUM_RULE_ABS),
+        row("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}",
+            np.max([x for k, x in sums.items() if k.startswith("re_")], axis=0), SUM_RULE_ABS),
+        row("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}",
+            _phase_shifts((re, im), (x[t:] for x in plaq)), REPHASE_PHASE_ABS),
+        row("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)",
+            np.maximum(_modulus(d2 - d), _modulus(c2 - c)), REPHASE_DET_REL * det_scale),
+        row("product_identities", f"{PRODUCT_ABS:.0e}",
+            np.max(list(_product_residuals(re, im).values()), axis=0), PRODUCT_ABS),
     ]
     if n == 3:
         base, signs, residuals, indeterminate = _n3_signs(im)
         matches = indeterminate | (signs == N3_SIGN_PATTERN).all(axis=1)
         # a wrong sign pattern fails its trial whatever the residual
         limit = np.where(matches, SIGN_TABLE_REL * np.maximum(1.0, np.abs(base)), -np.inf)
-        rows.append((residuals.max(axis=1), limit, every))
+        rows.append(row("single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)",
+                        residuals.max(axis=1), limit))
         return rows, None
     j, r = _jr(re, im)
     factor_sum = [np.abs(res) / scale
@@ -289,10 +274,12 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     _, _, degenerate, _, max_error = _reconstructions(v, j, r)
     j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))
     rows += [
-        (_expansion_residuals(im, _expand(j)), const(EXPANSION_ABS), every),
-        (np.maximum(np.maximum(0.0, factor_sum[0]), factor_sum[1]),
-         const(FACTOR_SUM_REL), every),
-        (max_error, RECONSTRUCT_REL * j_scale, ~degenerate),
+        row("phase_expansion_36", f"{EXPANSION_ABS:.0e}",
+            _expansion_residuals(im, _expand(j)), EXPANSION_ABS),
+        row("difference_factor_sum", f"{FACTOR_SUM_REL:.0e} (relative)",
+            np.maximum(np.maximum(0.0, factor_sum[0]), factor_sum[1]), FACTOR_SUM_REL),
+        row("band_reconstruction", f"{RECONSTRUCT_REL:.0e}*max(1,max|J|)",
+            max_error, RECONSTRUCT_REL * j_scale, ~degenerate),
     ]
     return rows, degenerate
 
@@ -311,8 +298,7 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
 
     closed_rel = check_tolerance(tol_rel, "tol_rel") if tol_rel is not None else CLOSED_REL[n]
     parity_abs = check_tolerance(tol_abs, "tol_abs") if tol_abs is not None else PARITY_ABS
-    results = [IdentityResult(name=name, bound=bound)
-               for name, bound in _identities(n, closed_rel, parity_abs)]
+    results = None
     gate_passes = 0
 
     for first in range(0, trials, TRIAL_CHUNK):
@@ -320,7 +306,9 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
                           for t in range(first, min(first + TRIAL_CHUNK, trials))],
                          dtype=np.uint64)
         rows, degenerate = _check_chunk(n, seeds.tolist(), closed_rel, parity_abs)
-        for result, (residual, limit, kept) in zip(results, rows):
+        if results is None:
+            results = [IdentityResult(name=name, bound=bound) for name, bound, *_ in rows]
+        for result, (_, _, residual, limit, kept) in zip(results, rows):
             for x, bound, seed in zip(residual[kept].tolist(), limit[kept].tolist(),
                                       seeds[kept].tolist()):
                 result.record(x, bound, seed)

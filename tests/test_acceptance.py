@@ -1,8 +1,14 @@
 """Acceptance suite: every headline guarantee at its stated tolerance.
 
+Criteria 01-10 read the rows of one seeded `run_suite` report per n in
+{3, 4}, so each identity is computed by the same code that `verify` runs.
+Each criterion asserts, for every row it reads, that the row passed over the
+expected number of trials under exactly the bound label stated here: a bound
+loosened in `verify` fails the criterion.  The few checks a report cannot
+answer stay as short direct checks on the first draws of the same ensemble.
+
 Each test prints one pass/fail line (use `pytest -s tests/test_acceptance.py`
-to watch them); the asserts carry the same bounds as the printed lines.
-Ensembles are seeded, so every number here is reproducible.
+to watch them).  Ensembles are seeded, so every number here is reproducible.
 """
 
 import subprocess
@@ -13,36 +19,21 @@ import numpy as np
 import pytest
 
 from jarlskog import (
-    MassPairInput,
-    RephasingAngles,
     SeededRng,
     UnitaryMatrix,
     derive_seed,
-    det3_closed,
-    det4_closed,
-    det_direct,
-    expand_phases,
-    expansion_residual,
     haar_unitary,
     jr_matrices,
     n3_phase_table,
-    nonlinear_relation_residuals,
     phase_table,
-    random_spectrum,
     reconstruct_J,
-    rephase,
-    t_factors,
-    unitary_relation_residuals,
 )
+from jarlskog.verify import run_suite
 
 MASTER_SEED = 987654321
-
-
-def nan_max(*values):
-    """The largest of the values, or NaN if any is NaN.  The built-in max
-    keeps its first argument when compared with NaN, so it would hide a NaN
-    residual."""
-    return float(np.max(values))
+TRIALS = 10_000
+#: draws of the direct checks: the first draws of the report's ensemble
+DIRECT_DRAWS = 1000
 
 
 def announce(number, description, passed, detail, elapsed):
@@ -53,305 +44,126 @@ def announce(number, description, passed, detail, elapsed):
     )
 
 
-def trial_input(n, index, salt=0):
-    rng = SeededRng(derive_seed(MASTER_SEED + salt, index))
-    v = haar_unitary(n, rng)
-    a = random_spectrum(n, rng)
-    b = random_spectrum(n, rng)
-    return MassPairInput(a=a, b=b, v=v)
-
-
-class EnsembleN3:
-    """Shared 1000-trial n=3 ensemble feeding criteria 1, 3 and 6."""
-
-    def __init__(self):
-        started = time.perf_counter()
-        self.worst_closed = 0.0
-        self.worst_parity_excess = 0.0
-        self.worst_signs = 0.0
-        self.worst_link = 0.0
-        self.pattern_ok = True
-        self.indeterminate = 0
-        for t in range(1000):
-            inp = trial_input(3, t)
-            d = det_direct(inp)
-            c = det3_closed(inp)
-            self.worst_closed = nan_max(
-                self.worst_closed, abs(c - d) / max(1.0, abs(d))
-            )
-            self.worst_parity_excess = nan_max(
-                self.worst_parity_excess, abs(d.real) - (1e-9 * abs(d) + 1e-12)
-            )
-            rep = n3_phase_table(inp.v)
-            if rep.indeterminate:
-                self.indeterminate += 1
-            else:
-                self.pattern_ok = self.pattern_ok and rep.matches_expected()
-                self.worst_signs = nan_max(
-                    self.worst_signs, rep.max_residual / max(1.0, abs(rep.base))
-                )
-            a, b = inp.a.values, inp.b.values
-            tt = (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0])
-            bb = (b[0] - b[1]) * (b[1] - b[2]) * (b[2] - b[0])
-            link = 2j * (tt * bb * rep.base)
-            self.worst_link = nan_max(
-                self.worst_link, abs(link - d) / max(1.0, abs(d))
-            )
-        self.elapsed = time.perf_counter() - started
-
-
-class EnsembleN4:
-    """Shared 1000-trial n=4 ensemble feeding criteria 2, 3, 7, 8 and 9."""
-
-    def __init__(self):
-        started = time.perf_counter()
-        self.worst_closed = 0.0
-        self.worst_parity_excess = 0.0
-        self.worst_expansion = 0.0
-        self.worst_spots = 0.0
-        self.worst_products = 0.0
-        self.worst_reconstruction = 0.0
-        self.gate_passes = 0
-        for t in range(1000):
-            inp = trial_input(4, t)
-            v = inp.v
-            d = det_direct(inp)
-            c = det4_closed(inp)
-            self.worst_closed = nan_max(
-                self.worst_closed, abs(c - d) / max(1.0, abs(d))
-            )
-            self.worst_parity_excess = nan_max(
-                self.worst_parity_excess, abs(d.imag) - (1e-9 * abs(d) + 1e-12)
-            )
-            table = phase_table(v)
-            jr = jr_matrices(v)
-            self.worst_expansion = nan_max(
-                self.worst_expansion, expansion_residual(table, expand_phases(jr))
-            )
-            j = jr.j_mat
-            spots = (
-                abs(table.im_value(1, 2, 2, 4) - (j[0, 0] - j[0, 1])),
-                abs(table.im_value(1, 2, 1, 3) - (-j[0, 1] + j[0, 2])),
-                abs(table.im_value(1, 2, 1, 4) - (-j[0, 0] + j[0, 1] - j[0, 2])),
-            )
-            self.worst_spots = nan_max(self.worst_spots, *spots)
-            self.worst_products = nan_max(
-                self.worst_products, nonlinear_relation_residuals(v).max_residual()
-            )
-            recon = reconstruct_J(v)
-            if not recon.degenerate:
-                self.gate_passes += 1
-                scale = max(1.0, float(np.max(np.abs(recon.j_direct))))
-                self.worst_reconstruction = nan_max(
-                    self.worst_reconstruction, recon.max_error / scale
-                )
-        self.elapsed = time.perf_counter() - started
-
-
 @pytest.fixture(scope="module")
-def ensemble_n3():
-    return EnsembleN3()
-
-
-@pytest.fixture(scope="module")
-def ensemble_n4():
-    return EnsembleN4()
-
-
-def test_acceptance_01_closed_form_n3(ensemble_n3):
-    worst = ensemble_n3.worst_closed
-    ok = worst <= 1e-10
-    announce(
-        1,
-        "n=3 closed form vs direct determinant, 1000 trials",
-        ok,
-        f"worst rel {worst:.3e} vs 1e-10",
-        ensemble_n3.elapsed,
-    )
-    assert ok
-
-
-def test_acceptance_02_closed_form_n4(ensemble_n4):
-    worst = ensemble_n4.worst_closed
-    ok = worst <= 1e-9
-    announce(
-        2,
-        "n=4 closed form vs direct determinant, 1000 trials",
-        ok,
-        f"worst rel {worst:.3e} vs 1e-9",
-        ensemble_n4.elapsed,
-    )
-    assert ok
-
-
-def test_acceptance_03_parity(ensemble_n3, ensemble_n4):
-    started = time.perf_counter()
-    ok = ensemble_n3.worst_parity_excess <= 0.0 and ensemble_n4.worst_parity_excess <= 0.0
-    announce(
-        3,
-        "determinant parity (imaginary for n=3, real for n=4)",
-        ok,
-        f"worst bound excess n3 {ensemble_n3.worst_parity_excess:.3e}, "
-        f"n4 {ensemble_n4.worst_parity_excess:.3e}",
-        time.perf_counter() - started,
-    )
-    assert ok
-
-
-def test_acceptance_04_difference_factor_sum_rule():
-    started = time.perf_counter()
-    rng = SeededRng(derive_seed(MASTER_SEED, 777))
-    worst = 0.0
-    for _ in range(10_000):
-        tf = t_factors(random_spectrum(4, rng))
-        worst = nan_max(worst, abs(tf.sum_rule_residual()) / tf.sum_rule_scale())
-    elapsed = time.perf_counter() - started
-    ok = worst <= 1e-12
-    announce(
-        4,
-        "difference-factor sum rule over 10^4 spectra",
-        ok,
-        f"worst rel {worst:.3e} vs 1e-12",
-        elapsed,
-    )
-    assert ok
-
-
-def test_acceptance_05_unitarity_sum_rules():
-    started = time.perf_counter()
-    worst = 0.0
+def reports():
+    out = {}
     for n in (3, 4):
-        rng = SeededRng(derive_seed(MASTER_SEED, 500 + n))
-        for _ in range(10_000):
-            rep = unitary_relation_residuals(haar_unitary(n, rng))
-            worst = nan_max(worst, rep.max_residual())
-    elapsed = time.perf_counter() - started
-    ok = worst <= 1e-13
-    announce(
-        5,
-        "unitarity sum rules over 10^4 Haar samples per n in {3,4}",
-        ok,
-        f"worst residual {worst:.3e} vs 1e-13",
-        elapsed,
-    )
-    assert ok
+        started = time.perf_counter()
+        out[n] = run_suite(n, TRIALS, MASTER_SEED)
+        out[n].wall_time_s = time.perf_counter() - started
+    return out
 
 
-def test_acceptance_06_single_phase_structure(ensemble_n3):
+def haar_draws(n, count):
+    """The mixing matrices of the report's first `count` trials: trial t
+    draws V first from the stream seeded with derive_seed(MASTER_SEED, t)."""
+    return (haar_unitary(n, SeededRng(derive_seed(MASTER_SEED, t))) for t in range(count))
+
+
+def criterion(number, description, started, expected, direct=()):
+    """Announce and assert criterion `number`.
+
+    expected holds (report, row name, bound label, trial count) per report
+    row; direct holds (ok, detail) per check the report cannot answer.  The
+    printed time is the criterion's own time plus that of the reports it
+    reads.
+    """
+    found, details = [], []
+    for report, name, bound, count in expected:
+        (row,) = [r for r in report.identities if r.name == name]
+        found.append((row, (True, count, bound)))
+        details.append(f"{report.suite} {name} worst {row.max_residual:.3e} vs {row.bound}, "
+                       f"{row.count} trials")
+    ok = all((row.passed, row.count, row.bound) == want for row, want in found)
+    ok = ok and all(check for check, _ in direct)
+    details += [detail for _, detail in direct]
+    elapsed = time.perf_counter() - started + sum(
+        {id(r): r.wall_time_s for r, *_ in expected}.values())
+    announce(number, description, ok, "; ".join(details), elapsed)
+    for row, want in found:
+        assert (row.passed, row.count, row.bound) == want, row.name
+    for check, detail in direct:
+        assert check, detail
+
+
+def test_acceptance_01_closed_form_n3(reports):
+    criterion(1, "n=3 closed form vs direct determinant, 10^4 trials", time.perf_counter(),
+              [(reports[3], "closed_form_n3_vs_direct", "1e-10*max(1,|det|)", TRIALS)])
+
+
+def test_acceptance_02_closed_form_n4(reports):
+    criterion(2, "n=4 closed form vs direct determinant, 10^4 trials", time.perf_counter(),
+              [(reports[4], "closed_form_n4_vs_direct", "1e-09*max(1,|det|)", TRIALS)])
+
+
+def test_acceptance_03_parity(reports):
+    criterion(3, "determinant parity (imaginary for n=3, real for n=4)", time.perf_counter(),
+              [(reports[3], "parity_no_real_part", "1e-09*|det| + 1e-12", TRIALS),
+               (reports[4], "parity_no_imag_part", "1e-09*|det| + 1e-12", TRIALS)])
+
+
+def test_acceptance_04_difference_factor_sum_rule(reports):
+    # each trial checks both of its spectra
+    criterion(4, "difference-factor sum rule over 2*10^4 spectra", time.perf_counter(),
+              [(reports[4], "difference_factor_sum", "1e-12 (relative)", TRIALS)])
+
+
+def test_acceptance_05_unitarity_sum_rules(reports):
+    criterion(5, "unitarity sum rules over 10^4 Haar samples per n in {3,4}",
+              time.perf_counter(),
+              [(reports[n], name, "1e-13", TRIALS)
+               for n in (3, 4) for name in ("unitarity_sums_imag", "unitarity_sums_real")])
+
+
+def test_acceptance_06_single_phase_structure(reports):
+    # the det link 2i T B base is det3_closed, covered by criterion 01
     started = time.perf_counter()
-    ok = (
-        ensemble_n3.pattern_ok
-        and ensemble_n3.indeterminate == 0
-        and ensemble_n3.worst_signs <= 1e-12
-        and ensemble_n3.worst_link <= 1e-10
-    )
-    announce(
-        6,
-        "n=3 single-phase sign table and determinant link",
-        ok,
-        f"worst sign residual {ensemble_n3.worst_signs:.3e} vs 1e-12, "
-        f"worst det link {ensemble_n3.worst_link:.3e} vs 1e-10",
-        time.perf_counter() - started,
-    )
-    assert ok
+    indeterminate = sum(n3_phase_table(v).indeterminate for v in haar_draws(3, DIRECT_DRAWS))
+    criterion(6, "n=3 single-phase sign table", started,
+              [(reports[3], "single_phase_sign_table", "1e-12*max(1,|base|)", TRIALS)],
+              [(indeterminate == 0,
+                f"{indeterminate} indeterminate base phases in {DIRECT_DRAWS} draws")])
 
 
-def test_acceptance_07_phase_expansion(ensemble_n4):
+def test_acceptance_07_phase_expansion(reports):
     started = time.perf_counter()
-    ok = ensemble_n4.worst_expansion <= 1e-12 and ensemble_n4.worst_spots <= 1e-12
-    announce(
-        7,
-        "36-phase expansion from J over 1000 trials",
-        ok,
-        f"worst entry {ensemble_n4.worst_expansion:.3e}, "
-        f"worst spot value {ensemble_n4.worst_spots:.3e} vs 1e-12",
-        time.perf_counter() - started,
-    )
-    assert ok
+    worst_spot = 0.0
+    for v in haar_draws(4, DIRECT_DRAWS):
+        table, j = phase_table(v), jr_matrices(v).j_mat
+        spots = (
+            table.im_value(1, 2, 2, 4) - (j[0, 0] - j[0, 1]),
+            table.im_value(1, 2, 1, 3) - (-j[0, 1] + j[0, 2]),
+            table.im_value(1, 2, 1, 4) - (-j[0, 0] + j[0, 1] - j[0, 2]),
+        )
+        # np.max, unlike the built-in max, returns NaN if any value is NaN
+        worst_spot = float(np.max(np.abs([worst_spot, *spots])))
+    criterion(7, "36-phase expansion from J, 10^4 trials", started,
+              [(reports[4], "phase_expansion_36", "1e-12", TRIALS)],
+              [(worst_spot <= 1e-12,
+                f"worst spot value {worst_spot:.3e} vs 1e-12 in {DIRECT_DRAWS} draws")])
 
 
-def test_acceptance_08_product_identities(ensemble_n4):
+def test_acceptance_08_product_identities(reports):
+    criterion(8, "product identities over 10^4 trials (all index tuples)", time.perf_counter(),
+              [(reports[n], "product_identities", "1e-12", TRIALS) for n in (3, 4)])
+
+
+def test_acceptance_09_band_reconstruction(reports):
     started = time.perf_counter()
-    ok = ensemble_n4.worst_products <= 1e-12
-    announce(
-        8,
-        "product identities over 1000 trials (all index tuples)",
-        ok,
-        f"worst residual {ensemble_n4.worst_products:.3e} vs 1e-12",
-        time.perf_counter() - started,
-    )
-    assert ok
-
-
-def test_acceptance_09_band_reconstruction(ensemble_n4):
-    started = time.perf_counter()
+    report = reports[4]
     identity_flagged = reconstruct_J(UnitaryMatrix(np.eye(4))).degenerate
-    rate = ensemble_n4.gate_passes / 1000.0
-    ok = (
-        identity_flagged
-        and ensemble_n4.gate_passes > 0
-        and ensemble_n4.worst_reconstruction <= 1e-9
-    )
-    announce(
-        9,
-        "band reconstruction of J from its diagonal",
-        ok,
-        f"worst scaled error {ensemble_n4.worst_reconstruction:.3e} vs 1e-9, "
-        f"gate pass rate {rate:.3f}, identity degenerate {identity_flagged}",
-        time.perf_counter() - started,
-    )
-    assert ok
+    criterion(9, "band reconstruction of J from its diagonal", started,
+              [(report, "band_reconstruction", "1e-09*max(1,max|J|)",
+                round(report.gate_pass_rate * TRIALS))],
+              [(report.gate_pass_rate > 0, f"gate pass rate {report.gate_pass_rate:.3f}"),
+               (identity_flagged, f"identity degenerate {identity_flagged}")])
 
 
-def test_acceptance_10_rephasing_invariance():
-    started = time.perf_counter()
-    worst_phase = 0.0
-    worst_det = 0.0
-    for n in (3, 4):
-        closed_fn = det3_closed if n == 3 else det4_closed
-        for base_idx in range(100):
-            inp = trial_input(n, base_idx, salt=1000 + n)
-            base_table = phase_table(inp.v)
-            base_jr = jr_matrices(inp.v) if n == 4 else None
-            d0 = det_direct(inp)
-            c0 = closed_fn(inp)
-            rng = SeededRng(derive_seed(MASTER_SEED + 2000 + n, base_idx))
-            for _ in range(100):
-                angles = RephasingAngles(
-                    tuple(2.0 * np.pi * rng.uniform() for _ in range(n)),
-                    tuple(2.0 * np.pi * rng.uniform() for _ in range(n)),
-                )
-                w = rephase(inp.v, angles)
-                table = phase_table(w)
-                for tensor, base_tensor in ((table.im_tensor, base_table.im_tensor),
-                                            (table.re_tensor, base_table.re_tensor)):
-                    shift = table.canonical(tensor) - base_table.canonical(base_tensor)
-                    worst_phase = nan_max(worst_phase, float(np.max(np.abs(shift))))
-                if n == 4:
-                    jr = jr_matrices(w)
-                    worst_phase = nan_max(
-                        worst_phase,
-                        float(np.max(np.abs(jr.j_mat - base_jr.j_mat))),
-                        float(np.max(np.abs(jr.r_mat - base_jr.r_mat))),
-                    )
-                inp_w = MassPairInput(a=inp.a, b=inp.b, v=w)
-                d1 = det_direct(inp_w)
-                c1 = closed_fn(inp_w)
-                scale = max(1.0, abs(d0))
-                worst_det = nan_max(
-                    worst_det, abs(d1 - d0) / scale, abs(c1 - c0) / scale
-                )
-    elapsed = time.perf_counter() - started
-    ok = worst_phase <= 1e-12 and worst_det <= 1e-10
-    announce(
-        10,
-        "rephasing invariance, 100 rephasings x 100 bases, n in {3,4}",
-        ok,
-        f"worst phase shift {worst_phase:.3e} vs 1e-12, "
-        f"worst det shift {worst_det:.3e} vs 1e-10",
-        elapsed,
-    )
-    assert ok
+def test_acceptance_10_rephasing_invariance(reports):
+    criterion(10, "rephasing invariance, 10^4 rephasings per n in {3,4}", time.perf_counter(),
+              [(reports[n], name, bound, TRIALS) for n in (3, 4)
+               for name, bound in (("rephasing_phase_shift", "1e-12"),
+                                   ("rephasing_det_shift", "1e-10*max(1,|det|)"))])
 
 
 def test_acceptance_12_verification_reports_are_bit_identical(tmp_path):

@@ -385,6 +385,17 @@ def test_verify_reports_an_injected_nan_residual_as_fail(monkeypatch):
     assert report.render().endswith("\noverall: FAIL\n")
 
 
+@pytest.mark.parametrize("n", (3, 4))
+def test_worst_seed_replays_the_closed_form_residual(n, tmp_path, capsys):
+    row = next(r for r in run_suite(n, 200, 13579).identities
+               if r.name == f"closed_form_n{n}_vs_direct")
+    path = tmp_path / "worst.json"
+    assert main(["sample", "--n", str(n), "--seed", str(row.worst_seed), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["det", str(path), "--method", "both"]) == 0
+    assert f"discrepancy: {row.max_residual:.17e}\n" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- oversized numbers
 
 @pytest.mark.parametrize("field", ("a", "b", "V", "U", "U_prime"))

@@ -253,14 +253,14 @@ def test_det4_closed_wrong_dimension():
 # ---------------------------------------------------------------- decompose
 
 def test_decompose_identity_mixing_all_groups_zero():
-    parts = decompose_det4(identity_input(4))
+    parts, _ = decompose_det4(identity_input(4))
     assert tuple(parts) == DET4_GROUPS
     assert all(z == 0j for z in parts.values())
 
 
 def test_decompose_parts_sum_bitwise_to_closed_form():
     inp = seeded_input(4, 13)
-    parts = decompose_det4(inp)
+    parts, _ = decompose_det4(inp)
     acc = 0j
     for name in DET4_GROUPS:
         acc += parts[name]

@@ -35,7 +35,6 @@ from jarlskog.cli import main
 from jarlskog.determinant import (
     DET4_GROUPS,
     commutator_matrix,
-    cycle_groups,
     decompose_det4,
     det4_closed,
     t_factors,
@@ -73,7 +72,7 @@ def scalar_commutator(inp):
 def scalar_det4_groups(inp):
     """The nine term groups and the raw cycle sums, scalar complex code.
 
-    Returns (parts, cycles) shaped like decompose_det4 and cycle_groups.
+    Returns (parts, cycles) shaped like decompose_det4.
     Every factor is a 3-term sum over the columns k = 0..2, weighted by
     bw[k] = b_k - b_4: spelled out as t0 + t1 + t2, except the plaquette
     forms, which accumulate from 0j with k2 innermost.
@@ -299,11 +298,10 @@ def test_det4_groups_are_bit_equal_to_scalar_reference():
     for v in mats:
         inp = MassPairInput(a=random_spectrum(4, rng), b=random_spectrum(4, rng), v=v)
         ref_parts, ref_cycles = scalar_det4_groups(inp)
-        parts = decompose_det4(inp)
+        parts, cycles = decompose_det4(inp)
         assert list(parts) == list(DET4_GROUPS)
         for name in DET4_GROUPS:
             assert np.array_equal(cbits(parts[name]), cbits(ref_parts[name])), name
-        cycles = cycle_groups(inp)
         assert list(cycles) == list(ref_cycles)
         for name, (weight, raw) in cycles.items():
             assert bits([weight]) == bits([ref_cycles[name][0]]), name

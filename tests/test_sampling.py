@@ -174,6 +174,14 @@ def test_random_spectrum_infeasible_gap_rejected():
         random_spectrum(3, SeededRng(0), min_gap=1.1)  # 2 * 1.1 > 2
 
 
+@pytest.mark.parametrize("min_gap", (0.0, -0.1, math.nan))
+def test_random_spectrum_unusable_gap_rejected_before_any_draw(min_gap):
+    rng = SeededRng(0)
+    with pytest.raises(ValueError, match="must be positive"):
+        random_spectrum(3, rng, min_gap=min_gap)
+    assert rng.position == 0
+
+
 # ---------------------------------------------------------------- rephasing
 
 def test_rephase_with_zero_angles_is_bitwise_noop(rng):
