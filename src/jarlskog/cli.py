@@ -177,9 +177,8 @@ def _phase_report_text(v):
         recon = reconstruct_J(v)
         lines.append("")
         lines.append("band reconstruction of J from (J11, J22, J33):")
-        sv = "  ".join(f"{s:.17e}" for s in recon.singular_values)
-        lines.append(f"  singular values: {sv}")
-        lines.append(f"  gate ratio (smin/smax): {recon.gate_ratio:.17e}")
+        lines.append("  gate ratio (|prod a - prod b| / (|prod a| + |prod b|)): "
+                     f"{recon.gate_ratio:.17e}")
         if recon.degenerate:
             lines.append("  status: degenerate (gate failed; no solve attempted)")
         else:

@@ -25,8 +25,9 @@ Three evaluations are provided:
   of the a-spectrum; the b-spectrum enters only through the differences
   b_k - b_4.  Each group is a product of 3-term sums over k; all of them
   come from two batched _ksum passes over the plaquettes, the column
-  products and |V|^2, and are then multiplied by _cmul, the scalar complex
-  product, so every group is bit-equal to its scalar evaluation.
+  products and |V|^2 (their real diagonal), and are then multiplied by
+  _cmul, the scalar complex product, so every group is bit-equal to its
+  scalar evaluation.
 
 Every evaluation runs on a stack of trials: _commutators, _det3_closed and
 _det4_groups take (T, ...) arrays, and the functions on one MassPairInput
@@ -50,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, Spectrum, UnitaryMatrix, _cmul, _complex, _ksum, det
+from .linalg import (DimensionError, Spectrum, UnitaryMatrix, _cmul, _complex, _ksum,
+                     _moduli_squared, det)
 
 #: canonical order of the nine term groups of det4_closed; decompose_det4
 #: returns them in this order and det4_closed sums them in this order.
@@ -229,10 +231,9 @@ _CYCLE_X = ([6, 2, 1], [1, 7, 5], [5, 3, 6])
 _CYCLE_ROWS = ([1, 0, 0], [2, 1, 2])
 
 
-def _det4_groups(a, b, vmat, cols, plaq):
+def _det4_groups(a, b, cols, plaq):
     """The nine term groups of det4_closed and the six raw cycle groups, for
-    (T, 4) spectra a, b, the (T, 4, 4) matrices V and their column products
-    and plaquettes.
+    (T, 4) spectra a, b and the column products and plaquettes of V.
 
     Returns (parts, cycles): parts is the (re, im) pair of (T, 9) arrays of
     the nine groups in DET4_GROUPS order, each cycle group with only its
@@ -244,10 +245,8 @@ def _det4_groups(a, b, vmat, cols, plaq):
     """
     t = len(a)
     bw = b[:, :3] - b[:, 3:]
-    # |V|^2 by CPython's abs(z) ** 2, whose bits differ from np.abs(V) ** 2;
     # rows[t, k, r] = |V[r, k]|^2
-    rows = np.array([abs(z) ** 2 for z in vmat[:, :3, :3].swapaxes(1, 2).ravel().tolist()])
-    rows = rows.reshape(t, 3, 3)
+    rows = _moduli_squared(cols).swapaxes(1, 2)[:, :3, :3]
     cr, ci = cols
     # one pass over k with weights [bw, bw^2]; items: the nine column
     # products, the three |V|^2 rows and the cycle4 row-pair sums.  These
@@ -289,7 +288,7 @@ def _det4_groups(a, b, vmat, cols, plaq):
 def _det4_stack_of_one(inp):
     _check_n4(inp)
     v = inp.v
-    return _det4_groups(*_spectra(inp), v.matrix[None], tuple(x[None] for x in v.column_products),
+    return _det4_groups(*_spectra(inp), tuple(x[None] for x in v.column_products),
                         tuple(x[None] for x in v.plaquettes))
 
 

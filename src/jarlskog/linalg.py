@@ -93,6 +93,13 @@ def _row_products(m):
     return _cmul(re[..., :, :, None], im[..., :, :, None], re[..., :, None, :], -im[..., :, None, :])
 
 
+def _moduli_squared(cols):
+    """|V_t[i,k]|^2 as (T, n, n), the one place it is formed: the real
+    diagonal c[t, k, i, i] of the column products, re*re + im*im (the
+    imaginary diagonal is exactly +-0)."""
+    return np.diagonal(cols[0], axis1=2, axis2=3).swapaxes(1, 2)
+
+
 def _complex(re, im):
     """Complex array with exactly the given real and imaginary parts."""
     out = re.astype(np.complex128)
@@ -259,7 +266,8 @@ class UnitaryMatrix:
     column_products holds c[k, i, j] = V[i,k] conj(V[j,k]), 0-based: the
     row products of V^T, as a read-only (re, im) pair of float tensors.
     Their k-sums are the entries of V V^+ checked at construction; the
-    commutator entries and the n=4 closed form reuse them.
+    commutator entries, the n=4 closed form and every |V|^2 (their real
+    diagonal) reuse them.
 
     Validation and the plaquettes are the stack-of-one case of
     _validate_unitaries and _plaquettes.

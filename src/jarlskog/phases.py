@@ -42,11 +42,11 @@ rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .linalg import DimensionError, _ksum
+from .linalg import DimensionError, _ksum, _moduli_squared
 
 #: fixed integer mixing matrix for expanding adjacent-index phases
 A_MATRIX = np.array([[1, -1, 0], [-1, 1, -1], [0, -1, 1]], dtype=float)
@@ -55,7 +55,7 @@ A_MATRIX = np.array([[1, -1, 0], [-1, 1, -1], [0, -1, 1]], dtype=float)
 _ADJACENT_ORDER = ((1, 2), (2, 3), (3, 4))
 _NON_ADJACENT_ORDER = ((2, 4), (1, 4), (1, 3))
 
-#: singular-value ratio below which the band reconstruction refuses to solve
+#: determinant cancellation ratio below which the band reconstruction refuses to solve
 RECONSTRUCTION_GATE = 1e-8
 
 
@@ -143,15 +143,16 @@ def unitary_relation_residuals(v):
     """
     if v.n not in (3, 4):
         raise DimensionError(f"sum rules are tabulated for n in {{3, 4}}, got n={v.n}")
-    families = _sum_rule_residuals(v.matrix[None], *(x[None] for x in v.plaquettes))
+    families = _sum_rule_residuals(tuple(x[None] for x in v.column_products),
+                                   *(x[None] for x in v.plaquettes))
     return RelationResiduals({name: float(x[0]) for name, x in families.items()})
 
 
-def _sum_rule_residuals(m, re, im):
-    """{family: (T,) max residual} of the eight sum rules, for (T, n, n)
-    matrices and their plaquettes."""
-    mod2 = np.abs(m) ** 2
-    eye = np.eye(m.shape[-1])
+def _sum_rule_residuals(cols, re, im):
+    """{family: (T,) max residual} of the eight sum rules, for the column
+    products and the plaquettes of (T, n, n) matrices."""
+    mod2 = _moduli_squared(cols)
+    eye = np.eye(re.shape[-1])
     # targets of the real-part sums: over alpha or beta, delta_jk |V[c, j]|^2
     # at the remaining (c, j, k); over j or k, delta_ab |V[a, c]|^2 at (a, b, c)
     row_target = eye[None, None, :, :] * mod2[:, :, :, None]
@@ -376,38 +377,29 @@ def _product_residuals(re, im):
 class ReconstructionResult:
     """Outcome of rebuilding J from its diagonal through the 6x6 band system.
 
-    degenerate is True when the singular-value ratio fails the gate; in that
-    case no solve is attempted and j_reconstructed is None.
+    degenerate is True when the determinant's cancellation ratio fails the
+    gate; then no solve is attempted and j_reconstructed is None.
     """
 
     j_direct: np.ndarray
     j_reconstructed: np.ndarray | None
-    singular_values: np.ndarray
     gate_ratio: float
     degenerate: bool
     max_error: float | None
 
 
-def band_system(v, jr):
-    """Coefficient matrix and right-hand side of the 6x6 linear system that
-    determines the off-diagonal J entries from J11, J22, J33; jr is
-    jr_matrices(v).
+def _band_systems(cols, jd, r):
+    """The band systems of (T, 4, 4) matrices, given by their column
+    products, with (T, 3, 3) J and R arrays, as (a, b, c): three (T, 6)
+    arrays.
 
-    Unknown order: [J12, J13, J21, J23, J31, J32] (1-based labels).  Rows
-    are product identities with the expanded non-adjacent phases already
-    substituted, so every coefficient is either an R entry or a squared
-    modulus product of two V entries.
+    Equation i reads a_i y_i + b_i y_(i+1 mod 6) = c_i in the unknowns
+    y = (J12, J13, J23, J21, J31, J32) (1-based labels).  Each is a product
+    identity with the expanded non-adjacent phases substituted; it links two
+    off-diagonal J entries, and the six links close one cycle.  Every
+    coefficient is an R entry or a squared modulus product of two V entries.
     """
-    if v.n != 4:
-        raise DimensionError(f"band reconstruction requires n=4, got n={v.n}")
-    coeff, rhs = _band_systems(v.matrix[None], jr.j_mat[None], jr.r_mat[None])
-    return coeff[0], rhs[0]
-
-
-def _band_systems(m, jd, r):
-    """(T, 6, 6) coefficients and (T, 6) right-hand sides of the band
-    systems of (T, 4, 4) matrices with (T, 3, 3) J and R arrays."""
-    m2 = np.abs(m) ** 2
+    m2 = _moduli_squared(cols)
 
     # squared modulus products appearing in the system, named by 1-based
     # entry labels: q_ijkl = |V[i,j]|^2 |V[k,l]|^2
@@ -422,69 +414,66 @@ def _band_systems(m, jd, r):
     r12, r21, r23, r32 = r[:, 0, 1], r[:, 1, 0], r[:, 1, 2], r[:, 2, 1]
     j11, j22, j33 = jd[:, 0, 0], jd[:, 1, 1], jd[:, 2, 2]
 
-    coeff = np.zeros((len(m), 6, 6))
-    for (row, col), value in {
-        (0, 0): -(q_1222 + r11), (0, 1): q_1222,
-        (1, 1): q_3334, (1, 3): -(q_3334 + r33),
-        (2, 2): -(q_2122 + r11), (2, 4): q_2122,
-        (3, 4): q_3343, (3, 5): -(q_3343 + r33),
-        (4, 0): q_3233, (4, 5): -r22,
-        (5, 2): q_2333, (5, 3): -r22,
-    }.items():
-        coeff[:, row, col] = value
-    rhs = np.stack([
-        r12 * j11,
-        r23 * j33,
-        r21 * j11,
-        r32 * j33,
-        (q_3233 + r32) * j22,
-        (q_2333 + r23) * j22,
-    ], axis=1)
-    return coeff, rhs
+    a = [-(q_1222 + r11), q_3334, -r22, -(q_2122 + r11), q_3343, -r22]
+    b = [q_1222, -(q_3334 + r33), q_2333, q_2122, -(q_3343 + r33), q_3233]
+    c = [r12 * j11, r23 * j33, (q_2333 + r23) * j22, r21 * j11, r32 * j33, (q_3233 + r32) * j22]
+    return tuple(np.stack(x, axis=1) for x in (a, b, c))
 
 
-def _reconstructions(m, jd, r):
-    """Band reconstructions of (T, 4, 4) matrices with (T, 3, 3) J and R.
+#: 0-based J positions of the unknowns y of _band_systems
+_CYCLE_ENTRIES = ([0, 0, 1, 1, 2, 2], [1, 2, 2, 0, 0, 1])
+#: Cramer's rule on the cycle: y_j (prod a - prod b) is the sum over m of
+#: the products over p = j, ..., j+5 (mod 6) of -b_p before p = j+m, c_p at
+#: it and a_p after it.  Factor k of term m of y_j is entry
+#: (_CRAMER_KIND, _CRAMER_POS)[k, m, j] of the stack (-b, c, a).
+_CRAMER_KIND = np.sign(np.arange(6)[:, None, None] - np.arange(6)[None, :, None]) + 1
+_CRAMER_POS = (np.arange(6)[:, None, None] + np.arange(6)[None, None, :]) % 6
 
-    Returns (singular_values (T, 6), gate_ratio (T,), degenerate (T,),
-    reconstructed (T, 3, 3), max_error (T,)); reconstructed and max_error
-    are NaN where degenerate.  One stacked SVD covers every system; the
-    stacked solve covers only the non-degenerate ones, since it would raise
-    for the whole stack if one matrix were singular.
+
+def _reconstructions(cols, jd, r):
+    """Band reconstructions of (T, 4, 4) matrices, given by their column
+    products, with (T, 3, 3) J and R.
+
+    Returns (gate_ratio (T,), degenerate (T,), reconstructed (T, 3, 3),
+    max_error (T,)); reconstructed and max_error are NaN where degenerate.
+    The system's determinant is prod a - prod b; the gate is its
+    cancellation ratio |prod a - prod b| / (|prod a| + |prod b|), 0 when both
+    products are 0.  Cramer's rule divides by that determinant only, never by
+    a single coefficient.  Products run left to right, sums by _ksum.
     """
-    coeff, rhs = _band_systems(m, jd, r)
-    singular_values = np.linalg.svd(coeff, compute_uv=False)
-    smax, smin = singular_values[:, 0], singular_values[:, -1]
-    ratio = np.where(smax > 0.0, smin / np.where(smax > 0.0, smax, 1.0), 0.0)
+    a, b, c = _band_systems(cols, jd, r)
+    pa, pb = (reduce(np.multiply, x.T) for x in (a, b))
+    determinant = pa - pb
+    scale = np.abs(pa) + np.abs(pb)
+    ratio = np.abs(determinant) / np.where(scale > 0.0, scale, 1.0)
     degenerate = ratio < RECONSTRUCTION_GATE
     solved = ~degenerate
+    factors = np.stack([-b.T, c.T, a.T])[_CRAMER_KIND, _CRAMER_POS]
+    numerators = _ksum(reduce(np.multiply, factors)).T
     recon = np.full(jd.shape, np.nan)
     max_error = np.full(len(jd), np.nan)
-    if solved.any():
-        # the unknowns are the off-diagonal entries in row-major order
-        fill = jd[solved]
-        fill[:, ~np.eye(3, dtype=bool)] = np.linalg.solve(coeff[solved], rhs[solved, :, None])[..., 0]
-        recon[solved] = fill
-        max_error[solved] = np.abs(fill - jd[solved]).max(axis=(1, 2))
-    return singular_values, ratio, degenerate, recon, max_error
+    fill = jd[solved]
+    fill[(slice(None), *_CYCLE_ENTRIES)] = numerators[solved] / determinant[solved, None]
+    recon[solved] = fill
+    max_error[solved] = np.abs(fill - jd[solved]).max(axis=(1, 2))
+    return ratio, degenerate, recon, max_error
 
 
 def reconstruct_J(v):
     """Rebuild the full J array of a 4x4 unitary from its diagonal.
 
     The three diagonal entries are taken from the direct computation; the
-    six off-diagonal entries come from solving the band system.  When the
-    coefficient matrix is rank-deficient (singular-value ratio below
-    RECONSTRUCTION_GATE) the result is flagged degenerate instead of solved.
+    six off-diagonal entries come from solving the band system.  When its
+    determinant cancels (ratio below RECONSTRUCTION_GATE) the result is
+    flagged degenerate instead of solved.
     """
     jr = jr_matrices(v)
-    sv, ratio, degenerate, recon, max_error = _reconstructions(
-        v.matrix[None], jr.j_mat[None], jr.r_mat[None])
+    ratio, degenerate, recon, max_error = _reconstructions(
+        tuple(x[None] for x in v.column_products), jr.j_mat[None], jr.r_mat[None])
     solved = not degenerate[0]
     return ReconstructionResult(
         j_direct=jr.j_mat,
         j_reconstructed=recon[0] if solved else None,
-        singular_values=sv[0],
         gate_ratio=float(ratio[0]),
         degenerate=bool(degenerate[0]),
         max_error=float(max_error[0]) if solved else None,

@@ -11,8 +11,8 @@ Schema (format "jarlskog-problem/1"):
     }
 
 or, instead of "V", the pair "U" / "U_prime" of diagonalising unitaries, in
-which case V = adjoint(U) @ U_prime is formed after both pass unitarity
-validation.  Exactly one of the two forms must be present.
+which case V = adjoint(U) U_prime, formed after both pass unitarity
+validation, must pass it too.  Exactly one of the two forms must be given.
 
 Complex numbers are serialised as two-element [re, im] arrays.  Floats are
 written with Python's shortest round-trip repr, so parsing a written file
@@ -84,12 +84,16 @@ def _parse_spectrum(raw, n, name):
         raise ProblemFileError(f"field '{name}': {exc}") from exc
 
 
-def _parse_unitary(doc, n, name):
-    m = _parse_complex_matrix(doc[name], n, name)
+def _unitary(m, what):
+    """UnitaryMatrix(m), or a ProblemFileError that names what m is."""
     try:
         return UnitaryMatrix(m)
     except ValueError as exc:
-        raise ProblemFileError(f"field '{name}': {exc}") from exc
+        raise ProblemFileError(f"{what}: {exc}") from exc
+
+
+def _parse_unitary(doc, n, name):
+    return _unitary(_parse_complex_matrix(doc[name], n, name), f"field '{name}'")
 
 
 def parse_problem(text):
@@ -124,7 +128,7 @@ def parse_problem(text):
     else:
         _require("U" in doc and "U_prime" in doc, "'U' and 'U_prime' must be given together")
         u, up = _parse_unitary(doc, n, "U"), _parse_unitary(doc, n, "U_prime")
-        v = UnitaryMatrix(matmul(adjoint(u.matrix), up.matrix))
+        v = _unitary(matmul(adjoint(u.matrix), up.matrix), "the product V = U^+ U_prime")
     try:
         return MassPairInput(a=a, b=b, v=v)
     except ValueError as exc:

@@ -230,13 +230,14 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     if n == 3:
         closed = _complex(*_det3_closed(a2, b2, plaq[1]))
     else:
-        closed = _complex(*_det4_closed(_det4_groups(a2, b2, both, cols, plaq)[0]))
+        closed = _complex(*_det4_closed(_det4_groups(a2, b2, cols, plaq)[0]))
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
     re, im = (x[:t] for x in plaq)
+    cols = tuple(x[:t] for x in cols)
 
     mod_d = _modulus(d)
     det_scale = np.maximum(1.0, mod_d)
-    sums = _sum_rule_residuals(v, re, im)
+    sums = _sum_rule_residuals(cols, re, im)
     every = np.ones(t, dtype=bool)
 
     def row(name, bound, residual, limit, kept=every):
@@ -271,7 +272,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     j, r = _jr(re, im)
     factor_sum = [np.abs(res) / scale
                   for res, scale in (_sum_rule(*_t_factors(x)) for x in (a, b))]
-    _, _, degenerate, _, max_error = _reconstructions(v, j, r)
+    _, degenerate, _, max_error = _reconstructions(cols, j, r)
     j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))
     rows += [
         row("phase_expansion_36", f"{EXPANSION_ABS:.0e}",

@@ -416,6 +416,23 @@ def test_integer_too_large_for_a_float_is_input_error(field, tmp_path, capsys):
         assert err == f"error: field '{field}' holds an integer too large for a float\n"
 
 
+@pytest.mark.parametrize("command", ("det", "phases"))
+def test_non_unitary_product_of_a_valid_pair_is_input_error(command, tmp_path, capsys):
+    # U = U_prime = (1 + 4.9e-11) I: each has defect 9.8e-11 <= 1e-10, but
+    # V = U^+ U_prime has defect 1.96e-10
+    scaled = [[[1.0 + 4.9e-11 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+    with open(N3_FIXTURE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["V"]
+    doc["U"] = doc["U_prime"] = scaled
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the product V = U^+ U_prime: matrix is not unitary: ")
+
+
 def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys):
     with open(N3_FIXTURE, encoding="utf-8") as fh:
         text = fh.read()

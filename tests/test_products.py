@@ -85,7 +85,8 @@ def scalar_det4_groups(inp):
     )
     x = {(a, c): [complex(m[a, k]) * complex(m[c, k]).conjugate() for k in range(3)]
          for a in range(3) for c in range(3) if a != c}
-    m1, m2, m3 = ([float(abs(m[r, k]) ** 2) for k in range(3)] for r in range(3))
+    m1, m2, m3 = ([m[r, k].real * m[r, k].real + m[r, k].imag * m[r, k].imag for k in range(3)]
+                  for r in range(3))
 
     def wsum(t):
         return bw[0] * t[0] + bw[1] * t[1] + bw[2] * t[2]
@@ -269,6 +270,22 @@ def test_unitarity_check_is_bit_equal_to_scalar_reference():
         assert np.array_equal(bits(im), bits(cols.imag))
         defect = np.max(np.abs(gram - np.eye(n)))
         assert bits([v.unitarity_defect]) == bits([defect])
+
+
+def test_moduli_squared_are_the_exact_real_diagonal_of_the_column_products():
+    # |V[i,k]|^2 has one path, the kernel's diagonal c[k, i, i]: its
+    # imaginary part is exactly +-0 and its real part re*re + im*im
+    mats = [*pinned_matrices(), *signed_permutations(3), *signed_permutations(4)]
+    for v in mats:
+        cr, ci = v.column_products
+        diag_im = np.diagonal(ci, axis1=1, axis2=2)
+        assert np.array_equal(bits(np.abs(diag_im)), bits(np.zeros_like(diag_im)))
+        m = v.matrix
+        ref = np.array([[m[i, k].real * m[i, k].real + m[i, k].imag * m[i, k].imag
+                         for k in range(v.n)] for i in range(v.n)])
+        assert np.array_equal(bits(np.diagonal(cr, axis1=1, axis2=2).T), bits(ref))
+        got = linalg._moduli_squared(tuple(x[None] for x in v.column_products))[0]
+        assert np.array_equal(bits(got), bits(ref))
 
 
 def test_commutator_matrix_is_bit_equal_to_scalar_reference():
@@ -501,7 +518,7 @@ def stacked_layers(n):
         "plaquettes": (linalg._plaquettes, (v,)),
         "commutators": (determinant._commutators, (a, b, cols)),
         "det": (det, (determinant._commutators(a, b, cols),)),
-        "sum_rule_residuals": (phases._sum_rule_residuals, (v, *plaq)),
+        "sum_rule_residuals": (phases._sum_rule_residuals, (cols, *plaq)),
         "product_residuals": (phases._product_residuals, plaq),
         "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq),
         "phase_shifts": (verify._phase_shifts, (plaq, linalg._plaquettes(w))),
@@ -511,17 +528,17 @@ def stacked_layers(n):
         layers["n3_signs"] = (phases._n3_signs, (plaq[1],))
     else:
         j, r = phases._jr(*plaq)
-        groups = determinant._det4_groups(a, b, v, cols, plaq)
+        groups = determinant._det4_groups(a, b, cols, plaq)
         layers.update({
-            "det4_groups": (determinant._det4_groups, (a, b, v, cols, plaq)),
+            "det4_groups": (determinant._det4_groups, (a, b, cols, plaq)),
             "det4_closed": (determinant._det4_closed, (groups[0],)),
             "t_factors": (determinant._t_factors, (a,)),
             "sum_rule": (determinant._sum_rule, determinant._t_factors(b)),
             "jr": (phases._jr, plaq),
             "expand": (phases._expand, (j,)),
             "expansion_residuals": (phases._expansion_residuals, (plaq[1], phases._expand(j))),
-            "band_systems": (phases._band_systems, (v, j, r)),
-            "reconstructions": (phases._reconstructions, (v, j, r)),
+            "band_systems": (phases._band_systems, (cols, j, r)),
+            "reconstructions": (phases._reconstructions, (cols, j, r)),
         })
     return layers
 

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bits
+
 from jarlskog import (
     DimensionError,
     RephasingAngles,
     SeededRng,
     derive_seed,
+    ginibre,
     haar_unitary,
     householder_qr,
     phase_table,
     random_spectrum,
     rephase,
 )
+from jarlskog import linalg, sampling
 
 # frozen vectors from the reference C implementation of splitmix64
 SPLITMIX64_VECTORS = {
@@ -121,32 +125,48 @@ def test_haar_unitary_rejects_unsupported_dimension():
         haar_unitary(9, SeededRng(0))
 
 
+def haar_stack(n, rng, trials):
+    """trials Haar unitaries as one (T, n, n) stack: the Ginibre matrices
+    that trials haar_unitary(n, rng) calls would draw, in the same order,
+    then the diag(R) fix and the validation once on the stack."""
+    g = np.array([ginibre(n, rng) for _ in range(trials)])
+    v = sampling._haar_from_ginibre(g)
+    linalg._validate_unitaries(v)
+    return v
+
+
+def assert_first_draws_match_the_scalar_loop(values, per_draw, seed, count=100):
+    """values[:count] are bit-equal to per_draw(haar_unitary(3, rng)) over
+    count successive draws from SeededRng(seed)."""
+    rng = SeededRng(seed)
+    expected = [per_draw(haar_unitary(3, rng)) for _ in range(count)]
+    assert np.array_equal(bits(values[:count]), bits(expected))
+
+
 def test_haar_first_entry_moment_matches_one_over_n():
     # E|V11|^2 = 1/n for Haar; tolerance fixed after an independent
     # simulation with numpy's own RNG and QR gave 0.3328 over 10^4 draws
     # (standard error about 0.0024)
-    rng = SeededRng(99)
-    total = 0.0
     trials = 10_000
-    for _ in range(trials):
-        total += abs(haar_unitary(3, rng).matrix[0, 0]) ** 2
-    assert abs(total / trials - 1.0 / 3.0) < 0.02
+    # abs of each numpy complex scalar, as the per-draw loop takes it
+    values = np.array([abs(z) ** 2 for z in haar_stack(3, SeededRng(99), trials)[:, 0, 0]])
+    assert_first_draws_match_the_scalar_loop(values, lambda v: abs(v.matrix[0, 0]) ** 2, 99)
+    assert abs(values.mean() - 1.0 / 3.0) < 0.02
 
 
 def test_haar_mean_phase_unchanged_by_fixed_rephasing():
     # any rephasing-invariant statistic has identical distribution after a
     # fixed rephasing; the base phase is literally invariant sample by
     # sample, so the two means agree far inside 3 standard errors
-    rng = SeededRng(17)
     angles = RephasingAngles((0.3, 1.1, 5.2), (2.5, 0.4, 3.9))
-    plain = []
-    shifted = []
-    for _ in range(10_000):
-        v = haar_unitary(3, rng)
-        plain.append(phase_table(v).im_value(1, 2, 1, 2))
-        shifted.append(phase_table(rephase(v, angles)).im_value(1, 2, 1, 2))
-    plain = np.array(plain)
-    shifted = np.array(shifted)
+    v = haar_stack(3, SeededRng(17), 10_000)
+    w = sampling._rephased(v, *(sampling._unit_phases([x]) for x in (angles.theta, angles.theta_prime)))
+    linalg._validate_unitaries(w)
+    plain, shifted = (linalg._plaquettes(x)[1][:, 0, 1, 0, 1] for x in (v, w))
+    assert_first_draws_match_the_scalar_loop(
+        plain, lambda v: phase_table(v).im_value(1, 2, 1, 2), 17)
+    assert_first_draws_match_the_scalar_loop(
+        shifted, lambda v: phase_table(rephase(v, angles)).im_value(1, 2, 1, 2), 17)
     se = plain.std() / math.sqrt(plain.size)
     assert abs(plain.mean() - shifted.mean()) < 3.0 * se
 
