@@ -467,7 +467,11 @@ def reconstruct_J(v):
     determinant cancels (ratio below RECONSTRUCTION_GATE) the result is
     flagged degenerate instead of solved.
     """
-    jr = jr_matrices(v)
+    return _reconstruct(v, jr_matrices(v))
+
+
+def _reconstruct(v, jr):
+    """reconstruct_J(v), given the J/R arrays jr = jr_matrices(v)."""
     ratio, degenerate, recon, max_error = _reconstructions(
         tuple(x[None] for x in v.column_products), jr.j_mat[None], jr.r_mat[None])
     solved = not degenerate[0]

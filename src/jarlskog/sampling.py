@@ -8,6 +8,14 @@ Gaussian and Haar samplers on top of it are deterministic for a fixed seed,
 but route through libm transcendentals, so their bits are pinned per
 platform rather than universally.
 
+Output p of a stream depends only on its seed and p, so the samplers draw
+for a stack of streams at once, each from its own position: uint64 array
+arithmetic for the stream, exact elementwise float operations on top, and
+log, cos and sin as scalar libm calls over the entries (numpy's own loops
+for them round differently).  A chunk of verify trials is one such stack;
+SeededRng is a cursor on a single stream, and the single-problem samplers
+are the stack of one on it.
+
 Haar sampling trap: QR-factorising a complex Ginibre matrix does NOT give a
 Haar-distributed Q, because the QR factorisation is only unique up to the
 phases of diag(R).  Each column of Q must be rescaled by the phase of the
@@ -15,8 +23,7 @@ corresponding diagonal entry of R; with that correction the distribution is
 exactly Haar.  The QR factorisation itself is a plain Householder sweep,
 kept in-repo so no result depends on the LAPACK/BLAS build in use.  It and
 the phase correction run on a (T, n, n) stack of Ginibre draws at once;
-haar_unitary is the stack of one.  The draws themselves stay one trial at a
-time, in stream order.
+haar_unitary is the stack of one.
 """
 
 from __future__ import annotations
@@ -29,59 +36,166 @@ import numpy as np
 from .linalg import DimensionError, Spectrum, UnitaryMatrix, _as_square, _cmul, check_dimension
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO_PI = 2.0 * math.pi
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: whole-vector redraws before random_spectrum gives up (the feasibility
+#: whole-vector redraws before a spectrum draw gives up (the feasibility
 #: check below catches truly impossible requests; this catches merely
 #: astronomically unlikely ones)
 _MAX_REDRAWS = 100_000
+#: spectrum draws per stream in one redraw round of _spectra
+_DRAWS_PER_ROUND = 4
 
 DEFAULT_MIN_GAP = 0.05
 
 
 def _mix64(z):
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    """splitmix64's finalizer on a uint64 array.  numpy's array arithmetic
+    wraps mod 2^64 without a warning; its scalar arithmetic would warn, so
+    every draw keeps at least one axis."""
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
     return z ^ (z >> 31)
 
 
-class SeededRng:
-    """splitmix64 stream with an explicit position counter.
+def _stream(seeds, positions, count):
+    """The next count outputs of each stream: a (T, count) uint64 array
+    from (T,) uint64 seeds and (T,) int positions, and the positions after
+    them.
 
+    splitmix64 is counter-based: output p (1-based) of the stream seeded
+    with s is mix64(s + p * GOLDEN mod 2^64), so any stretch of any stream
+    is a few array operations.
+    """
+    steps = (positions[:, None] + np.arange(1, count + 1)).astype(np.uint64)
+    return _mix64(seeds[:, None] + steps * _GOLDEN), positions + count
+
+
+def _uniform(u):
+    """Doubles in [0, 1) with 53 random bits, from uint64 outputs."""
+    return (u >> 11) * 2.0 ** -53
+
+
+def _libm(f, x):
+    """f, a scalar libm function such as math.log, on every entry of the
+    float array x.  numpy's own transcendental loops are not libm and round
+    differently on some inputs, so the draws never use them."""
+    return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
+def _normals(seeds, positions, pairs):
+    """Box-Muller normals: a (T, pairs, 2) array of (r cos t, r sin t)
+    pairs, two outputs each, and the positions after them.
+
+    The radial uniform is shifted into (0, 1] so log never sees zero.
+    """
+    u, end = _stream(seeds, positions, 2 * pairs)
+    u1 = ((u[:, 0::2] >> 11) + 1) * 2.0 ** -53
+    t = _TWO_PI * _uniform(u[:, 1::2])
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    z = np.empty((*r.shape, 2))
+    np.multiply(r, _libm(math.cos, t), out=z[..., 0])
+    np.multiply(r, _libm(math.sin, t), out=z[..., 1])
+    return z, end
+
+
+def _ginibres(seeds, positions, n):
+    """(T, n, n) complex Ginibre matrices, one per stream, and the positions
+    after them.  Entries are filled row-major, real component before
+    imaginary, each a standard normal scaled by 1/sqrt(2)."""
+    z, end = _normals(seeds, positions, n * n)
+    return (z * _INV_SQRT2).view(np.complex128).reshape(-1, n, n), end
+
+
+def _spectra(seeds, positions, n, min_gap):
+    """(T, n) spectra, one per stream, and the positions after them.
+
+    Each spectrum is n values 2u - 1, redrawn until all gaps reach min_gap,
+    sorted ascending.  A redraw round reads the next _DRAWS_PER_ROUND draws
+    of only the streams that have no accepted draw yet, keeps the first
+    accepted one and moves the position just past it.  An unusable min_gap
+    raises ValueError before any draw.
+    """
+    # NaN must fail here: it passes the feasibility check and no gap reaches it
+    if not min_gap > 0.0:
+        raise ValueError("min_gap must be positive")
+    if min_gap * (n - 1) >= 2.0:
+        raise ValueError(
+            f"min_gap {min_gap} is infeasible for n={n}: "
+            f"{min_gap} * {n - 1} >= 2 leaves no room in [-1, 1]"
+        )
+    values = np.empty((len(seeds), n))
+    end = positions.copy()
+    todo = np.arange(len(seeds))
+    drawn = 0
+    while len(todo) and drawn < _MAX_REDRAWS:
+        k = min(_DRAWS_PER_ROUND, _MAX_REDRAWS - drawn)
+        u, _ = _stream(seeds[todo], end[todo], k * n)
+        draws = np.sort((2.0 * _uniform(u) - 1.0).reshape(-1, k, n), axis=2)
+        accepted = (np.diff(draws, axis=2) >= min_gap).all(axis=2)
+        first = accepted.argmax(axis=1)
+        found = accepted.any(axis=1)
+        values[todo[found]] = draws[found, first[found]]
+        end[todo] += np.where(found, first + 1, k) * n
+        todo = todo[~found]
+        drawn += k
+    if len(todo):
+        raise RuntimeError(
+            f"no spectrum with min_gap {min_gap} found for n={n} "
+            f"after {_MAX_REDRAWS} redraws"
+        )
+    return values, end
+
+
+def _angles(seeds, positions, n):
+    """(T, 2n) rephasing angles, n row angles then n column angles, each
+    2 pi u; and the positions after them.  u <= 1 - 2^-53 keeps 2 pi u below
+    2 pi after rounding, so the angles are already reduced as
+    RephasingAngles would reduce them."""
+    u, end = _stream(seeds, positions, 2 * n)
+    return _TWO_PI * _uniform(u), end
+
+
+class SeededRng:
+    """A cursor on one splitmix64 stream: its seed and the number of outputs
+    drawn so far (position).
+
+    Every draw goes through the stacked samplers as a stack of one stream,
+    so it has the bits of the same draw made for a whole chunk of trials.
     Not thread-safe; concurrent work should use one instance per task,
     seeded via derive_seed.
     """
 
     def __init__(self, seed):
         self.seed = int(seed) & _MASK64
-        self._state = self.seed
         self.position = 0
 
+    def _draw(self, sampler, *args):
+        """sampler(seeds, positions, *args) on this stream alone, from the
+        current position.  Moves the cursor past the outputs it read and
+        returns the draw of this stream."""
+        out, end = sampler(np.array([self.seed], dtype=np.uint64), np.array([self.position]), *args)
+        self.position = int(end[0])
+        return out[0]
+
     def next_u64(self):
-        self._state = (self._state + _GOLDEN) & _MASK64
-        self.position += 1
-        return _mix64(self._state)
+        return int(self._draw(_stream, 1)[0])
 
     def uniform(self):
         """Double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
+        return float(_uniform(self._draw(_stream, 1))[0])
 
     def uniform_symmetric(self):
         """Double in [-1, 1)."""
         return 2.0 * self.uniform() - 1.0
 
     def normal_pair(self):
-        """Two independent standard normals via Box-Muller.
-
-        The radial uniform is shifted into (0, 1] so log never sees zero.
-        """
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-        u2 = (self.next_u64() >> 11) * 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        t = _TWO_PI * u2
-        return r * math.cos(t), r * math.sin(t)
+        """Two independent standard normals via Box-Muller."""
+        re, im = self._draw(_normals, 1)[0].tolist()
+        return re, im
 
 
 def derive_seed(master_seed, index):
@@ -89,11 +203,14 @@ def derive_seed(master_seed, index):
 
     Trials are order-independent: seed i never has to be generated before
     seed j.  The finalizer scrambles the affine combination so neighbouring
-    indices land in unrelated stream positions.
+    indices land in unrelated stream positions.  index may be an array of
+    trial indices; the seeds are then a uint64 array of its shape.
     """
-    if index < 0:
+    if np.any(np.asarray(index) < 0):
         raise ValueError("trial index must be nonnegative")
-    return _mix64((int(master_seed) & _MASK64) + ((index + 1) * _GOLDEN & _MASK64))
+    steps = np.array(index, dtype=np.uint64, ndmin=1) + 1
+    seeds = _mix64((int(master_seed) & _MASK64) + steps * _GOLDEN)
+    return int(seeds[0]) if np.ndim(index) == 0 else seeds
 
 
 @dataclass(frozen=True)
@@ -192,13 +309,7 @@ def ginibre(n, rng):
     standard normal scaled by 1/sqrt(2), so E|g_ij|^2 = 1.
     """
     check_dimension(n)
-    g = np.empty((n, n), dtype=np.complex128)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(n):
-            re, im = rng.normal_pair()
-            g[i, j] = complex(re * inv_sqrt2, im * inv_sqrt2)
-    return g
+    return rng._draw(_ginibres, n)
 
 
 def haar_unitary(n, rng):
@@ -217,39 +328,31 @@ def random_spectrum(n, rng, min_gap=DEFAULT_MIN_GAP):
     in the interval) are rejected up front.
     """
     check_dimension(n)
-    # NaN must fail here: it passes the feasibility check and no gap reaches it
-    if not min_gap > 0.0:
-        raise ValueError("min_gap must be positive")
-    if min_gap * (n - 1) >= 2.0:
-        raise ValueError(
-            f"min_gap {min_gap} is infeasible for n={n}: "
-            f"{min_gap} * {n - 1} >= 2 leaves no room in [-1, 1]"
-        )
-    for _ in range(_MAX_REDRAWS):
-        values = sorted([rng.uniform_symmetric() for _ in range(n)])
-        if all(values[i + 1] - values[i] >= min_gap for i in range(n - 1)):
-            return Spectrum(tuple(values))
-    raise RuntimeError(
-        f"no spectrum with min_gap {min_gap} found for n={n} "
-        f"after {_MAX_REDRAWS} redraws"
-    )
+    return Spectrum(tuple(rng._draw(_spectra, n, min_gap).tolist()))
 
 
 def rephase(v, angles):
     """Multiply entry (i, j) of v by exp(i (theta_i + theta_prime_j)).
 
     Every plaquette product, and hence every invariant built from them, is
-    unchanged by this action.
+    unchanged by this action.  angles must be RephasingAngles, which holds
+    them finite and reduced mod 2 pi.
     """
+    if not isinstance(angles, RephasingAngles):
+        raise TypeError(f"angles must be RephasingAngles, got {type(angles).__name__}")
     if angles.n != v.n:
         raise DimensionError(f"matrix is {v.n}x{v.n} but angles have length {angles.n}")
     row, col = _unit_phases([angles.theta]), _unit_phases([angles.theta_prime])
     return UnitaryMatrix(_rephased(v.matrix[None], row, col)[0])
 
 
-def _unit_phases(angle_rows):
-    """(T, n) array of complex(cos t, sin t), by libm, for T rows of n angles."""
-    return np.array([[complex(math.cos(t), math.sin(t)) for t in row] for row in angle_rows])
+def _unit_phases(angles):
+    """complex(cos t, sin t), by libm, for every entry of an array of angles."""
+    angles = np.asarray(angles, dtype=float)
+    out = np.empty(angles.shape, dtype=np.complex128)
+    out.real = _libm(math.cos, angles)
+    out.imag = _libm(math.sin, angles)
+    return out
 
 
 def _rephased(m, row, col):

@@ -8,12 +8,13 @@ report is a pure function of (suite, master_seed, trials, tolerances): the
 rendered text is byte-identical across runs.  Wall time is therefore kept
 out of the rendered report and surfaced separately by the CLI.
 
-Trials run in chunks of TRIAL_CHUNK: the draws of a chunk are made trial by
-trial in stream order, then every layer (QR, validation, plaquettes,
-determinants, closed forms, residual families) runs once on the stack of
-the chunk's trials.  Each stacked layer gives, in slice t, the bits of the
-single-matrix call on trial t, so the report does not depend on the chunk
-size.
+Trials run in chunks of TRIAL_CHUNK.  Each draw of a chunk (Ginibre
+matrices, spectra, angles) is made for all of its trials at once, each
+trial at its own position in its own stream, and then every layer (QR,
+validation, plaquettes, determinants, closed forms, residual families) runs
+once on the stack of the chunk's trials.  Each stacked draw and layer gives,
+in slice t, the bits of the single-trial call on trial t, so the report
+does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ from .phases import (
     N3_SIGN_PATTERN,
 )
 from .sampling import (
-    RephasingAngles,
-    SeededRng,
+    DEFAULT_MIN_GAP,
+    _angles,
+    _ginibres,
     _haar_from_ginibre,
     _rephased,
+    _spectra,
     _unit_phases,
     derive_seed,
-    ginibre,
-    random_spectrum,
 )
 
 #: trials per stacked batch in run_suite.  Larger chunks spread numpy's
@@ -192,21 +193,15 @@ def check_tolerance(value, name="tolerance"):
 
 def _draw_chunk(n, seeds):
     """The draws of each trial, in stream order: the Ginibre matrix of V,
-    the a- and b-spectra and the rephasing angles.  Returns the (T, n, n)
-    Ginibre stack, the (T, n) spectra and the (T, n) rephasing factors."""
-    g, a, b, angles = [], [], [], []
-    for seed in seeds:
-        rng = SeededRng(seed)
-        g.append(ginibre(n, rng))
-        a.append(random_spectrum(n, rng).values)
-        b.append(random_spectrum(n, rng).values)
-        angles.append(RephasingAngles(
-            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
-            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
-        ))
-    row_phases = _unit_phases([x.theta for x in angles])
-    col_phases = _unit_phases([x.theta_prime for x in angles])
-    return np.array(g), np.array(a), np.array(b), row_phases, col_phases
+    the a- and b-spectra and the rephasing angles.  seeds is the (T,) uint64
+    array of per-trial seeds; each draw is made for the whole chunk at once,
+    every trial at its own stream position.  Returns the (T, n, n) Ginibre
+    stack, the (T, n) spectra and the (T, n) rephasing factors."""
+    g, end = _ginibres(seeds, np.zeros(len(seeds), dtype=np.int64), n)
+    a, end = _spectra(seeds, end, n, DEFAULT_MIN_GAP)
+    b, end = _spectra(seeds, end, n, DEFAULT_MIN_GAP)
+    phases = _unit_phases(_angles(seeds, end, n)[0])
+    return g, a, b, phases[:, :n], phases[:, n:]
 
 
 def _check_chunk(n, seeds, closed_rel, parity_abs):
@@ -303,10 +298,8 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
     gate_passes = 0
 
     for first in range(0, trials, TRIAL_CHUNK):
-        seeds = np.array([derive_seed(master_seed, t)
-                          for t in range(first, min(first + TRIAL_CHUNK, trials))],
-                         dtype=np.uint64)
-        rows, degenerate = _check_chunk(n, seeds.tolist(), closed_rel, parity_abs)
+        seeds = derive_seed(master_seed, np.arange(first, min(first + TRIAL_CHUNK, trials)))
+        rows, degenerate = _check_chunk(n, seeds, closed_rel, parity_abs)
         if results is None:
             results = [IdentityResult(name=name, bound=bound) for name, bound, *_ in rows]
         for result, (_, _, residual, limit, kept) in zip(results, rows):

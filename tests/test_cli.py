@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jarlskog import MassPairInput, SeededRng, haar_unitary, random_spectrum
+from jarlskog import MassPairInput, SeededRng, haar_unitary, phases, random_spectrum
 from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
 from jarlskog.verify import run_suite
@@ -247,6 +247,16 @@ def test_phases_n4_report_has_expansion_and_reconstruction():
     assert "expansion check (36 phases from J): max residual" in res.stdout
     assert "band reconstruction" in res.stdout
     assert "status: solved" in res.stdout
+
+
+def test_phases_n4_report_builds_j_and_r_once(monkeypatch, capsys):
+    # the J/R lines and the band reconstruction read the same arrays
+    calls = []
+    jr = phases._jr
+    monkeypatch.setattr(phases, "_jr", lambda *args: calls.append(1) or jr(*args))
+    assert main(["phases", N4_FIXTURE]) == 0
+    assert "status: solved" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_phases_identity_mixing_flags_degenerate(tmp_path):

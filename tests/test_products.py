@@ -5,14 +5,16 @@ The references below are plain scalar complex arithmetic with the grouping
 and the summation order the library documents: the plaquettes, the
 column products and V V^+ of the unitarity check, the commutator entries,
 the nine term groups of the n=4 closed form and the 3x3 products of the
-36-phase expansion, and the one-matrix-at-a-time LU determinant and
-Householder QR.  The library must reproduce them bit for bit, signed zeros
+36-phase expansion, the one-matrix-at-a-time LU determinant and
+Householder QR, and the one-output-at-a-time splitmix64 draws of a verify
+trial.  The library must reproduce them bit for bit, signed zeros
 included, so results are compared as uint64 bit patterns.  Every stacked
 layer must give, in slice t of a stack, the bits of its call on trial t
 alone.  Golden report files pin the printed digits end to end.
 """
 
 import itertools
+import math
 import os
 
 import numpy as np
@@ -22,8 +24,10 @@ from conftest import bits, signed_permutations
 
 from jarlskog import (
     MassPairInput,
+    RephasingAngles,
     SeededRng,
     UnitaryMatrix,
+    derive_seed,
     det,
     ginibre,
     haar_unitary,
@@ -181,6 +185,88 @@ def scalar_qr(a):
         r[k:, k:] -= 2.0 * np.outer(v, (np.conj(v)[:, None] * r[k:, k:]).sum(axis=0))
         q[:, k:] -= 2.0 * np.outer((q[:, k:] * v[None, :]).sum(axis=1), np.conj(v))
     return q, r
+
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def scalar_mix64(z):
+    """splitmix64's finalizer on one Python integer."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def scalar_derive_seed(master_seed, index):
+    return scalar_mix64((master_seed & MASK64) + ((index + 1) * GOLDEN & MASK64))
+
+
+class ScalarRng:
+    """splitmix64 one output at a time, in Python integers and floats, with
+    the draws built on it as scalar libm calls."""
+
+    def __init__(self, seed):
+        self.state = int(seed) & MASK64
+        self.position = 0
+
+    def next_u64(self):
+        self.state = (self.state + GOLDEN) & MASK64
+        self.position += 1
+        return scalar_mix64(self.state)
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def normal_pair(self):
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+        u2 = (self.next_u64() >> 11) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(u1))
+        t = 2.0 * math.pi * u2
+        return r * math.cos(t), r * math.sin(t)
+
+
+def scalar_ginibre(n, rng):
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    g = np.empty((n, n), dtype=np.complex128)
+    for i, j in itertools.product(range(n), repeat=2):
+        re, im = rng.normal_pair()
+        g[i, j] = complex(re * inv_sqrt2, im * inv_sqrt2)
+    return g
+
+
+def scalar_spectrum(n, rng, min_gap=sampling.DEFAULT_MIN_GAP):
+    for _ in range(sampling._MAX_REDRAWS):
+        values = sorted([2.0 * rng.uniform() - 1.0 for _ in range(n)])
+        if all(values[i + 1] - values[i] >= min_gap for i in range(n - 1)):
+            return values
+    raise RuntimeError(
+        f"no spectrum with min_gap {min_gap} found for n={n} "
+        f"after {sampling._MAX_REDRAWS} redraws"
+    )
+
+
+def scalar_unit_phases(angle_rows):
+    return np.array([[complex(math.cos(t), math.sin(t)) for t in row] for row in angle_rows])
+
+
+def scalar_draw_chunk(n, seeds):
+    """verify's draws one trial at a time, in stream order: the Ginibre
+    matrix, the a- and b-spectra and the rephasing angles of each seed."""
+    g, a, b, angles = [], [], [], []
+    for seed in seeds:
+        rng = ScalarRng(seed)
+        g.append(scalar_ginibre(n, rng))
+        a.append(scalar_spectrum(n, rng))
+        b.append(scalar_spectrum(n, rng))
+        angles.append(RephasingAngles(
+            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
+            tuple(2.0 * math.pi * rng.uniform() for _ in range(n)),
+        ))
+    return (np.array(g), np.array(a), np.array(b),
+            scalar_unit_phases([x.theta for x in angles]),
+            scalar_unit_phases([x.theta_prime for x in angles]))
 
 
 def spelled_product(x, y):
@@ -556,3 +642,125 @@ def test_slice_of_a_stacked_layer_is_bit_equal_to_its_stack_of_one(n, name):
         for got, ref in zip(full, single):
             assert np.array_equal(bits(np.asarray(got[t], dtype=float)),
                                   bits(np.asarray(ref[0], dtype=float))), t
+
+
+# ---------------------------------------------------------------- stacked draws
+
+def draw_bits(x):
+    """uint64 patterns of a float or complex array."""
+    x = np.asarray(x)
+    return bits(x.view(np.float64) if np.iscomplexobj(x) else x)
+
+
+DRAW_CASES = [(n, t) for n in range(2, 9) for t in (1, 7, 64)]
+
+
+@pytest.mark.parametrize(("n", "trials"), DRAW_CASES, ids=[f"n{n}-T{t}" for n, t in DRAW_CASES])
+def test_stacked_draw_is_bit_equal_to_the_per_trial_loop(n, trials):
+    seeds = [scalar_derive_seed(100 * n + trials, t) for t in range(trials)]
+    got = verify._draw_chunk(n, np.array(seeds, dtype=np.uint64))
+    ref = scalar_draw_chunk(n, seeds)
+    assert len(got) == len(ref) == 5
+    for name, x, y in zip(("ginibre", "a", "b", "row_phases", "col_phases"), got, ref):
+        assert x.shape == y.shape, name
+        assert np.array_equal(draw_bits(x), draw_bits(y)), name
+
+
+@pytest.mark.parametrize("trials", (1, 7, 64))
+def test_stacked_spectra_with_many_redraws_are_bit_equal_to_the_scalar_loop(trials):
+    # n = 8 with min_gap 0.12 accepts a draw with probability
+    # (1 - 7 * 0.12 / 2)^8 = 1.3%, so streams redraw tens to hundreds of
+    # times and leave the redraw rounds at different positions
+    n, min_gap = 8, 0.12
+    seeds = [scalar_derive_seed(8, t) for t in range(trials)]
+    start = np.arange(trials) * 5
+    values, end = sampling._spectra(np.array(seeds, dtype=np.uint64), start, n, min_gap)
+    for t, seed in enumerate(seeds):
+        rng = ScalarRng(seed)
+        for _ in range(start[t]):
+            rng.next_u64()
+        ref = scalar_spectrum(n, rng, min_gap)
+        assert np.array_equal(bits(values[t]), bits(ref)), t
+        assert end[t] == rng.position, t
+    redraws = (end - start) // n
+    assert redraws.min() >= 1
+    if trials > 1:
+        assert len(set(redraws.tolist())) > 1
+    if trials == 64:
+        assert redraws.max() > 10 * sampling._DRAWS_PER_ROUND
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_single_samplers_advance_the_cursor_by_the_scalar_count(n):
+    rng, ref = SeededRng(40 + n), ScalarRng(40 + n)
+    assert np.array_equal(draw_bits(ginibre(n, rng)), draw_bits(scalar_ginibre(n, ref)))
+    assert rng.position == ref.position == 2 * n * n
+    spectrum = random_spectrum(n, rng)
+    assert np.array_equal(bits(spectrum.values), bits(scalar_spectrum(n, ref)))
+    assert rng.position == ref.position
+    v = haar_unitary(n, rng)
+    assert np.array_equal(draw_bits(v.matrix), draw_bits(scalar_haar(scalar_ginibre(n, ref))))
+    assert rng.position == ref.position
+    pair = rng.normal_pair()
+    assert bits(pair).tolist() == bits(ref.normal_pair()).tolist()
+    assert (rng.next_u64(), rng.uniform()) == (ref.next_u64(), ref.uniform())
+    assert rng.position == ref.position
+
+
+def test_derive_seed_of_an_index_array_matches_the_scalar_seeds():
+    indices = [0, 1, 2 ** 32]
+    for master in (-5, 2 ** 64 + 3):
+        expected = [scalar_derive_seed(master, i) for i in indices]
+        assert [derive_seed(master, i) for i in indices] == expected
+        seeds = derive_seed(master, np.array(indices))
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == expected
+
+
+def first_accepted_draw(n, seed):
+    """1-based index of the first spectrum draw of a stream that is accepted
+    at the default gap."""
+    rng = ScalarRng(seed)
+    scalar_spectrum(n, rng)
+    return rng.position // n
+
+
+def test_exhausted_redraws_in_a_stack_raise_the_single_draw_error(monkeypatch):
+    # n = 8 at the default gap accepts about one draw in five; a stream whose
+    # first accepted draw is number m succeeds with m redraws allowed and
+    # fails with m - 1, whether or not m falls on a round boundary
+    n = 8
+    seeds = [scalar_derive_seed(77, t) for t in range(64)]
+    firsts = [first_accepted_draw(n, s) for s in seeds]
+    stack = np.array(seeds, dtype=np.uint64)
+    start = np.zeros(len(seeds), dtype=np.int64)
+    for limit in sorted({m for m in firsts if m > 1}):
+        monkeypatch.setattr(sampling, "_MAX_REDRAWS", limit)
+        keep = [t for t, m in enumerate(firsts) if m <= limit]
+        values, end = sampling._spectra(stack[keep], start[keep], n, sampling.DEFAULT_MIN_GAP)
+        assert (end // n).tolist() == [firsts[t] for t in keep]
+        message = (f"no spectrum with min_gap {sampling.DEFAULT_MIN_GAP} found for n={n} "
+                   f"after {limit - 1} redraws")
+        monkeypatch.setattr(sampling, "_MAX_REDRAWS", limit - 1)
+        with pytest.raises(RuntimeError) as single:
+            random_spectrum(n, SeededRng(seeds[firsts.index(limit)]))
+        with pytest.raises(RuntimeError) as stacked:
+            sampling._spectra(stack, start, n, sampling.DEFAULT_MIN_GAP)
+        with pytest.raises(RuntimeError) as chunk:
+            verify._draw_chunk(n, stack)
+        assert str(single.value) == str(stacked.value) == str(chunk.value) == message
+
+
+@pytest.mark.parametrize(("n", "min_gap"), ((3, 0.0), (3, -0.1), (3, math.nan), (3, 1.0), (8, 0.3)))
+def test_unusable_gap_raises_before_any_draw_of_a_stack(n, min_gap, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(sampling, "_stream", no_draw)
+    seeds = derive_seed(5, np.arange(7))
+    with pytest.raises(ValueError, match="must be positive|is infeasible"):
+        sampling._spectra(seeds, np.zeros(7, dtype=np.int64), n, min_gap)
+    rng = SeededRng(5)
+    with pytest.raises(ValueError, match="must be positive|is infeasible"):
+        random_spectrum(n, rng, min_gap=min_gap)
+    assert rng.position == 0

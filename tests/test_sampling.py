@@ -12,7 +12,6 @@ from jarlskog import (
     RephasingAngles,
     SeededRng,
     derive_seed,
-    ginibre,
     haar_unitary,
     householder_qr,
     phase_table,
@@ -70,12 +69,12 @@ def test_uniform_range_and_determinism():
 
 
 def test_normal_pair_moments():
+    # the normals of 20000 normal_pair calls on SeededRng(123), drawn as
+    # one stack; the first 100 pairs are those of the calls, bit for bit
     rng = SeededRng(123)
-    draws = []
-    for _ in range(20000):
-        a, b = rng.normal_pair()
-        draws.extend((a, b))
-    arr = np.array(draws)
+    pairs, _ = sampling._normals(np.array([rng.seed], dtype=np.uint64), np.array([0]), 20000)
+    assert [rng.normal_pair() for _ in range(100)] == [tuple(p) for p in pairs[0, :100].tolist()]
+    arr = pairs.ravel()
     assert abs(arr.mean()) < 0.02
     assert abs(arr.var() - 1.0) < 0.03
 
@@ -128,8 +127,10 @@ def test_haar_unitary_rejects_unsupported_dimension():
 def haar_stack(n, rng, trials):
     """trials Haar unitaries as one (T, n, n) stack: the Ginibre matrices
     that trials haar_unitary(n, rng) calls would draw, in the same order,
-    then the diag(R) fix and the validation once on the stack."""
-    g = np.array([ginibre(n, rng) for _ in range(trials)])
+    drawn as one stack of positions along rng's stream, then the diag(R)
+    fix and the validation once on the stack."""
+    seeds = np.full(trials, rng.seed, dtype=np.uint64)
+    g, _ = sampling._ginibres(seeds, rng.position + 2 * n * n * np.arange(trials), n)
     v = sampling._haar_from_ginibre(g)
     linalg._validate_unitaries(v)
     return v
@@ -220,6 +221,21 @@ def test_rephase_dimension_mismatch():
     v = haar_unitary(3, SeededRng(0))
     with pytest.raises(DimensionError):
         rephase(v, RephasingAngles((0.0,) * 4, (0.0,) * 4))
+
+
+def test_rephase_takes_only_rephasing_angles():
+    # unreduced or non-finite angles must go through RephasingAngles
+    v = haar_unitary(3, SeededRng(0))
+    with pytest.raises(TypeError, match="RephasingAngles"):
+        rephase(v, ((0.0,) * 3, (0.0,) * 3))
+
+
+def test_drawn_angles_need_no_reduction():
+    # the largest uniform, 1 - 2^-53, keeps 2 pi u below 2 pi after
+    # rounding, so the stacked angle draw leaves out RephasingAngles' mod 2 pi
+    angle = 2.0 * math.pi * ((2 ** 53 - 1) * 2.0 ** -53)
+    assert angle < 2.0 * math.pi
+    assert RephasingAngles((angle,), (0.0,)).theta == (angle,)
 
 
 def test_angles_reduced_mod_two_pi():
