@@ -37,6 +37,15 @@ column pairs ordered (24), (14), (13)), non-adjacent row pairs from A J
 (same ordering for rows), and doubly non-adjacent entries from A J A.  The
 orientation of those orderings is validated numerically in the test suite
 rather than trusted.
+
+The four product identities are evaluated once per orbit of index tuples
+under a small permutation group of each family's free indices: a<->b and
+j<->l (mixed_same_rows), j<->k and a<->g (mixed_same_cols), a<->b, (j l)(k m)
+and (j k)(l m) (product_same_rows), j<->k, (a g)(b d) and (a b)(g d)
+(product_same_cols).  By the bitwise symmetries above, each of these maps a
+tuple's residual to the same bits, so the maximum over one representative
+per orbit is the maximum over every tuple (_product_residuals gives the
+proof per generator).
 """
 
 from __future__ import annotations
@@ -311,8 +320,9 @@ def nonlinear_relation_residuals(v):
     product_same_cols: re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk)
                          = im(ag;jk) im(bd;jk)
 
-    Each is an exact identity of any unitary matrix, evaluated over every
-    index tuple (repeats included).
+    Each is an exact identity of any unitary matrix.  The reported residual
+    is the maximum over every index tuple (repeats included), evaluated
+    once per symmetry orbit of tuples (see _product_residuals).
     """
     if v.n not in (3, 4):
         raise DimensionError(f"product identities are tabulated for n in {{3, 4}}, got n={v.n}")
@@ -320,57 +330,102 @@ def nonlinear_relation_residuals(v):
     return RelationResiduals(families={name: float(x[0]) for name, x in families.items()})
 
 
+#: the product identities as residuals t1 +/- t2 - t3 over their free
+#: indices, each with generators of its symmetry group: permutations of the
+#: free indices, written as their images, that leave the residual's bits
+#: unchanged (see _product_residuals)
+_PRODUCT_IDENTITIES = {
+    "mixed_same_rows": ("re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk) - re(ab;kk) im(ab;jl)",
+                        "abjkl", ("bajkl", "ablkj")),
+    "mixed_same_cols": ("re(ab;jk) im(bg;jk) + im(ab;jk) re(bg;jk) - re(bb;jk) im(ag;jk)",
+                        "abgjk", ("abgkj", "gbajk")),
+    "product_same_rows": ("re(ab;jk) re(ab;lm) - re(ab;jm) re(ab;kl) - im(ab;jl) im(ab;km)",
+                          "abjklm", ("bajklm", "ablmjk", "abkjml")),
+    "product_same_cols": ("re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk) - im(ag;jk) im(bd;jk)",
+                          "abgdjk", ("abgdkj", "gdabjk", "badgjk")),
+}
+
+
+def _orbit_representatives(n, free, generators):
+    """One index tuple per orbit of the group that `generators` (images of
+    the string of free indices) generate, over the tuples with entries in
+    range(n): the tuple of least flat code, as a (len(free), R) array in
+    ascending code order."""
+    shape = (n,) * len(free)
+    tuples = np.indices(shape).reshape(len(shape), -1)
+    group = [tuple(range(len(free)))]
+    for p in group:
+        for g in generators:
+            q = tuple(p[free.index(c)] for c in g)
+            if q not in group:
+                group.append(q)
+    least = np.min([np.ravel_multi_index(tuples[list(p)], shape) for p in group], axis=0)
+    return tuples[:, least == np.arange(least.size)]
+
+
+@lru_cache(maxsize=None)
+def _product_table(n):
+    """The evaluation table of the product identities for n x n matrices,
+    built on first use.
+
+    Returns (index, starts, combines).  index is a read-only (6, R) array:
+    for each orbit representative of each family in turn, the positions of
+    the six factors of t1, t2, t3, in formula order, among the 2 n^4
+    entries of the flattened re tensor followed by the flattened im tensor.
+    Family f owns the columns from starts[f] up to the next start, and
+    combines[f] (np.add or np.subtract) joins its t1 and t2.
+    """
+    index, starts, combines = [], [], []
+    for formula, free, generators in _PRODUCT_IDENTITIES.values():
+        reps = dict(zip(free, _orbit_representatives(n, free, generators)))
+        terms = formula.split()
+        starts.append(sum(x.shape[1] for x in index))
+        index.append(np.array([
+            np.ravel_multi_index([reps[c] for c in f[3:5] + f[6:8]], (n,) * 4)
+            + (n ** 4 if f.startswith("im") else 0)
+            for f in terms[0:2] + terms[3:5] + terms[6:8]]))
+        combines.append(np.add if terms[2] == "+" else np.subtract)
+    index = np.concatenate(index, axis=1)
+    index.setflags(write=False)
+    return index, tuple(starts), tuple(combines)
+
+
 def _product_residuals(re, im):
     """{family: (T,) max residual} of the four product identities for
     (T, n, n, n, n) plaquettes.
 
-    Each family evaluates |t1 +/- t2 - t3| over every index tuple.  The
-    three product arrays of a family are written into one reused buffer,
-    so a chunk of trials allocates it once.
+    Each family's residual |t1 +/- t2 - t3| is evaluated at one index tuple
+    per orbit of its symmetry group (_PRODUCT_IDENTITIES), which gives the
+    maximum over every tuple bit for bit.  The plaquette kernel makes re
+    bitwise symmetric and im bitwise antisymmetric under a<->b and under
+    j<->k (up to the sign of a zero), and IEEE * and + commute exactly, so a
+    generator maps the products t1, t2, t3 at a tuple to those at its image
+    up to exact negation of all three or exchange of t1 and t2:
+      mixed_same_rows    a<->b negates t1, t2, t3; j<->l maps them to
+                         -t2, -t1, -t3.
+      mixed_same_cols    j<->k negates t1, t2, t3; a<->g maps them to
+                         -t2, -t1, -t3.
+      product_same_rows  a<->b, (j l)(k m) and (j k)(l m) fix t1, t2, t3:
+                         a factor changes sign only with its partner.
+      product_same_cols  j<->k, (a g)(b d) and (a b)(g d) fix t1, t2, t3
+                         the same way.
+    Negation and the sign of a zero term change no bit of |residual|.
+    verify's phase_antisymmetry_bitwise row checks the premise on the same
+    tensors.  At each representative the operations are those of the
+    evaluation over every tuple: multiply, combine t1 with t2, subtract t3,
+    abs, then the max over the tuples.
     """
     t, n = len(re), re.shape[-1]
-    flat = np.empty((3, t * n ** 6))
-
-    def worst(terms, combine):
-        shape = np.broadcast_shapes(*(x.shape for pair in terms for x in pair))
-        t1, t2, t3 = (np.multiply(x, y, out=flat[i, :np.prod(shape)].reshape(shape))
-                      for i, (x, y) in enumerate(terms))
-        combine(t1, t2, out=t1)
-        np.subtract(t1, t3, out=t1)
-        return np.abs(t1, out=t1).reshape(t, -1).max(axis=1)
-
-    re_kk = np.einsum("tabkk->tabk", re)
-    re_bb = np.einsum("tbbjk->tbjk", re)
-    return {
-        # over (a, b, j, k, l):
-        # re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk) - re(ab;kk) im(ab;jl)
-        "mixed_same_rows": worst((
-            (re[:, :, :, :, :, None], im[:, :, :, None, :, :]),
-            (re[:, :, :, None, :, :], im[:, :, :, :, :, None]),
-            (re_kk[:, :, :, None, :, None], im[:, :, :, :, None, :]),
-        ), np.add),
-        # over (a, b, g, j, k):
-        # re(ab;jk) im(bg;jk) + re(bg;jk) im(ab;jk) - re(bb;jk) im(ag;jk)
-        "mixed_same_cols": worst((
-            (re[:, :, :, None, :, :], im[:, None, :, :, :, :]),
-            (im[:, :, :, None, :, :], re[:, None, :, :, :, :]),
-            (re_bb[:, None, :, None, :, :], im[:, :, None, :, :, :]),
-        ), np.add),
-        # over (a, b, j, k, l, m): re(ab;jk) re(ab;lm) - re(ab;jm) re(ab;kl)
-        # - im(ab;jl) im(ab;km)
-        "product_same_rows": worst((
-            (re[:, :, :, :, :, None, None], re[:, :, :, None, None, :, :]),
-            (re[:, :, :, :, None, None, :], re[:, :, :, None, :, :, None]),
-            (im[:, :, :, :, None, :, None], im[:, :, :, None, :, None, :]),
-        ), np.subtract),
-        # over (a, b, g, d, j, k): re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk)
-        # - im(ag;jk) im(bd;jk)
-        "product_same_cols": worst((
-            (re[:, :, :, None, None, :, :], re[:, None, None, :, :, :, :]),
-            (re[:, :, None, None, :, :, :], re[:, None, :, :, None, :, :]),
-            (im[:, :, None, :, None, :, :], im[:, None, :, None, :, :, :]),
-        ), np.subtract),
-    }
+    index, starts, combines = _product_table(n)
+    # trials on the last axis, so that each gathered entry is a row of T
+    flat = np.concatenate([re.reshape(t, -1).T, im.reshape(t, -1).T])
+    factors = flat.take(index, axis=0)
+    t1, t2, t3 = factors[0::2] * factors[1::2]
+    for combine, lo, hi in zip(combines, starts, starts[1:] + (None,)):
+        combine(t1[lo:hi], t2[lo:hi], out=t1[lo:hi])
+    np.subtract(t1, t3, out=t1)
+    worst = np.maximum.reduceat(np.abs(t1, out=t1), starts)
+    return dict(zip(_PRODUCT_IDENTITIES, worst))
 
 
 @dataclass(frozen=True)

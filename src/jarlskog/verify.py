@@ -57,8 +57,8 @@ from .sampling import (
 )
 
 #: trials per stacked batch in run_suite.  Larger chunks spread numpy's
-#: per-call cost over more trials; the n=4 product identities hold
-#: T * 4^6 entries per temporary, which bounds it from above.
+#: per-call cost over more trials; the n=4 product identities gather
+#: T * 6 * 2320 factors at once, which bounds it from above.
 TRIAL_CHUNK = 64
 
 #: default tolerances, keyed by identity name; (rel, abs) pairs where a
@@ -157,7 +157,9 @@ def _antisymmetry_residuals(re, im):
     The plaquette tensor evaluates every index order on its own operands,
     so entries at swapped indices are computed independently of each other.
     Both swaps conjugate the product exactly at the bit level, so the
-    residual of a correct implementation is exactly zero.
+    residual of a correct implementation is exactly zero.  The product
+    identities are evaluated once per orbit of index tuples on the strength
+    of these symmetries, so this check also covers the entries they skip.
     """
     swapped = (
         im + im.swapaxes(1, 2),

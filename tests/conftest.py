@@ -26,6 +26,18 @@ def givens(n, p, q, theta, phi=0.0):
     return m
 
 
+def orthogonal4():
+    """A real 4x4 rotation: every imaginary phase is exactly zero."""
+    m = (
+        givens(4, 0, 1, 0.7)
+        @ givens(4, 1, 2, 1.1)
+        @ givens(4, 2, 3, 0.5)
+        @ givens(4, 0, 2, 0.9)
+        @ givens(4, 1, 3, 0.4)
+    )
+    return UnitaryMatrix(m.astype(complex))
+
+
 def signed_permutations(n):
     """Every n x n permutation matrix times each of the phases 1, -i, -1."""
     for perm in itertools.permutations(range(n)):

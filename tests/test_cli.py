@@ -396,6 +396,42 @@ def test_verify_reports_an_injected_nan_residual_as_fail(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (3, 4))
+def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monkeypatch):
+    # the product identities read one index tuple per symmetry orbit, so a
+    # plaquette entry off the orbit representatives is never read there; a
+    # tensor whose symmetry breaks at such an entry must still fail verify
+    import jarlskog.verify as verify
+
+    read = set(phases._product_table(n)[0].ravel().tolist())
+    target = next(
+        (a, b, j, k) for a, b, j, k in np.ndindex((n,) * 4)
+        if a != b and j != k and n ** 4 + np.ravel_multi_index((a, b, j, k), (n,) * 4) not in read)
+    exact = verify._plaquettes
+
+    def flip_one_im_bit_of_trial_2(m):
+        re, im = exact(m)
+        im.view(np.uint64)[(2, *target)] ^= np.uint64(1)
+        return re, im
+
+    monkeypatch.setattr(verify, "_plaquettes", flip_one_im_bit_of_trial_2)
+    report = run_suite(n, 5, 11)
+    row = next(r for r in report.identities if r.name == "phase_antisymmetry_bitwise")
+    assert not row.passed
+    assert row.worst_seed == verify.derive_seed(11, 2)
+    assert [r.name for r in report.identities if not r.passed] == [row.name]
+    assert report.render().endswith("\noverall: FAIL\n")
+
+
+def test_importing_the_cli_builds_no_product_table():
+    # the orbit tables are built on first use, not at import
+    code = ("import jarlskog.cli, jarlskog.phases as p; "
+            "print(p._product_table.cache_info().currsize)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0\n"
+
+
+@pytest.mark.parametrize("n", (3, 4))
 def test_worst_seed_replays_the_closed_form_residual(n, tmp_path, capsys):
     row = next(r for r in run_suite(n, 200, 13579).identities
                if r.name == f"closed_form_n{n}_vs_direct")

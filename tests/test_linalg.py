@@ -8,12 +8,15 @@ from conftest import bits, signed_permutations
 from jarlskog import (
     DegenerateSpectrumError,
     DimensionError,
+    SeededRng,
     Spectrum,
     UnitaryMatrix,
     adjoint,
     det,
+    haar_unitary,
     matmul,
 )
+from jarlskog.linalg import UNITARITY_TOL
 
 
 def random_complex_matrix(n, rng):
@@ -162,6 +165,22 @@ def test_unitary_accepts_identity_and_rejects_nonunitary():
     assert u.unitarity_defect == 0.0
     with pytest.raises(ValueError, match="not unitary"):
         UnitaryMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unitarity_bound_keeps_the_determinant_modulus_near_one(n):
+    # V V^+ = I + E with |E_ij| <= d puts |det V| within n d / 2 of 1 to
+    # first order, so UnitaryMatrix checks no determinant: at the edge of
+    # UNITARITY_TOL, s * I and s * (Haar draws) with s = 1 +- 4.99e-11 stay
+    # within that bound, and within 1e-9, for every n up to MAX_DIM
+    rng = SeededRng(300 + n)
+    for s in (1.0 + 4.99e-11, 1.0 - 4.99e-11):
+        for m in [np.eye(n)] + [haar_unitary(n, rng).matrix for _ in range(5)]:
+            v = UnitaryMatrix(s * m)
+            assert 0.99 * UNITARITY_TOL < v.unitarity_defect <= UNITARITY_TOL
+            slack = abs(abs(det(v.matrix)) - 1.0)
+            assert slack <= n * v.unitarity_defect / 2 + 16 * n * np.finfo(float).eps
+            assert slack <= 1e-9
 
 
 def test_unitary_matrix_is_frozen():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import givens, seeded_input
+from conftest import givens, orthogonal4, seeded_input
 
 from jarlskog import (
     DimensionError,
@@ -20,17 +20,6 @@ from jarlskog import (
     unitary_relation_residuals,
 )
 from jarlskog.phases import _band_systems
-
-
-def orthogonal4():
-    m = (
-        givens(4, 0, 1, 0.7)
-        @ givens(4, 1, 2, 1.1)
-        @ givens(4, 2, 3, 0.5)
-        @ givens(4, 0, 2, 0.9)
-        @ givens(4, 1, 3, 0.4)
-    )
-    return UnitaryMatrix(m.astype(complex))
 
 
 def orthogonal3():

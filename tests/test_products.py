@@ -6,8 +6,9 @@ and the summation order the library documents: the plaquettes, the
 column products and V V^+ of the unitarity check, the commutator entries,
 the nine term groups of the n=4 closed form and the 3x3 products of the
 36-phase expansion, the one-matrix-at-a-time LU determinant and
-Householder QR, and the one-output-at-a-time splitmix64 draws of a verify
-trial.  The library must reproduce them bit for bit, signed zeros
+Householder QR, the one-output-at-a-time splitmix64 draws of a verify
+trial, and the product identities evaluated at every index tuple, which
+the library evaluates once per symmetry orbit.  The library must reproduce them bit for bit, signed zeros
 included, so results are compared as uint64 bit patterns.  Every stacked
 layer must give, in slice t of a stack, the bits of its call on trial t
 alone.  Golden report files pin the printed digits end to end.
@@ -20,7 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import bits, signed_permutations
+from conftest import bits, orthogonal4, signed_permutations
 
 from jarlskog import (
     MassPairInput,
@@ -43,7 +44,7 @@ from jarlskog.determinant import (
     det4_closed,
     t_factors,
 )
-from jarlskog.phases import A_MATRIX, expand_phases, jr_matrices
+from jarlskog.phases import A_MATRIX, expand_phases, jr_matrices, nonlinear_relation_residuals
 from jarlskog.problem_io import load_problem
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -185,6 +186,57 @@ def scalar_qr(a):
         r[k:, k:] -= 2.0 * np.outer(v, (np.conj(v)[:, None] * r[k:, k:]).sum(axis=0))
         q[:, k:] -= 2.0 * np.outer((q[:, k:] * v[None, :]).sum(axis=1), np.conj(v))
     return q, r
+
+
+def full_product_residual_tensors(re, im):
+    """{family: |t1 +/- t2 - t3| at every index tuple} of the four product
+    identities for (T, n, n, n, n) plaquettes, each a (T, n, ..., n) tensor
+    with the family's free indices as axes in the order of
+    phases._PRODUCT_IDENTITIES: the broadcast evaluation over every tuple,
+    which the library evaluates once per symmetry orbit instead."""
+    re_kk = np.einsum("tabkk->tabk", re)
+    re_bb = np.einsum("tbbjk->tbjk", re)
+    families = {
+        # over (a, b, j, k, l):
+        # re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk) - re(ab;kk) im(ab;jl)
+        "mixed_same_rows": ((
+            (re[:, :, :, :, :, None], im[:, :, :, None, :, :]),
+            (re[:, :, :, None, :, :], im[:, :, :, :, :, None]),
+            (re_kk[:, :, :, None, :, None], im[:, :, :, :, None, :]),
+        ), np.add),
+        # over (a, b, g, j, k):
+        # re(ab;jk) im(bg;jk) + re(bg;jk) im(ab;jk) - re(bb;jk) im(ag;jk)
+        "mixed_same_cols": ((
+            (re[:, :, :, None, :, :], im[:, None, :, :, :, :]),
+            (im[:, :, :, None, :, :], re[:, None, :, :, :, :]),
+            (re_bb[:, None, :, None, :, :], im[:, :, None, :, :, :]),
+        ), np.add),
+        # over (a, b, j, k, l, m): re(ab;jk) re(ab;lm) - re(ab;jm) re(ab;kl)
+        # - im(ab;jl) im(ab;km)
+        "product_same_rows": ((
+            (re[:, :, :, :, :, None, None], re[:, :, :, None, None, :, :]),
+            (re[:, :, :, :, None, None, :], re[:, :, :, None, :, :, None]),
+            (im[:, :, :, :, None, :, None], im[:, :, :, None, :, None, :]),
+        ), np.subtract),
+        # over (a, b, g, d, j, k): re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk)
+        # - im(ag;jk) im(bd;jk)
+        "product_same_cols": ((
+            (re[:, :, :, None, None, :, :], re[:, None, None, :, :, :, :]),
+            (re[:, :, None, None, :, :, :], re[:, None, :, :, None, :, :]),
+            (im[:, :, None, :, None, :, :], im[:, None, :, None, :, :, :]),
+        ), np.subtract),
+    }
+    out = {}
+    for name, (((x1, y1), (x2, y2), (x3, y3)), combine) in families.items():
+        out[name] = np.abs(combine(x1 * y1, x2 * y2) - x3 * y3)
+    return out
+
+
+def full_product_residuals(re, im):
+    """{family: (T,) max residual} of the product identities over every
+    index tuple, as phases._product_residuals reports them."""
+    return {name: x.reshape(len(re), -1).max(axis=1)
+            for name, x in full_product_residual_tensors(re, im).items()}
 
 
 MASK64 = (1 << 64) - 1
@@ -642,6 +694,111 @@ def test_slice_of_a_stacked_layer_is_bit_equal_to_its_stack_of_one(n, name):
         for got, ref in zip(full, single):
             assert np.array_equal(bits(np.asarray(got[t], dtype=float)),
                                   bits(np.asarray(ref[0], dtype=float))), t
+
+
+# ---------------------------------------------------------------- product identities by orbit
+
+def haar_plaquettes(n, trials, master_seed):
+    """The plaquettes of a stack of Haar unitaries, drawn as verify draws them."""
+    g = verify._draw_chunk(n, derive_seed(master_seed, np.arange(trials)))[0]
+    return linalg._plaquettes(sampling._haar_from_ginibre(g))
+
+
+def assert_bit_equal_to_every_tuple(re, im):
+    got = phases._product_residuals(re, im)
+    ref = full_product_residuals(re, im)
+    assert list(got) == list(ref)
+    for name in ref:
+        assert np.array_equal(bits(got[name]), bits(ref[name])), name
+
+
+@pytest.mark.parametrize("trials", (1, 7, 64))
+@pytest.mark.parametrize("n", (3, 4))
+def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_haar_stacks(n, trials):
+    assert_bit_equal_to_every_tuple(*haar_plaquettes(n, trials, 40 + n))
+
+
+def structured_matrices(n):
+    """The pinned matrices, signed permutations and (n = 4) a real rotation
+    of dimension n."""
+    mats = [v for v in pinned_matrices() if v.n == n] + list(signed_permutations(n))
+    return mats + [orthogonal4()] if n == 4 else mats
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_structured_matrices(n):
+    mats = structured_matrices(n)
+    assert_bit_equal_to_every_tuple(*(np.array(x) for x in zip(*(v.plaquettes for v in mats))))
+    for v in mats:
+        got = nonlinear_relation_residuals(v).families
+        ref = full_product_residuals(*(x[None] for x in v.plaquettes))
+        assert list(got) == list(ref)
+        for name in ref:
+            assert np.array_equal(bits(got[name]), bits(ref[name][0])), name
+
+
+#: orbit representatives of each family at n = 3 and at n = 4, out of
+#: n^5 or n^6 index tuples: the per-trial entry count of the evaluation
+ORBIT_COUNTS = {
+    "mixed_same_rows": (108, 400),
+    "mixed_same_cols": (108, 400),
+    "product_same_rows": (162, 760),
+    "product_same_cols": (162, 760),
+}
+FAMILY_CASES = [(n, name) for n in (3, 4) for name in ORBIT_COUNTS]
+
+
+def generated_group(free, generators):
+    """Every permutation of positions generated by the images `generators`
+    of the free indices, as index tuples: g maps x to (x[g[0]], x[g[1]], ...)."""
+    images = [tuple(free.index(c) for c in g) for g in generators]
+    group = {tuple(range(len(free)))}
+    while True:
+        grown = group | {tuple(p[i] for i in g) for p in group for g in images}
+        if grown == group:
+            return group
+        group = grown
+
+
+@pytest.mark.parametrize(("n", "name"), FAMILY_CASES,
+                         ids=[f"n{n}-{name}" for n, name in FAMILY_CASES])
+def test_orbit_representatives_partition_the_index_grid(n, name):
+    _, free, generators = phases._PRODUCT_IDENTITIES[name]
+    reps = phases._orbit_representatives(n, free, generators)
+    assert reps.shape == (len(free), ORBIT_COUNTS[name][n - 3])
+    group = generated_group(free, generators)
+    covered = set()
+    for rep in map(tuple, reps.T.tolist()):
+        orbit = {tuple(rep[i] for i in g) for g in group}
+        # the least tuple is the least flat code
+        assert min(orbit) == rep
+        assert not orbit & covered
+        covered |= orbit
+    assert covered == set(itertools.product(range(n), repeat=len(free)))
+
+
+@pytest.mark.parametrize(("n", "name"), FAMILY_CASES,
+                         ids=[f"n{n}-{name}" for n, name in FAMILY_CASES])
+def test_each_group_generator_leaves_the_residual_tensor_bit_invariant(n, name):
+    _, free, generators = phases._PRODUCT_IDENTITIES[name]
+    tensor = full_product_residual_tensors(*haar_plaquettes(n, 7, 60 + n))[name]
+    assert tensor.max() > 0.0
+    for g in generators:
+        perm = [free.index(c) for c in g]
+        # an involution, so the transpose by perm maps each tuple to its image
+        assert [perm[i] for i in perm] == list(range(len(free)))
+        moved = tensor.transpose(0, *(1 + i for i in perm))
+        assert np.array_equal(bits(moved), bits(tensor)), g
+
+
+def test_product_table_holds_one_column_per_orbit_representative():
+    for n in (3, 4):
+        index, starts, combines = phases._product_table(n)
+        counts = [c[n - 3] for c in ORBIT_COUNTS.values()]
+        assert index.shape == (6, sum(counts))
+        assert starts == tuple(np.cumsum([0] + counts[:-1]).tolist())
+        assert combines == (np.add, np.add, np.subtract, np.subtract)
+        assert not index.flags.writeable
 
 
 # ---------------------------------------------------------------- stacked draws
