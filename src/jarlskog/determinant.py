@@ -211,12 +211,12 @@ def _check_n4(inp):
 #   q[f]    = sum bw[k1] bw[k2] [ab; k1 k2], rows (a, b) = (12), (13), (23)
 #   x[3a+b] = sum bw[k] V[a,k] conj(V[b,k]), x2 with bw[k]^2
 #   m[r]    = sum bw[k] |V[r,k]|^2,          m2 with bw[k]^2
-#   mp[g]   = sum bw[k] (|V[r,k]|^2 + |V[s,k]|^2), r, s = _CYCLE_ROWS[:][g]
+#   mp[g]   = sum bw[k] (|V[r,k]|^2 + |V[s,k]|^2), r, s = _CYCLE_ROWS[:, g]
 # In DET4_GROUPS order, with the T factors of the a-spectrum:
 #   pair g   = T (q[g] m2[r] - q[i] q[j] - q[g] m[r]^2), r = _PAIR_ROW[g],
-#              (i, j) = _PAIR_QQ[:][g]
+#              (i, j) = _PAIR_QQ[:, g]
 #   cycle3 g = -2T x[a] x[b] x2[c], cycle4 g = 2T x[a] x[b] x[c] mp[g],
-#              (a, b, c) = _CYCLE_X[:][g]
+#              (a, b, c) = _CYCLE_X[:, g]
 # The three groups of each kind are evaluated together, one _cmul per
 # product for all of them.
 
@@ -224,11 +224,11 @@ def _check_n4(inp):
 #: column f
 _Q_TAKE = np.array([[64 * a + 16 * b + 4 * k1 + k2 for a, b in ((0, 1), (0, 2), (1, 2))]
                     for k1 in range(3) for k2 in range(3)])
-_PAIR_ROW = [2, 1, 0]
-_PAIR_QQ = ([1, 0, 0], [2, 2, 1])
+_PAIR_ROW = np.array([2, 1, 0])
+_PAIR_QQ = np.array([[1, 0, 0], [2, 2, 1]])
 #: x31 x12 x23, x13 x32 x21, x12 x23 x31
-_CYCLE_X = ([6, 2, 1], [1, 7, 5], [5, 3, 6])
-_CYCLE_ROWS = ([1, 0, 0], [2, 1, 2])
+_CYCLE_X = np.array([[6, 2, 1], [1, 7, 5], [5, 3, 6]])
+_CYCLE_ROWS = np.array([[1, 0, 0], [2, 1, 2]])
 
 
 def _det4_groups(a, b, cols, plaq):

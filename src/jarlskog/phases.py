@@ -259,11 +259,14 @@ def jr_matrices(v):
     return JRMatrices(j_mat=j_mat[0], r_mat=r_mat[0])
 
 
+#: the adjacent pairs' row and column indices, broadcast to the 3x3 of J
+_JR_INDEX = (np.arange(3)[:, None], np.arange(1, 4)[:, None],
+             np.arange(3)[None, :], np.arange(1, 4)[None, :])
+
+
 def _jr(re, im):
     """(J, R) as (T, 3, 3) arrays from (T, 4, 4, 4, 4) plaquettes."""
-    a = np.arange(3)[:, None]
-    j = np.arange(3)[None, :]
-    return im[:, a, a + 1, j, j + 1], re[:, a, a + 1, j, j + 1]
+    return im[(slice(None), *_JR_INDEX)], re[(slice(None), *_JR_INDEX)]
 
 
 def expand_phases(jr):
@@ -277,35 +280,47 @@ def expand_phases(jr):
     return PhaseTable(n=4, im_tensor=_expand(np.asarray(jr.j_mat, dtype=float)[None])[0])
 
 
-def _expand(j):
-    """The (T, 4, 4, 4, 4) imaginary-phase tensors expanded from (T, 3, 3) J."""
-    t = len(j)
+#: the 6x6 expansion block's rows and columns run over the adjacent pairs,
+#: then the non-adjacent ones; its flat positions of the canonical entries,
+#: in table order
+_PAIR_ORDER = [(_ADJACENT_ORDER + _NON_ADJACENT_ORDER).index(p) for p in _canonical_pairs(4)]
+_BLOCK_ORDER = np.array([6 * r + c for r in _PAIR_ORDER for c in _PAIR_ORDER])
+
+
+def _expand_block(j):
+    """(T, 36) canonical imaginary phases, in table order, expanded from
+    (T, 3, 3) J."""
     # block column [J; A J] and, right-multiplied by A, [J A; A J A]; each
     # product x y is the ascending k-sum of x[i, k] y[k, j]
     left = np.concatenate([j, _ksum(A_MATRIX.T[None, :, :, None] * j[:, :, None, :], axis=1)],
                           axis=1)
     right = _ksum(left[:, :, :, None] * A_MATRIX[None, None], axis=2)
-    # block rows and columns run over the adjacent pairs, then the
-    # non-adjacent ones; pick them out in canonical pair order
-    block = np.concatenate([left, right], axis=2)
-    order = [(_ADJACENT_ORDER + _NON_ADJACENT_ORDER).index(p) for p in _canonical_pairs(4)]
-    full = np.zeros((t, 4, 4, 4, 4))
-    full[(slice(None), *_canonical_index(4))] = block[:, order][:, :, order].reshape(t, 36)
-    # the other index orders follow by antisymmetry; repeated-index entries
-    # are zero
+    return np.concatenate([left, right], axis=2).reshape(len(j), 36)[:, _BLOCK_ORDER]
+
+
+def _expand(j):
+    """The (T, 4, 4, 4, 4) imaginary-phase tensors expanded from (T, 3, 3) J:
+    _expand_block's canonical entries and, by antisymmetry, the other index
+    orders; repeated-index entries are zero."""
+    full = np.zeros((len(j), 4, 4, 4, 4))
+    full[(slice(None), *_canonical_index(4))] = _expand_block(j)
     return (full - full.transpose(0, 2, 1, 3, 4) - full.transpose(0, 1, 2, 4, 3)
             + full.transpose(0, 2, 1, 4, 3))
 
 
 def expansion_residual(table, expanded):
     """Largest |expanded - direct| over the canonical imaginary phases."""
-    return float(_expansion_residuals(table.im_tensor[None], expanded.im_tensor[None])[0])
+    return float(_expansion_residuals(table.im_tensor[None],
+                                      _canonical(expanded.im_tensor[None]))[0])
 
 
-def _expansion_residuals(direct, expanded):
-    """(T,) largest |expanded - direct| over the canonical entries of
-    (T, 4, 4, 4, 4) imaginary-phase tensors."""
-    return np.abs(_canonical(expanded) - _canonical(direct)).max(axis=1)
+def _expansion_residuals(direct, block):
+    """(T,) largest |expanded - direct| over the canonical entries, for
+    (T, 4, 4, 4, 4) direct imaginary-phase tensors and the (T, 36) expanded
+    canonical entries in table order.  _expand_block and the canonical
+    entries of _expand differ at most in the sign of a zero, which the
+    modulus drops, so both give the same bits."""
+    return np.abs(block - _canonical(direct)).max(axis=1)
 
 
 def nonlinear_relation_residuals(v):
@@ -370,10 +385,13 @@ def _product_table(n):
 
     Returns (index, starts, combines).  index is a read-only (6, R) array:
     for each orbit representative of each family in turn, the positions of
-    the six factors of t1, t2, t3, in formula order, among the 2 n^4
-    entries of the flattened re tensor followed by the flattened im tensor.
-    Family f owns the columns from starts[f] up to the next start, and
-    combines[f] (np.add or np.subtract) joins its t1 and t2.
+    the factors of t1, t2, t3 among the 2 n^4 entries of the flattened re
+    tensor followed by the flattened im tensor.  Rows 0-2 hold the first
+    factors of t1, t2, t3 and rows 3-5 the second ones, so that the first
+    half of a gather times its second half, written over the first half,
+    gives t1, t2, t3 with no operand overlapping the output.  Family f owns
+    the columns from starts[f] up to the next start, and combines[f]
+    (np.add or np.subtract) joins its t1 and t2.
     """
     index, starts, combines = [], [], []
     for formula, free, generators in _PRODUCT_IDENTITIES.values():
@@ -383,7 +401,7 @@ def _product_table(n):
         index.append(np.array([
             np.ravel_multi_index([reps[c] for c in f[3:5] + f[6:8]], (n,) * 4)
             + (n ** 4 if f.startswith("im") else 0)
-            for f in terms[0:2] + terms[3:5] + terms[6:8]]))
+            for f in terms[0:8:3] + terms[1:8:3]]))
         combines.append(np.add if terms[2] == "+" else np.subtract)
     index = np.concatenate(index, axis=1)
     index.setflags(write=False)
@@ -414,13 +432,17 @@ def _product_residuals(re, im):
     tensors.  At each representative the operations are those of the
     evaluation over every tuple: multiply, combine t1 with t2, subtract t3,
     abs, then the max over the tuples.
+
+    One (6, R, T) gather of the factors is the only large array: every
+    later step writes into its first half (see _product_table for the row
+    layout), so a chunk's transient memory is that one buffer.
     """
     t, n = len(re), re.shape[-1]
     index, starts, combines = _product_table(n)
     # trials on the last axis, so that each gathered entry is a row of T
     flat = np.concatenate([re.reshape(t, -1).T, im.reshape(t, -1).T])
     factors = flat.take(index, axis=0)
-    t1, t2, t3 = factors[0::2] * factors[1::2]
+    t1, t2, t3 = np.multiply(factors[:3], factors[3:], out=factors[:3])
     for combine, lo, hi in zip(combines, starts, starts[1:] + (None,)):
         combine(t1[lo:hi], t2[lo:hi], out=t1[lo:hi])
     np.subtract(t1, t3, out=t1)
@@ -476,7 +498,7 @@ def _band_systems(cols, jd, r):
 
 
 #: 0-based J positions of the unknowns y of _band_systems
-_CYCLE_ENTRIES = ([0, 0, 1, 1, 2, 2], [1, 2, 2, 0, 0, 1])
+_CYCLE_ENTRIES = (np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 2, 0, 0, 1]))
 #: Cramer's rule on the cycle: y_j (prod a - prod b) is the sum over m of
 #: the products over p = j, ..., j+5 (mod 6) of -b_p before p = j+m, c_p at
 #: it and a_p after it.  Factor k of term m of y_j is entry

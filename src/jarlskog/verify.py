@@ -36,7 +36,7 @@ from .determinant import (
 from .linalg import _complex, _plaquettes, _validate_unitaries, det
 from .phases import (
     _canonical,
-    _expand,
+    _expand_block,
     _expansion_residuals,
     _jr,
     _n3_signs,
@@ -57,8 +57,9 @@ from .sampling import (
 )
 
 #: trials per stacked batch in run_suite.  Larger chunks spread numpy's
-#: per-call cost over more trials; the n=4 product identities gather
-#: T * 6 * 2320 factors at once, which bounds it from above.
+#: per-call cost over more trials; the chunk's peak transient, the n=4
+#: product identities' one (6, 2320, T) gather of factors (about 7 MB at
+#: T = 64), bounds it from above.
 TRIAL_CHUNK = 64
 
 #: default tolerances, keyed by identity name; (rel, abs) pairs where a
@@ -161,13 +162,12 @@ def _antisymmetry_residuals(re, im):
     identities are evaluated once per orbit of index tuples on the strength
     of these symmetries, so this check also covers the entries they skip.
     """
-    swapped = (
-        im + im.swapaxes(1, 2),
-        im + im.swapaxes(3, 4),
-        re - re.swapaxes(1, 2),
-        re - re.swapaxes(3, 4),
-    )
-    return np.abs(np.stack(swapped, axis=1)).reshape(len(re), -1).max(axis=1)
+    swapped = np.empty((len(re), 4) + re.shape[1:])
+    np.add(im, im.swapaxes(1, 2), out=swapped[:, 0])
+    np.add(im, im.swapaxes(3, 4), out=swapped[:, 1])
+    np.subtract(re, re.swapaxes(1, 2), out=swapped[:, 2])
+    np.subtract(re, re.swapaxes(3, 4), out=swapped[:, 3])
+    return np.abs(swapped, out=swapped).reshape(len(re), -1).max(axis=1)
 
 
 def _phase_shifts(tensors, shifted):
@@ -267,15 +267,16 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
                         residuals.max(axis=1), limit))
         return rows, None
     j, r = _jr(re, im)
-    factor_sum = [np.abs(res) / scale
-                  for res, scale in (_sum_rule(*_t_factors(x)) for x in (a, b))]
+    # the a- and b-spectra of each trial, as one stack of 2T
+    res, scale = _sum_rule(*_t_factors(np.concatenate([a, b])))
+    factor_sum = np.abs(res) / scale
     _, degenerate, _, max_error = _reconstructions(cols, j, r)
     j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))
     rows += [
         row("phase_expansion_36", f"{EXPANSION_ABS:.0e}",
-            _expansion_residuals(im, _expand(j)), EXPANSION_ABS),
+            _expansion_residuals(im, _expand_block(j)), EXPANSION_ABS),
         row("difference_factor_sum", f"{FACTOR_SUM_REL:.0e} (relative)",
-            np.maximum(np.maximum(0.0, factor_sum[0]), factor_sum[1]), FACTOR_SUM_REL),
+            np.maximum(np.maximum(0.0, factor_sum[:t]), factor_sum[t:]), FACTOR_SUM_REL),
         row("band_reconstruction", f"{RECONSTRUCT_REL:.0e}*max(1,max|J|)",
             max_error, RECONSTRUCT_REL * j_scale, ~degenerate),
     ]

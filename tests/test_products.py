@@ -17,6 +17,7 @@ alone.  Golden report files pin the printed digits end to end.
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +476,20 @@ def test_phase_expansion_is_bit_equal_to_spelled_out_products():
         assert np.array_equal(bits(got), bits(reference_expansion(jr.j_mat)))
 
 
+def test_expansion_residual_of_the_canonical_block_is_bit_equal_to_the_full_tensor():
+    mats = [v for v in pinned_matrices() if v.n == 4] + list(signed_permutations(4))
+    g = verify._draw_chunk(4, derive_seed(45, np.arange(64)))[0]
+    stacks = [(np.array([v.plaquettes[0] for v in mats]),
+               np.array([v.plaquettes[1] for v in mats])),
+              linalg._plaquettes(sampling._haar_from_ginibre(g))]
+    for plaq in stacks:
+        j = phases._jr(*plaq)[0]
+        full = phases._expand(j)
+        got = phases._expansion_residuals(plaq[1], phases._expand_block(j))
+        ref = np.abs(phases._canonical(full) - phases._canonical(plaq[1])).max(axis=1)
+        assert np.array_equal(bits(got), bits(ref))
+
+
 def verify_report_matches_golden_file(n, trials, capsys):
     assert main(["verify", "--n", str(n), "--trials", str(trials), "--seed", "13579"]) == 0
     name = f"verify_n{n}_seed13579_t{trials}.txt"
@@ -674,7 +689,9 @@ def stacked_layers(n):
             "sum_rule": (determinant._sum_rule, determinant._t_factors(b)),
             "jr": (phases._jr, plaq),
             "expand": (phases._expand, (j,)),
-            "expansion_residuals": (phases._expansion_residuals, (plaq[1], phases._expand(j))),
+            "expand_block": (phases._expand_block, (j,)),
+            "expansion_residuals": (phases._expansion_residuals,
+                                    (plaq[1], phases._expand_block(j))),
             "band_systems": (phases._band_systems, (cols, j, r)),
             "reconstructions": (phases._reconstructions, (cols, j, r)),
         })
@@ -712,10 +729,36 @@ def assert_bit_equal_to_every_tuple(re, im):
         assert np.array_equal(bits(got[name]), bits(ref[name])), name
 
 
-@pytest.mark.parametrize("trials", (1, 7, 64))
+# 3 and 4 trials: the chunk sizes at which a second, product-sized
+# temporary made the heap shrink and regrow on every call (the benchmark's
+# n = 4 op is a chunk of 4)
+@pytest.mark.parametrize("trials", (1, 3, 4, 7, 64))
 @pytest.mark.parametrize("n", (3, 4))
 def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_haar_stacks(n, trials):
     assert_bit_equal_to_every_tuple(*haar_plaquettes(n, trials, 40 + n))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc (which sees numpy's buffers) traces
+    during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_product_residuals_keep_their_transient_memory_at_the_one_gather():
+    re, im = haar_plaquettes(4, 64, 44)
+    phases._product_residuals(re, im)  # the table is built on first use
+    gather = phases._product_table(4)[0].size * 64 * 8
+    assert traced_peak(phases._product_residuals, re, im) <= 1.15 * gather
+
+
+def test_verify_peak_memory_stays_at_one_chunk_gather():
+    verify.run_suite(4, 1, 0)
+    assert traced_peak(verify.run_suite, 4, 1000, 0) <= 9 * 2 ** 20
 
 
 def structured_matrices(n):
