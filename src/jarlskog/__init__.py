@@ -6,13 +6,16 @@ Library layout:
                 Spectrum / UnitaryMatrix types, the split real/imaginary
                 product kernel behind every complex product
 * sampling    - seeded splitmix64 stream, Haar-random unitaries, random
-                simple spectra, the rephasing group action
+                simple spectra, the rephasing group action on a stack of
+                matrices (rephase)
 * determinant - the commutator determinant: direct oracle plus closed
                 forms for n = 3 and n = 4 with their difference-factor
-                algebra
-* phases      - plaquette invariants, sum rules, the n = 3 single-phase
+                algebra (t_factors, on a stack of spectra)
+* phases      - plaquette invariants, sum rules and product identities
+                (unitary_relation_residuals, nonlinear_relation_residuals,
+                on a stack of plaquette tensors), the n = 3 single-phase
                 structure, the n = 4 expansion from the adjacent-index J
-                array, product identities, band reconstruction of J
+                array, band reconstruction of J
 * verify      - seeded ensemble verification of every identity above
 * cli         - the `jarlskog` command (det / phases / verify / sample)
 """
@@ -21,7 +24,6 @@ __version__ = "0.1.0"
 
 from .determinant import (
     MassPairInput,
-    TFactors,
     decompose_det4,
     det3_closed,
     det4_closed,
@@ -51,7 +53,6 @@ from .phases import (
     unitary_relation_residuals,
 )
 from .sampling import (
-    RephasingAngles,
     SeededRng,
     derive_seed,
     ginibre,
@@ -67,11 +68,9 @@ __all__ = [
     "JRMatrices",
     "MassPairInput",
     "PhaseTable",
-    "RephasingAngles",
     "SeededRng",
     "SingleLevelPhaseReport",
     "Spectrum",
-    "TFactors",
     "UnitaryMatrix",
     "__version__",
     "adjoint",

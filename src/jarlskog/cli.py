@@ -25,12 +25,11 @@ import numpy as np
 from . import __version__
 from .determinant import MassPairInput, closed_form, det_direct
 from .phases import (
-    _reconstruct,
     expand_phases,
     expansion_residual,
-    jr_matrices,
     n3_phase_table,
     phase_table,
+    reconstruct_J,
 )
 from .problem_io import ProblemFileError, load_problem, render_problem
 from .sampling import SeededRng, haar_unitary, random_spectrum
@@ -162,7 +161,8 @@ def _phase_report_text(v):
             lines.append(f"sign pattern matches expected: {rep.matches_expected()}")
         lines.append(f"max sign-table residual: {rep.max_residual:.17e}")
     else:
-        jr = jr_matrices(v)
+        recon = reconstruct_J(v)
+        jr = recon.jr
         lines.append("")
         lines.append("adjacent-index J (im) and R (re), entries (a, a+1; j, j+1):")
         for i in range(3):
@@ -174,7 +174,6 @@ def _phase_report_text(v):
         worst = expansion_residual(table, expand_phases(jr))
         lines.append("")
         lines.append(f"expansion check (36 phases from J): max residual {worst:.17e}")
-        recon = _reconstruct(v, jr)
         lines.append("")
         lines.append("band reconstruction of J from (J11, J22, J33):")
         lines.append("  gate ratio (|prod a - prod b| / (|prod a| + |prod b|)): "

@@ -29,9 +29,10 @@ Three evaluations are provided:
   _cmul, the scalar complex product, so every group is bit-equal to its
   scalar evaluation.
 
-Every evaluation runs on a stack of trials: _commutators, _det3_closed and
-_det4_groups take (T, ...) arrays, and the functions on one MassPairInput
-call them with a stack of one.
+Every evaluation runs on a stack of trials: _commutators, _det3_closed,
+_det4_groups and t_factors take (T, ...) arrays.  The determinants of one
+MassPairInput (commutator_matrix, det_direct, det3_closed, det4_closed,
+decompose_det4) call them with a stack of one.
 
 Reconciliation note for det4_closed: the three pair-weighted groups are
 self-conjugate sums (their imaginary parts cancel index-by-index), but each
@@ -142,31 +143,6 @@ PAIRINGS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
 CYCLES = ((1, 2, 4, 3), (1, 3, 2, 4), (1, 2, 3, 4))
 
 
-@dataclass(frozen=True)
-class TFactors:
-    """Eigenvalue-difference factors of a 4-value spectrum.
-
-    pair[g]  = (s_i - s_j)^2 (s_k - s_l)^2 for ((i,j),(k,l)) = PAIRINGS[g]
-               (always >= 0)
-    cycle[g] = (s_i - s_j)(s_j - s_k)(s_k - s_l)(s_l - s_i) for
-               (i,j,k,l) = CYCLES[g]
-
-    The three pair factors minus twice the three cycle factors sum to zero;
-    sum_rule_residual exposes that combination for testing.
-    """
-
-    pair: tuple
-    cycle: tuple
-
-    def sum_rule_residual(self):
-        """Signed value of pair-sum minus twice the cycle-sum (zero exactly)."""
-        return float(_sum_rule(np.array([self.pair]), np.array([self.cycle]))[0][0])
-
-    def sum_rule_scale(self):
-        """Sum of absolute term magnitudes, for relative residual checks."""
-        return float(_sum_rule(np.array([self.pair]), np.array([self.cycle]))[1][0])
-
-
 def _sum_rule(pair, cycle):
     """(residual, scale) of the difference-factor sum rule for (T, 3) pair
     and cycle factors: pair-sum minus twice the cycle-sum, and the sum of the
@@ -182,21 +158,23 @@ _PAIR_COLUMNS = np.array(PAIRINGS).reshape(3, 4).T - 1
 _CYCLE_COLUMNS = np.array(CYCLES).T - 1
 
 
-def _t_factors(s):
-    """(pair, cycle) difference factors of (T, 4) spectra, each (T, 3)."""
+def t_factors(s):
+    """The eigenvalue-difference factors (pair, cycle) of (T, 4) spectra s,
+    each a (T, 3) array:
+
+    pair[:, g]  = (s_i - s_j)^2 (s_k - s_l)^2 for ((i,j),(k,l)) = PAIRINGS[g]
+                  (always >= 0)
+    cycle[:, g] = (s_i - s_j)(s_j - s_k)(s_k - s_l)(s_l - s_i) for
+                  (i,j,k,l) = CYCLES[g]
+
+    The three pair factors minus twice the three cycle factors sum to zero;
+    _sum_rule evaluates that combination.
+    """
     i, j, k, l = (s[:, c] for c in _PAIR_COLUMNS)
     pair = ((i - j) * (i - j)) * ((k - l) * (k - l))
     i, j, k, l = (s[:, c] for c in _CYCLE_COLUMNS)
     cycle = (i - j) * (j - k) * (k - l) * (l - i)
     return pair, cycle
-
-
-def t_factors(s):
-    """All pair and cycle difference factors of a 4-value spectrum."""
-    if s.n != 4:
-        raise DimensionError(f"difference factors require n=4, got n={s.n}")
-    pair, cycle = _t_factors(np.array([s.values]))
-    return TFactors(pair=tuple(pair[0].tolist()), cycle=tuple(cycle[0].tolist()))
 
 
 def _check_n4(inp):
@@ -266,7 +244,7 @@ def _det4_groups(a, b, cols, plaq):
     def pick(z, index):
         return z[0][:, index], z[1][:, index]
 
-    tp, tc = _t_factors(a)
+    tp, tc = t_factors(a)
     # pair groups: T (q[g] m2[r] - q[i] q[j] - q[g] (m[r] m[r]))
     mr = m[:, _PAIR_ROW]
     s1 = _cmul(*q, m2[:, _PAIR_ROW], 0.0)

@@ -11,13 +11,16 @@ The phases have one representation: the (re, im) pair of full plaquette
 tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.
 Every computation on them (sum rules, product identities, the n = 3 sign
 table, J and R, the expansion, the band reconstruction) runs on a stack of
-such tensors with a leading trial axis; the functions on one UnitaryMatrix
-call it with a stack of one.  A
-PhaseTable wraps that pair for n in {3, 4}.  Its im_value/re_value are the
-one 1-based lookup, matching the usual physics convention for mixing
-matrices, and its canonical() returns the entries alpha < beta, j < k as an
-array in table order (row pairs outer, column pairs inner, both as listed
-by canonical_pairs()).  Other n read V.plaquettes directly.
+such tensors with a leading trial axis.  The sum rules
+(unitary_relation_residuals) and the product identities
+(nonlinear_relation_residuals) take the stack itself; the reports on one
+UnitaryMatrix (phase_table, n3_phase_table, jr_matrices, expand_phases,
+expansion_residual, reconstruct_J) call the stacked code with a stack of
+one.  A PhaseTable wraps that pair for n in {3, 4}.  Its im_value/re_value
+are the one 1-based lookup, matching the usual physics convention for
+mixing matrices, and its canonical() returns the entries alpha < beta,
+j < k as an array in table order (row pairs outer, column pairs inner, both
+as listed by canonical_pairs()).  Other n read V.plaquettes directly.
 
 Exactness note: every plaquette value here is read from the one tensor
 UnitaryMatrix.plaquettes, which evaluates the grouping
@@ -44,8 +47,8 @@ j<->l (mixed_same_rows), j<->k and a<->g (mixed_same_cols), a<->b, (j l)(k m)
 and (j k)(l m) (product_same_rows), j<->k, (a g)(b d) and (a b)(g d)
 (product_same_cols).  By the bitwise symmetries above, each of these maps a
 tuple's residual to the same bits, so the maximum over one representative
-per orbit is the maximum over every tuple (_product_residuals gives the
-proof per generator).
+per orbit is the maximum over every tuple (nonlinear_relation_residuals
+gives the proof per generator).
 """
 
 from __future__ import annotations
@@ -131,35 +134,15 @@ def phase_table(v):
     return PhaseTable(n=v.n, im_tensor=im, re_tensor=re)
 
 
-@dataclass(frozen=True)
-class RelationResiduals:
-    """Max absolute residual of each family of an identity, keyed by name."""
-
-    families: dict
-
-    def max_residual(self):
-        """The largest family residual; NaN if any family is NaN."""
-        return float(np.max(list(self.families.values())))
-
-
-def unitary_relation_residuals(v):
-    """Evaluate all eight sum rules on v and report residuals per family.
+def unitary_relation_residuals(cols, re, im):
+    """{family: (T,) max residual} of the eight sum rules, for the column
+    products and the plaquettes of (T, n, n) matrices.
 
     Summing a plaquette's imaginary part over either full row index or
     either full column index gives zero; the same sums of the real part
     give delta-weighted squared moduli.  Families are keyed by the summed
     index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
     """
-    if v.n not in (3, 4):
-        raise DimensionError(f"sum rules are tabulated for n in {{3, 4}}, got n={v.n}")
-    families = _sum_rule_residuals(tuple(x[None] for x in v.column_products),
-                                   *(x[None] for x in v.plaquettes))
-    return RelationResiduals({name: float(x[0]) for name, x in families.items()})
-
-
-def _sum_rule_residuals(cols, re, im):
-    """{family: (T,) max residual} of the eight sum rules, for the column
-    products and the plaquettes of (T, n, n) matrices."""
     mod2 = _moduli_squared(cols)
     eye = np.eye(re.shape[-1])
     # targets of the real-part sums: over alpha or beta, delta_jk |V[c, j]|^2
@@ -323,32 +306,10 @@ def _expansion_residuals(direct, block):
     return np.abs(block - _canonical(direct)).max(axis=1)
 
 
-def nonlinear_relation_residuals(v):
-    """Evaluate the four product identity families on v.
-
-    mixed_same_rows:   re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk)
-                         = re(ab;kk) im(ab;jl)
-    mixed_same_cols:   re(ab;jk) im(bg;jk) + re(bg;jk) im(ab;jk)
-                         = re(bb;jk) im(ag;jk)
-    product_same_rows: re(ab;jk) re(ab;lm) - re(ab;jm) re(ab;kl)
-                         = im(ab;jl) im(ab;km)
-    product_same_cols: re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk)
-                         = im(ag;jk) im(bd;jk)
-
-    Each is an exact identity of any unitary matrix.  The reported residual
-    is the maximum over every index tuple (repeats included), evaluated
-    once per symmetry orbit of tuples (see _product_residuals).
-    """
-    if v.n not in (3, 4):
-        raise DimensionError(f"product identities are tabulated for n in {{3, 4}}, got n={v.n}")
-    families = _product_residuals(*(x[None] for x in v.plaquettes))
-    return RelationResiduals(families={name: float(x[0]) for name, x in families.items()})
-
-
 #: the product identities as residuals t1 +/- t2 - t3 over their free
 #: indices, each with generators of its symmetry group: permutations of the
 #: free indices, written as their images, that leave the residual's bits
-#: unchanged (see _product_residuals)
+#: unchanged (see nonlinear_relation_residuals)
 _PRODUCT_IDENTITIES = {
     "mixed_same_rows": ("re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk) - re(ab;kk) im(ab;jl)",
                         "abjkl", ("bajkl", "ablkj")),
@@ -408,17 +369,28 @@ def _product_table(n):
     return index, tuple(starts), tuple(combines)
 
 
-def _product_residuals(re, im):
-    """{family: (T,) max residual} of the four product identities for
-    (T, n, n, n, n) plaquettes.
+def nonlinear_relation_residuals(re, im):
+    """{family: (T,) max residual} of the four product identity families
+    for (T, n, n, n, n) plaquettes:
 
-    Each family's residual |t1 +/- t2 - t3| is evaluated at one index tuple
-    per orbit of its symmetry group (_PRODUCT_IDENTITIES), which gives the
-    maximum over every tuple bit for bit.  The plaquette kernel makes re
-    bitwise symmetric and im bitwise antisymmetric under a<->b and under
-    j<->k (up to the sign of a zero), and IEEE * and + commute exactly, so a
-    generator maps the products t1, t2, t3 at a tuple to those at its image
-    up to exact negation of all three or exchange of t1 and t2:
+    mixed_same_rows:   re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk)
+                         = re(ab;kk) im(ab;jl)
+    mixed_same_cols:   re(ab;jk) im(bg;jk) + re(bg;jk) im(ab;jk)
+                         = re(bb;jk) im(ag;jk)
+    product_same_rows: re(ab;jk) re(ab;lm) - re(ab;jm) re(ab;kl)
+                         = im(ab;jl) im(ab;km)
+    product_same_cols: re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk)
+                         = im(ag;jk) im(bd;jk)
+
+    Each is an exact identity of any unitary matrix, and the residual is
+    the maximum over every index tuple (repeats included).  Each family's
+    residual |t1 +/- t2 - t3| is evaluated at one index tuple per orbit of
+    its symmetry group (_PRODUCT_IDENTITIES), which gives that maximum bit
+    for bit.  The plaquette kernel makes re bitwise symmetric and im bitwise
+    antisymmetric under a<->b and under j<->k (up to the sign of a zero),
+    and IEEE * and + commute exactly, so a generator maps the products t1,
+    t2, t3 at a tuple to those at its image up to exact negation of all
+    three or exchange of t1 and t2:
       mixed_same_rows    a<->b negates t1, t2, t3; j<->l maps them to
                          -t2, -t1, -t3.
       mixed_same_cols    j<->k negates t1, t2, t3; a<->g maps them to
@@ -454,11 +426,12 @@ def _product_residuals(re, im):
 class ReconstructionResult:
     """Outcome of rebuilding J from its diagonal through the 6x6 band system.
 
-    degenerate is True when the determinant's cancellation ratio fails the
-    gate; then no solve is attempted and j_reconstructed is None.
+    jr holds the directly computed J and R arrays the system was built
+    from.  degenerate is True when the determinant's cancellation ratio
+    fails the gate; then no solve is attempted and j_reconstructed is None.
     """
 
-    j_direct: np.ndarray
+    jr: JRMatrices
     j_reconstructed: np.ndarray | None
     gate_ratio: float
     degenerate: bool
@@ -544,16 +517,12 @@ def reconstruct_J(v):
     determinant cancels (ratio below RECONSTRUCTION_GATE) the result is
     flagged degenerate instead of solved.
     """
-    return _reconstruct(v, jr_matrices(v))
-
-
-def _reconstruct(v, jr):
-    """reconstruct_J(v), given the J/R arrays jr = jr_matrices(v)."""
+    jr = jr_matrices(v)
     ratio, degenerate, recon, max_error = _reconstructions(
         tuple(x[None] for x in v.column_products), jr.j_mat[None], jr.r_mat[None])
     solved = not degenerate[0]
     return ReconstructionResult(
-        j_direct=jr.j_mat,
+        jr=jr,
         j_reconstructed=recon[0] if solved else None,
         gate_ratio=float(ratio[0]),
         degenerate=bool(degenerate[0]),

@@ -29,11 +29,10 @@ haar_unitary is the stack of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, Spectrum, UnitaryMatrix, _as_square, _cmul, check_dimension
+from .linalg import Spectrum, UnitaryMatrix, _as_square, _cmul, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -153,8 +152,7 @@ def _spectra(seeds, positions, n, min_gap):
 def _angles(seeds, positions, n):
     """(T, 2n) rephasing angles, n row angles then n column angles, each
     2 pi u; and the positions after them.  u <= 1 - 2^-53 keeps 2 pi u below
-    2 pi after rounding, so the angles are already reduced as
-    RephasingAngles would reduce them."""
+    2 pi after rounding, so the angles need no reduction mod 2 pi."""
     u, end = _stream(seeds, positions, 2 * n)
     return _TWO_PI * _uniform(u), end
 
@@ -181,22 +179,6 @@ class SeededRng:
         self.position = int(end[0])
         return out[0]
 
-    def next_u64(self):
-        return int(self._draw(_stream, 1)[0])
-
-    def uniform(self):
-        """Double in [0, 1) with 53 random bits."""
-        return float(_uniform(self._draw(_stream, 1))[0])
-
-    def uniform_symmetric(self):
-        """Double in [-1, 1)."""
-        return 2.0 * self.uniform() - 1.0
-
-    def normal_pair(self):
-        """Two independent standard normals via Box-Muller."""
-        re, im = self._draw(_normals, 1)[0].tolist()
-        return re, im
-
 
 def derive_seed(master_seed, index):
     """Per-trial seed from a master seed and a trial index.
@@ -211,30 +193,6 @@ def derive_seed(master_seed, index):
     steps = np.array(index, dtype=np.uint64, ndmin=1) + 1
     seeds = _mix64((int(master_seed) & _MASK64) + steps * _GOLDEN)
     return int(seeds[0]) if np.ndim(index) == 0 else seeds
-
-
-@dataclass(frozen=True)
-class RephasingAngles:
-    """Row phases theta and column phases theta_prime, reduced mod 2 pi."""
-
-    theta: tuple
-    theta_prime: tuple
-
-    def __post_init__(self):
-        th = tuple(float(x) for x in self.theta)
-        tp = tuple(float(x) for x in self.theta_prime)
-        if len(th) != len(tp):
-            raise DimensionError(
-                f"got {len(th)} row angles but {len(tp)} column angles"
-            )
-        if not (all(math.isfinite(x) for x in th) and all(math.isfinite(x) for x in tp)):
-            raise ValueError("rephasing angles must be finite")
-        object.__setattr__(self, "theta", tuple(x % _TWO_PI for x in th))
-        object.__setattr__(self, "theta_prime", tuple(x % _TWO_PI for x in tp))
-
-    @property
-    def n(self):
-        return len(self.theta)
 
 
 def householder_qr(a):
@@ -331,21 +289,6 @@ def random_spectrum(n, rng, min_gap=DEFAULT_MIN_GAP):
     return Spectrum(tuple(rng._draw(_spectra, n, min_gap).tolist()))
 
 
-def rephase(v, angles):
-    """Multiply entry (i, j) of v by exp(i (theta_i + theta_prime_j)).
-
-    Every plaquette product, and hence every invariant built from them, is
-    unchanged by this action.  angles must be RephasingAngles, which holds
-    them finite and reduced mod 2 pi.
-    """
-    if not isinstance(angles, RephasingAngles):
-        raise TypeError(f"angles must be RephasingAngles, got {type(angles).__name__}")
-    if angles.n != v.n:
-        raise DimensionError(f"matrix is {v.n}x{v.n} but angles have length {angles.n}")
-    row, col = _unit_phases([angles.theta]), _unit_phases([angles.theta_prime])
-    return UnitaryMatrix(_rephased(v.matrix[None], row, col)[0])
-
-
 def _unit_phases(angles):
     """complex(cos t, sin t), by libm, for every entry of an array of angles."""
     angles = np.asarray(angles, dtype=float)
@@ -355,7 +298,12 @@ def _unit_phases(angles):
     return out
 
 
-def _rephased(m, row, col):
-    """m[t, i, j] * row[t, i] * col[t, j] for a (T, n, n) stack, by numpy's
-    complex product in that order."""
+def rephase(m, row, col):
+    """The rephasing action on a (T, n, n) stack: m[t, i, j] * row[t, i] *
+    col[t, j], by numpy's complex product in that order, for (T, n) unit
+    phases row = exp(i theta) and col = exp(i theta_prime).
+
+    Every plaquette product, and hence every invariant built from them, is
+    unchanged by this action.  _unit_phases makes the phases from angles.
+    """
     return row[:, :, None] * m * col[:, None, :]

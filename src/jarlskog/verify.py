@@ -31,7 +31,7 @@ from .determinant import (
     _det4_closed,
     _det4_groups,
     _sum_rule,
-    _t_factors,
+    t_factors,
 )
 from .linalg import _complex, _plaquettes, _validate_unitaries, det
 from .phases import (
@@ -40,20 +40,20 @@ from .phases import (
     _expansion_residuals,
     _jr,
     _n3_signs,
-    _product_residuals,
     _reconstructions,
-    _sum_rule_residuals,
     N3_SIGN_PATTERN,
+    nonlinear_relation_residuals,
+    unitary_relation_residuals,
 )
 from .sampling import (
     DEFAULT_MIN_GAP,
     _angles,
     _ginibres,
     _haar_from_ginibre,
-    _rephased,
     _spectra,
     _unit_phases,
     derive_seed,
+    rephase,
 )
 
 #: trials per stacked batch in run_suite.  Larger chunks spread numpy's
@@ -219,7 +219,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     t = len(seeds)
     v = _haar_from_ginibre(g)
     # V and its rephased copy share every layer up to the closed forms
-    both = np.concatenate([v, _rephased(v, row_phases, col_phases)])
+    both = np.concatenate([v, rephase(v, row_phases, col_phases)])
     a2, b2 = np.concatenate([a, a]), np.concatenate([b, b])
     _, cols = _validate_unitaries(both)
     plaq = _plaquettes(both)
@@ -234,7 +234,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
 
     mod_d = _modulus(d)
     det_scale = np.maximum(1.0, mod_d)
-    sums = _sum_rule_residuals(cols, re, im)
+    sums = unitary_relation_residuals(cols, re, im)
     every = np.ones(t, dtype=bool)
 
     def row(name, bound, residual, limit, kept=every):
@@ -256,7 +256,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         row("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)",
             np.maximum(_modulus(d2 - d), _modulus(c2 - c)), REPHASE_DET_REL * det_scale),
         row("product_identities", f"{PRODUCT_ABS:.0e}",
-            np.max(list(_product_residuals(re, im).values()), axis=0), PRODUCT_ABS),
+            np.max(list(nonlinear_relation_residuals(re, im).values()), axis=0), PRODUCT_ABS),
     ]
     if n == 3:
         base, signs, residuals, indeterminate = _n3_signs(im)
@@ -268,7 +268,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         return rows, None
     j, r = _jr(re, im)
     # the a- and b-spectra of each trial, as one stack of 2T
-    res, scale = _sum_rule(*_t_factors(np.concatenate([a, b])))
+    res, scale = _sum_rule(*t_factors(np.concatenate([a, b])))
     factor_sum = np.abs(res) / scale
     _, degenerate, _, max_error = _reconstructions(cols, j, r)
     j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))

@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from jarlskog import MassPairInput, SeededRng, UnitaryMatrix, haar_unitary, random_spectrum
+from jarlskog import (
+    MassPairInput,
+    SeededRng,
+    UnitaryMatrix,
+    haar_unitary,
+    random_spectrum,
+    rephase,
+)
+from jarlskog import sampling
 
 
 def seeded_input(n, seed):
@@ -13,6 +21,18 @@ def seeded_input(n, seed):
     a = random_spectrum(n, rng)
     b = random_spectrum(n, rng)
     return MassPairInput(a=a, b=b, v=v)
+
+
+def uniforms(rng, count):
+    """The next count doubles in [0, 1) of rng's stream, as a list."""
+    return sampling._uniform(rng._draw(sampling._stream, count)).tolist()
+
+
+def rephased(v, theta, theta_prime):
+    """v with entry (i, j) times exp(i (theta_i + theta_prime_j)): the
+    rephasing kernel on a stack of one."""
+    row, col = (sampling._unit_phases([x]) for x in (theta, theta_prime))
+    return UnitaryMatrix(rephase(v.matrix[None], row, col)[0])
 
 
 def givens(n, p, q, theta, phi=0.0):

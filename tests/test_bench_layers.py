@@ -1,13 +1,17 @@
-"""The benchmark's traced layers must all name functions that exist.
+"""The benchmark's traced layers must all name functions that exist, and
+the code paths that the benchmark runs must reach them.
 
 perfbench/tracing.py reports a layer whose function has gone as absent
-instead of failing, so a rename would silently empty a benchmark metric.
+instead of failing, so a rename would silently empty a benchmark metric; a
+layer that no traced path calls reads zero calls instead.
 """
 
 import importlib.util
 import os
 
 import pytest
+
+from jarlskog import cli, verify
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -27,3 +31,33 @@ tracing = load_tracing()
 @pytest.mark.parametrize("layer", tracing.LAYERS)
 def test_traced_layer_resolves(layer):
     assert tracing._resolve(layer) is not None
+
+
+#: layers that verify reaches through the stacked kernels, at every n and at
+#: n = 4 only
+VERIFY_LAYERS = ("sampling.rephase", "phases.unitary_relation_residuals",
+                 "phases.nonlinear_relation_residuals")
+VERIFY_N4_LAYERS = ("determinant.t_factors",)
+
+
+@pytest.mark.parametrize(("n", "trials"), ((4, 4), (3, 8)))
+def test_traced_verify_sees_the_stacked_layers_and_keeps_its_bytes(n, trials):
+    master_seed = 29
+    plain = verify.run_suite(n, trials, master_seed).render()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = verify.run_suite(n, trials, master_seed).render()
+    calls = tracer.layer_metrics(1)
+    expected = VERIFY_LAYERS + (VERIFY_N4_LAYERS if n == 4 else ())
+    assert [layer for layer in expected if not calls[f"{layer}.calls_per_op"][0]] == []
+    assert traced == plain
+
+
+def test_traced_phases_report_defines_the_gate_pass_ratio(capsys):
+    problem = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                           "problem_n4_seed2024.json")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["phases", problem]) == 0
+    capsys.readouterr()
+    assert tracer.layer_metrics(1)[tracing.GATE_PASS_RATIO][0] is not None

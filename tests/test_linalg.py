@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bits, signed_permutations
+from conftest import bits, signed_permutations, uniforms
 
 from jarlskog import (
     DegenerateSpectrumError,
@@ -20,11 +20,9 @@ from jarlskog.linalg import UNITARITY_TOL
 
 
 def random_complex_matrix(n, rng):
-    m = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = complex(rng.uniform_symmetric(), rng.uniform_symmetric())
-    return m
+    # row-major entries, real part before imaginary, each 2u - 1
+    u = np.array(uniforms(rng, 2 * n * n))
+    return (2.0 * u - 1.0).view(np.complex128).reshape(n, n)
 
 
 # ---------------------------------------------------------------- matmul

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits
+from conftest import bits, rephased, uniforms
 
 from jarlskog import (
     DimensionError,
-    RephasingAngles,
     SeededRng,
     derive_seed,
     haar_unitary,
     householder_qr,
     phase_table,
     random_spectrum,
-    rephase,
 )
 from jarlskog import linalg, sampling
 
@@ -56,24 +54,24 @@ SPLITMIX64_VECTORS = {
 def test_stream_matches_reference_vectors():
     for seed, expected in SPLITMIX64_VECTORS.items():
         rng = SeededRng(seed)
-        assert tuple(rng.next_u64() for _ in range(5)) == expected
+        assert tuple(int(rng._draw(sampling._stream, 1)[0]) for _ in range(5)) == expected
         assert rng.position == 5
 
 
 def test_uniform_range_and_determinism():
     rng = SeededRng(7)
-    values = [rng.uniform() for _ in range(1000)]
+    values = [uniforms(rng, 1)[0] for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in values)
-    replay = SeededRng(7)
-    assert values == [replay.uniform() for _ in range(1000)]
+    assert values == uniforms(SeededRng(7), 1000)
 
 
 def test_normal_pair_moments():
-    # the normals of 20000 normal_pair calls on SeededRng(123), drawn as
-    # one stack; the first 100 pairs are those of the calls, bit for bit
+    # 20000 normal pairs of SeededRng(123), drawn as one stack; the first
+    # 100 pairs are those of one-pair draws, bit for bit
     rng = SeededRng(123)
     pairs, _ = sampling._normals(np.array([rng.seed], dtype=np.uint64), np.array([0]), 20000)
-    assert [rng.normal_pair() for _ in range(100)] == [tuple(p) for p in pairs[0, :100].tolist()]
+    assert [rng._draw(sampling._normals, 1)[0].tolist() for _ in range(100)] == \
+        pairs[0, :100].tolist()
     arr = pairs.ravel()
     assert abs(arr.mean()) < 0.02
     assert abs(arr.var() - 1.0) < 0.03
@@ -91,11 +89,8 @@ def test_derive_seed_is_deterministic_and_spread_out():
 
 def test_householder_qr_factorises(rng):
     for n in (2, 3, 4, 8):
-        a = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                re, im = rng.normal_pair()
-                a[i, j] = complex(re, im)
+        # row-major entries, each a normal pair (re, im)
+        a = rng._draw(sampling._normals, n * n).view(np.complex128).reshape(n, n)
         q, r = householder_qr(a)
         assert np.max(np.abs(q @ r - a)) <= 1e-13
         assert np.max(np.abs(q @ np.conj(q.T) - np.eye(n))) <= 1e-13
@@ -159,15 +154,15 @@ def test_haar_mean_phase_unchanged_by_fixed_rephasing():
     # any rephasing-invariant statistic has identical distribution after a
     # fixed rephasing; the base phase is literally invariant sample by
     # sample, so the two means agree far inside 3 standard errors
-    angles = RephasingAngles((0.3, 1.1, 5.2), (2.5, 0.4, 3.9))
+    theta, theta_prime = (0.3, 1.1, 5.2), (2.5, 0.4, 3.9)
     v = haar_stack(3, SeededRng(17), 10_000)
-    w = sampling._rephased(v, *(sampling._unit_phases([x]) for x in (angles.theta, angles.theta_prime)))
+    w = sampling.rephase(v, *(sampling._unit_phases([x]) for x in (theta, theta_prime)))
     linalg._validate_unitaries(w)
     plain, shifted = (linalg._plaquettes(x)[1][:, 0, 1, 0, 1] for x in (v, w))
     assert_first_draws_match_the_scalar_loop(
         plain, lambda v: phase_table(v).im_value(1, 2, 1, 2), 17)
     assert_first_draws_match_the_scalar_loop(
-        shifted, lambda v: phase_table(rephase(v, angles)).im_value(1, 2, 1, 2), 17)
+        shifted, lambda v: phase_table(rephased(v, theta, theta_prime)).im_value(1, 2, 1, 2), 17)
     se = plain.std() / math.sqrt(plain.size)
     assert abs(plain.mean() - shifted.mean()) < 3.0 * se
 
@@ -207,41 +202,21 @@ def test_random_spectrum_unusable_gap_rejected_before_any_draw(min_gap):
 
 def test_rephase_with_zero_angles_is_bitwise_noop(rng):
     v = haar_unitary(3, rng)
-    out = rephase(v, RephasingAngles((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    out = rephased(v, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert np.array_equal(out.matrix, v.matrix)
 
 
 def test_rephase_by_pi_rows_flips_sign(rng):
     v = haar_unitary(3, rng)
-    out = rephase(v, RephasingAngles((math.pi,) * 3, (0.0,) * 3))
+    out = rephased(v, (math.pi,) * 3, (0.0,) * 3)
     assert np.max(np.abs(out.matrix + v.matrix)) <= 1e-15
-
-
-def test_rephase_dimension_mismatch():
-    v = haar_unitary(3, SeededRng(0))
-    with pytest.raises(DimensionError):
-        rephase(v, RephasingAngles((0.0,) * 4, (0.0,) * 4))
-
-
-def test_rephase_takes_only_rephasing_angles():
-    # unreduced or non-finite angles must go through RephasingAngles
-    v = haar_unitary(3, SeededRng(0))
-    with pytest.raises(TypeError, match="RephasingAngles"):
-        rephase(v, ((0.0,) * 3, (0.0,) * 3))
 
 
 def test_drawn_angles_need_no_reduction():
     # the largest uniform, 1 - 2^-53, keeps 2 pi u below 2 pi after
-    # rounding, so the stacked angle draw leaves out RephasingAngles' mod 2 pi
+    # rounding, so the stacked angle draw needs no reduction mod 2 pi
     angle = 2.0 * math.pi * ((2 ** 53 - 1) * 2.0 ** -53)
     assert angle < 2.0 * math.pi
-    assert RephasingAngles((angle,), (0.0,)).theta == (angle,)
-
-
-def test_angles_reduced_mod_two_pi():
-    a = RephasingAngles((2.0 * math.pi + 0.5, -0.25), (7.0, 0.0))
-    assert 0.0 <= min(a.theta + a.theta_prime)
-    assert max(a.theta + a.theta_prime) < 2.0 * math.pi
 
 
 @settings(deadline=None, max_examples=25)
@@ -253,24 +228,15 @@ def test_angles_reduced_mod_two_pi():
 )
 def test_rephase_composes_additively(t1, p1, t2, p2):
     v = haar_unitary(3, SeededRng(8))
-    first = RephasingAngles(tuple(t1), tuple(p1))
-    second = RephasingAngles(tuple(t2), tuple(p2))
-    combined = RephasingAngles(
-        tuple(x + y for x, y in zip(t1, t2)),
-        tuple(x + y for x, y in zip(p1, p2)),
-    )
-    two_step = rephase(rephase(v, first), second)
-    one_step = rephase(v, combined)
+    two_step = rephased(rephased(v, t1, p1), t2, p2)
+    one_step = rephased(v, [x + y for x, y in zip(t1, t2)], [x + y for x, y in zip(p1, p2)])
     assert np.max(np.abs(two_step.matrix - one_step.matrix)) <= 1e-13
 
 
 def test_rephase_leaves_plaquettes_unchanged(rng):
     v = haar_unitary(4, rng)
-    angles = RephasingAngles(
-        tuple(rng.uniform() * 6.0 for _ in range(4)),
-        tuple(rng.uniform() * 6.0 for _ in range(4)),
-    )
-    tv, tw = phase_table(v), phase_table(rephase(v, angles))
+    theta, theta_prime = ([u * 6.0 for u in uniforms(rng, 4)] for _ in "rc")
+    tv, tw = phase_table(v), phase_table(rephased(v, theta, theta_prime))
     for idx in ((1, 2, 1, 2), (1, 3, 2, 4), (2, 4, 1, 3), (3, 4, 3, 4)):
         zv = complex(tv.re_value(*idx), tv.im_value(*idx))
         zw = complex(tw.re_value(*idx), tw.im_value(*idx))
