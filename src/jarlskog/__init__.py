@@ -11,11 +11,14 @@ Library layout:
 * determinant - the commutator determinant: direct oracle plus closed
                 forms for n = 3 and n = 4 with their difference-factor
                 algebra (t_factors, on a stack of spectra)
-* phases      - plaquette invariants, sum rules and product identities
-                (unitary_relation_residuals, nonlinear_relation_residuals,
-                on a stack of plaquette tensors), the n = 3 single-phase
-                structure, the n = 4 expansion from the adjacent-index J
-                array, band reconstruction of J
+* phases      - plaquette invariants on a stack of plaquette tensors:
+                the canonical phase table (phase_table), sum rules and
+                product identities (unitary_relation_residuals,
+                nonlinear_relation_residuals), the n = 3 single-phase
+                structure (n3_phase_table), the n = 4 adjacent-index
+                arrays J and R (jr_matrices) and the expansion of all 36
+                phases from J (expand_phases, expansion_residual); band
+                reconstruction of J for one matrix (reconstruct_J)
 * verify      - seeded ensemble verification of every identity above
 * cli         - the `jarlskog` command (det / phases / verify / sample)
 """
@@ -40,9 +43,6 @@ from .linalg import (
     matmul,
 )
 from .phases import (
-    JRMatrices,
-    PhaseTable,
-    SingleLevelPhaseReport,
     expand_phases,
     expansion_residual,
     jr_matrices,
@@ -65,11 +65,8 @@ from .sampling import (
 __all__ = [
     "DegenerateSpectrumError",
     "DimensionError",
-    "JRMatrices",
     "MassPairInput",
-    "PhaseTable",
     "SeededRng",
-    "SingleLevelPhaseReport",
     "Spectrum",
     "UnitaryMatrix",
     "__version__",

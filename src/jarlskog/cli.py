@@ -25,6 +25,8 @@ import numpy as np
 from . import __version__
 from .determinant import MassPairInput, closed_form, det_direct
 from .phases import (
+    N3_SIGN_PATTERN,
+    _canonical_pairs,
     expand_phases,
     expansion_residual,
     n3_phase_table,
@@ -139,39 +141,37 @@ def _phase_report_text(v):
     lines.append("invariant-phase report")
     lines.append(f"tool_version: {__version__}")
     lines.append(f"n: {v.n}")
-    table = phase_table(v)
+    # every phase layer runs on v's plaquettes as a stack of one
+    re, im = (x[None] for x in v.plaquettes)
+    ims = phase_table(im)
     lines.append("")
     lines.append("canonical phases (rows alpha<beta, columns j<k):")
-    pairs = table.canonical_pairs()
+    pairs = _canonical_pairs(v.n)
     labels = [f"({a}{b};{j}{k})" for (a, b) in pairs for (j, k) in pairs]
-    ims = table.canonical(table.im_tensor).tolist()
-    res = table.canonical(table.re_tensor).tolist()
-    for label, im, re in zip(labels, ims, res):
-        lines.append(f"  {label}  im {im:+.17e}  re {re:+.17e}")
+    for label, x, y in zip(labels, ims[0].tolist(), phase_table(re)[0].tolist()):
+        lines.append(f"  {label}  im {x:+.17e}  re {y:+.17e}")
     if v.n == 3:
-        rep = n3_phase_table(v)
+        base, signs, residuals, indeterminate = (x[0] for x in n3_phase_table(im))
         lines.append("")
-        lines.append(f"base phase (12;12): {rep.base:+.17e}")
-        if rep.indeterminate:
+        lines.append(f"base phase (12;12): {base:+.17e}")
+        if indeterminate:
             lines.append("sign table: indeterminate (base phase is zero)")
         else:
+            signs = tuple(signs.tolist())
             lines.append("sign table (phase = sign * base):")
-            for label, sign, residual in zip(labels, rep.signs, rep.residuals):
+            for label, sign, residual in zip(labels, signs, residuals.tolist()):
                 lines.append(f"  {label}  sign {sign:+d}  residual {residual:.17e}")
-            lines.append(f"sign pattern matches expected: {rep.matches_expected()}")
-        lines.append(f"max sign-table residual: {rep.max_residual:.17e}")
+            lines.append(f"sign pattern matches expected: {signs == N3_SIGN_PATTERN}")
+        lines.append(f"max sign-table residual: {residuals.max():.17e}")
     else:
         recon = reconstruct_J(v)
-        jr = recon.jr
         lines.append("")
         lines.append("adjacent-index J (im) and R (re), entries (a, a+1; j, j+1):")
-        for i in range(3):
-            jrow = "  ".join(f"{jr.j_mat[i, j]:+.17e}" for j in range(3))
-            lines.append(f"  J[{i + 1},:] {jrow}")
-        for i in range(3):
-            rrow = "  ".join(f"{jr.r_mat[i, j]:+.17e}" for j in range(3))
-            lines.append(f"  R[{i + 1},:] {rrow}")
-        worst = expansion_residual(table, expand_phases(jr))
+        for name, m in (("J", recon.j), ("R", recon.r)):
+            for i in range(3):
+                row = "  ".join(f"{m[i, j]:+.17e}" for j in range(3))
+                lines.append(f"  {name}[{i + 1},:] {row}")
+        worst = expansion_residual(ims, expand_phases(recon.j[None]))[0]
         lines.append("")
         lines.append(f"expansion check (36 phases from J): max residual {worst:.17e}")
         lines.append("")

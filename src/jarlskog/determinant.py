@@ -209,9 +209,10 @@ _CYCLE_X = np.array([[6, 2, 1], [1, 7, 5], [5, 3, 6]])
 _CYCLE_ROWS = np.array([[1, 0, 0], [2, 1, 2]])
 
 
-def _det4_groups(a, b, cols, plaq):
+def _det4_groups(a_factors, b, cols, plaq):
     """The nine term groups of det4_closed and the six raw cycle groups, for
-    (T, 4) spectra a, b and the column products and plaquettes of V.
+    the t_factors (pair, cycle) of the (T, 4) a-spectra, the (T, 4)
+    b-spectra and the column products and plaquettes of V.
 
     Returns (parts, cycles): parts is the (re, im) pair of (T, 9) arrays of
     the nine groups in DET4_GROUPS order, each cycle group with only its
@@ -221,7 +222,7 @@ def _det4_groups(a, b, cols, plaq):
     are _cmul, the scalar complex product, so each group is bit-equal to its
     scalar evaluation.
     """
-    t = len(a)
+    t = len(b)
     bw = b[:, :3] - b[:, 3:]
     # rows[t, k, r] = |V[r, k]|^2
     rows = _moduli_squared(cols).swapaxes(1, 2)[:, :3, :3]
@@ -244,7 +245,7 @@ def _det4_groups(a, b, cols, plaq):
     def pick(z, index):
         return z[0][:, index], z[1][:, index]
 
-    tp, tc = t_factors(a)
+    tp, tc = a_factors
     # pair groups: T (q[g] m2[r] - q[i] q[j] - q[g] (m[r] m[r]))
     mr = m[:, _PAIR_ROW]
     s1 = _cmul(*q, m2[:, _PAIR_ROW], 0.0)
@@ -266,7 +267,8 @@ def _det4_groups(a, b, cols, plaq):
 def _det4_stack_of_one(inp):
     _check_n4(inp)
     v = inp.v
-    return _det4_groups(*_spectra(inp), tuple(x[None] for x in v.column_products),
+    a, b = _spectra(inp)
+    return _det4_groups(t_factors(a), b, tuple(x[None] for x in v.column_products),
                         tuple(x[None] for x in v.plaquettes))
 
 

@@ -11,16 +11,13 @@ The phases have one representation: the (re, im) pair of full plaquette
 tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.
 Every computation on them (sum rules, product identities, the n = 3 sign
 table, J and R, the expansion, the band reconstruction) runs on a stack of
-such tensors with a leading trial axis.  The sum rules
-(unitary_relation_residuals) and the product identities
-(nonlinear_relation_residuals) take the stack itself; the reports on one
-UnitaryMatrix (phase_table, n3_phase_table, jr_matrices, expand_phases,
-expansion_residual, reconstruct_J) call the stacked code with a stack of
-one.  A PhaseTable wraps that pair for n in {3, 4}.  Its im_value/re_value
-are the one 1-based lookup, matching the usual physics convention for
-mixing matrices, and its canonical() returns the entries alpha < beta,
-j < k as an array in table order (row pairs outer, column pairs inner, both
-as listed by canonical_pairs()).  Other n read V.plaquettes directly.
+such tensors with a leading trial axis, and each has one function:
+phase_table (the canonical entries alpha < beta, j < k, n in {3, 4}),
+unitary_relation_residuals, nonlinear_relation_residuals, n3_phase_table,
+jr_matrices, expand_phases and expansion_residual.  verify runs them on a
+chunk of trials and the `phases` report on a stack of one; reconstruct_J is
+the report's one single-matrix entry point.  A single phase, at any n, is
+an entry of V.plaquettes.
 
 Exactness note: every plaquette value here is read from the one tensor
 UnitaryMatrix.plaquettes, which evaluates the grouping
@@ -83,55 +80,15 @@ def _canonical_index(n):
     return tuple(np.array(axis) - 1 for axis in zip(*keys))
 
 
-def _canonical(tensor):
-    """Canonical entries of (..., n, n, n, n) tensors, in table order."""
-    return tensor[(..., *_canonical_index(tensor.shape[-1]))]
-
-
-@dataclass(frozen=True)
-class PhaseTable:
-    """Invariant phases as full (n, n, n, n) tensors, 0-based:
-    im_tensor[a, b, j, k] = im(a+1, b+1; j+1, k+1), likewise re_tensor.
-
-    Every index order is stored, so lookups at swapped or repeated indices
-    read the tensor directly.  im_value/re_value take 1-based indices;
-    canonical(tensor) gives the entries alpha < beta, j < k as an array,
-    row pairs outer and column pairs inner, in canonical_pairs() order.
-    re_tensor is None for tables that carry only the imaginary parts
-    (e.g. the output of expand_phases).
-    """
-
-    n: int
-    im_tensor: np.ndarray
-    re_tensor: np.ndarray | None = None
-
-    def canonical(self, tensor):
-        """The canonical entries of a full tensor, in table order."""
-        return _canonical(tensor)
-
-    def _lookup(self, tensor, alpha, beta, j, k):
-        if not all(1 <= x <= self.n for x in (alpha, beta, j, k)):
-            raise IndexError(f"indices ({alpha},{beta};{j},{k}) out of range for n={self.n}")
-        return float(tensor[alpha - 1, beta - 1, j - 1, k - 1])
-
-    def im_value(self, alpha, beta, j, k):
-        return self._lookup(self.im_tensor, alpha, beta, j, k)
-
-    def re_value(self, alpha, beta, j, k):
-        if self.re_tensor is None:
-            raise KeyError("this table holds imaginary parts only")
-        return self._lookup(self.re_tensor, alpha, beta, j, k)
-
-    def canonical_pairs(self):
-        return _canonical_pairs(self.n)
-
-
-def phase_table(v):
-    """The invariant phases of v (n in {3, 4}), read from its plaquette tensor."""
-    if v.n not in (3, 4):
-        raise DimensionError(f"phase tables are defined for n in {{3, 4}}, got n={v.n}")
-    re, im = v.plaquettes
-    return PhaseTable(n=v.n, im_tensor=im, re_tensor=re)
+def phase_table(x):
+    """The canonical entries alpha < beta, j < k of (..., n, n, n, n)
+    plaquette tensors, n in {3, 4}: a (..., 9) or (..., 36) array in table
+    order, row pairs outer and column pairs inner, both as listed by
+    _canonical_pairs(n)."""
+    n = x.shape[-1]
+    if n not in (3, 4):
+        raise DimensionError(f"phase tables are defined for n in {{3, 4}}, got n={n}")
+    return x[(..., *_canonical_index(n))]
 
 
 def unitary_relation_residuals(cols, re, im):
@@ -164,48 +121,20 @@ N3_SIGN_PATTERN = (+1, -1, +1, -1, +1, -1, +1, -1, +1)
 _N3_DEGENERATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SingleLevelPhaseReport:
-    """n = 3 structure report: every canonical phase as a signed multiple of
-    the base phase im(12;12).
+def n3_phase_table(im):
+    """The n = 3 sign table of (T, 3, 3, 3, 3) imaginary plaquettes: all
+    nine canonical phases are +/- the single base phase im(12;12).
 
-    signs and residuals run over the nine canonical phases in table order,
-    as N3_SIGN_PATTERN does.  signs holds +1/-1, or is None when the base
-    phase is zero; residuals holds |value - sign * base|, or |value| then.
+    Returns (base, signs, residuals, indeterminate): base (T,), signs and
+    residuals (T, 9) in table order, as N3_SIGN_PATTERN, and indeterminate
+    (T,).  signs holds +1/-1 and residuals |value - sign * base|; where the
+    base phase is zero (indeterminate) the residuals are |value| and the
+    signs carry no meaning.
     """
-
-    base: float
-    signs: tuple | None
-    residuals: tuple
-    max_residual: float
-    indeterminate: bool
-
-    def matches_expected(self):
-        return self.indeterminate or self.signs == N3_SIGN_PATTERN
-
-
-def n3_phase_table(v):
-    """For n = 3 all nine canonical phases are +/- the single base phase
-    im(12;12); report the realised signs and how well each matches."""
-    if v.n != 3:
-        raise DimensionError(f"single-phase structure requires n=3, got n={v.n}")
-    base, signs, residuals, indeterminate = _n3_signs(v.plaquettes[1][None])
-    return SingleLevelPhaseReport(
-        base=float(base[0]),
-        signs=None if indeterminate[0] else tuple(signs[0].tolist()),
-        residuals=tuple(residuals[0].tolist()),
-        max_residual=float(residuals[0].max()),
-        indeterminate=bool(indeterminate[0]),
-    )
-
-
-def _n3_signs(im):
-    """(base, signs, residuals, indeterminate) of the n = 3 sign table for
-    (T, 3, 3, 3, 3) imaginary plaquettes: base (T,), signs and residuals
-    (T, 9) in table order, indeterminate (T,).  Where the base phase is
-    zero the residuals are |value| and the signs carry no meaning."""
+    if im.shape[-1] != 3:
+        raise DimensionError(f"single-phase structure requires n=3, got n={im.shape[-1]}")
     base = im[:, 0, 1, 0, 1]
-    x = _canonical(im)
+    x = phase_table(im)
     indeterminate = np.abs(base) <= _N3_DEGENERATE_TOL
     b = base[:, None]
     signs = np.where(np.abs(x - b) <= np.abs(x + b), 1, -1)
@@ -213,54 +142,18 @@ def _n3_signs(im):
     return base, signs, residuals, indeterminate
 
 
-@dataclass(frozen=True)
-class JRMatrices:
-    """Adjacent-index invariant phases of a 4x4 unitary.
-
-    j_mat[a, j] (0-based storage) holds im(a+1, a+2; j+1, j+2); r_mat holds
-    the matching real parts.
-    """
-
-    j_mat: np.ndarray
-    r_mat: np.ndarray
-
-    def __post_init__(self):
-        for name in ("j_mat", "r_mat"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (3, 3):
-                raise DimensionError(f"{name} must be 3x3, got {m.shape}")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-
-
-def jr_matrices(v):
-    """Extract the adjacent-index phase arrays J and R from a 4x4 unitary."""
-    if v.n != 4:
-        raise DimensionError(f"adjacent-index arrays require n=4, got n={v.n}")
-    j_mat, r_mat = _jr(*(x[None] for x in v.plaquettes))
-    return JRMatrices(j_mat=j_mat[0], r_mat=r_mat[0])
-
-
 #: the adjacent pairs' row and column indices, broadcast to the 3x3 of J
 _JR_INDEX = (np.arange(3)[:, None], np.arange(1, 4)[:, None],
              np.arange(3)[None, :], np.arange(1, 4)[None, :])
 
 
-def _jr(re, im):
-    """(J, R) as (T, 3, 3) arrays from (T, 4, 4, 4, 4) plaquettes."""
+def jr_matrices(re, im):
+    """The adjacent-index phase arrays (J, R) of (T, 4, 4, 4, 4) plaquettes,
+    each (T, 3, 3): J[:, a, j] (0-based) holds im(a+1, a+2; j+1, j+2) and R
+    the matching real parts."""
+    if im.shape[-1] != 4:
+        raise DimensionError(f"adjacent-index arrays require n=4, got n={im.shape[-1]}")
     return im[(slice(None), *_JR_INDEX)], re[(slice(None), *_JR_INDEX)]
-
-
-def expand_phases(jr):
-    """All 36 canonical imaginary phases of a 4x4 unitary from J alone.
-
-    Blocks: adjacent/adjacent entries are J itself; adjacent rows with
-    non-adjacent columns are J A; non-adjacent rows with adjacent columns
-    are A J; doubly non-adjacent entries are A J A.  Non-adjacent pairs are
-    ordered (24), (14), (13) in both directions.
-    """
-    return PhaseTable(n=4, im_tensor=_expand(np.asarray(jr.j_mat, dtype=float)[None])[0])
 
 
 #: the 6x6 expansion block's rows and columns run over the adjacent pairs,
@@ -270,9 +163,15 @@ _PAIR_ORDER = [(_ADJACENT_ORDER + _NON_ADJACENT_ORDER).index(p) for p in _canoni
 _BLOCK_ORDER = np.array([6 * r + c for r in _PAIR_ORDER for c in _PAIR_ORDER])
 
 
-def _expand_block(j):
-    """(T, 36) canonical imaginary phases, in table order, expanded from
-    (T, 3, 3) J."""
+def expand_phases(j):
+    """All 36 canonical imaginary phases of 4x4 unitaries from J alone: a
+    (T, 36) array in table order from (T, 3, 3) J.
+
+    Blocks: adjacent/adjacent entries are J itself; adjacent rows with
+    non-adjacent columns are J A; non-adjacent rows with adjacent columns
+    are A J; doubly non-adjacent entries are A J A.  Non-adjacent pairs are
+    ordered (24), (14), (13) in both directions.
+    """
     # block column [J; A J] and, right-multiplied by A, [J A; A J A]; each
     # product x y is the ascending k-sum of x[i, k] y[k, j]
     left = np.concatenate([j, _ksum(A_MATRIX.T[None, :, :, None] * j[:, :, None, :], axis=1)],
@@ -281,29 +180,11 @@ def _expand_block(j):
     return np.concatenate([left, right], axis=2).reshape(len(j), 36)[:, _BLOCK_ORDER]
 
 
-def _expand(j):
-    """The (T, 4, 4, 4, 4) imaginary-phase tensors expanded from (T, 3, 3) J:
-    _expand_block's canonical entries and, by antisymmetry, the other index
-    orders; repeated-index entries are zero."""
-    full = np.zeros((len(j), 4, 4, 4, 4))
-    full[(slice(None), *_canonical_index(4))] = _expand_block(j)
-    return (full - full.transpose(0, 2, 1, 3, 4) - full.transpose(0, 1, 2, 4, 3)
-            + full.transpose(0, 2, 1, 4, 3))
-
-
-def expansion_residual(table, expanded):
-    """Largest |expanded - direct| over the canonical imaginary phases."""
-    return float(_expansion_residuals(table.im_tensor[None],
-                                      _canonical(expanded.im_tensor[None]))[0])
-
-
-def _expansion_residuals(direct, block):
-    """(T,) largest |expanded - direct| over the canonical entries, for
-    (T, 4, 4, 4, 4) direct imaginary-phase tensors and the (T, 36) expanded
-    canonical entries in table order.  _expand_block and the canonical
-    entries of _expand differ at most in the sign of a zero, which the
-    modulus drops, so both give the same bits."""
-    return np.abs(block - _canonical(direct)).max(axis=1)
+def expansion_residual(direct, expanded):
+    """Largest |expanded - direct| over the canonical imaginary phases, for
+    the direct phase_table entries and the expand_phases entries: (T,)
+    from two (T, 36) arrays."""
+    return np.abs(expanded - direct).max(axis=-1)
 
 
 #: the product identities as residuals t1 +/- t2 - t3 over their free
@@ -426,12 +307,14 @@ def nonlinear_relation_residuals(re, im):
 class ReconstructionResult:
     """Outcome of rebuilding J from its diagonal through the 6x6 band system.
 
-    jr holds the directly computed J and R arrays the system was built
-    from.  degenerate is True when the determinant's cancellation ratio
-    fails the gate; then no solve is attempted and j_reconstructed is None.
+    j and r are the directly computed (3, 3) J and R arrays the system was
+    built from.  degenerate is True when the determinant's cancellation
+    ratio fails the gate; then no solve is attempted and j_reconstructed is
+    None.
     """
 
-    jr: JRMatrices
+    j: np.ndarray
+    r: np.ndarray
     j_reconstructed: np.ndarray | None
     gate_ratio: float
     degenerate: bool
@@ -517,12 +400,13 @@ def reconstruct_J(v):
     determinant cancels (ratio below RECONSTRUCTION_GATE) the result is
     flagged degenerate instead of solved.
     """
-    jr = jr_matrices(v)
+    j, r = jr_matrices(*(x[None] for x in v.plaquettes))
     ratio, degenerate, recon, max_error = _reconstructions(
-        tuple(x[None] for x in v.column_products), jr.j_mat[None], jr.r_mat[None])
+        tuple(x[None] for x in v.column_products), j, r)
     solved = not degenerate[0]
     return ReconstructionResult(
-        jr=jr,
+        j=j[0],
+        r=r[0],
         j_reconstructed=recon[0] if solved else None,
         gate_ratio=float(ratio[0]),
         degenerate=bool(degenerate[0]),

@@ -41,14 +41,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: whole-vector redraws before a spectrum draw gives up (the feasibility
-#: check below catches truly impossible requests; this catches merely
-#: astronomically unlikely ones)
-_MAX_REDRAWS = 100_000
+#: smallest gap between the values of a drawn spectrum.  At n <= 8 a draw
+#: is accepted with probability at least (1 - 7 * MIN_GAP / 2)^8 > 0.2
+MIN_GAP = 0.05
 #: spectrum draws per stream in one redraw round of _spectra
 _DRAWS_PER_ROUND = 4
-
-DEFAULT_MIN_GAP = 0.05
 
 
 def _mix64(z):
@@ -109,43 +106,27 @@ def _ginibres(seeds, positions, n):
     return (z * _INV_SQRT2).view(np.complex128).reshape(-1, n, n), end
 
 
-def _spectra(seeds, positions, n, min_gap):
+def _spectra(seeds, positions, n):
     """(T, n) spectra, one per stream, and the positions after them.
 
-    Each spectrum is n values 2u - 1, redrawn until all gaps reach min_gap,
+    Each spectrum is n values 2u - 1, redrawn until all gaps reach MIN_GAP,
     sorted ascending.  A redraw round reads the next _DRAWS_PER_ROUND draws
     of only the streams that have no accepted draw yet, keeps the first
-    accepted one and moves the position just past it.  An unusable min_gap
-    raises ValueError before any draw.
+    accepted one and moves the position just past it.
     """
-    # NaN must fail here: it passes the feasibility check and no gap reaches it
-    if not min_gap > 0.0:
-        raise ValueError("min_gap must be positive")
-    if min_gap * (n - 1) >= 2.0:
-        raise ValueError(
-            f"min_gap {min_gap} is infeasible for n={n}: "
-            f"{min_gap} * {n - 1} >= 2 leaves no room in [-1, 1]"
-        )
     values = np.empty((len(seeds), n))
     end = positions.copy()
     todo = np.arange(len(seeds))
-    drawn = 0
-    while len(todo) and drawn < _MAX_REDRAWS:
-        k = min(_DRAWS_PER_ROUND, _MAX_REDRAWS - drawn)
+    k = _DRAWS_PER_ROUND
+    while len(todo):
         u, _ = _stream(seeds[todo], end[todo], k * n)
         draws = np.sort((2.0 * _uniform(u) - 1.0).reshape(-1, k, n), axis=2)
-        accepted = (np.diff(draws, axis=2) >= min_gap).all(axis=2)
+        accepted = (np.diff(draws, axis=2) >= MIN_GAP).all(axis=2)
         first = accepted.argmax(axis=1)
         found = accepted.any(axis=1)
         values[todo[found]] = draws[found, first[found]]
         end[todo] += np.where(found, first + 1, k) * n
         todo = todo[~found]
-        drawn += k
-    if len(todo):
-        raise RuntimeError(
-            f"no spectrum with min_gap {min_gap} found for n={n} "
-            f"after {_MAX_REDRAWS} redraws"
-        )
     return values, end
 
 
@@ -278,15 +259,11 @@ def haar_unitary(n, rng):
     return UnitaryMatrix(_haar_from_ginibre(ginibre(n, rng)[None])[0])
 
 
-def random_spectrum(n, rng, min_gap=DEFAULT_MIN_GAP):
+def random_spectrum(n, rng):
     """n values uniform on [-1, 1], redrawn until all pairwise gaps reach
-    min_gap, returned ascending.
-
-    Infeasible requests (min_gap * (n - 1) >= 2, i.e. the values cannot fit
-    in the interval) are rejected up front.
-    """
+    MIN_GAP, returned ascending."""
     check_dimension(n)
-    return Spectrum(tuple(rng._draw(_spectra, n, min_gap).tolist()))
+    return Spectrum(tuple(rng._draw(_spectra, n).tolist()))
 
 
 def _unit_phases(angles):

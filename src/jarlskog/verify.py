@@ -20,7 +20,7 @@ does not depend on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,18 +35,17 @@ from .determinant import (
 )
 from .linalg import _complex, _plaquettes, _validate_unitaries, det
 from .phases import (
-    _canonical,
-    _expand_block,
-    _expansion_residuals,
-    _jr,
-    _n3_signs,
     _reconstructions,
     N3_SIGN_PATTERN,
+    expand_phases,
+    expansion_residual,
+    jr_matrices,
+    n3_phase_table,
     nonlinear_relation_residuals,
+    phase_table,
     unitary_relation_residuals,
 )
 from .sampling import (
-    DEFAULT_MIN_GAP,
     _angles,
     _ginibres,
     _haar_from_ginibre,
@@ -117,7 +116,6 @@ class VerificationReport:
     tool_version: str
     identities: list
     gate_pass_rate: float | None = None
-    wall_time_s: float | None = field(default=None, compare=False)
 
     def passed(self):
         return all(r.passed for r in self.identities)
@@ -173,7 +171,7 @@ def _antisymmetry_residuals(re, im):
 def _phase_shifts(tensors, shifted):
     """(T,) largest change of a canonical phase between two (re, im) pairs
     of (T, n, n, n, n) plaquette tensors."""
-    diff = [_canonical(y) - _canonical(x) for x, y in zip(tensors, shifted)]
+    diff = [phase_table(y) - phase_table(x) for x, y in zip(tensors, shifted)]
     return np.abs(np.concatenate(diff, axis=1)).max(axis=1)
 
 
@@ -200,8 +198,8 @@ def _draw_chunk(n, seeds):
     every trial at its own stream position.  Returns the (T, n, n) Ginibre
     stack, the (T, n) spectra and the (T, n) rephasing factors."""
     g, end = _ginibres(seeds, np.zeros(len(seeds), dtype=np.int64), n)
-    a, end = _spectra(seeds, end, n, DEFAULT_MIN_GAP)
-    b, end = _spectra(seeds, end, n, DEFAULT_MIN_GAP)
+    a, end = _spectra(seeds, end, n)
+    b, end = _spectra(seeds, end, n)
     phases = _unit_phases(_angles(seeds, end, n)[0])
     return g, a, b, phases[:, :n], phases[:, n:]
 
@@ -227,7 +225,12 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     if n == 3:
         closed = _complex(*_det3_closed(a2, b2, plaq[1]))
     else:
-        closed = _complex(*_det4_closed(_det4_groups(a2, b2, cols, plaq)[0]))
+        # the difference factors of the a- and b-spectra of each trial, as
+        # one stack of 2T; the closed forms of V and its rephased copy both
+        # take the a half
+        factors = t_factors(np.concatenate([a, b]))
+        a_factors = tuple(np.concatenate([x[:t], x[:t]]) for x in factors)
+        closed = _complex(*_det4_closed(_det4_groups(a_factors, b2, cols, plaq)[0]))
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
     re, im = (x[:t] for x in plaq)
     cols = tuple(x[:t] for x in cols)
@@ -259,22 +262,21 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
             np.max(list(nonlinear_relation_residuals(re, im).values()), axis=0), PRODUCT_ABS),
     ]
     if n == 3:
-        base, signs, residuals, indeterminate = _n3_signs(im)
+        base, signs, residuals, indeterminate = n3_phase_table(im)
         matches = indeterminate | (signs == N3_SIGN_PATTERN).all(axis=1)
         # a wrong sign pattern fails its trial whatever the residual
         limit = np.where(matches, SIGN_TABLE_REL * np.maximum(1.0, np.abs(base)), -np.inf)
         rows.append(row("single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)",
                         residuals.max(axis=1), limit))
         return rows, None
-    j, r = _jr(re, im)
-    # the a- and b-spectra of each trial, as one stack of 2T
-    res, scale = _sum_rule(*t_factors(np.concatenate([a, b])))
+    j, r = jr_matrices(re, im)
+    res, scale = _sum_rule(*factors)
     factor_sum = np.abs(res) / scale
     _, degenerate, _, max_error = _reconstructions(cols, j, r)
     j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))
     rows += [
         row("phase_expansion_36", f"{EXPANSION_ABS:.0e}",
-            _expansion_residuals(im, _expand_block(j)), EXPANSION_ABS),
+            expansion_residual(phase_table(im), expand_phases(j)), EXPANSION_ABS),
         row("difference_factor_sum", f"{FACTOR_SUM_REL:.0e} (relative)",
             np.maximum(np.maximum(0.0, factor_sum[:t]), factor_sum[t:]), FACTOR_SUM_REL),
         row("band_reconstruction", f"{RECONSTRUCT_REL:.0e}*max(1,max|J|)",

@@ -35,6 +35,13 @@ def rephased(v, theta, theta_prime):
     return UnitaryMatrix(rephase(v.matrix[None], row, col)[0])
 
 
+def phase(v, a, b, j, k):
+    """The complex plaquette of v at 1-based indices (a b; j k), the usual
+    physics labels, read from the 0-based tensors v.plaquettes."""
+    re, im = (x[a - 1, b - 1, j - 1, k - 1] for x in v.plaquettes)
+    return complex(re, im)
+
+
 def givens(n, p, q, theta, phi=0.0):
     """Complex rotation in the (p, q) plane, for building structured unitaries."""
     m = np.eye(n, dtype=complex)

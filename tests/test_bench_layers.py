@@ -33,11 +33,12 @@ def test_traced_layer_resolves(layer):
     assert tracing._resolve(layer) is not None
 
 
-#: layers that verify reaches through the stacked kernels, at every n and at
-#: n = 4 only
-VERIFY_LAYERS = ("sampling.rephase", "phases.unitary_relation_residuals",
+#: layers that verify reaches through the stacked kernels, at every n and
+#: at each n only
+VERIFY_LAYERS = ("sampling.rephase", "phases.phase_table", "phases.unitary_relation_residuals",
                  "phases.nonlinear_relation_residuals")
-VERIFY_N4_LAYERS = ("determinant.t_factors",)
+VERIFY_N_LAYERS = {3: ("phases.n3_phase_table",),
+                   4: ("determinant.t_factors", "phases.jr_matrices", "phases.expand_phases")}
 
 
 @pytest.mark.parametrize(("n", "trials"), ((4, 4), (3, 8)))
@@ -48,8 +49,11 @@ def test_traced_verify_sees_the_stacked_layers_and_keeps_its_bytes(n, trials):
     with tracer.installed():
         traced = verify.run_suite(n, trials, master_seed).render()
     calls = tracer.layer_metrics(1)
-    expected = VERIFY_LAYERS + (VERIFY_N4_LAYERS if n == 4 else ())
+    expected = VERIFY_LAYERS + VERIFY_N_LAYERS[n]
     assert [layer for layer in expected if not calls[f"{layer}.calls_per_op"][0]] == []
+    if n == 4:
+        # one chunk takes the difference factors of both spectra at once
+        assert calls["determinant.t_factors.calls_per_op"][0] == 1
     assert traced == plain
 
 

@@ -252,8 +252,8 @@ def test_phases_n4_report_has_expansion_and_reconstruction():
 def test_phases_n4_report_builds_j_and_r_once(monkeypatch, capsys):
     # the J/R lines and the band reconstruction read the same arrays
     calls = []
-    jr = phases._jr
-    monkeypatch.setattr(phases, "_jr", lambda *args: calls.append(1) or jr(*args))
+    jr = phases.jr_matrices
+    monkeypatch.setattr(phases, "jr_matrices", lambda *args: calls.append(1) or jr(*args))
     assert main(["phases", N4_FIXTURE]) == 0
     assert "status: solved" in capsys.readouterr().out
     assert len(calls) == 1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import givens, orthogonal4, rephased, seeded_input, uniforms
+from conftest import givens, orthogonal4, phase, rephased, seeded_input, uniforms
 
 from jarlskog import (
     DimensionError,
@@ -19,7 +19,7 @@ from jarlskog import (
     reconstruct_J,
     unitary_relation_residuals,
 )
-from jarlskog.phases import _band_systems
+from jarlskog.phases import N3_SIGN_PATTERN, _band_systems, _canonical_pairs
 
 
 def sum_rule_residuals(v):
@@ -35,6 +35,23 @@ def product_residuals(v):
     return {name: float(x[0]) for name, x in families.items()}
 
 
+def n3_signs(v):
+    """(base, signs, residuals, indeterminate) of the n = 3 sign table of
+    one matrix."""
+    return tuple(x[0] for x in n3_phase_table(v.plaquettes[1][None]))
+
+
+def jr(v):
+    """The (3, 3) J and R arrays of one matrix."""
+    return tuple(x[0] for x in jr_matrices(*(x[None] for x in v.plaquettes)))
+
+
+def canonical_keys(n):
+    """The 1-based (a, b, j, k) of the canonical phases, in table order."""
+    pairs = _canonical_pairs(n)
+    return [(a, b, j, k) for (a, b) in pairs for (j, k) in pairs]
+
+
 def orthogonal3():
     m = givens(3, 0, 1, 0.8) @ givens(3, 1, 2, 0.45) @ givens(3, 0, 2, 1.2)
     return UnitaryMatrix(m.astype(complex))
@@ -42,14 +59,9 @@ def orthogonal3():
 
 # ---------------------------------------------------------------- plaquette
 
-def plaquette(table, a, b, j, k):
-    """The complex plaquette at 1-based indices, from the table's lookups."""
-    return complex(table.re_value(a, b, j, k), table.im_value(a, b, j, k))
-
-
 def test_plaquette_same_rows_is_modulus_product(rng):
     v = haar_unitary(4, rng)
-    z = plaquette(phase_table(v), 2, 2, 1, 3)
+    z = phase(v, 2, 2, 1, 3)
     assert z.imag == 0.0
     assert z.real >= 0.0
     expected = abs(v.matrix[1, 0]) ** 2 * abs(v.matrix[1, 2]) ** 2
@@ -57,81 +69,71 @@ def test_plaquette_same_rows_is_modulus_product(rng):
 
 
 def test_plaquette_identity_off_diagonal_is_zero():
-    table = phase_table(UnitaryMatrix(np.eye(4)))
-    assert plaquette(table, 1, 2, 1, 2) == 0j
-
-
-def test_plaquette_index_validation(rng):
-    table = phase_table(haar_unitary(3, rng))
-    with pytest.raises(IndexError):
-        plaquette(table, 1, 4, 1, 2)
-    with pytest.raises(IndexError):
-        table.im_value(0, 1, 1, 2)
+    assert phase(UnitaryMatrix(np.eye(4)), 1, 2, 1, 2) == 0j
 
 
 def test_im_phase_equal_columns_exactly_zero(rng):
-    table = phase_table(haar_unitary(4, rng))
+    v = haar_unitary(4, rng)
     for a in range(1, 5):
         for b in range(1, 5):
-            assert table.im_value(a, b, 2, 2) == 0.0
+            assert phase(v, a, b, 2, 2).imag == 0.0
 
 
 def test_real_orthogonal_phases_all_exactly_zero():
-    table = phase_table(orthogonal3())
+    v = orthogonal3()
     for a in range(1, 4):
         for b in range(1, 4):
             for j in range(1, 4):
                 for k in range(1, 4):
-                    assert table.im_value(a, b, j, k) == 0.0
+                    assert phase(v, a, b, j, k).imag == 0.0
 
 
 def test_phase_symmetry_is_bitwise(rng):
     # swapping either index pair conjugates the plaquette exactly
-    table = phase_table(haar_unitary(4, rng))
+    v = haar_unitary(4, rng)
     for idx in ((1, 2, 3, 4), (2, 4, 1, 3), (1, 3, 1, 2)):
         a, b, j, k = idx
-        z = plaquette(table, a, b, j, k)
-        assert plaquette(table, b, a, j, k) == z.conjugate()
-        assert plaquette(table, a, b, k, j) == z.conjugate()
-        assert plaquette(table, b, a, k, j) == z
+        z = phase(v, a, b, j, k)
+        assert phase(v, b, a, j, k) == z.conjugate()
+        assert phase(v, a, b, k, j) == z.conjugate()
+        assert phase(v, b, a, k, j) == z
 
 
 # ---------------------------------------------------------------- table
 
 def test_phase_table_sizes(rng):
     for n, size in ((3, 9), (4, 36)):
-        table = phase_table(haar_unitary(n, rng))
-        assert table.canonical(table.im_tensor).shape == (size,)
-        assert table.canonical(table.re_tensor).shape == (size,)
+        v = haar_unitary(n, rng)
+        for x in v.plaquettes:
+            assert phase_table(x).shape == (size,)
+            assert phase_table(x[None]).shape == (1, size)
 
 
 def test_phase_table_rejects_other_dimensions(rng):
     with pytest.raises(DimensionError):
-        phase_table(haar_unitary(5, rng))
+        phase_table(haar_unitary(5, rng).plaquettes[1][None])
 
 
 def test_phase_table_symmetry_lookup_bitwise(rng):
     v = haar_unitary(4, rng)
-    table = phase_table(v)
-    ims = table.canonical(table.im_tensor).tolist()
-    res = table.canonical(table.re_tensor).tolist()
-    pairs = table.canonical_pairs()
-    keys = [(a, b, j, k) for (a, b) in pairs for (j, k) in pairs]
-    for (a, b, j, k), value, re in zip(keys, ims, res, strict=True):
-        assert table.im_value(a, b, j, k) == value
-        assert table.im_value(b, a, j, k) == -value
-        assert table.im_value(a, b, k, j) == -value
-        assert table.im_value(b, a, k, j) == value
-        assert table.re_value(b, a, j, k) == re
-    assert table.im_value(2, 2, 1, 3) == 0.0
-    assert table.im_value(1, 2, 3, 3) == 0.0
+    re, im = v.plaquettes
+    ims = phase_table(im).tolist()
+    res = phase_table(re).tolist()
+    for (a, b, j, k), value, real in zip(canonical_keys(4), ims, res, strict=True):
+        assert phase(v, a, b, j, k).imag == value
+        assert phase(v, b, a, j, k).imag == -value
+        assert phase(v, a, b, k, j).imag == -value
+        assert phase(v, b, a, k, j).imag == value
+        assert phase(v, b, a, j, k).real == real
+    assert phase(v, 2, 2, 1, 3).imag == 0.0
+    assert phase(v, 1, 2, 3, 3).imag == 0.0
 
 
 def test_phase_table_identity_pattern():
-    table = phase_table(UnitaryMatrix(np.eye(4)))
-    assert np.all(table.canonical(table.im_tensor) == 0.0)
+    re, im = UnitaryMatrix(np.eye(4)).plaquettes
+    assert np.all(phase_table(im) == 0.0)
     # real parts: |delta| products, all zero off the diagonal pairs
-    assert np.all(table.canonical(table.re_tensor) == 0.0)
+    assert np.all(phase_table(re) == 0.0)
 
 
 # ---------------------------------------------------------------- sum rules
@@ -162,29 +164,30 @@ def test_unitarity_sums_invariant_under_rephasing(rng):
 
 def test_n3_sign_pattern_on_haar_samples(rng):
     for _ in range(50):
-        rep = n3_phase_table(haar_unitary(3, rng))
-        assert not rep.indeterminate
-        assert rep.matches_expected()
-        assert rep.max_residual <= 1e-12 * max(1.0, abs(rep.base))
+        base, signs, residuals, indeterminate = n3_signs(haar_unitary(3, rng))
+        assert not indeterminate
+        assert tuple(signs.tolist()) == N3_SIGN_PATTERN
+        assert residuals.max() <= 1e-12 * max(1.0, abs(base))
 
 
 def test_n3_specific_signs(rng):
-    rep = n3_phase_table(haar_unitary(3, rng))
+    signs = n3_signs(haar_unitary(3, rng))[1]
     # table order: (12;12), (12;13), (12;23), (13;12), (13;13), ...
-    assert rep.signs[4] == +1
-    assert rep.signs[1] == -1
+    assert signs[4] == +1
+    assert signs[1] == -1
 
 
 def test_n3_real_orthogonal_is_indeterminate():
-    rep = n3_phase_table(orthogonal3())
-    assert rep.indeterminate
-    assert rep.signs is None
-    assert rep.matches_expected()
+    v = orthogonal3()
+    _, _, residuals, indeterminate = n3_signs(v)
+    assert indeterminate
+    # with no base phase to compare with, each residual is the phase itself
+    assert np.array_equal(residuals, np.abs(phase_table(v.plaquettes[1])))
 
 
 def test_n3_requires_three_levels(rng):
     with pytest.raises(DimensionError):
-        n3_phase_table(haar_unitary(4, rng))
+        n3_phase_table(haar_unitary(4, rng).plaquettes[1][None])
 
 
 def test_n3_base_phase_ties_to_determinant():
@@ -193,7 +196,7 @@ def test_n3_base_phase_ties_to_determinant():
     a, b = inp.a.values, inp.b.values
     t = (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0])
     bb = (b[0] - b[1]) * (b[1] - b[2]) * (b[2] - b[0])
-    base = n3_phase_table(inp.v).base
+    base = n3_signs(inp.v)[0]
     d = det_direct(inp)
     assert abs(2j * t * bb * base - d) <= 1e-10 * max(1.0, abs(d))
 
@@ -201,54 +204,40 @@ def test_n3_base_phase_ties_to_determinant():
 # ---------------------------------------------------------------- J, R, expansion
 
 def test_jr_identity_is_zero():
-    jr = jr_matrices(UnitaryMatrix(np.eye(4)))
-    assert np.all(jr.j_mat == 0.0)
-    assert np.all(jr.r_mat == 0.0)
+    j, r = jr(UnitaryMatrix(np.eye(4)))
+    assert np.all(j == 0.0)
+    assert np.all(r == 0.0)
 
 
 def test_jr_entries_match_scalar_phases_bitwise(rng):
     v = haar_unitary(4, rng)
-    jr = jr_matrices(v)
-    table = phase_table(v)
-    assert jr.j_mat[0, 0] == table.im_value(1, 2, 1, 2)
-    assert jr.j_mat[2, 1] == table.im_value(3, 4, 2, 3)
-    assert jr.r_mat[1, 2] == table.re_value(2, 3, 3, 4)
+    j, r = jr(v)
+    assert j[0, 0] == phase(v, 1, 2, 1, 2).imag
+    assert j[2, 1] == phase(v, 3, 4, 2, 3).imag
+    assert r[1, 2] == phase(v, 2, 3, 3, 4).real
 
 
 def test_jr_requires_four_levels(rng):
     with pytest.raises(DimensionError):
-        jr_matrices(haar_unitary(3, rng))
+        jr_matrices(*(x[None] for x in haar_unitary(3, rng).plaquettes))
 
 
 def test_expansion_spot_values(rng):
     # the three worked rows of the column expansion
-    v = haar_unitary(4, rng)
-    jr = jr_matrices(v)
-    j = jr.j_mat
-    expanded = expand_phases(jr)
-    assert expanded.im_value(1, 2, 2, 4) == pytest.approx(j[0, 0] - j[0, 1], abs=1e-15)
-    assert expanded.im_value(1, 2, 1, 4) == pytest.approx(
-        -j[0, 0] + j[0, 1] - j[0, 2], abs=1e-15
-    )
-    assert expanded.im_value(1, 2, 1, 3) == pytest.approx(-j[0, 1] + j[0, 2], abs=1e-15)
+    j = jr(haar_unitary(4, rng))[0]
+    expanded = dict(zip(canonical_keys(4), expand_phases(j[None])[0].tolist(), strict=True))
+    assert expanded[1, 2, 2, 4] == pytest.approx(j[0, 0] - j[0, 1], abs=1e-15)
+    assert expanded[1, 2, 1, 4] == pytest.approx(-j[0, 0] + j[0, 1] - j[0, 2], abs=1e-15)
+    assert expanded[1, 2, 1, 3] == pytest.approx(-j[0, 1] + j[0, 2], abs=1e-15)
 
 
 def test_expansion_matches_direct_table(rng):
     for _ in range(50):
         v = haar_unitary(4, rng)
-        table = phase_table(v)
-        expanded = expand_phases(jr_matrices(v))
-        for rp in table.canonical_pairs():
-            for cp in table.canonical_pairs():
-                direct = table.im_value(rp[0], rp[1], cp[0], cp[1])
-                value = expanded.im_value(rp[0], rp[1], cp[0], cp[1])
-                assert abs(value - direct) <= 1e-12
-
-
-def test_expansion_table_has_no_real_parts(rng):
-    expanded = expand_phases(jr_matrices(haar_unitary(4, rng)))
-    with pytest.raises(KeyError):
-        expanded.re_value(1, 2, 1, 2)
+        direct = phase_table(v.plaquettes[1][None])
+        expanded = expand_phases(jr(v)[0][None])
+        for value, ref in zip(expanded[0].tolist(), direct[0].tolist(), strict=True):
+            assert abs(value - ref) <= 1e-12
 
 
 # ---------------------------------------------------------------- products
@@ -264,8 +253,7 @@ def test_product_identity_worked_example(rng):
     # re(12;12) im(12;23) + re(12;23) im(12;12) = re(12;22) im(12;13),
     # with the right side rewritten through the expansion of im(12;13)
     v = haar_unitary(4, rng)
-    jr = jr_matrices(v)
-    j, r = jr.j_mat, jr.r_mat
+    j, r = jr(v)
     lhs = r[0, 0] * j[0, 1] + r[0, 1] * j[0, 0]
     mod = abs(v.matrix[0, 1]) ** 2 * abs(v.matrix[1, 1]) ** 2
     rhs = mod * (-j[0, 1] + j[0, 2])
@@ -276,11 +264,11 @@ def test_product_identity_collapses_when_outer_columns_repeat(rng):
     # with l = j the mixed-rows identity reads
     #   re(ab;jk) im(ab;kj) + re(ab;kj) im(ab;jk) = re(ab;kk) im(ab;jj)
     # and antisymmetry makes both sides exactly zero
-    t = phase_table(haar_unitary(4, rng))
+    v = haar_unitary(4, rng)
     a, b, j, k = 1, 2, 1, 3
-    lhs = t.re_value(a, b, j, k) * t.im_value(a, b, k, j)
-    lhs += t.re_value(a, b, k, j) * t.im_value(a, b, j, k)
-    rhs = t.re_value(a, b, k, k) * t.im_value(a, b, j, j)
+    lhs = phase(v, a, b, j, k).real * phase(v, a, b, k, j).imag
+    lhs += phase(v, a, b, k, j).real * phase(v, a, b, j, k).imag
+    rhs = phase(v, a, b, k, k).real * phase(v, a, b, j, j).imag
     assert lhs == 0.0
     assert rhs == 0.0
 
@@ -298,9 +286,8 @@ def test_product_identities_real_orthogonal_residual_zero():
 
 def band_system(v):
     """(a, b, c) of the band system of one matrix."""
-    jr = jr_matrices(v)
-    return tuple(x[0] for x in _band_systems(tuple(x[None] for x in v.column_products),
-                                             jr.j_mat[None], jr.r_mat[None]))
+    j, r = jr_matrices(*(x[None] for x in v.plaquettes))
+    return tuple(x[0] for x in _band_systems(tuple(x[None] for x in v.column_products), j, r))
 
 
 def cycle_unknowns(j):
@@ -313,7 +300,7 @@ def test_band_system_consistency(rng):
     for _ in range(20):
         v = haar_unitary(4, rng)
         a, b, c = band_system(v)
-        y = cycle_unknowns(jr_matrices(v).j_mat)
+        y = cycle_unknowns(jr(v)[0])
         assert np.max(np.abs(a * y + b * np.roll(y, -1) - c)) <= 1e-13
 
 
@@ -336,7 +323,7 @@ def test_reconstruction_on_haar_samples(rng):
         if res.degenerate:
             continue
         gate_passes += 1
-        scale = max(1.0, float(np.max(np.abs(res.jr.j_mat))))
+        scale = max(1.0, float(np.max(np.abs(res.j))))
         assert res.max_error <= 1e-9 * scale
     assert gate_passes > 0
 
@@ -351,7 +338,7 @@ def test_reconstruction_identity_is_degenerate():
 def test_reconstruction_real_orthogonal_gives_zero():
     res = reconstruct_J(orthogonal4())
     assert not res.degenerate
-    assert np.all(res.jr.j_mat == 0.0)
+    assert np.all(res.j == 0.0)
     assert np.max(np.abs(res.j_reconstructed)) <= 1e-12
 
 
@@ -368,7 +355,7 @@ def test_reconstruction_near_identity_is_flagged():
     )
     res = reconstruct_J(UnitaryMatrix(m))
     assert not res.degenerate
-    assert res.max_error <= 1e-9 * np.max(np.abs(res.jr.j_mat))
+    assert res.max_error <= 1e-9 * np.max(np.abs(res.j))
 
 
 def test_reconstruction_requires_four_levels(rng):
@@ -384,9 +371,7 @@ def test_all_invariants_survive_rephasing(seed):
     rng = SeededRng(seed)
     v = haar_unitary(4, rng)
     w = rephased(v, *([u * 6.0 for u in uniforms(rng, 4)] for _ in "rc"))
-    t1, t2 = phase_table(v), phase_table(w)
-    assert np.max(np.abs(t1.canonical(t1.im_tensor) - t2.canonical(t2.im_tensor))) <= 1e-12
-    assert np.max(np.abs(t1.canonical(t1.re_tensor) - t2.canonical(t2.re_tensor))) <= 1e-12
-    jr1, jr2 = jr_matrices(v), jr_matrices(w)
-    assert np.max(np.abs(jr1.j_mat - jr2.j_mat)) <= 1e-13
-    assert np.max(np.abs(jr1.r_mat - jr2.r_mat)) <= 1e-13
+    for x, y in zip(v.plaquettes, w.plaquettes):
+        assert np.max(np.abs(phase_table(x) - phase_table(y))) <= 1e-12
+    for x, y in zip(jr(v), jr(w)):
+        assert np.max(np.abs(x - y)) <= 1e-13
