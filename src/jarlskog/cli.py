@@ -151,7 +151,7 @@ def _phase_report_text(v):
     for label, x, y in zip(labels, ims[0].tolist(), phase_table(re)[0].tolist()):
         lines.append(f"  {label}  im {x:+.17e}  re {y:+.17e}")
     if v.n == 3:
-        base, signs, residuals, indeterminate = (x[0] for x in n3_phase_table(im))
+        base, signs, residuals, indeterminate = (x[0] for x in n3_phase_table(ims))
         lines.append("")
         lines.append(f"base phase (12;12): {base:+.17e}")
         if indeterminate:

@@ -156,19 +156,22 @@ def det(m):
     singular = None
     vr, vi = np.ones(t), np.zeros(t)
     for k in range(n):
-        col = a[:, k:, k]
-        mag = np.hypot(col.real, col.imag)
-        # argmax takes the first maximum; a NaN candidate is lifted to -1 so
-        # it never wins, except on the diagonal, where it keeps its row
-        key = np.fmax(mag, -1.0)
-        key[:, 0] = np.fmin(mag[:, 0], np.inf)
-        offset = key.argmax(axis=1)
-        if any(offset.tolist()):
-            rows = k + offset
-            top = a[:, k].copy()
-            a[:, k] = a[trials, rows]
-            a[trials, rows] = top
-            odd ^= offset != 0
+        last = k + 1 == n
+        # the last column has one candidate row, so it needs no search
+        if not last:
+            col = a[:, k:, k]
+            mag = np.hypot(col.real, col.imag)
+            # argmax takes the first maximum; a NaN candidate is lifted to -1
+            # so it never wins, except on the diagonal, where it keeps its row
+            key = np.fmax(mag, -1.0)
+            key[:, 0] = np.fmin(mag[:, 0], np.inf)
+            offset = key.argmax(axis=1)
+            if any(offset.tolist()):
+                rows = k + offset
+                top = a[:, k].copy()
+                a[:, k] = a[trials, rows]
+                a[trials, rows] = top
+                odd ^= offset != 0
         pivot = a[:, k, k]
         if 0j in pivot.tolist():
             # a zero pivot column: the matrix is singular.  It carries the
@@ -178,7 +181,7 @@ def det(m):
             singular = zero if singular is None else singular | zero
             a[zero] = np.eye(n)
         vr, vi = _cmul(vr, vi, pivot.real, pivot.imag)
-        if k + 1 < n:
+        if not last:
             factor = a[:, k + 1:, k] / pivot[:, None]
             a[:, k + 1:, k + 1:] -= factor[:, :, None] * a[:, None, k, k + 1:]
     # the sign of the row permutation: 1.0 - 2.0 * odd is exactly +-1.0

@@ -14,10 +14,12 @@ table, J and R, the expansion, the band reconstruction) runs on a stack of
 such tensors with a leading trial axis, and each has one function:
 phase_table (the canonical entries alpha < beta, j < k, n in {3, 4}),
 unitary_relation_residuals, nonlinear_relation_residuals, n3_phase_table,
-jr_matrices, expand_phases and expansion_residual.  verify runs them on a
-chunk of trials and the `phases` report on a stack of one; reconstruct_J is
-the report's one single-matrix entry point.  A single phase, at any n, is
-an entry of V.plaquettes.
+jr_matrices, expand_phases and expansion_residual.  n3_phase_table and
+expansion_residual read the canonical entries that phase_table took, so a
+caller takes them once.  verify runs them on a chunk of trials and the
+`phases` report on a stack of one; reconstruct_J is the report's one
+single-matrix entry point.  A single phase, at any n, is an entry of
+V.plaquettes.
 
 Exactness note: every plaquette value here is read from the one tensor
 UnitaryMatrix.plaquettes, which evaluates the grouping
@@ -121,9 +123,10 @@ N3_SIGN_PATTERN = (+1, -1, +1, -1, +1, -1, +1, -1, +1)
 _N3_DEGENERATE_TOL = 1e-12
 
 
-def n3_phase_table(im):
-    """The n = 3 sign table of (T, 3, 3, 3, 3) imaginary plaquettes: all
-    nine canonical phases are +/- the single base phase im(12;12).
+def n3_phase_table(ims):
+    """The n = 3 sign table of the (T, 9) canonical imaginary phases that
+    phase_table takes of (T, 3, 3, 3, 3) plaquettes: all nine are +/- the
+    single base phase im(12;12), the first of them.
 
     Returns (base, signs, residuals, indeterminate): base (T,), signs and
     residuals (T, 9) in table order, as N3_SIGN_PATTERN, and indeterminate
@@ -131,14 +134,14 @@ def n3_phase_table(im):
     base phase is zero (indeterminate) the residuals are |value| and the
     signs carry no meaning.
     """
-    if im.shape[-1] != 3:
-        raise DimensionError(f"single-phase structure requires n=3, got n={im.shape[-1]}")
-    base = im[:, 0, 1, 0, 1]
-    x = phase_table(im)
+    if ims.shape[-1] != 9:
+        raise DimensionError("single-phase structure requires n=3, got a table of "
+                             f"{ims.shape[-1]} phases")
+    base = ims[:, 0]
     indeterminate = np.abs(base) <= _N3_DEGENERATE_TOL
     b = base[:, None]
-    signs = np.where(np.abs(x - b) <= np.abs(x + b), 1, -1)
-    residuals = np.where(indeterminate[:, None], np.abs(x), np.abs(x - signs * b))
+    signs = np.where(np.abs(ims - b) <= np.abs(ims + b), 1, -1)
+    residuals = np.where(indeterminate[:, None], np.abs(ims), np.abs(ims - signs * b))
     return base, signs, residuals, indeterminate
 
 

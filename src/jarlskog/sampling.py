@@ -12,9 +12,15 @@ Output p of a stream depends only on its seed and p, so the samplers draw
 for a stack of streams at once, each from its own position: uint64 array
 arithmetic for the stream, exact elementwise float operations on top, and
 log, cos and sin as scalar libm calls over the entries (numpy's own loops
-for them round differently).  A chunk of verify trials is one such stack;
-SeededRng is a cursor on a single stream, and the single-problem samplers
-are the stack of one on it.
+for them round differently).  Reading outputs (_stream) is kept apart from
+turning them into draws, which has one definition per kind of draw:
+_box_muller for normal pairs, _angles and _unit_phases for angles and
+their phases, _spectrum_draws for sorted spectrum draws and their
+acceptance.  SeededRng is a cursor on a single stream, and the
+single-problem samplers read through it as a stack of one.  A chunk of
+verify trials reads every output it needs in one block per stream and
+applies the same transforms to it (verify._draw_chunk), so its draws have
+the bits of the single-problem samplers on each trial's stream.
 
 Haar sampling trap: QR-factorising a complex Ginibre matrix does NOT give a
 Haar-distributed Q, because the QR factorisation is only unique up to the
@@ -82,37 +88,53 @@ def _libm(f, x):
     return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
-def _normals(seeds, positions, pairs):
-    """Box-Muller normals: a (T, pairs, 2) array of (r cos t, r sin t)
-    pairs, two outputs each, and the positions after them.
+def _angles(u):
+    """Angles 2 pi u from uint64 outputs.  u <= 1 - 2^-53 keeps 2 pi u below
+    2 pi after rounding, so the angles need no reduction mod 2 pi."""
+    return _TWO_PI * _uniform(u)
 
-    The radial uniform is shifted into (0, 1] so log never sees zero.
-    """
-    u, end = _stream(seeds, positions, 2 * pairs)
-    u1 = ((u[:, 0::2] >> 11) + 1) * 2.0 ** -53
-    t = _TWO_PI * _uniform(u[:, 1::2])
-    r = np.sqrt(-2.0 * _libm(math.log, u1))
+
+def _box_muller(radial, unit):
+    """Box-Muller normals: a (..., 2) array of (r cos t, r sin t) pairs from
+    the radial outputs and the unit phases complex(cos t, sin t) of the
+    angles t, both (...).  The radial uniform is shifted into (0, 1] so log
+    never sees zero."""
+    r = np.sqrt(-2.0 * _libm(math.log, ((radial >> 11) + 1) * 2.0 ** -53))
     z = np.empty((*r.shape, 2))
-    np.multiply(r, _libm(math.cos, t), out=z[..., 0])
-    np.multiply(r, _libm(math.sin, t), out=z[..., 1])
-    return z, end
+    np.multiply(r, unit.real, out=z[..., 0])
+    np.multiply(r, unit.imag, out=z[..., 1])
+    return z
 
 
-def _ginibres(seeds, positions, n):
-    """(T, n, n) complex Ginibre matrices, one per stream, and the positions
-    after them.  Entries are filled row-major, real component before
-    imaginary, each a standard normal scaled by 1/sqrt(2)."""
-    z, end = _normals(seeds, positions, n * n)
-    return (z * _INV_SQRT2).view(np.complex128).reshape(-1, n, n), end
+def _normals(seeds, positions, pairs):
+    """Box-Muller normals: a (T, pairs, 2) array, two outputs per pair (the
+    radial one, then the angle), and the positions after them."""
+    u, end = _stream(seeds, positions, 2 * pairs)
+    return _box_muller(u[:, 0::2], _unit_phases(_angles(u[:, 1::2]))), end
+
+
+def _as_ginibre(z, n):
+    """(T, n, n) complex Ginibre matrices from (T, n * n, 2) normal pairs:
+    entries row-major, real component before imaginary, each a standard
+    normal scaled by 1/sqrt(2)."""
+    return (z * _INV_SQRT2).view(np.complex128).reshape(-1, n, n)
+
+
+def _spectrum_draws(u, n):
+    """Spectrum draws from (T, k n) uint64 outputs: the (T, k, n) draws of n
+    values 2u - 1 each, sorted ascending, and the (T, k) mask of the draws
+    whose gaps all reach MIN_GAP (accepted)."""
+    draws = np.sort((2.0 * _uniform(u) - 1.0).reshape(len(u), -1, n), axis=2)
+    return draws, ((draws[..., 1:] - draws[..., :-1]) >= MIN_GAP).all(axis=2)
 
 
 def _spectra(seeds, positions, n):
     """(T, n) spectra, one per stream, and the positions after them.
 
-    Each spectrum is n values 2u - 1, redrawn until all gaps reach MIN_GAP,
-    sorted ascending.  A redraw round reads the next _DRAWS_PER_ROUND draws
-    of only the streams that have no accepted draw yet, keeps the first
-    accepted one and moves the position just past it.
+    Each spectrum is the first accepted draw of _spectrum_draws.  A redraw
+    round reads the next _DRAWS_PER_ROUND draws of only the streams that
+    have no accepted draw yet, keeps the first accepted one and moves the
+    position just past it.
     """
     values = np.empty((len(seeds), n))
     end = positions.copy()
@@ -120,22 +142,13 @@ def _spectra(seeds, positions, n):
     k = _DRAWS_PER_ROUND
     while len(todo):
         u, _ = _stream(seeds[todo], end[todo], k * n)
-        draws = np.sort((2.0 * _uniform(u) - 1.0).reshape(-1, k, n), axis=2)
-        accepted = (np.diff(draws, axis=2) >= MIN_GAP).all(axis=2)
+        draws, accepted = _spectrum_draws(u, n)
         first = accepted.argmax(axis=1)
         found = accepted.any(axis=1)
         values[todo[found]] = draws[found, first[found]]
         end[todo] += np.where(found, first + 1, k) * n
         todo = todo[~found]
     return values, end
-
-
-def _angles(seeds, positions, n):
-    """(T, 2n) rephasing angles, n row angles then n column angles, each
-    2 pi u; and the positions after them.  u <= 1 - 2^-53 keeps 2 pi u below
-    2 pi after rounding, so the angles need no reduction mod 2 pi."""
-    u, end = _stream(seeds, positions, 2 * n)
-    return _TWO_PI * _uniform(u), end
 
 
 class SeededRng:
@@ -248,7 +261,7 @@ def ginibre(n, rng):
     standard normal scaled by 1/sqrt(2), so E|g_ij|^2 = 1.
     """
     check_dimension(n)
-    return rng._draw(_ginibres, n)
+    return _as_ginibre(rng._draw(_normals, n * n)[None], n)[0]
 
 
 def haar_unitary(n, rng):

@@ -2,19 +2,22 @@
 
 A suite is a fixed list of identities checked over `trials` independent
 draws.  Trial t uses the stream seeded with derive_seed(master_seed, t) and
-draws, in order: the mixing matrix, the a-spectrum, the b-spectrum, and one
-set of rephasing angles.  Residual accumulation follows trial order, so a
-report is a pure function of (suite, master_seed, trials, tolerances): the
+draws, in stream order: the mixing matrix (2 n^2 outputs for its Ginibre
+matrix), the a-spectrum and the b-spectrum (the first and the second
+accepted of consecutive draws of n outputs each), and one set of 2n
+rephasing angles.  Residual accumulation follows trial order, so a report
+is a pure function of (suite, master_seed, trials, tolerances): the
 rendered text is byte-identical across runs.  Wall time is therefore kept
 out of the rendered report and surfaced separately by the CLI.
 
-Trials run in chunks of TRIAL_CHUNK.  Each draw of a chunk (Ginibre
-matrices, spectra, angles) is made for all of its trials at once, each
-trial at its own position in its own stream, and then every layer (QR,
-validation, plaquettes, determinants, closed forms, residual families) runs
-once on the stack of the chunk's trials.  Each stacked draw and layer gives,
-in slice t, the bits of the single-trial call on trial t, so the report
-does not depend on the chunk size.
+Trials run in chunks of TRIAL_CHUNK.  A chunk reads the outputs of all of
+its draws at once (_draw_chunk): one block per trial from the start of its
+own stream, holding the Ginibre matrix, a spectrum round that serves both
+spectra in all but rare trials, and the angles after them.  Then every
+layer (QR, validation, plaquettes, determinants, closed forms, residual
+families) runs once on the stack of the chunk's trials.  Each stacked draw
+and layer gives, in slice t, the bits of the single-trial call on trial t,
+so the report does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -46,10 +49,14 @@ from .phases import (
     unitary_relation_residuals,
 )
 from .sampling import (
+    _DRAWS_PER_ROUND,
     _angles,
-    _ginibres,
+    _as_ginibre,
+    _box_muller,
     _haar_from_ginibre,
     _spectra,
+    _spectrum_draws,
+    _stream,
     _unit_phases,
     derive_seed,
     rephase,
@@ -168,10 +175,11 @@ def _antisymmetry_residuals(re, im):
     return np.abs(swapped, out=swapped).reshape(len(re), -1).max(axis=1)
 
 
-def _phase_shifts(tensors, shifted):
-    """(T,) largest change of a canonical phase between two (re, im) pairs
-    of (T, n, n, n, n) plaquette tensors."""
-    diff = [phase_table(y) - phase_table(x) for x, y in zip(tensors, shifted)]
+def _phase_shifts(tables):
+    """(T,) largest change of a canonical phase under rephasing, from the
+    (T, m) phase tables of re and im of the matrices and then of their
+    rephased copies."""
+    diff = [y - x for x, y in zip(tables[:2], tables[2:])]
     return np.abs(np.concatenate(diff, axis=1)).max(axis=1)
 
 
@@ -194,14 +202,43 @@ def check_tolerance(value, name="tolerance"):
 def _draw_chunk(n, seeds):
     """The draws of each trial, in stream order: the Ginibre matrix of V,
     the a- and b-spectra and the rephasing angles.  seeds is the (T,) uint64
-    array of per-trial seeds; each draw is made for the whole chunk at once,
-    every trial at its own stream position.  Returns the (T, n, n) Ginibre
-    stack, the (T, n) spectra and the (T, n) rephasing factors."""
-    g, end = _ginibres(seeds, np.zeros(len(seeds), dtype=np.int64), n)
-    a, end = _spectra(seeds, end, n)
-    b, end = _spectra(seeds, end, n)
-    phases = _unit_phases(_angles(seeds, end, n)[0])
-    return g, a, b, phases[:, :n], phases[:, n:]
+    array of per-trial seeds.  Returns the (T, n, n) Ginibre stack, the
+    (T, n) spectra and the (T, n) row and column rephasing factors.
+
+    The whole chunk reads one block of outputs, each trial from the start
+    of its own stream: the 2 n^2 Ginibre outputs, one spectrum round of
+    2 * _DRAWS_PER_ROUND draws, and 2n outputs beyond it.  a and b are the
+    first and second accepted draws of that round, and the angles are the
+    2n outputs after b, gathered at each trial's own end position.  Only a
+    stream with fewer than two accepted draws in the round continues past
+    the block, through the redraw loop _spectra, and reads its angles after
+    it.  One log pass serves the Box-Muller radii, and one cos and one sin
+    pass serve the Box-Muller angles and the rephasing angles together.
+    """
+    t, k = len(seeds), 2 * _DRAWS_PER_ROUND
+    start = 2 * n * n
+    stop = start + k * n
+    u, _ = _stream(seeds, np.zeros(t, dtype=np.int64), stop + 2 * n)
+    draws, accepted = _spectrum_draws(u[:, start:stop], n)
+    # the indices of the first and second accepted draws, k where missing
+    picks = (accepted.cumsum(axis=1)[:, :, None] <= np.arange(2)).sum(axis=1)
+    rows = np.arange(t)[:, None]
+    a, b = draws[rows, np.minimum(picks, k - 1)].transpose(1, 0, 2)
+    # just past b, or the end of the round for the streams that redraw
+    end = np.minimum(start + (picks[:, 1] + 1) * n, stop)
+    # the angle outputs: the Box-Muller ones, then the rephasing ones
+    turns = np.concatenate([u[:, 1:start:2], u[rows, end[:, None] + np.arange(2 * n)]], axis=1)
+    if k in picks[:, 1].tolist():
+        redraw = np.flatnonzero(picks[:, 1] == k)
+        end = end[redraw]
+        no_a = picks[redraw, 0] == k
+        if no_a.any():
+            a[redraw[no_a]], end[no_a] = _spectra(seeds[redraw[no_a]], end[no_a], n)
+        b[redraw], end = _spectra(seeds[redraw], end, n)
+        turns[redraw, n * n:] = _stream(seeds[redraw], end, 2 * n)[0]
+    unit = _unit_phases(_angles(turns))
+    g = _as_ginibre(_box_muller(u[:, 0:start:2], unit[:, :n * n]), n)
+    return g, a, b, unit[:, n * n:n * n + n], unit[:, n * n + n:]
 
 
 def _check_chunk(n, seeds, closed_rel, parity_abs):
@@ -234,6 +271,9 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
     re, im = (x[:t] for x in plaq)
     cols = tuple(x[:t] for x in cols)
+    # the canonical phases of re and im, of V and then of its rephased copy
+    tables = [phase_table(x) for x in (re, im, *(x[t:] for x in plaq))]
+    ims = tables[1]
 
     mod_d = _modulus(d)
     det_scale = np.maximum(1.0, mod_d)
@@ -255,14 +295,14 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         row("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}",
             np.max([x for k, x in sums.items() if k.startswith("re_")], axis=0), SUM_RULE_ABS),
         row("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}",
-            _phase_shifts((re, im), (x[t:] for x in plaq)), REPHASE_PHASE_ABS),
+            _phase_shifts(tables), REPHASE_PHASE_ABS),
         row("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)",
             np.maximum(_modulus(d2 - d), _modulus(c2 - c)), REPHASE_DET_REL * det_scale),
         row("product_identities", f"{PRODUCT_ABS:.0e}",
             np.max(list(nonlinear_relation_residuals(re, im).values()), axis=0), PRODUCT_ABS),
     ]
     if n == 3:
-        base, signs, residuals, indeterminate = n3_phase_table(im)
+        base, signs, residuals, indeterminate = n3_phase_table(ims)
         matches = indeterminate | (signs == N3_SIGN_PATTERN).all(axis=1)
         # a wrong sign pattern fails its trial whatever the residual
         limit = np.where(matches, SIGN_TABLE_REL * np.maximum(1.0, np.abs(base)), -np.inf)
@@ -276,7 +316,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))
     rows += [
         row("phase_expansion_36", f"{EXPANSION_ABS:.0e}",
-            expansion_residual(phase_table(im), expand_phases(j)), EXPANSION_ABS),
+            expansion_residual(ims, expand_phases(j)), EXPANSION_ABS),
         row("difference_factor_sum", f"{FACTOR_SUM_REL:.0e} (relative)",
             np.maximum(np.maximum(0.0, factor_sum[:t]), factor_sum[t:]), FACTOR_SUM_REL),
         row("band_reconstruction", f"{RECONSTRUCT_REL:.0e}*max(1,max|J|)",

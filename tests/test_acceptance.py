@@ -27,6 +27,7 @@ from jarlskog import (
     haar_unitary,
     jr_matrices,
     n3_phase_table,
+    phase_table,
     reconstruct_J,
 )
 from jarlskog.verify import run_suite
@@ -122,7 +123,7 @@ def test_acceptance_06_single_phase_structure(reports):
     # the det link 2i T B base is det3_closed, covered by criterion 01
     started = time.perf_counter()
     im = np.array([v.plaquettes[1] for v in haar_draws(3, DIRECT_DRAWS)])
-    indeterminate = int(n3_phase_table(im)[3].sum())
+    indeterminate = int(n3_phase_table(phase_table(im))[3].sum())
     criterion(6, "n=3 single-phase sign table", started,
               [(reports[3], "single_phase_sign_table", "1e-12*max(1,|base|)", TRIALS)],
               [(indeterminate == 0,

@@ -54,6 +54,9 @@ def test_traced_verify_sees_the_stacked_layers_and_keeps_its_bytes(n, trials):
     if n == 4:
         # one chunk takes the difference factors of both spectra at once
         assert calls["determinant.t_factors.calls_per_op"][0] == 1
+    # and the canonical phases of re and im of V and of its rephased copy
+    # once each
+    assert calls["phases.phase_table.calls_per_op"][0] == 4
     assert traced == plain
 
 

@@ -129,6 +129,14 @@ def test_sample_output_is_deterministic_bytes():
     assert first.stdout == second.stdout
 
 
+@pytest.mark.parametrize("seed", (0, 11))
+@pytest.mark.parametrize("n", (2, 3, 4, 8))
+def test_sample_output_matches_golden_bytes(capsys, n, seed):
+    assert main(["sample", "--n", str(n), "--seed", str(seed)]) == 0
+    with open(os.path.join(DATA, f"sample_n{n}_seed{seed}.json"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_sample_round_trips_through_parser():
     out = run_cli("sample", "--n", "3", "--seed", "5")
     inp = parse_problem(out.stdout)

@@ -38,7 +38,7 @@ def product_residuals(v):
 def n3_signs(v):
     """(base, signs, residuals, indeterminate) of the n = 3 sign table of
     one matrix."""
-    return tuple(x[0] for x in n3_phase_table(v.plaquettes[1][None]))
+    return tuple(x[0] for x in n3_phase_table(phase_table(v.plaquettes[1][None])))
 
 
 def jr(v):
@@ -187,7 +187,7 @@ def test_n3_real_orthogonal_is_indeterminate():
 
 def test_n3_requires_three_levels(rng):
     with pytest.raises(DimensionError):
-        n3_phase_table(haar_unitary(4, rng).plaquettes[1][None])
+        n3_phase_table(phase_table(haar_unitary(4, rng).plaquettes[1][None]))
 
 
 def test_n3_base_phase_ties_to_determinant():

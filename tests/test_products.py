@@ -652,11 +652,12 @@ def stacked_layers(n):
         "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, *plaq)),
         "product_residuals": (phases.nonlinear_relation_residuals, plaq),
         "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq),
-        "phase_shifts": (verify._phase_shifts, (plaq, linalg._plaquettes(w))),
+        "phase_shifts": (verify._phase_shifts,
+                         (tuple(map(phases.phase_table, plaq + linalg._plaquettes(w))),)),
     }
     if n == 3:
         layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]))
-        layers["n3_signs"] = (phases.n3_phase_table, (plaq[1],))
+        layers["n3_signs"] = (phases.n3_phase_table, (phases.phase_table(plaq[1]),))
     else:
         j, r = phases.jr_matrices(*plaq)
         groups = determinant._det4_groups(t_factors(a), b, cols, plaq)
@@ -829,7 +830,7 @@ def draw_bits(x):
     return bits(x.view(np.float64) if np.iscomplexobj(x) else x)
 
 
-DRAW_CASES = [(n, t) for n in range(2, 9) for t in (1, 7, 64)]
+DRAW_CASES = [(n, t) for n in range(2, 9) for t in (1, 4, 7, 8, 64)]
 
 
 @pytest.mark.parametrize(("n", "trials"), DRAW_CASES, ids=[f"n{n}-T{t}" for n, t in DRAW_CASES])
@@ -841,6 +842,45 @@ def test_stacked_draw_is_bit_equal_to_the_per_trial_loop(n, trials):
     for name, x, y in zip(("ginibre", "a", "b", "row_phases", "col_phases"), got, ref):
         assert x.shape == y.shape, name
         assert np.array_equal(draw_bits(x), draw_bits(y)), name
+
+
+def counted_draws(monkeypatch):
+    """Patch every binding of the stream and of the redraw loop with a
+    wrapper that counts its calls; returns the {name: calls} dict."""
+    calls = {"_stream": 0, "_spectra": 0}
+    for name in calls:
+        fn = getattr(sampling, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        for module in (sampling, verify):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_chunk_whose_round_accepts_too_few_draws_redraws_bit_equal_to_the_loop(monkeypatch):
+    # n = 8 accepts a draw with probability 21%, so some of 64 streams find
+    # fewer than two accepted draws in the block's round of
+    # 2 * _DRAWS_PER_ROUND and continue through the redraw loop
+    n, trials = 8, 64
+    seeds = [scalar_derive_seed(800, t) for t in range(trials)]
+    calls = counted_draws(monkeypatch)
+    got = verify._draw_chunk(n, np.array(seeds, dtype=np.uint64))
+    assert calls["_spectra"] >= 1
+    assert calls["_stream"] > 1
+    for name, x, y in zip(("ginibre", "a", "b", "row_phases", "col_phases"), got,
+                          scalar_draw_chunk(n, seeds)):
+        assert np.array_equal(draw_bits(x), draw_bits(y)), name
+
+
+@pytest.mark.parametrize(("n", "trials"), ((3, 8), (4, 4)))
+def test_chunk_reads_one_block_of_outputs_when_no_stream_redraws(monkeypatch, n, trials):
+    calls = counted_draws(monkeypatch)
+    verify._draw_chunk(n, derive_seed(29, np.arange(trials)))
+    assert calls == {"_stream": 1, "_spectra": 0}
 
 
 @pytest.mark.parametrize("trials", (1, 7, 64))

@@ -124,8 +124,8 @@ def haar_stack(n, rng, trials):
     drawn as one stack of positions along rng's stream, then the diag(R)
     fix and the validation once on the stack."""
     seeds = np.full(trials, rng.seed, dtype=np.uint64)
-    g, _ = sampling._ginibres(seeds, rng.position + 2 * n * n * np.arange(trials), n)
-    v = sampling._haar_from_ginibre(g)
+    z, _ = sampling._normals(seeds, rng.position + 2 * n * n * np.arange(trials), n * n)
+    v = sampling._haar_from_ginibre(sampling._as_ginibre(z, n))
     linalg._validate_unitaries(v)
     return v
 
