@@ -38,6 +38,15 @@ class DegenerateSpectrumError(ValueError):
     """Raised when eigenvalues coincide; every formula here assumes simple spectra."""
 
 
+class _InvalidUnitary(ValueError):
+    """Raised by _validate_unitaries; index is the position in the stack of
+    the matrix that failed."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 def _as_square(m, name="matrix", stack=False):
     """m as a complex array of one square matrix, or with stack=True also of
     a (T, n, n) stack of them."""
@@ -226,9 +235,9 @@ def _validate_unitaries(m):
 
     Returns (defects, column_products): max|V V^+ - I| per matrix and the
     (re, im) pair of c[t, k, i, j] = V_t[i,k] conj(V_t[j,k]), whose k-sums
-    are the V V^+ entries.  Raises ValueError, for the first matrix that
-    fails it, on the first check failed of: finite entries, the defect
-    within UNITARITY_TOL.
+    are the V V^+ entries.  Raises _InvalidUnitary, a ValueError that holds
+    the index of the first matrix that fails, on that matrix's first check
+    failed of: finite entries, the defect within UNITARITY_TOL.
 
     The defect bound also puts |det V| within n * UNITARITY_TOL / 2 of 1 (to
     first order), so no determinant is taken: V V^+ = I + E with E Hermitian
@@ -238,14 +247,18 @@ def _validate_unitaries(m):
     """
     check_dimension(m.shape[-1])
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        # the finite matrices before the first non-finite one may fail first
+        t = int(np.isfinite(m).all(axis=(1, 2)).argmin())
+        _validate_unitaries(m[:t])
+        raise _InvalidUnitary("matrix entries must be finite", t)
     cr, ci = _row_products(m.swapaxes(-1, -2))
     gram = _complex(_ksum(cr, axis=1), _ksum(ci, axis=1))
     defects = np.abs(gram - np.eye(m.shape[-1])).max(axis=(1, 2))
-    for defect in defects.tolist():
+    for t, defect in enumerate(defects.tolist()):
         if not defect <= UNITARITY_TOL:
-            raise ValueError(
-                f"matrix is not unitary: max|V V+ - I| = {defect:.3e} > {UNITARITY_TOL:.0e}"
+            raise _InvalidUnitary(
+                f"matrix is not unitary: max|V V+ - I| = {defect:.3e} > {UNITARITY_TOL:.0e}",
+                t,
             )
     return defects, (cr, ci)
 

@@ -11,8 +11,16 @@ Schema (format "jarlskog-problem/1"):
     }
 
 or, instead of "V", the pair "U" / "U_prime" of diagonalising unitaries, in
-which case V = adjoint(U) U_prime, formed after both pass unitarity
-validation, must pass it too.  Exactly one of the two forms must be given.
+which case V = adjoint(U) U_prime.  Exactly one of the two forms must be
+given.
+
+Parsing works in whole-array steps.  Each matrix field is checked in one
+pass over its rows and one over its cells, then built by one float64 array
+build viewed as complex.  Only when a check or the build fails does a scan
+in reading order find the first row or entry to name.  U and U_prime are
+validated as one stack, and only V, formed from them, is wrapped as a
+UnitaryMatrix.  So the fault named is the first of: the structure of each
+field in turn, then the unitarity of U, of U_prime and of V.
 
 Complex numbers are serialised as two-element [re, im] arrays.  Floats are
 written with Python's shortest round-trip repr, so parsing a written file
@@ -26,7 +34,8 @@ import json
 import numpy as np
 
 from .determinant import MassPairInput
-from .linalg import Spectrum, UnitaryMatrix, adjoint, matmul
+from .linalg import (Spectrum, UnitaryMatrix, _InvalidUnitary, _validate_unitaries, adjoint,
+                      matmul)
 
 FORMAT_TAG = "jarlskog-problem/1"
 
@@ -40,46 +49,59 @@ def _require(cond, message):
         raise ProblemFileError(message)
 
 
+#: the types json gives a JSON number; a bool is not a number here
+_NUMBER = frozenset((int, float))
+
+
+def _too_large(name):
+    return ProblemFileError(f"field '{name}' holds an integer too large for a float")
+
+
 def _parse_complex_matrix(raw, n, name):
-    _require(isinstance(raw, list) and len(raw) == n, f"field '{name}' must be a list of {n} rows")
-    m = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(raw):
-        _require(
-            isinstance(row, list) and len(row) == n,
-            f"field '{name}' row {i + 1} must have {n} entries",
-        )
-        for j, cell in enumerate(row):
-            _require(
-                isinstance(cell, list)
-                and len(cell) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell),
-                f"field '{name}' entry ({i + 1},{j + 1}) must be a [re, im] pair",
-            )
-            m[i, j] = complex(_float(cell[0], name), _float(cell[1], name))
-    return m
+    """The n x n complex matrix of a field of [re, im] pairs, built as one
+    array; each entry is bit-equal to complex(float(re), float(im))."""
+    _require(type(raw) is list and len(raw) == n, f"field '{name}' must be a list of {n} rows")
+    if all(type(row) is list and len(row) == n for row in raw):
+        # the parts of every two-element cell, so 2 n^2 of them when no cell
+        # has another shape
+        parts = [x for row in raw for cell in row if type(cell) is list and len(cell) == 2
+                 for x in cell]
+        if len(parts) == 2 * n * n and _NUMBER.issuperset(map(type, parts)):
+            try:
+                return np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+            except OverflowError:
+                pass
+    raise _first_fault(raw, n, name)
 
 
-def _float(x, name):
-    """float(x) for a JSON number; an integer too large for a float is a
-    ProblemFileError naming the field, not an OverflowError."""
+def _first_fault(raw, n, name):
+    """The ProblemFileError for the first row or entry of raw, in reading
+    order, that the array build in _parse_complex_matrix cannot take."""
     try:
-        return float(x)
+        for i, row in enumerate(raw, 1):
+            if not (type(row) is list and len(row) == n):
+                return ProblemFileError(f"field '{name}' row {i} must have {n} entries")
+            for j, cell in enumerate(row, 1):
+                if not (type(cell) is list and len(cell) == 2
+                        and _NUMBER.issuperset(map(type, cell))):
+                    return ProblemFileError(
+                        f"field '{name}' entry ({i},{j}) must be a [re, im] pair")
+                float(cell[0]), float(cell[1])
     except OverflowError:
-        raise ProblemFileError(f"field '{name}' holds an integer too large for a float") from None
+        return _too_large(name)
+    raise AssertionError(f"field '{name}' has no fault to name")
 
 
 def _parse_spectrum(raw, n, name):
     _require(
-        isinstance(raw, list) and len(raw) == n,
+        type(raw) is list and len(raw) == n,
         f"field '{name}' must be a list of {n} reals",
     )
-    _require(
-        all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw),
-        f"field '{name}' must contain only numbers",
-    )
-    values = tuple(_float(x, name) for x in raw)
+    _require(_NUMBER.issuperset(map(type, raw)), f"field '{name}' must contain only numbers")
     try:
-        return Spectrum(values)
+        return Spectrum(tuple(raw))
+    except OverflowError:
+        raise _too_large(name) from None
     except ValueError as exc:
         raise ProblemFileError(f"field '{name}': {exc}") from exc
 
@@ -90,10 +112,6 @@ def _unitary(m, what):
         return UnitaryMatrix(m)
     except ValueError as exc:
         raise ProblemFileError(f"{what}: {exc}") from exc
-
-
-def _parse_unitary(doc, n, name):
-    return _unitary(_parse_complex_matrix(doc[name], n, name), f"field '{name}'")
 
 
 def parse_problem(text):
@@ -124,11 +142,16 @@ def parse_problem(text):
         "exactly one of 'V' or the pair 'U'/'U_prime' must be given",
     )
     if has_v:
-        v = _parse_unitary(doc, n, "V")
+        v = _unitary(_parse_complex_matrix(doc["V"], n, "V"), "field 'V'")
     else:
         _require("U" in doc and "U_prime" in doc, "'U' and 'U_prime' must be given together")
-        u, up = _parse_unitary(doc, n, "U"), _parse_unitary(doc, n, "U_prime")
-        v = _unitary(matmul(adjoint(u.matrix), up.matrix), "the product V = U^+ U_prime")
+        names = ("U", "U_prime")
+        pair = np.stack([_parse_complex_matrix(doc[name], n, name) for name in names])
+        try:
+            _validate_unitaries(pair)
+        except _InvalidUnitary as exc:
+            raise ProblemFileError(f"field '{names[exc.index]}': {exc}") from exc
+        v = _unitary(matmul(adjoint(pair[0]), pair[1]), "the product V = U^+ U_prime")
     try:
         return MassPairInput(a=a, b=b, v=v)
     except ValueError as exc:
@@ -145,7 +168,7 @@ def load_problem(path):
 
 
 def _matrix_payload(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def render_problem(inp):

@@ -68,3 +68,18 @@ def test_traced_phases_report_defines_the_gate_pass_ratio(capsys):
         assert cli.main(["phases", problem]) == 0
     capsys.readouterr()
     assert tracer.layer_metrics(1)[tracing.GATE_PASS_RATIO][0] is not None
+
+
+@pytest.mark.parametrize("argv", (["det", "--method", "both"], ["phases"]), ids=("det", "phases"))
+def test_traced_u_form_problem_builds_one_unitary_matrix_and_keeps_its_bytes(argv, capsys):
+    # U and U_prime are validated as one stack; only V = U^+ U_prime is
+    # wrapped as a UnitaryMatrix
+    problem = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                           "problem_n4_uu_seed602.json")
+    assert cli.main([*argv[:1], problem, *argv[1:]]) == 0
+    plain = capsys.readouterr().out
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main([*argv[:1], problem, *argv[1:]]) == 0
+    assert capsys.readouterr().out == plain
+    assert tracer.layer_metrics(1)["linalg.UnitaryMatrix.__post_init__.calls_per_op"][0] == 1

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from jarlskog import MassPairInput, SeededRng, haar_unitary, phases, random_spectrum
+from conftest import bits
+from jarlskog import MassPairInput, SeededRng, haar_unitary, phases, problem_io, random_spectrum
 from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
 from jarlskog.verify import run_suite
@@ -485,6 +486,133 @@ def test_non_unitary_product_of_a_valid_pair_is_input_error(command, tmp_path, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: the product V = U^+ U_prime: matrix is not unitary: ")
+
+
+def test_parsed_entries_are_bit_equal_to_the_scalar_conversion():
+    # JSON numbers of each kind a parser meets: ints past 2**53 and past
+    # int64, the largest and smallest magnitudes, a signed zero, and the
+    # shortest-repr floats that `sample` writes
+    edge = [2 ** 53 + 1, -(2 ** 63) - 7, 10 ** 308, -0.0, 5e-324, 0, -3, 1.5, -(2 ** 53) - 1]
+    haar = [x for z in haar_unitary(4, SeededRng(61)).matrix.ravel().tolist()
+            for x in (z.real, z.imag)]
+    numbers = json.loads(json.dumps(edge + haar))[:32]
+    raw = [[numbers[8 * i + 2 * j:8 * i + 2 * j + 2] for j in range(4)] for i in range(4)]
+    parsed = problem_io._parse_complex_matrix(raw, 4, "V")
+    expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in raw])
+    assert np.array_equal(bits(parsed.view(np.float64)), bits(expected.view(np.float64)))
+
+    values = [2 ** 53 + 1, -(2 ** 63) - 7, 10 ** 308, -0.0, 5e-324, 3, 0.1, haar[0]]
+    spectrum = problem_io._parse_spectrum(json.loads(json.dumps(values)), 8, "a")
+    assert np.array_equal(bits(spectrum.values), bits([float(x) for x in values]))
+
+
+def _at(path, value):
+    """A fault that sets the item at path (indices into a field) to value,
+    or to value(item) when value is callable."""
+    def fault(field):
+        owner = field
+        for k in path[:-1]:
+            owner = owner[k]
+        owner[path[-1]] = value(owner[path[-1]]) if callable(value) else value
+        return field
+    return fault
+
+
+#: faults of a 3 x 3 matrix field, and the message that names each
+MATRIX_FAULTS = {
+    "not_a_list": (lambda m: {"re": 1.0}, "must be a list of 3 rows"),
+    "two_rows": (lambda m: m[:2], "must be a list of 3 rows"),
+    "row_not_a_list": (_at([1], 0.5), "row 2 must have 3 entries"),
+    "short_row": (_at([1], lambda row: row[:2]), "row 2 must have 3 entries"),
+    "three_element_cell": (_at([1, 2], lambda cell: cell + [0.0]),
+                           "entry (2,3) must be a [re, im] pair"),
+    "true_cell": (_at([1, 2, 0], True), "entry (2,3) must be a [re, im] pair"),
+    "string_cell": (_at([1, 2, 1], "1.0"), "entry (2,3) must be a [re, im] pair"),
+    "null_cell": (_at([0, 1, 0], None), "entry (1,2) must be a [re, im] pair"),
+    "huge_first": (_at([0, 0, 0], 10 ** 400), "holds an integer too large for a float"),
+    "huge_last": (_at([2, 2, 1], 10 ** 400), "holds an integer too large for a float"),
+    # a fault in row 1 is named before a fault of row 2, whatever their kinds
+    "bad_cell_then_short_row": (lambda m: _at([1], lambda row: row[:2])(_at([0, 1], [1.0])(m)),
+                                "entry (1,2) must be a [re, im] pair"),
+}
+#: faults of a spectrum of 3, and the message that names each
+SPECTRUM_FAULTS = {
+    "true_entry": (_at([1], True), "must contain only numbers"),
+    "short": (lambda s: s[:2], "must be a list of 3 reals"),
+}
+SINGLE_FAULTS = [
+    pytest.param(field, fault, tail, id=f"{field}-{name}")
+    for fields, faults in ((("V", "U", "U_prime"), MATRIX_FAULTS), (("a", "b"), SPECTRUM_FAULTS))
+    for field in fields
+    for name, (fault, tail) in faults.items()
+]
+
+
+def _fixture_doc(form):
+    name = "problem_n3_uu_seed601.json" if form == "U" else "problem_n3_seed501.json"
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _input_error(doc, tmp_path, capsys):
+    """The stderr of det and phases on doc, which must both be exit 1 with
+    no stdout, the same stderr and no numpy warning."""
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(doc))
+    errs = []
+    for command in ("det", "phases"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert caught == []
+        errs.append(err)
+    assert errs[0] == errs[1]
+    return errs[0]
+
+
+@pytest.mark.parametrize(("field", "fault", "tail"), SINGLE_FAULTS)
+def test_single_fault_message_names_the_field(field, fault, tail, tmp_path, capsys):
+    doc = _fixture_doc("U" if field.startswith("U") else "V")
+    doc[field] = fault(doc[field])
+    assert _input_error(doc, tmp_path, capsys) == f"error: field '{field}' {tail}\n"
+
+
+NOT_UNITARY = _at([0, 0], [5.0, 0.0])
+
+
+#: faults of a U / U_prime file: structure faults of both fields are named
+#: first, then unitarity faults in the order U, U_prime, V
+PAIR_FAULT_ORDER = {
+    "non_unitary_U": (
+        {"U": NOT_UNITARY},
+        "field 'U': matrix is not unitary: max|V V+ - I| = 2.436e+01 > 1e-10"),
+    "non_unitary_U_prime": (
+        {"U_prime": NOT_UNITARY},
+        "field 'U_prime': matrix is not unitary: max|V V+ - I| = 2.430e+01 > 1e-10"),
+    "both_non_unitary": (
+        {"U": NOT_UNITARY, "U_prime": NOT_UNITARY},
+        "field 'U': matrix is not unitary: max|V V+ - I| = 2.436e+01 > 1e-10"),
+    "non_unitary_U_then_non_finite_U_prime": (
+        {"U": NOT_UNITARY, "U_prime": _at([1, 2, 0], math.nan)},
+        "field 'U': matrix is not unitary: max|V V+ - I| = 2.436e+01 > 1e-10"),
+    "non_finite_U_then_non_unitary_U_prime": (
+        {"U": _at([1, 2, 0], math.nan), "U_prime": NOT_UNITARY},
+        "field 'U': matrix entries must be finite"),
+    "non_unitary_U_then_malformed_U_prime": (
+        {"U": NOT_UNITARY, "U_prime": _at([1, 2, 0], True)},
+        "field 'U_prime' entry (2,3) must be a [re, im] pair"),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_FAULT_ORDER)
+def test_pair_faults_are_named_structure_first_then_in_field_order(case, tmp_path, capsys):
+    faults, message = PAIR_FAULT_ORDER[case]
+    doc = _fixture_doc("U")
+    for field, fault in faults.items():
+        doc[field] = fault(doc[field])
+    assert _input_error(doc, tmp_path, capsys) == f"error: {message}\n"
 
 
 def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from jarlskog import (
     adjoint,
     det,
     haar_unitary,
+    linalg,
     matmul,
 )
 from jarlskog.linalg import UNITARITY_TOL
@@ -179,6 +180,29 @@ def test_unitarity_bound_keeps_the_determinant_modulus_near_one(n):
             slack = abs(abs(det(v.matrix)) - 1.0)
             assert slack <= n * v.unitarity_defect / 2 + 16 * n * np.finfo(float).eps
             assert slack <= 1e-9
+
+
+@pytest.mark.parametrize(
+    ("faults", "index", "message"),
+    (
+        ({2: "scale"}, 2, "not unitary"),
+        ({1: "scale", 2: "nan"}, 1, "not unitary"),
+        ({1: "nan", 2: "scale"}, 1, "must be finite"),
+        ({0: "inf", 1: "nan"}, 0, "must be finite"),
+    ),
+)
+def test_stacked_validation_names_the_first_matrix_that_fails(faults, index, message):
+    # each matrix's checks run in order, finite entries first, and the
+    # first failing matrix of the stack is named whatever the later ones hold
+    stack = np.stack([np.eye(3, dtype=complex)] * 4)
+    for t, fault in faults.items():
+        if fault == "scale":
+            stack[t] *= 1.5
+        else:
+            stack[t, 1, 2] = float(fault)
+    with pytest.raises(ValueError, match=message) as exc:
+        linalg._validate_unitaries(stack)
+    assert exc.value.index == index
 
 
 def test_unitary_matrix_is_frozen():
