@@ -22,11 +22,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bits, orthogonal4, signed_permutations, uniforms
+from conftest import bits, givens, orthogonal4, signed_permutations, uniforms
 
 from jarlskog import (
     MassPairInput,
     SeededRng,
+    Spectrum,
     UnitaryMatrix,
     derive_seed,
     det,
@@ -440,25 +441,173 @@ def test_report_bytes_match_golden_file(problem, command, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def det4_signed_zero_matrices():
+    """4x4 unitaries whose closed-form sums meet exact +-0 terms: 1 (+) V3
+    and V3 (+) 1 for Haar V3, whose row or column sums over the unit
+    entry's zeros, and a real rotation, whose imaginary parts are all +-0."""
+    rng = SeededRng(8642)
+    mats = [orthogonal4()]
+    for _ in range(6):
+        v3 = haar_unitary(3, rng).matrix
+        for lo in (0, 1):
+            m = np.zeros((4, 4), dtype=complex)
+            m[3 * lo, 3 * lo] = 1.0
+            m[1 - lo:4 - lo, 1 - lo:4 - lo] = v3
+            mats.append(UnitaryMatrix(m))
+    return mats
+
+
+def assert_groups_match_scalar_reference(parts, cycles, inp):
+    """parts and cycles shaped like decompose_det4's, bit-equal to
+    scalar_det4_groups(inp)."""
+    ref_parts, ref_cycles = scalar_det4_groups(inp)
+    assert list(parts) == list(DET4_GROUPS)
+    for name in DET4_GROUPS:
+        assert np.array_equal(cbits(parts[name]), cbits(ref_parts[name])), name
+    assert list(cycles) == list(ref_cycles)
+    for name, (weight, raw) in cycles.items():
+        assert bits([weight]) == bits([ref_cycles[name][0]]), name
+        assert np.array_equal(cbits(raw), cbits(ref_cycles[name][1])), name
+    return ref_parts
+
+
 def test_det4_groups_are_bit_equal_to_scalar_reference():
     rng = SeededRng(4321)
     mats = [v for v in pinned_matrices() if v.n == 4] + list(signed_permutations(4))
     assert len(mats) == 40 + 2 + 1 + 72
+    mats += det4_signed_zero_matrices()
     for v in mats:
         inp = MassPairInput(a=random_spectrum(4, rng), b=random_spectrum(4, rng), v=v)
-        ref_parts, ref_cycles = scalar_det4_groups(inp)
-        parts, cycles = decompose_det4(inp)
-        assert list(parts) == list(DET4_GROUPS)
-        for name in DET4_GROUPS:
-            assert np.array_equal(cbits(parts[name]), cbits(ref_parts[name])), name
-        assert list(cycles) == list(ref_cycles)
-        for name, (weight, raw) in cycles.items():
-            assert bits([weight]) == bits([ref_cycles[name][0]]), name
-            assert np.array_equal(cbits(raw), cbits(ref_cycles[name][1])), name
+        ref_parts = assert_groups_match_scalar_reference(*decompose_det4(inp), inp)
         acc = 0j
         for name in DET4_GROUPS:
             acc += ref_parts[name]
         assert np.array_equal(cbits(det4_closed(inp)), cbits(acc))
+
+
+def test_det4_groups_of_a_verify_stack_are_bit_equal_to_scalar_reference():
+    # verify stacks V and its rephased copy (2T matrices) and takes the a
+    # half of the difference factors of both spectra, as one t_factors call
+    rng = SeededRng(97531)
+    mats = det4_signed_zero_matrices() + [haar_unitary(4, rng) for _ in range(5)]
+    t = len(mats)
+    a, b = (np.array([random_spectrum(4, rng).values for _ in mats]) for _ in "ab")
+    row, col = (sampling._unit_phases([[u * 6.3 for u in uniforms(rng, 4)] for _ in mats])
+                for _ in "rc")
+    v = np.array([x.matrix for x in mats])
+    both = np.concatenate([v, sampling.rephase(v, row, col)])
+    _, cols = linalg._validate_unitaries(both)
+    factors = t_factors(np.concatenate([a, b]))
+    a_factors = tuple(np.concatenate([x[:t], x[:t]]) for x in factors)
+    (re, im), (weights, (raw_re, raw_im)) = determinant._det4_groups(
+        a_factors, np.concatenate([b, b]), cols, linalg._plaquettes(both))
+    for s in range(2 * t):
+        inp = MassPairInput(a=Spectrum(a[s % t]), b=Spectrum(b[s % t]), v=UnitaryMatrix(both[s]))
+        parts = {name: complex(re[s, g], im[s, g]) for g, name in enumerate(DET4_GROUPS)}
+        cycles = {name: (weights[s, g].item(), complex(raw_re[s, g], raw_im[s, g]))
+                  for g, name in enumerate(DET4_GROUPS[3:])}
+        assert_groups_match_scalar_reference(parts, cycles, inp)
+
+
+# ---------------------------------------------------------------- band reconstruction
+
+def scalar_band_reconstruction(v):
+    """The band reconstruction of one 4x4 unitary in pure Python floats, in
+    the documented order: (gate ratio, degenerate, reconstructed J as a 3x3
+    list, NaN where degenerate, max error).
+
+    The six |V|^2 products, then the coefficients a, b, c of the six
+    equations a_i y_i + b_i y_(i+1) = c_i, then prod a and prod b left to
+    right, the Cramer numerators summed from 0.0 in ascending m (term m of
+    y_j multiplies, left to right over p = j, ..., j+5 mod 6, -b_p before
+    p = j+m, c_p at it and a_p after it), and one division by
+    prod a - prod b.
+    """
+    m = [[complex(x) for x in row] for row in v.matrix]
+    plaq = [[scalar_plaquette(v.matrix, a, a + 1, j, j + 1) for j in range(3)]
+            for a in range(3)]
+    jd = [[z.imag for z in row] for row in plaq]
+    r = [[z.real for z in row] for row in plaq]
+
+    def m2(i, k):
+        return m[i][k].real * m[i][k].real + m[i][k].imag * m[i][k].imag
+
+    # 1-based labels: q_ijkl = |V[i,j]|^2 |V[k,l]|^2
+    q_1222 = m2(0, 1) * m2(1, 1)
+    q_3334 = m2(2, 2) * m2(2, 3)
+    q_2122 = m2(1, 0) * m2(1, 1)
+    q_3343 = m2(2, 2) * m2(3, 2)
+    q_3233 = m2(2, 1) * m2(2, 2)
+    q_2333 = m2(1, 2) * m2(2, 2)
+    a = [-(q_1222 + r[0][0]), q_3334, -r[1][1], -(q_2122 + r[0][0]), q_3343, -r[1][1]]
+    b = [q_1222, -(q_3334 + r[2][2]), q_2333, q_2122, -(q_3343 + r[2][2]), q_3233]
+    c = [r[0][1] * jd[0][0], r[1][2] * jd[2][2], (q_2333 + r[1][2]) * jd[1][1],
+         r[1][0] * jd[0][0], r[2][1] * jd[2][2], (q_3233 + r[2][1]) * jd[1][1]]
+
+    def product(xs):
+        acc = xs[0]
+        for x in xs[1:]:
+            acc = acc * x
+        return acc
+
+    pa, pb = product(a), product(b)
+    determinant = pa - pb
+    scale = abs(pa) + abs(pb)
+    ratio = abs(determinant) / (scale if scale > 0.0 else 1.0)
+    degenerate = ratio < phases.RECONSTRUCTION_GATE
+    if degenerate:
+        return ratio, True, [[math.nan] * 3 for _ in range(3)], math.nan
+    recon = [row[:] for row in jd]
+    for j, (row, col) in enumerate(((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))):
+        numerator = 0.0
+        for term in range(6):
+            factors = []
+            for k in range(6):
+                p = (j + k) % 6
+                factors.append(-b[p] if k < term else c[p] if k == term else a[p])
+            numerator = numerator + product(factors)
+        recon[row][col] = numerator / determinant
+    errors = [abs(x - y) for xs, ys in zip(recon, jd) for x, y in zip(xs, ys)]
+    max_error = math.nan if any(map(math.isnan, errors)) else max(errors)
+    return ratio, False, recon, max_error
+
+
+def near_identity4():
+    """A unitary within 1e-3 of the identity: every J entry is tiny, but the
+    band system's determinant does not cancel."""
+    eps = 1e-3
+    m = (givens(4, 0, 1, eps, 0.3) @ givens(4, 1, 2, 1.3 * eps, 0.7)
+         @ givens(4, 2, 3, 0.8 * eps, 1.1) @ givens(4, 0, 2, 0.6 * eps, 2.0))
+    return m
+
+
+def assert_reconstructions_match_scalar_reference(v):
+    """_reconstructions on the (T, 4, 4) stack v, bit-equal in every slice
+    to scalar_band_reconstruction, NaN positions included."""
+    _, cols = linalg._validate_unitaries(v)
+    j, r = jr_matrices(*linalg._plaquettes(v))
+    ratio, degenerate, recon, max_error = phases._reconstructions(cols, j, r)
+    for t, m in enumerate(v):
+        ref = scalar_band_reconstruction(UnitaryMatrix(m))
+        assert bits([ratio[t]]) == bits([ref[0]]), t
+        assert bool(degenerate[t]) is ref[1], t
+        assert np.array_equal(bits(recon[t]), bits(ref[2])), t
+        assert bits([max_error[t]]) == bits([ref[3]]), t
+    return degenerate
+
+
+@pytest.mark.parametrize("trials", (1, 4, 64))
+def test_band_reconstruction_is_bit_equal_to_scalar_reference_on_haar_stacks(trials):
+    g = verify._draw_chunk(4, derive_seed(trials + 7, np.arange(trials)))[0]
+    assert_reconstructions_match_scalar_reference(sampling._haar_from_ginibre(g))
+
+
+def test_band_reconstruction_is_bit_equal_to_scalar_reference_on_structured_matrices():
+    mats = [np.eye(4, dtype=complex), orthogonal4().matrix, near_identity4(),
+            *(x.matrix for x in signed_permutations(4))]
+    degenerate = assert_reconstructions_match_scalar_reference(np.array(mats))
+    # the identity is degenerate, and the rotations are solved
+    assert degenerate[0] and not degenerate[1:3].any()
 
 
 def test_phase_expansion_is_bit_equal_to_spelled_out_products():
