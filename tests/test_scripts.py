@@ -1,6 +1,7 @@
 """Smoke runs of the study scripts with tiny ensembles."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -38,3 +39,20 @@ def test_haar_sampling_study_summary():
     ]
     assert lines[-2].startswith("  with phase correction   : R = ")
     assert lines[-1].startswith("  without phase correction: R = ")
+
+
+def test_byte_identity_names_a_changed_verify_report(tmp_path):
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    path = changed / "jarlskog" / "verify.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count("PARITY_ABS = 1e-12\n") == 1
+    path.write_text(text.replace("PARITY_ABS = 1e-12\n", "PARITY_ABS = 2e-12\n"), encoding="utf-8")
+    res = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "byte_identity.py"), src, str(changed)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 1, res.stderr
+    assert "differs (stdout): jarlskog verify --n 4 --trials 4 --seed 0" in res.stdout.splitlines()
