@@ -146,16 +146,16 @@ CYCLES = ((1, 2, 4, 3), (1, 3, 2, 4), (1, 2, 3, 4))
 def _sum_rule(pair, cycle):
     """(residual, scale) of the difference-factor sum rule for (T, 3) pair
     and cycle factors: pair-sum minus twice the cycle-sum, and the sum of the
-    absolute term magnitudes, both accumulated left to right from 0.0."""
-    residual = _ksum(pair, axis=1) - 2.0 * _ksum(cycle, axis=1)
-    scale = _ksum(np.abs(pair), axis=1) + _ksum(2.0 * np.abs(cycle), axis=1)
-    return residual, scale
+    absolute term magnitudes.  The four 3-term sums are one batched _ksum,
+    each accumulated left to right from 0.0."""
+    sums = _ksum(np.array([pair, cycle, np.abs(pair), 2.0 * np.abs(cycle)]), axis=2)
+    return sums[0] - 2.0 * sums[1], sums[2] + sums[3]
 
 
 #: 0-based spectrum columns of the factors: rows i, j, k, l, one column per
-#: entry of PAIRINGS (flattened) and of CYCLES
-_PAIR_COLUMNS = np.array(PAIRINGS).reshape(3, 4).T - 1
-_CYCLE_COLUMNS = np.array(CYCLES).T - 1
+#: entry of PAIRINGS (flattened), then one per entry of CYCLES
+_FACTOR_COLUMNS = np.concatenate([np.array(PAIRINGS).reshape(3, 4).T, np.array(CYCLES).T],
+                                 axis=1) - 1
 
 
 def t_factors(s):
@@ -168,13 +168,15 @@ def t_factors(s):
                   (i,j,k,l) = CYCLES[g]
 
     The three pair factors minus twice the three cycle factors sum to zero;
-    _sum_rule evaluates that combination.
+    _sum_rule evaluates that combination.  One gather takes the columns of
+    all six factors, and each formula runs on all six, of which the pair
+    factors keep the first three and the cycle factors the last three.
     """
-    i, j, k, l = (s[:, c] for c in _PAIR_COLUMNS)
-    pair = ((i - j) * (i - j)) * ((k - l) * (k - l))
-    i, j, k, l = (s[:, c] for c in _CYCLE_COLUMNS)
-    cycle = (i - j) * (j - k) * (k - l) * (l - i)
-    return pair, cycle
+    i, j, k, l = s[:, _FACTOR_COLUMNS].transpose(1, 0, 2)
+    ij, kl = i - j, k - l
+    pair = (ij * ij) * (kl * kl)
+    cycle = ij * (j - k) * kl * (l - i)
+    return pair[:, :3], cycle[:, 3:]
 
 
 def _check_n4(inp):
@@ -191,22 +193,60 @@ def _check_n4(inp):
 #   m[r]    = sum bw[k] |V[r,k]|^2,          m2 with bw[k]^2
 #   mp[g]   = sum bw[k] (|V[r,k]|^2 + |V[s,k]|^2), r, s = _CYCLE_ROWS[:, g]
 # In DET4_GROUPS order, with the T factors of the a-spectrum:
-#   pair g   = T (q[g] m2[r] - q[i] q[j] - q[g] m[r]^2), r = _PAIR_ROW[g],
-#              (i, j) = _PAIR_QQ[:, g]
+#   pair g   = T (q[g] m2[r] - q[i] q[j] - q[g] m[r]^2), r = 2, 1, 0 and
+#              (i, j) = (1, 2), (0, 2), (0, 1)
 #   cycle3 g = -2T x[a] x[b] x2[c], cycle4 g = 2T x[a] x[b] x[c] mp[g],
-#              (a, b, c) = _CYCLE_X[:, g]
-# The three groups of each kind are evaluated together, one _cmul per
-# product for all of them.
+#              (a, b, c) = (6, 1, 5), (2, 7, 3), (1, 5, 6): x31 x12 x23,
+#              x13 x32 x21, x12 x23 x31
+# The sums come from two passes over k, each adding its real and imaginary
+# terms together, one add per k: the three weighted columns, spelled out
+# t0 + t1 + t2, and the nine (k1, k2) of the plaquette forms, from 0.0 with
+# k2 innermost.  The products of the sums run in three stages, each one
+# _cmul over operands gathered from one array of atoms by the tables below.
 
 #: flat positions of [ab; k1 k2] in the plaquette tensor; row 3 k1 + k2,
 #: column f
 _Q_TAKE = np.array([[64 * a + 16 * b + 4 * k1 + k2 for a, b in ((0, 1), (0, 2), (1, 2))]
                     for k1 in range(3) for k2 in range(3)])
-_PAIR_ROW = np.array([2, 1, 0])
-_PAIR_QQ = np.array([[1, 0, 0], [2, 2, 1]])
-#: x31 x12 x23, x13 x32 x21, x12 x23 x31
-_CYCLE_X = np.array([[6, 2, 1], [1, 7, 5], [5, 3, 6]])
 _CYCLE_ROWS = np.array([[1, 0, 0], [2, 1, 2]])
+
+#: (re, im) columns of the named atoms of the product stages; a real atom
+#: takes the zero column as its imaginary part, so that a real factor s
+#: enters a product as (s, 0.0).  The atoms of stage 1 are the weighted
+#: k-sums as their pass leaves them (for weight bw, then bw^2: the nine x
+#: re, the nine x im, m, then mp), q re and im, m^2 and the zero column;
+#: stage 2 appends the stage-1 products s re and im, the pair groups'
+#: s1 - s2 - s3 re and im and the T pair factors.
+_ZERO = 57
+_ATOMS = {
+    **{f"x{i}": (i, 9 + i) for i in range(9)},
+    **{f"x2_{i}": (24 + i, 33 + i) for i in range(9)},
+    **{f"m2_{r}": (42 + r, _ZERO) for r in range(3)},
+    **{f"q{f}": (48 + f, 51 + f) for f in range(3)},
+    **{f"mm{r}": (54 + r, _ZERO) for r in range(3)},
+    **{f"s{i}": (58 + i, 70 + i) for i in range(12)},
+    **{f"d{g}": (82 + g, 85 + g) for g in range(3)},
+    **{f"t{g}": (88 + g, _ZERO) for g in range(3)},
+}
+
+
+def _stage(products):
+    """(4, P) operand table of a stage: the x re, x im, y re and y im
+    columns of each "x y" product."""
+    return np.array([_ATOMS[x] + _ATOMS[y] for x, y in map(str.split, products)]).T
+
+
+#: stage 1: q[g] m2[r], q[i] q[j] and q[g] m[r]^2 of the pair groups, and
+#: x[a] x[b] of the cycle groups
+_STAGE1 = _stage(("q0 m2_2", "q1 m2_1", "q2 m2_0", "q1 q2", "q0 q2", "q0 q1",
+                  "q0 mm2", "q1 mm1", "q2 mm0", "x6 x1", "x2 x7", "x1 x5"))
+#: stage 2: the pair groups T (s1 - s2 - s3), then x[a] x[b] x2[c] and
+#: x[a] x[b] x[c]; stage 3 multiplies the last by mp[g]
+_STAGE2 = _stage(("t0 d0", "t1 d1", "t2 d2", "s9 x2_5", "s10 x2_3", "s11 x2_6",
+                  "s9 x5", "s10 x3", "s11 x6"))
+#: the weights of the six cycle groups: -2 T, then 2 T of the 4-cycle factors
+_CYCLE_T = np.tile(np.arange(3), 2)
+_CYCLE_WEIGHT = np.repeat([-2.0, 2.0], 3)
 
 
 def _det4_groups(a_factors, b, cols, plaq):
@@ -218,49 +258,39 @@ def _det4_groups(a_factors, b, cols, plaq):
     the nine groups in DET4_GROUPS order, each cycle group with only its
     real part kept; cycles is (weights, (re, im)), three (T, 6) arrays of
     the six raw cycle groups and their weights.  Every 3-term sum over k
-    comes from one of two batched _ksum passes; the products of those sums
-    are _cmul, the scalar complex product, so each group is bit-equal to its
-    scalar evaluation.
+    comes from one of two batched passes, and the products of those sums
+    from three stages of _cmul, the scalar complex product, on operands
+    gathered by index tables (see the comment above), so each group is
+    bit-equal to its scalar evaluation.
     """
     t = len(b)
+    tp, tc = a_factors
     bw = b[:, :3] - b[:, 3:]
-    # rows[t, k, r] = |V[r, k]|^2
-    rows = _moduli_squared(cols).swapaxes(1, 2)[:, :3, :3]
-    cr, ci = cols
-    # one pass over k with weights [bw, bw^2]; items: the nine column
-    # products, the three |V|^2 rows and the cycle4 row-pair sums.  These
-    # sums are spelled out term by term, so they start from -0.0.
-    pairs = rows[:, :, _CYCLE_ROWS[0]] + rows[:, :, _CYCLE_ROWS[1]]
-    items_r = np.concatenate([cr[:, :3, :3, :3].reshape(t, 3, 9), rows, pairs], axis=2)
-    items_i = np.concatenate([ci[:, :3, :3, :3].reshape(t, 3, 9), np.zeros((t, 3, 6))], axis=2)
     w = np.stack([bw, bw * bw], axis=2)[:, :, :, None]
-    sr, si = (_ksum(y, -0.0, axis=1)
-              for y in _cmul(w, 0.0, items_r[:, :, None], items_i[:, :, None]))
-    m, m2, mp = sr[:, 0, 9:12], sr[:, 1, 9:12], sr[:, 0, 12:]
+    # the items weighted over k: the nine column products V[a,k]
+    # conj(V[b,k]), then the |V|^2 rows and the cycle4 row-pair sums, which
+    # are real
+    cr, ci = (x[:, :3, :3, :3].reshape(t, 3, 1, 9) for x in cols)
+    rows = _moduli_squared(cols).swapaxes(1, 2)[:, :3, :3]
+    real = np.concatenate([rows, rows[:, :, _CYCLE_ROWS[0]] + rows[:, :, _CYCLE_ROWS[1]]], axis=2)
+    terms = np.concatenate([*_cmul(w, 0.0, cr, ci), w * real[:, :, None]], axis=3)
+    sums = _ksum(terms[:, 1:], terms[:, 0], axis=1).reshape(t, 48)
     # the plaquette forms: 9 terms over (k1, k2), k2 innermost
     ww = (bw[:, :, None] * bw[:, None, :]).reshape(t, 9, 1)
-    q = tuple(_ksum(y, axis=1)
-              for y in _cmul(ww, 0.0, *(p.reshape(t, -1)[:, _Q_TAKE] for p in plaq)))
-
-    def pick(z, index):
-        return z[0][:, index], z[1][:, index]
-
-    tp, tc = a_factors
-    # pair groups: T (q[g] m2[r] - q[i] q[j] - q[g] (m[r] m[r]))
-    mr = m[:, _PAIR_ROW]
-    s1 = _cmul(*q, m2[:, _PAIR_ROW], 0.0)
-    s2 = _cmul(*pick(q, _PAIR_QQ[0]), *pick(q, _PAIR_QQ[1]))
-    s3 = _cmul(*q, mr * mr, 0.0)
-    pair = _cmul(tp, 0.0, s1[0] - s2[0] - s3[0], s1[1] - s2[1] - s3[1])
-    # cycle groups: x[a] x[b] x2[c] and x[a] x[b] x[c] mp[g]
-    x, x2 = (sr[:, 0, :9], si[:, 0, :9]), (sr[:, 1, :9], si[:, 1, :9])
-    xab = _cmul(*pick(x, _CYCLE_X[0]), *pick(x, _CYCLE_X[1]))
-    raw3 = _cmul(*xab, *pick(x2, _CYCLE_X[2]))
-    raw4 = _cmul(*_cmul(*xab, *pick(x, _CYCLE_X[2])), mp, 0.0)
-    weights = np.concatenate([-2.0 * tc, 2.0 * tc], axis=1)
-    raw = tuple(np.concatenate(part, axis=1) for part in zip(raw3, raw4))
-    parts = (np.concatenate([pair[0], weights * raw[0]], axis=1),
-             np.concatenate([pair[1], np.zeros((t, 6))], axis=1))
+    q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.reshape(t, -1)[:, _Q_TAKE] for p in plaq)),
+                             axis=2), axis=1)
+    m = sums[:, 18:21]
+    atoms = np.concatenate([sums, q, m * m, np.zeros((t, 1))], axis=1)
+    sr, si = _cmul(*atoms[:, _STAGE1].transpose(1, 0, 2))
+    s = np.concatenate([sr, si], axis=1).reshape(t, 2, 4, 3)
+    d = s[:, :, 0] - s[:, :, 1] - s[:, :, 2]
+    atoms = np.concatenate([atoms, sr, si, d.reshape(t, 6), tp], axis=1)
+    sr, si = _cmul(*atoms[:, _STAGE2].transpose(1, 0, 2))
+    raw4 = _cmul(sr[:, 6:], si[:, 6:], sums[:, 21:24], 0.0)
+    weights = tc[:, _CYCLE_T] * _CYCLE_WEIGHT
+    raw = tuple(np.concatenate([x[:, 3:6], y], axis=1) for x, y in zip((sr, si), raw4))
+    parts = (np.concatenate([sr[:, :3], weights * raw[0]], axis=1),
+             np.concatenate([si[:, :3], np.zeros((t, 6))], axis=1))
     return parts, (weights, raw)
 
 

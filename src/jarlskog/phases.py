@@ -53,7 +53,7 @@ gives the proof per generator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,6 +93,11 @@ def phase_table(x):
     return x[(..., *_canonical_index(n))]
 
 
+#: the sum rules' families, in the order of unitary_relation_residuals
+_SUMMED = ("row_alpha", "row_beta", "col_j", "col_k")
+_SUM_RULE_FAMILIES = tuple(f"{part}_{name}" for part in ("im", "re") for name in _SUMMED)
+
+
 def unitary_relation_residuals(cols, re, im):
     """{family: (T,) max residual} of the eight sum rules, for the column
     products and the plaquettes of (T, n, n) matrices.
@@ -101,18 +106,24 @@ def unitary_relation_residuals(cols, re, im):
     either full column index gives zero; the same sums of the real part
     give delta-weighted squared moduli.  Families are keyed by the summed
     index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
+
+    im and re are stacked once, and each family's sum over its own axis is
+    written into one buffer, so numpy sums every family in the order of a
+    sum over that axis of im or re alone.
     """
+    t, n = re.shape[:2]
     mod2 = _moduli_squared(cols)
-    eye = np.eye(re.shape[-1])
+    eye = np.eye(n)
+    both = np.stack([im, re])
+    sums = np.empty((2, 4, t, n, n, n))
+    for f in range(4):
+        both.sum(axis=f + 2, out=sums[:, f])
     # targets of the real-part sums: over alpha or beta, delta_jk |V[c, j]|^2
     # at the remaining (c, j, k); over j or k, delta_ab |V[a, c]|^2 at (a, b, c)
-    row_target = eye[None, None, :, :] * mod2[:, :, :, None]
-    col_target = eye[None, :, :, None] * mod2[:, :, None, :]
-    summed = {"row_alpha": 1, "row_beta": 2, "col_j": 3, "col_k": 4}
-    sums = {f"im_{name}": im.sum(axis=axis) for name, axis in summed.items()}
-    sums.update({f"re_{name}": re.sum(axis=axis) - (row_target if axis < 3 else col_target)
-                 for name, axis in summed.items()})
-    return {name: np.abs(x).max(axis=(1, 2, 3)) for name, x in sums.items()}
+    sums[1, :2] -= eye[None, None, :, :] * mod2[:, :, :, None]
+    sums[1, 2:] -= eye[None, :, :, None] * mod2[:, :, None, :]
+    worst = np.abs(sums, out=sums).max(axis=(3, 4, 5))
+    return dict(zip(_SUM_RULE_FAMILIES, worst.reshape(8, t)))
 
 
 #: sign of each canonical three-level phase as a multiple of im(12;12), in
@@ -324,46 +335,63 @@ class ReconstructionResult:
     max_error: float | None
 
 
+#: the band system's coefficients, one per row: a, b, -b and c of the six
+#: equations (see _band_systems), each (atom P + atom Q) * atom S.  Atoms:
+#: the squared modulus products q_ijkl = |V[i,j]|^2 |V[k,l]|^2 (1-based
+#: labels), R and J (flat, 0-based) and the constants -0.0, 1.0 and -1.0;
+#: x + -0.0 and x * +-1.0 are exact, so each coefficient has the bits of its
+#: written form.
+_BAND_Q = ("1222", "3334", "2122", "3343", "3233", "2333")
+_BAND_ATOMS = {**{f"q{x}": i for i, x in enumerate(_BAND_Q)},
+               **{f"r{a}{j}": 6 + 3 * (a - 1) + j - 1 for a in (1, 2, 3) for j in (1, 2, 3)},
+               **{f"j{a}{j}": 15 + 3 * (a - 1) + j - 1 for a in (1, 2, 3) for j in (1, 2, 3)},
+               "-0": 24, "+1": 25, "-1": 26}
+_BAND_COEFFICIENTS = (
+    # a
+    "q1222 r11 -1", "q3334 -0 +1", "r22 -0 -1", "q2122 r11 -1", "q3343 -0 +1", "r22 -0 -1",
+    # b
+    "q1222 -0 +1", "q3334 r33 -1", "q2333 -0 +1", "q2122 -0 +1", "q3343 r33 -1", "q3233 -0 +1",
+    # -b
+    "q1222 -0 -1", "q3334 r33 +1", "q2333 -0 -1", "q2122 -0 -1", "q3343 r33 +1", "q3233 -0 -1",
+    # c
+    "r12 -0 j11", "r23 -0 j33", "q2333 r23 j22", "r21 -0 j11", "r32 -0 j33", "q3233 r32 j22",
+)
+_BAND_TERMS = np.array([[_BAND_ATOMS[x] for x in c.split()] for c in _BAND_COEFFICIENTS]).T
+#: flat 0-based positions in |V|^2 of the two factors of each q, in _BAND_Q order
+_BAND_Q_TAKE = np.array([[4 * (int(x[0]) - 1) + int(x[1]) - 1 for x in _BAND_Q],
+                         [4 * (int(x[2]) - 1) + int(x[3]) - 1 for x in _BAND_Q]])
+_BAND_CONSTANTS = np.array([[-0.0], [1.0], [-1.0]])
+
+
 def _band_systems(cols, jd, r):
     """The band systems of (T, 4, 4) matrices, given by their column
-    products, with (T, 3, 3) J and R arrays, as (a, b, c): three (T, 6)
-    arrays.
+    products, with (T, 3, 3) J and R arrays: a (24, T) array of the
+    coefficients a, b, -b and c, six rows each, with trials on the last axis.
 
     Equation i reads a_i y_i + b_i y_(i+1 mod 6) = c_i in the unknowns
     y = (J12, J13, J23, J21, J31, J32) (1-based labels).  Each is a product
     identity with the expanded non-adjacent phases substituted; it links two
     off-diagonal J entries, and the six links close one cycle.  Every
-    coefficient is an R entry or a squared modulus product of two V entries.
+    coefficient is an R entry or a squared modulus product of two V entries
+    (_BAND_COEFFICIENTS), built in one gather from one array of atoms.
     """
-    m2 = _moduli_squared(cols)
-
-    # squared modulus products appearing in the system, named by 1-based
-    # entry labels: q_ijkl = |V[i,j]|^2 |V[k,l]|^2
-    q_1222 = m2[:, 0, 1] * m2[:, 1, 1]
-    q_3334 = m2[:, 2, 2] * m2[:, 2, 3]
-    q_2122 = m2[:, 1, 0] * m2[:, 1, 1]
-    q_3343 = m2[:, 2, 2] * m2[:, 3, 2]
-    q_3233 = m2[:, 2, 1] * m2[:, 2, 2]
-    q_2333 = m2[:, 1, 2] * m2[:, 2, 2]
-
-    r11, r22, r33 = r[:, 0, 0], r[:, 1, 1], r[:, 2, 2]
-    r12, r21, r23, r32 = r[:, 0, 1], r[:, 1, 0], r[:, 1, 2], r[:, 2, 1]
-    j11, j22, j33 = jd[:, 0, 0], jd[:, 1, 1], jd[:, 2, 2]
-
-    a = [-(q_1222 + r11), q_3334, -r22, -(q_2122 + r11), q_3343, -r22]
-    b = [q_1222, -(q_3334 + r33), q_2333, q_2122, -(q_3343 + r33), q_3233]
-    c = [r12 * j11, r23 * j33, (q_2333 + r23) * j22, r21 * j11, r32 * j33, (q_3233 + r32) * j22]
-    return tuple(np.stack(x, axis=1) for x in (a, b, c))
+    t = len(jd)
+    m2 = _moduli_squared(cols).reshape(t, 16).T
+    atoms = np.concatenate([m2[_BAND_Q_TAKE[0]] * m2[_BAND_Q_TAKE[1]], r.reshape(t, 9).T,
+                            jd.reshape(t, 9).T, np.broadcast_to(_BAND_CONSTANTS, (3, t))])
+    x, y, z = atoms[_BAND_TERMS]
+    return np.multiply(np.add(x, y, out=x), z, out=x)
 
 
-#: 0-based J positions of the unknowns y of _band_systems
-_CYCLE_ENTRIES = (np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 2, 0, 0, 1]))
+#: flat 0-based J positions of the unknowns y of _band_systems
+_CYCLE_ENTRIES = np.array([1, 2, 5, 3, 6, 7])
 #: Cramer's rule on the cycle: y_j (prod a - prod b) is the sum over m of
 #: the products over p = j, ..., j+5 (mod 6) of -b_p before p = j+m, c_p at
-#: it and a_p after it.  Factor k of term m of y_j is entry
-#: (_CRAMER_KIND, _CRAMER_POS)[k, m, j] of the stack (-b, c, a).
-_CRAMER_KIND = np.sign(np.arange(6)[:, None, None] - np.arange(6)[None, :, None]) + 1
-_CRAMER_POS = (np.arange(6)[:, None, None] + np.arange(6)[None, None, :]) % 6
+#: it and a_p after it.  Factor k of term m of y_j is row
+#: _CRAMER_ROWS[k, m, j] of the coefficients (a, b, -b, c).
+_CRAMER_ROWS = (6 * np.array([2, 3, 0])[np.sign(np.arange(6)[:, None, None]
+                                                - np.arange(6)[None, :, None]) + 1]
+                + (np.arange(6)[:, None, None] + np.arange(6)[None, None, :]) % 6)
 
 
 def _reconstructions(cols, jd, r):
@@ -375,24 +403,29 @@ def _reconstructions(cols, jd, r):
     The system's determinant is prod a - prod b; the gate is its
     cancellation ratio |prod a - prod b| / (|prod a| + |prod b|), 0 when both
     products are 0.  Cramer's rule divides by that determinant only, never by
-    a single coefficient.  Products run left to right, sums by _ksum.
+    a single coefficient, and only where the gate passes.
+
+    Trials run on the last axis.  Every product, prod a, prod b and each
+    Cramer term, is one np.multiply.reduce over the leading axis of a
+    gather of the coefficients, which multiplies left to right; the Cramer
+    numerators are _ksum sums over the terms, from 0.0 in ascending m.
     """
-    a, b, c = _band_systems(cols, jd, r)
-    pa, pb = (reduce(np.multiply, x.T) for x in (a, b))
+    t = len(jd)
+    coefficients = _band_systems(cols, jd, r)
+    pa, pb = np.multiply.reduce(coefficients[:12].reshape(2, 6, t), axis=1)
     determinant = pa - pb
     scale = np.abs(pa) + np.abs(pb)
     ratio = np.abs(determinant) / np.where(scale > 0.0, scale, 1.0)
     degenerate = ratio < RECONSTRUCTION_GATE
-    solved = ~degenerate
-    factors = np.stack([-b.T, c.T, a.T])[_CRAMER_KIND, _CRAMER_POS]
-    numerators = _ksum(reduce(np.multiply, factors)).T
-    recon = np.full(jd.shape, np.nan)
-    max_error = np.full(len(jd), np.nan)
-    fill = jd[solved]
-    fill[(slice(None), *_CYCLE_ENTRIES)] = numerators[solved] / determinant[solved, None]
-    recon[solved] = fill
-    max_error[solved] = np.abs(fill - jd[solved]).max(axis=(1, 2))
-    return ratio, degenerate, recon, max_error
+    numerators = _ksum(np.multiply.reduce(coefficients[_CRAMER_ROWS], axis=0))
+    # the direct J with its cycle entries solved, and NaN where degenerate
+    direct = jd.reshape(t, 9).T
+    fill = direct.copy()
+    fill[_CYCLE_ENTRIES] = np.divide(numerators, determinant, out=np.full((6, t), np.nan),
+                                     where=~degenerate)
+    max_error = np.abs(fill - direct).max(axis=0)
+    fill[:, degenerate] = np.nan
+    return ratio, degenerate, fill.T.reshape(t, 3, 3), max_error
 
 
 def reconstruct_J(v):

@@ -287,7 +287,8 @@ def test_product_identities_real_orthogonal_residual_zero():
 def band_system(v):
     """(a, b, c) of the band system of one matrix."""
     j, r = jr_matrices(*(x[None] for x in v.plaquettes))
-    return tuple(x[0] for x in _band_systems(tuple(x[None] for x in v.column_products), j, r))
+    coefficients = _band_systems(tuple(x[None] for x in v.column_products), j, r)[:, 0]
+    return coefficients[0:6], coefficients[6:12], coefficients[18:24]
 
 
 def cycle_unknowns(j):

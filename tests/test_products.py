@@ -602,9 +602,20 @@ def test_band_reconstruction_is_bit_equal_to_scalar_reference_on_haar_stacks(tri
     assert_reconstructions_match_scalar_reference(sampling._haar_from_ginibre(g))
 
 
+def real_rotations(count, seed):
+    """Seeded real 4x4 rotations, products of six Givens rotations: every J
+    entry is +-0, so each Cramer term is a signed zero."""
+    rng = SeededRng(seed)
+    for _ in range(count):
+        m = np.eye(4, dtype=complex)
+        for (p, q), u in zip(itertools.combinations(range(4), 2), uniforms(rng, 6)):
+            m = m @ givens(4, p, q, 6.3 * u)
+        yield m
+
+
 def test_band_reconstruction_is_bit_equal_to_scalar_reference_on_structured_matrices():
     mats = [np.eye(4, dtype=complex), orthogonal4().matrix, near_identity4(),
-            *(x.matrix for x in signed_permutations(4))]
+            *(x.matrix for x in signed_permutations(4)), *real_rotations(100, 2468)]
     degenerate = assert_reconstructions_match_scalar_reference(np.array(mats))
     # the identity is degenerate, and the rotations are solved
     assert degenerate[0] and not degenerate[1:3].any()
@@ -819,7 +830,8 @@ def stacked_layers(n):
             "expand_block": (phases.expand_phases, (j,)),
             "expansion_residuals": (phases.expansion_residual,
                                     (phases.phase_table(plaq[1]), phases.expand_phases(j))),
-            "band_systems": (phases._band_systems, (cols, j, r)),
+            # the coefficients carry trials on their last axis
+            "band_systems": (lambda *x: phases._band_systems(*x).T, (cols, j, r)),
             "reconstructions": (phases._reconstructions, (cols, j, r)),
         })
     return layers
