@@ -25,9 +25,10 @@ Three evaluations are provided:
   of the a-spectrum; the b-spectrum enters only through the differences
   b_k - b_4.  Each group is a product of 3-term sums over k; all of them
   come from two batched _ksum passes over the plaquettes, the column
-  products and |V|^2 (their real diagonal), and are then multiplied by
-  _cmul, the scalar complex product, so every group is bit-equal to its
-  scalar evaluation.
+  products and |V|^2 (their real diagonal).  Their products run in three
+  table-driven stages, each one call of _cmul, the scalar complex product,
+  on operands gathered from one array of atoms, so every group is
+  bit-equal to its scalar evaluation.
 
 Every evaluation runs on a stack of trials: _commutators, _det3_closed,
 _det4_groups and t_factors take (T, ...) arrays.  The determinants of one
@@ -279,9 +280,12 @@ def _det4_groups(a_factors, b, cols, plaq):
     ww = (bw[:, :, None] * bw[:, None, :]).reshape(t, 9, 1)
     q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.reshape(t, -1)[:, _Q_TAKE] for p in plaq)),
                              axis=2), axis=1)
+    # the stages, laid out as _ATOMS lists them; m is sums[:, 18:21] and mp
+    # sums[:, 21:24]
     m = sums[:, 18:21]
     atoms = np.concatenate([sums, q, m * m, np.zeros((t, 1))], axis=1)
     sr, si = _cmul(*atoms[:, _STAGE1].transpose(1, 0, 2))
+    # s1 - s2 - s3 of each pair group, real and imaginary parts at once
     s = np.concatenate([sr, si], axis=1).reshape(t, 2, 4, 3)
     d = s[:, :, 0] - s[:, :, 1] - s[:, :, 2]
     atoms = np.concatenate([atoms, sr, si, d.reshape(t, 6), tp], axis=1)

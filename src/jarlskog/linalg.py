@@ -77,10 +77,11 @@ def _ksum(t, start=0.0, axis=0):
     in ascending order.
 
     The one fixed-order accumulation of the package, applied to the real and
-    the imaginary arrays of _cmul products separately.  With start 0.0 these
-    are the operations of the scalar `acc = 0j; acc += term` loop.  With
-    start -0.0, the additive identity, they are those of the spelled-out
-    t[0] + t[1] + ...; the two differ only when every term is -0.0.
+    the imaginary parts of _cmul products, separately or stacked on another
+    axis.  With start 0.0 these are the operations of the scalar
+    `acc = 0j; acc += term` loop.  The spelled-out t[0] + t[1] + ... is
+    _ksum over t[1:] from start t[0]; the two differ only when every term is
+    -0.0.
     """
     acc = start
     lead = (slice(None),) * axis

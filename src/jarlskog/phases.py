@@ -94,8 +94,8 @@ def phase_table(x):
 
 
 #: the sum rules' families, in the order of unitary_relation_residuals
-_SUMMED = ("row_alpha", "row_beta", "col_j", "col_k")
-_SUM_RULE_FAMILIES = tuple(f"{part}_{name}" for part in ("im", "re") for name in _SUMMED)
+_SUM_RULE_FAMILIES = tuple(f"{part}_{name}" for part in ("im", "re")
+                           for name in ("row_alpha", "row_beta", "col_j", "col_k"))
 
 
 def unitary_relation_residuals(cols, re, im):

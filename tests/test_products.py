@@ -5,7 +5,8 @@ The references below are plain scalar complex arithmetic with the grouping
 and the summation order the library documents: the plaquettes, the
 column products and V V^+ of the unitarity check, the commutator entries,
 the nine term groups of the n=4 closed form and the 3x3 products of the
-36-phase expansion, the one-matrix-at-a-time LU determinant and
+36-phase expansion, the band reconstruction of J in pure Python floats,
+the one-matrix-at-a-time LU determinant and
 Householder QR, the one-output-at-a-time splitmix64 draws of a verify
 trial, and the product identities evaluated at every index tuple, which
 the library evaluates once per symmetry orbit.  The library must reproduce them bit for bit, signed zeros

@@ -1,4 +1,4 @@
-"""Smoke runs of the study scripts with tiny ensembles."""
+"""Smoke runs of the scripts, with tiny ensembles for the studies."""
 
 import os
 import shutil
