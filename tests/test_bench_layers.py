@@ -16,6 +16,7 @@ from jarlskog import cli, verify
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
 )
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def load_tracing():
@@ -58,9 +59,26 @@ def test_traced_verify_sees_the_stacked_layers_and_keeps_its_bytes(n, trials):
     assert traced == plain
 
 
+#: the problem file of each n with a closed form
+DET_PROBLEMS = {3: "problem_n3_seed501.json", 4: "problem_n4_seed2024.json"}
+
+
+@pytest.mark.parametrize("n", DET_PROBLEMS)
+def test_traced_det_reaches_the_closed_form_of_its_n(n, capsys):
+    # det looks its closed form up when it runs, so the tracer's rebinding
+    # of det3_closed and det4_closed is on the path
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["det", os.path.join(DATA, DET_PROBLEMS[n]), "--method", "both"]) == 0
+    capsys.readouterr()
+    calls = tracer.layer_metrics(1)
+    expected = {"determinant.det_direct": 1, "linalg.det": 1,
+                "determinant.det3_closed": int(n == 3), "determinant.det4_closed": int(n == 4)}
+    assert {layer: calls[f"{layer}.calls_per_op"][0] for layer in expected} == expected
+
+
 def test_traced_phases_report_defines_the_gate_pass_ratio(capsys):
-    problem = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                           "problem_n4_seed2024.json")
+    problem = os.path.join(DATA, "problem_n4_seed2024.json")
     tracer = tracing.Tracer()
     with tracer.installed():
         assert cli.main(["phases", problem]) == 0
@@ -72,8 +90,7 @@ def test_traced_phases_report_defines_the_gate_pass_ratio(capsys):
 def test_traced_u_form_problem_builds_one_unitary_matrix_and_keeps_its_bytes(argv, capsys):
     # U and U_prime are validated as one stack; only V = U^+ U_prime is
     # wrapped as a UnitaryMatrix
-    problem = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                           "problem_n4_uu_seed602.json")
+    problem = os.path.join(DATA, "problem_n4_uu_seed602.json")
     assert cli.main([*argv[:1], problem, *argv[1:]]) == 0
     plain = capsys.readouterr().out
     tracer = tracing.Tracer()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -648,3 +650,70 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sample", "--seed", "4", "--out", str(tmp_path / "s.json")]) == 0
     assert json.loads((tmp_path / "s.json").read_text())["n"] == 4
+
+
+# ---------------------------------------------------------------- every input-error exit
+
+OVERFLOW = "error: {} is not a finite number ({}); a and b are too large for float64\n"
+REFUSED = "error: refusing to overwrite existing report '{tmp}/taken' (reports are append-only)\n"
+
+#: (argv, exit code, exact stderr) of each input-error exit of a command,
+#: with {tmp} standing for the directory of error_path_files.  Each leaves
+#: stdout empty.
+ERROR_PATHS = [
+    (["det", "{tmp}/missing.json"], 1,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
+    (["phases", "{tmp}/missing.json"], 1,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
+    (["det", "{tmp}/n5.json", "--method", "closed"], 1,
+     "error: no closed form for n=5; closed evaluation supports n in {{3, 4}}\n"),
+    (["det", "{tmp}/n5.json", "--method", "both"], 1,
+     "error: no closed form for n=5; closed evaluation supports n in {{3, 4}}\n"),
+    (["det", "{tmp}/big3.json", "--method", "direct"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
+    (["det", "{tmp}/big3.json", "--method", "closed"], 1, OVERFLOW.format("det_closed", "nan -infj")),
+    (["det", "{tmp}/big3.json", "--method", "both"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
+    (["det", "{tmp}/big4.json", "--method", "direct"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
+    (["det", "{tmp}/big4.json", "--method", "closed"], 1, OVERFLOW.format("det_closed", "nan +nanj")),
+    (["det", "{tmp}/big4.json", "--method", "both"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
+    (["phases", "{tmp}/n5.json"], 1, "error: phase reports support n in {{3, 4}}, got n=5\n"),
+    (["verify", "--n", "5"], 1, "error: verification suites exist for n in {{3, 4}}, got n=5\n"),
+    (["verify", "--trials", "0"], 1, "error: trials must be >= 1\n"),
+    (["sample", "--n", "9"], 1, "error: dimension 9 unsupported (need 2 <= n <= 8)\n"),
+    (["phases", N3_FIXTURE, "--out", "{tmp}/taken"], 1, REFUSED),
+    (["verify", "--n", "3", "--trials", "2", "--out", "{tmp}/taken"], 1, REFUSED),
+    (["sample", "--out", "{tmp}/taken"], 1, REFUSED),
+]
+
+
+@pytest.fixture(scope="module")
+def error_path_files(tmp_path_factory):
+    """A directory holding an n=5 problem, the n=3 and n=4 fixtures with a
+    and b scaled by 1e60 (which overflows both determinant routes) and an
+    existing file named taken."""
+    tmp = tmp_path_factory.mktemp("error_paths")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sample", "--n", "5", "--seed", "2", "--out", str(tmp / "n5.json")]) == 0
+    for name, fixture in (("big3", N3_FIXTURE), ("big4", N4_FIXTURE)):
+        with open(fixture, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for key in ("a", "b"):
+            doc[key] = [x * 1e60 for x in doc[key]]
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    (tmp / "taken").write_text("")
+    return str(tmp)
+
+
+@pytest.mark.parametrize(("argv", "code", "stderr"), ERROR_PATHS,
+                         ids=[" ".join(argv).replace("{tmp}/", "") for argv, *_ in ERROR_PATHS])
+def test_input_error_exits_with_its_exact_message_and_no_stdout(
+        argv, code, stderr, error_path_files, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([x.format(tmp=error_path_files) for x in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    # verify's wall time is the one stderr line that is not a fixed message
+    kept = "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("wall_time_s:"))
+    assert kept == stderr.format(tmp=error_path_files)
+    assert caught == []

@@ -47,12 +47,17 @@ def test_byte_identity_names_a_changed_verify_report(tmp_path):
     shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
     path = changed / "jarlskog" / "verify.py"
     text = path.read_text(encoding="utf-8")
-    assert text.count("PARITY_ABS = 1e-12\n") == 1
-    path.write_text(text.replace("PARITY_ABS = 1e-12\n", "PARITY_ABS = 2e-12\n"), encoding="utf-8")
+    for old, new in (("PARITY_ABS = 1e-12\n", "PARITY_ABS = 2e-12\n"),
+                     ('"trials must be >= 1"', '"trials must be positive"')):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
     res = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "byte_identity.py"), src, str(changed)],
         capture_output=True,
         text=True,
     )
     assert res.returncode == 1, res.stderr
-    assert "differs (stdout): jarlskog verify --n 4 --trials 4 --seed 0" in res.stdout.splitlines()
+    lines = res.stdout.splitlines()
+    assert "differs (stdout): jarlskog verify --n 4 --trials 4 --seed 0" in lines
+    assert "differs (stderr): jarlskog verify --trials 0" in lines
