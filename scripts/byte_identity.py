@@ -103,8 +103,8 @@ def start(src, argvs):
 
 
 def finish(proc, src):
-    """The [stdout, stderr, exit code] triples of one tree, after checking that its
-    worker imported jarlskog from that tree."""
+    """The [stdout, stderr, exit code] triples of one tree, after checking
+    that its worker imported jarlskog from that tree."""
     out, err = proc.communicate()
     if proc.returncode != 0:
         sys.exit(f"{src}: the worker failed:\n{err}")

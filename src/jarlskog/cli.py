@@ -7,9 +7,12 @@ Subcommands:
     verify  run the seeded identity suite and emit its report
     sample  generate a random problem file from a seed
 
-Exit codes: 0 success, 1 input error, 2 identity violation.  Reports are
-append-only: an existing --out path is never overwritten.  Wall time goes
-to stderr so that report bytes depend only on the inputs.
+Each command returns its text and its exit code, or raises OSError or
+ValueError on bad input; main writes the text to stdout or --out, and owns
+stderr and the input-error exit.  Exit codes: 0 success, 1 input error, 2
+identity violation.  Reports are append-only: an existing --out path is
+never overwritten.  verify's wall time goes to stderr so that report bytes
+depend only on the inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .determinant import MassPairInput, closed_form, det_direct
+from .determinant import MassPairInput, det3_closed, det4_closed, det_direct
 from .phases import (
     N3_SIGN_PATTERN,
     _canonical_pairs,
@@ -33,7 +36,7 @@ from .phases import (
     phase_table,
     reconstruct_J,
 )
-from .problem_io import ProblemFileError, load_problem, render_problem
+from .problem_io import load_problem, render_problem
 from .sampling import SeededRng, haar_unitary, random_spectrum
 from .verify import CLOSED_REL, check_tolerance, run_suite
 
@@ -90,20 +93,13 @@ def _emit(text, out_path):
 
 
 def _cmd_det(args):
-    try:
-        inp = load_problem(args.file)
-    except (ProblemFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    inp = load_problem(args.file)
     method = args.method
-    closed_fn = closed_form(inp.n)
+    # looked up at each call, so that rebinding det3_closed/det4_closed on
+    # this module (as perfbench/tracing.py does) reaches the call
+    closed_fn = {3: det3_closed, 4: det4_closed}.get(inp.n)
     if method in ("closed", "both") and closed_fn is None:
-        print(
-            f"error: no closed form for n={inp.n}; closed evaluation supports n in {{3, 4}}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        raise ValueError(f"no closed form for n={inp.n}; closed evaluation supports n in {{3, 4}}")
 
     lines = [f"n: {inp.n}"]
     values = {}
@@ -115,9 +111,8 @@ def _cmd_det(args):
             values["det_closed"] = c = closed_fn(inp)
     for name, value in values.items():
         if not _finite(value):
-            print(f"error: {name} is not a finite number ({_fmt_complex(value)}); "
-                  "a and b are too large for float64", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{name} is not a finite number ({_fmt_complex(value)}); "
+                             "a and b are too large for float64")
         lines.append(f"{name}: {_fmt_complex(value)}")
     code = EXIT_OK
     if method == "both":
@@ -132,8 +127,7 @@ def _cmd_det(args):
             code = EXIT_VIOLATION
         else:
             lines.append("agreement: pass")
-    print("\n".join(lines))
-    return code
+    return "\n".join(lines) + "\n", code
 
 
 def _phase_report_text(v):
@@ -186,57 +180,23 @@ def _phase_report_text(v):
 
 
 def _cmd_phases(args):
-    try:
-        inp = load_problem(args.file)
-    except (ProblemFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    inp = load_problem(args.file)
     if inp.n not in (3, 4):
-        print(f"error: phase reports support n in {{3, 4}}, got n={inp.n}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        _emit(_phase_report_text(inp.v), args.out)
-    except (FileExistsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+        raise ValueError(f"phase reports support n in {{3, 4}}, got n={inp.n}")
+    return _phase_report_text(inp.v), EXIT_OK
 
 
 def _cmd_verify(args):
-    started = time.monotonic()
-    try:
-        report = run_suite(
-            args.n, args.trials, args.seed, tol_rel=args.tol_rel, tol_abs=args.tol_abs
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    elapsed = time.monotonic() - started
-    try:
-        _emit(report.render(), args.out)
-    except (FileExistsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    print(f"wall_time_s: {elapsed:.3f}", file=sys.stderr)
-    return EXIT_OK if report.passed() else EXIT_VIOLATION
+    report = run_suite(args.n, args.trials, args.seed, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
+    return report.render(), EXIT_OK if report.passed() else EXIT_VIOLATION
 
 
 def _cmd_sample(args):
     rng = SeededRng(args.seed)
-    try:
-        v = haar_unitary(args.n, rng)
-        a = random_spectrum(args.n, rng)
-        b = random_spectrum(args.n, rng)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    text = render_problem(MassPairInput(a=a, b=b, v=v))
-    try:
-        _emit(text, args.out)
-    except (FileExistsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+    v = haar_unitary(args.n, rng)
+    a = random_spectrum(args.n, rng)
+    b = random_spectrum(args.n, rng)
+    return render_problem(MassPairInput(a=a, b=b, v=v)), EXIT_OK
 
 
 def build_parser():
@@ -257,7 +217,7 @@ def build_parser():
                        help="relative agreement tolerance for --method both")
     p_det.add_argument("--tol-abs", type=_tolerance, default=None,
                        help="absolute agreement tolerance for --method both")
-    p_det.set_defaults(func=_cmd_det)
+    p_det.set_defaults(func=_cmd_det, out=None)
 
     p_ph = sub.add_parser("phases", help="write the invariant-phase report of a problem file")
     p_ph.add_argument("file", help="problem file (JSON)")
@@ -292,7 +252,17 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    return args.func(args)
+    started = time.monotonic()
+    try:
+        text, code = args.func(args)
+        elapsed = time.monotonic() - started
+        _emit(text, args.out)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.command == "verify":
+        print(f"wall_time_s: {elapsed:.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

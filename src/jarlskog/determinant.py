@@ -341,13 +341,3 @@ def det4_closed(inp):
     """
     re, im = _det4_closed(_det4_stack_of_one(inp)[0])
     return complex(re[0], im[0])
-
-
-def closed_form(n):
-    """The closed-form evaluation for dimension n, or None if n has none.
-
-    The function is looked up at each call rather than stored in a table,
-    so rebinding det3_closed/det4_closed on this module (as the layer
-    tracer in perfbench/tracing.py does) reaches every caller.
-    """
-    return {3: det3_closed, 4: det4_closed}.get(n)

@@ -406,6 +406,25 @@ def test_verify_reports_an_injected_nan_residual_as_fail(monkeypatch):
     assert report.render().endswith("\noverall: FAIL\n")
 
 
+def test_verify_gate_rate_counts_the_trials_the_band_row_records(monkeypatch):
+    import jarlskog.verify as verify
+
+    exact = verify._reconstructions
+
+    def gate_fails_on_trials_1_and_3(cols, j, r):
+        ratio, degenerate, recon, max_error = exact(cols, j, r)
+        degenerate[[1, 3]] = True
+        max_error[[1, 3]] = math.nan
+        return ratio, degenerate, recon, max_error
+
+    monkeypatch.setattr(verify, "_reconstructions", gate_fails_on_trials_1_and_3)
+    report = run_suite(4, 5, 11)
+    row = next(r for r in report.identities if r.name == "band_reconstruction")
+    assert row.passed and row.count == 3
+    assert report.gate_pass_rate == 3 / 5
+    assert "\nreconstruction_gate_pass_rate: 5.99999999999999978e-01\n" in report.render()
+
+
 @pytest.mark.parametrize("n", (3, 4))
 def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monkeypatch):
     # the product identities read one index tuple per symmetry orbit, so a
@@ -669,12 +688,18 @@ ERROR_PATHS = [
      "error: no closed form for n=5; closed evaluation supports n in {{3, 4}}\n"),
     (["det", "{tmp}/n5.json", "--method", "both"], 1,
      "error: no closed form for n=5; closed evaluation supports n in {{3, 4}}\n"),
-    (["det", "{tmp}/big3.json", "--method", "direct"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
-    (["det", "{tmp}/big3.json", "--method", "closed"], 1, OVERFLOW.format("det_closed", "nan -infj")),
-    (["det", "{tmp}/big3.json", "--method", "both"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
-    (["det", "{tmp}/big4.json", "--method", "direct"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
-    (["det", "{tmp}/big4.json", "--method", "closed"], 1, OVERFLOW.format("det_closed", "nan +nanj")),
-    (["det", "{tmp}/big4.json", "--method", "both"], 1, OVERFLOW.format("det_direct", "nan +nanj")),
+    (["det", "{tmp}/big3.json", "--method", "direct"], 1,
+     OVERFLOW.format("det_direct", "nan +nanj")),
+    (["det", "{tmp}/big3.json", "--method", "closed"], 1,
+     OVERFLOW.format("det_closed", "nan -infj")),
+    (["det", "{tmp}/big3.json", "--method", "both"], 1,
+     OVERFLOW.format("det_direct", "nan +nanj")),
+    (["det", "{tmp}/big4.json", "--method", "direct"], 1,
+     OVERFLOW.format("det_direct", "nan +nanj")),
+    (["det", "{tmp}/big4.json", "--method", "closed"], 1,
+     OVERFLOW.format("det_closed", "nan +nanj")),
+    (["det", "{tmp}/big4.json", "--method", "both"], 1,
+     OVERFLOW.format("det_direct", "nan +nanj")),
     (["phases", "{tmp}/n5.json"], 1, "error: phase reports support n in {{3, 4}}, got n=5\n"),
     (["verify", "--n", "5"], 1, "error: verification suites exist for n in {{3, 4}}, got n=5\n"),
     (["verify", "--trials", "0"], 1, "error: trials must be >= 1\n"),

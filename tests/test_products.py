@@ -790,8 +790,9 @@ LAYER_TRIALS = 7
 
 
 def stacked_layers(n):
-    """{name: (function, stacked arguments)} of every layer that takes a
-    leading trial axis, on LAYER_TRIALS seeded trials."""
+    """{name: (function, stacked arguments, trial axis of its results)} of
+    every layer that takes a leading trial axis, on LAYER_TRIALS seeded
+    trials."""
     rng = SeededRng(1000 + n)
     trials = LAYER_TRIALS
     g = np.array([ginibre(n, rng) for _ in range(trials)])
@@ -803,37 +804,37 @@ def stacked_layers(n):
     _, cols = linalg._validate_unitaries(v)
     plaq = linalg._plaquettes(v)
     layers = {
-        "householder_qr": (householder_qr, (g,)),
-        "haar_from_ginibre": (sampling._haar_from_ginibre, (g,)),
-        "rephased": (sampling.rephase, (v, row, col)),
-        "validate_unitaries": (linalg._validate_unitaries, (w,)),
-        "plaquettes": (linalg._plaquettes, (v,)),
-        "commutators": (determinant._commutators, (a, b, cols)),
-        "det": (det, (determinant._commutators(a, b, cols),)),
-        "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, *plaq)),
-        "product_residuals": (phases.nonlinear_relation_residuals, plaq),
-        "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq),
+        "householder_qr": (householder_qr, (g,), 0),
+        "haar_from_ginibre": (sampling._haar_from_ginibre, (g,), 0),
+        "rephased": (sampling.rephase, (v, row, col), 0),
+        "validate_unitaries": (linalg._validate_unitaries, (w,), 0),
+        "plaquettes": (linalg._plaquettes, (v,), 0),
+        "commutators": (determinant._commutators, (a, b, cols), 0),
+        "det": (det, (determinant._commutators(a, b, cols),), 0),
+        "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, *plaq), 0),
+        "product_residuals": (phases.nonlinear_relation_residuals, plaq, 0),
+        "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq, 0),
         "phase_shifts": (verify._phase_shifts,
-                         (tuple(map(phases.phase_table, plaq + linalg._plaquettes(w))),)),
+                         (tuple(map(phases.phase_table, plaq + linalg._plaquettes(w))),), 0),
     }
     if n == 3:
-        layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]))
-        layers["n3_signs"] = (phases.n3_phase_table, (phases.phase_table(plaq[1]),))
+        layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]), 0)
+        layers["n3_signs"] = (phases.n3_phase_table, (phases.phase_table(plaq[1]),), 0)
     else:
         j, r = phases.jr_matrices(*plaq)
         groups = determinant._det4_groups(t_factors(a), b, cols, plaq)
         layers.update({
-            "det4_groups": (determinant._det4_groups, (t_factors(a), b, cols, plaq)),
-            "det4_closed": (determinant._det4_closed, (groups[0],)),
-            "t_factors": (determinant.t_factors, (a,)),
-            "sum_rule": (determinant._sum_rule, determinant.t_factors(b)),
-            "jr": (phases.jr_matrices, plaq),
-            "expand_block": (phases.expand_phases, (j,)),
+            "det4_groups": (determinant._det4_groups, (t_factors(a), b, cols, plaq), 0),
+            "det4_closed": (determinant._det4_closed, (groups[0],), 0),
+            "t_factors": (determinant.t_factors, (a,), 0),
+            "sum_rule": (determinant._sum_rule, determinant.t_factors(b), 0),
+            "jr": (phases.jr_matrices, plaq, 0),
+            "expand_block": (phases.expand_phases, (j,), 0),
             "expansion_residuals": (phases.expansion_residual,
-                                    (phases.phase_table(plaq[1]), phases.expand_phases(j))),
+                                    (phases.phase_table(plaq[1]), phases.expand_phases(j)), 0),
             # the coefficients carry trials on their last axis
-            "band_systems": (lambda *x: phases._band_systems(*x).T, (cols, j, r)),
-            "reconstructions": (phases._reconstructions, (cols, j, r)),
+            "band_systems": (phases._band_systems, (cols, j, r), -1),
+            "reconstructions": (phases._reconstructions, (cols, j, r), 0),
         })
     return layers
 
@@ -843,14 +844,14 @@ LAYER_CASES = [(n, name) for n in (3, 4) for name in stacked_layers(n)]
 
 @pytest.mark.parametrize(("n", "name"), LAYER_CASES, ids=[f"n{n}-{name}" for n, name in LAYER_CASES])
 def test_slice_of_a_stacked_layer_is_bit_equal_to_its_stack_of_one(n, name):
-    fn, args = stacked_layers(n)[name]
+    fn, args, axis = stacked_layers(n)[name]
     full = leaves(fn(*args))
     for t in range(LAYER_TRIALS):
         single = leaves(fn(*(stack_slice(x, t) for x in args)))
         assert len(single) == len(full)
         for got, ref in zip(full, single):
-            assert np.array_equal(bits(np.asarray(got[t], dtype=float)),
-                                  bits(np.asarray(ref[0], dtype=float))), t
+            assert np.array_equal(bits(np.take(got, t, axis=axis).astype(float)),
+                                  bits(np.take(ref, 0, axis=axis).astype(float))), t
 
 
 # ---------------------------------------------------------------- product identities by orbit
