@@ -107,23 +107,45 @@ def unitary_relation_residuals(cols, re, im):
     give delta-weighted squared moduli.  Families are keyed by the summed
     index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
 
-    im and re are stacked once, and each family's sum over its own axis is
-    written into one buffer, so numpy sums every family in the order of a
-    sum over that axis of im or re alone.
+    Only the alpha and j sums are taken, of im and re stacked once, each in
+    ascending index order: numpy's sum over the alpha axis, a middle one,
+    adds in that order, and the j sum is written out.  The beta
+    and k families are those two, bit for bit.  The plaquette kernel makes
+    im bitwise antisymmetric and re bitwise symmetric under alpha<->beta and
+    under j<->k (up to the sign of a zero), so
+
+      sum_x im(a x; j k) = -sum_x im(x a; j k)    (beta family at a, j, k)
+      sum_x im(a b; j x) = -sum_x im(a b; x j)    (k family at a, b, j)
+
+    term by term and in the same order, where the right sides are the alpha
+    family at (a, j, k) and the j family at (a, b, j); the same sums of re
+    are equal.  IEEE + commutes exactly with negation.  The real-part
+    targets match too: both row families subtract delta_jk |V[c, j]|^2 at
+    the remaining (c, j, k), both column families delta_ab |V[a, c]|^2 at
+    (a, b, c).  Negation and the sign of a zero term change no bit of
+    |residual|, so each swapped family's residuals, and its maximum, are
+    its partner's bit for bit.  verify's phase_antisymmetry_bitwise row
+    checks the premise on the same tensors.  (numpy's own sum over the
+    contiguous k axis would differ from n = 8 on, where it adds a last axis
+    pairwise.)
     """
     t, n = re.shape[:2]
     mod2 = _moduli_squared(cols)
     eye = np.eye(n)
     both = np.stack([im, re])
-    sums = np.empty((2, 4, t, n, n, n))
-    for f in range(4):
-        both.sum(axis=f + 2, out=sums[:, f])
-    # targets of the real-part sums: over alpha or beta, delta_jk |V[c, j]|^2
-    # at the remaining (c, j, k); over j or k, delta_ab |V[a, c]|^2 at (a, b, c)
-    sums[1, :2] -= eye[None, None, :, :] * mod2[:, :, :, None]
-    sums[1, 2:] -= eye[None, :, :, None] * mod2[:, :, None, :]
+    sums = np.empty((2, 2, t, n, n, n))
+    both.sum(axis=2, out=sums[:, 0])
+    over_j = sums[:, 1]
+    np.add(both[..., 0, :], both[..., 1, :], out=over_j)
+    for j in range(2, n):
+        over_j += both[..., j, :]
+    # targets of the real-part sums: over alpha, delta_jk |V[c, j]|^2 at the
+    # remaining (c, j, k); over j, delta_ab |V[a, c]|^2 at (a, b, c)
+    sums[1, 0] -= eye * mod2[:, :, :, None]
+    sums[1, 1] -= eye[:, :, None] * mod2[:, :, None, :]
     worst = np.abs(sums, out=sums).max(axis=(3, 4, 5))
-    return dict(zip(_SUM_RULE_FAMILIES, worst.reshape(8, t)))
+    # alpha, beta, j, k of im, then of re
+    return dict(zip(_SUM_RULE_FAMILIES, worst[:, [0, 0, 1, 1]].reshape(8, t)))
 
 
 #: sign of each canonical three-level phase as a multiple of im(12;12), in

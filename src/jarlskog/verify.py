@@ -22,7 +22,9 @@ so the report does not depend on the chunk size.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +88,13 @@ REPHASE_DET_REL = 1e-10
 
 @dataclass
 class IdentityResult:
-    """Aggregated outcome of one identity over the trial ensemble."""
+    """Aggregated outcome of one identity over the trial ensemble.
+
+    run_suite adds each chunk's row of the identity (see _check_chunk) with
+    one record_row call: the residuals of the trials the row keeps (every
+    trial, or on the band row those that pass the gate), their seeds, and
+    the row's limit, one float for a constant bound or one per trial.
+    """
 
     name: str
     bound: str
@@ -96,17 +104,38 @@ class IdentityResult:
     worst_seed: int = 0
     passed: bool = True
 
-    def record(self, residual, limit, seed):
-        """Add one trial's residual.  A NaN residual fails the check and
-        becomes the worst one, so it is never hidden by a comparison."""
-        if (self.count == 0 or residual > self.max_residual
-                or (math.isnan(residual) and not math.isnan(self.max_residual))):
-            self.max_residual = residual
-            self.worst_seed = seed
-        self.sum_residual += residual
-        self.count += 1
-        if not residual <= limit:
+    def record_row(self, residuals, limit, seeds):
+        """Add the residuals of consecutive trials, given as lists with the
+        trials' seeds, and a limit for each trial (a list) or for all of
+        them (a float).
+
+        The outcome is that of adding the trials one at a time in order: the
+        first of equal largest residuals is the worst one, a NaN residual
+        fails the check and becomes the worst one (the first NaN, so it is
+        never hidden by a comparison), the sum adds the residuals left to
+        right onto the running sum, and a trial passes when
+        residual <= limit.
+        """
+        if not residuals:
+            return
+        total = self.sum_residual
+        for x in residuals:
+            total += x
+        self.sum_residual = total
+        nans = list(map(math.isnan, residuals))
+        if True in nans:
             self.passed = False
+            worst = None if math.isnan(self.max_residual) else nans.index(True)
+        else:
+            top = max(residuals)
+            worst = residuals.index(top) if self.count == 0 or top > self.max_residual else None
+            if self.passed:
+                self.passed = (all(map(operator.le, residuals, limit)) if isinstance(limit, list)
+                               else top <= limit)
+        if worst is not None:
+            self.max_residual = residuals[worst]
+            self.worst_seed = seeds[worst]
+        self.count += len(residuals)
 
     @property
     def mean_residual(self):
@@ -175,12 +204,11 @@ def _antisymmetry_residuals(re, im):
     return np.abs(swapped, out=swapped).reshape(len(re), -1).max(axis=1)
 
 
-def _phase_shifts(tables):
+def _phase_shifts(tables, rephased):
     """(T,) largest change of a canonical phase under rephasing, from the
-    (T, m) phase tables of re and im of the matrices and then of their
+    (T, 2, m) phase tables of re and im of the matrices and of their
     rephased copies."""
-    diff = [y - x for x, y in zip(tables[:2], tables[2:])]
-    return np.abs(np.concatenate(diff, axis=1)).max(axis=1)
+    return np.abs(rephased - tables).max(axis=(1, 2))
 
 
 def _modulus(z):
@@ -246,9 +274,11 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     once on the stack.
 
     Returns the table of identities, in report order: one (name, bound
-    label, residual, limit, kept) row per identity, with (T,) residuals and
-    limits, and kept masking the trials to record.  At n = 4 the last row,
-    band_reconstruction, keeps exactly the trials that pass the band gate.
+    label, residual, limit, kept) row per identity.  residual is (T,); limit
+    is a float where the bound is a constant and (T,) where it scales with
+    the trial.  kept is None (every trial counts) except on the band row at
+    n = 4, the last, where it masks exactly the trials that pass the band
+    gate.
     """
     g, a, b, row_phases, col_phases = _draw_chunk(n, seeds)
     t = len(seeds)
@@ -271,33 +301,32 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
     re, im = (x[:t] for x in plaq)
     cols = tuple(x[:t] for x in cols)
-    # the canonical phases of re and im, of V and then of its rephased copy
-    tables = [phase_table(x) for x in (re, im, *(x[t:] for x in plaq))]
-    ims = tables[1]
+    # the canonical phases of re and im, (2T, 2, m): V, then its rephased copy
+    tables = phase_table(np.stack(plaq, axis=1))
+    ims = tables[:t, 1]
 
-    mod_d = _modulus(d)
+    mod_d, closed_error, det_shift, closed_shift = _modulus(np.stack([d, c - d, d2 - d, c2 - c]))
     det_scale = np.maximum(1.0, mod_d)
     # the largest of the four im families, and of the four re families
-    sums_im, sums_re = np.reshape(list(unitary_relation_residuals(cols, re, im).values()),
-                                  (2, 4, t)).max(axis=1)
-    every = np.ones(t, dtype=bool)
+    sums = list(unitary_relation_residuals(cols, re, im).values())
+    sums_im, sums_re = (functools.reduce(np.maximum, sums[f:f + 4]) for f in (0, 4))
 
-    def row(name, bound, residual, limit, kept=every):
-        return name, bound, residual, np.full(t, limit), kept
+    def row(name, bound, residual, limit, kept=None):
+        return name, bound, residual, limit, kept
 
     rows = [
         row(f"parity_no_{'imag' if n % 2 == 0 else 'real'}_part",
             f"{PARITY_REL:.0e}*|det| + {parity_abs:.0e}",
             np.abs(d.imag if n % 2 == 0 else d.real), PARITY_REL * mod_d + parity_abs),
         row(f"closed_form_n{n}_vs_direct", f"{closed_rel:.0e}*max(1,|det|)",
-            _modulus(c - d), closed_rel * det_scale),
+            closed_error, closed_rel * det_scale),
         row("phase_antisymmetry_bitwise", "0 (exact)", _antisymmetry_residuals(re, im), 0.0),
         row("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}", sums_im, SUM_RULE_ABS),
         row("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}", sums_re, SUM_RULE_ABS),
         row("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}",
-            _phase_shifts(tables), REPHASE_PHASE_ABS),
+            _phase_shifts(tables[:t], tables[t:]), REPHASE_PHASE_ABS),
         row("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)",
-            np.maximum(_modulus(d2 - d), _modulus(c2 - c)), REPHASE_DET_REL * det_scale),
+            np.maximum(det_shift, closed_shift), REPHASE_DET_REL * det_scale),
         row("product_identities", f"{PRODUCT_ABS:.0e}",
             np.max(list(nonlinear_relation_residuals(re, im).values()), axis=0), PRODUCT_ABS),
     ]
@@ -346,10 +375,14 @@ def run_suite(n, trials, master_seed, tol_rel=None, tol_abs=None):
         rows = _check_chunk(n, seeds, closed_rel, parity_abs)
         if results is None:
             results = [IdentityResult(name=name, bound=bound) for name, bound, *_ in rows]
+        every = seeds.tolist()
         for result, (_, _, residual, limit, kept) in zip(results, rows):
-            for x, bound, seed in zip(residual[kept].tolist(), limit[kept].tolist(),
-                                      seeds[kept].tolist()):
-                result.record(x, bound, seed)
+            row_seeds = every
+            if kept is not None:
+                residual, limit, row_seeds = residual[kept], limit[kept], seeds[kept].tolist()
+            if isinstance(limit, np.ndarray):
+                limit = limit.tolist()
+            result.record_row(residual.tolist(), limit, row_seeds)
 
     return VerificationReport(
         suite=f"n={n}",

@@ -37,8 +37,9 @@ def test_traced_layer_resolves(layer):
 #: calls per run_suite op of the layers that verify reaches through the
 #: stacked kernels, at every n and at each n only.  One chunk runs each
 #: layer once on its stack, so a layer rerouted around its traced name reads
-#: fewer calls; phase_table takes re and im of V and of its rephased copy.
-VERIFY_LAYERS = {"sampling.rephase": 1, "phases.phase_table": 4,
+#: fewer calls; phase_table takes re and im of V and of its rephased copy
+#: in one call on their stack.
+VERIFY_LAYERS = {"sampling.rephase": 1, "phases.phase_table": 1,
                  "phases.unitary_relation_residuals": 1,
                  "phases.nonlinear_relation_residuals": 1}
 VERIFY_N_LAYERS = {3: {"phases.n3_phase_table": 1},

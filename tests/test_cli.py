@@ -14,7 +14,7 @@ from conftest import bits
 from jarlskog import MassPairInput, SeededRng, haar_unitary, phases, problem_io, random_spectrum
 from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
-from jarlskog.verify import run_suite
+from jarlskog.verify import IdentityResult, run_suite
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 N4_FIXTURE = os.path.join(DATA, "problem_n4_seed2024.json")
@@ -149,11 +149,6 @@ def test_sample_round_trips_through_parser():
     assert render_problem(inp) == out.stdout
 
 
-def test_sample_rejects_bad_dimension():
-    res = run_cli("sample", "--n", "12", "--seed", "0")
-    assert res.returncode == 1
-
-
 # ---------------------------------------------------------------- det
 
 def test_det_identity_mixing_prints_zero_and_passes():
@@ -178,9 +173,6 @@ def test_det_direct_only_runs_for_any_supported_n(tmp_path):
     res = run_cli("det", path, "--method", "direct")
     assert res.returncode == 0
     assert "det_direct" in res.stdout
-    res = run_cli("det", path, "--method", "closed")
-    assert res.returncode == 1
-    assert "no closed form for n=5" in res.stderr
 
 
 def test_det_zero_tolerance_trips_violation_exit():
@@ -195,11 +187,6 @@ def test_det_malformed_file_is_input_error(tmp_path):
     res = run_cli("det", str(bad))
     assert res.returncode == 1
     assert "field 'a'" in res.stderr
-
-
-def test_det_missing_file_is_input_error():
-    res = run_cli("det", "/tmp/definitely-not-here.json")
-    assert res.returncode == 1
 
 
 @pytest.mark.parametrize("command", ("det", "phases"))
@@ -218,28 +205,6 @@ def test_unreadable_problem_file_is_input_error(command, content, tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
-
-
-@pytest.mark.parametrize("method", ("both", "direct", "closed"))
-@pytest.mark.parametrize("fixture", (N3_FIXTURE, N4_FIXTURE), ids=("n3", "n4"))
-def test_det_overflow_is_input_error(fixture, method, tmp_path, capsys):
-    # a and b scaled by 1e60 overflow the LU determinant and the closed
-    # forms to NaN/inf, which must not read as agreement
-    with open(fixture, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for name in ("a", "b"):
-        doc[name] = [x * 1e60 for x in doc[name]]
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["det", str(path), "--method", method])
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: det_")
-    assert "not a finite number" in err
-    assert caught == []
 
 
 # ---------------------------------------------------------------- phases
@@ -362,11 +327,6 @@ def test_run_suite_rejects_unusable_tolerance(value, option):
         run_suite(3, 3, 0, **{option: value})
 
 
-def test_verify_rejects_bad_arguments():
-    assert run_cli("verify", "--n", "5", "--trials", "5").returncode == 1
-    assert run_cli("verify", "--n", "3", "--trials", "0").returncode == 1
-
-
 def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
@@ -376,14 +336,103 @@ def test_version_flag():
 # ---------------------------------------------------------------- NaN residuals
 
 def test_record_fails_and_keeps_a_nan_residual():
-    from jarlskog.verify import IdentityResult
-
     result = IdentityResult(name="x", bound="1")
-    for residual, seed in ((0.5, 3), (math.nan, 7), (0.9, 8)):
-        result.record(residual, 1.0, seed)
+    result.record_row([0.5, math.nan, 0.9], 1.0, [3, 7, 8])
     assert not result.passed
     assert math.isnan(result.max_residual)
     assert result.worst_seed == 7
+
+
+def record_per_trial(result, residuals, limits, seeds):
+    """The reference of IdentityResult.record_row: add the trials one at a
+    time, each with its own limit."""
+    for residual, limit, seed in zip(residuals, limits, seeds):
+        if (result.count == 0 or residual > result.max_residual
+                or (math.isnan(residual) and not math.isnan(result.max_residual))):
+            result.max_residual = residual
+            result.worst_seed = seed
+        result.sum_residual += residual
+        result.count += 1
+        if not residual <= limit:
+            result.passed = False
+
+
+def outcome(result):
+    """The fields of an IdentityResult, floats as bit patterns."""
+    return (bits([result.max_residual, result.sum_residual]).tolist(), result.count,
+            result.worst_seed, result.passed)
+
+
+NAN = math.nan
+#: rows of residuals, each recorded with seeds 10, 11, ... and limit 1.0
+#: or a list of limits, in one or more record_row calls (the chunks)
+AGGREGATION_CASES = {
+    "nan_first": [[NAN, 0.5, 0.9]],
+    "nan_in_the_middle": [[0.5, NAN, 0.9, NAN]],
+    "nan_last": [[0.5, 0.9, NAN]],
+    "nan_after_a_chunk": [[0.5, 0.9], [0.2, NAN, 3.0]],
+    "nan_before_a_chunk": [[NAN, 0.5], [0.9, NAN]],
+    "tied_maxima": [[0.5, 0.9, 0.2, 0.9]],
+    "tied_across_chunks": [[0.9, 0.1], [0.9, 0.3]],
+    "negative_zeros": [[-0.0, 0.0, -0.0]],
+    "negative_zeros_after_positive": [[0.0, -0.0], [-0.0]],
+    "all_negative_zeros": [[-0.0, -0.0], [-0.0]],
+    "over_the_limit": [[0.5, 1.5, 0.2]],
+    "larger_in_a_later_chunk": [[0.1, 0.2], [0.2, 0.7], [0.7]],
+    "empty_chunk": [[0.4], [], [0.3, 0.5]],
+}
+LIMIT_CASES = {"scalar": 1.0, "per_trial": [1.0, 2.0, -math.inf, NAN, 1.0, 0.5, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize("limits", LIMIT_CASES)
+@pytest.mark.parametrize("case", AGGREGATION_CASES)
+def test_record_row_is_bit_equal_to_the_per_trial_loop(case, limits):
+    got, ref = IdentityResult(name="x", bound="1"), IdentityResult(name="x", bound="1")
+    limit, first = LIMIT_CASES[limits], 10
+    for chunk in AGGREGATION_CASES[case]:
+        seeds = list(range(first, first + len(chunk)))
+        per_trial = limit[:len(chunk)] if isinstance(limit, list) else [limit] * len(chunk)
+        got.record_row(chunk, per_trial if isinstance(limit, list) else limit, seeds)
+        record_per_trial(ref, chunk, per_trial, seeds)
+        first += len(chunk)
+    assert outcome(got) == outcome(ref)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_run_suite_aggregates_bit_equal_to_the_per_trial_loop(n, monkeypatch):
+    # TRIAL_CHUNK + 5 trials carry every sum across a chunk boundary, and at
+    # n = 4 the band row keeps a partial mask in both chunks
+    import jarlskog.verify as verify
+
+    exact_reconstructions, exact_chunk = verify._reconstructions, verify._check_chunk
+
+    def gate_fails_on_trials_1_and_3(cols, j, r):
+        ratio, degenerate, recon, max_error = exact_reconstructions(cols, j, r)
+        degenerate[[1, 3]] = True
+        max_error[[1, 3]] = math.nan
+        return ratio, degenerate, recon, max_error
+
+    chunks = []
+
+    def kept_chunk(n, seeds, *args):
+        rows = exact_chunk(n, seeds, *args)
+        chunks.append((seeds, rows))
+        return rows
+
+    monkeypatch.setattr(verify, "_reconstructions", gate_fails_on_trials_1_and_3)
+    monkeypatch.setattr(verify, "_check_chunk", kept_chunk)
+    report = run_suite(n, verify.TRIAL_CHUNK + 5, 23)
+    assert len(chunks) == 2
+    expected = [IdentityResult(name=name, bound=bound) for name, bound, *_ in chunks[0][1]]
+    for seeds, rows in chunks:
+        for result, (_, _, residual, limit, kept) in zip(expected, rows):
+            mask = np.ones(len(seeds), dtype=bool) if kept is None else kept
+            record_per_trial(result, residual[mask].tolist(),
+                             np.broadcast_to(limit, residual.shape)[mask].tolist(),
+                             seeds[mask].tolist())
+    assert [outcome(r) for r in report.identities] == [outcome(r) for r in expected]
+    if n == 4:
+        assert report.identities[-1].count == verify.TRIAL_CHUNK + 5 - 4
 
 
 def test_verify_reports_an_injected_nan_residual_as_fail(monkeypatch):
@@ -450,6 +499,30 @@ def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monke
     assert row.worst_seed == verify.derive_seed(11, 2)
     assert [r.name for r in report.identities if not r.passed] == [row.name]
     assert report.render().endswith("\noverall: FAIL\n")
+
+
+@pytest.mark.parametrize("part", ("re", "im"))
+@pytest.mark.parametrize("n", (3, 4))
+def test_verify_fails_a_plaquette_entry_that_breaks_the_sum_rule_symmetry(n, part, monkeypatch):
+    # the sum rules take only the alpha and j sums, and read the beta and k
+    # families through the symmetry of re and the antisymmetry of im; one
+    # entry off by an ulp leaves every other row passing, so the
+    # antisymmetry row alone must fail it
+    import jarlskog.verify as verify
+
+    exact = verify._plaquettes
+
+    def flip_one_bit_of_trial_2(m):
+        plaq = exact(m)
+        plaq[("re", "im").index(part)].view(np.uint64)[2, 0, 1, 0, 1] ^= np.uint64(1)
+        return plaq
+
+    monkeypatch.setattr(verify, "_plaquettes", flip_one_bit_of_trial_2)
+    report = run_suite(n, 5, 11)
+    row = next(r for r in report.identities if r.name == "phase_antisymmetry_bitwise")
+    assert not row.passed
+    assert row.worst_seed == verify.derive_seed(11, 2)
+    assert [r.name for r in report.identities if not r.passed] == [row.name]
 
 
 def test_importing_the_cli_builds_no_product_table():
@@ -702,8 +775,13 @@ ERROR_PATHS = [
      OVERFLOW.format("det_direct", "nan +nanj")),
     (["phases", "{tmp}/n5.json"], 1, "error: phase reports support n in {{3, 4}}, got n=5\n"),
     (["verify", "--n", "5"], 1, "error: verification suites exist for n in {{3, 4}}, got n=5\n"),
+    (["verify", "--n", "5", "--trials", "5"], 1,
+     "error: verification suites exist for n in {{3, 4}}, got n=5\n"),
     (["verify", "--trials", "0"], 1, "error: trials must be >= 1\n"),
+    (["verify", "--n", "3", "--trials", "0"], 1, "error: trials must be >= 1\n"),
     (["sample", "--n", "9"], 1, "error: dimension 9 unsupported (need 2 <= n <= 8)\n"),
+    (["sample", "--n", "12", "--seed", "0"], 1,
+     "error: dimension 12 unsupported (need 2 <= n <= 8)\n"),
     (["phases", N3_FIXTURE, "--out", "{tmp}/taken"], 1, REFUSED),
     (["verify", "--n", "3", "--trials", "2", "--out", "{tmp}/taken"], 1, REFUSED),
     (["sample", "--out", "{tmp}/taken"], 1, REFUSED),

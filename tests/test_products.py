@@ -8,9 +8,11 @@ the nine term groups of the n=4 closed form and the 3x3 products of the
 36-phase expansion, the band reconstruction of J in pure Python floats,
 the one-matrix-at-a-time LU determinant and
 Householder QR, the one-output-at-a-time splitmix64 draws of a verify
-trial, and the product identities evaluated at every index tuple, which
-the library evaluates once per symmetry orbit.  The library must reproduce them bit for bit, signed zeros
-included, so results are compared as uint64 bit patterns.  Every stacked
+trial, the product identities evaluated at every index tuple, which
+the library evaluates once per symmetry orbit, and the sum rules summed
+over each family's own axis, of which the library sums two.  The library
+must reproduce them bit for bit, signed zeros included, so results are
+compared as uint64 bit patterns.  Every stacked
 layer must give, in slice t of a stack, the bits of its call on trial t
 alone.  Golden report files pin the printed digits end to end.
 """
@@ -815,7 +817,8 @@ def stacked_layers(n):
         "product_residuals": (phases.nonlinear_relation_residuals, plaq, 0),
         "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq, 0),
         "phase_shifts": (verify._phase_shifts,
-                         (tuple(map(phases.phase_table, plaq + linalg._plaquettes(w))),), 0),
+                         tuple(phases.phase_table(np.stack(x, axis=1))
+                               for x in (plaq, linalg._plaquettes(w))), 0),
     }
     if n == 3:
         layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]), 0)
@@ -983,6 +986,69 @@ def test_product_table_holds_one_column_per_orbit_representative():
         assert starts == tuple(np.cumsum([0] + counts[:-1]).tolist())
         assert combines == (np.add, np.add, np.subtract, np.subtract)
         assert not index.flags.writeable
+
+
+# ---------------------------------------------------------------- sum rules by symmetry
+
+def four_axis_sum_rules(cols, re, im):
+    """The sum rules with each of the eight families summed over its own
+    axis by numpy, the evaluation that unitary_relation_residuals halves."""
+    t, n = re.shape[:2]
+    mod2 = linalg._moduli_squared(cols)
+    eye = np.eye(n)
+    both = np.stack([im, re])
+    sums = np.empty((2, 4, t, n, n, n))
+    for f in range(4):
+        both.sum(axis=f + 2, out=sums[:, f])
+    sums[1, :2] -= eye[None, None, :, :] * mod2[:, :, :, None]
+    sums[1, 2:] -= eye[None, :, :, None] * mod2[:, :, None, :]
+    worst = np.abs(sums, out=sums).max(axis=(3, 4, 5))
+    return dict(zip(phases._SUM_RULE_FAMILIES, worst.reshape(8, t)))
+
+
+def assert_sum_rules_match_the_four_axis_sums(mats):
+    """The halved sum rules of a stack give the four-axis reference's bits
+    in every family, except the k families at n = 8: numpy sums the
+    contiguous k axis pairwise there, and the halved k family is the
+    sequential j sum, bit for bit, at every n."""
+    m = np.asarray(mats)
+    n = m.shape[-1]
+    cols = linalg._row_products(m.swapaxes(-1, -2))
+    plaq = linalg._plaquettes(m)
+    got = phases.unitary_relation_residuals(cols, *plaq)
+    ref = four_axis_sum_rules(cols, *plaq)
+    assert list(got) == list(ref)
+    for name in ref:
+        if n < 8 or not name.endswith("_col_k"):
+            assert np.array_equal(bits(got[name]), bits(ref[name])), name
+    for part in ("im", "re"):
+        assert np.array_equal(bits(got[f"{part}_col_k"]), bits(ref[f"{part}_col_j"])), part
+        assert np.array_equal(bits(got[f"{part}_row_beta"]), bits(ref[f"{part}_row_alpha"])), part
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sum_rules_match_the_four_axis_sums_on_haar_stacks_and_rephased_copies(n):
+    g, _, _, row, col = verify._draw_chunk(n, derive_seed(70 + n, np.arange(16)))
+    v = sampling._haar_from_ginibre(g)
+    assert_sum_rules_match_the_four_axis_sums(v)
+    assert_sum_rules_match_the_four_axis_sums(sampling.rephase(v, row, col))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sum_rules_match_the_four_axis_sums_on_signed_permutations(n):
+    # every signed permutation up to n = 4, then 40 seeded ones of each n
+    if n <= 4:
+        mats = [v.matrix for v in signed_permutations(n)]
+    else:
+        rng = np.random.default_rng(n)
+        units = np.array([1, 1j, -1, -1j])
+        mats = [np.diag(units[rng.integers(0, 4, n)])[rng.permutation(n)] for _ in range(40)]
+    assert_sum_rules_match_the_four_axis_sums(mats)
+
+
+@pytest.mark.parametrize("group", sorted(MATRIX_GROUPS))
+def test_sum_rules_match_the_four_axis_sums_on_the_matrix_groups(group):
+    assert_sum_rules_match_the_four_axis_sums(MATRIX_GROUPS[group])
 
 
 # ---------------------------------------------------------------- stacked draws
