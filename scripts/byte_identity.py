@@ -4,7 +4,9 @@
 Runs one matrix of commands through jarlskog.cli.main against each tree
 and compares stdout, stderr and the exit code of every command:
 
-    verify --n {3,4} --trials {4,8,200,1000} --seed {0,13579}
+    verify --n {3,4} --trials {1,4,8,65,200,1000} --seed {0,13579}: a stack
+    of one, the benchmark's chunk sizes, one trial past a chunk boundary and
+    many chunks
     det <file> --method both and phases <file>, for every tests/data/problem_*.json
     sample --n {2,3,4,8} --seed 0..49
     every input-error exit: a missing file, an n=5 problem (written by the
@@ -15,7 +17,7 @@ Each tree is imported by its own interpreter, which runs the whole matrix
 in process.  stderr lines that start with "wall_time_s:" (verify's timing)
 are dropped before comparing.  Prints each command whose output differs
 and exits 1 on any difference, 0 when every stdout, stderr and exit code
-agree.
+agree.  The matrix holds 251 commands and runs in a few seconds.
 
 Usage: python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
 
@@ -77,7 +79,7 @@ def commands(tmp):
     """The command matrix, as argv lists for jarlskog.cli.main, with the
     error commands reading the files of error_files in tmp."""
     argvs = [["verify", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
-             for n in (3, 4) for trials in (4, 8, 200, 1000) for seed in (0, 13579)]
+             for n in (3, 4) for trials in (1, 4, 8, 65, 200, 1000) for seed in (0, 13579)]
     for path in sorted(glob.glob(os.path.join(DATA, "problem_*.json"))):
         argvs += [["det", path, "--method", "both"], ["phases", path]]
     argvs += [["sample", "--n", str(n), "--seed", str(seed)]

@@ -130,6 +130,13 @@ def _cmd_det(args):
     return "\n".join(lines) + "\n", code
 
 
+@functools.cache
+def _phase_labels(n):
+    """The labels of the canonical phases of the report, in table order."""
+    pairs = _canonical_pairs(n)
+    return tuple(f"({a}{b};{j}{k})" for (a, b) in pairs for (j, k) in pairs)
+
+
 def _phase_report_text(v):
     lines = []
     lines.append("invariant-phase report")
@@ -140,8 +147,7 @@ def _phase_report_text(v):
     ims = phase_table(im)
     lines.append("")
     lines.append("canonical phases (rows alpha<beta, columns j<k):")
-    pairs = _canonical_pairs(v.n)
-    labels = [f"({a}{b};{j}{k})" for (a, b) in pairs for (j, k) in pairs]
+    labels = _phase_labels(v.n)
     for label, x, y in zip(labels, ims[0].tolist(), phase_table(re)[0].tolist()):
         lines.append(f"  {label}  im {x:+.17e}  re {y:+.17e}")
     if v.n == 3:
@@ -162,9 +168,8 @@ def _phase_report_text(v):
         lines.append("")
         lines.append("adjacent-index J (im) and R (re), entries (a, a+1; j, j+1):")
         for name, m in (("J", recon.j), ("R", recon.r)):
-            for i in range(3):
-                row = "  ".join(f"{m[i, j]:+.17e}" for j in range(3))
-                lines.append(f"  {name}[{i + 1},:] {row}")
+            for i, row in enumerate(m.tolist(), 1):
+                lines.append(f"  {name}[{i},:] " + "  ".join(f"{x:+.17e}" for x in row))
         worst = expansion_residual(ims, expand_phases(recon.j[None]))[0]
         lines.append("")
         lines.append(f"expansion check (36 phases from J): max residual {worst:.17e}")

@@ -267,7 +267,7 @@ def _det4_groups(a_factors, b, cols, plaq):
     t = len(b)
     tp, tc = a_factors
     bw = b[:, :3] - b[:, 3:]
-    w = np.stack([bw, bw * bw], axis=2)[:, :, :, None]
+    w = np.concatenate([bw[:, :, None], (bw * bw)[:, :, None]], axis=2)[:, :, :, None]
     # the items weighted over k: the nine column products V[a,k]
     # conj(V[b,k]), then the |V|^2 rows and the cycle4 row-pair sums, which
     # are real

@@ -12,7 +12,18 @@ with partial pivoting on the complex modulus.
 The kernels take a leading trial axis: det, the unitarity check and the
 plaquette tensors work on a (T, n, n) stack at once, one numpy call per step
 for the whole stack, and a single matrix is the stack of one.  Slice t of a
-stacked result is bit-equal to the call on matrix t alone.
+stacked result is bit-equal to the call on matrix t alone.  The plaquettes
+of a stack are one (2, T, n, n, n, n) array, re then im, which their
+readers take whole or unpack, never copy.
+
+Stacks are small (a few trials, or one), so most of a call is numpy's
+per-call dispatch.  The kernels here and in the modules built on them call
+ndarray and ufunc methods (np.add.reduce, .diagonal, .sort, ...), never the
+Python-level wrappers of numpy's fromnumeric, shape_base and stride-tricks
+modules (np.sum, np.stack, np.broadcast_to, ...), which call the same
+methods with the same bits; tests/test_numpy_dispatch.py guards that.
+_ksum takes the same route where that keeps its loop's bits: one
+np.add.reduce from +0.0 over fewer than 8 entries.
 """
 
 from __future__ import annotations
@@ -61,15 +72,21 @@ def check_dimension(n):
         raise DimensionError(f"dimension {n} unsupported (need {MIN_DIM} <= n <= {MAX_DIM})")
 
 
-def _cmul(xr, xi, yr, yi):
-    """(xr + i xi) * (yr + i yi) as a (re, im) pair of float arrays.
+def _cmul(xr, xi, yr, yi, out=None):
+    """(xr + i xi) * (yr + i yi) as a (re, im) pair of float arrays, or
+    written into out[0] and out[1] of a float array out, which is returned.
 
     The operations are those of CPython's complex product, one float ufunc
     each, so every entry is bit-equal to the scalar product.  A real factor
     s enters as (s, 0.0), which is how mixed real-complex products are
     evaluated in scalar code.
     """
-    return xr * yr - xi * yi, xr * yi + xi * yr
+    if out is None:
+        return xr * yr - xi * yi, xr * yi + xi * yr
+    re, im = out
+    np.subtract(np.multiply(xr, yr, out=re), xi * yi, out=re)
+    np.add(np.multiply(xr, yi, out=im), xi * yr, out=im)
+    return out
 
 
 def _ksum(t, start=0.0, axis=0):
@@ -82,7 +99,16 @@ def _ksum(t, start=0.0, axis=0):
     `acc = 0j; acc += term` loop.  The spelled-out t[0] + t[1] + ... is
     _ksum over t[1:] from start t[0]; the two differ only when every term is
     -0.0.
+
+    The loop defines the order.  From the float +0.0 over fewer than 8
+    entries, one np.add.reduce from initial=0.0 has the loop's bits in every
+    memory layout: numpy adds along an outer axis in index order onto
+    initial, and along the innermost one in index order too (pairwise only
+    from 8 entries on) before adding that onto initial, which moves no bit.
     """
+    # start is +0.0, not -0.0
+    if type(start) is float and t.shape[axis] < 8 and (start, math.copysign(1, start)) == (0, 1):
+        return np.add.reduce(t, axis, initial=0.0)
     acc = start
     lead = (slice(None),) * axis
     for k in range(t.shape[axis]):
@@ -106,7 +132,7 @@ def _moduli_squared(cols):
     """|V_t[i,k]|^2 as (T, n, n), the one place it is formed: the real
     diagonal c[t, k, i, i] of the column products, re*re + im*im (the
     imaginary diagonal is exactly +-0)."""
-    return np.diagonal(cols[0], axis1=2, axis2=3).swapaxes(1, 2)
+    return cols[0].diagonal(0, 2, 3).swapaxes(1, 2)
 
 
 def _complex(re, im):
@@ -266,11 +292,15 @@ def _validate_unitaries(m):
 
 def _plaquettes(m):
     """p[t, a, b, j, k] = V_t[a,j] conj(V_t[a,k]) V_t[b,k] conj(V_t[b,j]) for a
-    (T, n, n) stack, as an (re, im) pair of float tensors built as
-    h[a, j, k] * h[b, k, j] from the row products h."""
+    (T, n, n) stack, built as h[a, j, k] * h[b, k, j] from the row products
+    h: one (2, T, n, n, n, n) float array, re then im.  Its readers take it
+    whole (the phase tables), as its [::-1] view (the sum rules) or as the
+    two tensors it unpacks to, so the parts are never copied into a stack."""
     hr, hi = _row_products(m)
     hr_t, hi_t = hr.swapaxes(-1, -2), hi.swapaxes(-1, -2)
-    return _cmul(hr[:, :, None], hi[:, :, None], hr_t[:, None], hi_t[:, None])
+    t, n = m.shape[0], m.shape[-1]
+    return _cmul(hr[:, :, None], hi[:, :, None], hr_t[:, None], hi_t[:, None],
+                 out=np.empty((2, t, n, n, n, n)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,11 @@ whose imaginary part im(alpha beta; j k) and real part re(alpha beta; j k)
 are unchanged when rows and columns of V are multiplied by phases.
 
 The phases have one representation: the (re, im) pair of full plaquette
-tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.
+tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.  A
+stack of T matrices holds them in one (2, T, n, n, n, n) array, re then im
+(linalg._plaquettes): phase_table takes it whole, for re and im of V and
+of its rephased copy at once, unitary_relation_residuals reads its [::-1]
+view, and the other functions take the two tensors it unpacks to.
 Every computation on them (sum rules, product identities, the n = 3 sign
 table, J and R, the expansion, the band reconstruction) runs on a stack of
 such tensors with a leading trial axis, and each has one function:
@@ -98,19 +102,20 @@ _SUM_RULE_FAMILIES = tuple(f"{part}_{name}" for part in ("im", "re")
                            for name in ("row_alpha", "row_beta", "col_j", "col_k"))
 
 
-def unitary_relation_residuals(cols, re, im):
+def unitary_relation_residuals(cols, plaq):
     """{family: (T,) max residual} of the eight sum rules, for the column
-    products and the plaquettes of (T, n, n) matrices.
+    products and the plaquettes of (T, n, n) matrices, the latter as one
+    (2, T, n, n, n, n) array of re and im (linalg._plaquettes).
 
     Summing a plaquette's imaginary part over either full row index or
     either full column index gives zero; the same sums of the real part
     give delta-weighted squared moduli.  Families are keyed by the summed
     index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
 
-    Only the alpha and j sums are taken, of im and re stacked once, each in
-    ascending index order: numpy's sum over the alpha axis, a middle one,
-    adds in that order, and the j sum is written out.  The beta
-    and k families are those two, bit for bit.  The plaquette kernel makes
+    Only the alpha and j sums are taken, of im and re at once (the [::-1]
+    view of plaq), each in ascending index order: numpy's sum over the alpha
+    axis, a middle one, adds in that order, and the j sum is written out.
+    The beta and k families are those two, bit for bit.  The plaquette kernel makes
     im bitwise antisymmetric and re bitwise symmetric under alpha<->beta and
     under j<->k (up to the sign of a zero), so
 
@@ -129,12 +134,12 @@ def unitary_relation_residuals(cols, re, im):
     contiguous k axis would differ from n = 8 on, where it adds a last axis
     pairwise.)
     """
-    t, n = re.shape[:2]
+    t, n = plaq.shape[1:3]
     mod2 = _moduli_squared(cols)
     eye = np.eye(n)
-    both = np.stack([im, re])
+    both = plaq[::-1]
     sums = np.empty((2, 2, t, n, n, n))
-    both.sum(axis=2, out=sums[:, 0])
+    np.add.reduce(both, axis=2, out=sums[:, 0])
     over_j = sums[:, 1]
     np.add(both[..., 0, :], both[..., 1, :], out=over_j)
     for j in range(2, n):
@@ -400,7 +405,7 @@ def _band_systems(cols, jd, r):
     t = len(jd)
     m2 = _moduli_squared(cols).reshape(t, 16).T
     atoms = np.concatenate([m2[_BAND_Q_TAKE[0]] * m2[_BAND_Q_TAKE[1]], r.reshape(t, 9).T,
-                            jd.reshape(t, 9).T, np.broadcast_to(_BAND_CONSTANTS, (3, t))])
+                            jd.reshape(t, 9).T, _BAND_CONSTANTS.repeat(t, axis=1)])
     x, y, z = atoms[_BAND_TERMS]
     return np.multiply(np.add(x, y, out=x), z, out=x)
 

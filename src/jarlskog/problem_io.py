@@ -146,7 +146,7 @@ def parse_problem(text):
     else:
         _require("U" in doc and "U_prime" in doc, "'U' and 'U_prime' must be given together")
         names = ("U", "U_prime")
-        pair = np.stack([_parse_complex_matrix(doc[name], n, name) for name in names])
+        pair = np.array([_parse_complex_matrix(doc[name], n, name) for name in names])
         try:
             _validate_unitaries(pair)
         except _InvalidUnitary as exc:

@@ -124,7 +124,8 @@ def _spectrum_draws(u, n):
     """Spectrum draws from (T, k n) uint64 outputs: the (T, k, n) draws of n
     values 2u - 1 each, sorted ascending, and the (T, k) mask of the draws
     whose gaps all reach MIN_GAP (accepted)."""
-    draws = np.sort((2.0 * _uniform(u) - 1.0).reshape(len(u), -1, n), axis=2)
+    draws = (2.0 * _uniform(u) - 1.0).reshape(len(u), -1, n)
+    draws.sort(axis=2)
     return draws, ((draws[..., 1:] - draws[..., :-1]) >= MIN_GAP).all(axis=2)
 
 
@@ -182,11 +183,12 @@ def derive_seed(master_seed, index):
     indices land in unrelated stream positions.  index may be an array of
     trial indices; the seeds are then a uint64 array of its shape.
     """
-    if np.any(np.asarray(index) < 0):
+    indices = np.asarray(index)
+    if (indices < 0).any():
         raise ValueError("trial index must be nonnegative")
     steps = np.array(index, dtype=np.uint64, ndmin=1) + 1
     seeds = _mix64((int(master_seed) & _MASK64) + steps * _GOLDEN)
-    return int(seeds[0]) if np.ndim(index) == 0 else seeds
+    return int(seeds[0]) if indices.ndim == 0 else seeds
 
 
 def householder_qr(a):
@@ -204,18 +206,18 @@ def householder_qr(a):
     single = r.ndim == 2
     r = r.reshape(-1, *r.shape[-2:]).copy()
     n = r.shape[-1]
-    q = np.zeros_like(r)
+    q = np.zeros(r.shape, dtype=np.complex128)
     q.reshape(len(r), -1)[:, ::n + 1] = 1.0
     for k in range(n - 1):
         x = r[:, k:, k]
-        norm_x = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
+        norm_x = np.sqrt(np.add.reduce(np.abs(x) ** 2, axis=1))
         phase = _phase_of(x[:, 0])
         v = x.copy()
         # v[0] += phase * norm_x, the scalar complex product, part by part
         shift_r, shift_i = _cmul(phase.real, phase.imag, norm_x, 0.0)
         v.real[:, 0] += shift_r
         v.imag[:, 0] += shift_i
-        vnorm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
+        vnorm = np.sqrt(np.add.reduce(np.abs(v) ** 2, axis=1))
         # a zero reflector, as from a zero column (norm_x == 0 implies
         # vnorm == 0), leaves r and q as they are
         skip = 0.0 in vnorm.tolist()
@@ -250,7 +252,7 @@ def _haar_from_ginibre(g):
     """Haar unitaries from a (T, n, n) Ginibre stack: QR, then each column
     of Q times the phase of the matching diagonal entry of R."""
     q, r = householder_qr(g)
-    q *= _phase_of(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q *= _phase_of(r.diagonal(0, 1, 2))[:, None, :]
     return q
 
 

@@ -206,9 +206,9 @@ def _antisymmetry_residuals(re, im):
 
 def _phase_shifts(tables, rephased):
     """(T,) largest change of a canonical phase under rephasing, from the
-    (T, 2, m) phase tables of re and im of the matrices and of their
+    (2, T, m) phase tables of re and im of the matrices and of their
     rephased copies."""
-    return np.abs(rephased - tables).max(axis=(1, 2))
+    return np.abs(rephased - tables).max(axis=(0, 2))
 
 
 def _modulus(z):
@@ -257,7 +257,7 @@ def _draw_chunk(n, seeds):
     # the angle outputs: the Box-Muller ones, then the rephasing ones
     turns = np.concatenate([u[:, 1:start:2], u[rows, end[:, None] + np.arange(2 * n)]], axis=1)
     if k in picks[:, 1].tolist():
-        redraw = np.flatnonzero(picks[:, 1] == k)
+        redraw = (picks[:, 1] == k).nonzero()[0]
         end = end[redraw]
         no_a = picks[redraw, 0] == k
         if no_a.any():
@@ -299,16 +299,17 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         a_factors = tuple(x[t:] for x in factors)
         closed = _complex(*_det4_closed(_det4_groups(a_factors, b2, cols, plaq)[0]))
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
-    re, im = (x[:t] for x in plaq)
+    re, im = plaq_v = plaq[:, :t]
     cols = tuple(x[:t] for x in cols)
-    # the canonical phases of re and im, (2T, 2, m): V, then its rephased copy
-    tables = phase_table(np.stack(plaq, axis=1))
-    ims = tables[:t, 1]
+    # the canonical phases of re and im, (2, 2T, m): V, then its rephased copy
+    tables = phase_table(plaq)
+    ims = tables[1, :t]
 
-    mod_d, closed_error, det_shift, closed_shift = _modulus(np.stack([d, c - d, d2 - d, c2 - c]))
+    mod_d, closed_error, det_shift, closed_shift = _modulus(
+        np.concatenate([d, c - d, d2 - d, c2 - c]).reshape(4, t))
     det_scale = np.maximum(1.0, mod_d)
     # the largest of the four im families, and of the four re families
-    sums = list(unitary_relation_residuals(cols, re, im).values())
+    sums = list(unitary_relation_residuals(cols, plaq_v).values())
     sums_im, sums_re = (functools.reduce(np.maximum, sums[f:f + 4]) for f in (0, 4))
 
     def row(name, bound, residual, limit, kept=None):
@@ -324,11 +325,12 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         row("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}", sums_im, SUM_RULE_ABS),
         row("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}", sums_re, SUM_RULE_ABS),
         row("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}",
-            _phase_shifts(tables[:t], tables[t:]), REPHASE_PHASE_ABS),
+            _phase_shifts(tables[:, :t], tables[:, t:]), REPHASE_PHASE_ABS),
         row("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)",
             np.maximum(det_shift, closed_shift), REPHASE_DET_REL * det_scale),
         row("product_identities", f"{PRODUCT_ABS:.0e}",
-            np.max(list(nonlinear_relation_residuals(re, im).values()), axis=0), PRODUCT_ABS),
+            functools.reduce(np.maximum, nonlinear_relation_residuals(re, im).values()),
+            PRODUCT_ABS),
     ]
     if n == 3:
         base, signs, residuals, indeterminate = n3_phase_table(ims)

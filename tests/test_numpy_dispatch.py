@@ -1,0 +1,79 @@
+"""No call on the verify, det and phases paths enters numpy's Python-level
+wrappers.
+
+These commands run their kernels on stacks of a few trials, or of one, where
+most of an op is numpy's per-call dispatch rather than arithmetic.  A
+Python-level wrapper such as np.sum, np.max, np.stack, np.diagonal or
+np.broadcast_to adds Python frames to every call on top of the ndarray or
+ufunc method it calls.  The library calls that method itself, with the same
+bits.  This guard runs the three commands under sys.setprofile and fails on
+any call into the modules that hold those wrappers.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import numpy as np
+
+from jarlskog.cli import main
+from jarlskog.verify import run_suite
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+#: the modules of numpy's Python-level wrappers, as the ends of their paths
+WRAPPER_MODULES = tuple(os.path.join("numpy", *m.split("/")) for m in (
+    "_core/fromnumeric.py", "_core/shape_base.py", "lib/_stride_tricks_impl.py"))
+#: the n = 3 and n = 4 problems in V form and in U/U_prime form
+PROBLEMS = ("problem_n3_seed501.json", "problem_n4_seed2024.json",
+            "problem_n3_uu_seed601.json", "problem_n4_uu_seed602.json")
+
+
+def hot_paths():
+    """The benchmark's verify ops and det and phases on each problem.  At
+    master seed 615 a stream of the n = 4 chunk redraws a spectrum."""
+    for seed in (5, 615):
+        run_suite(4, 4, seed)
+        run_suite(3, 8, seed)
+    for name in PROBLEMS:
+        path = os.path.join(DATA, name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["det", path, "--method", "both"]) == 0
+            assert main(["phases", path]) == 0
+
+
+def wrapper_calls(fn):
+    """'module:function <- caller file:line' of every call that fn makes
+    into WRAPPER_MODULES."""
+    found = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(WRAPPER_MODULES):
+            caller = frame.f_back
+            found.append(f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_code.co_name}"
+                         f" <- {caller.f_code.co_filename}:{caller.f_lineno}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return found
+
+
+def test_the_guard_sees_each_wrapper_module():
+    def wrappers():
+        x = np.zeros((2, 3))
+        np.sum(x, axis=1)
+        np.stack([x, x])
+        np.broadcast_to(x, (4, 2, 3))
+
+    calls = {c.split(":")[0] for c in wrapper_calls(wrappers)}
+    assert calls == {"fromnumeric.py", "shape_base.py", "_stride_tricks_impl.py"}
+
+
+def test_verify_det_and_phases_call_no_numpy_wrapper():
+    # a first, unprofiled pass builds the tables that are made on first use
+    hot_paths()
+    assert wrapper_calls(hot_paths) == []

@@ -25,7 +25,7 @@ from jarlskog.phases import N3_SIGN_PATTERN, _band_systems, _canonical_pairs
 def sum_rule_residuals(v):
     """{family: max residual} of the sum rules of one matrix."""
     families = unitary_relation_residuals(tuple(x[None] for x in v.column_products),
-                                          *(x[None] for x in v.plaquettes))
+                                          np.array(v.plaquettes)[:, None])
     return {name: float(x[0]) for name, x in families.items()}
 
 

@@ -771,10 +771,12 @@ def test_stacked_qr_and_haar_fix_are_bit_equal_to_scalar_references(group):
 # ---------------------------------------------------------------- every stacked layer
 
 def stack_slice(x, t):
-    """Trial t of a stacked argument, kept as a stack of one."""
+    """Trial t of a stacked argument, kept as a stack of one.  An array with
+    a leading axis of 2 (LAYER_TRIALS is not 2) holds re and im: the
+    plaquette buffer or the phase tables read from it, trials on axis 1."""
     if isinstance(x, tuple):
         return tuple(stack_slice(y, t) for y in x)
-    return x[t:t + 1]
+    return x[:, t:t + 1] if len(x) == 2 else x[t:t + 1]
 
 
 def leaves(x):
@@ -810,15 +812,14 @@ def stacked_layers(n):
         "haar_from_ginibre": (sampling._haar_from_ginibre, (g,), 0),
         "rephased": (sampling.rephase, (v, row, col), 0),
         "validate_unitaries": (linalg._validate_unitaries, (w,), 0),
-        "plaquettes": (linalg._plaquettes, (v,), 0),
+        "plaquettes": (linalg._plaquettes, (v,), 1),
         "commutators": (determinant._commutators, (a, b, cols), 0),
         "det": (det, (determinant._commutators(a, b, cols),), 0),
-        "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, *plaq), 0),
+        "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, plaq), 0),
         "product_residuals": (phases.nonlinear_relation_residuals, plaq, 0),
         "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq, 0),
         "phase_shifts": (verify._phase_shifts,
-                         tuple(phases.phase_table(np.stack(x, axis=1))
-                               for x in (plaq, linalg._plaquettes(w))), 0),
+                         tuple(phases.phase_table(x) for x in (plaq, linalg._plaquettes(w))), 0),
     }
     if n == 3:
         layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]), 0)
@@ -1015,7 +1016,7 @@ def assert_sum_rules_match_the_four_axis_sums(mats):
     n = m.shape[-1]
     cols = linalg._row_products(m.swapaxes(-1, -2))
     plaq = linalg._plaquettes(m)
-    got = phases.unitary_relation_residuals(cols, *plaq)
+    got = phases.unitary_relation_residuals(cols, plaq)
     ref = four_axis_sum_rules(cols, *plaq)
     assert list(got) == list(ref)
     for name in ref:
@@ -1049,6 +1050,86 @@ def test_sum_rules_match_the_four_axis_sums_on_signed_permutations(n):
 @pytest.mark.parametrize("group", sorted(MATRIX_GROUPS))
 def test_sum_rules_match_the_four_axis_sums_on_the_matrix_groups(group):
     assert_sum_rules_match_the_four_axis_sums(MATRIX_GROUPS[group])
+
+
+# ---------------------------------------------------------------- the two routes of _ksum
+
+def ksum_loop(t, start, axis):
+    """start + t[0] + t[1] + ... over one axis, one add per entry: the
+    written-out definition of _ksum's order."""
+    acc = start
+    for k in range(t.shape[axis]):
+        acc = acc + np.take(t, k, axis=axis)
+    return acc
+
+
+#: the terms of the reduce-route stacks: finite values of every scale,
+#: signed zeros, infinities and NaN
+KSUM_TERMS = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e16, -1e16, 3e-300,
+                       1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+def ksum_stacks(length, axis, seed):
+    """(3, 4, 5)-like stacks with `length` entries on `axis`, in every memory
+    order of their three axes (C, Fortran and the swapped ones), filled from
+    KSUM_TERMS with exact cancellations (a term followed by its negative)
+    and lines of -0.0 only."""
+    rng = np.random.default_rng(seed)
+    shape = [3, 4, 5]
+    shape[axis] = length
+    x = rng.choice(KSUM_TERMS, size=shape)
+    line = np.moveaxis(x, axis, 0)
+    if length > 1:
+        line[1::2, 0] = -line[0:length - 1:2, 0]
+    line[:, 1] = -0.0
+    for order in itertools.permutations(range(3)):
+        yield np.ascontiguousarray(x.transpose(order)).transpose(np.argsort(order))
+
+
+def assert_ksum_bits(got, ref):
+    """got has the bits of ref, except that a NaN of ref may come out as a
+    NaN of either sign: numpy's vectorised add may return the NaN operand
+    of either side.  Python prints every NaN as nan, so no report shows it."""
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(bits(got)[~nan], bits(ref)[~nan])
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_ksum_reduce_route_is_bit_equal_to_the_loop(length):
+    # from +0.0 over fewer than 8 entries, _ksum is one np.add.reduce
+    with np.errstate(invalid="ignore"):
+        for axis in range(3):
+            for seed in range(4):
+                for t in ksum_stacks(length, axis, seed):
+                    assert_ksum_bits(linalg._ksum(t, axis=axis), ksum_loop(t, 0.0, axis))
+
+
+def stack_of_eight_haar_matrices():
+    g = verify._draw_chunk(8, derive_seed(808, np.arange(4)))[0]
+    return sampling._haar_from_ginibre(g)
+
+
+def test_ksum_keeps_the_loop_from_8_entries_and_for_other_starts():
+    # numpy sums an innermost axis of 8 or more entries pairwise, so there
+    # the reduce route would move bits; these stacks tell the routes apart
+    big = np.array([1e16] + [1.0] * 8)
+    cr, _ = linalg._row_products(stack_of_eight_haar_matrices().swapaxes(-1, -2))
+    cases = [(big[:8], 0), (big, 0), (np.tile(big[:8], (3, 1)), 1),
+             # the unitarity check's Gram sum at n = 8: k is innermost in memory
+             (cr, 1)]
+    for t, axis in cases:
+        ref = ksum_loop(t, 0.0, axis)
+        assert np.array_equal(bits(linalg._ksum(t, axis=axis)), bits(ref))
+        assert not np.array_equal(bits(np.add.reduce(t, axis, initial=0.0)), bits(ref))
+    # a start other than +0.0 takes the loop at any length
+    zeros = np.full((3, 2), -0.0)
+    with np.errstate(invalid="ignore"):
+        for t, axis in ((zeros, 0), *((x, 1) for x in ksum_stacks(3, 1, 0))):
+            for start in (-0.0, 1.0, np.take(t, 0, axis=axis) * 0.5):
+                ref = ksum_loop(t, start, axis)
+                assert np.array_equal(bits(linalg._ksum(t, start, axis)), bits(ref))
+    assert bits(linalg._ksum(zeros, -0.0)).tolist() == bits([-0.0, -0.0]).tolist()
 
 
 # ---------------------------------------------------------------- stacked draws
