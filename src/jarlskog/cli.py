@@ -162,7 +162,7 @@ def _phase_report_text(v):
             for label, sign, residual in zip(labels, signs, residuals.tolist()):
                 lines.append(f"  {label}  sign {sign:+d}  residual {residual:.17e}")
             lines.append(f"sign pattern matches expected: {signs == N3_SIGN_PATTERN}")
-        lines.append(f"max sign-table residual: {residuals.max():.17e}")
+        lines.append(f"max sign-table residual: {np.maximum.reduce(residuals):.17e}")
     else:
         recon = reconstruct_J(v)
         lines.append("")

@@ -173,7 +173,7 @@ def t_factors(s):
     all six factors, and each formula runs on all six, of which the pair
     factors keep the first three and the cycle factors the last three.
     """
-    i, j, k, l = s[:, _FACTOR_COLUMNS].transpose(1, 0, 2)
+    i, j, k, l = s.take(_FACTOR_COLUMNS, axis=1).transpose(1, 0, 2)
     ij, kl = i - j, k - l
     pair = (ij * ij) * (kl * kl)
     cycle = ij * (j - k) * kl * (l - i)
@@ -202,8 +202,9 @@ def _check_n4(inp):
 # The sums come from two passes over k, each adding its real and imaginary
 # terms together, one add per k: the three weighted columns, spelled out
 # t0 + t1 + t2, and the nine (k1, k2) of the plaquette forms, from 0.0 with
-# k2 innermost.  The products of the sums run in three stages, each one
-# _cmul over operands gathered from one array of atoms by the tables below.
+# k2 innermost (_ksum: one reduce over the first seven, then two adds).  The
+# products of the sums run in three stages, each one _cmul over operands
+# taken from one array of atoms by the flat tables below.
 
 #: flat positions of [ab; k1 k2] in the plaquette tensor; row 3 k1 + k2,
 #: column f
@@ -273,25 +274,26 @@ def _det4_groups(a_factors, b, cols, plaq):
     # are real
     cr, ci = (x[:, :3, :3, :3].reshape(t, 3, 1, 9) for x in cols)
     rows = _moduli_squared(cols).swapaxes(1, 2)[:, :3, :3]
-    real = np.concatenate([rows, rows[:, :, _CYCLE_ROWS[0]] + rows[:, :, _CYCLE_ROWS[1]]], axis=2)
+    pairs = rows.take(_CYCLE_ROWS, axis=2)
+    real = np.concatenate([rows, pairs[:, :, 0] + pairs[:, :, 1]], axis=2)
     terms = np.concatenate([*_cmul(w, 0.0, cr, ci), w * real[:, :, None]], axis=3)
     sums = _ksum(terms[:, 1:], terms[:, 0], axis=1).reshape(t, 48)
     # the plaquette forms: 9 terms over (k1, k2), k2 innermost
     ww = (bw[:, :, None] * bw[:, None, :]).reshape(t, 9, 1)
-    q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.reshape(t, -1)[:, _Q_TAKE] for p in plaq)),
-                             axis=2), axis=1)
+    q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.reshape(t, -1).take(_Q_TAKE, axis=1)
+                                              for p in plaq)), axis=2), axis=1)
     # the stages, laid out as _ATOMS lists them; m is sums[:, 18:21] and mp
     # sums[:, 21:24]
     m = sums[:, 18:21]
     atoms = np.concatenate([sums, q, m * m, np.zeros((t, 1))], axis=1)
-    sr, si = _cmul(*atoms[:, _STAGE1].transpose(1, 0, 2))
+    sr, si = _cmul(*atoms.take(_STAGE1, axis=1).transpose(1, 0, 2))
     # s1 - s2 - s3 of each pair group, real and imaginary parts at once
     s = np.concatenate([sr, si], axis=1).reshape(t, 2, 4, 3)
     d = s[:, :, 0] - s[:, :, 1] - s[:, :, 2]
     atoms = np.concatenate([atoms, sr, si, d.reshape(t, 6), tp], axis=1)
-    sr, si = _cmul(*atoms[:, _STAGE2].transpose(1, 0, 2))
+    sr, si = _cmul(*atoms.take(_STAGE2, axis=1).transpose(1, 0, 2))
     raw4 = _cmul(sr[:, 6:], si[:, 6:], sums[:, 21:24], 0.0)
-    weights = tc[:, _CYCLE_T] * _CYCLE_WEIGHT
+    weights = tc.take(_CYCLE_T, axis=1) * _CYCLE_WEIGHT
     raw = tuple(np.concatenate([x[:, 3:6], y], axis=1) for x, y in zip((sr, si), raw4))
     parts = (np.concatenate([sr[:, :3], weights * raw[0]], axis=1),
              np.concatenate([si[:, :3], np.zeros((t, 6))], axis=1))

@@ -18,19 +18,22 @@ readers take whole or unpack, never copy.
 
 Stacks are small (a few trials, or one), so most of a call is numpy's
 per-call dispatch.  The kernels here and in the modules built on them call
-ndarray and ufunc methods (np.add.reduce, .diagonal, .sort, ...), never the
-Python-level wrappers of numpy's fromnumeric, shape_base and stride-tricks
-modules (np.sum, np.stack, np.broadcast_to, ...), which call the same
-methods with the same bits; tests/test_numpy_dispatch.py guards that.
+ndarray and ufunc methods (np.add.reduce, np.maximum.reduce, .diagonal,
+.sort, ...), never the Python-level wrappers of numpy's fromnumeric,
+shape_base, stride-tricks, _methods and twodim_base modules (np.sum,
+np.stack, np.broadcast_to, x.max(), np.eye, ...), which call the same
+methods with the same bits; tests/test_numpy_dispatch.py guards that.  The
+identity is one read-only array per n (_identity).  A gather by a fixed
+index table is ndarray.take on a flat table, never advanced indexing.
 _ksum takes the same route where that keeps its loop's bits: one
-np.add.reduce from +0.0 over fewer than 8 entries.
+np.add.reduce from +0.0 over its first entries, fewer than 8.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,6 +59,14 @@ class _InvalidUnitary(ValueError):
     def __init__(self, message, index):
         super().__init__(message)
         self.index = index
+
+
+@cache
+def _identity(n):
+    """The n x n float identity, one read-only array per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def _as_square(m, name="matrix", stack=False):
@@ -100,18 +111,23 @@ def _ksum(t, start=0.0, axis=0):
     _ksum over t[1:] from start t[0]; the two differ only when every term is
     -0.0.
 
-    The loop defines the order.  From the float +0.0 over fewer than 8
-    entries, one np.add.reduce from initial=0.0 has the loop's bits in every
-    memory layout: numpy adds along an outer axis in index order onto
-    initial, and along the innermost one in index order too (pairwise only
-    from 8 entries on) before adding that onto initial, which moves no bit.
+    The loop defines the order.  From the float +0.0 the first min(7, k)
+    of the k entries are one np.add.reduce from initial=0.0, and the loop
+    adds entries 7 onward to it in order.  Over fewer than 8 entries that
+    reduce has the loop's bits in every memory layout: numpy adds along an
+    outer axis in index order onto initial, and along the innermost one in
+    index order too (pairwise only from 8 entries on) before adding that
+    onto initial, which moves no bit.  Other starts, -0.0 and arrays, take
+    the loop from the first entry.
     """
-    # start is +0.0, not -0.0
-    if type(start) is float and t.shape[axis] < 8 and (start, math.copysign(1, start)) == (0, 1):
-        return np.add.reduce(t, axis, initial=0.0)
-    acc = start
+    acc, first = start, 0
     lead = (slice(None),) * axis
-    for k in range(t.shape[axis]):
+    # start is +0.0, not -0.0
+    if type(start) is float and (start, math.copysign(1, start)) == (0, 1):
+        if t.shape[axis] < 8:
+            return np.add.reduce(t, axis, initial=0.0)
+        acc, first = np.add.reduce(t[(*lead, slice(7))], axis, initial=0.0), 7
+    for k in range(first, t.shape[axis]):
         acc = acc + t[(*lead, k)]
     return acc
 
@@ -215,7 +231,7 @@ def det(m):
             # warnings, and reports 0j.
             zero = pivot == 0.0
             singular = zero if singular is None else singular | zero
-            a[zero] = np.eye(n)
+            a[zero] = _identity(n)
         vr, vi = _cmul(vr, vi, pivot.real, pivot.imag)
         if not last:
             factor = a[:, k + 1:, k] / pivot[:, None]
@@ -273,14 +289,14 @@ def _validate_unitaries(m):
     n = 8 and d = UNITARITY_TOL, |det V| - 1 is thus within 4e-10.
     """
     check_dimension(m.shape[-1])
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         # the finite matrices before the first non-finite one may fail first
-        t = int(np.isfinite(m).all(axis=(1, 2)).argmin())
+        t = int(np.logical_and.reduce(np.isfinite(m), axis=(1, 2)).argmin())
         _validate_unitaries(m[:t])
         raise _InvalidUnitary("matrix entries must be finite", t)
     cr, ci = _row_products(m.swapaxes(-1, -2))
     gram = _complex(_ksum(cr, axis=1), _ksum(ci, axis=1))
-    defects = np.abs(gram - np.eye(m.shape[-1])).max(axis=(1, 2))
+    defects = np.maximum.reduce(np.abs(gram - _identity(m.shape[-1])), axis=(1, 2))
     for t, defect in enumerate(defects.tolist()):
         if not defect <= UNITARITY_TOL:
             raise _InvalidUnitary(

@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DimensionError, _ksum, _moduli_squared
+from .linalg import DimensionError, _identity, _ksum, _moduli_squared
 
 #: fixed integer mixing matrix for expanding adjacent-index phases
 A_MATRIX = np.array([[1, -1, 0], [-1, 1, -1], [0, -1, 1]], dtype=float)
@@ -80,26 +80,43 @@ def _canonical_pairs(n):
 
 @lru_cache(maxsize=None)
 def _canonical_index(n):
-    """0-based tensor index arrays of the canonical entries, in table order."""
+    """Flat positions of the canonical entries in an n^4 plaquette tensor
+    (np.ravel_multi_index of their 0-based (alpha, beta, j, k)), in table
+    order: the table that phase_table takes."""
     pairs = _canonical_pairs(n)
-    keys = [(a, b, j, k) for (a, b) in pairs for (j, k) in pairs]
-    return tuple(np.array(axis) - 1 for axis in zip(*keys))
+    keys = [(a - 1, b - 1, j - 1, k - 1) for (a, b) in pairs for (j, k) in pairs]
+    return np.ravel_multi_index(tuple(zip(*keys)), (n,) * 4)
+
+
+def _check_plaquettes(x, dims, what):
+    """x, if its last four axes are all n for an n in dims; else
+    DimensionError.  The readers gather from the flat n^4 view of those
+    axes, so a tensor of any other shape must not reach them."""
+    n = x.shape[-1]
+    if n not in dims or x.shape[-4:] != (n,) * 4:
+        raise DimensionError(f"{what}, got plaquettes of shape {x.shape}")
+    return n
 
 
 def phase_table(x):
     """The canonical entries alpha < beta, j < k of (..., n, n, n, n)
     plaquette tensors, n in {3, 4}: a (..., 9) or (..., 36) array in table
     order, row pairs outer and column pairs inner, both as listed by
-    _canonical_pairs(n)."""
-    n = x.shape[-1]
-    if n not in (3, 4):
-        raise DimensionError(f"phase tables are defined for n in {{3, 4}}, got n={n}")
-    return x[(..., *_canonical_index(n))]
+    _canonical_pairs(n).
+
+    One take of the flat table _canonical_index(n) from the (..., n^4) view
+    of x (a copy if x is not contiguous over its last four axes), so each
+    entry is a copy of the tensor's.  Raises DimensionError unless the last
+    four axes are all n."""
+    n = _check_plaquettes(x, (3, 4), "phase tables are defined for n in {3, 4}")
+    return x.reshape(*x.shape[:-4], n ** 4).take(_canonical_index(n), axis=-1)
 
 
 #: the sum rules' families, in the order of unitary_relation_residuals
 _SUM_RULE_FAMILIES = tuple(f"{part}_{name}" for part in ("im", "re")
                            for name in ("row_alpha", "row_beta", "col_j", "col_k"))
+#: the sum each family reads: alpha for alpha and beta, j for j and k
+_SUM_RULE_SOURCES = np.array([0, 0, 1, 1])
 
 
 def unitary_relation_residuals(cols, plaq):
@@ -136,7 +153,7 @@ def unitary_relation_residuals(cols, plaq):
     """
     t, n = plaq.shape[1:3]
     mod2 = _moduli_squared(cols)
-    eye = np.eye(n)
+    eye = _identity(n)
     both = plaq[::-1]
     sums = np.empty((2, 2, t, n, n, n))
     np.add.reduce(both, axis=2, out=sums[:, 0])
@@ -148,9 +165,9 @@ def unitary_relation_residuals(cols, plaq):
     # remaining (c, j, k); over j, delta_ab |V[a, c]|^2 at (a, b, c)
     sums[1, 0] -= eye * mod2[:, :, :, None]
     sums[1, 1] -= eye[:, :, None] * mod2[:, :, None, :]
-    worst = np.abs(sums, out=sums).max(axis=(3, 4, 5))
+    worst = np.maximum.reduce(np.abs(sums, out=sums), axis=(3, 4, 5))
     # alpha, beta, j, k of im, then of re
-    return dict(zip(_SUM_RULE_FAMILIES, worst[:, [0, 0, 1, 1]].reshape(8, t)))
+    return dict(zip(_SUM_RULE_FAMILIES, worst.take(_SUM_RULE_SOURCES, axis=1).reshape(8, t)))
 
 
 #: sign of each canonical three-level phase as a multiple of im(12;12), in
@@ -183,18 +200,23 @@ def n3_phase_table(ims):
     return base, signs, residuals, indeterminate
 
 
-#: the adjacent pairs' row and column indices, broadcast to the 3x3 of J
-_JR_INDEX = (np.arange(3)[:, None], np.arange(1, 4)[:, None],
-             np.arange(3)[None, :], np.arange(1, 4)[None, :])
+#: flat positions in a 4^4 plaquette tensor of the adjacent-index entries
+#: (a, a+1; j, j+1), 0-based, as the 3x3 of J
+_JR_INDEX = np.ravel_multi_index((np.arange(3)[:, None], np.arange(1, 4)[:, None],
+                                  np.arange(3)[None, :], np.arange(1, 4)[None, :]), (4,) * 4)
 
 
 def jr_matrices(re, im):
     """The adjacent-index phase arrays (J, R) of (T, 4, 4, 4, 4) plaquettes,
     each (T, 3, 3): J[:, a, j] (0-based) holds im(a+1, a+2; j+1, j+2) and R
-    the matching real parts."""
-    if im.shape[-1] != 4:
-        raise DimensionError(f"adjacent-index arrays require n=4, got n={im.shape[-1]}")
-    return im[(slice(None), *_JR_INDEX)], re[(slice(None), *_JR_INDEX)]
+    the matching real parts.
+
+    Each is one take of the flat table _JR_INDEX from the (T, 256) view of
+    its tensor (a copy if the tensor is not contiguous over its last four
+    axes).  Raises DimensionError unless the last four axes of both are 4."""
+    for x in (re, im):
+        _check_plaquettes(x, (4,), "adjacent-index arrays require n=4")
+    return tuple(x.reshape(*x.shape[:-4], 256).take(_JR_INDEX, axis=-1) for x in (im, re))
 
 
 #: the 6x6 expansion block's rows and columns run over the adjacent pairs,
@@ -218,14 +240,14 @@ def expand_phases(j):
     left = np.concatenate([j, _ksum(A_MATRIX.T[None, :, :, None] * j[:, :, None, :], axis=1)],
                           axis=1)
     right = _ksum(left[:, :, :, None] * A_MATRIX[None, None], axis=2)
-    return np.concatenate([left, right], axis=2).reshape(len(j), 36)[:, _BLOCK_ORDER]
+    return np.concatenate([left, right], axis=2).reshape(len(j), 36).take(_BLOCK_ORDER, axis=1)
 
 
 def expansion_residual(direct, expanded):
     """Largest |expanded - direct| over the canonical imaginary phases, for
     the direct phase_table entries and the expand_phases entries: (T,)
     from two (T, 36) arrays."""
-    return np.abs(expanded - direct).max(axis=-1)
+    return np.maximum.reduce(np.abs(expanded - direct), axis=-1)
 
 
 #: the product identities as residuals t1 +/- t2 - t3 over their free
@@ -404,9 +426,10 @@ def _band_systems(cols, jd, r):
     """
     t = len(jd)
     m2 = _moduli_squared(cols).reshape(t, 16).T
-    atoms = np.concatenate([m2[_BAND_Q_TAKE[0]] * m2[_BAND_Q_TAKE[1]], r.reshape(t, 9).T,
-                            jd.reshape(t, 9).T, _BAND_CONSTANTS.repeat(t, axis=1)])
-    x, y, z = atoms[_BAND_TERMS]
+    q1, q2 = m2.take(_BAND_Q_TAKE, axis=0)
+    atoms = np.concatenate([q1 * q2, r.reshape(t, 9).T, jd.reshape(t, 9).T,
+                            _BAND_CONSTANTS.repeat(t, axis=1)])
+    x, y, z = atoms.take(_BAND_TERMS, axis=0)
     return np.multiply(np.add(x, y, out=x), z, out=x)
 
 
@@ -444,13 +467,13 @@ def _reconstructions(cols, jd, r):
     scale = np.abs(pa) + np.abs(pb)
     ratio = np.abs(determinant) / np.where(scale > 0.0, scale, 1.0)
     degenerate = ratio < RECONSTRUCTION_GATE
-    numerators = _ksum(np.multiply.reduce(coefficients[_CRAMER_ROWS], axis=0))
+    numerators = _ksum(np.multiply.reduce(coefficients.take(_CRAMER_ROWS, axis=0), axis=0))
     # the direct J with its cycle entries solved, and NaN where degenerate
     direct = jd.reshape(t, 9).T
     fill = direct.copy()
     fill[_CYCLE_ENTRIES] = np.divide(numerators, determinant, out=np.full((6, t), np.nan),
                                      where=~degenerate)
-    max_error = np.abs(fill - direct).max(axis=0)
+    max_error = np.maximum.reduce(np.abs(fill - direct), axis=0)
     fill[:, degenerate] = np.nan
     return ratio, degenerate, fill.T.reshape(t, 3, 3), max_error
 

@@ -126,7 +126,7 @@ def _spectrum_draws(u, n):
     whose gaps all reach MIN_GAP (accepted)."""
     draws = (2.0 * _uniform(u) - 1.0).reshape(len(u), -1, n)
     draws.sort(axis=2)
-    return draws, ((draws[..., 1:] - draws[..., :-1]) >= MIN_GAP).all(axis=2)
+    return draws, np.logical_and.reduce((draws[..., 1:] - draws[..., :-1]) >= MIN_GAP, axis=2)
 
 
 def _spectra(seeds, positions, n):
@@ -145,7 +145,7 @@ def _spectra(seeds, positions, n):
         u, _ = _stream(seeds[todo], end[todo], k * n)
         draws, accepted = _spectrum_draws(u, n)
         first = accepted.argmax(axis=1)
-        found = accepted.any(axis=1)
+        found = np.logical_or.reduce(accepted, axis=1)
         values[todo[found]] = draws[found, first[found]]
         end[todo] += np.where(found, first + 1, k) * n
         todo = todo[~found]
@@ -184,7 +184,7 @@ def derive_seed(master_seed, index):
     trial indices; the seeds are then a uint64 array of its shape.
     """
     indices = np.asarray(index)
-    if (indices < 0).any():
+    if np.logical_or.reduce(indices < 0, axis=None):
         raise ValueError("trial index must be nonnegative")
     steps = np.array(index, dtype=np.uint64, ndmin=1) + 1
     seeds = _mix64((int(master_seed) & _MASK64) + steps * _GOLDEN)
@@ -226,8 +226,10 @@ def householder_qr(a):
             vnorm = np.where(act, vnorm, 1.0)
         v /= vnorm[:, None]
         # reductions spelled out with numpy sums (not @) to stay off BLAS
-        r_upd = 2.0 * (v[:, :, None] * (np.conj(v)[:, :, None] * r[:, k:, k:]).sum(axis=1)[:, None, :])
-        q_upd = 2.0 * ((q[:, :, k:] * v[:, None, :]).sum(axis=2)[:, :, None] * np.conj(v)[:, None, :])
+        r_upd = 2.0 * (v[:, :, None]
+                       * np.add.reduce(np.conj(v)[:, :, None] * r[:, k:, k:], axis=1)[:, None, :])
+        q_upd = 2.0 * (np.add.reduce(q[:, :, k:] * v[:, None, :], axis=2)[:, :, None]
+                       * np.conj(v)[:, None, :])
         if skip:
             r[act, k:, k:] -= r_upd[act]
             q[act, :, k:] -= q_upd[act]

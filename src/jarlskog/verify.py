@@ -85,6 +85,9 @@ RECONSTRUCT_REL = 1e-9
 REPHASE_PHASE_ABS = 1e-12
 REPHASE_DET_REL = 1e-10
 
+#: N3_SIGN_PATTERN as the array the n = 3 row compares with
+_N3_SIGNS = np.array(N3_SIGN_PATTERN)
+
 
 @dataclass
 class IdentityResult:
@@ -201,14 +204,14 @@ def _antisymmetry_residuals(re, im):
     np.add(im, im.swapaxes(3, 4), out=swapped[:, 1])
     np.subtract(re, re.swapaxes(1, 2), out=swapped[:, 2])
     np.subtract(re, re.swapaxes(3, 4), out=swapped[:, 3])
-    return np.abs(swapped, out=swapped).reshape(len(re), -1).max(axis=1)
+    return np.maximum.reduce(np.abs(swapped, out=swapped).reshape(len(re), -1), axis=1)
 
 
 def _phase_shifts(tables, rephased):
     """(T,) largest change of a canonical phase under rephasing, from the
     (2, T, m) phase tables of re and im of the matrices and of their
     rephased copies."""
-    return np.abs(rephased - tables).max(axis=(0, 2))
+    return np.maximum.reduce(np.abs(rephased - tables), axis=(0, 2))
 
 
 def _modulus(z):
@@ -249,7 +252,7 @@ def _draw_chunk(n, seeds):
     u, _ = _stream(seeds, np.zeros(t, dtype=np.int64), stop + 2 * n)
     draws, accepted = _spectrum_draws(u[:, start:stop], n)
     # the indices of the first and second accepted draws, k where missing
-    picks = (accepted.cumsum(axis=1)[:, :, None] <= np.arange(2)).sum(axis=1)
+    picks = np.add.reduce(accepted.cumsum(axis=1)[:, :, None] <= np.arange(2), axis=1)
     rows = np.arange(t)[:, None]
     a, b = draws[rows, np.minimum(picks, k - 1)].transpose(1, 0, 2)
     # just past b, or the end of the round for the streams that redraw
@@ -260,7 +263,7 @@ def _draw_chunk(n, seeds):
         redraw = (picks[:, 1] == k).nonzero()[0]
         end = end[redraw]
         no_a = picks[redraw, 0] == k
-        if no_a.any():
+        if np.logical_or.reduce(no_a):
             a[redraw[no_a]], end[no_a] = _spectra(seeds[redraw[no_a]], end[no_a], n)
         b[redraw], end = _spectra(seeds[redraw], end, n)
         turns[redraw, n * n:] = _stream(seeds[redraw], end, 2 * n)[0]
@@ -285,7 +288,10 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     v = _haar_from_ginibre(g)
     # V and its rephased copy share every layer up to the closed forms
     both = np.concatenate([v, rephase(v, row_phases, col_phases)])
-    a2, b2 = np.concatenate([a, a]), np.concatenate([b, b])
+    # the spectra b, b, a, a of each trial: b2 and a2 for the 2T matrices,
+    # and at n = 4 the b, a, a of the difference factors
+    spectra = np.concatenate([b, b, a, a])
+    b2, a2 = spectra[:2 * t], spectra[2 * t:]
     _, cols = _validate_unitaries(both)
     plaq = _plaquettes(both)
     dets = det(_commutators(a2, b2, cols))
@@ -295,7 +301,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         # the difference factors of the spectra b, a, a of each trial, as
         # one stack of 3T: the closed forms of V and its rephased copy take
         # the a rows, the sum rule the b rows and the first a rows
-        factors = t_factors(np.concatenate([b, a2]))
+        factors = t_factors(spectra[t:])
         a_factors = tuple(x[t:] for x in factors)
         closed = _complex(*_det4_closed(_det4_groups(a_factors, b2, cols, plaq)[0]))
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
@@ -334,17 +340,17 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     ]
     if n == 3:
         base, signs, residuals, indeterminate = n3_phase_table(ims)
-        matches = indeterminate | (signs == N3_SIGN_PATTERN).all(axis=1)
+        matches = indeterminate | np.logical_and.reduce(signs == _N3_SIGNS, axis=1)
         # a wrong sign pattern fails its trial whatever the residual
         limit = np.where(matches, SIGN_TABLE_REL * np.maximum(1.0, np.abs(base)), -np.inf)
         rows.append(row("single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)",
-                        residuals.max(axis=1), limit))
+                        np.maximum.reduce(residuals, axis=1), limit))
         return rows
     j, r = jr_matrices(re, im)
     res, scale = _sum_rule(*(x[:2 * t] for x in factors))
     factor_sum = np.abs(res) / scale
     _, degenerate, _, max_error = _reconstructions(cols, j, r)
-    j_scale = np.maximum(1.0, np.abs(j).max(axis=(1, 2)))
+    j_scale = np.maximum(1.0, np.maximum.reduce(np.abs(j), axis=(1, 2)))
     rows += [
         row("phase_expansion_36", f"{EXPANSION_ABS:.0e}",
             expansion_residual(ims, expand_phases(j)), EXPANSION_ABS),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import givens, orthogonal4, phase, rephased, seeded_input, uniforms
+from conftest import bits, givens, orthogonal4, phase, rephased, seeded_input, uniforms
 
 from jarlskog import (
     DimensionError,
@@ -19,6 +19,7 @@ from jarlskog import (
     reconstruct_J,
     unitary_relation_residuals,
 )
+from jarlskog.linalg import _plaquettes
 from jarlskog.phases import N3_SIGN_PATTERN, _band_systems, _canonical_pairs
 
 
@@ -112,6 +113,53 @@ def test_phase_table_sizes(rng):
 def test_phase_table_rejects_other_dimensions(rng):
     with pytest.raises(DimensionError):
         phase_table(haar_unitary(5, rng).plaquettes[1][None])
+
+
+def test_phase_table_and_jr_reject_tensors_whose_last_four_axes_differ():
+    # 2 * 8 * 4 * 4 entries are as many as a 4^4 tensor's, but not one
+    x = np.zeros((3, 2, 8, 4, 4))
+    with pytest.raises(DimensionError):
+        phase_table(x)
+    with pytest.raises(DimensionError):
+        jr_matrices(x, x)
+    with pytest.raises(DimensionError):
+        jr_matrices(np.zeros((3, 4, 4, 4, 4)), x)
+
+
+def indexed_phase_table(x):
+    """The canonical entries by advanced indexing on the last four axes:
+    the gather that phase_table's take on the flat table replaces."""
+    return x[(..., *(np.array(axis) - 1 for axis in zip(*canonical_keys(x.shape[-1]))))]
+
+
+def indexed_jr(re, im):
+    """J and R by advanced indexing on the last four axes."""
+    rows, cols = np.arange(3), np.arange(1, 4)
+    index = (..., rows[:, None], cols[:, None], rows[None, :], cols[None, :])
+    return im[index], re[index]
+
+
+def plaquette_views(n):
+    """A (2, 5, n, n, n, n) plaquette buffer of Haar matrices and views of
+    it that are not contiguous: trials sliced as verify slices V from its
+    rephased copy, the last two axes swapped, a stack of one and the whole
+    buffer reversed."""
+    rng = SeededRng(90 + n)
+    buffer = _plaquettes(np.array([haar_unitary(n, rng).matrix for _ in range(5)]))
+    return [buffer, buffer[:, :3], buffer.swapaxes(-1, -2), buffer[:, 2:3], buffer[::-1, ::-2]]
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_phase_table_takes_the_entries_of_the_indexed_form_from_any_view(n):
+    for x in plaquette_views(n):
+        assert np.array_equal(bits(phase_table(x)), bits(indexed_phase_table(x)))
+        assert np.array_equal(bits(phase_table(x[1, 0])), bits(indexed_phase_table(x[1, 0])))
+
+
+def test_jr_takes_the_entries_of_the_indexed_form_from_any_view():
+    for x in plaquette_views(4):
+        for got, ref in zip(jr_matrices(*x), indexed_jr(*x), strict=True):
+            assert np.array_equal(bits(got), bits(ref))
 
 
 def test_phase_table_symmetry_lookup_bitwise(rng):

@@ -1110,9 +1110,30 @@ def stack_of_eight_haar_matrices():
     return sampling._haar_from_ginibre(g)
 
 
+@pytest.mark.parametrize("length", range(8, 13))
+def test_ksum_prefix_route_is_bit_equal_to_the_loop(length):
+    # from +0.0 over 8 or more entries, _ksum reduces the first 7 and adds
+    # the rest one by one; a reduce over 8 would add an innermost axis
+    # pairwise, which the lines of 1e16 and ones tell from the loop
+    big = np.tile([1e16] + [1.0] * (length - 1), (3, 1))
+    cases = [(big, 1), (big.T, 0)]
+    if length == 8:
+        # the unitarity check's Gram sum at n = 8: k is innermost in memory
+        m = stack_of_eight_haar_matrices()
+        cases += [(x, 1) for x in linalg._row_products(m.swapaxes(-1, -2))]
+    with np.errstate(invalid="ignore"):
+        for axis in range(3):
+            for seed in range(4):
+                cases += [(t, axis) for t in ksum_stacks(length, axis, seed)]
+        for t, axis in cases:
+            assert_ksum_bits(linalg._ksum(t, axis=axis), ksum_loop(t, 0.0, axis))
+
+
 def test_ksum_keeps_the_loop_from_8_entries_and_for_other_starts():
-    # numpy sums an innermost axis of 8 or more entries pairwise, so there
-    # the reduce route would move bits; these stacks tell the routes apart
+    # numpy sums an innermost axis of 8 or more entries pairwise, so one
+    # reduce over all of them would move bits; _ksum reduces only the first
+    # 7 there (test_ksum_prefix_route_is_bit_equal_to_the_loop) and these
+    # stacks tell a reduce over the whole axis from the loop
     big = np.array([1e16] + [1.0] * 8)
     cr, _ = linalg._row_products(stack_of_eight_haar_matrices().swapaxes(-1, -2))
     cases = [(big[:8], 0), (big, 0), (np.tile(big[:8], (3, 1)), 1),

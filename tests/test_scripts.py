@@ -61,3 +61,25 @@ def test_byte_identity_names_a_changed_verify_report(tmp_path):
     lines = res.stdout.splitlines()
     assert "differs (stdout): jarlskog verify --n 4 --trials 4 --seed 0" in lines
     assert "differs (stderr): jarlskog verify --trials 0" in lines
+
+
+def test_ab_ops_times_a_tree_against_itself_and_refuses_a_changed_report(tmp_path):
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    lines = run_script("ab_ops.py", src, src, "--rounds", "1", "--ops", "2")
+    assert lines[0] == "outputs: 2 ops per workload, identical"
+    assert lines[1].startswith("round 1: verify-n4 p5 ")
+    assert [line.split(":")[0] for line in lines[2:]] == ["verify-n4", "verify-n3", "problems-cli"]
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    path = changed / "jarlskog" / "verify.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count("PARITY_ABS = 1e-12\n") == 1
+    path.write_text(text.replace("PARITY_ABS = 1e-12\n", "PARITY_ABS = 2e-12\n"), encoding="utf-8")
+    res = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "ab_ops.py"), src, str(changed), "--ops", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 1, res.stderr
+    assert res.stdout.splitlines() == [f"differs: verify-{n} seed {s}"
+                                       for n in ("n4", "n3") for s in (0, 1)]
