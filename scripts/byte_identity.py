@@ -8,7 +8,8 @@ and compares stdout, stderr and the exit code of every command:
     of one, the benchmark's chunk sizes, one trial past a chunk boundary and
     many chunks
     det <file> --method both and phases <file>, for every tests/data/problem_*.json
-    sample --n {2,3,4,8} --seed 0..49
+    sample --n {2,3,4,8} --seed 0..49, and sample --n 4 at the seeds -1
+    and 2^64 + 5, outside the uint64 range
     every input-error exit: a missing file, an n=5 problem (written by the
     first tree's sample --n 5), spectra that overflow det, verify and
     sample arguments out of range, and --out onto an existing file
@@ -17,7 +18,7 @@ Each tree is imported by its own interpreter, which runs the whole matrix
 in process.  stderr lines that start with "wall_time_s:" (verify's timing)
 are dropped before comparing.  Prints each command whose output differs
 and exits 1 on any difference, 0 when every stdout, stderr and exit code
-agree.  The matrix holds 251 commands and runs in a few seconds.
+agree.  The matrix holds 253 commands and runs in a few seconds.
 
 Usage: python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
 
@@ -84,6 +85,8 @@ def commands(tmp):
         argvs += [["det", path, "--method", "both"], ["phases", path]]
     argvs += [["sample", "--n", str(n), "--seed", str(seed)]
               for n in (2, 3, 4, 8) for seed in range(50)]
+    # seeds outside [0, 2^64), which name the stream of their value mod 2^64
+    argvs += [["sample", "--n", "4", "--seed", str(seed)] for seed in (-1, 2 ** 64 + 5)]
     missing, n5, taken = (os.path.join(tmp, x) for x in ("missing.json", "n5.json", "taken"))
     argvs += [["det", missing], ["phases", missing], ["phases", n5]]
     argvs += [["det", n5, "--method", method] for method in ("closed", "both")]

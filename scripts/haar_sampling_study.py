@@ -21,7 +21,13 @@ import math
 
 import numpy as np
 
-from jarlskog import SeededRng, ginibre, haar_unitary, householder_qr
+from jarlskog import derive_seed, draw_trials, householder_qr
+
+
+def haar_stack(n, seed, samples):
+    """samples Haar unitaries, draw t from the stream seeded with
+    derive_seed(seed, t)."""
+    return draw_trials(n, derive_seed(seed, np.arange(samples)))[0]
 
 
 def main():
@@ -32,24 +38,24 @@ def main():
 
     print("first-entry moment E|V11|^2 (target 1/n):")
     for n in (2, 3, 4, 5):
-        rng = SeededRng(args.seed + n)
         total = 0.0
-        for _ in range(args.samples):
-            total += abs(haar_unitary(n, rng).matrix[0, 0]) ** 2
+        for v in haar_stack(n, args.seed + n, args.samples):
+            total += abs(v[0, 0]) ** 2
         mean = total / args.samples
         se = math.sqrt(max(mean * (1.0 - mean), 1e-12) / args.samples)
         print(f"  n={n}:  {mean:.4f}  vs {1.0 / n:.4f}  (+/- {se:.4f})")
 
     print()
     print("eigenvalue-angle clustering (mean resultant length):")
-    n = 4
+    v = haar_stack(4, args.seed, args.samples)
     for corrected in (True, False):
-        rng = SeededRng(args.seed)
         acc = 0j
         count = 0
-        for _ in range(args.samples):
-            # both branches draw one Ginibre matrix from the stream
-            q = haar_unitary(n, rng).matrix if corrected else householder_qr(ginibre(n, rng))[0]
+        # the uncorrected Q of each draw's Ginibre matrix G = Q R is that of
+        # V: V = Q D with D the phases of diag(R), so G = V (D^-1 R), and a
+        # right factor that is upper triangular with a positive diagonal
+        # leaves the Householder Q unchanged (up to rounding)
+        for q in v if corrected else householder_qr(v)[0]:
             for lam in np.linalg.eigvals(q):
                 acc += lam / abs(lam)
                 count += 1

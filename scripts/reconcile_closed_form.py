@@ -19,15 +19,17 @@ Usage: python3 scripts/reconcile_closed_form.py [--trials N] [--seed S]
 
 import argparse
 
+import numpy as np
+
 from jarlskog import (
     MassPairInput,
-    SeededRng,
+    Spectrum,
+    UnitaryMatrix,
     decompose_det4,
     derive_seed,
     det4_closed,
     det_direct,
-    haar_unitary,
-    random_spectrum,
+    draw_trials,
 )
 
 
@@ -50,12 +52,10 @@ def main():
     worst_im = 0.0
     print(f"{'trial':>5}  {'|direct|':>12}  {'closed rel err':>14}  "
           f"{'cycle Im part':>13}  {'raw-sum rel err':>15}")
+    # trial t draws from the stream seeded with derive_seed(seed, t)
+    v, a, b, _, _ = draw_trials(4, derive_seed(args.seed, np.arange(args.trials)))
     for t in range(args.trials):
-        rng = SeededRng(derive_seed(args.seed, t))
-        v = haar_unitary(4, rng)
-        a = random_spectrum(4, rng)
-        b = random_spectrum(4, rng)
-        inp = MassPairInput(a=a, b=b, v=v)
+        inp = MassPairInput(a=Spectrum(a[t]), b=Spectrum(b[t]), v=UnitaryMatrix(v[t]))
         d = det_direct(inp)
         c = det4_closed(inp)
         raw_cycles = cycle_sums(inp)

@@ -5,9 +5,11 @@ Library layout:
 * linalg      - small dense complex matrices, LU determinant, validated
                 Spectrum / UnitaryMatrix types, the split real/imaginary
                 product kernel behind every complex product
-* sampling    - seeded splitmix64 stream, Haar-random unitaries, random
-                simple spectra, the rephasing group action on a stack of
-                matrices (rephase)
+* sampling    - seeded splitmix64 streams and the one stacked draw of a
+                trial (draw_trials): a Haar-random unitary, two random
+                simple spectra and rephasing phases per seed; Householder
+                QR (householder_qr) and the rephasing group action on a
+                stack of matrices (rephase)
 * determinant - the commutator determinant: direct oracle plus closed
                 forms for n = 3 and n = 4 with their difference-factor
                 algebra (t_factors, on a stack of spectra)
@@ -52,21 +54,12 @@ from .phases import (
     reconstruct_J,
     unitary_relation_residuals,
 )
-from .sampling import (
-    SeededRng,
-    derive_seed,
-    ginibre,
-    haar_unitary,
-    householder_qr,
-    random_spectrum,
-    rephase,
-)
+from .sampling import derive_seed, draw_trials, householder_qr, rephase
 
 __all__ = [
     "DegenerateSpectrumError",
     "DimensionError",
     "MassPairInput",
-    "SeededRng",
     "Spectrum",
     "UnitaryMatrix",
     "__version__",
@@ -77,17 +70,15 @@ __all__ = [
     "det3_closed",
     "det4_closed",
     "det_direct",
+    "draw_trials",
     "expand_phases",
     "expansion_residual",
-    "ginibre",
-    "haar_unitary",
     "householder_qr",
     "jr_matrices",
     "matmul",
     "n3_phase_table",
     "nonlinear_relation_residuals",
     "phase_table",
-    "random_spectrum",
     "reconstruct_J",
     "rephase",
     "t_factors",

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .determinant import MassPairInput, det3_closed, det4_closed, det_direct
+from .linalg import Spectrum, UnitaryMatrix
 from .phases import (
     N3_SIGN_PATTERN,
     _canonical_pairs,
@@ -37,7 +38,7 @@ from .phases import (
     reconstruct_J,
 )
 from .problem_io import load_problem, render_problem
-from .sampling import SeededRng, haar_unitary, random_spectrum
+from .sampling import _MASK64, draw_trials
 from .verify import CLOSED_REL, check_tolerance, run_suite
 
 EXIT_OK = 0
@@ -197,11 +198,10 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    rng = SeededRng(args.seed)
-    v = haar_unitary(args.n, rng)
-    a = random_spectrum(args.n, rng)
-    b = random_spectrum(args.n, rng)
-    return render_problem(MassPairInput(a=a, b=b, v=v)), EXIT_OK
+    # any integer seed names the stream of its value mod 2^64
+    v, a, b, _, _ = draw_trials(args.n, np.array([args.seed & _MASK64], dtype=np.uint64))
+    inp = MassPairInput(a=Spectrum(a[0]), b=Spectrum(b[0]), v=UnitaryMatrix(v[0]))
+    return render_problem(inp), EXIT_OK
 
 
 def build_parser():

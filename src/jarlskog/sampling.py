@@ -4,23 +4,23 @@ The generator is splitmix64 (Vigna 2015): a 64-bit counter stream passed
 through a finalizer.  It is specified exactly by integer arithmetic, so the
 same seed produces the same uniform doubles on every platform; frozen test
 vectors from the reference C implementation live in the test suite.  The
-Gaussian and Haar samplers on top of it are deterministic for a fixed seed,
+Gaussian and Haar draws on top of it are deterministic for a fixed seed,
 but route through libm transcendentals, so their bits are pinned per
 platform rather than universally.
 
-Output p of a stream depends only on its seed and p, so the samplers draw
-for a stack of streams at once, each from its own position: uint64 array
-arithmetic for the stream, exact elementwise float operations on top, and
-log, cos and sin as scalar libm calls over the entries (numpy's own loops
-for them round differently).  Reading outputs (_stream) is kept apart from
-turning them into draws, which has one definition per kind of draw:
-_box_muller for normal pairs, _angles and _unit_phases for angles and
-their phases, _spectrum_draws for sorted spectrum draws and their
-acceptance.  SeededRng is a cursor on a single stream, and the
-single-problem samplers read through it as a stack of one.  A chunk of
-verify trials reads every output it needs in one block per stream and
-applies the same transforms to it (verify._draw_chunk), so its draws have
-the bits of the single-problem samplers on each trial's stream.
+Output p of a stream depends only on its seed and p, so a stack of streams
+is drawn at once, each from its own position: uint64 array arithmetic for
+the stream, exact elementwise float operations on top, and log, cos and
+sin as scalar libm calls over the entries (numpy's own loops for them round
+differently).  Reading outputs (_stream) is kept apart from turning them
+into draws, which has one definition per kind of draw: _box_muller for
+normal pairs, _angles and _unit_phases for angles and their phases,
+_spectrum_draws for sorted spectrum draws and their acceptance.
+draw_trials is the one sampler: it reads every output a trial needs in one
+block per stream, from the start of the trial's own stream, and gives the
+Haar unitary, the two spectra and the rephasing phases of every trial of a
+stack.  verify draws its chunks through it, and sample draws a stack of one,
+so slice t of a stacked draw has the bits of the draw on seed t alone.
 
 Haar sampling trap: QR-factorising a complex Ginibre matrix does NOT give a
 Haar-distributed Q, because the QR factorisation is only unique up to the
@@ -28,8 +28,7 @@ phases of diag(R).  Each column of Q must be rescaled by the phase of the
 corresponding diagonal entry of R; with that correction the distribution is
 exactly Haar.  The QR factorisation itself is a plain Householder sweep,
 kept in-repo so no result depends on the LAPACK/BLAS build in use.  It and
-the phase correction run on a (T, n, n) stack of Ginibre draws at once;
-haar_unitary is the stack of one.
+the phase correction run on the (T, n, n) stack of Ginibre draws at once.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import math
 
 import numpy as np
 
-from .linalg import Spectrum, UnitaryMatrix, _as_square, _cmul, check_dimension
+from .linalg import _cmul, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -106,13 +105,6 @@ def _box_muller(radial, unit):
     return z
 
 
-def _normals(seeds, positions, pairs):
-    """Box-Muller normals: a (T, pairs, 2) array, two outputs per pair (the
-    radial one, then the angle), and the positions after them."""
-    u, end = _stream(seeds, positions, 2 * pairs)
-    return _box_muller(u[:, 0::2], _unit_phases(_angles(u[:, 1::2]))), end
-
-
 def _as_ginibre(z, n):
     """(T, n, n) complex Ginibre matrices from (T, n * n, 2) normal pairs:
     entries row-major, real component before imaginary, each a standard
@@ -152,29 +144,6 @@ def _spectra(seeds, positions, n):
     return values, end
 
 
-class SeededRng:
-    """A cursor on one splitmix64 stream: its seed and the number of outputs
-    drawn so far (position).
-
-    Every draw goes through the stacked samplers as a stack of one stream,
-    so it has the bits of the same draw made for a whole chunk of trials.
-    Not thread-safe; concurrent work should use one instance per task,
-    seeded via derive_seed.
-    """
-
-    def __init__(self, seed):
-        self.seed = int(seed) & _MASK64
-        self.position = 0
-
-    def _draw(self, sampler, *args):
-        """sampler(seeds, positions, *args) on this stream alone, from the
-        current position.  Moves the cursor past the outputs it read and
-        returns the draw of this stream."""
-        out, end = sampler(np.array([self.seed], dtype=np.uint64), np.array([self.position]), *args)
-        self.position = int(end[0])
-        return out[0]
-
-
 def derive_seed(master_seed, index):
     """Per-trial seed from a master seed and a trial index.
 
@@ -194,17 +163,15 @@ def derive_seed(master_seed, index):
 def householder_qr(a):
     """QR by Householder reflections, without the diag(R) phase correction.
 
-    a is one square complex matrix or a (T, n, n) stack of them; returns
-    (q, r) of the same shape with a = q r per matrix.  Each reflection is
-    one set of numpy calls for the whole stack, in a fixed loop order, so
-    the factorisation is deterministic everywhere and slice t of a stacked
-    result is bit-equal to the QR of matrix t alone.  |x0| is taken by
-    np.hypot, the bits of the scalar modulus, and phase(x0) * norm by the
-    scalar complex product _cmul.
+    a is a (T, n, n) stack of square complex matrices; returns the (q, r)
+    stacks with a = q r per matrix.  Each reflection is one set of numpy
+    calls for the whole stack, in a fixed loop order, so the factorisation
+    is deterministic everywhere and slice t of a stacked result is
+    bit-equal to the QR of matrix t alone.  |x0| is taken by np.hypot, the
+    bits of the scalar modulus, and phase(x0) * norm by the scalar complex
+    product _cmul.
     """
-    r = _as_square(a, stack=True)
-    single = r.ndim == 2
-    r = r.reshape(-1, *r.shape[-2:]).copy()
+    r = np.array(a, dtype=np.complex128)
     n = r.shape[-1]
     q = np.zeros(r.shape, dtype=np.complex128)
     q.reshape(len(r), -1)[:, ::n + 1] = 1.0
@@ -236,8 +203,6 @@ def householder_qr(a):
         else:
             r[:, k:, k:] -= r_upd
             q[:, :, k:] -= q_upd
-    if single:
-        return q[0], r[0]
     return q, r
 
 
@@ -258,29 +223,50 @@ def _haar_from_ginibre(g):
     return q
 
 
-def ginibre(n, rng):
-    """n x n complex Ginibre matrix drawn from the given stream.
+def draw_trials(n, seeds):
+    """The draws of each trial, in stream order: the Haar unitary V (from
+    its Ginibre matrix), the a- and b-spectra and the rephasing angles.
+    seeds is the (T,) uint64 array of per-trial seeds.  Returns the
+    (T, n, n) Haar stack, the (T, n) spectra a and b, and the (T, n) row and
+    column rephasing phases.
 
-    Entries are filled row-major, real component before imaginary, each a
-    standard normal scaled by 1/sqrt(2), so E|g_ij|^2 = 1.
+    The whole stack reads one block of outputs, each trial from the start
+    of its own stream: the 2 n^2 Ginibre outputs, one spectrum round of
+    2 * _DRAWS_PER_ROUND draws, and 2n outputs beyond it.  a and b are the
+    first and second accepted draws of that round, and the angles are the
+    2n outputs after b, gathered at each trial's own end position.  Only a
+    stream with fewer than two accepted draws in the round continues past
+    the block, through the redraw loop _spectra, and reads its angles after
+    it.  One log pass serves the Box-Muller radii, and one cos and one sin
+    pass serve the Box-Muller angles and the rephasing angles together.
+    Slice t of the result is bit-equal to the draw of the stack of one
+    seeds[t:t + 1].
     """
     check_dimension(n)
-    return _as_ginibre(rng._draw(_normals, n * n)[None], n)[0]
-
-
-def haar_unitary(n, rng):
-    """Haar-distributed n x n unitary drawn from the given stream.
-
-    A Ginibre draw, then QR plus the diag(R) phase correction.
-    """
-    return UnitaryMatrix(_haar_from_ginibre(ginibre(n, rng)[None])[0])
-
-
-def random_spectrum(n, rng):
-    """n values uniform on [-1, 1], redrawn until all pairwise gaps reach
-    MIN_GAP, returned ascending."""
-    check_dimension(n)
-    return Spectrum(tuple(rng._draw(_spectra, n).tolist()))
+    t, k = len(seeds), 2 * _DRAWS_PER_ROUND
+    start = 2 * n * n
+    stop = start + k * n
+    u, _ = _stream(seeds, np.zeros(t, dtype=np.int64), stop + 2 * n)
+    draws, accepted = _spectrum_draws(u[:, start:stop], n)
+    # the indices of the first and second accepted draws, k where missing
+    picks = np.add.reduce(accepted.cumsum(axis=1)[:, :, None] <= np.arange(2), axis=1)
+    rows = np.arange(t)[:, None]
+    a, b = draws[rows, np.minimum(picks, k - 1)].transpose(1, 0, 2)
+    # just past b, or the end of the round for the streams that redraw
+    end = np.minimum(start + (picks[:, 1] + 1) * n, stop)
+    # the angle outputs: the Box-Muller ones, then the rephasing ones
+    turns = np.concatenate([u[:, 1:start:2], u[rows, end[:, None] + np.arange(2 * n)]], axis=1)
+    if k in picks[:, 1].tolist():
+        redraw = (picks[:, 1] == k).nonzero()[0]
+        end = end[redraw]
+        no_a = picks[redraw, 0] == k
+        if np.logical_or.reduce(no_a):
+            a[redraw[no_a]], end[no_a] = _spectra(seeds[redraw[no_a]], end[no_a], n)
+        b[redraw], end = _spectra(seeds[redraw], end, n)
+        turns[redraw, n * n:] = _stream(seeds[redraw], end, 2 * n)[0]
+    unit = _unit_phases(_angles(turns))
+    v = _haar_from_ginibre(_as_ginibre(_box_muller(u[:, 0:start:2], unit[:, :n * n]), n))
+    return v, a, b, unit[:, n * n:n * n + n], unit[:, n * n + n:]
 
 
 def _unit_phases(angles):

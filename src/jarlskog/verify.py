@@ -10,14 +10,14 @@ is a pure function of (suite, master_seed, trials, tolerances): the
 rendered text is byte-identical across runs.  Wall time is therefore kept
 out of the rendered report and surfaced separately by the CLI.
 
-Trials run in chunks of TRIAL_CHUNK.  A chunk reads the outputs of all of
-its draws at once (_draw_chunk): one block per trial from the start of its
-own stream, holding the Ginibre matrix, a spectrum round that serves both
-spectra in all but rare trials, and the angles after them.  Then every
-layer (QR, validation, plaquettes, determinants, closed forms, residual
-families) runs once on the stack of the chunk's trials.  Each stacked draw
-and layer gives, in slice t, the bits of the single-trial call on trial t,
-so the report does not depend on the chunk size.
+Trials run in chunks of TRIAL_CHUNK.  A chunk draws all of its trials at
+once through sampling.draw_trials: one block of outputs per trial from the
+start of its own stream, holding the Ginibre matrix of V, a spectrum round
+that serves both spectra in all but rare trials, and the angles after
+them.  Then every layer (validation, plaquettes, determinants, closed
+forms, residual families) runs once on the stack of the chunk's trials.
+Each stacked draw and layer gives, in slice t, the bits of its call on the
+stack of trial t alone, so the report does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -50,19 +50,7 @@ from .phases import (
     phase_table,
     unitary_relation_residuals,
 )
-from .sampling import (
-    _DRAWS_PER_ROUND,
-    _angles,
-    _as_ginibre,
-    _box_muller,
-    _haar_from_ginibre,
-    _spectra,
-    _spectrum_draws,
-    _stream,
-    _unit_phases,
-    derive_seed,
-    rephase,
-)
+from .sampling import derive_seed, draw_trials, rephase
 
 #: trials per stacked batch in run_suite.  Larger chunks spread numpy's
 #: per-call cost over more trials; the chunk's peak transient, the n=4
@@ -230,48 +218,6 @@ def check_tolerance(value, name="tolerance"):
     return value
 
 
-def _draw_chunk(n, seeds):
-    """The draws of each trial, in stream order: the Ginibre matrix of V,
-    the a- and b-spectra and the rephasing angles.  seeds is the (T,) uint64
-    array of per-trial seeds.  Returns the (T, n, n) Ginibre stack, the
-    (T, n) spectra and the (T, n) row and column rephasing factors.
-
-    The whole chunk reads one block of outputs, each trial from the start
-    of its own stream: the 2 n^2 Ginibre outputs, one spectrum round of
-    2 * _DRAWS_PER_ROUND draws, and 2n outputs beyond it.  a and b are the
-    first and second accepted draws of that round, and the angles are the
-    2n outputs after b, gathered at each trial's own end position.  Only a
-    stream with fewer than two accepted draws in the round continues past
-    the block, through the redraw loop _spectra, and reads its angles after
-    it.  One log pass serves the Box-Muller radii, and one cos and one sin
-    pass serve the Box-Muller angles and the rephasing angles together.
-    """
-    t, k = len(seeds), 2 * _DRAWS_PER_ROUND
-    start = 2 * n * n
-    stop = start + k * n
-    u, _ = _stream(seeds, np.zeros(t, dtype=np.int64), stop + 2 * n)
-    draws, accepted = _spectrum_draws(u[:, start:stop], n)
-    # the indices of the first and second accepted draws, k where missing
-    picks = np.add.reduce(accepted.cumsum(axis=1)[:, :, None] <= np.arange(2), axis=1)
-    rows = np.arange(t)[:, None]
-    a, b = draws[rows, np.minimum(picks, k - 1)].transpose(1, 0, 2)
-    # just past b, or the end of the round for the streams that redraw
-    end = np.minimum(start + (picks[:, 1] + 1) * n, stop)
-    # the angle outputs: the Box-Muller ones, then the rephasing ones
-    turns = np.concatenate([u[:, 1:start:2], u[rows, end[:, None] + np.arange(2 * n)]], axis=1)
-    if k in picks[:, 1].tolist():
-        redraw = (picks[:, 1] == k).nonzero()[0]
-        end = end[redraw]
-        no_a = picks[redraw, 0] == k
-        if np.logical_or.reduce(no_a):
-            a[redraw[no_a]], end[no_a] = _spectra(seeds[redraw[no_a]], end[no_a], n)
-        b[redraw], end = _spectra(seeds[redraw], end, n)
-        turns[redraw, n * n:] = _stream(seeds[redraw], end, 2 * n)[0]
-    unit = _unit_phases(_angles(turns))
-    g = _as_ginibre(_box_muller(u[:, 0:start:2], unit[:, :n * n]), n)
-    return g, a, b, unit[:, n * n:n * n + n], unit[:, n * n + n:]
-
-
 def _check_chunk(n, seeds, closed_rel, parity_abs):
     """The identities of the n suite on one chunk of trials, each layer run
     once on the stack.
@@ -283,9 +229,8 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     n = 4, the last, where it masks exactly the trials that pass the band
     gate.
     """
-    g, a, b, row_phases, col_phases = _draw_chunk(n, seeds)
+    v, a, b, row_phases, col_phases = draw_trials(n, seeds)
     t = len(seeds)
-    v = _haar_from_ginibre(g)
     # V and its rephased copy share every layer up to the closed forms
     both = np.concatenate([v, rephase(v, row_phases, col_phases)])
     # the spectra b, b, a, a of each trial: b2 and a2 for the 2T matrices,

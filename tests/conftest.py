@@ -1,31 +1,80 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from jarlskog import (
     MassPairInput,
-    SeededRng,
+    Spectrum,
     UnitaryMatrix,
-    haar_unitary,
-    random_spectrum,
+    derive_seed,
+    draw_trials,
     rephase,
 )
 from jarlskog import sampling
 
+#: master seed of the draws of tests that name no seed of their own
+SEED = 20240817
+
+
+def seed_array(seeds):
+    """seeds (an int, or a list or array of them) as a (T,) uint64 array."""
+    return np.array(seeds, dtype=np.uint64, ndmin=1)
+
+
+def trial_seeds(count, master_seed=SEED, first=0):
+    """The seeds derive_seed(master_seed, t) of trials t = first, ...,
+    first + count - 1."""
+    return derive_seed(master_seed, np.arange(first, first + count))
+
+
+def haar(n, seed):
+    """The Haar unitary of the trial seeded with seed, drawn as a stack of
+    one."""
+    return UnitaryMatrix(draw_trials(n, seed_array(seed))[0][0])
+
+
+def haar_stack(n, count, master_seed=SEED, first=0):
+    """The (count, n, n) Haar unitaries of the trials of trial_seeds, drawn
+    as one stack."""
+    return draw_trials(n, trial_seeds(count, master_seed, first))[0]
+
+
+def haar_unitaries(n, count, master_seed=SEED, first=0):
+    """haar_stack as a list of UnitaryMatrix."""
+    return [UnitaryMatrix(m) for m in haar_stack(n, count, master_seed, first)]
+
+
+def spectra(n, count, master_seed=SEED, first=0):
+    """The (count, n) a-spectra of the trials of trial_seeds."""
+    return draw_trials(n, trial_seeds(count, master_seed, first))[1]
+
 
 def seeded_input(n, seed):
-    """One mixing matrix plus two spectra from a single stream."""
-    rng = SeededRng(seed)
-    v = haar_unitary(n, rng)
-    a = random_spectrum(n, rng)
-    b = random_spectrum(n, rng)
-    return MassPairInput(a=a, b=b, v=v)
+    """The mixing matrix and the two spectra of the trial seeded with seed."""
+    v, a, b, _, _ = draw_trials(n, seed_array(seed))
+    return MassPairInput(a=Spectrum(a[0]), b=Spectrum(b[0]), v=UnitaryMatrix(v[0]))
 
 
-def uniforms(rng, count):
-    """The next count doubles in [0, 1) of rng's stream, as a list."""
-    return sampling._uniform(rng._draw(sampling._stream, count)).tolist()
+def uniforms(seed, count):
+    """The first count doubles in [0, 1) of the stream seeded with seed, as
+    a list."""
+    u, _ = sampling._stream(seed_array(seed), np.zeros(1, dtype=np.int64), count)
+    return sampling._uniform(u[0]).tolist()
+
+
+def normal_pairs(seeds, pairs):
+    """(T, pairs, 2) Box-Muller normals from the first 2 * pairs outputs of
+    each stream, two outputs per pair (the radial one, then the angle)."""
+    seeds = seed_array(seeds)
+    u, _ = sampling._stream(seeds, np.zeros(len(seeds), dtype=np.int64), 2 * pairs)
+    return sampling._box_muller(u[:, 0::2], sampling._unit_phases(sampling._angles(u[:, 1::2])))
+
+
+def ginibre_stack(n, count, master_seed=SEED, first=0):
+    """The (count, n, n) complex Ginibre matrices of the trials of
+    trial_seeds: the matrices that draw_trials turns into their Haar
+    unitaries."""
+    return sampling._as_ginibre(normal_pairs(trial_seeds(count, master_seed, first), n * n), n)
 
 
 def rephased(v, theta, theta_prime):
@@ -77,8 +126,3 @@ def signed_permutations(n):
 def bits(x):
     """float64 bit patterns as uint64, so signed zeros compare unequal."""
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-
-
-@pytest.fixture
-def rng():
-    return SeededRng(20240817)

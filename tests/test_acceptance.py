@@ -18,13 +18,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import phase
+from conftest import haar_unitaries, phase
 
 from jarlskog import (
-    SeededRng,
     UnitaryMatrix,
-    derive_seed,
-    haar_unitary,
     jr_matrices,
     n3_phase_table,
     phase_table,
@@ -61,7 +58,7 @@ def reports():
 def haar_draws(n, count):
     """The mixing matrices of the report's first `count` trials: trial t
     draws V first from the stream seeded with derive_seed(MASTER_SEED, t)."""
-    return (haar_unitary(n, SeededRng(derive_seed(MASTER_SEED, t))) for t in range(count))
+    return haar_unitaries(n, count, MASTER_SEED)
 
 
 def criterion(number, description, started, expected, direct=()):

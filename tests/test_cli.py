@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import bits
-from jarlskog import MassPairInput, SeededRng, haar_unitary, phases, problem_io, random_spectrum
+from conftest import bits, haar, haar_unitaries, seeded_input
+from jarlskog import phases, problem_io
 from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
 from jarlskog.verify import IdentityResult, run_suite
@@ -34,11 +34,7 @@ def run_cli(*args, **kwargs):
 # ---------------------------------------------------------------- file format
 
 def test_problem_round_trip_is_bitwise():
-    rng = SeededRng(8)
-    v = haar_unitary(4, rng)
-    a = random_spectrum(4, rng)
-    b = random_spectrum(4, rng)
-    inp = MassPairInput(a=a, b=b, v=v)
+    inp = seeded_input(4, 8)
     back = parse_problem(render_problem(inp))
     assert back.a.values == inp.a.values
     assert back.b.values == inp.b.values
@@ -46,9 +42,7 @@ def test_problem_round_trip_is_bitwise():
 
 
 def test_problem_with_diagonalising_pair():
-    rng = SeededRng(9)
-    u = haar_unitary(3, rng)
-    up = haar_unitary(3, rng)
+    u, up = haar_unitaries(3, 2, 9)
     doc = {
         "format": "jarlskog-problem/1",
         "n": 3,
@@ -71,11 +65,7 @@ def test_problem_rejects_both_forms():
 
 
 def render_problem_sample():
-    rng = SeededRng(3)
-    v = haar_unitary(3, rng)
-    a = random_spectrum(3, rng)
-    b = random_spectrum(3, rng)
-    return render_problem(MassPairInput(a=a, b=b, v=v))
+    return render_problem(seeded_input(3, 3))
 
 
 def test_problem_rejects_bad_json_with_location():
@@ -102,10 +92,8 @@ def test_problem_rejects_degenerate_spectrum():
 def test_det_rejects_non_finite_input_by_name(field, token, tmp_path, capsys):
     doc = json.loads(render_problem_sample())
     if field in ("U", "U_prime"):
-        rng = SeededRng(9)
-        for name in ("U", "U_prime"):
-            matrix = haar_unitary(3, rng).matrix
-            doc[name] = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        for name, u in zip(("U", "U_prime"), haar_unitaries(3, 2, 9)):
+            doc[name] = [[[float(z.real), float(z.imag)] for z in row] for row in u.matrix]
         del doc["V"]
     if field in ("a", "b"):
         doc[field][0] = float(token)
@@ -138,6 +126,15 @@ def test_sample_output_matches_golden_bytes(capsys, n, seed):
     assert main(["sample", "--n", str(n), "--seed", str(seed)]) == 0
     with open(os.path.join(DATA, f"sample_n{n}_seed{seed}.json"), encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize(("seed", "same_as"), ((-1, 2 ** 64 - 1), (2 ** 64 + 5, 5)))
+def test_sample_seed_names_the_stream_of_its_value_mod_2_64(capsys, seed, same_as):
+    outputs = []
+    for s in (seed, same_as):
+        assert main(["sample", "--n", "4", "--seed", str(s)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == [render_problem(seeded_input(4, same_as))] * 2
 
 
 def test_sample_round_trips_through_parser():
@@ -587,15 +584,14 @@ def test_parsed_entries_are_bit_equal_to_the_scalar_conversion():
     # int64, the largest and smallest magnitudes, a signed zero, and the
     # shortest-repr floats that `sample` writes
     edge = [2 ** 53 + 1, -(2 ** 63) - 7, 10 ** 308, -0.0, 5e-324, 0, -3, 1.5, -(2 ** 53) - 1]
-    haar = [x for z in haar_unitary(4, SeededRng(61)).matrix.ravel().tolist()
-            for x in (z.real, z.imag)]
-    numbers = json.loads(json.dumps(edge + haar))[:32]
+    parts = [x for z in haar(4, 61).matrix.ravel().tolist() for x in (z.real, z.imag)]
+    numbers = json.loads(json.dumps(edge + parts))[:32]
     raw = [[numbers[8 * i + 2 * j:8 * i + 2 * j + 2] for j in range(4)] for i in range(4)]
     parsed = problem_io._parse_complex_matrix(raw, 4, "V")
     expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in raw])
     assert np.array_equal(bits(parsed.view(np.float64)), bits(expected.view(np.float64)))
 
-    values = [2 ** 53 + 1, -(2 ** 63) - 7, 10 ** 308, -0.0, 5e-324, 3, 0.1, haar[0]]
+    values = [2 ** 53 + 1, -(2 ** 63) - 7, 10 ** 308, -0.0, 5e-324, 3, 0.1, parts[0]]
     spectrum = problem_io._parse_spectrum(json.loads(json.dumps(values)), 8, "a")
     assert np.array_equal(bits(spectrum.values), bits([float(x) for x in values]))
 

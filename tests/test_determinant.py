@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_input
+from conftest import seeded_input, spectra
 
 from jarlskog import (
     DimensionError,
     MassPairInput,
-    SeededRng,
     Spectrum,
     UnitaryMatrix,
     adjoint,
@@ -17,7 +16,6 @@ from jarlskog import (
     det4_closed,
     det_direct,
     matmul,
-    random_spectrum,
     t_factors,
 )
 from jarlskog.determinant import CYCLES, DET4_GROUPS, PAIRINGS, _sum_rule, commutator_matrix
@@ -156,7 +154,7 @@ def test_t_factors_hand_values():
 
 def test_t_factors_match_defining_products():
     # independent evaluation straight from the definitions
-    s = random_spectrum(4, SeededRng(4))
+    s = seeded_input(4, 4).a
     v = s.values
 
     def gap(i, j):
@@ -170,8 +168,8 @@ def test_t_factors_match_defining_products():
         assert value == pytest.approx(gap(i, j) * gap(j, k) * gap(k, l) * gap(l, i), rel=1e-14)
 
 
-def test_t_factors_pair_values_nonnegative(rng):
-    pair, _ = t_factors(np.array([random_spectrum(4, rng).values for _ in range(50)]))
+def test_t_factors_pair_values_nonnegative():
+    pair, _ = t_factors(spectra(4, 50))
     assert np.all(pair >= 0.0)
 
 
@@ -180,8 +178,8 @@ def test_t_factor_sum_rule_on_integers():
     assert residual[0] == 0.0
 
 
-def test_t_factor_sum_rule_over_ensemble(rng):
-    s = np.array([random_spectrum(4, rng).values for _ in range(2000)])
+def test_t_factor_sum_rule_over_ensemble():
+    s = spectra(4, 2000)
     residual, scale = _sum_rule(*t_factors(s))
     assert np.all(np.abs(residual) <= 1e-12 * scale)
 

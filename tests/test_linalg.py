@@ -3,33 +3,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bits, signed_permutations, uniforms
+from conftest import SEED, bits, haar_stack, signed_permutations, uniforms
 
 from jarlskog import (
     DegenerateSpectrumError,
     DimensionError,
-    SeededRng,
     Spectrum,
     UnitaryMatrix,
     adjoint,
+    derive_seed,
     det,
-    haar_unitary,
     linalg,
     matmul,
 )
 from jarlskog.linalg import UNITARITY_TOL
 
 
-def random_complex_matrix(n, rng):
-    # row-major entries, real part before imaginary, each 2u - 1
-    u = np.array(uniforms(rng, 2 * n * n))
+def random_complex_matrix(n, seed):
+    # row-major entries, real part before imaginary, each 2u - 1, from the
+    # stream seeded with seed
+    u = np.array(uniforms(seed, 2 * n * n))
     return (2.0 * u - 1.0).view(np.complex128).reshape(n, n)
 
 
 # ---------------------------------------------------------------- matmul
 
-def test_matmul_identity_is_noop(rng):
-    m = random_complex_matrix(4, rng)
+def test_matmul_identity_is_noop():
+    m = random_complex_matrix(4, SEED)
     assert np.array_equal(matmul(np.eye(4), m), m)
 
 
@@ -40,16 +40,15 @@ def test_matmul_diagonals_multiply_elementwise():
     assert np.array_equal(matmul(a, b), expected)
 
 
-def test_matmul_matches_pure_python_triple_loop_exactly(rng):
+def test_matmul_matches_pure_python_triple_loop_exactly():
     # independent oracle: plain Python complex arithmetic, same index order;
     # signed permutations make most terms zeros of either sign, and a zero
     # left factor makes every real term -0.0, which pins the 0.0 start
-    a = random_complex_matrix(4, rng)
-    b = random_complex_matrix(4, rng)
+    a, b = (random_complex_matrix(4, derive_seed(SEED, t)) for t in (0, 1))
     pairs = [(a, b), (np.zeros((3, 3)), np.full((3, 3), -1.0 + 1.0j))]
-    for n in (3, 4):
+    for t, n in enumerate((3, 4), 2):
         perms = [p.matrix for p in signed_permutations(n)]
-        c = random_complex_matrix(n, rng)
+        c = random_complex_matrix(n, derive_seed(SEED, t))
         for p, q in zip(perms, perms[1:] + perms[:1]):
             pairs.extend(((p, q), (p, c), (c, p)))
     for a, b in pairs:
@@ -82,8 +81,8 @@ def test_adjoint_fixes_real_symmetric():
     assert np.array_equal(adjoint(m), m.astype(complex))
 
 
-def test_adjoint_is_involution(rng):
-    m = random_complex_matrix(5, rng)
+def test_adjoint_is_involution():
+    m = random_complex_matrix(5, SEED)
     assert np.array_equal(adjoint(adjoint(m)), m)
 
 
@@ -112,9 +111,9 @@ def test_det_diagonal_is_product():
     assert abs(det(np.diag(d)) - expected) <= 1e-15 * abs(expected)
 
 
-def test_det_matches_cofactor_expansion(rng):
-    for _ in range(25):
-        m = random_complex_matrix(4, rng)
+def test_det_matches_cofactor_expansion():
+    for t in range(25):
+        m = random_complex_matrix(4, derive_seed(SEED, t))
         expected = _cofactor_det([[complex(z) for z in row] for row in m])
         assert abs(det(m) - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -124,10 +123,9 @@ def test_det_singular_matrix_is_zero():
     assert det(m) == 0j
 
 
-def test_det_is_multiplicative(rng):
-    for n in (2, 3, 4):
-        a = random_complex_matrix(n, rng)
-        b = random_complex_matrix(n, rng)
+def test_det_is_multiplicative():
+    for i, n in enumerate((2, 3, 4)):
+        a, b = (random_complex_matrix(n, derive_seed(SEED, 2 * i + t)) for t in (0, 1))
         lhs = det(matmul(a, b))
         rhs = det(a) * det(b)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
@@ -172,9 +170,8 @@ def test_unitarity_bound_keeps_the_determinant_modulus_near_one(n):
     # first order, so UnitaryMatrix checks no determinant: at the edge of
     # UNITARITY_TOL, s * I and s * (Haar draws) with s = 1 +- 4.99e-11 stay
     # within that bound, and within 1e-9, for every n up to MAX_DIM
-    rng = SeededRng(300 + n)
-    for s in (1.0 + 4.99e-11, 1.0 - 4.99e-11):
-        for m in [np.eye(n)] + [haar_unitary(n, rng).matrix for _ in range(5)]:
+    for i, s in enumerate((1.0 + 4.99e-11, 1.0 - 4.99e-11)):
+        for m in [np.eye(n), *haar_stack(n, 5, 300 + n, first=5 * i)]:
             v = UnitaryMatrix(s * m)
             assert 0.99 * UNITARITY_TOL < v.unitarity_defect <= UNITARITY_TOL
             slack = abs(abs(det(v.matrix)) - 1.0)

@@ -3,15 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, givens, orthogonal4, phase, rephased, seeded_input, uniforms
+from conftest import (
+    SEED,
+    bits,
+    givens,
+    haar,
+    haar_stack,
+    haar_unitaries,
+    orthogonal4,
+    phase,
+    rephased,
+    seeded_input,
+    uniforms,
+)
 
 from jarlskog import (
     DimensionError,
-    SeededRng,
     UnitaryMatrix,
+    derive_seed,
     det_direct,
     expand_phases,
-    haar_unitary,
     jr_matrices,
     n3_phase_table,
     nonlinear_relation_residuals,
@@ -60,8 +71,8 @@ def orthogonal3():
 
 # ---------------------------------------------------------------- plaquette
 
-def test_plaquette_same_rows_is_modulus_product(rng):
-    v = haar_unitary(4, rng)
+def test_plaquette_same_rows_is_modulus_product():
+    v = haar(4, SEED)
     z = phase(v, 2, 2, 1, 3)
     assert z.imag == 0.0
     assert z.real >= 0.0
@@ -73,8 +84,8 @@ def test_plaquette_identity_off_diagonal_is_zero():
     assert phase(UnitaryMatrix(np.eye(4)), 1, 2, 1, 2) == 0j
 
 
-def test_im_phase_equal_columns_exactly_zero(rng):
-    v = haar_unitary(4, rng)
+def test_im_phase_equal_columns_exactly_zero():
+    v = haar(4, SEED)
     for a in range(1, 5):
         for b in range(1, 5):
             assert phase(v, a, b, 2, 2).imag == 0.0
@@ -89,9 +100,9 @@ def test_real_orthogonal_phases_all_exactly_zero():
                     assert phase(v, a, b, j, k).imag == 0.0
 
 
-def test_phase_symmetry_is_bitwise(rng):
+def test_phase_symmetry_is_bitwise():
     # swapping either index pair conjugates the plaquette exactly
-    v = haar_unitary(4, rng)
+    v = haar(4, SEED)
     for idx in ((1, 2, 3, 4), (2, 4, 1, 3), (1, 3, 1, 2)):
         a, b, j, k = idx
         z = phase(v, a, b, j, k)
@@ -102,17 +113,17 @@ def test_phase_symmetry_is_bitwise(rng):
 
 # ---------------------------------------------------------------- table
 
-def test_phase_table_sizes(rng):
-    for n, size in ((3, 9), (4, 36)):
-        v = haar_unitary(n, rng)
+def test_phase_table_sizes():
+    for t, (n, size) in enumerate(((3, 9), (4, 36))):
+        v = haar(n, derive_seed(SEED, t))
         for x in v.plaquettes:
             assert phase_table(x).shape == (size,)
             assert phase_table(x[None]).shape == (1, size)
 
 
-def test_phase_table_rejects_other_dimensions(rng):
+def test_phase_table_rejects_other_dimensions():
     with pytest.raises(DimensionError):
-        phase_table(haar_unitary(5, rng).plaquettes[1][None])
+        phase_table(haar(5, SEED).plaquettes[1][None])
 
 
 def test_phase_table_and_jr_reject_tensors_whose_last_four_axes_differ():
@@ -144,8 +155,7 @@ def plaquette_views(n):
     it that are not contiguous: trials sliced as verify slices V from its
     rephased copy, the last two axes swapped, a stack of one and the whole
     buffer reversed."""
-    rng = SeededRng(90 + n)
-    buffer = _plaquettes(np.array([haar_unitary(n, rng).matrix for _ in range(5)]))
+    buffer = _plaquettes(haar_stack(n, 5, 90 + n))
     return [buffer, buffer[:, :3], buffer.swapaxes(-1, -2), buffer[:, 2:3], buffer[::-1, ::-2]]
 
 
@@ -162,8 +172,8 @@ def test_jr_takes_the_entries_of_the_indexed_form_from_any_view():
             assert np.array_equal(bits(got), bits(ref))
 
 
-def test_phase_table_symmetry_lookup_bitwise(rng):
-    v = haar_unitary(4, rng)
+def test_phase_table_symmetry_lookup_bitwise():
+    v = haar(4, SEED)
     re, im = v.plaquettes
     ims = phase_table(im).tolist()
     res = phase_table(re).tolist()
@@ -186,10 +196,10 @@ def test_phase_table_identity_pattern():
 
 # ---------------------------------------------------------------- sum rules
 
-def test_unitarity_sums_on_haar_samples(rng):
-    for n in (3, 4):
-        for _ in range(25):
-            rep = sum_rule_residuals(haar_unitary(n, rng))
+def test_unitarity_sums_on_haar_samples():
+    for i, n in enumerate((3, 4)):
+        for v in haar_unitaries(n, 25, first=25 * i):
+            rep = sum_rule_residuals(v)
             assert max(rep.values()) <= 1e-13
 
 
@@ -199,9 +209,10 @@ def test_unitarity_sums_identity_targets():
         assert mx == 0.0, family
 
 
-def test_unitarity_sums_invariant_under_rephasing(rng):
-    v = haar_unitary(4, rng)
-    theta, theta_prime = ([u * 6.0 for u in uniforms(rng, 4)] for _ in "rc")
+def test_unitarity_sums_invariant_under_rephasing():
+    v = haar(4, SEED)
+    # the angles of two more seeds
+    theta, theta_prime = ([u * 6.0 for u in uniforms(derive_seed(SEED, t), 4)] for t in (0, 1))
     r1 = sum_rule_residuals(v)
     r2 = sum_rule_residuals(rephased(v, theta, theta_prime))
     for family in r1:
@@ -210,16 +221,16 @@ def test_unitarity_sums_invariant_under_rephasing(rng):
 
 # ---------------------------------------------------------------- n=3 signs
 
-def test_n3_sign_pattern_on_haar_samples(rng):
-    for _ in range(50):
-        base, signs, residuals, indeterminate = n3_signs(haar_unitary(3, rng))
+def test_n3_sign_pattern_on_haar_samples():
+    for v in haar_unitaries(3, 50):
+        base, signs, residuals, indeterminate = n3_signs(v)
         assert not indeterminate
         assert tuple(signs.tolist()) == N3_SIGN_PATTERN
         assert residuals.max() <= 1e-12 * max(1.0, abs(base))
 
 
-def test_n3_specific_signs(rng):
-    signs = n3_signs(haar_unitary(3, rng))[1]
+def test_n3_specific_signs():
+    signs = n3_signs(haar(3, SEED))[1]
     # table order: (12;12), (12;13), (12;23), (13;12), (13;13), ...
     assert signs[4] == +1
     assert signs[1] == -1
@@ -233,9 +244,9 @@ def test_n3_real_orthogonal_is_indeterminate():
     assert np.array_equal(residuals, np.abs(phase_table(v.plaquettes[1])))
 
 
-def test_n3_requires_three_levels(rng):
+def test_n3_requires_three_levels():
     with pytest.raises(DimensionError):
-        n3_phase_table(phase_table(haar_unitary(4, rng).plaquettes[1][None]))
+        n3_phase_table(phase_table(haar(4, SEED).plaquettes[1][None]))
 
 
 def test_n3_base_phase_ties_to_determinant():
@@ -257,31 +268,30 @@ def test_jr_identity_is_zero():
     assert np.all(r == 0.0)
 
 
-def test_jr_entries_match_scalar_phases_bitwise(rng):
-    v = haar_unitary(4, rng)
+def test_jr_entries_match_scalar_phases_bitwise():
+    v = haar(4, SEED)
     j, r = jr(v)
     assert j[0, 0] == phase(v, 1, 2, 1, 2).imag
     assert j[2, 1] == phase(v, 3, 4, 2, 3).imag
     assert r[1, 2] == phase(v, 2, 3, 3, 4).real
 
 
-def test_jr_requires_four_levels(rng):
+def test_jr_requires_four_levels():
     with pytest.raises(DimensionError):
-        jr_matrices(*(x[None] for x in haar_unitary(3, rng).plaquettes))
+        jr_matrices(*(x[None] for x in haar(3, SEED).plaquettes))
 
 
-def test_expansion_spot_values(rng):
+def test_expansion_spot_values():
     # the three worked rows of the column expansion
-    j = jr(haar_unitary(4, rng))[0]
+    j = jr(haar(4, SEED))[0]
     expanded = dict(zip(canonical_keys(4), expand_phases(j[None])[0].tolist(), strict=True))
     assert expanded[1, 2, 2, 4] == pytest.approx(j[0, 0] - j[0, 1], abs=1e-15)
     assert expanded[1, 2, 1, 4] == pytest.approx(-j[0, 0] + j[0, 1] - j[0, 2], abs=1e-15)
     assert expanded[1, 2, 1, 3] == pytest.approx(-j[0, 1] + j[0, 2], abs=1e-15)
 
 
-def test_expansion_matches_direct_table(rng):
-    for _ in range(50):
-        v = haar_unitary(4, rng)
+def test_expansion_matches_direct_table():
+    for v in haar_unitaries(4, 50):
         direct = phase_table(v.plaquettes[1][None])
         expanded = expand_phases(jr(v)[0][None])
         for value, ref in zip(expanded[0].tolist(), direct[0].tolist(), strict=True):
@@ -290,17 +300,17 @@ def test_expansion_matches_direct_table(rng):
 
 # ---------------------------------------------------------------- products
 
-def test_product_identities_on_haar_samples(rng):
-    for n in (3, 4):
-        for _ in range(25):
-            rep = product_residuals(haar_unitary(n, rng))
+def test_product_identities_on_haar_samples():
+    for i, n in enumerate((3, 4)):
+        for v in haar_unitaries(n, 25, first=25 * i):
+            rep = product_residuals(v)
             assert max(rep.values()) <= 1e-12
 
 
-def test_product_identity_worked_example(rng):
+def test_product_identity_worked_example():
     # re(12;12) im(12;23) + re(12;23) im(12;12) = re(12;22) im(12;13),
     # with the right side rewritten through the expansion of im(12;13)
-    v = haar_unitary(4, rng)
+    v = haar(4, SEED)
     j, r = jr(v)
     lhs = r[0, 0] * j[0, 1] + r[0, 1] * j[0, 0]
     mod = abs(v.matrix[0, 1]) ** 2 * abs(v.matrix[1, 1]) ** 2
@@ -308,11 +318,11 @@ def test_product_identity_worked_example(rng):
     assert abs(lhs - rhs) <= 1e-13
 
 
-def test_product_identity_collapses_when_outer_columns_repeat(rng):
+def test_product_identity_collapses_when_outer_columns_repeat():
     # with l = j the mixed-rows identity reads
     #   re(ab;jk) im(ab;kj) + re(ab;kj) im(ab;jk) = re(ab;kk) im(ab;jj)
     # and antisymmetry makes both sides exactly zero
-    v = haar_unitary(4, rng)
+    v = haar(4, SEED)
     a, b, j, k = 1, 2, 1, 3
     lhs = phase(v, a, b, j, k).real * phase(v, a, b, k, j).imag
     lhs += phase(v, a, b, k, j).real * phase(v, a, b, j, k).imag
@@ -344,31 +354,29 @@ def cycle_unknowns(j):
     return np.array([j[0, 1], j[0, 2], j[1, 2], j[1, 0], j[2, 0], j[2, 1]])
 
 
-def test_band_system_consistency(rng):
+def test_band_system_consistency():
     # plugging the directly computed J into the system solves it
-    for _ in range(20):
-        v = haar_unitary(4, rng)
+    for v in haar_unitaries(4, 20):
         a, b, c = band_system(v)
         y = cycle_unknowns(jr(v)[0])
         assert np.max(np.abs(a * y + b * np.roll(y, -1) - c)) <= 1e-13
 
 
-def test_cycle_solve_agrees_with_a_dense_solve(rng):
+def test_cycle_solve_agrees_with_a_dense_solve():
     # the 6x6 matrix of the cycle, a_i at (i, i) and b_i at (i, i+1 mod 6),
     # solved by LAPACK: an oracle that shares no arithmetic with the
     # reconstruction
-    for _ in range(20):
-        v = haar_unitary(4, rng)
+    for v in haar_unitaries(4, 20):
         a, b, c = band_system(v)
         y = np.linalg.solve(np.diag(a) + np.roll(np.diag(b), 1, axis=1), c)
         got = cycle_unknowns(reconstruct_J(v).j_reconstructed)
         assert np.max(np.abs(got - y)) <= 1e-13
 
 
-def test_reconstruction_on_haar_samples(rng):
+def test_reconstruction_on_haar_samples():
     gate_passes = 0
-    for _ in range(50):
-        res = reconstruct_J(haar_unitary(4, rng))
+    for v in haar_unitaries(4, 50):
+        res = reconstruct_J(v)
         if res.degenerate:
             continue
         gate_passes += 1
@@ -407,9 +415,9 @@ def test_reconstruction_near_identity_is_flagged():
     assert res.max_error <= 1e-9 * np.max(np.abs(res.j))
 
 
-def test_reconstruction_requires_four_levels(rng):
+def test_reconstruction_requires_four_levels():
     with pytest.raises(DimensionError):
-        reconstruct_J(haar_unitary(3, rng))
+        reconstruct_J(haar(3, SEED))
 
 
 # ---------------------------------------------------------------- invariance
@@ -417,9 +425,9 @@ def test_reconstruction_requires_four_levels(rng):
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_all_invariants_survive_rephasing(seed):
-    rng = SeededRng(seed)
-    v = haar_unitary(4, rng)
-    w = rephased(v, *([u * 6.0 for u in uniforms(rng, 4)] for _ in "rc"))
+    v = haar(4, seed)
+    # the angles of two more seeds
+    w = rephased(v, *([u * 6.0 for u in uniforms(derive_seed(seed, t), 4)] for t in (0, 1)))
     for x, y in zip(v.plaquettes, w.plaquettes):
         assert np.max(np.abs(phase_table(x) - phase_table(y))) <= 1e-12
     for x, y in zip(jr(v), jr(w)):

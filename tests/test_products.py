@@ -7,8 +7,7 @@ column products and V V^+ of the unitarity check, the commutator entries,
 the nine term groups of the n=4 closed form and the 3x3 products of the
 36-phase expansion, the band reconstruction of J in pure Python floats,
 the one-matrix-at-a-time LU determinant and
-Householder QR, the one-output-at-a-time splitmix64 draws of a verify
-trial, the product identities evaluated at every index tuple, which
+Householder QR, the one-output-at-a-time splitmix64 draws of a trial, the product identities evaluated at every index tuple, which
 the library evaluates once per symmetry orbit, and the sum rules summed
 over each family's own axis, of which the library sums two.  The library
 must reproduce them bit for bit, signed zeros included, so results are
@@ -25,19 +24,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bits, givens, orthogonal4, signed_permutations, uniforms
+from conftest import (
+    bits,
+    ginibre_stack,
+    givens,
+    haar,
+    haar_stack,
+    haar_unitaries,
+    orthogonal4,
+    seeded_input,
+    signed_permutations,
+    trial_seeds,
+    uniforms,
+)
 
 from jarlskog import (
     MassPairInput,
-    SeededRng,
     Spectrum,
     UnitaryMatrix,
     derive_seed,
     det,
-    ginibre,
-    haar_unitary,
+    draw_trials,
     householder_qr,
-    random_spectrum,
 )
 from jarlskog import determinant, linalg, phases, sampling, verify
 from jarlskog.cli import main
@@ -303,7 +311,7 @@ def scalar_unit_phases(angle_rows):
 
 
 def scalar_draw_chunk(n, seeds):
-    """verify's draws one trial at a time, in stream order: the Ginibre
+    """draw_trials one trial at a time, in stream order: the Ginibre
     matrix, the a- and b-spectra and the rephasing angles of each seed."""
     g, a, b, angles = [], [], [], []
     for seed in seeds:
@@ -347,8 +355,7 @@ def cbits(z):
 
 
 def pinned_matrices():
-    rng = SeededRng(20261017)
-    mats = [haar_unitary(n, rng) for n in (3, 4) for _ in range(40)]
+    mats = [*haar_unitaries(3, 40, 20261017), *haar_unitaries(4, 40, 20261017, first=40)]
     for n in (3, 4):
         mats.append(UnitaryMatrix(np.eye(n)))
         mats.append(UnitaryMatrix(np.eye(n)[::-1]))
@@ -368,7 +375,7 @@ def test_plaquette_tensor_is_bit_equal_to_scalar_reference():
 
 
 def test_plaquette_tensor_is_read_only_and_computed_once():
-    v = haar_unitary(4, SeededRng(3))
+    v = haar(4, 3)
     re, im = v.plaquettes
     assert v.plaquettes[0] is re
     with pytest.raises(ValueError):
@@ -376,7 +383,7 @@ def test_plaquette_tensor_is_read_only_and_computed_once():
 
 
 def test_column_products_are_read_only_and_computed_once():
-    v = haar_unitary(4, SeededRng(3))
+    v = haar(4, 3)
     re, im = v.column_products
     assert v.column_products[0] is re
     with pytest.raises(ValueError):
@@ -387,9 +394,9 @@ def test_unitarity_check_is_bit_equal_to_scalar_reference():
     # V V^+ from `acc = 0j; acc += V[i,k] * conj(V[j,k])`, k ascending.  The
     # defect takes np.abs of V V^+ - I, as the library does: numpy's complex
     # modulus and CPython's abs() differ in the last bit on some entries.
-    rng = SeededRng(2718)
     mats = [*pinned_matrices(), *signed_permutations(3), *signed_permutations(4)]
-    mats.extend(haar_unitary(n, rng) for n in (2, 5, 8) for _ in range(10))
+    for i, n in enumerate((2, 5, 8)):
+        mats.extend(haar_unitaries(n, 10, 2718, first=10 * i))
     for v in mats:
         n, m = v.n, v.matrix
         cols = np.empty((n, n, n), dtype=np.complex128)
@@ -425,10 +432,10 @@ def test_moduli_squared_are_the_exact_real_diagonal_of_the_column_products():
 
 
 def test_commutator_matrix_is_bit_equal_to_scalar_reference():
-    rng = SeededRng(777)
     mats = [*pinned_matrices(), *signed_permutations(3), *signed_permutations(4)]
-    for v in mats:
-        inp = MassPairInput(a=random_spectrum(v.n, rng), b=random_spectrum(v.n, rng), v=v)
+    for s, v in enumerate(mats):
+        drawn = seeded_input(v.n, derive_seed(777, s))
+        inp = MassPairInput(a=drawn.a, b=drawn.b, v=v)
         got = commutator_matrix(inp)
         ref = scalar_commutator(inp)
         assert np.array_equal(bits(got.real), bits(ref.real))
@@ -448,10 +455,8 @@ def det4_signed_zero_matrices():
     """4x4 unitaries whose closed-form sums meet exact +-0 terms: 1 (+) V3
     and V3 (+) 1 for Haar V3, whose row or column sums over the unit
     entry's zeros, and a real rotation, whose imaginary parts are all +-0."""
-    rng = SeededRng(8642)
     mats = [orthogonal4()]
-    for _ in range(6):
-        v3 = haar_unitary(3, rng).matrix
+    for v3 in haar_stack(3, 6, 8642):
         for lo in (0, 1):
             m = np.zeros((4, 4), dtype=complex)
             m[3 * lo, 3 * lo] = 1.0
@@ -475,12 +480,12 @@ def assert_groups_match_scalar_reference(parts, cycles, inp):
 
 
 def test_det4_groups_are_bit_equal_to_scalar_reference():
-    rng = SeededRng(4321)
     mats = [v for v in pinned_matrices() if v.n == 4] + list(signed_permutations(4))
     assert len(mats) == 40 + 2 + 1 + 72
     mats += det4_signed_zero_matrices()
-    for v in mats:
-        inp = MassPairInput(a=random_spectrum(4, rng), b=random_spectrum(4, rng), v=v)
+    for s, v in enumerate(mats):
+        drawn = seeded_input(4, derive_seed(4321, s))
+        inp = MassPairInput(a=drawn.a, b=drawn.b, v=v)
         ref_parts = assert_groups_match_scalar_reference(*decompose_det4(inp), inp)
         acc = 0j
         for name in DET4_GROUPS:
@@ -491,13 +496,12 @@ def test_det4_groups_are_bit_equal_to_scalar_reference():
 def test_det4_groups_of_a_verify_stack_are_bit_equal_to_scalar_reference():
     # verify stacks V and its rephased copy (2T matrices) and takes the a
     # half of the difference factors of both spectra, as one t_factors call
-    rng = SeededRng(97531)
-    mats = det4_signed_zero_matrices() + [haar_unitary(4, rng) for _ in range(5)]
-    t = len(mats)
-    a, b = (np.array([random_spectrum(4, rng).values for _ in mats]) for _ in "ab")
-    row, col = (sampling._unit_phases([[u * 6.3 for u in uniforms(rng, 4)] for _ in mats])
-                for _ in "rc")
-    v = np.array([x.matrix for x in mats])
+    mats = det4_signed_zero_matrices()
+    # the spectra and rephasing phases of one trial per matrix, and five
+    # more trials with their Haar unitaries
+    drawn, a, b, row, col = draw_trials(4, trial_seeds(len(mats) + 5, 97531))
+    t = len(a)
+    v = np.concatenate([np.array([x.matrix for x in mats]), drawn[len(mats):]])
     both = np.concatenate([v, sampling.rephase(v, row, col)])
     _, cols = linalg._validate_unitaries(both)
     factors = t_factors(np.concatenate([a, b]))
@@ -601,17 +605,16 @@ def assert_reconstructions_match_scalar_reference(v):
 
 @pytest.mark.parametrize("trials", (1, 4, 64))
 def test_band_reconstruction_is_bit_equal_to_scalar_reference_on_haar_stacks(trials):
-    g = verify._draw_chunk(4, derive_seed(trials + 7, np.arange(trials)))[0]
-    assert_reconstructions_match_scalar_reference(sampling._haar_from_ginibre(g))
+    assert_reconstructions_match_scalar_reference(haar_stack(4, trials, trials + 7))
 
 
 def real_rotations(count, seed):
     """Seeded real 4x4 rotations, products of six Givens rotations: every J
     entry is +-0, so each Cramer term is a signed zero."""
-    rng = SeededRng(seed)
-    for _ in range(count):
+    for t in range(count):
         m = np.eye(4, dtype=complex)
-        for (p, q), u in zip(itertools.combinations(range(4), 2), uniforms(rng, 6)):
+        for (p, q), u in zip(itertools.combinations(range(4), 2),
+                             uniforms(derive_seed(seed, t), 6)):
             m = m @ givens(4, p, q, 6.3 * u)
         yield m
 
@@ -670,13 +673,12 @@ def scalar_haar(g):
     return q
 
 
-def zero_column_matrices(n, rng):
-    """Ginibre matrices with one column zeroed, one matrix per column."""
-    mats = []
-    for col in range(n):
-        m = ginibre(n, rng)
+def zero_column_matrices(n, master_seed, first=0):
+    """Ginibre matrices with one column zeroed, one matrix per column, from
+    the trials of trial_seeds(n, master_seed, first)."""
+    mats = list(ginibre_stack(n, n, master_seed, first))
+    for col, m in enumerate(mats):
         m[:, col] = 0.0
-        mats.append(m)
     return mats
 
 
@@ -685,10 +687,10 @@ def modulus_near_ties(count):
     numpy's array modulus and the scalar modulus order differently: one of
     them ties |z| with r, the other does not, so the LU pivot row depends on
     which modulus is used."""
-    rng = SeededRng(91)
     mats = []
+    trials = itertools.count()
     while len(mats) < count:
-        m = ginibre(3, rng)
+        m = ginibre_stack(3, 1, 91, next(trials))[0]
         z = m[0, 0]
         scalar, array = np.hypot(z.real, z.imag), np.abs(m[:1, 0])[0]
         if scalar != array:
@@ -701,18 +703,18 @@ def matrix_groups():
     """Stacks of one size each: the pinned matrices, the signed permutations
     (exact modulus ties), modulus near-ties, Haar and Ginibre draws at
     n = 2..8, and Ginibre draws with a zero column mixed into regular ones."""
-    rng = SeededRng(86)
     groups = {"modulus_near_ties": modulus_near_ties(8)}
     for v in pinned_matrices():
         groups.setdefault(f"pinned_n{v.n}", []).append(v.matrix)
     for n in (3, 4):
         groups[f"signed_permutations_n{n}"] = [v.matrix for v in signed_permutations(n)]
+    # trials 0-11 give the Haar draws and 12-23 the Ginibre draws of each n
     for n in range(2, 9):
-        groups[f"haar_n{n}"] = [haar_unitary(n, rng).matrix for _ in range(12)]
-        groups[f"ginibre_n{n}"] = [ginibre(n, rng) for _ in range(12)]
+        groups[f"haar_n{n}"] = list(haar_stack(n, 12, 86))
+        groups[f"ginibre_n{n}"] = list(ginibre_stack(n, 12, 86, first=12))
     for n in (2, 3, 4, 6):
-        groups[f"zero_column_n{n}"] = [ginibre(n, rng), *zero_column_matrices(n, rng),
-                                       ginibre(n, rng)]
+        first, last = ginibre_stack(n, 2, 86, first=24)
+        groups[f"zero_column_n{n}"] = [first, *zero_column_matrices(n, 86, first=26), last]
     return groups
 
 
@@ -732,9 +734,8 @@ def test_stacked_lu_is_bit_equal_to_scalar_lu(group):
 def test_zero_pivot_column_gives_exact_zero_without_warnings():
     # pytest turns any warning into an error, so a division by the zero
     # pivot would fail here
-    rng = SeededRng(17)
     for n in (2, 3, 4, 6):
-        mats = zero_column_matrices(n, rng)
+        mats = zero_column_matrices(n, 17)
         assert all(det(m) == 0j for m in mats)
         assert np.array_equal(bits(det(np.array(mats)).view(float)), bits(np.zeros(2 * n)))
 
@@ -742,12 +743,12 @@ def test_zero_pivot_column_gives_exact_zero_without_warnings():
 def test_non_finite_candidates_follow_the_scalar_pivot_rule():
     # a NaN candidate never wins the pivot, a NaN on the diagonal keeps its
     # row, and infinities take part like any modulus
-    rng = SeededRng(6)
+    draws = iter(ginibre_stack(4, 5 * 4 * 3, 6))
     mats = []
     for value in (np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)):
         for row in range(4):
             for col in range(3):
-                m = ginibre(4, rng)
+                m = next(draws)
                 m[row, col] = value
                 mats.append(m)
     with np.errstate(all="ignore"):
@@ -763,7 +764,7 @@ def test_stacked_qr_and_haar_fix_are_bit_equal_to_scalar_references(group):
     haar = sampling._haar_from_ginibre(np.array(mats))
     for t, m in enumerate(mats):
         q_ref, r_ref = scalar_qr(m)
-        for got, ref in ((q[t], q_ref), (r[t], r_ref), (householder_qr(m)[0], q_ref),
+        for got, ref in ((q[t], q_ref), (r[t], r_ref), (householder_qr(m[None])[0][0], q_ref),
                          (haar[t], scalar_haar(m))):
             assert np.array_equal(bits(got.view(float)), bits(ref.view(float))), t
 
@@ -797,13 +798,9 @@ def stacked_layers(n):
     """{name: (function, stacked arguments, trial axis of its results)} of
     every layer that takes a leading trial axis, on LAYER_TRIALS seeded
     trials."""
-    rng = SeededRng(1000 + n)
     trials = LAYER_TRIALS
-    g = np.array([ginibre(n, rng) for _ in range(trials)])
-    a, b = (np.array([random_spectrum(n, rng).values for _ in range(trials)]) for _ in "ab")
-    row, col = (sampling._unit_phases([[u * 6.3 for u in uniforms(rng, n)]
-                                       for _ in range(trials)]) for _ in "rc")
-    v = sampling._haar_from_ginibre(g)
+    g = ginibre_stack(n, trials, 1000 + n)
+    v, a, b, row, col = draw_trials(n, trial_seeds(trials, 1000 + n))
     w = sampling.rephase(v, row, col)
     _, cols = linalg._validate_unitaries(v)
     plaq = linalg._plaquettes(v)
@@ -862,8 +859,7 @@ def test_slice_of_a_stacked_layer_is_bit_equal_to_its_stack_of_one(n, name):
 
 def haar_plaquettes(n, trials, master_seed):
     """The plaquettes of a stack of Haar unitaries, drawn as verify draws them."""
-    g = verify._draw_chunk(n, derive_seed(master_seed, np.arange(trials)))[0]
-    return linalg._plaquettes(sampling._haar_from_ginibre(g))
+    return linalg._plaquettes(haar_stack(n, trials, master_seed))
 
 
 def assert_bit_equal_to_every_tuple(re, im):
@@ -1029,8 +1025,7 @@ def assert_sum_rules_match_the_four_axis_sums(mats):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_sum_rules_match_the_four_axis_sums_on_haar_stacks_and_rephased_copies(n):
-    g, _, _, row, col = verify._draw_chunk(n, derive_seed(70 + n, np.arange(16)))
-    v = sampling._haar_from_ginibre(g)
+    v, _, _, row, col = draw_trials(n, trial_seeds(16, 70 + n))
     assert_sum_rules_match_the_four_axis_sums(v)
     assert_sum_rules_match_the_four_axis_sums(sampling.rephase(v, row, col))
 
@@ -1106,8 +1101,7 @@ def test_ksum_reduce_route_is_bit_equal_to_the_loop(length):
 
 
 def stack_of_eight_haar_matrices():
-    g = verify._draw_chunk(8, derive_seed(808, np.arange(4)))[0]
-    return sampling._haar_from_ginibre(g)
+    return haar_stack(8, 4, 808)
 
 
 @pytest.mark.parametrize("length", range(8, 13))
@@ -1164,20 +1158,30 @@ def draw_bits(x):
 DRAW_CASES = [(n, t) for n in range(2, 9) for t in (1, 4, 7, 8, 64)]
 
 
+def assert_draw_matches_the_scalar_loop(got, n, seeds):
+    """got, a draw_trials result, is bit-equal to scalar_draw_chunk(n,
+    seeds) with V the scalar Haar unitary of each scalar Ginibre matrix."""
+    g, *ref = scalar_draw_chunk(n, seeds)
+    ref = [np.array([scalar_haar(m) for m in g]), *ref]
+    assert len(got) == len(ref) == 5
+    for name, x, y in zip(("haar", "a", "b", "row_phases", "col_phases"), got, ref):
+        assert x.shape == y.shape, name
+        assert np.array_equal(draw_bits(x), draw_bits(y)), name
+    return g
+
+
 @pytest.mark.parametrize(("n", "trials"), DRAW_CASES, ids=[f"n{n}-T{t}" for n, t in DRAW_CASES])
 def test_stacked_draw_is_bit_equal_to_the_per_trial_loop(n, trials):
     seeds = [scalar_derive_seed(100 * n + trials, t) for t in range(trials)]
-    got = verify._draw_chunk(n, np.array(seeds, dtype=np.uint64))
-    ref = scalar_draw_chunk(n, seeds)
-    assert len(got) == len(ref) == 5
-    for name, x, y in zip(("ginibre", "a", "b", "row_phases", "col_phases"), got, ref):
-        assert x.shape == y.shape, name
-        assert np.array_equal(draw_bits(x), draw_bits(y)), name
+    g = assert_draw_matches_the_scalar_loop(draw_trials(n, np.array(seeds, dtype=np.uint64)),
+                                            n, seeds)
+    # the test helper's Ginibre matrices are those of the draw
+    assert np.array_equal(draw_bits(ginibre_stack(n, trials, 100 * n + trials)), draw_bits(g))
 
 
 def counted_draws(monkeypatch):
-    """Patch every binding of the stream and of the redraw loop with a
-    wrapper that counts its calls; returns the {name: calls} dict."""
+    """Patch the stream and the redraw loop with a wrapper that counts
+    their calls; returns the {name: calls} dict."""
     calls = {"_stream": 0, "_spectra": 0}
     for name in calls:
         fn = getattr(sampling, name)
@@ -1186,9 +1190,7 @@ def counted_draws(monkeypatch):
             calls[name] += 1
             return fn(*args)
 
-        for module in (sampling, verify):
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(sampling, name, counted)
     return calls
 
 
@@ -1199,18 +1201,16 @@ def test_chunk_whose_round_accepts_too_few_draws_redraws_bit_equal_to_the_loop(m
     n, trials = 8, 64
     seeds = [scalar_derive_seed(800, t) for t in range(trials)]
     calls = counted_draws(monkeypatch)
-    got = verify._draw_chunk(n, np.array(seeds, dtype=np.uint64))
+    got = draw_trials(n, np.array(seeds, dtype=np.uint64))
     assert calls["_spectra"] >= 1
     assert calls["_stream"] > 1
-    for name, x, y in zip(("ginibre", "a", "b", "row_phases", "col_phases"), got,
-                          scalar_draw_chunk(n, seeds)):
-        assert np.array_equal(draw_bits(x), draw_bits(y)), name
+    assert_draw_matches_the_scalar_loop(got, n, seeds)
 
 
 @pytest.mark.parametrize(("n", "trials"), ((3, 8), (4, 4)))
 def test_chunk_reads_one_block_of_outputs_when_no_stream_redraws(monkeypatch, n, trials):
     calls = counted_draws(monkeypatch)
-    verify._draw_chunk(n, derive_seed(29, np.arange(trials)))
+    draw_trials(n, trial_seeds(trials, 29))
     assert calls == {"_stream": 1, "_spectra": 0}
 
 
@@ -1239,21 +1239,20 @@ def test_stacked_spectra_with_many_redraws_are_bit_equal_to_the_scalar_loop(tria
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_single_samplers_advance_the_cursor_by_the_scalar_count(n):
-    rng, ref = SeededRng(40 + n), ScalarRng(40 + n)
-    assert np.array_equal(draw_bits(ginibre(n, rng)), draw_bits(scalar_ginibre(n, ref)))
-    assert rng.position == ref.position == 2 * n * n
-    spectrum = random_spectrum(n, rng)
-    assert np.array_equal(bits(spectrum.values), bits(scalar_spectrum(n, ref)))
-    assert rng.position == ref.position
-    v = haar_unitary(n, rng)
-    assert np.array_equal(draw_bits(v.matrix), draw_bits(scalar_haar(scalar_ginibre(n, ref))))
-    assert rng.position == ref.position
-    pair = rng._draw(sampling._normals, 1)[0]
-    assert bits(pair).tolist() == bits(ref.normal_pair()).tolist()
-    assert int(rng._draw(sampling._stream, 1)[0]) == ref.next_u64()
-    assert uniforms(rng, 1) == [ref.uniform()]
-    assert rng.position == ref.position
+def test_slice_of_a_stacked_draw_is_bit_equal_to_its_stack_of_one(n, monkeypatch):
+    seeds = trial_seeds(64, 900 + n)
+    calls = counted_draws(monkeypatch)
+    stacked = draw_trials(n, seeds)
+    stacked_redraws = calls["_spectra"]
+    for t in range(len(seeds)):
+        single = draw_trials(n, seeds[t:t + 1])
+        for name, x, y in zip(("haar", "a", "b", "row_phases", "col_phases"), stacked, single):
+            assert np.array_equal(draw_bits(x[t]), draw_bits(y[0])), (name, t)
+    if n == 8:
+        # n = 8 accepts a spectrum draw with probability 21%, so some of
+        # the 64 streams find fewer than two accepted draws in the block's
+        # round and redraw through _spectra, in the stack and alone
+        assert 1 <= stacked_redraws < calls["_spectra"]
 
 
 def test_derive_seed_of_an_index_array_matches_the_scalar_seeds():

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, phase, rephased, uniforms
-
-from jarlskog import (
-    DimensionError,
-    SeededRng,
-    derive_seed,
-    haar_unitary,
-    householder_qr,
-    random_spectrum,
+from conftest import (
+    SEED,
+    bits,
+    ginibre_stack,
+    haar,
+    haar_stack,
+    normal_pairs,
+    phase,
+    rephased,
+    seed_array,
+    uniforms,
 )
+
+from jarlskog import DimensionError, UnitaryMatrix, derive_seed, draw_trials, householder_qr
 from jarlskog import linalg, sampling
 
 # frozen vectors from the reference C implementation of splitmix64
@@ -52,25 +56,32 @@ SPLITMIX64_VECTORS = {
 
 def test_stream_matches_reference_vectors():
     for seed, expected in SPLITMIX64_VECTORS.items():
-        rng = SeededRng(seed)
-        assert tuple(int(rng._draw(sampling._stream, 1)[0]) for _ in range(5)) == expected
-        assert rng.position == 5
+        seeds = seed_array(seed)
+        u, end = sampling._stream(seeds, np.zeros(1, dtype=np.int64), 5)
+        assert tuple(u[0].tolist()) == expected
+        assert end.tolist() == [5]
+        # output p depends only on the seed and p
+        assert tuple(int(sampling._stream(seeds, np.array([p]), 1)[0][0, 0])
+                     for p in range(5)) == expected
 
 
 def test_uniform_range_and_determinism():
-    rng = SeededRng(7)
-    values = [uniforms(rng, 1)[0] for _ in range(1000)]
+    values = uniforms(7, 1000)
     assert all(0.0 <= v < 1.0 for v in values)
-    assert values == uniforms(SeededRng(7), 1000)
+    # the same doubles, each read at its own position
+    seeds = seed_array(7)
+    assert values == [sampling._uniform(sampling._stream(seeds, np.array([p]), 1)[0])[0, 0]
+                      for p in range(1000)]
 
 
 def test_normal_pair_moments():
-    # 20000 normal pairs of SeededRng(123), drawn as one stack; the first
-    # 100 pairs are those of one-pair draws, bit for bit
-    rng = SeededRng(123)
-    pairs, _ = sampling._normals(np.array([rng.seed], dtype=np.uint64), np.array([0]), 20000)
-    assert [rng._draw(sampling._normals, 1)[0].tolist() for _ in range(100)] == \
-        pairs[0, :100].tolist()
+    # 20000 normal pairs of the stream seeded with 123, drawn as one stack;
+    # the first 100 pairs are those read at their own positions, bit for bit
+    pairs = normal_pairs(123, 20000)
+    seeds = seed_array(123)
+    single = [sampling._box_muller(u[:, :1], sampling._unit_phases(sampling._angles(u[:, 1:])))
+              for u in (sampling._stream(seeds, np.array([2 * p]), 2)[0] for p in range(100))]
+    assert [x[0, 0].tolist() for x in single] == pairs[0, :100].tolist()
     arr = pairs.ravel()
     assert abs(arr.mean()) < 0.02
     assert abs(arr.var() - 1.0) < 0.03
@@ -86,12 +97,11 @@ def test_derive_seed_is_deterministic_and_spread_out():
 
 # ---------------------------------------------------------------- QR
 
-def test_householder_qr_factorises(rng):
-    for n in (2, 3, 4, 8):
-        # row-major entries, each a normal pair (re, im)
-        a = rng._draw(sampling._normals, n * n).view(np.complex128).reshape(n, n)
-        q, r = householder_qr(a)
-        assert np.max(np.abs(q @ r - a)) <= 1e-13
+def test_householder_qr_factorises():
+    for t, n in enumerate((2, 3, 4, 8)):
+        a = ginibre_stack(n, 1, SEED, t)
+        q, r = (x[0] for x in householder_qr(a))
+        assert np.max(np.abs(q @ r - a[0])) <= 1e-13
         assert np.max(np.abs(q @ np.conj(q.T) - np.eye(n))) <= 1e-13
         lower = np.tril(r, -1)
         assert np.max(np.abs(lower)) <= 1e-13
@@ -100,41 +110,34 @@ def test_householder_qr_factorises(rng):
 # ---------------------------------------------------------------- haar
 
 def test_haar_unitary_is_unitary_for_many_seeds():
-    for seed in range(30):
-        v = haar_unitary(4, SeededRng(seed))
-        assert v.unitarity_defect <= 1e-12
+    for m in draw_trials(4, seed_array(range(30)))[0]:
+        assert UnitaryMatrix(m).unitarity_defect <= 1e-12
 
 
 def test_haar_unitary_fixed_seed_is_reproducible():
-    a = haar_unitary(3, SeededRng(42))
-    b = haar_unitary(3, SeededRng(42))
+    a = haar(3, 42)
+    b = haar(3, 42)
     assert np.array_equal(a.matrix, b.matrix)
 
 
-def test_haar_unitary_rejects_unsupported_dimension():
+def test_draw_trials_rejects_unsupported_dimension():
     with pytest.raises(DimensionError):
-        haar_unitary(1, SeededRng(0))
+        draw_trials(1, seed_array(0))
     with pytest.raises(DimensionError):
-        haar_unitary(9, SeededRng(0))
+        draw_trials(9, seed_array(0))
 
 
-def haar_stack(n, rng, trials):
-    """trials Haar unitaries as one (T, n, n) stack: the Ginibre matrices
-    that trials haar_unitary(n, rng) calls would draw, in the same order,
-    drawn as one stack of positions along rng's stream, then the diag(R)
-    fix and the validation once on the stack."""
-    seeds = np.full(trials, rng.seed, dtype=np.uint64)
-    z, _ = sampling._normals(seeds, rng.position + 2 * n * n * np.arange(trials), n * n)
-    v = sampling._haar_from_ginibre(sampling._as_ginibre(z, n))
+def validated_haar_stack(n, master_seed, trials):
+    """haar_stack of trials, validated once on the stack."""
+    v = haar_stack(n, trials, master_seed)
     linalg._validate_unitaries(v)
     return v
 
 
-def assert_first_draws_match_the_scalar_loop(values, per_draw, seed, count=100):
-    """values[:count] are bit-equal to per_draw(haar_unitary(3, rng)) over
-    count successive draws from SeededRng(seed)."""
-    rng = SeededRng(seed)
-    expected = [per_draw(haar_unitary(3, rng)) for _ in range(count)]
+def assert_first_draws_match_the_scalar_loop(values, per_draw, master_seed, count=100):
+    """values[:count] are bit-equal to per_draw(haar(3, seed)) over the
+    seeds of the first count trials, each drawn as a stack of one."""
+    expected = [per_draw(haar(3, derive_seed(master_seed, t))) for t in range(count)]
     assert np.array_equal(bits(values[:count]), bits(expected))
 
 
@@ -144,7 +147,7 @@ def test_haar_first_entry_moment_matches_one_over_n():
     # (standard error about 0.0024)
     trials = 10_000
     # abs of each numpy complex scalar, as the per-draw loop takes it
-    values = np.array([abs(z) ** 2 for z in haar_stack(3, SeededRng(99), trials)[:, 0, 0]])
+    values = np.array([abs(z) ** 2 for z in validated_haar_stack(3, 99, trials)[:, 0, 0]])
     assert_first_draws_match_the_scalar_loop(values, lambda v: abs(v.matrix[0, 0]) ** 2, 99)
     assert abs(values.mean() - 1.0 / 3.0) < 0.02
 
@@ -154,7 +157,7 @@ def test_haar_mean_phase_unchanged_by_fixed_rephasing():
     # fixed rephasing; the base phase is literally invariant sample by
     # sample, so the two means agree far inside 3 standard errors
     theta, theta_prime = (0.3, 1.1, 5.2), (2.5, 0.4, 3.9)
-    v = haar_stack(3, SeededRng(17), 10_000)
+    v = validated_haar_stack(3, 17, 10_000)
     w = sampling.rephase(v, *(sampling._unit_phases([x]) for x in (theta, theta_prime)))
     linalg._validate_unitaries(w)
     plain, shifted = (linalg._plaquettes(x)[1][:, 0, 1, 0, 1] for x in (v, w))
@@ -168,9 +171,8 @@ def test_haar_mean_phase_unchanged_by_fixed_rephasing():
 
 # ---------------------------------------------------------------- spectra
 
-def test_random_spectrum_gaps_honoured(rng):
-    s = random_spectrum(4, rng)
-    vals = s.values
+def test_random_spectrum_gaps_honoured():
+    vals = tuple(draw_trials(4, seed_array(SEED))[1][0].tolist())
     assert vals == tuple(sorted(vals))
     for i in range(4):
         for j in range(i + 1, 4):
@@ -180,14 +182,14 @@ def test_random_spectrum_gaps_honoured(rng):
 
 # ---------------------------------------------------------------- rephasing
 
-def test_rephase_with_zero_angles_is_bitwise_noop(rng):
-    v = haar_unitary(3, rng)
+def test_rephase_with_zero_angles_is_bitwise_noop():
+    v = haar(3, SEED)
     out = rephased(v, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     assert np.array_equal(out.matrix, v.matrix)
 
 
-def test_rephase_by_pi_rows_flips_sign(rng):
-    v = haar_unitary(3, rng)
+def test_rephase_by_pi_rows_flips_sign():
+    v = haar(3, SEED)
     out = rephased(v, (math.pi,) * 3, (0.0,) * 3)
     assert np.max(np.abs(out.matrix + v.matrix)) <= 1e-15
 
@@ -207,15 +209,16 @@ def test_drawn_angles_need_no_reduction():
     st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
 )
 def test_rephase_composes_additively(t1, p1, t2, p2):
-    v = haar_unitary(3, SeededRng(8))
+    v = haar(3, 8)
     two_step = rephased(rephased(v, t1, p1), t2, p2)
     one_step = rephased(v, [x + y for x, y in zip(t1, t2)], [x + y for x, y in zip(p1, p2)])
     assert np.max(np.abs(two_step.matrix - one_step.matrix)) <= 1e-13
 
 
-def test_rephase_leaves_plaquettes_unchanged(rng):
-    v = haar_unitary(4, rng)
-    theta, theta_prime = ([u * 6.0 for u in uniforms(rng, 4)] for _ in "rc")
+def test_rephase_leaves_plaquettes_unchanged():
+    v = haar(4, SEED)
+    # the angles of two more seeds
+    theta, theta_prime = ([u * 6.0 for u in uniforms(derive_seed(SEED, t), 4)] for t in (0, 1))
     w = rephased(v, theta, theta_prime)
     for idx in ((1, 2, 1, 2), (1, 3, 2, 4), (2, 4, 1, 3), (3, 4, 3, 4)):
         assert abs(phase(v, *idx) - phase(w, *idx)) <= 1e-13
