@@ -51,7 +51,10 @@ and (j k)(l m) (product_same_rows), j<->k, (a g)(b d) and (a b)(g d)
 (product_same_cols).  By the bitwise symmetries above, each of these maps a
 tuple's residual to the same bits, so the maximum over one representative
 per orbit is the maximum over every tuple (nonlinear_relation_residuals
-gives the proof per generator).
+gives the proof per generator).  Most representatives are exactly 0 by the
+same symmetries (a factor im(aa;jk), or two terms that cancel exactly), and
+the evaluation table keeps only the others: 984 of 2320 at n = 4, 162 of
+540 at n = 3 (_product_table).
 """
 
 from __future__ import annotations
@@ -283,31 +286,72 @@ def _orbit_representatives(n, free, generators):
     return tuples[:, least == np.arange(least.size)]
 
 
+def _factor_positions(n, formula, reps):
+    """The (6, R) positions of the factors of t1, t2, t3 of `formula` at the
+    index tuples reps ({free index: (R,) array}) among the 2 n^4 entries of
+    the flattened re tensor followed by the flattened im tensor: rows 0-2
+    hold the first factors of t1, t2, t3 and rows 3-5 the second ones."""
+    terms = formula.split()
+    return np.array([
+        np.ravel_multi_index([reps[c] for c in f[3:5] + f[6:8]], (n,) * 4)
+        + (n ** 4 if f.startswith("im") else 0)
+        for f in terms[0:8:3] + terms[1:8:3]])
+
+
+def _vanishing_columns(n, columns, combine):
+    """(R,) mask of the (6, R) factor positions whose residual
+    (t1 combine t2) - t3 is exactly 0 for every plaquette tensor with the
+    kernel's bitwise symmetries, decided from the positions alone.
+
+    Each factor is keyed by those symmetries: entry p of the flattened re
+    and im tensors is sign[p] times entry key[p], the same part at a <= b
+    and j <= k, with sign 0 where im is exactly 0 (a = b or j = k).  Each
+    term is then the product of its signs times the product of its keys.
+    As a signed sum of key products the residual is 0 when every term is 0,
+    or when one is 0 and the other two are the same key product with
+    opposite signs in the sum; three nonzero terms of sign +/-1 cannot sum
+    to 0.
+    """
+    a, b, j, k = np.indices((n,) * 4).reshape(4, -1)
+    key = np.ravel_multi_index((np.minimum(a, b), np.maximum(a, b),
+                                np.minimum(j, k), np.maximum(j, k)), (n,) * 4)
+    sign = np.sign(b - a) * np.sign(k - j)
+    keys = np.concatenate([key, key + n ** 4])[columns]
+    signs = np.concatenate([np.ones_like(sign), sign])[columns]
+    products = np.minimum(keys[:3], keys[3:]) * (2 * n ** 4) + np.maximum(keys[:3], keys[3:])
+    summed = signs[:3] * signs[3:] * np.array([[1], [1 if combine is np.add else -1], [-1]])
+    vanish = ~summed.any(axis=0)
+    for zero, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        vanish |= (summed[zero] == 0) & (summed[p] + summed[q] == 0) & (products[p] == products[q])
+    return vanish
+
+
 @lru_cache(maxsize=None)
 def _product_table(n):
     """The evaluation table of the product identities for n x n matrices,
-    built on first use.
+    built on first use from the index tuples alone.
 
-    Returns (index, starts, combines).  index is a read-only (6, R) array:
-    for each orbit representative of each family in turn, the positions of
-    the factors of t1, t2, t3 among the 2 n^4 entries of the flattened re
-    tensor followed by the flattened im tensor.  Rows 0-2 hold the first
-    factors of t1, t2, t3 and rows 3-5 the second ones, so that the first
-    half of a gather times its second half, written over the first half,
-    gives t1, t2, t3 with no operand overlapping the output.  Family f owns
-    the columns from starts[f] up to the next start, and combines[f]
-    (np.add or np.subtract) joins its t1 and t2.
+    Returns (index, starts, combines).  index is a read-only (6, R) array
+    of factor positions (_factor_positions): for each family in turn, those
+    of its orbit representatives whose residual can be nonzero, the rest
+    being dropped by the rule of _vanishing_columns.  A family whose every
+    residual vanishes (both mixed families at n = 2) keeps its first one,
+    an exact 0, so that its maximum is 0.  The first half of a gather times
+    its second half, written over the first half, gives t1, t2, t3 with no
+    operand overlapping the output.  Family f owns the columns from
+    starts[f] up to the next start, and combines[f] (np.add or
+    np.subtract) joins its t1 and t2.
     """
     index, starts, combines = [], [], []
     for formula, free, generators in _PRODUCT_IDENTITIES.values():
         reps = dict(zip(free, _orbit_representatives(n, free, generators)))
-        terms = formula.split()
+        combine = np.add if formula.split()[2] == "+" else np.subtract
+        columns = _factor_positions(n, formula, reps)
+        kept = ~_vanishing_columns(n, columns, combine)
+        kept[0] |= not kept.any()
         starts.append(sum(x.shape[1] for x in index))
-        index.append(np.array([
-            np.ravel_multi_index([reps[c] for c in f[3:5] + f[6:8]], (n,) * 4)
-            + (n ** 4 if f.startswith("im") else 0)
-            for f in terms[0:8:3] + terms[1:8:3]]))
-        combines.append(np.add if terms[2] == "+" else np.subtract)
+        index.append(columns[:, kept])
+        combines.append(combine)
     index = np.concatenate(index, axis=1)
     index.setflags(write=False)
     return index, tuple(starts), tuple(combines)
@@ -345,7 +389,20 @@ def nonlinear_relation_residuals(re, im):
                          the same way.
     Negation and the sign of a zero term change no bit of |residual|.
     verify's phase_antisymmetry_bitwise row checks the premise on the same
-    tensors.  At each representative the operations are those of the
+    tensors.
+
+    The table holds only the representatives whose residual can be
+    nonzero: the others are exactly 0 wherever phase_antisymmetry_bitwise
+    passes, so the maximum over the kept ones is still the maximum over
+    every tuple.  Where that row passes, every entry is finite (an inf or a
+    NaN fails it), each equals its swapped entries up to exact negation,
+    and its a = b and j = k diagonals, im + im of one entry, pin im(aa;jk)
+    and im(ab;jj) to zeros.  So a term with such a factor is a signed zero,
+    and two terms with the same product of keys (_vanishing_columns) are
+    equal or exactly opposite, IEEE * commuting.  A dropped residual is one
+    of (0 +/- 0) - 0, (x - x) - 0, (x + -x) - 0, (0 + x) - x, (0 - x) - -x
+    or (x +/- 0) - x, each of which IEEE arithmetic gives as +/-0 exactly.
+    At each representative the operations are those of the
     evaluation over every tuple: multiply, combine t1 with t2, subtract t3,
     abs, then the max over the tuples.
 
@@ -355,8 +412,11 @@ def nonlinear_relation_residuals(re, im):
     """
     t, n = len(re), re.shape[-1]
     index, starts, combines = _product_table(n)
-    # trials on the last axis, so that each gathered entry is a row of T
-    flat = np.concatenate([re.reshape(t, -1).T, im.reshape(t, -1).T])
+    # trials on the last axis, so that each gathered entry is a row of T;
+    # in C order, since take copies any other layout first (concatenate
+    # would keep the transposes' order)
+    flat = np.concatenate([re.reshape(t, -1).T, im.reshape(t, -1).T],
+                          out=np.empty((2 * n ** 4, t)))
     factors = flat.take(index, axis=0)
     t1, t2, t3 = np.multiply(factors[:3], factors[3:], out=factors[:3])
     for combine, lo, hi in zip(combines, starts, starts[1:] + (None,)):

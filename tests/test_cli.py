@@ -137,6 +137,16 @@ def test_sample_seed_names_the_stream_of_its_value_mod_2_64(capsys, seed, same_a
     assert outputs == [render_problem(seeded_input(4, same_as))] * 2
 
 
+@pytest.mark.parametrize(("seed", "same_as"), ((-1, 2 ** 64 - 1), (2 ** 64 + 5, 5)))
+def test_verify_runs_and_prints_its_seed_mod_2_64(capsys, seed, same_as):
+    outputs = []
+    for s in (seed, same_as):
+        assert main(["verify", "--n", "3", "--trials", "2", "--seed", str(s)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out == outputs[1].out
+    assert f"\nmaster_seed: {same_as}\n" in outputs[0].out
+
+
 def test_sample_round_trips_through_parser():
     out = run_cli("sample", "--n", "3", "--seed", "5")
     inp = parse_problem(out.stdout)

@@ -874,7 +874,7 @@ def assert_bit_equal_to_every_tuple(re, im):
 # temporary made the heap shrink and regrow on every call (the benchmark's
 # n = 4 op is a chunk of 4)
 @pytest.mark.parametrize("trials", (1, 3, 4, 7, 64))
-@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_haar_stacks(n, trials):
     assert_bit_equal_to_every_tuple(*haar_plaquettes(n, trials, 40 + n))
 
@@ -902,18 +902,34 @@ def test_verify_peak_memory_stays_at_one_chunk_gather():
     assert traced_peak(verify.run_suite, 4, 1000, 0) <= 9 * 2 ** 20
 
 
+def real_rotation(n):
+    """A real n x n rotation, a Givens product over every plane: every
+    imaginary phase is exactly zero."""
+    m = np.eye(n, dtype=complex)
+    for p, q in itertools.combinations(range(n), 2):
+        m = m @ givens(n, p, q, 0.3 + 0.2 * p + 0.1 * q)
+    return UnitaryMatrix(m)
+
+
 def structured_matrices(n):
-    """The pinned matrices, signed permutations and (n = 4) a real rotation
-    of dimension n."""
+    """The pinned matrices, signed permutations and a real rotation of
+    dimension n."""
     mats = [v for v in pinned_matrices() if v.n == n] + list(signed_permutations(n))
-    return mats + [orthogonal4()] if n == 4 else mats
+    return mats + [orthogonal4() if n == 4 else real_rotation(n)]
 
 
-@pytest.mark.parametrize("n", (3, 4))
-def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_structured_matrices(n):
+def structured_plaquettes(n, size=64):
+    """The plaquettes of structured_matrices(n) in stacks of up to size."""
     mats = structured_matrices(n)
-    assert_bit_equal_to_every_tuple(*(np.array(x) for x in zip(*(v.plaquettes for v in mats))))
-    for v in mats:
+    for first in range(0, len(mats), size):
+        yield tuple(np.array(x) for x in zip(*(v.plaquettes for v in mats[first:first + size])))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_structured_matrices(n):
+    for plaq in structured_plaquettes(n):
+        assert_bit_equal_to_every_tuple(*plaq)
+    for v in structured_matrices(n):
         plaq = tuple(x[None] for x in v.plaquettes)
         got, ref = nonlinear_relation_residuals(*plaq), full_product_residuals(*plaq)
         assert list(got) == list(ref)
@@ -922,7 +938,7 @@ def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_structured_m
 
 
 #: orbit representatives of each family at n = 3 and at n = 4, out of
-#: n^5 or n^6 index tuples: the per-trial entry count of the evaluation
+#: n^5 or n^6 index tuples
 ORBIT_COUNTS = {
     "mixed_same_rows": (108, 400),
     "mixed_same_cols": (108, 400),
@@ -930,6 +946,17 @@ ORBIT_COUNTS = {
     "product_same_cols": (162, 760),
 }
 FAMILY_CASES = [(n, name) for n in (3, 4) for name in ORBIT_COUNTS]
+
+#: columns of the product table per family in _PRODUCT_IDENTITIES order, by
+#: n: the orbit representatives whose residual can be nonzero, the
+#: per-trial entry count of the evaluation (at n = 2 each mixed family
+#: keeps one exact 0, as it has no other)
+KEPT_COUNTS = {
+    2: (1, 1, 6, 6),
+    3: (9, 9, 72, 72),
+    4: (72, 72, 420, 420),
+    5: (300, 300, 1650, 1650),
+}
 
 
 def generated_group(free, generators):
@@ -976,13 +1003,95 @@ def test_each_group_generator_leaves_the_residual_tensor_bit_invariant(n, name):
 
 
 def test_product_table_holds_one_column_per_orbit_representative():
-    for n in (3, 4):
+    # one column per orbit representative whose residual can be nonzero
+    for n, counts in KEPT_COUNTS.items():
         index, starts, combines = phases._product_table(n)
-        counts = [c[n - 3] for c in ORBIT_COUNTS.values()]
         assert index.shape == (6, sum(counts))
-        assert starts == tuple(np.cumsum([0] + counts[:-1]).tolist())
+        assert starts == tuple(np.cumsum([0] + list(counts[:-1])).tolist())
         assert combines == (np.add, np.add, np.subtract, np.subtract)
         assert not index.flags.writeable
+
+
+def orbit_split(n, name):
+    """(kept, dropped): the (len(free), R) orbit representatives of family
+    name whose residual the table keeps and those the rule drops."""
+    formula, free, generators = phases._PRODUCT_IDENTITIES[name]
+    reps = phases._orbit_representatives(n, free, generators)
+    columns = phases._factor_positions(n, formula, dict(zip(free, reps)))
+    combine = np.add if formula.split()[2] == "+" else np.subtract
+    vanish = phases._vanishing_columns(n, columns, combine)
+    return reps[:, ~vanish], reps[:, vanish]
+
+
+def at_tuples(tensor, reps):
+    """(T, R) entries of a (T, n, ..., n) residual tensor at the index
+    tuples reps."""
+    return tensor[(slice(None), *reps)]
+
+
+def rule_test_stacks(n):
+    """Haar stacks, the signed permutations, the pinned matrices and a real
+    rotation of dimension n, as plaquette stacks."""
+    yield haar_plaquettes(n, 64, 80 + n)
+    yield from structured_plaquettes(n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_every_dropped_orbit_has_an_exactly_zero_residual(n):
+    # the rule decides from the index tuples alone; every representative
+    # it drops must read exactly +0.0 (the residual is an abs) in the
+    # evaluation at every tuple
+    split = {name: orbit_split(n, name)[1] for name in phases._PRODUCT_IDENTITIES}
+    assert sum(x.shape[1] for x in split.values()) > 0
+    for plaq in rule_test_stacks(n):
+        tensors = full_product_residual_tensors(*plaq)
+        for name, dropped in split.items():
+            assert not bits(at_tuples(tensors[name], dropped)).any(), name
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_every_kept_orbit_is_nonzero_on_some_haar_trial(n):
+    # the rule drops nothing that could fail: each kept column reads a
+    # nonzero residual in some trial of a 256-trial Haar stack
+    tensors = full_product_residual_tensors(*haar_plaquettes(n, 256, 90 + n))
+    for name, tensor in tensors.items():
+        kept = orbit_split(n, name)[0]
+        assert kept.shape[1] == KEPT_COUNTS[n][list(tensors).index(name)]
+        assert np.all(np.maximum.reduce(at_tuples(tensor, kept), axis=0) > 0.0), name
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_dropping_the_column_of_a_family_maximum_changes_that_maximum(n, monkeypatch):
+    # mutation check of the pins above: a table that also drops the kept
+    # column(s) holding a family's maximum in trial 0 changes that
+    # family's maximum, and only that family's
+    re, im = haar_plaquettes(n, 8, 100 + n)
+    ref = full_product_residuals(re, im)
+    tensors = full_product_residual_tensors(re, im)
+    index, starts, combines = phases._product_table(n)
+    for f, name in enumerate(phases._PRODUCT_IDENTITIES):
+        column = at_tuples(tensors[name], orbit_split(n, name)[0])[0]
+        holds_max = np.flatnonzero(column == ref[name][0]) + starts[f]
+        mutated = (np.delete(index, holds_max, axis=1),
+                   starts[:f + 1] + tuple(s - len(holds_max) for s in starts[f + 1:]), combines)
+        monkeypatch.setattr(phases, "_product_table", lambda n, table=mutated: table)
+        got = nonlinear_relation_residuals(re, im)
+        assert got[name][0] < ref[name][0], name
+        for other in ref:
+            if other != name:
+                assert np.array_equal(bits(got[other]), bits(ref[other])), (name, other)
+
+
+def test_building_the_product_table_draws_nothing(monkeypatch):
+    # the table is a function of n alone: no draw decides a column
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product table drew from a sampler")
+
+    for module in (sampling, verify):
+        monkeypatch.setattr(module, "draw_trials", refuse)
+    monkeypatch.setattr(sampling, "_stream", refuse)
+    for n in KEPT_COUNTS:
+        assert np.array_equal(phases._product_table.__wrapped__(n)[0], phases._product_table(n)[0])
 
 
 # ---------------------------------------------------------------- sum rules by symmetry
