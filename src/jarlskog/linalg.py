@@ -144,6 +144,13 @@ def _row_products(m):
     return _cmul(re[..., :, :, None], im[..., :, :, None], re[..., :, None, :], -im[..., :, None, :])
 
 
+def _modulus(z):
+    """|z| per entry of a complex array, with the bits of CPython's
+    abs(complex) (np.hypot, not np.abs).  The LU pivot search, the Haar
+    phases and verify's determinant moduli all take it from here."""
+    return np.hypot(z.real, z.imag)
+
+
 def _moduli_squared(cols):
     """|V_t[i,k]|^2 as (T, n, n), the one place it is formed: the real
     diagonal c[t, k, i, i] of the column products, re*re + im*im (the
@@ -195,8 +202,8 @@ def det(m):
     exactly 0j.
 
     Each step is one set of numpy calls for the whole stack, with the
-    operations of the scalar elimination: moduli by np.hypot (the bits of
-    CPython's abs, not of np.abs), pivots multiplied into the product by the
+    operations of the scalar elimination: moduli by _modulus (the bits of
+    CPython's abs), pivots multiplied into the product by the
     scalar complex product _cmul, row updates by numpy's complex product.
     """
     a = _as_square(m, stack=True)
@@ -212,7 +219,7 @@ def det(m):
         # the last column has one candidate row, so it needs no search
         if not last:
             col = a[:, k:, k]
-            mag = np.hypot(col.real, col.imag)
+            mag = _modulus(col)
             # argmax takes the first maximum; a NaN candidate is lifted to -1
             # so it never wins, except on the diagonal, where it keeps its row
             key = np.fmax(mag, -1.0)

@@ -9,18 +9,24 @@ but route through libm transcendentals, so their bits are pinned per
 platform rather than universally.
 
 Output p of a stream depends only on its seed and p, so a stack of streams
-is drawn at once, each from its own position: uint64 array arithmetic for
-the stream, exact elementwise float operations on top, and log, cos and
-sin as scalar libm calls over the entries (numpy's own loops for them round
+is drawn at once, each from its start: uint64 array arithmetic for the
+stream, exact elementwise float operations on top, and log, cos and sin as
+scalar libm calls over the entries (numpy's own loops for them round
 differently).  Reading outputs (_stream) is kept apart from turning them
 into draws, which has one definition per kind of draw: _box_muller for
 normal pairs, _angles and _unit_phases for angles and their phases,
-_spectrum_draws for sorted spectrum draws and their acceptance.
-draw_trials is the one sampler: it reads every output a trial needs in one
-block per stream, from the start of the trial's own stream, and gives the
-Haar unitary, the two spectra and the rephasing phases of every trial of a
-stack.  verify draws its chunks through it, and sample draws a stack of one,
-so slice t of a stacked draw has the bits of the draw on seed t alone.
+_spectrum for spectra.  draw_trials is the one sampler: it reads every
+output a trial needs in one fixed-size block, from the start of the
+trial's own stream, and gives the Haar unitary, the two spectra and the
+rephasing phases of every trial of a stack.  verify draws its chunks
+through it, and sample draws a stack of one, so slice t of a stacked draw
+has the bits of the draw on seed t alone.
+
+A spectrum is n uniform values on [-1, 1 - (n - 1) MIN_GAP], sorted, with
+i MIN_GAP added to the i-th smallest (0-based): the shifted order
+statistics.  That is exactly the uniform distribution on the sorted
+n-tuples in [-1, 1] whose gaps all reach MIN_GAP, drawn without rejection,
+so every draw reads the same n outputs.
 
 Haar sampling trap: QR-factorising a complex Ginibre matrix does NOT give a
 Haar-distributed Q, because the QR factorisation is only unique up to the
@@ -37,7 +43,7 @@ import math
 
 import numpy as np
 
-from .linalg import _cmul, check_dimension
+from .linalg import _cmul, _modulus, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -46,11 +52,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: smallest gap between the values of a drawn spectrum.  At n <= 8 a draw
-#: is accepted with probability at least (1 - 7 * MIN_GAP / 2)^8 > 0.2
+#: smallest gap between the values of a drawn spectrum; _spectrum shifts
+#: the i-th smallest value by i * MIN_GAP
 MIN_GAP = 0.05
-#: spectrum draws per stream in one redraw round of _spectra
-_DRAWS_PER_ROUND = 4
 
 
 def _mix64(z):
@@ -62,17 +66,16 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def _stream(seeds, positions, count):
-    """The next count outputs of each stream: a (T, count) uint64 array
-    from (T,) uint64 seeds and (T,) int positions, and the positions after
-    them.
+def _stream(seeds, count):
+    """The first count outputs of each stream: a (T, count) uint64 array
+    from (T,) uint64 seeds.
 
     splitmix64 is counter-based: output p (1-based) of the stream seeded
-    with s is mix64(s + p * GOLDEN mod 2^64), so any stretch of any stream
-    is a few array operations.
+    with s is mix64(s + p * GOLDEN mod 2^64), so the outputs of a whole
+    stack of streams are a few array operations.
     """
-    steps = (positions[:, None] + np.arange(1, count + 1)).astype(np.uint64)
-    return _mix64(seeds[:, None] + steps * _GOLDEN), positions + count
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    return _mix64(seeds[:, None] + steps * _GOLDEN)
 
 
 def _uniform(u):
@@ -112,36 +115,15 @@ def _as_ginibre(z, n):
     return (z * _INV_SQRT2).view(np.complex128).reshape(-1, n, n)
 
 
-def _spectrum_draws(u, n):
-    """Spectrum draws from (T, k n) uint64 outputs: the (T, k, n) draws of n
-    values 2u - 1 each, sorted ascending, and the (T, k) mask of the draws
-    whose gaps all reach MIN_GAP (accepted)."""
-    draws = (2.0 * _uniform(u) - 1.0).reshape(len(u), -1, n)
-    draws.sort(axis=2)
-    return draws, np.logical_and.reduce((draws[..., 1:] - draws[..., :-1]) >= MIN_GAP, axis=2)
-
-
-def _spectra(seeds, positions, n):
-    """(T, n) spectra, one per stream, and the positions after them.
-
-    Each spectrum is the first accepted draw of _spectrum_draws.  A redraw
-    round reads the next _DRAWS_PER_ROUND draws of only the streams that
-    have no accepted draw yet, keeps the first accepted one and moves the
-    position just past it.
-    """
-    values = np.empty((len(seeds), n))
-    end = positions.copy()
-    todo = np.arange(len(seeds))
-    k = _DRAWS_PER_ROUND
-    while len(todo):
-        u, _ = _stream(seeds[todo], end[todo], k * n)
-        draws, accepted = _spectrum_draws(u, n)
-        first = accepted.argmax(axis=1)
-        found = np.logical_or.reduce(accepted, axis=1)
-        values[todo[found]] = draws[found, first[found]]
-        end[todo] += np.where(found, first + 1, k) * n
-        todo = todo[~found]
-    return values, end
+def _spectrum(u):
+    """Spectra from uint64 outputs u, n to a spectrum along the last axis:
+    the values -1 + (2 - (n - 1) MIN_GAP) u, sorted ascending, plus
+    i MIN_GAP on the i-th (0-based)."""
+    n = u.shape[-1]
+    values = (2.0 - (n - 1) * MIN_GAP) * _uniform(u) - 1.0
+    values.sort(axis=-1)
+    values += np.arange(n) * MIN_GAP
+    return values
 
 
 def derive_seed(master_seed, index):
@@ -167,7 +149,7 @@ def householder_qr(a):
     stacks with a = q r per matrix.  Each reflection is one set of numpy
     calls for the whole stack, in a fixed loop order, so the factorisation
     is deterministic everywhere and slice t of a stacked result is
-    bit-equal to the QR of matrix t alone.  |x0| is taken by np.hypot, the
+    bit-equal to the QR of matrix t alone.  |x0| is taken by _modulus, the
     bits of the scalar modulus, and phase(x0) * norm by the scalar complex
     product _cmul.
     """
@@ -207,9 +189,9 @@ def householder_qr(a):
 
 
 def _phase_of(z):
-    """z / |z| per entry, with the bits of the scalar modulus (np.hypot), and
-    1 where z == 0."""
-    mag = np.hypot(z.real, z.imag)
+    """z / |z| per entry, with the scalar modulus _modulus, and 1 where
+    z == 0."""
+    mag = _modulus(z)
     if 0.0 in mag.ravel().tolist():
         return np.where(mag != 0.0, z / np.where(mag != 0.0, mag, 1.0), 1.0)
     return z / mag
@@ -230,40 +212,20 @@ def draw_trials(n, seeds):
     (T, n, n) Haar stack, the (T, n) spectra a and b, and the (T, n) row and
     column rephasing phases.
 
-    The whole stack reads one block of outputs, each trial from the start
-    of its own stream: the 2 n^2 Ginibre outputs, one spectrum round of
-    2 * _DRAWS_PER_ROUND draws, and 2n outputs beyond it.  a and b are the
-    first and second accepted draws of that round, and the angles are the
-    2n outputs after b, gathered at each trial's own end position.  Only a
-    stream with fewer than two accepted draws in the round continues past
-    the block, through the redraw loop _spectra, and reads its angles after
-    it.  One log pass serves the Box-Muller radii, and one cos and one sin
-    pass serve the Box-Muller angles and the rephasing angles together.
-    Slice t of the result is bit-equal to the draw of the stack of one
+    Every trial reads one block of 2 n^2 + 4n outputs from the start of its
+    own stream, each part at a fixed offset: 2 n^2 Ginibre outputs (radial,
+    then angle, per normal pair), n for a, n for b and 2n rephasing angles.
+    One log pass serves the Box-Muller radii, and one cos and one sin pass
+    serve the Box-Muller angles and the rephasing angles together.  Slice t
+    of the result is bit-equal to the draw of the stack of one
     seeds[t:t + 1].
     """
     check_dimension(n)
-    t, k = len(seeds), 2 * _DRAWS_PER_ROUND
     start = 2 * n * n
-    stop = start + k * n
-    u, _ = _stream(seeds, np.zeros(t, dtype=np.int64), stop + 2 * n)
-    draws, accepted = _spectrum_draws(u[:, start:stop], n)
-    # the indices of the first and second accepted draws, k where missing
-    picks = np.add.reduce(accepted.cumsum(axis=1)[:, :, None] <= np.arange(2), axis=1)
-    rows = np.arange(t)[:, None]
-    a, b = draws[rows, np.minimum(picks, k - 1)].transpose(1, 0, 2)
-    # just past b, or the end of the round for the streams that redraw
-    end = np.minimum(start + (picks[:, 1] + 1) * n, stop)
+    u = _stream(seeds, start + 4 * n)
+    a, b = _spectrum(u[:, start:start + 2 * n].reshape(-1, 2, n)).transpose(1, 0, 2)
     # the angle outputs: the Box-Muller ones, then the rephasing ones
-    turns = np.concatenate([u[:, 1:start:2], u[rows, end[:, None] + np.arange(2 * n)]], axis=1)
-    if k in picks[:, 1].tolist():
-        redraw = (picks[:, 1] == k).nonzero()[0]
-        end = end[redraw]
-        no_a = picks[redraw, 0] == k
-        if np.logical_or.reduce(no_a):
-            a[redraw[no_a]], end[no_a] = _spectra(seeds[redraw[no_a]], end[no_a], n)
-        b[redraw], end = _spectra(seeds[redraw], end, n)
-        turns[redraw, n * n:] = _stream(seeds[redraw], end, 2 * n)[0]
+    turns = np.concatenate([u[:, 1:start:2], u[:, start + 2 * n:]], axis=1)
     unit = _unit_phases(_angles(turns))
     v = _haar_from_ginibre(_as_ginibre(_box_muller(u[:, 0:start:2], unit[:, :n * n]), n))
     return v, a, b, unit[:, n * n:n * n + n], unit[:, n * n + n:]

@@ -3,21 +3,20 @@
 A suite is a fixed list of identities checked over `trials` independent
 draws.  Trial t uses the stream seeded with derive_seed(master_seed, t) and
 draws, in stream order: the mixing matrix (2 n^2 outputs for its Ginibre
-matrix), the a-spectrum and the b-spectrum (the first and the second
-accepted of consecutive draws of n outputs each), and one set of 2n
+matrix), the a-spectrum and the b-spectrum (n outputs each, as shifted
+order statistics with every gap at least sampling.MIN_GAP), and one set of 2n
 rephasing angles.  Residual accumulation follows trial order, so a report
 is a pure function of (suite, master_seed, trials, tolerances): the
 rendered text is byte-identical across runs.  Wall time is therefore kept
 out of the rendered report and surfaced separately by the CLI.
 
 Trials run in chunks of TRIAL_CHUNK.  A chunk draws all of its trials at
-once through sampling.draw_trials: one block of outputs per trial from the
-start of its own stream, holding the Ginibre matrix of V, a spectrum round
-that serves both spectra in all but rare trials, and the angles after
-them.  Then every layer (validation, plaquettes, determinants, closed
-forms, residual families) runs once on the stack of the chunk's trials.
-Each stacked draw and layer gives, in slice t, the bits of its call on the
-stack of trial t alone, so the report does not depend on the chunk size.
+once through sampling.draw_trials: one fixed-size block of 2 n^2 + 4n
+outputs per trial from the start of its own stream.  Then every layer
+(validation, plaquettes, determinants, closed forms, residual families)
+runs once on the stack of the chunk's trials.  Each stacked draw and layer
+gives, in slice t, the bits of its call on the stack of trial t alone, so
+the report does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .determinant import (
     _sum_rule,
     t_factors,
 )
-from .linalg import _complex, _plaquettes, _validate_unitaries, det
+from .linalg import _complex, _modulus, _plaquettes, _validate_unitaries, det
 from .phases import (
     _reconstructions,
     N3_SIGN_PATTERN,
@@ -201,11 +200,6 @@ def _phase_shifts(tables, rephased):
     (2, T, m) phase tables of re and im of the matrices and of their
     rephased copies."""
     return np.maximum.reduce(np.abs(rephased - tables), axis=(0, 2))
-
-
-def _modulus(z):
-    """|z| per entry, with the bits of CPython's abs(complex)."""
-    return np.hypot(z.real, z.imag)
 
 
 def check_tolerance(value, name="tolerance"):

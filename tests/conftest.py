@@ -58,15 +58,14 @@ def seeded_input(n, seed):
 def uniforms(seed, count):
     """The first count doubles in [0, 1) of the stream seeded with seed, as
     a list."""
-    u, _ = sampling._stream(seed_array(seed), np.zeros(1, dtype=np.int64), count)
-    return sampling._uniform(u[0]).tolist()
+    return sampling._uniform(sampling._stream(seed_array(seed), count)[0]).tolist()
 
 
 def normal_pairs(seeds, pairs):
     """(T, pairs, 2) Box-Muller normals from the first 2 * pairs outputs of
     each stream, two outputs per pair (the radial one, then the angle)."""
     seeds = seed_array(seeds)
-    u, _ = sampling._stream(seeds, np.zeros(len(seeds), dtype=np.int64), 2 * pairs)
+    u = sampling._stream(seeds, 2 * pairs)
     return sampling._box_muller(u[:, 0::2], sampling._unit_phases(sampling._angles(u[:, 1::2])))
 
 

@@ -46,8 +46,8 @@ PROBLEMS = ("problem_n3_seed501.json", "problem_n4_seed2024.json",
 
 
 def hot_paths():
-    """The benchmark's verify ops and det and phases on each problem.  At
-    master seed 615 a stream of the n = 4 chunk redraws a spectrum."""
+    """The benchmark's verify ops at two master seeds, and det and phases
+    on each problem."""
     for seed in (5, 615):
         run_suite(4, 4, seed)
         run_suite(3, 8, seed)

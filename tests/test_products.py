@@ -272,11 +272,9 @@ class ScalarRng:
 
     def __init__(self, seed):
         self.state = int(seed) & MASK64
-        self.position = 0
 
     def next_u64(self):
         self.state = (self.state + GOLDEN) & MASK64
-        self.position += 1
         return scalar_mix64(self.state)
 
     def uniform(self):
@@ -300,10 +298,11 @@ def scalar_ginibre(n, rng):
 
 
 def scalar_spectrum(n, rng):
-    while True:
-        values = sorted([2.0 * rng.uniform() - 1.0 for _ in range(n)])
-        if all(values[i + 1] - values[i] >= sampling.MIN_GAP for i in range(n - 1)):
-            return values
+    """n values on [-1, 1 - (n - 1) MIN_GAP], sorted, the i-th shifted up
+    by i MIN_GAP."""
+    width = 2.0 - (n - 1) * sampling.MIN_GAP
+    values = sorted(-1.0 + width * rng.uniform() for _ in range(n))
+    return [v + i * sampling.MIN_GAP for i, v in enumerate(values)]
 
 
 def scalar_unit_phases(angle_rows):
@@ -646,8 +645,8 @@ def test_verify_report_bytes_match_golden_file(n, capsys):
     verify_report_matches_golden_file(n, 20, capsys)
 
 
-# The golden files were written by the one-trial-at-a-time run_suite; 20
-# trials fit in one chunk, TRIAL_CHUNK + 5 cross a chunk boundary.
+# The golden files were written by `jarlskog verify`; 20 trials fit in one
+# chunk, TRIAL_CHUNK + 5 cross a chunk boundary.
 @pytest.mark.parametrize("n", (3, 4))
 def test_verify_report_across_a_chunk_boundary_matches_golden_file(n, capsys):
     verify_report_matches_golden_file(n, verify.TRIAL_CHUNK + 5, capsys)
@@ -1288,80 +1287,40 @@ def test_stacked_draw_is_bit_equal_to_the_per_trial_loop(n, trials):
     assert np.array_equal(draw_bits(ginibre_stack(n, trials, 100 * n + trials)), draw_bits(g))
 
 
-def counted_draws(monkeypatch):
-    """Patch the stream and the redraw loop with a wrapper that counts
-    their calls; returns the {name: calls} dict."""
-    calls = {"_stream": 0, "_spectra": 0}
-    for name in calls:
-        fn = getattr(sampling, name)
+def counted_streams(monkeypatch):
+    """Patch the stream with a wrapper that counts its calls; returns the
+    one-entry list of the count."""
+    calls = [0]
+    stream = sampling._stream
 
-        def counted(*args, name=name, fn=fn):
-            calls[name] += 1
-            return fn(*args)
+    def counted(*args):
+        calls[0] += 1
+        return stream(*args)
 
-        monkeypatch.setattr(sampling, name, counted)
+    monkeypatch.setattr(sampling, "_stream", counted)
     return calls
 
 
-def test_chunk_whose_round_accepts_too_few_draws_redraws_bit_equal_to_the_loop(monkeypatch):
-    # n = 8 accepts a draw with probability 21%, so some of 64 streams find
-    # fewer than two accepted draws in the block's round of
-    # 2 * _DRAWS_PER_ROUND and continue through the redraw loop
-    n, trials = 8, 64
-    seeds = [scalar_derive_seed(800, t) for t in range(trials)]
-    calls = counted_draws(monkeypatch)
-    got = draw_trials(n, np.array(seeds, dtype=np.uint64))
-    assert calls["_spectra"] >= 1
-    assert calls["_stream"] > 1
-    assert_draw_matches_the_scalar_loop(got, n, seeds)
+#: every n at T = 1 and T = 64, and two chunk sizes between them
+BLOCK_CASES = [(n, t) for n in range(2, 9) for t in (1, 64)] + [(3, 8), (4, 4)]
 
 
-@pytest.mark.parametrize(("n", "trials"), ((3, 8), (4, 4)))
+@pytest.mark.parametrize(("n", "trials"), BLOCK_CASES)
 def test_chunk_reads_one_block_of_outputs_when_no_stream_redraws(monkeypatch, n, trials):
-    calls = counted_draws(monkeypatch)
+    # no spectrum is redrawn: every trial's block has a fixed size
+    calls = counted_streams(monkeypatch)
     draw_trials(n, trial_seeds(trials, 29))
-    assert calls == {"_stream": 1, "_spectra": 0}
-
-
-@pytest.mark.parametrize("trials", (1, 7, 64))
-def test_stacked_spectra_with_many_redraws_are_bit_equal_to_the_scalar_loop(trials):
-    # n = 8 accepts a draw with probability (1 - 7 * MIN_GAP / 2)^8 = 21%,
-    # so streams redraw several times, some over more than one round, and
-    # leave the redraw rounds at different positions
-    n = 8
-    seeds = [scalar_derive_seed(8, t) for t in range(trials)]
-    start = np.arange(trials) * 5
-    values, end = sampling._spectra(np.array(seeds, dtype=np.uint64), start, n)
-    for t, seed in enumerate(seeds):
-        rng = ScalarRng(seed)
-        for _ in range(start[t]):
-            rng.next_u64()
-        ref = scalar_spectrum(n, rng)
-        assert np.array_equal(bits(values[t]), bits(ref)), t
-        assert end[t] == rng.position, t
-    redraws = (end - start) // n
-    assert redraws.min() >= 1
-    if trials > 1:
-        assert len(set(redraws.tolist())) > 1
-    if trials == 64:
-        assert redraws.max() > sampling._DRAWS_PER_ROUND
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_slice_of_a_stacked_draw_is_bit_equal_to_its_stack_of_one(n, monkeypatch):
+def test_slice_of_a_stacked_draw_is_bit_equal_to_its_stack_of_one(n):
     seeds = trial_seeds(64, 900 + n)
-    calls = counted_draws(monkeypatch)
     stacked = draw_trials(n, seeds)
-    stacked_redraws = calls["_spectra"]
     for t in range(len(seeds)):
         single = draw_trials(n, seeds[t:t + 1])
         for name, x, y in zip(("haar", "a", "b", "row_phases", "col_phases"), stacked, single):
             assert np.array_equal(draw_bits(x[t]), draw_bits(y[0])), (name, t)
-    if n == 8:
-        # n = 8 accepts a spectrum draw with probability 21%, so some of
-        # the 64 streams find fewer than two accepted draws in the block's
-        # round and redraw through _spectra, in the stack and alone
-        assert 1 <= stacked_redraws < calls["_spectra"]
 
 
 def test_derive_seed_of_an_index_array_matches_the_scalar_seeds():

@@ -57,20 +57,17 @@ SPLITMIX64_VECTORS = {
 def test_stream_matches_reference_vectors():
     for seed, expected in SPLITMIX64_VECTORS.items():
         seeds = seed_array(seed)
-        u, end = sampling._stream(seeds, np.zeros(1, dtype=np.int64), 5)
-        assert tuple(u[0].tolist()) == expected
-        assert end.tolist() == [5]
+        assert tuple(sampling._stream(seeds, 5)[0].tolist()) == expected
         # output p depends only on the seed and p
-        assert tuple(int(sampling._stream(seeds, np.array([p]), 1)[0][0, 0])
-                     for p in range(5)) == expected
+        assert tuple(int(sampling._stream(seeds, p + 1)[0, p]) for p in range(5)) == expected
 
 
 def test_uniform_range_and_determinism():
     values = uniforms(7, 1000)
     assert all(0.0 <= v < 1.0 for v in values)
-    # the same doubles, each read at its own position
+    # the same doubles, each read as the last of its own stretch
     seeds = seed_array(7)
-    assert values == [sampling._uniform(sampling._stream(seeds, np.array([p]), 1)[0])[0, 0]
+    assert values == [sampling._uniform(sampling._stream(seeds, p + 1)[:, p:])[0, 0]
                       for p in range(1000)]
 
 
@@ -80,7 +77,7 @@ def test_normal_pair_moments():
     pairs = normal_pairs(123, 20000)
     seeds = seed_array(123)
     single = [sampling._box_muller(u[:, :1], sampling._unit_phases(sampling._angles(u[:, 1:])))
-              for u in (sampling._stream(seeds, np.array([2 * p]), 2)[0] for p in range(100))]
+              for u in (sampling._stream(seeds, 2 * p + 2)[:, 2 * p:] for p in range(100))]
     assert [x[0, 0].tolist() for x in single] == pairs[0, :100].tolist()
     arr = pairs.ravel()
     assert abs(arr.mean()) < 0.02
@@ -171,13 +168,50 @@ def test_haar_mean_phase_unchanged_by_fixed_rephasing():
 
 # ---------------------------------------------------------------- spectra
 
+def drawn_spectra(n, trials, master_seed):
+    """The (trials, n) a- and b-spectra of the trials seeded by
+    derive_seed(master_seed, t), drawn in stacks of 4096 trials."""
+    draws = [draw_trials(n, derive_seed(master_seed, np.arange(t, min(t + 4096, trials))))[1:3]
+             for t in range(0, trials, 4096)]
+    return tuple(np.concatenate([d[i] for d in draws]) for i in (0, 1))
+
+
 def test_random_spectrum_gaps_honoured():
-    vals = tuple(draw_trials(4, seed_array(SEED))[1][0].tolist())
-    assert vals == tuple(sorted(vals))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert abs(vals[i] - vals[j]) >= 0.05
-    assert all(-1.0 <= v <= 1.0 for v in vals)
+    # every drawn spectrum is sorted, keeps every gap at MIN_GAP or more and
+    # lies in [-1, 1]: the shifted order statistics need no rejection
+    for n in range(2, 9):
+        for values in drawn_spectra(n, 4096, SEED + n):
+            gaps = values[:, 1:] - values[:, :-1]
+            assert np.min(gaps) >= sampling.MIN_GAP, n
+            assert np.min(values) >= -1.0 and np.max(values) <= 1.0, n
+
+
+def order_statistic_fourth_moment(k, n):
+    """Fourth central moment of the k-th smallest (1-based) of n uniforms
+    on [0, 1], which is Beta(k, n + 1 - k), from its raw moments
+    E[U^r] = prod_{i < r} (k + i) / (n + 1 + i)."""
+    m1, m2, m3, m4 = (math.prod((k + i) / (n + 1 + i) for i in range(r)) for r in range(1, 5))
+    return m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1 ** 4
+
+
+@pytest.mark.parametrize("n", (3, 4, 8))
+def test_spectrum_order_statistics_match_their_exact_moments(n):
+    # value k (1-based) of a spectrum is -1 + L U_(k) + (k - 1) MIN_GAP,
+    # with U_(k) the k-th smallest of n uniforms and L = 2 - (n - 1) MIN_GAP;
+    # its sample mean and variance over 20000 trials stay within 4 standard
+    # errors of the exact values, for the a- and the b-spectra alike
+    trials, gap = 20_000, sampling.MIN_GAP
+    width = 2.0 - (n - 1) * gap
+    for values in drawn_spectra(n, trials, 4242 + n):
+        for k in range(1, n + 1):
+            mean = -1.0 + width * k / (n + 1) + (k - 1) * gap
+            var = width ** 2 * k * (n + 1 - k) / ((n + 1) ** 2 * (n + 2))
+            mu4 = width ** 4 * order_statistic_fourth_moment(k, n)
+            column = values[:, k - 1]
+            z_mean = (column.mean() - mean) / math.sqrt(var / trials)
+            z_var = (column.var(ddof=1) - var) / math.sqrt((mu4 - var * var) / trials)
+            assert abs(z_mean) < 4.0, (k, z_mean)
+            assert abs(z_var) < 4.0, (k, z_var)
 
 
 # ---------------------------------------------------------------- rephasing
