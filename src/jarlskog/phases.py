@@ -44,17 +44,17 @@ column pairs ordered (24), (14), (13)), non-adjacent row pairs from A J
 orientation of those orderings is validated numerically in the test suite
 rather than trusted.
 
-The four product identities are evaluated once per orbit of index tuples
-under a small permutation group of each family's free indices: a<->b and
-j<->l (mixed_same_rows), j<->k and a<->g (mixed_same_cols), a<->b, (j l)(k m)
-and (j k)(l m) (product_same_rows), j<->k, (a g)(b d) and (a b)(g d)
-(product_same_cols).  By the bitwise symmetries above, each of these maps a
-tuple's residual to the same bits, so the maximum over one representative
-per orbit is the maximum over every tuple (nonlinear_relation_residuals
-gives the proof per generator).  Most representatives are exactly 0 by the
-same symmetries (a factor im(aa;jk), or two terms that cancel exactly), and
-the evaluation table keeps only the others: 984 of 2320 at n = 4, 162 of
-540 at n = 3 (_product_table).
+The four product identities are evaluated only at the index tuples whose
+residual can be nonzero and can differ from every earlier tuple's
+(_product_table).  Each term of a residual gets one signed code from the
+bitwise symmetries above: the pair of canonical entries it multiplies and
+its sign, 0 for a factor im(aa;jk) or im(ab;jj) (_kept_columns).  A tuple
+is dropped when its residual is exactly 0 by those symmetries, or when an
+earlier tuple has the same codes up to exchanging the first two terms and
+negating all three, which gives the same bits of |residual|; so the maximum
+over the kept tuples is the maximum over every tuple
+(nonlinear_relation_residuals gives the argument).  The table keeps 564 of
+the 10240 tuples at n = 4 and 90 of 1944 at n = 3.
 """
 
 from __future__ import annotations
@@ -254,36 +254,17 @@ def expansion_residual(direct, expanded):
 
 
 #: the product identities as residuals t1 +/- t2 - t3 over their free
-#: indices, each with generators of its symmetry group: permutations of the
-#: free indices, written as their images, that leave the residual's bits
-#: unchanged (see nonlinear_relation_residuals)
+#: indices
 _PRODUCT_IDENTITIES = {
     "mixed_same_rows": ("re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk) - re(ab;kk) im(ab;jl)",
-                        "abjkl", ("bajkl", "ablkj")),
+                        "abjkl"),
     "mixed_same_cols": ("re(ab;jk) im(bg;jk) + im(ab;jk) re(bg;jk) - re(bb;jk) im(ag;jk)",
-                        "abgjk", ("abgkj", "gbajk")),
+                        "abgjk"),
     "product_same_rows": ("re(ab;jk) re(ab;lm) - re(ab;jm) re(ab;kl) - im(ab;jl) im(ab;km)",
-                          "abjklm", ("bajklm", "ablmjk", "abkjml")),
+                          "abjklm"),
     "product_same_cols": ("re(ab;jk) re(gd;jk) - re(ad;jk) re(bg;jk) - im(ag;jk) im(bd;jk)",
-                          "abgdjk", ("abgdkj", "gdabjk", "badgjk")),
+                          "abgdjk"),
 }
-
-
-def _orbit_representatives(n, free, generators):
-    """One index tuple per orbit of the group that `generators` (images of
-    the string of free indices) generate, over the tuples with entries in
-    range(n): the tuple of least flat code, as a (len(free), R) array in
-    ascending code order."""
-    shape = (n,) * len(free)
-    tuples = np.indices(shape).reshape(len(shape), -1)
-    group = [tuple(range(len(free)))]
-    for p in group:
-        for g in generators:
-            q = tuple(p[free.index(c)] for c in g)
-            if q not in group:
-                group.append(q)
-    least = np.min([np.ravel_multi_index(tuples[list(p)], shape) for p in group], axis=0)
-    return tuples[:, least == np.arange(least.size)]
 
 
 def _factor_positions(n, formula, reps):
@@ -298,32 +279,51 @@ def _factor_positions(n, formula, reps):
         for f in terms[0:8:3] + terms[1:8:3]])
 
 
-def _vanishing_columns(n, columns, combine):
+def _kept_columns(n, columns, combine):
     """(R,) mask of the (6, R) factor positions whose residual
-    (t1 combine t2) - t3 is exactly 0 for every plaquette tensor with the
-    kernel's bitwise symmetries, decided from the positions alone.
+    (t1 combine t2) - t3 the product table evaluates, decided from the
+    positions alone.
 
-    Each factor is keyed by those symmetries: entry p of the flattened re
-    and im tensors is sign[p] times entry key[p], the same part at a <= b
-    and j <= k, with sign 0 where im is exactly 0 (a = b or j = k).  Each
-    term is then the product of its signs times the product of its keys.
-    As a signed sum of key products the residual is 0 when every term is 0,
-    or when one is 0 and the other two are the same key product with
-    opposite signs in the sum; three nonzero terms of sign +/-1 cannot sum
-    to 0.
+    Each factor is keyed by the kernel's bitwise symmetries: entry p of the
+    flattened re and im tensors is sign[p] times entry key[p], the same part
+    at a <= b and j <= k, with sign 0 where im is exactly 0 (a = b or
+    j = k).  Each term gets one code, the product of its factors' signs
+    times (the unordered pair of their keys + 1), with the combine sign
+    folded into t2's code and the minus into t3's: codes x, y, w of a
+    residual |(x + y) + w|.  A column is dropped when one of its codes is 0
+    and the three sum to 0, a residual that is exactly 0, or when an
+    earlier column has the same codes up to exchanging x with y and
+    negating all three, a residual with the same bits
+    (nonlinear_relation_residuals gives the argument).
     """
     a, b, j, k = np.indices((n,) * 4).reshape(4, -1)
     key = np.ravel_multi_index((np.minimum(a, b), np.maximum(a, b),
                                 np.minimum(j, k), np.maximum(j, k)), (n,) * 4)
     sign = np.sign(b - a) * np.sign(k - j)
-    keys = np.concatenate([key, key + n ** 4])[columns]
-    signs = np.concatenate([np.ones_like(sign), sign])[columns]
-    products = np.minimum(keys[:3], keys[3:]) * (2 * n ** 4) + np.maximum(keys[:3], keys[3:])
-    summed = signs[:3] * signs[3:] * np.array([[1], [1 if combine is np.add else -1], [-1]])
-    vanish = ~summed.any(axis=0)
-    for zero, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        vanish |= (summed[zero] == 0) & (summed[p] + summed[q] == 0) & (products[p] == products[q])
-    return vanish
+    keys = np.concatenate([key, key + n ** 4])
+    signs = np.concatenate([np.ones_like(sign), sign])
+    # one term at a time: (6, R) gathers of keys and signs would raise the
+    # build's peak memory above that of the (6, R) positions themselves
+    x, y, w = (fold * signs[p] * signs[q] * (np.minimum(keys[p], keys[q]) * (2 * n ** 4)
+                                            + np.maximum(keys[p], keys[q]) + 1)
+               for p, q, fold in zip(columns[:3], columns[3:],
+                                     (1, 1 if combine is np.add else -1, -1)))
+    vanish = ((x == 0) | (y == 0) | (w == 0)) & (x + y + w == 0)
+    candidates = np.flatnonzero(~vanish)
+    # a column's class as its least member: x <= y, and of the codes and
+    # their negation the lexicographically lesser
+    lo, hi, w = np.minimum(x, y)[candidates], np.maximum(x, y)[candidates], w[candidates]
+    flip = (lo + hi > 0) | ((lo + hi == 0) & (w > 0))
+    least = np.where(flip, [-hi, -lo, -w], [lo, hi, w])
+    # the first column of each class, by the bytes of its least member: a
+    # dict keeps the last value stored under a key, so the columns go in
+    # last to first (a sort would page in numpy's integer sort code, about
+    # 128 KB that no other path of a verify process touches)
+    rows = np.ascontiguousarray(least.T[::-1]).view(f"V{3 * least.itemsize}")[:, 0]
+    first = dict(zip(rows.tolist(), range(rows.size - 1, -1, -1)))
+    kept = np.zeros(columns.shape[1], dtype=bool)
+    kept[candidates[list(first.values())]] = True
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -332,22 +332,21 @@ def _product_table(n):
     built on first use from the index tuples alone.
 
     Returns (index, starts, combines).  index is a read-only (6, R) array
-    of factor positions (_factor_positions): for each family in turn, those
-    of its orbit representatives whose residual can be nonzero, the rest
-    being dropped by the rule of _vanishing_columns.  A family whose every
-    residual vanishes (both mixed families at n = 2) keeps its first one,
-    an exact 0, so that its maximum is 0.  The first half of a gather times
-    its second half, written over the first half, gives t1, t2, t3 with no
-    operand overlapping the output.  Family f owns the columns from
-    starts[f] up to the next start, and combines[f] (np.add or
-    np.subtract) joins its t1 and t2.
+    of factor positions (_factor_positions): for each family in turn, the
+    index tuples of its whole grid, in flat order, that _kept_columns
+    keeps.  A family whose every residual vanishes (both mixed families at
+    n = 2) keeps its first one, an exact 0, so that its maximum is 0.  The
+    first half of a gather times its second half, written over the first
+    half, gives t1, t2, t3 with no operand overlapping the output.  Family
+    f owns the columns from starts[f] up to the next start, and
+    combines[f] (np.add or np.subtract) joins its t1 and t2.
     """
     index, starts, combines = [], [], []
-    for formula, free, generators in _PRODUCT_IDENTITIES.values():
-        reps = dict(zip(free, _orbit_representatives(n, free, generators)))
+    for formula, free in _PRODUCT_IDENTITIES.values():
+        grid = np.indices((n,) * len(free)).reshape(len(free), -1)
         combine = np.add if formula.split()[2] == "+" else np.subtract
-        columns = _factor_positions(n, formula, reps)
-        kept = ~_vanishing_columns(n, columns, combine)
+        columns = _factor_positions(n, formula, dict(zip(free, grid)))
+        kept = _kept_columns(n, columns, combine)
         kept[0] |= not kept.any()
         starts.append(sum(x.shape[1] for x in index))
         index.append(columns[:, kept])
@@ -371,40 +370,31 @@ def nonlinear_relation_residuals(re, im):
                          = im(ag;jk) im(bd;jk)
 
     Each is an exact identity of any unitary matrix, and the residual is
-    the maximum over every index tuple (repeats included).  Each family's
-    residual |t1 +/- t2 - t3| is evaluated at one index tuple per orbit of
-    its symmetry group (_PRODUCT_IDENTITIES), which gives that maximum bit
-    for bit.  The plaquette kernel makes re bitwise symmetric and im bitwise
-    antisymmetric under a<->b and under j<->k (up to the sign of a zero),
-    and IEEE * and + commute exactly, so a generator maps the products t1,
-    t2, t3 at a tuple to those at its image up to exact negation of all
-    three or exchange of t1 and t2:
-      mixed_same_rows    a<->b negates t1, t2, t3; j<->l maps them to
-                         -t2, -t1, -t3.
-      mixed_same_cols    j<->k negates t1, t2, t3; a<->g maps them to
-                         -t2, -t1, -t3.
-      product_same_rows  a<->b, (j l)(k m) and (j k)(l m) fix t1, t2, t3:
-                         a factor changes sign only with its partner.
-      product_same_cols  j<->k, (a g)(b d) and (a b)(g d) fix t1, t2, t3
-                         the same way.
-    Negation and the sign of a zero term change no bit of |residual|.
-    verify's phase_antisymmetry_bitwise row checks the premise on the same
-    tensors.
-
-    The table holds only the representatives whose residual can be
-    nonzero: the others are exactly 0 wherever phase_antisymmetry_bitwise
-    passes, so the maximum over the kept ones is still the maximum over
-    every tuple.  Where that row passes, every entry is finite (an inf or a
-    NaN fails it), each equals its swapped entries up to exact negation,
-    and its a = b and j = k diagonals, im + im of one entry, pin im(aa;jk)
-    and im(ab;jj) to zeros.  So a term with such a factor is a signed zero,
-    and two terms with the same product of keys (_vanishing_columns) are
-    equal or exactly opposite, IEEE * commuting.  A dropped residual is one
-    of (0 +/- 0) - 0, (x - x) - 0, (x + -x) - 0, (0 + x) - x, (0 - x) - -x
-    or (x +/- 0) - x, each of which IEEE arithmetic gives as +/-0 exactly.
-    At each representative the operations are those of the
-    evaluation over every tuple: multiply, combine t1 with t2, subtract t3,
-    abs, then the max over the tuples.
+    the maximum over every index tuple (repeats included).  The table
+    (_product_table) evaluates |t1 +/- t2 - t3| only at the tuples that
+    _kept_columns keeps, which gives that maximum bit for bit wherever
+    verify's phase_antisymmetry_bitwise row passes on the same tensors.
+    There every entry is finite (an inf or a NaN fails that row), re is
+    bitwise symmetric and im bitwise antisymmetric under a<->b and under
+    j<->k (up to the sign of a zero), and the a = b and j = k diagonals,
+    im + im of one entry, pin im(aa;jk) and im(ab;jj) to zeros.  So each
+    factor is its key entry times its sign, and a term of code c is
+    sign(c) times the product of the two key entries that |c| names (IEEE
+    * commutes and is exact under negation), or a signed zero if c = 0.
+    With t2 and t3 negated as their codes say (x - y is x + -y exactly),
+    the residual is |(x + y) + w| of the three terms, a function of the
+    codes alone.  A dropped column is either
+      - one with a zero code whose codes sum to 0: its residual is one of
+        (0 + 0) + 0, (x + -x) + 0, (0 + x) + -x or (x + 0) + -x, each of
+        which IEEE arithmetic gives as +/-0 exactly; or
+      - one whose codes are a kept column's with x and y exchanged, all
+        three negated, or both: IEEE + commutes and round-to-nearest is
+        symmetric under negation, so its |residual| has the kept column's
+        bits.
+    The sign of a zero term changes no bit of |residual|.  At each kept
+    column the operations are those of the evaluation over every tuple:
+    multiply, combine t1 with t2, subtract t3, abs, then the max over the
+    tuples.
 
     One (6, R, T) gather of the factors is the only large array: every
     later step writes into its first half (see _product_table for the row

@@ -53,7 +53,7 @@ from .sampling import _MASK64, derive_seed, draw_trials, rephase
 
 #: trials per stacked batch in run_suite.  Larger chunks spread numpy's
 #: per-call cost over more trials; the chunk's peak transient, the n=4
-#: product identities' one (6, 984, T) gather of factors (about 3 MB at
+#: product identities' one (6, 564, T) gather of factors (about 1.7 MB at
 #: T = 64), bounds it from above.
 TRIAL_CHUNK = 64
 
@@ -183,9 +183,9 @@ def _antisymmetry_residuals(re, im):
     so entries at swapped indices are computed independently of each other.
     Both swaps conjugate the product exactly at the bit level, so the
     residual of a correct implementation is exactly zero.  The product
-    identities are evaluated once per orbit of index tuples, and only at
-    the orbits whose residual is not exactly zero, on the strength of these
-    symmetries, so this check also covers the entries and orbits they skip.
+    identities skip, on the strength of these symmetries, every index tuple
+    whose residual is exactly zero or has the bits of a tuple they keep, so
+    this check also covers the entries and tuples they skip.
     """
     swapped = np.empty((len(re), 4) + re.shape[1:])
     np.add(im, im.swapaxes(1, 2), out=swapped[:, 0])

@@ -483,9 +483,9 @@ def test_verify_gate_rate_counts_the_trials_the_band_row_records(monkeypatch):
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monkeypatch):
-    # the product identities read one index tuple per symmetry orbit, so a
-    # plaquette entry off the orbit representatives is never read there; a
-    # tensor whose symmetry breaks at such an entry must still fail verify
+    # the product identities read only the index tuples that their table
+    # keeps, so some plaquette entries are never read there; a tensor whose
+    # symmetry breaks at such an entry must still fail verify
     import jarlskog.verify as verify
 
     read = set(phases._product_table(n)[0].ravel().tolist())
@@ -533,7 +533,7 @@ def test_verify_fails_a_plaquette_entry_that_breaks_the_sum_rule_symmetry(n, par
 
 
 def test_importing_the_cli_builds_no_product_table():
-    # the orbit tables are built on first use, not at import
+    # the product tables are built on first use, not at import
     code = ("import jarlskog.cli, jarlskog.phases as p; "
             "print(p._product_table.cache_info().currsize)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
