@@ -8,6 +8,8 @@ and compares stdout, stderr and the exit code of every command:
     of one, the benchmark's chunk sizes, one trial past a chunk boundary and
     many chunks
     det <file> --method both and phases <file>, for every tests/data/problem_*.json
+    and for the structured problems of structured_files: signed permutations
+    with +-0.0 parts at n=3 and n=4, 1 (+) V3 and a real rotation
     sample --n {2,3,4,8} --seed 0..49, and sample --n 4 at the seeds -1
     and 2^64 + 5, outside the uint64 range
     every input-error exit: a missing file, an n=5 problem (written by the
@@ -18,7 +20,7 @@ Each tree is imported by its own interpreter, which runs the whole matrix
 in process.  stderr lines that start with "wall_time_s:" (verify's timing)
 are dropped before comparing.  Prints each command whose output differs
 and exits 1 on any difference, 0 when every stdout, stderr and exit code
-agree.  The matrix holds 253 commands and runs in a few seconds.
+agree.  The matrix holds 261 commands and runs in a few seconds.
 
 Usage: python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
 
@@ -29,6 +31,7 @@ the src/ of a `git archive` of the parent commit and this tree's src/.
 import argparse
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,12 +79,57 @@ def error_files(src, tmp):
     open(os.path.join(tmp, "taken"), "w").close()
 
 
+def write_problem(path, a, b, v):
+    """Write a V-form problem file with spectra a, b and V given as rows of
+    (re, im) pairs."""
+    doc = {"format": "jarlskog-problem/1", "n": len(a), "a": a, "b": b,
+           "V": [[list(z) for z in row] for row in v]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def structured_files(tmp):
+    """Write the structured problems into tmp and return their paths: signed
+    permutations at n=3 and n=4 whose zero parts are +0.0 and -0.0, 1 (+) V3
+    with V3 the matrix of problem_n3_seed501.json, and a real rotation of
+    dimension 4 (a Givens product over every plane).  Each takes the
+    spectra of the fixture of its n."""
+    spectra = {}
+    for n, name in ((3, "problem_n3_seed501.json"), (4, "problem_n4_seed2024.json")):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        spectra[n] = (doc["a"], doc["b"], doc["V"])
+    problems = {}
+    # the unit of row i sits in column perm[i]; every zero part is signed
+    for n, perm, units in ((3, (2, 0, 1), ((-0.0, -1.0), (-1.0, -0.0), (0.0, 1.0))),
+                           (4, (1, 3, 0, 2), ((1.0, -0.0), (-0.0, 1.0), (-1.0, 0.0),
+                                              (-0.0, -1.0)))):
+        problems[f"signed_permutation{n}"] = (n, [
+            [units[i] if j == perm[i] else ((-0.0, 0.0) if (i + j) % 2 else (0.0, -0.0))
+             for j in range(n)] for i in range(n)])
+    v3 = spectra[3][2]
+    problems["one_plus_v3"] = (4, [[(1.0, 0.0)] + [(0.0, 0.0)] * 3]
+                               + [[(0.0, 0.0)] + [tuple(z) for z in row] for row in v3])
+    rotation = [[float(i == j) for j in range(4)] for i in range(4)]
+    for p in range(4):
+        for q in range(p + 1, 4):
+            c, s = math.cos(0.3 + 0.2 * p + 0.1 * q), math.sin(0.3 + 0.2 * p + 0.1 * q)
+            for row in rotation:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+    problems["real_rotation"] = (4, [[(x, 0.0) for x in row] for row in rotation])
+    paths = []
+    for name, (n, v) in problems.items():
+        paths.append(os.path.join(tmp, f"{name}.json"))
+        write_problem(paths[-1], *spectra[n][:2], v)
+    return paths
+
+
 def commands(tmp):
     """The command matrix, as argv lists for jarlskog.cli.main, with the
     error commands reading the files of error_files in tmp."""
     argvs = [["verify", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
              for n in (3, 4) for trials in (1, 4, 8, 65, 200, 1000) for seed in (0, 13579)]
-    for path in sorted(glob.glob(os.path.join(DATA, "problem_*.json"))):
+    for path in sorted(glob.glob(os.path.join(DATA, "problem_*.json"))) + structured_files(tmp):
         argvs += [["det", path, "--method", "both"], ["phases", path]]
     argvs += [["sample", "--n", str(n), "--seed", str(seed)]
               for n in (2, 3, 4, 8) for seed in range(50)]

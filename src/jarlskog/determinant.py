@@ -18,7 +18,7 @@ Three evaluations are provided:
   linalg._ksum, so every entry is bit-equal to its scalar complex
   evaluation.
 * det3_closed (n = 3): 2i T B im(12;12) with T, B the cyclic products of
-  eigenvalue differences, im(12;12) read from the plaquette tensor.
+  eigenvalue differences, im(12;12) read from the plaquette store.
 * det4_closed (n = 4): the expanded closed form in which the fourth column
   of V has been eliminated through unitarity.  Nine term groups survive,
   weighted by squared-pair factors T_(ij)(kl) and 4-cycle factors T_(ijkl)
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DimensionError, Spectrum, UnitaryMatrix, _cmul, _complex, _ksum,
-                     _moduli_squared, det)
+                     _moduli_squared, _plaquette_layout, det)
 
 #: canonical order of the nine term groups of det4_closed; decompose_det4
 #: returns them in this order and det4_closed sums them in this order.
@@ -123,12 +123,12 @@ def det_direct(inp):
 
 
 def _det3_closed(a, b, plaq_im):
-    """(re, im) of 2i T B im(12;12) for (T, 3) spectra and (T, 3, 3, 3, 3)
-    imaginary plaquettes."""
+    """(re, im) of 2i T B im(12;12) for (T, 3) spectra and (T, 45)
+    imaginary plaquette stores, whose first column is im(12;12)."""
     t = (a[:, 0] - a[:, 1]) * (a[:, 1] - a[:, 2]) * (a[:, 2] - a[:, 0])
     bb = (b[:, 0] - b[:, 1]) * (b[:, 1] - b[:, 2]) * (b[:, 2] - b[:, 0])
     # 2j * x is the scalar complex product (0, 2) (x, 0)
-    return _cmul(0.0, 2.0, t * bb * plaq_im[:, 0, 1, 0, 1], 0.0)
+    return _cmul(0.0, 2.0, t * bb * plaq_im[:, 0], 0.0)
 
 
 def det3_closed(inp):
@@ -206,10 +206,9 @@ def _check_n4(inp):
 # products of the sums run in three stages, each one _cmul over operands
 # taken from one array of atoms by the flat tables below.
 
-#: flat positions of [ab; k1 k2] in the plaquette tensor; row 3 k1 + k2,
-#: column f
-_Q_TAKE = np.array([[64 * a + 16 * b + 4 * k1 + k2 for a, b in ((0, 1), (0, 2), (1, 2))]
-                    for k1 in range(3) for k2 in range(3)])
+#: store columns of [ab; k1 k2], ab = 12, 13, 23 (column f), at row 3 k1 + k2
+_Q_TAKE = (_plaquette_layout(4)[1].reshape(4, 4, 4, 4)[[0, 0, 1], [1, 2, 2], :3, :3]
+           .reshape(3, 9).T.copy())
 _CYCLE_ROWS = np.array([[1, 0, 0], [2, 1, 2]])
 
 #: (re, im) columns of the named atoms of the product stages; a real atom
@@ -280,8 +279,8 @@ def _det4_groups(a_factors, b, cols, plaq):
     sums = _ksum(terms[:, 1:], terms[:, 0], axis=1).reshape(t, 48)
     # the plaquette forms: 9 terms over (k1, k2), k2 innermost
     ww = (bw[:, :, None] * bw[:, None, :]).reshape(t, 9, 1)
-    q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.reshape(t, -1).take(_Q_TAKE, axis=1)
-                                              for p in plaq)), axis=2), axis=1)
+    q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.take(_Q_TAKE, axis=1) for p in plaq)), axis=2),
+              axis=1)
     # the stages, laid out as _ATOMS lists them; m is sums[:, 18:21] and mp
     # sums[:, 21:24]
     m = sums[:, 18:21]

@@ -10,11 +10,11 @@ imaginary float arrays, and every k-sum through _ksum.  Determinants use LU
 with partial pivoting on the complex modulus.
 
 The kernels take a leading trial axis: det, the unitarity check and the
-plaquette tensors work on a (T, n, n) stack at once, one numpy call per step
+plaquette store work on a (T, n, n) stack at once, one numpy call per step
 for the whole stack, and a single matrix is the stack of one.  Slice t of a
 stacked result is bit-equal to the call on matrix t alone.  The plaquettes
-of a stack are one (2, T, n, n, n, n) array, re then im, which their
-readers take whole or unpack, never copy.
+of a stack are one (2, T, K) store, re then im (_plaquette_layout), which
+its readers take through index tables composed with the layout's map.
 
 Stacks are small (a few trials, or one), so most of a call is numpy's
 per-call dispatch.  The kernels here and in the modules built on them call
@@ -132,16 +132,17 @@ def _ksum(t, start=0.0, axis=0):
     return acc
 
 
-def _row_products(m):
+def _row_products(m, out=None):
     """h[..., a, j, k] = m[..., a, j] * conj(m[..., a, k]) as a (re, im) pair
-    of float arrays, for one matrix or a stack.
+    of float arrays (or into out, as _cmul), for one matrix or a stack.
 
     The one place where products of a matrix with its own conjugate are
     formed: the plaquettes use it on V, V V^+ and the commutator entries
     on V^T.
     """
     re, im = m.real, m.imag
-    return _cmul(re[..., :, :, None], im[..., :, :, None], re[..., :, None, :], -im[..., :, None, :])
+    return _cmul(re[..., :, :, None], im[..., :, :, None], re[..., :, None, :], -im[..., :, None, :],
+                 out=out)
 
 
 def _modulus(z):
@@ -301,9 +302,10 @@ def _validate_unitaries(m):
         t = int(np.logical_and.reduce(np.isfinite(m), axis=(1, 2)).argmin())
         _validate_unitaries(m[:t])
         raise _InvalidUnitary("matrix entries must be finite", t)
-    cr, ci = _row_products(m.swapaxes(-1, -2))
-    gram = _complex(_ksum(cr, axis=1), _ksum(ci, axis=1))
-    defects = np.maximum.reduce(np.abs(gram - _identity(m.shape[-1])), axis=(1, 2))
+    with np.errstate(all="ignore"):  # overflow gives an inf or NaN defect, which fails
+        cr, ci = _row_products(m.swapaxes(-1, -2))
+        gram = _complex(_ksum(cr, axis=1), _ksum(ci, axis=1))
+        defects = np.maximum.reduce(np.abs(gram - _identity(m.shape[-1])), axis=(1, 2))
     for t, defect in enumerate(defects.tolist()):
         if not defect <= UNITARITY_TOL:
             raise _InvalidUnitary(
@@ -313,17 +315,45 @@ def _validate_unitaries(m):
     return defects, (cr, ci)
 
 
+@cache
+def _plaquette_layout(n):
+    """(operands, columns, partners): read-only tables of the plaquette store.
+
+    Entry (a, b; j, k) is h[a, j, k] * h[b, k, j] of the row products h, and
+    (b, a; k, j) the same operands in the other order, which IEEE * and +
+    give the same bits.  So the store has one column per unordered operand
+    pair, K = n^2 (n^2 + 1) / 2: the canonical a < b, j < k in table order,
+    then (a, b; k, j) of each, then (a, b; j, j), (a, a; j, k), (a, a; j, j).
+    operands (2, K) locate each column's factors in the flat h, columns
+    (n^4,) is the column of each flat 0-based (a, b, j, k), and partners (K,)
+    the column of each a <-> b swap, which is also the j <-> k swap.
+    """
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    canonical = [(a, b, j, k) for a, b in pairs for j, k in pairs]
+    a, b, j, k = np.array(canonical + [(a, b, k, j) for a, b, j, k in canonical]
+                          + [(a, b, j, j) for a, b in pairs for j in range(n)]
+                          + [(a, a, j, k) for a in range(n) for j, k in pairs]
+                          + [(a, a, j, j) for a in range(n) for j in range(n)]).T
+    columns = np.empty(n ** 4, dtype=np.intp)
+    for order in ((a, b, j, k), (b, a, k, j)):
+        columns[np.ravel_multi_index(order, (n,) * 4)] = np.arange(a.size)
+    tables = (np.array([(a * n + j) * n + k, (b * n + k) * n + j]), columns,
+              columns[np.ravel_multi_index((b, a, j, k), (n,) * 4)])
+    for x in tables:
+        x.setflags(write=False)
+    return tables
+
+
 def _plaquettes(m):
-    """p[t, a, b, j, k] = V_t[a,j] conj(V_t[a,k]) V_t[b,k] conj(V_t[b,j]) for a
-    (T, n, n) stack, built as h[a, j, k] * h[b, k, j] from the row products
-    h: one (2, T, n, n, n, n) float array, re then im.  Its readers take it
-    whole (the phase tables), as its [::-1] view (the sum rules) or as the
-    two tensors it unpacks to, so the parts are never copied into a stack."""
-    hr, hi = _row_products(m)
-    hr_t, hi_t = hr.swapaxes(-1, -2), hi.swapaxes(-1, -2)
+    """The (2, T, K) plaquette store of a (T, n, n) stack, re then im, in
+    the layout of _plaquette_layout: one take of both operands of every
+    column from the row products, then one _cmul."""
     t, n = m.shape[0], m.shape[-1]
-    return _cmul(hr[:, :, None], hi[:, :, None], hr_t[:, None], hi_t[:, None],
-                 out=np.empty((2, t, n, n, n, n)))
+    operands = _plaquette_layout(n)[0]
+    h = _row_products(m, out=np.empty((2, t, n, n, n)))
+    x = h.reshape(2, t, n ** 3).take(operands, axis=2)
+    return _cmul(x[0, :, 0], x[1, :, 0], x[0, :, 1], x[1, :, 1],
+                 out=np.empty((2, t, operands.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -365,11 +395,11 @@ class UnitaryMatrix:
 
     @cached_property
     def plaquettes(self):
-        """p[a, b, j, k] = V[a,j] conj(V[a,k]) V[b,k] conj(V[b,j]), 0-based.
+        """The plaquette store of V in the layout of _plaquette_layout(n).
 
-        A read-only (re, im) pair of float tensors, built once per matrix.
-        Each entry is bit-equal to the scalar complex evaluation with the
-        grouping (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).
+        A read-only (re, im) pair of (K,) float arrays, built once per matrix.
+        Each entry, at every index order, is bit-equal to the scalar complex
+        evaluation with the grouping (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).
         """
         pair = tuple(x[0] for x in _plaquettes(self.matrix[None]))
         for x in pair:

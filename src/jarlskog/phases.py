@@ -7,34 +7,30 @@ The basic object is the plaquette product
 whose imaginary part im(alpha beta; j k) and real part re(alpha beta; j k)
 are unchanged when rows and columns of V are multiplied by phases.
 
-The phases have one representation: the (re, im) pair of full plaquette
-tensors UnitaryMatrix.plaquettes, 0-based, holding every index order.  A
-stack of T matrices holds them in one (2, T, n, n, n, n) array, re then im
-(linalg._plaquettes): phase_table takes it whole, for re and im of V and
-of its rephased copy at once, unitary_relation_residuals reads its [::-1]
-view, and the other functions take the two tensors it unpacks to.
-Every computation on them (sum rules, product identities, the n = 3 sign
-table, J and R, the expansion, the band reconstruction) runs on a stack of
-such tensors with a leading trial axis, and each has one function:
-phase_table (the canonical entries alpha < beta, j < k, n in {3, 4}),
-unitary_relation_residuals, nonlinear_relation_residuals, n3_phase_table,
-jr_matrices, expand_phases and expansion_residual.  n3_phase_table and
-expansion_residual read the canonical entries that phase_table took, so a
-caller takes them once.  verify runs them on a chunk of trials and the
-`phases` report on a stack of one; reconstruct_J is the report's one
-single-matrix entry point.  A single phase, at any n, is an entry of
-V.plaquettes.
+The phases have one representation: the plaquette store of
+linalg._plaquettes, one column per unordered pair of operands, with the
+canonical entries alpha < beta, j < k first.  A stack of T matrices holds
+it in one (2, T, K) array, re then im; UnitaryMatrix.plaquettes is the
+(re, im) pair of one matrix.  Readers take their entries through index
+tables composed with the layout's map of the n^4 index orders to the
+columns (linalg._plaquette_layout).  Each computation runs on a stack with
+a leading trial axis and has one function: phase_table (a slice, n in
+{3, 4}), unitary_relation_residuals (on the [::-1] view),
+nonlinear_relation_residuals, n3_phase_table and expansion_residual (on
+phase_table's slice), jr_matrices and expand_phases.  verify
+runs them on a chunk, the `phases` report on a stack of one
+(reconstruct_J is its one single-matrix entry point).
 
-Exactness note: every plaquette value here is read from the one tensor
-UnitaryMatrix.plaquettes, which evaluates the grouping
-(V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])) on separate real and
-imaginary float arrays with the operations of a scalar complex product.
-With that grouping the antisymmetry of the imaginary part (and symmetry of
-the real part) under swapping alpha<->beta or j<->k holds bitwise in
-floating point, and entries with alpha == beta or j == k have imaginary
-part exactly zero, not merely roundoff-small.  The tensor stores every
-index order, so these properties are carried by its entries rather than
-imposed by lookup rules.
+Exactness note: the store evaluates the grouping
+(V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])) with the operations of a
+scalar complex product on separate real and imaginary float arrays.  Entry
+(b a; k j) multiplies the same operands as (a b; j k) in the other order,
+and IEEE * and + commute, so one column holds both bit for bit.  With that
+grouping im is bitwise antisymmetric and re bitwise symmetric under
+alpha<->beta or j<->k, and im is exactly zero at alpha == beta or j == k.
+The columns of swapped and diagonal entries are evaluated from their own
+operands, not assumed, so verify's phase_antisymmetry_bitwise row checks
+these properties on the values every reader takes.
 
 For n = 4 the 36 independent imaginary parts are generated by the 3x3 array
 J of adjacent-index phases J[a, j] = im(a, a+1; j, j+1) together with the
@@ -59,12 +55,14 @@ the 10240 tuples at n = 4 and 90 of 1944 at n = 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DimensionError, _identity, _ksum, _moduli_squared
+from .linalg import (MAX_DIM, MIN_DIM, DimensionError, _identity, _ksum, _moduli_squared,
+                     _plaquette_layout)
 
 #: fixed integer mixing matrix for expanding adjacent-index phases
 A_MATRIX = np.array([[1, -1, 0], [-1, 1, -1], [0, -1, 1]], dtype=float)
@@ -81,38 +79,22 @@ def _canonical_pairs(n):
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _canonical_index(n):
-    """Flat positions of the canonical entries in an n^4 plaquette tensor
-    (np.ravel_multi_index of their 0-based (alpha, beta, j, k)), in table
-    order: the table that phase_table takes."""
-    pairs = _canonical_pairs(n)
-    keys = [(a - 1, b - 1, j - 1, k - 1) for (a, b) in pairs for (j, k) in pairs]
-    return np.ravel_multi_index(tuple(zip(*keys)), (n,) * 4)
-
-
-def _check_plaquettes(x, dims, what):
-    """x, if its last four axes are all n for an n in dims; else
-    DimensionError.  The readers gather from the flat n^4 view of those
-    axes, so a tensor of any other shape must not reach them."""
-    n = x.shape[-1]
-    if n not in dims or x.shape[-4:] != (n,) * 4:
+def _check_plaquettes(x, dims=range(MIN_DIM, MAX_DIM + 1), what="not a plaquette store"):
+    """n, if the last axis of x holds the K = n^2 (n^2 + 1) / 2 columns of a
+    plaquette store for an n in dims (8 K + 1 = (2 n^2 + 1)^2); else DimensionError."""
+    n = math.isqrt(math.isqrt(8 * x.shape[-1] + 1) // 2)
+    if n not in dims or x.shape[-1] != n * n * (n * n + 1) // 2:
         raise DimensionError(f"{what}, got plaquettes of shape {x.shape}")
     return n
 
 
 def phase_table(x):
-    """The canonical entries alpha < beta, j < k of (..., n, n, n, n)
-    plaquette tensors, n in {3, 4}: a (..., 9) or (..., 36) array in table
-    order, row pairs outer and column pairs inner, both as listed by
-    _canonical_pairs(n).
-
-    One take of the flat table _canonical_index(n) from the (..., n^4) view
-    of x (a copy if x is not contiguous over its last four axes), so each
-    entry is a copy of the tensor's.  Raises DimensionError unless the last
-    four axes are all n."""
+    """The canonical entries alpha < beta, j < k of (..., K) plaquette
+    stores, n in {3, 4}: the (..., 9) or (..., 36) block that the store
+    holds first, row pairs outer and column pairs inner, both as listed by
+    _canonical_pairs(n).  A view; DimensionError for any other store."""
     n = _check_plaquettes(x, (3, 4), "phase tables are defined for n in {3, 4}")
-    return x.reshape(*x.shape[:-4], n ** 4).take(_canonical_index(n), axis=-1)
+    return x[..., :(n * (n - 1) // 2) ** 2]
 
 
 #: the sum rules' families, in the order of unitary_relation_residuals
@@ -124,40 +106,38 @@ _SUM_RULE_SOURCES = np.array([0, 0, 1, 1])
 
 def unitary_relation_residuals(cols, plaq):
     """{family: (T,) max residual} of the eight sum rules, for the column
-    products and the plaquettes of (T, n, n) matrices, the latter as one
-    (2, T, n, n, n, n) array of re and im (linalg._plaquettes).
+    products and the plaquette stores of (T, n, n) matrices, the latter as
+    one (2, T, K) array of re and im (linalg._plaquettes).
 
     Summing a plaquette's imaginary part over either full row index or
     either full column index gives zero; the same sums of the real part
     give delta-weighted squared moduli.  Families are keyed by the summed
     index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
 
-    Only the alpha and j sums are taken, of im and re at once (the [::-1]
-    view of plaq), each in ascending index order: numpy's sum over the alpha
-    axis, a middle one, adds in that order, and the j sum is written out.
-    The beta and k families are those two, bit for bit.  The plaquette kernel makes
-    im bitwise antisymmetric and re bitwise symmetric under alpha<->beta and
-    under j<->k (up to the sign of a zero), so
+    Only the alpha and j sums are taken, of im and re at once, on the
+    tensor that one take of the layout's map reads from the [::-1] view of
+    plaq, each in ascending index order (numpy sums the alpha axis, a middle
+    one, in that order; the j sum is written out).  The beta and k families
+    are those two, bit for bit: im is bitwise antisymmetric and re bitwise
+    symmetric under alpha<->beta and j<->k (up to the sign of a zero), so
 
       sum_x im(a x; j k) = -sum_x im(x a; j k)    (beta family at a, j, k)
       sum_x im(a b; j x) = -sum_x im(a b; x j)    (k family at a, b, j)
 
-    term by term and in the same order, where the right sides are the alpha
-    family at (a, j, k) and the j family at (a, b, j); the same sums of re
-    are equal.  IEEE + commutes exactly with negation.  The real-part
+    term by term and in the same order, the right sides being the alpha
+    family at (a, j, k) and the j family at (a, b, j); the re sums are
+    equal, and IEEE + commutes exactly with negation.  The real-part
     targets match too: both row families subtract delta_jk |V[c, j]|^2 at
-    the remaining (c, j, k), both column families delta_ab |V[a, c]|^2 at
-    (a, b, c).  Negation and the sign of a zero term change no bit of
-    |residual|, so each swapped family's residuals, and its maximum, are
-    its partner's bit for bit.  verify's phase_antisymmetry_bitwise row
-    checks the premise on the same tensors.  (numpy's own sum over the
-    contiguous k axis would differ from n = 8 on, where it adds a last axis
-    pairwise.)
+    (c, j, k), both column families delta_ab |V[a, c]|^2 at (a, b, c).
+    Negation and the sign of a zero change no bit of |residual|, so each
+    swapped family's residuals are its partner's bit for bit; verify's
+    phase_antisymmetry_bitwise row checks the premise on the same store.
+    (numpy's own sum over the contiguous k axis adds pairwise from n = 8.)
     """
-    t, n = plaq.shape[1:3]
+    t, n = cols[0].shape[:2]
     mod2 = _moduli_squared(cols)
     eye = _identity(n)
-    both = plaq[::-1]
+    both = plaq[::-1].take(_plaquette_layout(n)[1], axis=2).reshape(2, t, n, n, n, n)
     sums = np.empty((2, 2, t, n, n, n))
     np.add.reduce(both, axis=2, out=sums[:, 0])
     over_j = sums[:, 1]
@@ -183,7 +163,7 @@ _N3_DEGENERATE_TOL = 1e-12
 
 def n3_phase_table(ims):
     """The n = 3 sign table of the (T, 9) canonical imaginary phases that
-    phase_table takes of (T, 3, 3, 3, 3) plaquettes: all nine are +/- the
+    phase_table slices from (T, 45) plaquette stores: all nine are +/- the
     single base phase im(12;12), the first of them.
 
     Returns (base, signs, residuals, indeterminate): base (T,), signs and
@@ -203,23 +183,21 @@ def n3_phase_table(ims):
     return base, signs, residuals, indeterminate
 
 
-#: flat positions in a 4^4 plaquette tensor of the adjacent-index entries
-#: (a, a+1; j, j+1), 0-based, as the 3x3 of J
-_JR_INDEX = np.ravel_multi_index((np.arange(3)[:, None], np.arange(1, 4)[:, None],
-                                  np.arange(3)[None, :], np.arange(1, 4)[None, :]), (4,) * 4)
+#: store columns of (a, a+1; j, j+1) as the 3x3 of J, all in the canonical block
+_ADJACENT = [_canonical_pairs(4).index(p) for p in _ADJACENT_ORDER]
+_JR_INDEX = np.array([[6 * r + c for c in _ADJACENT] for r in _ADJACENT])
 
 
 def jr_matrices(re, im):
-    """The adjacent-index phase arrays (J, R) of (T, 4, 4, 4, 4) plaquettes,
-    each (T, 3, 3): J[:, a, j] (0-based) holds im(a+1, a+2; j+1, j+2) and R
-    the matching real parts.
+    """The adjacent-index phase arrays (J, R) of (T, K) plaquette stores of
+    4 x 4 matrices, each (T, 3, 3): J[:, a, j] (0-based) holds
+    im(a+1, a+2; j+1, j+2) and R the matching real parts.
 
-    Each is one take of the flat table _JR_INDEX from the (T, 256) view of
-    its tensor (a copy if the tensor is not contiguous over its last four
-    axes).  Raises DimensionError unless the last four axes of both are 4."""
+    Each is one take of _JR_INDEX.  Raises DimensionError unless both
+    hold the store of n = 4."""
     for x in (re, im):
         _check_plaquettes(x, (4,), "adjacent-index arrays require n=4")
-    return tuple(x.reshape(*x.shape[:-4], 256).take(_JR_INDEX, axis=-1) for x in (im, re))
+    return tuple(x.take(_JR_INDEX, axis=-1) for x in (im, re))
 
 
 #: the 6x6 expansion block's rows and columns run over the adjacent pairs,
@@ -269,13 +247,13 @@ _PRODUCT_IDENTITIES = {
 
 def _factor_positions(n, formula, reps):
     """The (6, R) positions of the factors of t1, t2, t3 of `formula` at the
-    index tuples reps ({free index: (R,) array}) among the 2 n^4 entries of
-    the flattened re tensor followed by the flattened im tensor: rows 0-2
-    hold the first factors of t1, t2, t3 and rows 3-5 the second ones."""
-    terms = formula.split()
+    index tuples reps ({free index: (R,) array}) in the re store followed by
+    the im store: rows 0-2 hold the first factors of t1, t2, t3 and rows 3-5
+    the second ones."""
+    terms, columns = formula.split(), _plaquette_layout(n)[1]
     return np.array([
-        np.ravel_multi_index([reps[c] for c in f[3:5] + f[6:8]], (n,) * 4)
-        + (n ** 4 if f.startswith("im") else 0)
+        columns.take(np.ravel_multi_index([reps[c] for c in f[3:5] + f[6:8]], (n,) * 4))
+        + (columns.size + n * n) // 2 * f.startswith("im")
         for f in terms[0:8:3] + terms[1:8:3]])
 
 
@@ -284,27 +262,25 @@ def _kept_columns(n, columns, combine):
     (t1 combine t2) - t3 the product table evaluates, decided from the
     positions alone.
 
-    Each factor is keyed by the kernel's bitwise symmetries: entry p of the
-    flattened re and im tensors is sign[p] times entry key[p], the same part
-    at a <= b and j <= k, with sign 0 where im is exactly 0 (a = b or
-    j = k).  Each term gets one code, the product of its factors' signs
-    times (the unordered pair of their keys + 1), with the combine sign
-    folded into t2's code and the minus into t3's: codes x, y, w of a
-    residual |(x + y) + w|.  A column is dropped when one of its codes is 0
-    and the three sum to 0, a residual that is exactly 0, or when an
-    earlier column has the same codes up to exchanging x with y and
-    negating all three, a residual with the same bits
-    (nonlinear_relation_residuals gives the argument).
+    Each factor is keyed by the kernel's bitwise symmetries: store column c
+    and its partner p (linalg._plaquette_layout) hold one value, re alike
+    and im with the sign of p - c, 0 where c is its own partner (a = b or
+    j = k); the key is the lesser of the two.  Each term gets one code, the
+    product of its factors' signs times (the unordered pair of their keys
+    + 1), with the combine sign folded into t2's code and the minus into
+    t3's: codes x, y, w of a residual |(x + y) + w|.  A column is dropped
+    when one of its codes is 0 and the three sum to 0, a residual that is
+    exactly 0, or when an earlier column has the same codes up to
+    exchanging x with y and negating all three, a residual with the same
+    bits (nonlinear_relation_residuals gives the argument).
     """
-    a, b, j, k = np.indices((n,) * 4).reshape(4, -1)
-    key = np.ravel_multi_index((np.minimum(a, b), np.maximum(a, b),
-                                np.minimum(j, k), np.maximum(j, k)), (n,) * 4)
-    sign = np.sign(b - a) * np.sign(k - j)
-    keys = np.concatenate([key, key + n ** 4])
-    signs = np.concatenate([np.ones_like(sign), sign])
+    partners = _plaquette_layout(n)[2]
+    k = np.arange(partners.size)
+    keys = np.concatenate([np.minimum(k, partners), np.minimum(k, partners) + k.size])
+    signs = np.concatenate([np.ones_like(k), np.sign(partners - k)])
     # one term at a time: (6, R) gathers of keys and signs would raise the
     # build's peak memory above that of the (6, R) positions themselves
-    x, y, w = (fold * signs[p] * signs[q] * (np.minimum(keys[p], keys[q]) * (2 * n ** 4)
+    x, y, w = (fold * signs[p] * signs[q] * (np.minimum(keys[p], keys[q]) * (2 * k.size)
                                             + np.maximum(keys[p], keys[q]) + 1)
                for p, q, fold in zip(columns[:3], columns[3:],
                                      (1, 1 if combine is np.add else -1, -1)))
@@ -358,7 +334,7 @@ def _product_table(n):
 
 def nonlinear_relation_residuals(re, im):
     """{family: (T,) max residual} of the four product identity families
-    for (T, n, n, n, n) plaquettes:
+    for the (T, K) plaquette stores re and im of n x n matrices:
 
     mixed_same_rows:   re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk)
                          = re(ab;kk) im(ab;jl)
@@ -373,13 +349,12 @@ def nonlinear_relation_residuals(re, im):
     the maximum over every index tuple (repeats included).  The table
     (_product_table) evaluates |t1 +/- t2 - t3| only at the tuples that
     _kept_columns keeps, which gives that maximum bit for bit wherever
-    verify's phase_antisymmetry_bitwise row passes on the same tensors.
-    There every entry is finite (an inf or a NaN fails that row), re is
-    bitwise symmetric and im bitwise antisymmetric under a<->b and under
-    j<->k (up to the sign of a zero), and the a = b and j = k diagonals,
-    im + im of one entry, pin im(aa;jk) and im(ab;jj) to zeros.  So each
-    factor is its key entry times its sign, and a term of code c is
-    sign(c) times the product of the two key entries that |c| names (IEEE
+    verify's phase_antisymmetry_bitwise row passes on the same stores.
+    There every column is finite (an inf or a NaN fails that row), and each
+    equals its partner (re) or its negation (im), or is a zero (im at a = b
+    or j = k), up to the sign of a zero.  So each factor is its key
+    column's entry times its sign, and a term of code c is
+    sign(c) times the product of the two key columns that |c| names (IEEE
     * commutes and is exact under negation), or a signed zero if c = 0.
     With t2 and t3 negated as their codes say (x - y is x + -y exactly),
     the residual is |(x + y) + w| of the three terms, a function of the
@@ -400,13 +375,12 @@ def nonlinear_relation_residuals(re, im):
     later step writes into its first half (see _product_table for the row
     layout), so a chunk's transient memory is that one buffer.
     """
-    t, n = len(re), re.shape[-1]
-    index, starts, combines = _product_table(n)
+    t, k = re.shape
+    index, starts, combines = _product_table(_check_plaquettes(re))
     # trials on the last axis, so that each gathered entry is a row of T;
     # in C order, since take copies any other layout first (concatenate
     # would keep the transposes' order)
-    flat = np.concatenate([re.reshape(t, -1).T, im.reshape(t, -1).T],
-                          out=np.empty((2 * n ** 4, t)))
+    flat = np.concatenate([re.T, im.T], out=np.empty((2 * k, t)))
     factors = flat.take(index, axis=0)
     t1, t2, t3 = np.multiply(factors[:3], factors[3:], out=factors[:3])
     for combine, lo, hi in zip(combines, starts, starts[1:] + (None,)):

@@ -37,8 +37,9 @@ from .determinant import (
     _sum_rule,
     t_factors,
 )
-from .linalg import _complex, _modulus, _plaquettes, _validate_unitaries, det
+from .linalg import _complex, _modulus, _plaquette_layout, _plaquettes, _validate_unitaries, det
 from .phases import (
+    _check_plaquettes,
     _reconstructions,
     N3_SIGN_PATTERN,
     expand_phases,
@@ -53,9 +54,9 @@ from .sampling import _MASK64, derive_seed, draw_trials, rephase
 
 #: trials per stacked batch in run_suite.  Larger chunks spread numpy's
 #: per-call cost over more trials; the chunk's peak transient, the n=4
-#: product identities' one (6, 564, T) gather of factors (about 1.7 MB at
-#: T = 64), bounds it from above.
-TRIAL_CHUNK = 64
+#: product identities' one (6, 564, T) gather of factors (about 6.9 MB at
+#: T = 256, the fastest of 64, 128 and 256 at n = 3 and 4), bounds it.
+TRIAL_CHUNK = 256
 
 #: default tolerances, keyed by identity name; (rel, abs) pairs where a
 #: relative part applies
@@ -176,23 +177,19 @@ class VerificationReport:
 
 
 def _antisymmetry_residuals(re, im):
-    """(T,) exact comparison of the phase symmetries across (T, n, n, n, n)
-    plaquette tensors.
-
-    The plaquette tensor evaluates every index order on its own operands,
-    so entries at swapped indices are computed independently of each other.
-    Both swaps conjugate the product exactly at the bit level, so the
-    residual of a correct implementation is exactly zero.  The product
-    identities skip, on the strength of these symmetries, every index tuple
-    whose residual is exactly zero or has the bits of a tuple they keep, so
-    this check also covers the entries and tuples they skip.
+    """(T,) exact comparison of the phase symmetries across (T, K)
+    plaquette stores: |im + im| and |re - re| of each column and its a <-> b
+    (and j <-> k) partner, a column with operands of its own, or itself at
+    a = b or j = k, where 2 im pins im to a zero.  The swaps conjugate the
+    product exactly at the bit level, so a correct kernel gives exactly 0.
+    The sum rules and product identities skip, on the strength of these
+    symmetries, what they can read off, so this check covers that too.
     """
-    swapped = np.empty((len(re), 4) + re.shape[1:])
-    np.add(im, im.swapaxes(1, 2), out=swapped[:, 0])
-    np.add(im, im.swapaxes(3, 4), out=swapped[:, 1])
-    np.subtract(re, re.swapaxes(1, 2), out=swapped[:, 2])
-    np.subtract(re, re.swapaxes(3, 4), out=swapped[:, 3])
-    return np.maximum.reduce(np.abs(swapped, out=swapped).reshape(len(re), -1), axis=1)
+    partners = _plaquette_layout(_check_plaquettes(re))[2]
+    swapped = np.empty((2,) + re.shape)
+    np.add(im, im.take(partners, axis=1), out=swapped[0])
+    np.subtract(re, re.take(partners, axis=1), out=swapped[1])
+    return np.maximum.reduce(np.abs(swapped, out=swapped), axis=(0, 2))
 
 
 def _phase_shifts(tables, rephased):

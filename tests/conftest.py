@@ -10,7 +10,7 @@ from jarlskog import (
     draw_trials,
     rephase,
 )
-from jarlskog import sampling
+from jarlskog import linalg, phases, sampling
 
 #: master seed of the draws of tests that name no seed of their own
 SEED = 20240817
@@ -83,10 +83,19 @@ def rephased(v, theta, theta_prime):
     return UnitaryMatrix(rephase(v.matrix[None], row, col)[0])
 
 
+def tensor(store):
+    """The (..., n, n, n, n) plaquettes of every 0-based index order from
+    (..., K) plaquette stores: one take of the layout's map of entries to
+    columns (linalg._plaquette_layout)."""
+    n = phases._check_plaquettes(store)
+    return store.take(linalg._plaquette_layout(n)[1], axis=-1).reshape(*store.shape[:-1],
+                                                                        *(n,) * 4)
+
+
 def phase(v, a, b, j, k):
     """The complex plaquette of v at 1-based indices (a b; j k), the usual
-    physics labels, read from the 0-based tensors v.plaquettes."""
-    re, im = (x[a - 1, b - 1, j - 1, k - 1] for x in v.plaquettes)
+    physics labels, read from the store v.plaquettes through its map."""
+    re, im = (tensor(x)[a - 1, b - 1, j - 1, k - 1] for x in v.plaquettes)
     return complex(re, im)
 
 

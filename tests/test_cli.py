@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bits, haar, haar_unitaries, seeded_input
-from jarlskog import phases, problem_io
+from jarlskog import linalg, phases, problem_io
 from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
 from jarlskog.verify import IdentityResult, run_suite
@@ -19,6 +22,7 @@ from jarlskog.verify import IdentityResult, run_suite
 DATA = os.path.join(os.path.dirname(__file__), "data")
 N4_FIXTURE = os.path.join(DATA, "problem_n4_seed2024.json")
 N3_FIXTURE = os.path.join(DATA, "problem_n3_seed501.json")
+U_FIXTURE = os.path.join(DATA, "problem_n3_uu_seed601.json")
 N3_IDENTITY = os.path.join(DATA, "problem_n3_identity.json")
 
 
@@ -483,20 +487,21 @@ def test_verify_gate_rate_counts_the_trials_the_band_row_records(monkeypatch):
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monkeypatch):
-    # the product identities read only the index tuples that their table
-    # keeps, so some plaquette entries are never read there; a tensor whose
-    # symmetry breaks at such an entry must still fail verify
+    # the product identities read only the store columns of the index
+    # tuples that their table keeps, so some columns are never read there;
+    # a store whose symmetry breaks at such a column (one with a partner of
+    # its own, a != b and j != k) must still fail verify
     import jarlskog.verify as verify
 
     read = set(phases._product_table(n)[0].ravel().tolist())
-    target = next(
-        (a, b, j, k) for a, b, j, k in np.ndindex((n,) * 4)
-        if a != b and j != k and n ** 4 + np.ravel_multi_index((a, b, j, k), (n,) * 4) not in read)
+    k = n * n * (n * n + 1) // 2
+    target = next(c for c, partner in enumerate(linalg._plaquette_layout(n)[2].tolist())
+                  if partner != c and k + c not in read)
     exact = verify._plaquettes
 
     def flip_one_im_bit_of_trial_2(m):
         plaq = exact(m)
-        plaq[1].view(np.uint64)[(2, *target)] ^= np.uint64(1)
+        plaq[1].view(np.uint64)[2, target] ^= np.uint64(1)
         return plaq
 
     monkeypatch.setattr(verify, "_plaquettes", flip_one_im_bit_of_trial_2)
@@ -513,15 +518,15 @@ def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monke
 def test_verify_fails_a_plaquette_entry_that_breaks_the_sum_rule_symmetry(n, part, monkeypatch):
     # the sum rules take only the alpha and j sums, and read the beta and k
     # families through the symmetry of re and the antisymmetry of im; one
-    # entry off by an ulp leaves every other row passing, so the
-    # antisymmetry row alone must fail it
+    # store column off by an ulp, here (12;12), the first, leaves every
+    # other row passing, so the antisymmetry row alone must fail it
     import jarlskog.verify as verify
 
     exact = verify._plaquettes
 
     def flip_one_bit_of_trial_2(m):
         plaq = exact(m)
-        plaq[("re", "im").index(part)].view(np.uint64)[2, 0, 1, 0, 1] ^= np.uint64(1)
+        plaq[("re", "im").index(part)].view(np.uint64)[2, 0] ^= np.uint64(1)
         return plaq
 
     monkeypatch.setattr(verify, "_plaquettes", flip_one_bit_of_trial_2)
@@ -754,6 +759,8 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
 
 OVERFLOW = "error: {} is not a finite number ({}); a and b are too large for float64\n"
 REFUSED = "error: refusing to overwrite existing report '{tmp}/taken' (reports are append-only)\n"
+#: a matrix entry of +-1e308 overflows V V^+ to inf, a defect that fails
+NOT_UNITARY_INF = "error: field '{}': matrix is not unitary: max|V V+ - I| = inf > 1e-10\n"
 
 #: (argv, exit code, exact stderr) of each input-error exit of a command,
 #: with {tmp} standing for the directory of error_path_files.  Each leaves
@@ -791,14 +798,22 @@ ERROR_PATHS = [
     (["phases", N3_FIXTURE, "--out", "{tmp}/taken"], 1, REFUSED),
     (["verify", "--n", "3", "--trials", "2", "--out", "{tmp}/taken"], 1, REFUSED),
     (["sample", "--out", "{tmp}/taken"], 1, REFUSED),
+    (["det", "{tmp}/huge_entry.json", "--method", "both"], 1, NOT_UNITARY_INF.format("V")),
+    (["phases", "{tmp}/huge_entry.json"], 1, NOT_UNITARY_INF.format("V")),
+    (["det", "{tmp}/huge_negative_entry.json", "--method", "both"], 1,
+     NOT_UNITARY_INF.format("V")),
+    (["phases", "{tmp}/huge_negative_entry.json"], 1, NOT_UNITARY_INF.format("V")),
+    (["det", "{tmp}/huge_u_entry.json", "--method", "both"], 1, NOT_UNITARY_INF.format("U")),
 ]
 
 
 @pytest.fixture(scope="module")
 def error_path_files(tmp_path_factory):
     """A directory holding an n=5 problem, the n=3 and n=4 fixtures with a
-    and b scaled by 1e60 (which overflows both determinant routes) and an
-    existing file named taken."""
+    and b scaled by 1e60 (which overflows both determinant routes), the n=4
+    fixture with V[0][0] = +-1e308 and the n=3 U-form fixture with
+    U[0][0] = 1e308 (which overflow the unitarity check), and an existing
+    file named taken."""
     tmp = tmp_path_factory.mktemp("error_paths")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sample", "--n", "5", "--seed", "2", "--out", str(tmp / "n5.json")]) == 0
@@ -807,6 +822,13 @@ def error_path_files(tmp_path_factory):
             doc = json.load(fh)
         for key in ("a", "b"):
             doc[key] = [x * 1e60 for x in doc[key]]
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    for name, fixture, key, x in (("huge_entry", N4_FIXTURE, "V", 1e308),
+                                  ("huge_negative_entry", N4_FIXTURE, "V", -1e308),
+                                  ("huge_u_entry", U_FIXTURE, "U", 1e308)):
+        with open(fixture, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[key][0][0] = [x, 0.0]
         (tmp / f"{name}.json").write_text(json.dumps(doc))
     (tmp / "taken").write_text("")
     return str(tmp)
@@ -826,3 +848,69 @@ def test_input_error_exits_with_its_exact_message_and_no_stdout(
                    if not line.startswith("wall_time_s:"))
     assert kept == stderr.format(tmp=error_path_files)
     assert caught == []
+
+
+def json_nodes(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path replaced by value."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+#: the n=3 and n=4 problem fixtures, with the path of every node in each
+FUZZ_FIXTURES = []
+for _fixture in (N3_FIXTURE, N4_FIXTURE):
+    with open(_fixture, encoding="utf-8") as _fh:
+        _doc = json.load(_fh)
+    FUZZ_FIXTURES.append((_doc, list(json_nodes(_doc))))
+#: the values a fuzzed node takes: wrong types, numbers at and past the
+#: float range, NaN, signed and subnormal zeros and an integer that a float
+#: cannot hold
+FUZZ_VALUES = (None, True, "x", 1e308, -1e308, math.nan, 1e30, [], {}, [0.5, 0.5], -0.0,
+               5e-324, 2 ** 53 + 1)
+
+
+@settings(deadline=None, max_examples=150, database=None)
+@given(fixture=st.sampled_from(FUZZ_FIXTURES), pick=st.integers(0, 10 ** 6),
+       value=st.sampled_from(FUZZ_VALUES))
+def test_a_problem_with_one_node_replaced_exits_on_purpose(fixture, pick, value):
+    # every outcome is an exit code the CLI documents: 0 or 2 with a clean
+    # stderr, or 1 with one error line (argparse's usage and error lines
+    # if it refuses the arguments); no traceback and no numpy warning,
+    # which the test configuration turns into an error
+    doc, paths = fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(replaced(doc, paths[pick % len(paths)], value), fh)
+        for argv in (["det", path, "--method", "both"], ["phases", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            err = err.getvalue()
+            assert code in (0, 1, 2), (argv, code, err)
+            assert "Traceback" not in err
+            if code == 1:
+                lines = err.splitlines()
+                assert (len(lines) == 1 and lines[0].startswith("error: ")
+                        or lines[0].startswith("usage: ") and "error: " in lines[-1]), err
+                assert out.getvalue() == ""
+            else:
+                assert err == "", (argv, err)

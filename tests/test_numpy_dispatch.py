@@ -15,7 +15,7 @@ Advanced indexing by an index array costs 1.5 to 6 times what
 ndarray.take on the flat table costs on these small stacks, for the same
 copy (README, "Per-call cost").  The second guard scans the package's source and fails on any gather
 (a subscript that reads) whose index holds a module-level table (a name
-_UPPER...) or a _canonical_index(...) call.  Writes through a table, such
+_UPPER...) or a _plaquette_layout(...) call.  Writes through a table, such
 as fill[_CYCLE_ENTRIES] = ..., are not gathers.
 """
 
@@ -100,13 +100,13 @@ def test_verify_det_and_phases_call_no_numpy_wrapper():
 
 def table_gathers(tree):
     """(line, source) of every reading subscript in a parsed module whose
-    index holds a module-level table name or a _canonical_index call."""
+    index holds a module-level table name or a _plaquette_layout call."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
             for part in ast.walk(node.slice):
                 if (isinstance(part, ast.Name) and TABLE_NAME.match(part.id)) or (
                         isinstance(part, ast.Call) and isinstance(part.func, ast.Name)
-                        and part.func.id == "_canonical_index"):
+                        and part.func.id == "_plaquette_layout"):
                     yield node.lineno, ast.unparse(node)
                     break
 
@@ -114,7 +114,7 @@ def table_gathers(tree):
 def test_the_gather_scan_catches_each_table_index():
     source = "\n".join((
         "atoms[:, _STAGE1]",
-        "x[(..., *_canonical_index(n))]",
+        "x[(..., _plaquette_layout(n)[1])]",
         "m2[_BAND_Q_TAKE[0]] * m2[_BAND_Q_TAKE[1]]",
         "fill[_CYCLE_ENTRIES] = y",
         "fill[:, _CYCLE_ENTRIES] += y",

@@ -14,6 +14,7 @@ from conftest import (
     phase,
     rephased,
     seeded_input,
+    tensor,
     uniforms,
 )
 
@@ -31,7 +32,7 @@ from jarlskog import (
     unitary_relation_residuals,
 )
 from jarlskog.linalg import _plaquettes
-from jarlskog.phases import N3_SIGN_PATTERN, _band_systems, _canonical_pairs
+from jarlskog.phases import N3_SIGN_PATTERN, _band_systems, _canonical_pairs, _check_plaquettes
 
 
 def sum_rule_residuals(v):
@@ -126,37 +127,38 @@ def test_phase_table_rejects_other_dimensions():
         phase_table(haar(5, SEED).plaquettes[1][None])
 
 
-def test_phase_table_and_jr_reject_tensors_whose_last_four_axes_differ():
-    # 2 * 8 * 4 * 4 entries are as many as a 4^4 tensor's, but not one
-    x = np.zeros((3, 2, 8, 4, 4))
+def test_phase_table_and_jr_reject_arrays_that_are_not_a_store():
+    # the 256 entries of a flattened 4^4 tensor, the 4^4 tensor itself, and
+    # a store of one column too many or of n = 3 where J needs n = 4
+    for x in (np.zeros((3, 256)), np.zeros((3, 4, 4, 4, 4)), np.zeros((3, 137))):
+        with pytest.raises(DimensionError):
+            phase_table(x)
+        with pytest.raises(DimensionError):
+            jr_matrices(x, x)
     with pytest.raises(DimensionError):
-        phase_table(x)
-    with pytest.raises(DimensionError):
-        jr_matrices(x, x)
-    with pytest.raises(DimensionError):
-        jr_matrices(np.zeros((3, 4, 4, 4, 4)), x)
+        jr_matrices(np.zeros((3, 136)), np.zeros((3, 45)))
 
 
 def indexed_phase_table(x):
-    """The canonical entries by advanced indexing on the last four axes:
-    the gather that phase_table's take on the flat table replaces."""
-    return x[(..., *(np.array(axis) - 1 for axis in zip(*canonical_keys(x.shape[-1]))))]
+    """The canonical entries by advanced indexing on the last four axes of
+    the tensor of every index order that the store x maps to."""
+    return tensor(x)[(..., *(np.array(axis) - 1 for axis in zip(*canonical_keys(
+        _check_plaquettes(x)))))]
 
 
 def indexed_jr(re, im):
-    """J and R by advanced indexing on the last four axes."""
+    """J and R by advanced indexing on the last four axes of the tensors."""
     rows, cols = np.arange(3), np.arange(1, 4)
     index = (..., rows[:, None], cols[:, None], rows[None, :], cols[None, :])
-    return im[index], re[index]
+    return tensor(im)[index], tensor(re)[index]
 
 
 def plaquette_views(n):
-    """A (2, 5, n, n, n, n) plaquette buffer of Haar matrices and views of
-    it that are not contiguous: trials sliced as verify slices V from its
-    rephased copy, the last two axes swapped, a stack of one and the whole
-    buffer reversed."""
+    """A (2, 5, K) plaquette store of Haar matrices, a Fortran-ordered copy
+    and views of it that are not contiguous: trials sliced as verify slices
+    V from its rephased copy, a stack of one and the whole store reversed."""
     buffer = _plaquettes(haar_stack(n, 5, 90 + n))
-    return [buffer, buffer[:, :3], buffer.swapaxes(-1, -2), buffer[:, 2:3], buffer[::-1, ::-2]]
+    return [buffer, buffer[:, :3], np.asfortranarray(buffer), buffer[:, 2:3], buffer[::-1, ::-2]]
 
 
 @pytest.mark.parametrize("n", (3, 4))

@@ -35,6 +35,7 @@ from conftest import (
     orthogonal4,
     seeded_input,
     signed_permutations,
+    tensor,
     trial_seeds,
     uniforms,
 )
@@ -202,10 +203,12 @@ def scalar_qr(a):
 
 def full_product_residual_tensors(re, im):
     """{family: |t1 +/- t2 - t3| at every index tuple} of the four product
-    identities for (T, n, n, n, n) plaquettes, each a (T, n, ..., n) tensor
+    identities for (T, K) plaquette stores, each a (T, n, ..., n) tensor
     with the family's free indices as axes in the order of
-    phases._PRODUCT_IDENTITIES: the broadcast evaluation over every tuple,
-    of which the library evaluates the tuples that its table keeps."""
+    phases._PRODUCT_IDENTITIES: the broadcast evaluation over every tuple
+    of the tensors of every index order that the stores map to, of which
+    the library evaluates the tuples that its table keeps."""
+    re, im = tensor(re), tensor(im)
     re_kk = np.einsum("tabkk->tabk", re)
     re_bb = np.einsum("tbbjk->tbjk", re)
     families = {
@@ -363,15 +366,54 @@ def pinned_matrices():
     return mats
 
 
+def assert_every_index_order_is_the_scalar_plaquette(m, re, im):
+    """The tensors of every index order that the stores re and im of m map
+    to hold the scalar plaquettes of m, bit for bit."""
+    n = len(m)
+    ref = np.empty((n, n, n, n), dtype=np.complex128)
+    for idx in np.ndindex(ref.shape):
+        ref[idx] = scalar_plaquette(m, *idx)
+    assert np.array_equal(bits(tensor(re)), bits(ref.real))
+    assert np.array_equal(bits(tensor(im)), bits(ref.imag))
+
+
 def test_plaquette_tensor_is_bit_equal_to_scalar_reference():
     for v in pinned_matrices():
-        n, m = v.n, v.matrix
-        ref = np.empty((n, n, n, n), dtype=np.complex128)
-        for idx in np.ndindex(ref.shape):
-            ref[idx] = scalar_plaquette(m, *idx)
-        re, im = v.plaquettes
-        assert np.array_equal(bits(re), bits(ref.real))
-        assert np.array_equal(bits(im), bits(ref.imag))
+        assert_every_index_order_is_the_scalar_plaquette(v.matrix, *v.plaquettes)
+
+
+def signed_permutation_stack(n, count, seed):
+    """count seeded n x n signed permutations, each nonzero entry +-1 or
+    +-i, with every zero part a seeded +0.0 or -0.0: the inputs from which
+    im(aa;jk) and im(ab;jj) come out as -0.0 in some entries."""
+    rng = np.random.default_rng(seed)
+    parts = rng.choice([0.0, -0.0], (2, count, n, n))
+    for t in range(count):
+        rows = np.arange(n)
+        parts[rng.integers(0, 2, n), t, rows, rng.permutation(n)] = rng.choice([1.0, -1.0], n)
+    return linalg._complex(*parts)
+
+
+def store_test_stacks(n):
+    """A Haar stack, signed permutations with +-0.0 parts, 1 (+) a Haar
+    V of dimension n - 1 (a phase at n = 2) and a real rotation, as
+    (T, n, n) stacks."""
+    yield haar_stack(n, 3, 60 + n)
+    yield signed_permutation_stack(n, 4, 70 + n)
+    block = np.eye(n, dtype=complex)
+    block[1:, 1:] = haar_stack(n - 1, 1, 80 + n)[0] if n > 2 else np.exp(0.7j)
+    yield np.array([block, real_rotation(n).matrix])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_store_column_is_the_scalar_plaquette_at_both_index_orders(n):
+    # each column serves (a, b; j, k) and (b, a; k, j), the same two
+    # operands in either order; both must have its bits
+    for m in store_test_stacks(n):
+        re, im = linalg._plaquettes(m)
+        assert re.shape == (len(m), n * n * (n * n + 1) // 2)
+        for t in range(len(m)):
+            assert_every_index_order_is_the_scalar_plaquette(m[t], re[t], im[t])
 
 
 def test_plaquette_tensor_is_read_only_and_computed_once():
@@ -647,10 +689,13 @@ def test_verify_report_bytes_match_golden_file(n, capsys):
 
 
 # The golden files were written by `jarlskog verify`; 20 trials fit in one
-# chunk, TRIAL_CHUNK + 5 cross a chunk boundary.
+# chunk, and 69 trials cross a chunk boundary at a chunk of 64 and fit in
+# one chunk of the default size.
 @pytest.mark.parametrize("n", (3, 4))
-def test_verify_report_across_a_chunk_boundary_matches_golden_file(n, capsys):
-    verify_report_matches_golden_file(n, verify.TRIAL_CHUNK + 5, capsys)
+def test_verify_report_across_a_chunk_boundary_matches_golden_file(n, capsys, monkeypatch):
+    verify_report_matches_golden_file(n, 69, capsys)
+    monkeypatch.setattr(verify, "TRIAL_CHUNK", 64)
+    verify_report_matches_golden_file(n, 69, capsys)
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -893,15 +938,23 @@ def traced_peak(fn, *args):
 def test_product_residuals_keep_their_transient_memory_at_the_one_gather():
     re, im = haar_plaquettes(4, 64, 44)
     phases.nonlinear_relation_residuals(re, im)  # the table is built on first use
-    # the gather of the factors and the trials-last copy of re and im it is
-    # taken from, the one transient the size of the inputs
+    # the gather of the factors and the trials-last (2 K, T) copy of the
+    # re and im stores it is taken from, the one transient the size of the
+    # inputs
     gather = phases._product_table(4)[0].size * 64 * 8
     assert traced_peak(phases.nonlinear_relation_residuals, re, im) <= 1.05 * (gather + 2 * re.nbytes)
 
 
 def test_verify_peak_memory_stays_at_one_chunk_gather():
+    # at its peak a chunk holds, per trial, the one gather of the product
+    # factors (6 R floats) with the trials-last copy of re and im that it
+    # is taken from (2 K), and the plaquette stores (2 * 2 K) and column
+    # products (2 * 2 n^3) of V and its rephased copy; every other array of
+    # the chunk is smaller, so 15% covers them, and a second gather-sized
+    # temporary would not fit
     verify.run_suite(4, 1, 0)
-    assert traced_peak(verify.run_suite, 4, 1000, 0) <= 9 * 2 ** 20
+    per_trial = 8 * (6 * phases._product_table(4)[0].shape[1] + 2 * 136 + 4 * 136 + 4 * 4 ** 3)
+    assert traced_peak(verify.run_suite, 4, 1000, 0) <= 1.15 * verify.TRIAL_CHUNK * per_trial
 
 
 def real_rotation(n):
@@ -1021,7 +1074,8 @@ def test_the_rule_merges_a_column_with_its_swapped_and_negated_terms_only():
     # no column of the four families' grids is B to any other at n <= 6,
     # so their tables alone cannot tell a rule that merges A and B
     def at(part, a, b, j, k):
-        return np.ravel_multi_index((a, b, j, k), (3,) * 4) + (81 if part == "im" else 0)
+        column = linalg._plaquette_layout(3)[1][np.ravel_multi_index((a, b, j, k), (3,) * 4)]
+        return column + (45 if part == "im" else 0)
 
     re1, re2, re3 = at("re", 0, 1, 0, 1), at("re", 0, 2, 0, 1), at("re", 1, 2, 0, 1)
     im1, im2, im3 = at("im", 0, 1, 1, 2), at("im", 0, 2, 1, 2), at("im", 1, 2, 1, 2)
@@ -1030,7 +1084,7 @@ def test_the_rule_merges_a_column_with_its_swapped_and_negated_terms_only():
                         [im1, neg3, neg2], [im2, im2, neg1], [im3, neg1, neg3]])
     assert phases._kept_columns(3, columns, np.add).tolist() == [True, True, False]
     re, im = haar_plaquettes(3, 64, 110)
-    factors = np.concatenate([re.reshape(64, -1), im.reshape(64, -1)], axis=1)[:, columns]
+    factors = np.concatenate([re, im], axis=1)[:, columns]
     t = factors[:, :3] * factors[:, 3:]
     residual = bits(np.abs((t[:, 0] + t[:, 1]) - t[:, 2]))
     assert np.array_equal(residual[:, 2], residual[:, 0])
@@ -1086,7 +1140,9 @@ def test_building_the_product_table_draws_nothing(monkeypatch):
 
 def four_axis_sum_rules(cols, re, im):
     """The sum rules with each of the eight families summed over its own
-    axis by numpy, the evaluation that unitary_relation_residuals halves."""
+    axis by numpy on the tensors of every index order of the stores re and
+    im, the evaluation that unitary_relation_residuals halves."""
+    re, im = tensor(re), tensor(im)
     t, n = re.shape[:2]
     mod2 = linalg._moduli_squared(cols)
     eye = np.eye(n)
