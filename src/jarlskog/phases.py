@@ -15,11 +15,11 @@ it in one (2, T, K) array, re then im; UnitaryMatrix.plaquettes is the
 tables composed with the layout's map of the n^4 index orders to the
 columns (linalg._plaquette_layout).  Each computation runs on a stack with
 a leading trial axis and has one function: phase_table (a slice, n in
-{3, 4}), unitary_relation_residuals (on the [::-1] view),
-nonlinear_relation_residuals, n3_phase_table and expansion_residual (on
-phase_table's slice), jr_matrices and expand_phases.  verify
-runs them on a chunk, the `phases` report on a stack of one
-(reconstruct_J is its one single-matrix entry point).
+{3, 4}), unitary_relation_residuals and nonlinear_relation_residuals
+(each one gather of a table of store columns), n3_phase_table and
+expansion_residual (on phase_table's slice), jr_matrices and
+expand_phases.  verify runs them on a chunk, the `phases` report on a
+stack of one (reconstruct_J is its one single-matrix entry point).
 
 Exactness note: the store evaluates the grouping
 (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])) with the operations of a
@@ -51,6 +51,13 @@ negating all three, which gives the same bits of |residual|; so the maximum
 over the kept tuples is the maximum over every tuple
 (nonlinear_relation_residuals gives the argument).  The table keeps 564 of
 the 10240 tuples at n = 4 and 90 of 1944 at n = 3.
+
+The sum rules take the same route (_sum_rule_table): of the 8 n^3 sums of
+the four index choices they add only the alpha sums at j < k (im) or
+j <= k (re) and the j sums at alpha < beta (im) or alpha <= beta (re), 54
+of 216 at n = 3 and 128 of 512 at n = 4.  Each other sum adds exact zeros
+or repeats a kept sum's terms, negated or not, in the same order
+(unitary_relation_residuals gives the argument).
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (MAX_DIM, MIN_DIM, DimensionError, _identity, _ksum, _moduli_squared,
+from .linalg import (MAX_DIM, MIN_DIM, DimensionError, _ksum, _moduli_squared,
                      _plaquette_layout)
 
 #: fixed integer mixing matrix for expanding adjacent-index phases
@@ -100,8 +107,49 @@ def phase_table(x):
 #: the sum rules' families, in the order of unitary_relation_residuals
 _SUM_RULE_FAMILIES = tuple(f"{part}_{name}" for part in ("im", "re")
                            for name in ("row_alpha", "row_beta", "col_j", "col_k"))
-#: the sum each family reads: alpha for alpha and beta, j for j and k
-_SUM_RULE_SOURCES = np.array([0, 0, 1, 1])
+#: the kept sums each family reads, in the order of _sum_rule_table's
+#: families: alpha for alpha and beta, j for j and k
+_SUM_RULE_SOURCES = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+
+
+@lru_cache(maxsize=None)
+def _sum_rule_table(n):
+    """The evaluation table of the sum rules for n x n matrices, built on
+    first use.
+
+    Returns (index, starts).  index is a read-only (n + 1, S) array of rows
+    of the trials-last array [re; im; |V|^2; 0] (the (K,) stores, the flat
+    (n^2,) squared moduli and one row of +0.0) that
+    unitary_relation_residuals gathers: column s holds the n terms of sum
+    s, in ascending summed index, then its target, a |V[c, l]|^2 entry or
+    the +0.0 row.  The families follow each other, each in flat order of
+    its free indices:
+      - im over alpha at (beta, j < k);
+      - im over j at (alpha < beta, k);
+      - re over alpha at (beta, j <= k), target delta_jk |V[beta, j]|^2;
+      - re over j at (alpha <= beta, k), target delta_ab |V[alpha, k]|^2;
+    family f owns the columns from starts[f] up to the next start.  That
+    is n C(n, 2) sums of each im family and n C(n + 1, 2) of each re
+    family: 9, 9, 18, 18 at n = 3 and 24, 24, 40, 40 at n = 4.
+    """
+    at = _plaquette_layout(n)[1].reshape((n,) * 4)
+    size = n * n * (n * n + 1) // 2
+    im, mod2, zero = size, 2 * size, 2 * size + n * n
+    r = range(n)
+    families = (
+        [[im + at[x, b, j, k] for x in r] + [zero] for b in r for j in r for k in r[j + 1:]],
+        [[im + at[a, b, x, k] for x in r] + [zero] for a in r for b in r[a + 1:] for k in r],
+        [[at[x, b, j, k] for x in r] + [mod2 + b * n + j if j == k else zero]
+         for b in r for j in r for k in r[j:]],
+        [[at[a, b, x, k] for x in r] + [mod2 + a * n + k if a == b else zero]
+         for a in r for b in r[a:] for k in r],
+    )
+    # C order, since take copies an index array of any other layout first
+    index = np.array(sum(families, [])).T.copy()
+    starts = np.cumsum([0] + [len(f) for f in families[:-1]])
+    for x in (index, starts):
+        x.setflags(write=False)
+    return index, starts
 
 
 def unitary_relation_residuals(cols, plaq):
@@ -114,43 +162,45 @@ def unitary_relation_residuals(cols, plaq):
     give delta-weighted squared moduli.  Families are keyed by the summed
     index: im_row_alpha means sum over alpha at fixed (beta, j, k), etc.
 
-    Only the alpha and j sums are taken, of im and re at once, on the
-    tensor that one take of the layout's map reads from the [::-1] view of
-    plaq, each in ascending index order (numpy sums the alpha axis, a middle
-    one, in that order; the j sum is written out).  The beta and k families
-    are those two, bit for bit: im is bitwise antisymmetric and re bitwise
-    symmetric under alpha<->beta and j<->k (up to the sign of a zero), so
-
-      sum_x im(a x; j k) = -sum_x im(x a; j k)    (beta family at a, j, k)
-      sum_x im(a b; j x) = -sum_x im(a b; x j)    (k family at a, b, j)
-
-    term by term and in the same order, the right sides being the alpha
-    family at (a, j, k) and the j family at (a, b, j); the re sums are
-    equal, and IEEE + commutes exactly with negation.  The real-part
-    targets match too: both row families subtract delta_jk |V[c, j]|^2 at
-    (c, j, k), both column families delta_ab |V[a, c]|^2 at (a, b, c).
-    Negation and the sign of a zero change no bit of |residual|, so each
-    swapped family's residuals are its partner's bit for bit; verify's
-    phase_antisymmetry_bitwise row checks the premise on the same store.
-    (numpy's own sum over the contiguous k axis adds pairwise from n = 8.)
+    The table (_sum_rule_table) evaluates |sum - target| only at the sums
+    that can be nonzero and can differ from every other sum's bits: the
+    alpha sums at j < k (im) or j <= k (re), the j sums at alpha < beta
+    (im) or alpha <= beta (re).  Each is added in ascending index order by
+    one np.add.reduce over the leading axis of the gather (a leading axis
+    is summed in order at every n and T), then its target is subtracted
+    (x - +0.0 is x).  That gives the maximum over every sum of all four
+    index choices, bit for bit, wherever verify's phase_antisymmetry_bitwise
+    row passes on the same store: im is then bitwise antisymmetric and re
+    bitwise symmetric under alpha<->beta and under j<->k, up to the sign of
+    a zero, and im(ab;jj) and im(aa;jk) are zeros.  A dropped sum is
+      - an im sum at j = k (over alpha) or alpha = beta (over j): a sum of
+        zeros, which IEEE + gives as +/-0, so |residual| is +0.0;
+      - an alpha sum at j > k, or a j sum at alpha > beta: term by term and
+        in the same order the kept sum at the swapped pair, negated (im) or
+        equal (re), with the same target, since delta is symmetric; IEEE +
+        commutes exactly with negation, so |residual| has the kept bits;
+      - a beta or k family's sum: sum_x im(a x; j k) = -sum_x im(x a; j k)
+        and sum_x im(a b; j x) = -sum_x im(a b; x j) (re alike, unnegated),
+        the alpha family at (a, j, k) and the j family at (a, b, j) by the
+        same argument, with the same targets (delta_jk |V[a, j]|^2 and
+        delta_ab |V[a, j]|^2); so each swapped family has its partner's
+        maximum, and the table evaluates it once.
+    The sign of a zero changes no bit of |residual|.
     """
     t, n = cols[0].shape[:2]
-    mod2 = _moduli_squared(cols)
-    eye = _identity(n)
-    both = plaq[::-1].take(_plaquette_layout(n)[1], axis=2).reshape(2, t, n, n, n, n)
-    sums = np.empty((2, 2, t, n, n, n))
-    np.add.reduce(both, axis=2, out=sums[:, 0])
-    over_j = sums[:, 1]
-    np.add(both[..., 0, :], both[..., 1, :], out=over_j)
-    for j in range(2, n):
-        over_j += both[..., j, :]
-    # targets of the real-part sums: over alpha, delta_jk |V[c, j]|^2 at the
-    # remaining (c, j, k); over j, delta_ab |V[a, c]|^2 at (a, b, c)
-    sums[1, 0] -= eye * mod2[:, :, :, None]
-    sums[1, 1] -= eye[:, :, None] * mod2[:, :, None, :]
-    worst = np.maximum.reduce(np.abs(sums, out=sums), axis=(3, 4, 5))
+    k = plaq.shape[-1]
+    index, starts = _sum_rule_table(n)
+    # trials on the last axis, so that each gathered entry is a row of T
+    flat = np.empty((2 * k + n * n + 1, t))
+    flat[-1] = 0.0
+    np.concatenate([plaq[0].T, plaq[1].T, _moduli_squared(cols).reshape(t, n * n).T],
+                   out=flat[:-1])
+    terms = flat.take(index, axis=0)
+    sums = np.add.reduce(terms[:n], axis=0)
+    np.subtract(sums, terms[n], out=sums)
+    worst = np.maximum.reduceat(np.abs(sums, out=sums), starts)
     # alpha, beta, j, k of im, then of re
-    return dict(zip(_SUM_RULE_FAMILIES, worst.take(_SUM_RULE_SOURCES, axis=1).reshape(8, t)))
+    return dict(zip(_SUM_RULE_FAMILIES, worst.take(_SUM_RULE_SOURCES, axis=0)))
 
 
 #: sign of each canonical three-level phase as a multiple of im(12;12), in

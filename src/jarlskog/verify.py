@@ -176,27 +176,65 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _antisymmetry_residuals(re, im):
-    """(T,) exact comparison of the phase symmetries across (T, K)
-    plaquette stores: |im + im| and |re - re| of each column and its a <-> b
-    (and j <-> k) partner, a column with operands of its own, or itself at
-    a = b or j = k, where 2 im pins im to a zero.  The swaps conjugate the
-    product exactly at the bit level, so a correct kernel gives exactly 0.
-    The sum rules and product identities skip, on the strength of these
-    symmetries, what they can read off, so this check covers that too.
+@functools.cache
+def _symmetry_table(n):
+    """The pairs of rows that _symmetry_residuals compares, for n x n
+    matrices: (pairs, split, starts), pairs a read-only (2, P) array of rows
+    x and y of the (4 K, T) trials-last copy of a (2, 2T, K) store (re of
+    V, re of its rephased copy, im of V, im of its rephased copy, K rows
+    each).  Pairs before split give |x + y|, the rest |x - y|; starts
+    holds the first pair of the antisymmetry row and of the phase shift row.
+
+    Antisymmetry: im then re of V at each column c with c <= p, p its
+    partner (linalg._plaquette_layout), so each unordered pair once; c = p
+    at a = b or j = k.  Phase shift: the rephased copy against V at each
+    canonical column, re then im.
     """
-    partners = _plaquette_layout(_check_plaquettes(re))[2]
-    swapped = np.empty((2,) + re.shape)
-    np.add(im, im.take(partners, axis=1), out=swapped[0])
-    np.subtract(re, re.take(partners, axis=1), out=swapped[1])
-    return np.maximum.reduce(np.abs(swapped, out=swapped), axis=(0, 2))
+    partners = _plaquette_layout(n)[2]
+    k, m = partners.size, (n * (n - 1) // 2) ** 2
+    c = np.flatnonzero(np.arange(k) <= partners)
+    canonical = np.arange(m)
+    pairs = np.concatenate([
+        [c + 2 * k, partners[c] + 2 * k],       # im + partner im
+        [c, partners[c]],                       # re - partner re
+        [canonical + k, canonical],             # rephased - direct, re
+        [canonical + 3 * k, canonical + 2 * k],  # and im
+    ], axis=1)
+    starts = np.array([0, 2 * c.size])
+    for x in (pairs, starts):
+        x.setflags(write=False)
+    return pairs, c.size, starts
 
 
-def _phase_shifts(tables, rephased):
-    """(T,) largest change of a canonical phase under rephasing, from the
-    (2, T, m) phase tables of re and im of the matrices and of their
-    rephased copies."""
-    return np.maximum.reduce(np.abs(rephased - tables), axis=(0, 2))
+def _symmetry_residuals(plaq):
+    """(antisymmetry, phase shift), each (T,), from the (2, 2T, K) plaquette
+    store of T matrices followed by their rephased copies.
+
+    antisymmetry is the exact comparison of the phase symmetries across the
+    stores of the matrices: |im + im| and |re - re| of each column and its
+    a <-> b (and j <-> k) partner, a column with operands of its own, or
+    itself at a = b or j = k, where 2 im pins im to a zero.  The swaps
+    conjugate the product exactly at the bit level, so a correct kernel
+    gives exactly 0.  Each pair is compared once: y + x is x + y and
+    y - x is -(x - y) in IEEE arithmetic, so |.| has the same bits either
+    way.  The sum rules and product identities skip, on the strength of
+    these symmetries, what they can read off, so this check covers that too.
+
+    phase shift is the largest change of a canonical phase, re or im, under
+    rephasing: |rephased - direct|.
+
+    One gather of the pairs (_symmetry_table) from a trials-last copy, one
+    add and one subtract, then one reduceat for both rows.
+    """
+    k = plaq.shape[-1]
+    t = plaq.shape[1] // 2
+    pairs, split, starts = _symmetry_table(_check_plaquettes(plaq))
+    # trials on the last axis, so that each gathered entry is a row of T
+    flat = plaq.reshape(2, 2, t, k).transpose(0, 1, 3, 2).reshape(4 * k, t)
+    x, y = flat.take(pairs, axis=0)
+    np.add(x[:split], y[:split], out=x[:split])
+    np.subtract(x[split:], y[split:], out=x[split:])
+    return np.maximum.reduceat(np.abs(x, out=x), starts)
 
 
 def check_tolerance(value, name="tolerance"):
@@ -244,16 +282,18 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
     re, im = plaq_v = plaq[:, :t]
     cols = tuple(x[:t] for x in cols)
-    # the canonical phases of re and im, (2, 2T, m): V, then its rephased copy
-    tables = phase_table(plaq)
-    ims = tables[1, :t]
+    # the canonical imaginary phases of V, (T, m)
+    ims = phase_table(im)
 
     mod_d, closed_error, det_shift, closed_shift = _modulus(
         np.concatenate([d, c - d, d2 - d, c2 - c]).reshape(4, t))
     det_scale = np.maximum(1.0, mod_d)
-    # the largest of the four im families, and of the four re families
-    sums = list(unitary_relation_residuals(cols, plaq_v).values())
-    sums_im, sums_re = (functools.reduce(np.maximum, sums[f:f + 4]) for f in (0, 4))
+    # the largest of the four im families, and of the four re families:
+    # the beta and k families are the alpha and j ones
+    sums = unitary_relation_residuals(cols, plaq_v)
+    sums_im, sums_re = (np.maximum(sums[f"{part}_row_alpha"], sums[f"{part}_col_j"])
+                        for part in ("im", "re"))
+    antisymmetry, phase_shift = _symmetry_residuals(plaq)
 
     def row(name, bound, residual, limit, kept=None):
         return name, bound, residual, limit, kept
@@ -264,11 +304,11 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
             np.abs(d.imag if n % 2 == 0 else d.real), PARITY_REL * mod_d + parity_abs),
         row(f"closed_form_n{n}_vs_direct", f"{closed_rel:.0e}*max(1,|det|)",
             closed_error, closed_rel * det_scale),
-        row("phase_antisymmetry_bitwise", "0 (exact)", _antisymmetry_residuals(re, im), 0.0),
+        row("phase_antisymmetry_bitwise", "0 (exact)", antisymmetry, 0.0),
         row("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}", sums_im, SUM_RULE_ABS),
         row("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}", sums_re, SUM_RULE_ABS),
-        row("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}",
-            _phase_shifts(tables[:, :t], tables[:, t:]), REPHASE_PHASE_ABS),
+        row("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}", phase_shift,
+            REPHASE_PHASE_ABS),
         row("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)",
             np.maximum(det_shift, closed_shift), REPHASE_DET_REL * det_scale),
         row("product_identities", f"{PRODUCT_ABS:.0e}",

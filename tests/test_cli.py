@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, haar, haar_unitaries, seeded_input
@@ -449,14 +449,15 @@ def test_run_suite_aggregates_bit_equal_to_the_per_trial_loop(n, monkeypatch):
 def test_verify_reports_an_injected_nan_residual_as_fail(monkeypatch):
     import jarlskog.verify as verify
 
-    exact = verify._antisymmetry_residuals
+    exact = verify._symmetry_residuals
 
-    def nan_on_trial_2(re, im):
-        out = exact(re, im)
-        out[2] = math.nan
+    def nan_on_trial_2(plaq):
+        # row 0 of the kernel is the antisymmetry row, row 1 the phase shift
+        out = exact(plaq)
+        out[0, 2] = math.nan
         return out
 
-    monkeypatch.setattr(verify, "_antisymmetry_residuals", nan_on_trial_2)
+    monkeypatch.setattr(verify, "_symmetry_residuals", nan_on_trial_2)
     report = run_suite(3, 5, 11)
     row = next(r for r in report.identities if r.name == "phase_antisymmetry_bitwise")
     assert not row.passed
@@ -537,13 +538,51 @@ def test_verify_fails_a_plaquette_entry_that_breaks_the_sum_rule_symmetry(n, par
     assert [r.name for r in report.identities if not r.passed] == [row.name]
 
 
+@pytest.mark.parametrize("part", ("re", "im"))
+@pytest.mark.parametrize("n", (3, 4))
+def test_one_ulp_in_a_rephased_canonical_column_shows_in_the_phase_shift_row_alone(
+        n, part, monkeypatch):
+    # with the rephasing made the identity, the rephased stores are V's own
+    # and the phase shift row reads exactly 0; one ulp added to the last
+    # canonical column of trial 2's rephased copy, which no closed form
+    # reads, must show in that row on that trial and move no other row
+    import jarlskog.verify as verify
+
+    monkeypatch.setattr(verify, "rephase", lambda v, row, col: v.copy())
+    seeds = verify.derive_seed(11, np.arange(5))
+
+    def residuals():
+        return {name: residual for name, _, residual, *_ in verify._check_chunk(
+            n, seeds, verify.CLOSED_REL[n], verify.PARITY_ABS)}
+
+    exact, plaquettes = residuals(), verify._plaquettes
+    column = (n * (n - 1) // 2) ** 2 - 1
+
+    def one_ulp_off(m):
+        plaq = plaquettes(m)
+        x = plaq[("re", "im").index(part), len(seeds) + 2]
+        x[column] = np.nextafter(x[column], np.inf)
+        return plaq
+
+    monkeypatch.setattr(verify, "_plaquettes", one_ulp_off)
+    mutated = residuals()
+    shift = mutated.pop("rephasing_phase_shift")
+    assert not exact.pop("rephasing_phase_shift").any()
+    assert shift[2] > 0.0 and not np.delete(shift, 2).any()
+    assert list(mutated) == list(exact)
+    for name in exact:
+        assert np.array_equal(bits(mutated[name]), bits(exact[name])), name
+
+
 def test_importing_the_cli_builds_no_product_table():
-    # the product tables are built on first use, not at import
-    code = ("import jarlskog.cli, jarlskog.phases as p; "
-            "print(p._product_table.cache_info().currsize)")
+    # the product, sum rule and symmetry tables are built on first use,
+    # not at import
+    code = ("import jarlskog.cli, jarlskog.phases as p, jarlskog.verify as v; "
+            "print(*(f.cache_info().currsize for f in "
+            "(p._product_table, p._sum_rule_table, v._symmetry_table)))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "0\n"
+    assert res.stdout == "0 0 0\n"
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -884,6 +923,27 @@ FUZZ_VALUES = (None, True, "x", 1e308, -1e308, math.nan, 1e30, [], {}, [0.5, 0.5
                5e-324, 2 ** 53 + 1)
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_an_input_error(argv, out, err):
+    """Exit 1's output: nothing on stdout, and on stderr one error line, or
+    argparse's usage line and its error line."""
+    lines = err.splitlines()
+    assert (len(lines) == 1 and lines[0].startswith("error: ")
+            or lines[0].startswith("usage: ") and "error: " in lines[-1]), (argv, err)
+    assert out == "", argv
+
+
 @settings(deadline=None, max_examples=150, database=None)
 @given(fixture=st.sampled_from(FUZZ_FIXTURES), pick=st.integers(0, 10 ** 6),
        value=st.sampled_from(FUZZ_VALUES))
@@ -898,19 +958,98 @@ def test_a_problem_with_one_node_replaced_exits_on_purpose(fixture, pick, value)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(replaced(doc, paths[pick % len(paths)], value), fh)
         for argv in (["det", path, "--method", "both"], ["phases", path]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            err = err.getvalue()
+            code, out, err = run_main(argv)
             assert code in (0, 1, 2), (argv, code, err)
             assert "Traceback" not in err
             if code == 1:
-                lines = err.splitlines()
-                assert (len(lines) == 1 and lines[0].startswith("error: ")
-                        or lines[0].startswith("usage: ") and "error: " in lines[-1]), err
-                assert out.getvalue() == ""
+                assert_an_input_error(argv, out, err)
             else:
                 assert err == "", (argv, err)
+
+
+#: the decimal digits of scripts whose digits int() reads: ASCII,
+#: Arabic-Indic, Devanagari and fullwidth
+DIGIT_SCRIPTS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                 "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+                 "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+#: integer arguments that int() refuses
+BAD_INTEGERS = ("", "x", "1.5", "1e3", "nan", "-", "0x10", "3\x00", "\u0663.\u0660", "--3")
+#: integers past every range the CLI accepts, and their negations
+HUGE_INTEGERS = (10 ** 30, 2 ** 64, 2 ** 63)
+#: seeds about 2^64 and -2^64, read mod 2^64
+EDGE_SEEDS = tuple(s + d for s in (2 ** 64, -2 ** 64, 2 ** 63) for d in (-2, -1, 0, 1, 2))
+#: tolerance arguments: not finite, signed zero, past the float range,
+#: hexadecimal, negative, ordinary, not a number
+TOLERANCES = ("nan", "inf", "-inf", "-0", "0", "1e400", "0x1p-3", "-1e-9", "1e-300", "1e-9",
+              "1e308", "", "tol")
+#: arguments after the options: none, unknown flags, flags with their
+#: value missing, an ambiguous abbreviation, an unexpected positional
+TRAILERS = ((), ("--bogus",), ("--bogus", "1"), ("--n",), ("--seed",), ("--trials",),
+            ("--tol-rel",), ("--t", "1"), ("extra",))
+
+
+def integer_text(draw, values, huge):
+    """One integer argument: a bad one, one of huge, or one of values (a
+    strategy), written in the digits of one of DIGIT_SCRIPTS."""
+    kind = draw(st.sampled_from(("valid", "valid", "huge", "bad")))
+    if kind == "bad":
+        return draw(st.sampled_from(BAD_INTEGERS))
+    value = draw(values if kind == "valid" else st.sampled_from(huge))
+    return str(value).translate(str.maketrans(DIGIT_SCRIPTS[0],
+                                              draw(st.sampled_from(DIGIT_SCRIPTS))))
+
+
+@st.composite
+def verify_or_sample_argv(draw):
+    """A verify or sample command line with its options in any order and
+    any subset.  Where verify would run its trials (--n absent, or read as
+    3 or 4) it gets --trials, read as at most 3 or refused, so that no
+    example runs long."""
+    command = draw(st.sampled_from(("verify", "sample")))
+    flags = ("--n", "--seed") + (("--trials", "--tol-rel", "--tol-abs") if command == "verify"
+                                 else ())
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True))
+    both_signs = HUGE_INTEGERS + tuple(-x for x in HUGE_INTEGERS)
+    # n about the accepted ones: 3 and 4 for verify, 2..8 for sample
+    low, high = (2, 5) if command == "verify" else (1, 9)
+    options = {"--n": integer_text(draw, st.integers(low, high), both_signs),
+               "--seed": draw(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(-5, 5)).map(str)
+                              | st.sampled_from(BAD_INTEGERS)),
+               "--tol-rel": draw(st.sampled_from(TOLERANCES)),
+               "--tol-abs": draw(st.sampled_from(TOLERANCES))}
+    try:
+        runs = command == "verify" and int(options["--n"] if "--n" in chosen else 4) in (3, 4)
+    except ValueError:
+        runs = False
+    if runs and "--trials" not in chosen:
+        chosen.append("--trials")
+    options["--trials"] = integer_text(draw, st.integers(-1, 3),
+                                       tuple(-x for x in HUGE_INTEGERS) if runs else both_signs)
+    # no trailer in about half the examples, so that some commands run
+    trailer = draw(st.just(()) | st.sampled_from(TRAILERS))
+    return [command] + [x for flag in chosen for x in (flag, options[flag])] + list(trailer)
+
+
+@settings(deadline=None, max_examples=150, database=None)
+@given(argv=verify_or_sample_argv())
+# an identity violation (a zero closed-form tolerance) in Arabic-Indic and
+# fullwidth digits, and a sample in Devanagari digits
+@example(argv=["verify", "--n", "\u0663", "--trials", "\uff13", "--seed", str(2 ** 64 - 1),
+               "--tol-rel", "-0"])
+@example(argv=["sample", "--n", "\u096e", "--seed", str(-2 ** 64)])
+def test_verify_and_sample_arguments_exit_on_purpose(argv):
+    # exit 0 or 2 with a report on stdout and, on stderr, verify's wall
+    # time alone (sample's stderr stays empty), or 1 with one error line
+    # (argparse's usage and error lines if it refuses the arguments); no
+    # traceback and no warning, which the test configuration turns into an
+    # error
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert_an_input_error(argv, out, err)
+    else:
+        assert out, argv
+        lines = err.splitlines()
+        assert (len(lines) == 1 and lines[0].startswith("wall_time_s: ") if argv[0] == "verify"
+                else err == ""), (argv, err)

@@ -10,7 +10,8 @@ the one-matrix-at-a-time LU determinant and
 Householder QR, the one-output-at-a-time splitmix64 draws of a trial, the product identities evaluated at every index tuple, which
 the library evaluates at one tuple per set of tuples with bit-equal
 residuals, and the sum rules summed
-over each family's own axis, of which the library sums two.  The library
+over each family's own axis at every index, of which the library sums only
+the distinct alpha and j sums.  The library
 must reproduce them bit for bit, signed zeros included, so results are
 compared as uint64 bit patterns.  Every stacked
 layer must give, in slice t of a stack, the bits of its call on trial t
@@ -839,6 +840,14 @@ def leaves(x):
 LAYER_TRIALS = 7
 
 
+def symmetry_row(row):
+    """Row `row` of verify._symmetry_residuals (0 the antisymmetry, 1 the
+    phase shift) as a function of the stores of a stack and of its
+    rephased copy, which the kernel reads as one (2, 2T, K) store."""
+    return lambda plaq, rephased: verify._symmetry_residuals(
+        np.concatenate([plaq, rephased], axis=1))[row]
+
+
 def stacked_layers(n):
     """{name: (function, stacked arguments, trial axis of its results)} of
     every layer that takes a leading trial axis, on LAYER_TRIALS seeded
@@ -859,9 +868,8 @@ def stacked_layers(n):
         "det": (det, (determinant._commutators(a, b, cols),), 0),
         "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, plaq), 0),
         "product_residuals": (phases.nonlinear_relation_residuals, plaq, 0),
-        "antisymmetry_residuals": (verify._antisymmetry_residuals, plaq, 0),
-        "phase_shifts": (verify._phase_shifts,
-                         tuple(phases.phase_table(x) for x in (plaq, linalg._plaquettes(w))), 0),
+        "antisymmetry_residuals": (symmetry_row(0), (plaq, linalg._plaquettes(w)), 0),
+        "phase_shifts": (symmetry_row(1), (plaq, linalg._plaquettes(w)), 0),
     }
     if n == 3:
         layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]), 0)
@@ -1141,7 +1149,8 @@ def test_building_the_product_table_draws_nothing(monkeypatch):
 def four_axis_sum_rules(cols, re, im):
     """The sum rules with each of the eight families summed over its own
     axis by numpy on the tensors of every index order of the stores re and
-    im, the evaluation that unitary_relation_residuals halves."""
+    im, the evaluation that unitary_relation_residuals prunes to the
+    distinct alpha and j sums."""
     re, im = tensor(re), tensor(im)
     t, n = re.shape[:2]
     mod2 = linalg._moduli_squared(cols)
@@ -1157,9 +1166,9 @@ def four_axis_sum_rules(cols, re, im):
 
 
 def assert_sum_rules_match_the_four_axis_sums(mats):
-    """The halved sum rules of a stack give the four-axis reference's bits
+    """The pruned sum rules of a stack give the four-axis reference's bits
     in every family, except the k families at n = 8: numpy sums the
-    contiguous k axis pairwise there, and the halved k family is the
+    contiguous k axis pairwise there, and the pruned k family is the
     sequential j sum, bit for bit, at every n."""
     m = np.asarray(mats)
     n = m.shape[-1]
@@ -1198,6 +1207,102 @@ def test_sum_rules_match_the_four_axis_sums_on_signed_permutations(n):
 @pytest.mark.parametrize("group", sorted(MATRIX_GROUPS))
 def test_sum_rules_match_the_four_axis_sums_on_the_matrix_groups(group):
     assert_sum_rules_match_the_four_axis_sums(MATRIX_GROUPS[group])
+
+
+#: the sum rule table's families, in its order: the summed axis of the
+#: (T, n, n, n, n) tensor, the part, and the two positions of the free
+#: index tuple that the kept sums hold ordered (j <= k, or a <= b)
+SUM_RULE_TABLE_FAMILIES = (("alpha", "im", (1, 2)), ("j", "im", (0, 1)),
+                           ("alpha", "re", (1, 2)), ("j", "re", (0, 1)))
+
+
+def sum_rule_counts(n):
+    """Sums of the table per family: n C(n, 2) of each im family, whose
+    sums at j = k (over alpha) or a = b (over j) add zeros, and n C(n + 1, 2)
+    of each re family."""
+    return (n * math.comb(n, 2),) * 2 + (n * math.comb(n + 1, 2),) * 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_sum_rule_table_holds_the_distinct_alpha_and_j_sums(n):
+    index, starts = phases._sum_rule_table(n)
+    counts = sum_rule_counts(n)
+    assert {3: (9, 9, 18, 18), 4: (24, 24, 40, 40)}.get(n, counts) == counts
+    assert index.shape == (n + 1, sum(counts))
+    assert starts.tolist() == np.cumsum((0,) + counts[:-1]).tolist()
+    assert not index.flags.writeable and not starts.flags.writeable
+
+
+def every_sum_rule_residual(cols, re, im):
+    """[(T, n, n, n)] |sum - target| of each family of the sum rule table at
+    every free index tuple, (beta, j, k) over alpha and (alpha, beta, k) over
+    j, each summed in ascending index order on the tensors of every index
+    order of the stores re and im."""
+    parts = {"re": tensor(re), "im": tensor(im)}
+    n = parts["re"].shape[-1]
+    mod2 = linalg._moduli_squared(cols)
+    eye = np.eye(n)
+    out = []
+    for axis, part, _ in SUM_RULE_TABLE_FAMILIES:
+        x = np.moveaxis(parts[part], 1 if axis == "alpha" else 3, 0)
+        total = x[0]
+        for term in x[1:]:
+            total = total + term
+        if part == "re":
+            total = total - (eye * mod2[:, :, :, None] if axis == "alpha"
+                             else eye[:, :, None] * mod2[:, :, None, :])
+        out.append(np.abs(total))
+    return out
+
+
+def sum_rule_split(n):
+    """[(n, n, n) bool]: per family of the sum rule table, the free index
+    tuples whose sum (terms and target) is a column of the table."""
+    index, starts = phases._sum_rule_table(n)
+    layout = linalg._plaquette_layout(n)[1].reshape((n,) * 4)
+    k = n * n * (n * n + 1) // 2
+    x, y, z = np.indices((n,) * 3)
+    zero = np.full_like(x, 2 * k + n * n)
+    kept = []
+    for f, (axis, part, _) in enumerate(SUM_RULE_TABLE_FAMILIES):
+        # terms of the sum at free tuple (x, y, z), in ascending summed index
+        terms = np.moveaxis(layout, 0 if axis == "alpha" else 2, -1) + (k if part == "im" else 0)
+        diagonal, modulus = ((y == z, x * n + y) if axis == "alpha" else (x == y, x * n + z))
+        target = np.where(diagonal & (part == "re"), 2 * k + modulus, zero)
+        rows = np.concatenate([terms, target[..., None]], axis=-1).reshape(n ** 3, n + 1)
+        block = index[:, starts[f]:starts[f + 1] if f < 3 else None].T
+        held = {row.tobytes() for row in block}
+        assert len(held) == len(block)
+        mask = np.array([row.tobytes() in held for row in rows]).reshape((n,) * 3)
+        assert mask.sum() == len(block), f
+        kept.append(mask)
+    return kept
+
+
+def sum_rule_test_stacks(n):
+    """Haar unitaries, their rephased copies and signed permutations with
+    +-0.0 parts, as (T, n, n) stacks."""
+    v, _, _, row, col = draw_trials(n, trial_seeds(16, 90 + n))
+    yield v
+    yield sampling.rephase(v, row, col)
+    yield signed_permutation_stack(n, 16, 100 + n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_dropped_sum_is_zero_or_bit_equal_to_its_kept_sum(n):
+    # a sum the table drops must read exactly +0.0 (the residual is an abs)
+    # on every stack, or the bits of the kept sum at its free tuple with the
+    # ordered pair swapped: the premises of unitary_relation_residuals
+    split = sum_rule_split(n)
+    for m in sum_rule_test_stacks(n):
+        _, cols = linalg._validate_unitaries(m)
+        everything = every_sum_rule_residual(cols, *linalg._plaquettes(m))
+        for f, (kept, (_, _, pair)) in enumerate(zip(split, SUM_RULE_TABLE_FAMILIES)):
+            values = bits(everything[f])
+            swapped = values.swapaxes(1 + pair[0], 1 + pair[1])
+            has_kept_swap = kept.swapaxes(*pair) & ~kept
+            assert np.array_equal(values[:, has_kept_swap], swapped[:, has_kept_swap]), f
+            assert not values[:, ~kept & ~has_kept_swap].any(), f
 
 
 # ---------------------------------------------------------------- the two routes of _ksum

@@ -81,5 +81,11 @@ def test_ab_ops_times_a_tree_against_itself_and_refuses_a_changed_report(tmp_pat
         text=True,
     )
     assert res.returncode == 1, res.stderr
-    assert res.stdout.splitlines() == [f"differs: verify-{n} seed {s}"
-                                       for n in ("n4", "n3") for s in (0, 1)]
+    differs = [f"differs: verify-{n} seed {s}" for n in ("n4", "n3") for s in (0, 1)]
+    assert res.stdout.splitlines() == differs
+    # with --allow-differing it names the same ops, then times the trees
+    lines = run_script("ab_ops.py", src, str(changed), "--rounds", "1", "--ops", "2",
+                       "--allow-differing")
+    assert lines[:5] == differs + ["outputs: 2 ops per workload, 4 differing"]
+    assert lines[5].startswith("round 1: verify-n4 p5 ")
+    assert [line.split(":")[0] for line in lines[6:]] == ["verify-n4", "verify-n3", "problems-cli"]
