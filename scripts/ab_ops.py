@@ -6,9 +6,9 @@ its own name (jarlskog_parent, jarlskog_change) and imports both, so that
 the two run in the same interpreter, on the same heap and under the same
 host load.  First it checks that both give the same output for every op
 of a round: the rendered verify reports and the stdout, stderr and exit
-code of each CLI call.  It names each op whose outputs differ and exits 1
-before timing, unless --allow-differing is given: then it times the trees
-anyway, for a change that moves report bytes on purpose.
+code of each CLI call.  It names each op whose outputs differ, times the
+trees anyway (a change may move report bytes on purpose), and exits 1 at
+the end if any op differed.
 
 Then it times the ops of the benchmark's three workloads:
 
@@ -36,7 +36,6 @@ So a difference below about 1% is not shown by this script.  A claimed
 gain is shown by perfbench/run.py, each tree in its own checkout.
 
 Usage: python3 scripts/ab_ops.py PARENT_SRC CHANGE_SRC [--rounds R] [--ops N]
-                                 [--allow-differing]
 
 where each SRC is a directory holding the jarlskog package, such as the
 src/ of a `git archive` of the parent commit and this tree's src/.
@@ -108,8 +107,6 @@ def main():
     parser.add_argument("--rounds", type=int, default=5, help="timed rounds (default 5)")
     parser.add_argument("--ops", type=int, default=300,
                         help="ops per workload and round (default 300)")
-    parser.add_argument("--allow-differing", action="store_true",
-                        help="time the trees even where their outputs differ")
     args = parser.parse_args()
     seeds = range(args.ops)
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,8 +117,6 @@ def main():
                  if text(trees[0][name](s)) != text(trees[1][name](s))]
     for what in differing:
         print(f"differs: {what}")
-    if differing and not args.allow_differing:
-        return 1
     print(f"outputs: {len(seeds)} ops per workload, "
           + (f"{len(differing)} differing" if differing else "identical"))
     rounds = {name: [] for name in trees[0]}
@@ -143,7 +138,7 @@ def main():
         wins = sum(change < parent for parent, change in pairs)
         median = statistics.median(change / parent - 1 for parent, change in pairs)
         print(f"{name}: change lower in {wins}/{len(pairs)} rounds, median {median:+.1%}")
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

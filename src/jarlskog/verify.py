@@ -180,7 +180,7 @@ class VerificationReport:
 def _symmetry_table(n):
     """The pairs of rows that _symmetry_residuals compares, for n x n
     matrices: (pairs, split, starts), pairs a read-only (2, P) array of rows
-    x and y of the (4 K, T) trials-last copy of a (2, 2T, K) store (re of
+    x and y of the (4 K, T) rows of a trials-last store (_trials_last: re of
     V, re of its rephased copy, im of V, im of its rephased copy, K rows
     each).  Pairs before split give |x + y|, the rest |x - y|; starts
     holds the first pair of the antisymmetry row and of the phase shift row.
@@ -188,12 +188,12 @@ def _symmetry_table(n):
     Antisymmetry: im then re of V at each column c with c <= p, p its
     partner (linalg._plaquette_layout), so each unordered pair once; c = p
     at a = b or j = k.  Phase shift: the rephased copy against V at each
-    canonical column, re then im.
+    canonical column (phase_table's), re then im.
     """
     partners = _plaquette_layout(n)[2]
-    k, m = partners.size, (n * (n - 1) // 2) ** 2
+    k = partners.size
     c = np.flatnonzero(np.arange(k) <= partners)
-    canonical = np.arange(m)
+    canonical = phase_table(np.arange(k))
     pairs = np.concatenate([
         [c + 2 * k, partners[c] + 2 * k],       # im + partner im
         [c, partners[c]],                       # re - partner re
@@ -206,9 +206,17 @@ def _symmetry_table(n):
     return pairs, c.size, starts
 
 
-def _symmetry_residuals(plaq):
-    """(antisymmetry, phase shift), each (T,), from the (2, 2T, K) plaquette
-    store of T matrices followed by their rephased copies.
+def _trials_last(plaq):
+    """The (2, 2, K, T) copy of the (2, 2T, K) plaquette store of T matrices
+    followed by their rephased copies: part (re, im), matrix (V, rephased),
+    column, trial.  Each gathered column of it is a row of T."""
+    t, k = plaq.shape[1] // 2, plaq.shape[-1]
+    return plaq.reshape(2, 2, t, k).transpose(0, 1, 3, 2).copy()
+
+
+def _symmetry_residuals(store):
+    """(antisymmetry, phase shift), each (T,), from the trials-last store
+    (_trials_last) of T matrices and their rephased copies.
 
     antisymmetry is the exact comparison of the phase symmetries across the
     stores of the matrices: |im + im| and |re - re| of each column and its
@@ -223,15 +231,11 @@ def _symmetry_residuals(plaq):
     phase shift is the largest change of a canonical phase, re or im, under
     rephasing: |rephased - direct|.
 
-    One gather of the pairs (_symmetry_table) from a trials-last copy, one
-    add and one subtract, then one reduceat for both rows.
+    One gather of the pairs (_symmetry_table), one add and one subtract,
+    then one reduceat for both rows.
     """
-    k = plaq.shape[-1]
-    t = plaq.shape[1] // 2
-    pairs, split, starts = _symmetry_table(_check_plaquettes(plaq))
-    # trials on the last axis, so that each gathered entry is a row of T
-    flat = plaq.reshape(2, 2, t, k).transpose(0, 1, 3, 2).reshape(4 * k, t)
-    x, y = flat.take(pairs, axis=0)
+    pairs, split, starts = _symmetry_table(_check_plaquettes(store[0, 0, :, 0]))
+    x, y = store.reshape(-1, store.shape[-1]).take(pairs, axis=0)
     np.add(x[:split], y[:split], out=x[:split])
     np.subtract(x[split:], y[split:], out=x[split:])
     return np.maximum.reduceat(np.abs(x, out=x), starts)
@@ -280,7 +284,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         a_factors = tuple(x[t:] for x in factors)
         closed = _complex(*_det4_closed(_det4_groups(a_factors, b2, cols, plaq)[0]))
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
-    re, im = plaq_v = plaq[:, :t]
+    re, im = plaq[:, :t]
     cols = tuple(x[:t] for x in cols)
     # the canonical imaginary phases of V, (T, m)
     ims = phase_table(im)
@@ -288,12 +292,16 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     mod_d, closed_error, det_shift, closed_shift = _modulus(
         np.concatenate([d, c - d, d2 - d, c2 - c]).reshape(4, t))
     det_scale = np.maximum(1.0, mod_d)
-    # the largest of the four im families, and of the four re families:
-    # the beta and k families are the alpha and j ones
-    sums = unitary_relation_residuals(cols, plaq_v)
-    sums_im, sums_re = (np.maximum(sums[f"{part}_row_alpha"], sums[f"{part}_col_j"])
-                        for part in ("im", "re"))
-    antisymmetry, phase_shift = _symmetry_residuals(plaq)
+    # one trials-last copy of the stores of V and its rephased copy for the
+    # sum rules and the symmetry rows: the sum rules read V's store as a
+    # (2, T, K) view of it, whose columns they copy as whole rows of T
+    store = _trials_last(plaq)
+    sums = list(unitary_relation_residuals(cols, store[:, 0].transpose(0, 2, 1)).values())
+    # the largest of the four im families, and of the four re families
+    sums_im, sums_re = (functools.reduce(np.maximum, sums[f:f + 4]) for f in (0, 4))
+    antisymmetry, phase_shift = _symmetry_residuals(store)
+    # freed before the product identities' gather, the chunk's largest array
+    del store
 
     def row(name, bound, residual, limit, kept=None):
         return name, bound, residual, limit, kept

@@ -843,9 +843,9 @@ LAYER_TRIALS = 7
 def symmetry_row(row):
     """Row `row` of verify._symmetry_residuals (0 the antisymmetry, 1 the
     phase shift) as a function of the stores of a stack and of its
-    rephased copy, which the kernel reads as one (2, 2T, K) store."""
+    rephased copy, which the kernel reads as one trials-last store."""
     return lambda plaq, rephased: verify._symmetry_residuals(
-        np.concatenate([plaq, rephased], axis=1))[row]
+        verify._trials_last(np.concatenate([plaq, rephased], axis=1)))[row]
 
 
 def stacked_layers(n):
