@@ -10,9 +10,10 @@ Library layout:
                 simple spectra and rephasing phases per seed; Householder
                 QR (householder_qr) and the rephasing group action on a
                 stack of matrices (rephase)
-* determinant - the commutator determinant: direct oracle plus closed
-                forms for n = 3 and n = 4 with their difference-factor
-                algebra (t_factors, on a stack of spectra)
+* determinant - the commutator determinant of a stack of problems: the
+                direct oracle (det_direct), the closed forms for n = 3
+                (det3_closed) and n = 4 (det4_closed, decompose_det4)
+                and the difference-factor algebra (t_factors)
 * phases      - plaquette invariants on a stack of plaquette tensors:
                 the canonical phase table (phase_table), sum rules and
                 product identities (unitary_relation_residuals,

@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .determinant import MassPairInput, det3_closed, det4_closed, det_direct
+from .determinant import MassPairInput, det3_closed, det4_closed, det_direct, t_factors
 from .linalg import Spectrum, UnitaryMatrix
 from .phases import (
     N3_SIGN_PATTERN,
@@ -95,21 +95,25 @@ def _emit(text, out_path):
 
 def _cmd_det(args):
     inp = load_problem(args.file)
-    method = args.method
-    # looked up at each call, so that rebinding det3_closed/det4_closed on
-    # this module (as perfbench/tracing.py does) reaches the call
-    closed_fn = {3: det3_closed, 4: det4_closed}.get(inp.n)
-    if method in ("closed", "both") and closed_fn is None:
-        raise ValueError(f"no closed form for n={inp.n}; closed evaluation supports n in {{3, 4}}")
+    n, method = inp.n, args.method
+    if method in ("closed", "both") and n not in (3, 4):
+        raise ValueError(f"no closed form for n={n}; closed evaluation supports n in {{3, 4}}")
 
-    lines = [f"n: {inp.n}"]
+    lines = [f"n: {n}"]
     values = {}
+    # the problem as a stack of one trial, shared by the direct and the
+    # closed route
+    a, b = np.array([inp.a.values]), np.array([inp.b.values])
+    cols = tuple(x[None] for x in inp.v.column_products)
     # overflow is reported below as an input error, not as a numpy warning
     with np.errstate(all="ignore"):
         if method in ("direct", "both"):
-            values["det_direct"] = d = det_direct(inp)
+            values["det_direct"] = d = complex(det_direct(a, b, cols)[0])
         if method in ("closed", "both"):
-            values["det_closed"] = c = closed_fn(inp)
+            plaq = tuple(x[None] for x in inp.v.plaquettes)
+            closed = (det3_closed(a, b, plaq) if n == 3
+                      else det4_closed(t_factors(a), b, cols, plaq))
+            values["det_closed"] = c = complex(closed[0])
     for name, value in values.items():
         if not _finite(value):
             raise ValueError(f"{name} is not a finite number ({_fmt_complex(value)}); "
@@ -117,7 +121,7 @@ def _cmd_det(args):
         lines.append(f"{name}: {_fmt_complex(value)}")
     code = EXIT_OK
     if method == "both":
-        tol_rel = args.tol_rel if args.tol_rel is not None else CLOSED_REL[inp.n]
+        tol_rel = args.tol_rel if args.tol_rel is not None else CLOSED_REL[n]
         tol_abs = args.tol_abs if args.tol_abs is not None else 0.0
         disc = abs(c - d)
         bound = tol_rel * max(1.0, abs(d)) + tol_abs

@@ -13,10 +13,10 @@ Three evaluations are provided:
 
 * det_direct: build the commutator entrywise and take an LU determinant.
   This is the ground-truth oracle for the closed forms.  The products
-  V[i,k] conj(V[j,k]) are UnitaryMatrix.column_products, the same split
-  real/imaginary kernel as the plaquettes applied to V^T, and the k-sum is
-  linalg._ksum, so every entry is bit-equal to its scalar complex
-  evaluation.
+  V[i,k] conj(V[j,k]) are the column products of the unitarity check, the
+  same split real/imaginary kernel as the plaquettes applied to V^T, and
+  the k-sum is linalg._ksum, so every entry is bit-equal to its scalar
+  complex evaluation.
 * det3_closed (n = 3): 2i T B im(12;12) with T, B the cyclic products of
   eigenvalue differences, im(12;12) read from the plaquette store.
 * det4_closed (n = 4): the expanded closed form in which the fourth column
@@ -30,10 +30,17 @@ Three evaluations are provided:
   on operands gathered from one array of atoms, so every group is
   bit-equal to its scalar evaluation.
 
-Every evaluation runs on a stack of trials: _commutators, _det3_closed,
-_det4_groups and t_factors take (T, ...) arrays.  The determinants of one
-MassPairInput (commutator_matrix, det_direct, det3_closed, det4_closed,
-decompose_det4) call them with a stack of one.
+Every evaluation runs on a stack of T trials: (T, n) spectra a and b, the
+(re, im) pair cols of (T, n, n, n) column products of V
+(linalg._validate_unitaries) and its (2, T, K) plaquette store plaq
+(linalg._plaquettes), with a_factors = t_factors(a) at n = 4:
+
+    det_direct(a, b, cols)                    (T,) complex
+    det3_closed(a, b, plaq)                   (T,) complex, n = 3
+    det4_closed(a_factors, b, cols, plaq)     (T,) complex, n = 4
+    decompose_det4(a_factors, b, cols, plaq)  its nine groups, n = 4
+
+One problem is the stack of one.
 
 Reconciliation note for det4_closed: the three pair-weighted groups are
 self-conjugate sums (their imaginary parts cancel index-by-index), but each
@@ -93,7 +100,13 @@ class MassPairInput:
 
 def _commutators(a, b, cols):
     """(T, n, n) commutator entries from (T, n) spectra a, b and the (re, im)
-    pair of (T, n, n, n) column products c[t, k, i, j] = V_t[i,k] conj(V_t[j,k])."""
+    pair of (T, n, n, n) column products c[t, k, i, j] = V_t[i,k] conj(V_t[j,k]).
+
+    Entry (i, j) is (a_i - a_j) * sum_k b_k (V[i,k] conj(V[j,k])), with the
+    k-sum accumulated in ascending order.  The bracketed products are the
+    row products of V^T, so u[j, i] == -conj(u[i, j]) holds exactly in
+    floating point, not just in exact arithmetic.
+    """
     cr, ci = cols
     # term k of entry (i, j) is b_k c[k, i, j]
     tr, ti = _cmul(b[:, :, None, None], 0.0, cr, ci)
@@ -101,42 +114,27 @@ def _commutators(a, b, cols):
     return _complex(*_cmul(diff, 0.0, _ksum(tr, axis=1), _ksum(ti, axis=1)))
 
 
-def _spectra(inp):
-    """a and b of one input as (1, n) arrays: a stack of one trial."""
-    return np.array([inp.a.values]), np.array([inp.b.values])
+def det_direct(a, b, cols):
+    """(T,) determinants of the commutators, evaluated directly.  The oracle."""
+    return det(_commutators(a, b, cols))
 
 
-def commutator_matrix(inp):
-    """The full commutator D V D' V^+ - V D' V^+ D, built entrywise.
-
-    Entry (i, j) is (a_i - a_j) * sum_k b_k (V[i,k] conj(V[j,k])), with the
-    k-sum accumulated in ascending order.  The bracketed products are the
-    row products of V^T, so u[j, i] == -conj(u[i, j]) holds exactly in
-    floating point, not just in exact arithmetic.
-    """
-    return _commutators(*_spectra(inp), tuple(x[None] for x in inp.v.column_products))[0]
+def _check_n(n, *spectra):
+    """DimensionError unless every (T, m) spectrum has m = n."""
+    for s in spectra:
+        if s.shape[1] != n:
+            raise DimensionError(f"the closed form for n={n} got spectra of n={s.shape[1]}")
 
 
-def det_direct(inp):
-    """Determinant of the commutator, evaluated directly.  The oracle."""
-    return det(commutator_matrix(inp))
-
-
-def _det3_closed(a, b, plaq_im):
-    """(re, im) of 2i T B im(12;12) for (T, 3) spectra and (T, 45)
-    imaginary plaquette stores, whose first column is im(12;12)."""
+def det3_closed(a, b, plaq):
+    """Closed form for n = 3: 2i T B im(12;12), (T,) complex, for (T, 3)
+    spectra and the (2, T, 45) plaquette store, whose first column is
+    (12;12)."""
+    _check_n(3, a, b)
     t = (a[:, 0] - a[:, 1]) * (a[:, 1] - a[:, 2]) * (a[:, 2] - a[:, 0])
     bb = (b[:, 0] - b[:, 1]) * (b[:, 1] - b[:, 2]) * (b[:, 2] - b[:, 0])
     # 2j * x is the scalar complex product (0, 2) (x, 0)
-    return _cmul(0.0, 2.0, t * bb * plaq_im[:, 0], 0.0)
-
-
-def det3_closed(inp):
-    """Closed form for n = 3: 2i T B im(12;12)."""
-    if inp.n != 3:
-        raise DimensionError(f"det3_closed requires n=3, got n={inp.n}")
-    re, im = _det3_closed(*_spectra(inp), inp.v.plaquettes[1][None])
-    return complex(re[0], im[0])
+    return _complex(*_cmul(0.0, 2.0, t * bb * plaq[1][:, 0], 0.0))
 
 
 #: index content of the squared-pair and 4-cycle factors
@@ -178,11 +176,6 @@ def t_factors(s):
     pair = (ij * ij) * (kl * kl)
     cycle = ij * (j - k) * kl * (l - i)
     return pair[:, :3], cycle[:, 3:]
-
-
-def _check_n4(inp):
-    if inp.n != 4:
-        raise DimensionError(f"the four-level closed form requires n=4, got n={inp.n}")
 
 
 # Every summand of the nine groups is a product of factors that each depend
@@ -250,20 +243,29 @@ _CYCLE_T = np.tile(np.arange(3), 2)
 _CYCLE_WEIGHT = np.repeat([-2.0, 2.0], 3)
 
 
-def _det4_groups(a_factors, b, cols, plaq):
-    """The nine term groups of det4_closed and the six raw cycle groups, for
-    the t_factors (pair, cycle) of the (T, 4) a-spectra, the (T, 4)
-    b-spectra and the column products and plaquettes of V.
+def decompose_det4(a_factors, b, cols, plaq):
+    """The term groups of det4_closed and the six raw cycle groups, for the
+    t_factors (pair, cycle) of the (T, 4) a-spectra, the (T, 4) b-spectra
+    and the column products and plaquettes of V.
 
-    Returns (parts, cycles): parts is the (re, im) pair of (T, 9) arrays of
-    the nine groups in DET4_GROUPS order, each cycle group with only its
-    real part kept; cycles is (weights, (re, im)), three (T, 6) arrays of
-    the six raw cycle groups and their weights.  Every 3-term sum over k
-    comes from one of two batched passes, and the products of those sums
-    from three stages of _cmul, the scalar complex product, on operands
-    gathered by index tables (see the comment above), so each group is
-    bit-equal to its scalar evaluation.
+    Returns (parts, cycles).  parts is the (re, im) pair of (T, 9) arrays of
+    the nine groups in DET4_GROUPS order.  Pair groups are complex sums
+    whose imaginary parts cancel to roundoff; cycle groups carry only the
+    real part of their orientation sum (see the module docstring).  Summed
+    in DET4_GROUPS order from 0.0 they give exactly det4_closed.
+
+    cycles is (weights, (re, im)), three (T, 6) arrays of the six cycle
+    groups before their real part is taken: raw is the complex sum over one
+    orientation of the 3-cycle and weight its factor -2 T_(ijkl) (cycle3)
+    or +2 T_(ijkl) (cycle4).  parts holds weight * raw.real for each;
+    weight * raw keeps the imaginary part that the expansion discards.
+
+    Every 3-term sum over k comes from one of two batched passes, and the
+    products of those sums from three stages of _cmul, the scalar complex
+    product, on operands gathered by index tables (see the comment above),
+    so each group is bit-equal to its scalar evaluation.
     """
+    _check_n(4, b)
     t = len(b)
     tp, tc = a_factors
     bw = b[:, :3] - b[:, 3:]
@@ -299,46 +301,9 @@ def _det4_groups(a_factors, b, cols, plaq):
     return parts, (weights, raw)
 
 
-def _det4_stack_of_one(inp):
-    _check_n4(inp)
-    v = inp.v
-    a, b = _spectra(inp)
-    return _det4_groups(t_factors(a), b, tuple(x[None] for x in v.column_products),
-                        tuple(x[None] for x in v.plaquettes))
-
-
-def _det4_closed(parts):
-    """(re, im) of the nine groups summed in DET4_GROUPS order from 0.0."""
-    return tuple(_ksum(x, axis=1) for x in parts)
-
-
-def decompose_det4(inp):
-    """The term groups of det4_closed, as (parts, cycles).
-
-    parts maps the nine groups, in DET4_GROUPS order, to their complex
-    values.  Pair groups are complex sums whose imaginary parts cancel to
-    roundoff; cycle groups carry only the real part of their orientation
-    sum (see the module docstring).  The values sum, in dict order, to
-    exactly the value det4_closed returns.
-
-    cycles maps the six cycle groups to (weight, raw) before their real part
-    is taken: raw is the complex sum over one orientation of the 3-cycle and
-    weight its factor -2 T_(ijkl) (cycle3) or +2 T_(ijkl) (cycle4).  parts
-    holds weight * raw.real for each; weight * raw keeps the imaginary part
-    that the expansion discards.
-    """
-    (re, im), (weights, (raw_re, raw_im)) = _det4_stack_of_one(inp)
-    parts = {name: complex(re[0, g], im[0, g]) for g, name in enumerate(DET4_GROUPS)}
-    cycles = {name: (weights[0, g].item(), complex(raw_re[0, g], raw_im[0, g]))
-              for g, name in enumerate(DET4_GROUPS[3:])}
-    return parts, cycles
-
-
-def det4_closed(inp):
-    """Closed form for n = 4: the nine term groups summed in fixed order.
-
-    Returns a complex number whose imaginary part is a pure roundoff
-    residue of the pair groups; its real part is the determinant.
-    """
-    re, im = _det4_closed(_det4_stack_of_one(inp)[0])
-    return complex(re[0], im[0])
+def det4_closed(a_factors, b, cols, plaq):
+    """Closed form for n = 4, (T,) complex: the nine groups of
+    decompose_det4 summed in DET4_GROUPS order from 0.0.  The imaginary part
+    is a pure roundoff residue of the pair groups; the real part is the
+    determinant."""
+    return _complex(*(_ksum(x, axis=1) for x in decompose_det4(a_factors, b, cols, plaq)[0]))

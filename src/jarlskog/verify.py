@@ -29,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .determinant import (
-    _commutators,
-    _det3_closed,
-    _det4_closed,
-    _det4_groups,
-    _sum_rule,
-    t_factors,
-)
-from .linalg import _complex, _modulus, _plaquette_layout, _plaquettes, _validate_unitaries, det
+from .determinant import _sum_rule, det3_closed, det4_closed, det_direct, t_factors
+from .linalg import _modulus, _plaquette_layout, _plaquettes, _validate_unitaries
 from .phases import (
     _check_plaquettes,
     _reconstructions,
@@ -273,16 +266,16 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     b2, a2 = spectra[:2 * t], spectra[2 * t:]
     _, cols = _validate_unitaries(both)
     plaq = _plaquettes(both)
-    dets = det(_commutators(a2, b2, cols))
+    dets = det_direct(a2, b2, cols)
     if n == 3:
-        closed = _complex(*_det3_closed(a2, b2, plaq[1]))
+        closed = det3_closed(a2, b2, plaq)
     else:
         # the difference factors of the spectra b, a, a of each trial, as
         # one stack of 3T: the closed forms of V and its rephased copy take
         # the a rows, the sum rule the b rows and the first a rows
         factors = t_factors(spectra[t:])
         a_factors = tuple(x[t:] for x in factors)
-        closed = _complex(*_det4_closed(_det4_groups(a_factors, b2, cols, plaq)[0]))
+        closed = det4_closed(a_factors, b2, cols, plaq)
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
     re, im = plaq[:, :t]
     cols = tuple(x[:t] for x in cols)

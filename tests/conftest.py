@@ -55,6 +55,15 @@ def seeded_input(n, seed):
     return MassPairInput(a=Spectrum(a[0]), b=Spectrum(b[0]), v=UnitaryMatrix(v[0]))
 
 
+def stack_of_one(inp):
+    """(a, b, cols, plaq) of one MassPairInput as stacks of one trial: the
+    (1, n) spectra, the (re, im) column products and plaquette store of V,
+    which the determinant kernels take."""
+    return (np.array([inp.a.values]), np.array([inp.b.values]),
+            tuple(x[None] for x in inp.v.column_products),
+            tuple(x[None] for x in inp.v.plaquettes))
+
+
 def uniforms(seed, count):
     """The first count doubles in [0, 1) of the stream seeded with seed, as
     a list."""

@@ -52,12 +52,12 @@ def test_traced_run_reports_the_deleted_layers_as_absent():
 #: layer once on its stack, so a layer rerouted around its traced name reads
 #: fewer calls; phase_table takes re and im of V and of its rephased copy
 #: in one call on their stack.
-VERIFY_LAYERS = {"sampling.rephase": 1, "phases.phase_table": 1,
-                 "phases.unitary_relation_residuals": 1,
+VERIFY_LAYERS = {"sampling.rephase": 1, "determinant.det_direct": 1, "linalg.det": 1,
+                 "phases.phase_table": 1, "phases.unitary_relation_residuals": 1,
                  "phases.nonlinear_relation_residuals": 1}
-VERIFY_N_LAYERS = {3: {"phases.n3_phase_table": 1},
-                   4: {"determinant.t_factors": 1, "phases.jr_matrices": 1,
-                       "phases.expand_phases": 1}}
+VERIFY_N_LAYERS = {3: {"determinant.det3_closed": 1, "phases.n3_phase_table": 1},
+                   4: {"determinant.det4_closed": 1, "determinant.t_factors": 1,
+                       "phases.jr_matrices": 1, "phases.expand_phases": 1}}
 
 
 @pytest.mark.parametrize(("n", "trials"), ((4, 4), (3, 8)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_input, spectra
+from conftest import seed_array, seeded_input, spectra, stack_of_one
 
 from jarlskog import (
     DimensionError,
@@ -15,10 +15,12 @@ from jarlskog import (
     det3_closed,
     det4_closed,
     det_direct,
+    draw_trials,
     matmul,
     t_factors,
 )
-from jarlskog.determinant import CYCLES, DET4_GROUPS, PAIRINGS, _sum_rule, commutator_matrix
+from jarlskog.determinant import CYCLES, DET4_GROUPS, PAIRINGS, _commutators, _sum_rule
+from jarlskog.linalg import _plaquettes, _validate_unitaries
 
 
 def identity_input(n):
@@ -32,16 +34,42 @@ def swapped(inp):
     return MassPairInput(a=inp.b, b=inp.a, v=UnitaryMatrix(adjoint(inp.v.matrix)))
 
 
+def seeded_stack(n, seeds):
+    """(a, b, cols, plaq) of the trials of seeded_input for each of seeds,
+    drawn as one stack."""
+    v, a, b, _, _ = draw_trials(n, seed_array(seeds))
+    return a, b, _validate_unitaries(v)[1], _plaquettes(v)
+
+
+def commutator(inp):
+    """The commutator entries of one input, a stack of one."""
+    return _commutators(*stack_of_one(inp)[:3])[0]
+
+
+def direct(inp):
+    """det_direct of one input, a stack of one."""
+    a, b, cols, _ = stack_of_one(inp)
+    return det_direct(a, b, cols)[0]
+
+
+def closed(inp):
+    """The closed form of one input's n, a stack of one."""
+    a, b, cols, plaq = stack_of_one(inp)
+    if inp.n == 3:
+        return det3_closed(a, b, plaq)[0]
+    return det4_closed(t_factors(a), b, cols, plaq)[0]
+
+
 # ---------------------------------------------------------------- commutator entries
 
 def test_commutator_matrix_vanishes_on_diagonal():
-    m = commutator_matrix(seeded_input(4, 31))
+    m = commutator(seeded_input(4, 31))
     for i in range(4):
         assert m[i, i] == 0j
 
 
 def test_commutator_matrix_identity_mixing_vanishes_off_diagonal():
-    m = commutator_matrix(identity_input(4))
+    m = commutator(identity_input(4))
     for i in range(4):
         for j in range(4):
             if i != j:
@@ -57,11 +85,11 @@ def test_commutator_matrix_matches_matrix_product_oracle():
     x = matmul(matmul(matmul(d, v), dp), adjoint(v)) - matmul(
         matmul(matmul(v, dp), adjoint(v)), d
     )
-    assert np.max(np.abs(commutator_matrix(inp) - x)) <= 1e-13
+    assert np.max(np.abs(commutator(inp) - x)) <= 1e-13
 
 
 def test_commutator_matrix_entries_anti_hermitian_bitwise():
-    m = commutator_matrix(seeded_input(4, 5))
+    m = commutator(seeded_input(4, 5))
     for i in range(4):
         for j in range(4):
             assert m[j, i] == -m[i, j].conjugate()
@@ -70,29 +98,27 @@ def test_commutator_matrix_entries_anti_hermitian_bitwise():
 # ---------------------------------------------------------------- direct det
 
 def test_det_direct_identity_mixing_is_zero():
-    assert det_direct(identity_input(3)) == 0j
-    assert det_direct(identity_input(4)) == 0j
+    assert direct(identity_input(3)) == 0j
+    assert direct(identity_input(4)) == 0j
 
 
 def test_det_direct_n3_is_purely_imaginary():
-    for seed in range(20):
-        d = det_direct(seeded_input(3, seed))
-        assert abs(d.real) <= 1e-9 * abs(d) + 1e-12
+    d = det_direct(*seeded_stack(3, range(20))[:3])
+    assert np.all(np.abs(d.real) <= 1e-9 * np.abs(d) + 1e-12)
 
 
 def test_det_direct_n4_is_real():
-    for seed in range(20):
-        d = det_direct(seeded_input(4, seed))
-        assert abs(d.imag) <= 1e-9 * abs(d) + 1e-12
+    d = det_direct(*seeded_stack(4, range(20))[:3])
+    assert np.all(np.abs(d.imag) <= 1e-9 * np.abs(d) + 1e-12)
 
 
 def test_det_direct_sign_under_swap():
     # swapping the spectra and adjointing V negates the commutator, so the
     # determinant flips sign for n=3 and is preserved for n=4
     inp3 = seeded_input(3, 11)
-    assert abs(det_direct(swapped(inp3)) + det_direct(inp3)) <= 1e-10 * abs(det_direct(inp3))
+    assert abs(direct(swapped(inp3)) + direct(inp3)) <= 1e-10 * abs(direct(inp3))
     inp4 = seeded_input(4, 11)
-    assert abs(det_direct(swapped(inp4)) - det_direct(inp4)) <= 1e-10 * abs(det_direct(inp4))
+    assert abs(direct(swapped(inp4)) - direct(inp4)) <= 1e-10 * abs(direct(inp4))
 
 
 # ---------------------------------------------------------------- n=3 closed
@@ -106,24 +132,24 @@ def test_det3_closed_real_orthogonal_is_exactly_zero():
         b=Spectrum((-0.8, -0.1, 0.7)),
         v=UnitaryMatrix(r),
     )
-    assert det3_closed(inp) == 0j
+    assert closed(inp) == 0j
 
 
 def test_det3_closed_identity_mixing_is_zero():
-    assert det3_closed(identity_input(3)) == 0j
+    assert closed(identity_input(3)) == 0j
 
 
 def test_det3_closed_matches_direct():
-    for seed in range(100):
-        inp = seeded_input(3, seed)
-        d = det_direct(inp)
-        c = det3_closed(inp)
-        assert abs(c - d) <= 1e-10 * max(1.0, abs(d))
+    a, b, cols, plaq = seeded_stack(3, range(100))
+    d = det_direct(a, b, cols)
+    c = det3_closed(a, b, plaq)
+    assert np.all(np.abs(c - d) <= 1e-10 * np.maximum(1.0, np.abs(d)))
 
 
 def test_det3_closed_wrong_dimension():
+    a, b, _, plaq = seeded_stack(4, [0])
     with pytest.raises(DimensionError):
-        det3_closed(seeded_input(4, 0))
+        det3_closed(a, b, plaq)
 
 
 def test_det3_degeneracy_limit_is_linear():
@@ -135,7 +161,7 @@ def test_det3_degeneracy_limit_is_linear():
 
     def at_eps(eps):
         shrunk = Spectrum((a2 + eps * (a1 - a2), a2, a3))
-        return abs(det_direct(MassPairInput(a=shrunk, b=inp.b, v=inp.v)))
+        return abs(direct(MassPairInput(a=shrunk, b=inp.b, v=inp.v)))
 
     d1, d2, d3 = at_eps(1e-1), at_eps(1e-2), at_eps(1e-3)
     assert abs(d2 / d1 * 10.0 - 1.0) < 0.25
@@ -199,21 +225,20 @@ def test_t_factors_translation_invariant(shift):
 # ---------------------------------------------------------------- n=4 closed
 
 def test_det4_closed_identity_mixing_is_zero():
-    assert det4_closed(identity_input(4)) == 0j
+    assert closed(identity_input(4)) == 0j
 
 
 def test_det4_closed_matches_direct():
-    for seed in range(100):
-        inp = seeded_input(4, seed)
-        d = det_direct(inp)
-        c = det4_closed(inp)
-        assert abs(c - d) <= 1e-9 * max(1.0, abs(d))
+    a, b, cols, plaq = seeded_stack(4, range(100))
+    d = det_direct(a, b, cols)
+    c = det4_closed(t_factors(a), b, cols, plaq)
+    assert np.all(np.abs(c - d) <= 1e-9 * np.maximum(1.0, np.abs(d)))
 
 
 def test_det4_closed_imaginary_residue_is_roundoff():
-    for seed in range(20):
-        c = det4_closed(seeded_input(4, seed))
-        assert abs(c.imag) <= 1e-12
+    a, b, cols, plaq = seeded_stack(4, range(20))
+    c = det4_closed(t_factors(a), b, cols, plaq)
+    assert np.all(np.abs(c.imag) <= 1e-12)
 
 
 def test_det4_closed_invariant_under_b_shift():
@@ -223,40 +248,54 @@ def test_det4_closed_invariant_under_b_shift():
         b=Spectrum(tuple(x + 0.37 for x in inp.b.values)),
         v=inp.v,
     )
-    base = det4_closed(inp)
-    moved = det4_closed(shifted)
+    base = closed(inp)
+    moved = closed(shifted)
     assert abs(moved - base) <= 1e-10 * max(1.0, abs(base))
 
 
 def test_det4_closed_invariant_under_swap():
     inp = seeded_input(4, 21)
-    base = det4_closed(inp)
-    other = det4_closed(swapped(inp))
-    direct = det_direct(inp)
+    base = closed(inp)
+    other = closed(swapped(inp))
+    d = direct(inp)
     assert abs(other - base) <= 1e-10 * max(1.0, abs(base))
-    assert abs(other - direct) <= 1e-9 * max(1.0, abs(direct))
+    assert abs(other - d) <= 1e-9 * max(1.0, abs(d))
+
+
+def n4_factors_on_n3_problem():
+    """The t_factors of an n=4 a-spectrum with the b-spectrum, column
+    products and plaquettes of an n=3 trial."""
+    _, b, cols, plaq = seeded_stack(3, [0])
+    return t_factors(seeded_stack(4, [0])[0]), b, cols, plaq
 
 
 def test_det4_closed_wrong_dimension():
     with pytest.raises(DimensionError):
-        det4_closed(seeded_input(3, 0))
+        det4_closed(*n4_factors_on_n3_problem())
+
+
+def test_decompose_det4_wrong_dimension():
+    with pytest.raises(DimensionError):
+        decompose_det4(*n4_factors_on_n3_problem())
 
 
 # ---------------------------------------------------------------- decompose
 
 def test_decompose_identity_mixing_all_groups_zero():
-    parts, _ = decompose_det4(identity_input(4))
-    assert tuple(parts) == DET4_GROUPS
-    assert all(z == 0j for z in parts.values())
+    a, b, cols, plaq = stack_of_one(identity_input(4))
+    parts, _ = decompose_det4(t_factors(a), b, cols, plaq)
+    assert [x.shape for x in parts] == [(1, len(DET4_GROUPS))] * 2
+    assert np.all(parts[0] == 0.0) and np.all(parts[1] == 0.0)
 
 
 def test_decompose_parts_sum_bitwise_to_closed_form():
-    inp = seeded_input(4, 13)
-    parts, _ = decompose_det4(inp)
+    a, b, cols, plaq = stack_of_one(seeded_input(4, 13))
+    a_factors = t_factors(a)
+    (re, im), _ = decompose_det4(a_factors, b, cols, plaq)
     acc = 0j
-    for name in DET4_GROUPS:
-        acc += parts[name]
-    assert acc == det4_closed(inp)
+    for g in range(len(DET4_GROUPS)):
+        acc += complex(re[0, g], im[0, g])
+    assert acc == det4_closed(a_factors, b, cols, plaq)[0]
 
 
 def test_decompose_group_names_are_stable():
@@ -277,5 +316,5 @@ def test_decompose_group_names_are_stable():
 
 def test_commutator_matrix_is_anti_hermitian_bitwise():
     inp = seeded_input(4, 55)
-    m = commutator_matrix(inp)
+    m = commutator(inp)
     assert np.array_equal(m, -adjoint(m))

@@ -14,6 +14,7 @@ from conftest import (
     phase,
     rephased,
     seeded_input,
+    stack_of_one,
     tensor,
     uniforms,
 )
@@ -258,7 +259,7 @@ def test_n3_base_phase_ties_to_determinant():
     t = (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0])
     bb = (b[0] - b[1]) * (b[1] - b[2]) * (b[2] - b[0])
     base = n3_signs(inp.v)[0]
-    d = det_direct(inp)
+    d = det_direct(*stack_of_one(inp)[:3])[0]
     assert abs(2j * t * bb * base - d) <= 1e-10 * max(1.0, abs(d))
 
 

@@ -36,6 +36,7 @@ from conftest import (
     orthogonal4,
     seeded_input,
     signed_permutations,
+    stack_of_one,
     tensor,
     trial_seeds,
     uniforms,
@@ -52,13 +53,7 @@ from jarlskog import (
 )
 from jarlskog import determinant, linalg, phases, sampling, verify
 from jarlskog.cli import main
-from jarlskog.determinant import (
-    DET4_GROUPS,
-    commutator_matrix,
-    decompose_det4,
-    det4_closed,
-    t_factors,
-)
+from jarlskog.determinant import DET4_GROUPS, decompose_det4, det4_closed, t_factors
 from jarlskog.phases import A_MATRIX, expand_phases, jr_matrices, nonlinear_relation_residuals
 from jarlskog.problem_io import load_problem
 
@@ -92,7 +87,9 @@ def scalar_commutator(inp):
 def scalar_det4_groups(inp):
     """The nine term groups and the raw cycle sums, scalar complex code.
 
-    Returns (parts, cycles) shaped like decompose_det4.
+    Returns (parts, cycles): parts maps the nine groups, in DET4_GROUPS
+    order, to their complex values, and cycles the six cycle groups to their
+    (weight, raw sum), the entries of decompose_det4's arrays.
     Every factor is a 3-term sum over the columns k = 0..2, weighted by
     bw[k] = b_k - b_4: spelled out as t0 + t1 + t2, except the plaquette
     forms, which accumulate from 0j with k2 innermost.
@@ -479,7 +476,7 @@ def test_commutator_matrix_is_bit_equal_to_scalar_reference():
     for s, v in enumerate(mats):
         drawn = seeded_input(v.n, derive_seed(777, s))
         inp = MassPairInput(a=drawn.a, b=drawn.b, v=v)
-        got = commutator_matrix(inp)
+        got = determinant._commutators(*stack_of_one(inp)[:3])[0]
         ref = scalar_commutator(inp)
         assert np.array_equal(bits(got.real), bits(ref.real))
         assert np.array_equal(bits(got.imag), bits(ref.imag))
@@ -508,17 +505,18 @@ def det4_signed_zero_matrices():
     return mats
 
 
-def assert_groups_match_scalar_reference(parts, cycles, inp):
-    """parts and cycles shaped like decompose_det4's, bit-equal to
-    scalar_det4_groups(inp)."""
+def assert_groups_match_scalar_reference(groups, s, inp):
+    """Trial s of the decompose_det4 result groups, bit-equal to
+    scalar_det4_groups(inp); returns the reference parts."""
+    (re, im), (weights, (raw_re, raw_im)) = groups
     ref_parts, ref_cycles = scalar_det4_groups(inp)
-    assert list(parts) == list(DET4_GROUPS)
-    for name in DET4_GROUPS:
-        assert np.array_equal(cbits(parts[name]), cbits(ref_parts[name])), name
-    assert list(cycles) == list(ref_cycles)
-    for name, (weight, raw) in cycles.items():
-        assert bits([weight]) == bits([ref_cycles[name][0]]), name
-        assert np.array_equal(cbits(raw), cbits(ref_cycles[name][1])), name
+    assert re.shape[1] == im.shape[1] == len(DET4_GROUPS)
+    for g, name in enumerate(DET4_GROUPS):
+        assert np.array_equal(cbits(complex(re[s, g], im[s, g])), cbits(ref_parts[name])), name
+    assert list(ref_cycles) == list(DET4_GROUPS[3:])
+    for g, (name, (weight, raw)) in enumerate(ref_cycles.items()):
+        assert bits([weights[s, g]]) == bits([weight]), name
+        assert np.array_equal(cbits(complex(raw_re[s, g], raw_im[s, g])), cbits(raw)), name
     return ref_parts
 
 
@@ -529,11 +527,14 @@ def test_det4_groups_are_bit_equal_to_scalar_reference():
     for s, v in enumerate(mats):
         drawn = seeded_input(4, derive_seed(4321, s))
         inp = MassPairInput(a=drawn.a, b=drawn.b, v=v)
-        ref_parts = assert_groups_match_scalar_reference(*decompose_det4(inp), inp)
+        a, b, cols, plaq = stack_of_one(inp)
+        a_factors = t_factors(a)
+        ref_parts = assert_groups_match_scalar_reference(
+            decompose_det4(a_factors, b, cols, plaq), 0, inp)
         acc = 0j
         for name in DET4_GROUPS:
             acc += ref_parts[name]
-        assert np.array_equal(cbits(det4_closed(inp)), cbits(acc))
+        assert np.array_equal(cbits(det4_closed(a_factors, b, cols, plaq)[0]), cbits(acc))
 
 
 def test_det4_groups_of_a_verify_stack_are_bit_equal_to_scalar_reference():
@@ -549,14 +550,10 @@ def test_det4_groups_of_a_verify_stack_are_bit_equal_to_scalar_reference():
     _, cols = linalg._validate_unitaries(both)
     factors = t_factors(np.concatenate([a, b]))
     a_factors = tuple(np.concatenate([x[:t], x[:t]]) for x in factors)
-    (re, im), (weights, (raw_re, raw_im)) = determinant._det4_groups(
-        a_factors, np.concatenate([b, b]), cols, linalg._plaquettes(both))
+    groups = decompose_det4(a_factors, np.concatenate([b, b]), cols, linalg._plaquettes(both))
     for s in range(2 * t):
         inp = MassPairInput(a=Spectrum(a[s % t]), b=Spectrum(b[s % t]), v=UnitaryMatrix(both[s]))
-        parts = {name: complex(re[s, g], im[s, g]) for g, name in enumerate(DET4_GROUPS)}
-        cycles = {name: (weights[s, g].item(), complex(raw_re[s, g], raw_im[s, g]))
-                  for g, name in enumerate(DET4_GROUPS[3:])}
-        assert_groups_match_scalar_reference(parts, cycles, inp)
+        assert_groups_match_scalar_reference(groups, s, inp)
 
 
 # ---------------------------------------------------------------- band reconstruction
@@ -872,14 +869,13 @@ def stacked_layers(n):
         "phase_shifts": (symmetry_row(1), (plaq, linalg._plaquettes(w)), 0),
     }
     if n == 3:
-        layers["det3_closed"] = (determinant._det3_closed, (a, b, plaq[1]), 0)
+        layers["det3_closed"] = (determinant.det3_closed, (a, b, plaq), 0)
         layers["n3_signs"] = (phases.n3_phase_table, (phases.phase_table(plaq[1]),), 0)
     else:
         j, r = phases.jr_matrices(*plaq)
-        groups = determinant._det4_groups(t_factors(a), b, cols, plaq)
         layers.update({
-            "det4_groups": (determinant._det4_groups, (t_factors(a), b, cols, plaq), 0),
-            "det4_closed": (determinant._det4_closed, (groups[0],), 0),
+            "det4_groups": (determinant.decompose_det4, (t_factors(a), b, cols, plaq), 0),
+            "det4_closed": (determinant.det4_closed, (t_factors(a), b, cols, plaq), 0),
             "t_factors": (determinant.t_factors, (a,), 0),
             "sum_rule": (determinant._sum_rule, determinant.t_factors(b), 0),
             "jr": (phases.jr_matrices, plaq, 0),
