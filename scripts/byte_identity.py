@@ -4,9 +4,9 @@
 Runs one matrix of commands through jarlskog.cli.main against each tree
 and compares stdout, stderr and the exit code of every command:
 
-    verify --n {3,4} --trials {1,4,8,65,200,1000} --seed {0,13579}: a stack
-    of one, the benchmark's chunk sizes, one trial past a chunk boundary and
-    many chunks
+    verify --n {3,4} --trials {1,4,8,200,256,257,1000} --seed {0,13579}: a
+    stack of one, the benchmark's chunk sizes, part of a chunk, exactly one
+    chunk (verify.TRIAL_CHUNK is 256), one trial past it and many chunks
     det <file> --method both and phases <file>, for every tests/data/problem_*.json
     and for the structured problems of structured_files: signed permutations
     with +-0.0 parts at n=3 and n=4, 1 (+) V3 and a real rotation
@@ -20,7 +20,7 @@ Each tree is imported by its own interpreter, which runs the whole matrix
 in process.  stderr lines that start with "wall_time_s:" (verify's timing)
 are dropped before comparing.  Prints each command whose output differs
 and exits 1 on any difference, 0 when every stdout, stderr and exit code
-agree.  The matrix holds 261 commands and runs in a few seconds.
+agree.  The matrix holds 265 commands and runs in a few seconds.
 
 Usage: python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
 
@@ -128,7 +128,8 @@ def commands(tmp):
     """The command matrix, as argv lists for jarlskog.cli.main, with the
     error commands reading the files of error_files in tmp."""
     argvs = [["verify", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
-             for n in (3, 4) for trials in (1, 4, 8, 65, 200, 1000) for seed in (0, 13579)]
+             for n in (3, 4) for trials in (1, 4, 8, 200, 256, 257, 1000)
+             for seed in (0, 13579)]
     for path in sorted(glob.glob(os.path.join(DATA, "problem_*.json"))) + structured_files(tmp):
         argvs += [["det", path, "--method", "both"], ["phases", path]]
     argvs += [["sample", "--n", str(n), "--seed", str(seed)]

@@ -35,6 +35,8 @@ def main():
     parser.add_argument("--samples", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=777)
     args = parser.parse_args()
+    if args.samples < 1:
+        parser.error("--samples must be >= 1")
 
     print("first-entry moment E|V11|^2 (target 1/n):")
     for n in (2, 3, 4, 5):

@@ -30,6 +30,8 @@ def main():
     parser.add_argument("--trials", type=int, default=500)
     parser.add_argument("--seed", type=int, default=424242)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
 
     # trial t draws from the stream seeded with derive_seed(seed, t); every
     # determinant runs once on the stack of all trials

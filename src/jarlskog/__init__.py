@@ -14,7 +14,7 @@ Library layout:
                 direct oracle (det_direct), the closed forms for n = 3
                 (det3_closed) and n = 4 (det4_closed, decompose_det4)
                 and the difference-factor algebra (t_factors)
-* phases      - plaquette invariants on a stack of plaquette tensors:
+* phases      - plaquette invariants on the (2, T, K) plaquette store:
                 the canonical phase table (phase_table), sum rules and
                 product identities (unitary_relation_residuals,
                 nonlinear_relation_residuals), the n = 3 single-phase

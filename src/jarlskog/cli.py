@@ -110,7 +110,7 @@ def _cmd_det(args):
         if method in ("direct", "both"):
             values["det_direct"] = d = complex(det_direct(a, b, cols)[0])
         if method in ("closed", "both"):
-            plaq = tuple(x[None] for x in inp.v.plaquettes)
+            plaq = inp.v.plaquettes[:, None]
             closed = (det3_closed(a, b, plaq) if n == 3
                       else det4_closed(t_factors(a), b, cols, plaq))
             values["det_closed"] = c = complex(closed[0])
@@ -147,13 +147,12 @@ def _phase_report_text(v):
     lines.append("invariant-phase report")
     lines.append(f"tool_version: {__version__}")
     lines.append(f"n: {v.n}")
-    # every phase layer runs on v's plaquettes as a stack of one
-    re, im = (x[None] for x in v.plaquettes)
-    ims = phase_table(im)
+    # every phase layer runs on v's plaquette store as a stack of one
+    res, ims = phase_table(v.plaquettes[:, None])
     lines.append("")
     lines.append("canonical phases (rows alpha<beta, columns j<k):")
     labels = _phase_labels(v.n)
-    for label, x, y in zip(labels, ims[0].tolist(), phase_table(re)[0].tolist()):
+    for label, x, y in zip(labels, ims[0].tolist(), res[0].tolist()):
         lines.append(f"  {label}  im {x:+.17e}  re {y:+.17e}")
     if v.n == 3:
         base, signs, residuals, indeterminate = (x[0] for x in n3_phase_table(ims))

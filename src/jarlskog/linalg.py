@@ -397,11 +397,11 @@ class UnitaryMatrix:
     def plaquettes(self):
         """The plaquette store of V in the layout of _plaquette_layout(n).
 
-        A read-only (re, im) pair of (K,) float arrays, built once per matrix.
-        Each entry, at every index order, is bit-equal to the scalar complex
+        A read-only (2, K) float array, re then im, built once per matrix;
+        plaquettes[:, None] is the store of V as a stack of one.  Each
+        entry, at every index order, is bit-equal to the scalar complex
         evaluation with the grouping (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).
         """
-        pair = tuple(x[0] for x in _plaquettes(self.matrix[None]))
-        for x in pair:
-            x.setflags(write=False)
-        return pair
+        store = _plaquettes(self.matrix[None])[:, 0]
+        store.setflags(write=False)
+        return store

@@ -10,16 +10,17 @@ are unchanged when rows and columns of V are multiplied by phases.
 The phases have one representation: the plaquette store of
 linalg._plaquettes, one column per unordered pair of operands, with the
 canonical entries alpha < beta, j < k first.  A stack of T matrices holds
-it in one (2, T, K) array, re then im; UnitaryMatrix.plaquettes is the
-(re, im) pair of one matrix.  Readers take their entries through index
-tables composed with the layout's map of the n^4 index orders to the
-columns (linalg._plaquette_layout).  Each computation runs on a stack with
-a leading trial axis and has one function: phase_table (a slice, n in
-{3, 4}), unitary_relation_residuals and nonlinear_relation_residuals
-(each one gather of a table of store columns), n3_phase_table and
-expansion_residual (on phase_table's slice), jr_matrices and
-expand_phases.  verify runs them on a chunk, the `phases` report on a
-stack of one (reconstruct_J is its one single-matrix entry point).
+it in one (2, T, K) array, re then im, and that array is the one argument
+of every reader: phase_table (a slice, n in {3, 4}), jr_matrices (one
+take) and unitary_relation_residuals and nonlinear_relation_residuals
+(each one gather of a table of store columns from a trials-last copy it
+makes).  Readers take their entries through index tables composed with
+the layout's map of the n^4 index orders to the columns
+(linalg._plaquette_layout).  n3_phase_table and expansion_residual run on
+phase_table's slice, expand_phases on J.  UnitaryMatrix.plaquettes is the
+(2, K) store of one matrix, and v.plaquettes[:, None] its stack of one.
+verify runs the readers on a chunk, the `phases` report on a stack of one
+(reconstruct_J is its one single-matrix entry point).
 
 Exactness note: the store evaluates the grouping
 (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])) with the operations of a
@@ -238,16 +239,16 @@ _ADJACENT = [_canonical_pairs(4).index(p) for p in _ADJACENT_ORDER]
 _JR_INDEX = np.array([[6 * r + c for c in _ADJACENT] for r in _ADJACENT])
 
 
-def jr_matrices(re, im):
-    """The adjacent-index phase arrays (J, R) of (T, K) plaquette stores of
-    4 x 4 matrices, each (T, 3, 3): J[:, a, j] (0-based) holds
+def jr_matrices(plaq):
+    """The adjacent-index phase arrays (J, R) of the (2, T, K) plaquette
+    store of (T, 4, 4) matrices, each (T, 3, 3): J[:, a, j] (0-based) holds
     im(a+1, a+2; j+1, j+2) and R the matching real parts.
 
-    Each is one take of _JR_INDEX.  Raises DimensionError unless both
-    hold the store of n = 4."""
-    for x in (re, im):
-        _check_plaquettes(x, (4,), "adjacent-index arrays require n=4")
-    return tuple(x.take(_JR_INDEX, axis=-1) for x in (im, re))
+    One take of _JR_INDEX.  Raises DimensionError unless plaq holds the
+    store of n = 4."""
+    _check_plaquettes(plaq, (4,), "adjacent-index arrays require n=4")
+    r, j = plaq.take(_JR_INDEX, axis=-1)
+    return j, r
 
 
 #: the 6x6 expansion block's rows and columns run over the adjacent pairs,
@@ -382,9 +383,9 @@ def _product_table(n):
     return index, tuple(starts), tuple(combines)
 
 
-def nonlinear_relation_residuals(re, im):
+def nonlinear_relation_residuals(plaq):
     """{family: (T,) max residual} of the four product identity families
-    for the (T, K) plaquette stores re and im of n x n matrices:
+    for the (2, T, K) plaquette store of (T, n, n) matrices:
 
     mixed_same_rows:   re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk)
                          = re(ab;kk) im(ab;jl)
@@ -399,7 +400,7 @@ def nonlinear_relation_residuals(re, im):
     the maximum over every index tuple (repeats included).  The table
     (_product_table) evaluates |t1 +/- t2 - t3| only at the tuples that
     _kept_columns keeps, which gives that maximum bit for bit wherever
-    verify's phase_antisymmetry_bitwise row passes on the same stores.
+    verify's phase_antisymmetry_bitwise row passes on the same store.
     There every column is finite (an inf or a NaN fails that row), and each
     equals its partner (re) or its negation (im), or is a zero (im at a = b
     or j = k), up to the sign of a zero.  So each factor is its key
@@ -425,12 +426,12 @@ def nonlinear_relation_residuals(re, im):
     later step writes into its first half (see _product_table for the row
     layout), so a chunk's transient memory is that one buffer.
     """
-    t, k = re.shape
-    index, starts, combines = _product_table(_check_plaquettes(re))
+    t, k = plaq.shape[1:]
+    index, starts, combines = _product_table(_check_plaquettes(plaq))
     # trials on the last axis, so that each gathered entry is a row of T;
     # in C order, since take copies any other layout first (concatenate
     # would keep the transposes' order)
-    flat = np.concatenate([re.T, im.T], out=np.empty((2 * k, t)))
+    flat = np.concatenate([plaq[0].T, plaq[1].T], out=np.empty((2 * k, t)))
     factors = flat.take(index, axis=0)
     t1, t2, t3 = np.multiply(factors[:3], factors[3:], out=factors[:3])
     for combine, lo, hi in zip(combines, starts, starts[1:] + (None,)):
@@ -560,7 +561,7 @@ def reconstruct_J(v):
     determinant cancels (ratio below RECONSTRUCTION_GATE) the result is
     flagged degenerate instead of solved.
     """
-    j, r = jr_matrices(*(x[None] for x in v.plaquettes))
+    j, r = jr_matrices(v.plaquettes[:, None])
     ratio, degenerate, recon, max_error = _reconstructions(
         tuple(x[None] for x in v.column_products), j, r)
     solved = not degenerate[0]

@@ -156,7 +156,7 @@ def householder_qr(a):
     r = np.array(a, dtype=np.complex128)
     n = r.shape[-1]
     q = np.zeros(r.shape, dtype=np.complex128)
-    q.reshape(len(r), -1)[:, ::n + 1] = 1.0
+    q.reshape(len(r), n * n)[:, ::n + 1] = 1.0
     for k in range(n - 1):
         x = r[:, k:, k]
         norm_x = np.sqrt(np.add.reduce(np.abs(x) ** 2, axis=1))

@@ -14,7 +14,10 @@ Trials run in chunks of TRIAL_CHUNK.  A chunk draws all of its trials at
 once through sampling.draw_trials: one fixed-size block of 2 n^2 + 4n
 outputs per trial from the start of its own stream.  Then every layer
 (validation, plaquettes, determinants, closed forms, residual families)
-runs once on the stack of the chunk's trials.  Each stacked draw and layer
+runs once on the stack of the chunk's trials.  V and its rephased copy
+share one (2, 2T, K) plaquette store: every store reader takes the (2, T,
+K) view of V's part, and the rephasing row compares the halves of the one
+phase_table slice of the whole store.  Each stacked draw and layer
 gives, in slice t, the bits of its call on the stack of trial t alone, so
 the report does not depend on the chunk size.
 """
@@ -169,69 +172,27 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _symmetry_table(n):
-    """The pairs of rows that _symmetry_residuals compares, for n x n
-    matrices: (pairs, split, starts), pairs a read-only (2, P) array of rows
-    x and y of the (4 K, T) rows of a trials-last store (_trials_last: re of
-    V, re of its rephased copy, im of V, im of its rephased copy, K rows
-    each).  Pairs before split give |x + y|, the rest |x - y|; starts
-    holds the first pair of the antisymmetry row and of the phase shift row.
+def _antisymmetry_residuals(plaq):
+    """(T,) the exact comparison of the phase symmetries across the (2, T,
+    K) plaquette store of T matrices: the largest |im + im| and |re - re| of
+    each column and its a <-> b (and j <-> k) partner
+    (linalg._plaquette_layout), a column with operands of its own, or
+    itself at a = b or j = k, where 2 im pins im to a zero.
 
-    Antisymmetry: im then re of V at each column c with c <= p, p its
-    partner (linalg._plaquette_layout), so each unordered pair once; c = p
-    at a = b or j = k.  Phase shift: the rephased copy against V at each
-    canonical column (phase_table's), re then im.
+    The swaps conjugate the product exactly at the bit level, so a correct
+    kernel gives exactly 0.  Each unordered pair is compared twice, which
+    changes no bit of the maximum: y + x is x + y and y - x is -(x - y) in
+    IEEE arithmetic, so |.| has the same bits either way.  The sum rules
+    and product identities skip, on the strength of these symmetries, what
+    they can read off, so this check covers that too.
+
+    One take of the partner columns, one add and one subtract into it, then
+    one reduce.
     """
-    partners = _plaquette_layout(n)[2]
-    k = partners.size
-    c = np.flatnonzero(np.arange(k) <= partners)
-    canonical = phase_table(np.arange(k))
-    pairs = np.concatenate([
-        [c + 2 * k, partners[c] + 2 * k],       # im + partner im
-        [c, partners[c]],                       # re - partner re
-        [canonical + k, canonical],             # rephased - direct, re
-        [canonical + 3 * k, canonical + 2 * k],  # and im
-    ], axis=1)
-    starts = np.array([0, 2 * c.size])
-    for x in (pairs, starts):
-        x.setflags(write=False)
-    return pairs, c.size, starts
-
-
-def _trials_last(plaq):
-    """The (2, 2, K, T) copy of the (2, 2T, K) plaquette store of T matrices
-    followed by their rephased copies: part (re, im), matrix (V, rephased),
-    column, trial.  Each gathered column of it is a row of T."""
-    t, k = plaq.shape[1] // 2, plaq.shape[-1]
-    return plaq.reshape(2, 2, t, k).transpose(0, 1, 3, 2).copy()
-
-
-def _symmetry_residuals(store):
-    """(antisymmetry, phase shift), each (T,), from the trials-last store
-    (_trials_last) of T matrices and their rephased copies.
-
-    antisymmetry is the exact comparison of the phase symmetries across the
-    stores of the matrices: |im + im| and |re - re| of each column and its
-    a <-> b (and j <-> k) partner, a column with operands of its own, or
-    itself at a = b or j = k, where 2 im pins im to a zero.  The swaps
-    conjugate the product exactly at the bit level, so a correct kernel
-    gives exactly 0.  Each pair is compared once: y + x is x + y and
-    y - x is -(x - y) in IEEE arithmetic, so |.| has the same bits either
-    way.  The sum rules and product identities skip, on the strength of
-    these symmetries, what they can read off, so this check covers that too.
-
-    phase shift is the largest change of a canonical phase, re or im, under
-    rephasing: |rephased - direct|.
-
-    One gather of the pairs (_symmetry_table), one add and one subtract,
-    then one reduceat for both rows.
-    """
-    pairs, split, starts = _symmetry_table(_check_plaquettes(store[0, 0, :, 0]))
-    x, y = store.reshape(-1, store.shape[-1]).take(pairs, axis=0)
-    np.add(x[:split], y[:split], out=x[:split])
-    np.subtract(x[split:], y[split:], out=x[split:])
-    return np.maximum.reduceat(np.abs(x, out=x), starts)
+    partner = plaq.take(_plaquette_layout(_check_plaquettes(plaq))[2], axis=-1)
+    np.add(plaq[1], partner[1], out=partner[1])
+    np.subtract(plaq[0], partner[0], out=partner[0])
+    return np.maximum.reduce(np.abs(partner, out=partner), axis=(0, 2))
 
 
 def check_tolerance(value, name="tolerance"):
@@ -277,24 +238,20 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         a_factors = tuple(x[t:] for x in factors)
         closed = det4_closed(a_factors, b2, cols, plaq)
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
-    re, im = plaq[:, :t]
     cols = tuple(x[:t] for x in cols)
-    # the canonical imaginary phases of V, (T, m)
-    ims = phase_table(im)
+    # the canonical phases of V and of its rephased copy: the imaginary
+    # ones of V, (T, m), and the largest change of any under rephasing
+    table = phase_table(plaq)
+    ims = table[1, :t]
+    phase_shift = np.maximum.reduce(np.abs(table[:, t:] - table[:, :t]), axis=(0, 2))
+    plaq = plaq[:, :t]
 
     mod_d, closed_error, det_shift, closed_shift = _modulus(
         np.concatenate([d, c - d, d2 - d, c2 - c]).reshape(4, t))
     det_scale = np.maximum(1.0, mod_d)
-    # one trials-last copy of the stores of V and its rephased copy for the
-    # sum rules and the symmetry rows: the sum rules read V's store as a
-    # (2, T, K) view of it, whose columns they copy as whole rows of T
-    store = _trials_last(plaq)
-    sums = list(unitary_relation_residuals(cols, store[:, 0].transpose(0, 2, 1)).values())
+    sums = list(unitary_relation_residuals(cols, plaq).values())
     # the largest of the four im families, and of the four re families
     sums_im, sums_re = (functools.reduce(np.maximum, sums[f:f + 4]) for f in (0, 4))
-    antisymmetry, phase_shift = _symmetry_residuals(store)
-    # freed before the product identities' gather, the chunk's largest array
-    del store
 
     def row(name, bound, residual, limit, kept=None):
         return name, bound, residual, limit, kept
@@ -305,7 +262,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
             np.abs(d.imag if n % 2 == 0 else d.real), PARITY_REL * mod_d + parity_abs),
         row(f"closed_form_n{n}_vs_direct", f"{closed_rel:.0e}*max(1,|det|)",
             closed_error, closed_rel * det_scale),
-        row("phase_antisymmetry_bitwise", "0 (exact)", antisymmetry, 0.0),
+        row("phase_antisymmetry_bitwise", "0 (exact)", _antisymmetry_residuals(plaq), 0.0),
         row("unitarity_sums_imag", f"{SUM_RULE_ABS:.0e}", sums_im, SUM_RULE_ABS),
         row("unitarity_sums_real", f"{SUM_RULE_ABS:.0e}", sums_re, SUM_RULE_ABS),
         row("rephasing_phase_shift", f"{REPHASE_PHASE_ABS:.0e}", phase_shift,
@@ -313,7 +270,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         row("rephasing_det_shift", f"{REPHASE_DET_REL:.0e}*max(1,|det|)",
             np.maximum(det_shift, closed_shift), REPHASE_DET_REL * det_scale),
         row("product_identities", f"{PRODUCT_ABS:.0e}",
-            functools.reduce(np.maximum, nonlinear_relation_residuals(re, im).values()),
+            functools.reduce(np.maximum, nonlinear_relation_residuals(plaq).values()),
             PRODUCT_ABS),
     ]
     if n == 3:
@@ -324,7 +281,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
         rows.append(row("single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)",
                         np.maximum.reduce(residuals, axis=1), limit))
         return rows
-    j, r = jr_matrices(re, im)
+    j, r = jr_matrices(plaq)
     res, scale = _sum_rule(*(x[:2 * t] for x in factors))
     factor_sum = np.abs(res) / scale
     _, degenerate, _, max_error = _reconstructions(cols, j, r)

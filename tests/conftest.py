@@ -57,11 +57,11 @@ def seeded_input(n, seed):
 
 def stack_of_one(inp):
     """(a, b, cols, plaq) of one MassPairInput as stacks of one trial: the
-    (1, n) spectra, the (re, im) column products and plaquette store of V,
-    which the determinant kernels take."""
+    (1, n) spectra, the (re, im) column products and the (2, 1, K)
+    plaquette store of V, which the determinant kernels take."""
     return (np.array([inp.a.values]), np.array([inp.b.values]),
             tuple(x[None] for x in inp.v.column_products),
-            tuple(x[None] for x in inp.v.plaquettes))
+            inp.v.plaquettes[:, None])
 
 
 def uniforms(seed, count):

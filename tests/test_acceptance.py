@@ -131,7 +131,7 @@ def test_acceptance_07_phase_expansion(reports):
     started = time.perf_counter()
     worst_spot = 0.0
     for v in haar_draws(4, DIRECT_DRAWS):
-        j = jr_matrices(*(x[None] for x in v.plaquettes))[0][0]
+        j = jr_matrices(v.plaquettes[:, None])[0][0]
         spots = (
             phase(v, 1, 2, 2, 4).imag - (j[0, 0] - j[0, 1]),
             phase(v, 1, 2, 1, 3).imag - (-j[0, 1] + j[0, 2]),

@@ -449,15 +449,14 @@ def test_run_suite_aggregates_bit_equal_to_the_per_trial_loop(n, monkeypatch):
 def test_verify_reports_an_injected_nan_residual_as_fail(monkeypatch):
     import jarlskog.verify as verify
 
-    exact = verify._symmetry_residuals
+    exact = verify._antisymmetry_residuals
 
     def nan_on_trial_2(plaq):
-        # row 0 of the kernel is the antisymmetry row, row 1 the phase shift
         out = exact(plaq)
-        out[0, 2] = math.nan
+        out[2] = math.nan
         return out
 
-    monkeypatch.setattr(verify, "_symmetry_residuals", nan_on_trial_2)
+    monkeypatch.setattr(verify, "_antisymmetry_residuals", nan_on_trial_2)
     report = run_suite(3, 5, 11)
     row = next(r for r in report.identities if r.name == "phase_antisymmetry_bitwise")
     assert not row.passed
@@ -575,14 +574,12 @@ def test_one_ulp_in_a_rephased_canonical_column_shows_in_the_phase_shift_row_alo
 
 
 def test_importing_the_cli_builds_no_product_table():
-    # the product, sum rule and symmetry tables are built on first use,
-    # not at import
-    code = ("import jarlskog.cli, jarlskog.phases as p, jarlskog.verify as v; "
-            "print(*(f.cache_info().currsize for f in "
-            "(p._product_table, p._sum_rule_table, v._symmetry_table)))")
+    # the product and sum rule tables are built on first use, not at import
+    code = ("import jarlskog.cli, jarlskog.phases as p; "
+            "print(*(f.cache_info().currsize for f in (p._product_table, p._sum_rule_table)))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "0 0 0\n"
+    assert res.stdout == "0 0\n"
 
 
 @pytest.mark.parametrize("n", (3, 4))

@@ -417,7 +417,7 @@ def test_every_store_column_is_the_scalar_plaquette_at_both_index_orders(n):
 def test_plaquette_tensor_is_read_only_and_computed_once():
     v = haar(4, 3)
     re, im = v.plaquettes
-    assert v.plaquettes[0] is re
+    assert v.plaquettes is v.plaquettes
     with pytest.raises(ValueError):
         im[0, 1, 0, 1] = 0.0
 
@@ -632,7 +632,7 @@ def assert_reconstructions_match_scalar_reference(v):
     """_reconstructions on the (T, 4, 4) stack v, bit-equal in every slice
     to scalar_band_reconstruction, NaN positions included."""
     _, cols = linalg._validate_unitaries(v)
-    j, r = jr_matrices(*linalg._plaquettes(v))
+    j, r = jr_matrices(linalg._plaquettes(v))
     ratio, degenerate, recon, max_error = phases._reconstructions(cols, j, r)
     for t, m in enumerate(v):
         ref = scalar_band_reconstruction(UnitaryMatrix(m))
@@ -670,7 +670,7 @@ def test_band_reconstruction_is_bit_equal_to_scalar_reference_on_structured_matr
 def test_phase_expansion_is_bit_equal_to_spelled_out_products():
     mats = [v for v in pinned_matrices() if v.n == 4] + list(signed_permutations(4))
     for v in mats:
-        j = jr_matrices(*(x[None] for x in v.plaquettes))[0]
+        j = jr_matrices(v.plaquettes[:, None])[0]
         assert np.array_equal(bits(expand_phases(j)[0]), bits(reference_expansion(j[0])))
 
 
@@ -837,12 +837,13 @@ def leaves(x):
 LAYER_TRIALS = 7
 
 
-def symmetry_row(row):
-    """Row `row` of verify._symmetry_residuals (0 the antisymmetry, 1 the
-    phase shift) as a function of the stores of a stack and of its
-    rephased copy, which the kernel reads as one trials-last store."""
-    return lambda plaq, rephased: verify._symmetry_residuals(
-        verify._trials_last(np.concatenate([plaq, rephased], axis=1)))[row]
+def phase_shifts(plaq, rephased):
+    """verify's rephasing_phase_shift row, the largest |rephased - direct|
+    of a canonical phase, from the stores of a stack and of its rephased
+    copy, which verify holds as one store and reads with one phase_table."""
+    table = phases.phase_table(np.concatenate([plaq, rephased], axis=1))
+    t = plaq.shape[1]
+    return np.maximum.reduce(np.abs(table[:, t:] - table[:, :t]), axis=(0, 2))
 
 
 def stacked_layers(n):
@@ -864,21 +865,21 @@ def stacked_layers(n):
         "commutators": (determinant._commutators, (a, b, cols), 0),
         "det": (det, (determinant._commutators(a, b, cols),), 0),
         "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, plaq), 0),
-        "product_residuals": (phases.nonlinear_relation_residuals, plaq, 0),
-        "antisymmetry_residuals": (symmetry_row(0), (plaq, linalg._plaquettes(w)), 0),
-        "phase_shifts": (symmetry_row(1), (plaq, linalg._plaquettes(w)), 0),
+        "product_residuals": (phases.nonlinear_relation_residuals, (plaq,), 0),
+        "antisymmetry_residuals": (verify._antisymmetry_residuals, (plaq,), 0),
+        "phase_shifts": (phase_shifts, (plaq, linalg._plaquettes(w)), 0),
     }
     if n == 3:
         layers["det3_closed"] = (determinant.det3_closed, (a, b, plaq), 0)
         layers["n3_signs"] = (phases.n3_phase_table, (phases.phase_table(plaq[1]),), 0)
     else:
-        j, r = phases.jr_matrices(*plaq)
+        j, r = phases.jr_matrices(plaq)
         layers.update({
             "det4_groups": (determinant.decompose_det4, (t_factors(a), b, cols, plaq), 0),
             "det4_closed": (determinant.det4_closed, (t_factors(a), b, cols, plaq), 0),
             "t_factors": (determinant.t_factors, (a,), 0),
             "sum_rule": (determinant._sum_rule, determinant.t_factors(b), 0),
-            "jr": (phases.jr_matrices, plaq, 0),
+            "jr": (phases.jr_matrices, (plaq,), 0),
             "expand_block": (phases.expand_phases, (j,), 0),
             "expansion_residuals": (phases.expansion_residual,
                                     (phases.phase_table(plaq[1]), phases.expand_phases(j)), 0),
@@ -911,9 +912,9 @@ def haar_plaquettes(n, trials, master_seed):
     return linalg._plaquettes(haar_stack(n, trials, master_seed))
 
 
-def assert_bit_equal_to_every_tuple(re, im):
-    got = phases.nonlinear_relation_residuals(re, im)
-    ref = full_product_residuals(re, im)
+def assert_bit_equal_to_every_tuple(plaq):
+    got = phases.nonlinear_relation_residuals(plaq)
+    ref = full_product_residuals(*plaq)
     assert list(got) == list(ref)
     for name in ref:
         assert np.array_equal(bits(got[name]), bits(ref[name])), name
@@ -925,7 +926,7 @@ def assert_bit_equal_to_every_tuple(re, im):
 @pytest.mark.parametrize("trials", (1, 3, 4, 7, 64))
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_haar_stacks(n, trials):
-    assert_bit_equal_to_every_tuple(*haar_plaquettes(n, trials, 40 + n))
+    assert_bit_equal_to_every_tuple(haar_plaquettes(n, trials, 40 + n))
 
 
 def traced_peak(fn, *args):
@@ -940,13 +941,12 @@ def traced_peak(fn, *args):
 
 
 def test_product_residuals_keep_their_transient_memory_at_the_one_gather():
-    re, im = haar_plaquettes(4, 64, 44)
-    phases.nonlinear_relation_residuals(re, im)  # the table is built on first use
+    plaq = haar_plaquettes(4, 64, 44)
+    phases.nonlinear_relation_residuals(plaq)  # the table is built on first use
     # the gather of the factors and the trials-last (2 K, T) copy of the
-    # re and im stores it is taken from, the one transient the size of the
-    # inputs
+    # store it is taken from, the one transient the size of the input
     gather = phases._product_table(4)[0].size * 64 * 8
-    assert traced_peak(phases.nonlinear_relation_residuals, re, im) <= 1.05 * (gather + 2 * re.nbytes)
+    assert traced_peak(phases.nonlinear_relation_residuals, plaq) <= 1.05 * (gather + plaq.nbytes)
 
 
 def test_verify_peak_memory_stays_at_one_chunk_gather():
@@ -978,19 +978,20 @@ def structured_matrices(n):
 
 
 def structured_plaquettes(n, size=64):
-    """The plaquettes of structured_matrices(n) in stacks of up to size."""
+    """The (2, T, K) plaquette stores of structured_matrices(n) in stacks of
+    up to size."""
     mats = structured_matrices(n)
     for first in range(0, len(mats), size):
-        yield tuple(np.array(x) for x in zip(*(v.plaquettes for v in mats[first:first + size])))
+        yield np.array([v.plaquettes for v in mats[first:first + size]]).swapaxes(0, 1)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_structured_matrices(n):
     for plaq in structured_plaquettes(n):
-        assert_bit_equal_to_every_tuple(*plaq)
+        assert_bit_equal_to_every_tuple(plaq)
     for v in structured_matrices(n):
-        plaq = tuple(x[None] for x in v.plaquettes)
-        got, ref = nonlinear_relation_residuals(*plaq), full_product_residuals(*plaq)
+        plaq = v.plaquettes[:, None]
+        got, ref = nonlinear_relation_residuals(plaq), full_product_residuals(*plaq)
         assert list(got) == list(ref)
         for name in ref:
             assert np.array_equal(bits(got[name]), bits(ref[name])), name
@@ -1111,9 +1112,9 @@ def test_dropping_the_column_of_a_family_maximum_changes_that_maximum(n, monkeyp
     # mutation check of the pins above: a table that also drops the kept
     # column(s) holding a family's maximum in trial 0 changes that
     # family's maximum, and only that family's
-    re, im = haar_plaquettes(n, 8, 100 + n)
-    ref = full_product_residuals(re, im)
-    tensors = full_product_residual_tensors(re, im)
+    plaq = haar_plaquettes(n, 8, 100 + n)
+    ref = full_product_residuals(*plaq)
+    tensors = full_product_residual_tensors(*plaq)
     index, starts, combines = phases._product_table(n)
     for f, name in enumerate(phases._PRODUCT_IDENTITIES):
         column = at_tuples(tensors[name], orbit_split(n, name)[0])[0]
@@ -1121,7 +1122,7 @@ def test_dropping_the_column_of_a_family_maximum_changes_that_maximum(n, monkeyp
         mutated = (np.delete(index, holds_max, axis=1),
                    starts[:f + 1] + tuple(s - len(holds_max) for s in starts[f + 1:]), combines)
         monkeypatch.setattr(phases, "_product_table", lambda n, table=mutated: table)
-        got = nonlinear_relation_residuals(re, im)
+        got = nonlinear_relation_residuals(plaq)
         assert got[name][0] < ref[name][0], name
         for other in ref:
             if other != name:

@@ -124,6 +124,15 @@ def test_draw_trials_rejects_unsupported_dimension():
         draw_trials(9, seed_array(0))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_draw_trials_of_no_seeds_is_five_empty_stacks(n):
+    # pytest turns any numpy warning into an error (pyproject.toml)
+    v, a, b, row, col = draw_trials(n, np.array([], dtype=np.uint64))
+    assert v.shape == (0, n, n) and v.dtype == np.complex128
+    for x in (a, b, row, col):
+        assert x.shape == (0, n)
+
+
 def validated_haar_stack(n, master_seed, trials):
     """haar_stack of trials, validated once on the stack."""
     v = haar_stack(n, trials, master_seed)

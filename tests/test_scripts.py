@@ -1,9 +1,14 @@
 """Smoke runs of the scripts, with tiny ensembles for the studies."""
 
+import importlib.util
 import os
 import shutil
 import subprocess
 import sys
+
+import pytest
+
+from jarlskog.verify import TRIAL_CHUNK
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -39,6 +44,29 @@ def test_haar_sampling_study_summary():
     ]
     assert lines[-2].startswith("  with phase correction   : R = ")
     assert lines[-1].startswith("  without phase correction: R = ")
+
+
+@pytest.mark.parametrize(("name", "option"), (("reconcile_closed_form.py", "--trials"),
+                                              ("haar_sampling_study.py", "--samples")))
+@pytest.mark.parametrize("count", ("0", "-3"))
+def test_study_scripts_reject_counts_below_one(name, option, count):
+    res = subprocess.run([sys.executable, os.path.join(SCRIPTS, name), option, count],
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage: ")
+    assert res.stderr.splitlines()[-1].endswith(f"error: {option} must be >= 1")
+
+
+def test_byte_identity_runs_verify_on_the_trial_chunk_and_one_past_it(tmp_path):
+    spec = importlib.util.spec_from_file_location("byte_identity",
+                                                  os.path.join(SCRIPTS, "byte_identity.py"))
+    byte_identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(byte_identity)
+    argvs = byte_identity.commands(str(tmp_path))
+    for n in (3, 4):
+        for trials in (TRIAL_CHUNK, TRIAL_CHUNK + 1):
+            assert ["verify", "--n", str(n), "--trials", str(trials), "--seed", "0"] in argvs
 
 
 def test_byte_identity_names_a_changed_verify_report(tmp_path):
