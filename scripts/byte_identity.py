@@ -13,14 +13,16 @@ and compares stdout, stderr and the exit code of every command:
     sample --n {2,3,4,8} --seed 0..49, and sample --n 4 at the seeds -1
     and 2^64 + 5, outside the uint64 range
     every input-error exit: a missing file, an n=5 problem (written by the
-    first tree's sample --n 5), spectra that overflow det, verify and
+    first tree's sample --n 5), spectra that overflow det, U/U_prime
+    problems at n=3 and n=4 with a non-unitary U, a non-finite U_prime, a
+    defect in V = U^+ U_prime alone and an overflowing U_prime, verify and
     sample arguments out of range, and --out onto an existing file
 
 Each tree is imported by its own interpreter, which runs the whole matrix
 in process.  stderr lines that start with "wall_time_s:" (verify's timing)
 are dropped before comparing.  Prints each command whose output differs
 and exits 1 on any difference, 0 when every stdout, stderr and exit code
-agree.  The matrix holds 265 commands and runs in a few seconds.
+agree.  The matrix holds 281 commands and runs in a few seconds.
 
 Usage: python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
 
@@ -62,10 +64,20 @@ json.dump([jarlskog.__file__, results], sys.stdout)
 """
 
 
+#: the U/U_prime fixture of each n
+PAIR_FIXTURES = {3: "problem_n3_uu_seed601.json", 4: "problem_n4_uu_seed602.json"}
+#: the faults of the U/U_prime error files, named by file stem: the entry
+#: [0][0] of one field set to [re, im], or both fields set to (1 + 4.9e-11) I,
+#: each within the unitarity bound while their product V is not
+PAIR_FAULTS = {"u_not_unitary": ("U", [5.0, 0.0]), "u_prime_nan": ("U_prime", [math.nan, 0.0]),
+               "v_not_unitary": None, "u_prime_overflow": ("U_prime", [1e300, 0.0])}
+
+
 def error_files(src, tmp):
     """Write the inputs of the error commands into tmp: an n=5 problem made
     by the sample command of the tree at src, the n=3 and n=4 fixtures with
-    a and b scaled by 1e60, and an existing file named taken."""
+    a and b scaled by 1e60, the U/U_prime fixtures with each of PAIR_FAULTS
+    (as <fault><n>.json), and an existing file named taken."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     subprocess.run([sys.executable, "-m", "jarlskog", "sample", "--n", "5", "--seed", "2",
                     "--out", os.path.join(tmp, "n5.json")], env=env, check=True)
@@ -76,6 +88,17 @@ def error_files(src, tmp):
             doc[key] = [x * 1e60 for x in doc[key]]
         with open(os.path.join(tmp, f"big{n}.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+    for n, name in PAIR_FIXTURES.items():
+        for fault, change in PAIR_FAULTS.items():
+            with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if change is None:
+                doc["U"] = doc["U_prime"] = [[[1.0 + 4.9e-11 if i == j else 0.0, 0.0]
+                                              for j in range(n)] for i in range(n)]
+            else:
+                doc[change[0]][0][0] = change[1]
+            with open(os.path.join(tmp, f"{fault}{n}.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
     open(os.path.join(tmp, "taken"), "w").close()
 
 
@@ -141,6 +164,8 @@ def commands(tmp):
     argvs += [["det", n5, "--method", method] for method in ("closed", "both")]
     argvs += [["det", os.path.join(tmp, f"big{n}.json"), "--method", method]
               for n in (3, 4) for method in ("direct", "closed", "both")]
+    argvs += [[command, os.path.join(tmp, f"{fault}{n}.json")]
+              for n in PAIR_FIXTURES for fault in PAIR_FAULTS for command in ("det", "phases")]
     argvs += [["verify", "--n", "5"], ["verify", "--trials", "0"], ["sample", "--n", "9"],
               ["phases", os.path.join(DATA, "problem_n3_seed501.json"), "--out", taken],
               ["verify", "--n", "3", "--trials", "2", "--out", taken],

@@ -22,7 +22,7 @@ import argparse
 import numpy as np
 
 from jarlskog import decompose_det4, derive_seed, det4_closed, det_direct, draw_trials, t_factors
-from jarlskog.linalg import _complex, _modulus, _plaquettes, _validate_unitaries
+from jarlskog.linalg import _complex, _modulus, _validate_unitaries
 
 
 def main():
@@ -36,8 +36,7 @@ def main():
     # trial t draws from the stream seeded with derive_seed(seed, t); every
     # determinant runs once on the stack of all trials
     v, a, b, _, _ = draw_trials(4, derive_seed(args.seed, np.arange(args.trials)))
-    _, cols = _validate_unitaries(v)
-    plaq = _plaquettes(v)
+    _, cols, plaq = _validate_unitaries(v)
     a_factors = t_factors(a)
     d = det_direct(a, b, cols)
     c = det4_closed(a_factors, b, cols, plaq)

@@ -31,9 +31,9 @@ Three evaluations are provided:
   bit-equal to its scalar evaluation.
 
 Every evaluation runs on a stack of T trials: (T, n) spectra a and b, the
-(re, im) pair cols of (T, n, n, n) column products of V
-(linalg._validate_unitaries) and its (2, T, K) plaquette store plaq
-(linalg._plaquettes), with a_factors = t_factors(a) at n = 4:
+(re, im) pair cols of (T, n, n, n) column products of V and its (2, T, K)
+plaquette store plaq (both from linalg._validate_unitaries), with
+a_factors = t_factors(a) at n = 4:
 
     det_direct(a, b, cols)                    (T,) complex
     det3_closed(a, b, plaq)                   (T,) complex, n = 3

@@ -9,12 +9,12 @@ Every complex product goes through one kernel, _cmul on split real and
 imaginary float arrays, and every k-sum through _ksum.  Determinants use LU
 with partial pivoting on the complex modulus.
 
-The kernels take a leading trial axis: det, the unitarity check and the
-plaquette store work on a (T, n, n) stack at once, one numpy call per step
-for the whole stack, and a single matrix is the stack of one.  Slice t of a
-stacked result is bit-equal to the call on matrix t alone.  The plaquettes
-of a stack are one (2, T, K) store, re then im (_plaquette_layout), which
-its readers take through index tables composed with the layout's map.
+The kernels take a leading trial axis: det and the unitarity check work on
+a (T, n, n) stack at once, one numpy call per step for the whole stack, and
+a single matrix is the stack of one.  Slice t of a stacked result is
+bit-equal to the call on matrix t alone.  The check also builds the stack's
+plaquettes, one (2, T, K) store, re then im (_plaquette_layout), which its
+readers take through index tables composed with the layout's map.
 
 Stacks are small (a few trials, or one), so most of a call is numpy's
 per-call dispatch.  The kernels here and in the modules built on them call
@@ -32,8 +32,9 @@ np.add.reduce from +0.0 over its first entries, fewer than 8.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -137,8 +138,8 @@ def _row_products(m, out=None):
     of float arrays (or into out, as _cmul), for one matrix or a stack.
 
     The one place where products of a matrix with its own conjugate are
-    formed: the plaquettes use it on V, V V^+ and the commutator entries
-    on V^T.
+    formed: _validate_unitaries takes it once on the stack of V^T (for
+    V V^+ and the commutator entries) and V (for the plaquettes).
     """
     re, im = m.real, m.imag
     return _cmul(re[..., :, :, None], im[..., :, :, None], re[..., :, None, :], -im[..., :, None, :],
@@ -262,14 +263,14 @@ class Spectrum:
     min_gap: float = field(init=False)
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         check_dimension(len(vals))
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("spectrum values must be finite")
-        gap = min(
-            abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:]
-        )
+        # rounding is monotone: the closest pair is adjacent in sorted order
+        ordered = sorted(vals)
+        gap = min(map(operator.sub, ordered[1:], ordered))
         if gap == 0.0:
             raise DegenerateSpectrumError(
                 "spectrum has a repeated eigenvalue; only simple spectra are supported"
@@ -284,9 +285,12 @@ class Spectrum:
 def _validate_unitaries(m):
     """Validate a (T, n, n) stack of candidate unitaries.
 
-    Returns (defects, column_products): max|V V^+ - I| per matrix and the
-    (re, im) pair of c[t, k, i, j] = V_t[i,k] conj(V_t[j,k]), whose k-sums
-    are the V V^+ entries.  Raises _InvalidUnitary, a ValueError that holds
+    Returns (defects, column_products, plaquettes): max|V V^+ - I| per
+    matrix, the (re, im) pair of c[t, k, i, j] = V_t[i,k] conj(V_t[j,k]),
+    whose k-sums are the V V^+ entries, and the stack's plaquette store.
+    One _row_products call on the stack of V^T and V gives c and the row
+    products h of V, from which _plaquette_store builds the store once
+    every defect passes.  Raises _InvalidUnitary, a ValueError that holds
     the index of the first matrix that fails, on that matrix's first check
     failed of: finite entries, the defect within UNITARITY_TOL.
 
@@ -296,23 +300,27 @@ def _validate_unitaries(m):
     |tr E| + ||E||_F^2 <= n d + n^2 d^2 in modulus, twice log|det V|.  At
     n = 8 and d = UNITARITY_TOL, |det V| - 1 is thus within 4e-10.
     """
-    check_dimension(m.shape[-1])
+    t, n = m.shape[0], m.shape[-1]
+    check_dimension(n)
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         # the finite matrices before the first non-finite one may fail first
-        t = int(np.logical_and.reduce(np.isfinite(m), axis=(1, 2)).argmin())
-        _validate_unitaries(m[:t])
-        raise _InvalidUnitary("matrix entries must be finite", t)
+        first = int(np.logical_and.reduce(np.isfinite(m), axis=(1, 2)).argmin())
+        _validate_unitaries(m[:first])
+        raise _InvalidUnitary("matrix entries must be finite", first)
+    products = np.empty((2, 2 * t, n, n, n))
     with np.errstate(all="ignore"):  # overflow gives an inf or NaN defect, which fails
-        cr, ci = _row_products(m.swapaxes(-1, -2))
+        _row_products(np.concatenate([m.swapaxes(-1, -2), m]), out=products)
+        # copied so the buffer is freed on return; held, it fragments the heap
+        cr, ci = products[:, :t].copy()
         gram = _complex(_ksum(cr, axis=1), _ksum(ci, axis=1))
-        defects = np.maximum.reduce(np.abs(gram - _identity(m.shape[-1])), axis=(1, 2))
-    for t, defect in enumerate(defects.tolist()):
+        defects = np.maximum.reduce(np.abs(gram - _identity(n)), axis=(1, 2))
+    for i, defect in enumerate(defects.tolist()):
         if not defect <= UNITARITY_TOL:
             raise _InvalidUnitary(
                 f"matrix is not unitary: max|V V+ - I| = {defect:.3e} > {UNITARITY_TOL:.0e}",
-                t,
+                i,
             )
-    return defects, (cr, ci)
+    return defects, (cr, ci), _plaquette_store(products[:, t:])
 
 
 @cache
@@ -344,13 +352,12 @@ def _plaquette_layout(n):
     return tables
 
 
-def _plaquettes(m):
-    """The (2, T, K) plaquette store of a (T, n, n) stack, re then im, in
-    the layout of _plaquette_layout: one take of both operands of every
-    column from the row products, then one _cmul."""
-    t, n = m.shape[0], m.shape[-1]
+def _plaquette_store(h):
+    """The (2, T, K) plaquette store, re then im, in the layout of
+    _plaquette_layout, of the (2, T, n, n, n) row products h of a stack:
+    one take of both operands of every column, then one _cmul."""
+    t, n = h.shape[1], h.shape[-1]
     operands = _plaquette_layout(n)[0]
-    h = _row_products(m, out=np.empty((2, t, n, n, n)))
     x = h.reshape(2, t, n ** 3).take(operands, axis=2)
     return _cmul(x[0, :, 0], x[1, :, 0], x[0, :, 1], x[1, :, 1],
                  out=np.empty((2, t, operands.shape[1])))
@@ -363,45 +370,43 @@ class UnitaryMatrix:
     Construction fails unless every entry is finite and max|V V^+ - I| <=
     UNITARITY_TOL.  That bound keeps |det V| within about n * UNITARITY_TOL
     / 2 of 1 (4e-10 at n = 8; see _validate_unitaries), so |det V| is not
-    checked separately.  The wrapped array is frozen (non-writeable).
+    checked separately.  Every field is slot t of the results of one
+    _validate_unitaries call, on the stack of one at construction or, by
+    _from_stack, on a stack validated already; every array is read-only.
 
     column_products holds c[k, i, j] = V[i,k] conj(V[j,k]), 0-based: the
-    row products of V^T, as a read-only (re, im) pair of float tensors.
-    Their k-sums are the entries of V V^+ checked at construction; the
-    commutator entries, the n=4 closed form and every |V|^2 (their real
-    diagonal) reuse them.
-
-    Validation and the plaquettes are the stack-of-one case of
-    _validate_unitaries and _plaquettes.
+    row products of V^T, as an (re, im) pair of float tensors.  Their k-sums
+    are the entries of V V^+ checked at construction; the commutator
+    entries, the n=4 closed form and every |V|^2 (their real diagonal)
+    reuse them.  plaquettes is the (2, K) plaquette store of V, and
+    plaquettes[:, None] its stack of one.  Each entry, at every index
+    order, is bit-equal to the scalar complex evaluation with the grouping
+    (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).
     """
 
     matrix: np.ndarray
     unitarity_defect: float = field(init=False)
     column_products: tuple = field(init=False, repr=False, compare=False)
+    plaquettes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_square(self.matrix, "unitary candidate")
-        defects, (cr, ci) = _validate_unitaries(m[None])
-        m, cr, ci = m.copy(), cr[0], ci[0]
-        for x in (m, cr, ci):
+        m = _as_square(self.matrix, "unitary candidate")[None]
+        self._from_stack(m, _validate_unitaries(m), 0, self)
+
+    @classmethod
+    def _from_stack(cls, stack, validated, t, v=None):
+        """The UnitaryMatrix of stack[t], where validated is what
+        _validate_unitaries(stack) returned; v, if given, is filled in."""
+        v = object.__new__(cls) if v is None else v
+        defects, (cr, ci), plaq = validated
+        m, cr, ci, plaq = stack[t].copy(), cr[t], ci[t], plaq[:, t]
+        for x in (m, cr, ci, plaq):
             x.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "unitarity_defect", float(defects[0]))
-        object.__setattr__(self, "column_products", (cr, ci))
+        for name, value in zip(("matrix", "unitarity_defect", "column_products", "plaquettes"),
+                               (m, float(defects[t]), (cr, ci), plaq)):
+            object.__setattr__(v, name, value)
+        return v
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    @cached_property
-    def plaquettes(self):
-        """The plaquette store of V in the layout of _plaquette_layout(n).
-
-        A read-only (2, K) float array, re then im, built once per matrix;
-        plaquettes[:, None] is the store of V as a stack of one.  Each
-        entry, at every index order, is bit-equal to the scalar complex
-        evaluation with the grouping (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).
-        """
-        store = _plaquettes(self.matrix[None])[:, 0]
-        store.setflags(write=False)
-        return store

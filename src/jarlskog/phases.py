@@ -8,7 +8,7 @@ whose imaginary part im(alpha beta; j k) and real part re(alpha beta; j k)
 are unchanged when rows and columns of V are multiplied by phases.
 
 The phases have one representation: the plaquette store of
-linalg._plaquettes, one column per unordered pair of operands, with the
+linalg._validate_unitaries, one column per unordered operand pair, with the
 canonical entries alpha < beta, j < k first.  A stack of T matrices holds
 it in one (2, T, K) array, re then im, and that array is the one argument
 of every reader: phase_table (a slice, n in {3, 4}), jr_matrices (one
@@ -156,7 +156,7 @@ def _sum_rule_table(n):
 def unitary_relation_residuals(cols, plaq):
     """{family: (T,) max residual} of the eight sum rules, for the column
     products and the plaquette stores of (T, n, n) matrices, the latter as
-    one (2, T, K) array of re and im (linalg._plaquettes).
+    one (2, T, K) array of re and im (linalg._validate_unitaries).
 
     Summing a plaquette's imaginary part over either full row index or
     either full column index gives zero; the same sums of the real part

@@ -17,10 +17,11 @@ given.
 Parsing works in whole-array steps.  Each matrix field is checked in one
 pass over its rows and one over its cells, then built by one float64 array
 build viewed as complex.  Only when a check or the build fails does a scan
-in reading order find the first row or entry to name.  U and U_prime are
-validated as one stack, and only V, formed from them, is wrapped as a
-UnitaryMatrix.  So the fault named is the first of: the structure of each
-field in turn, then the unitarity of U, of U_prime and of V.
+in reading order find the first row or entry to name.  U, U_prime and V,
+formed from them, are validated as one stack, and V's UnitaryMatrix is
+built from that one validation's results.  So the fault named is the first
+of: the structure of each field in turn, then the unitarity of U, of
+U_prime and of V.
 
 Complex numbers are serialised as two-element [re, im] arrays.  Floats are
 written with Python's shortest round-trip repr, so parsing a written file
@@ -35,7 +36,7 @@ import numpy as np
 
 from .determinant import MassPairInput
 from .linalg import (Spectrum, UnitaryMatrix, _InvalidUnitary, _validate_unitaries, adjoint,
-                      matmul)
+                     matmul)
 
 FORMAT_TAG = "jarlskog-problem/1"
 
@@ -106,14 +107,6 @@ def _parse_spectrum(raw, n, name):
         raise ProblemFileError(f"field '{name}': {exc}") from exc
 
 
-def _unitary(m, what):
-    """UnitaryMatrix(m), or a ProblemFileError that names what m is."""
-    try:
-        return UnitaryMatrix(m)
-    except ValueError as exc:
-        raise ProblemFileError(f"{what}: {exc}") from exc
-
-
 def parse_problem(text):
     """Parse problem-file text into a MassPairInput."""
     try:
@@ -142,16 +135,19 @@ def parse_problem(text):
         "exactly one of 'V' or the pair 'U'/'U_prime' must be given",
     )
     if has_v:
-        v = _unitary(_parse_complex_matrix(doc["V"], n, "V"), "field 'V'")
+        stack, names = _parse_complex_matrix(doc["V"], n, "V")[None], ("field 'V'",)
     else:
         _require("U" in doc and "U_prime" in doc, "'U' and 'U_prime' must be given together")
-        names = ("U", "U_prime")
-        pair = np.array([_parse_complex_matrix(doc[name], n, name) for name in names])
-        try:
-            _validate_unitaries(pair)
-        except _InvalidUnitary as exc:
-            raise ProblemFileError(f"field '{names[exc.index]}': {exc}") from exc
-        v = _unitary(matmul(adjoint(pair[0]), pair[1]), "the product V = U^+ U_prime")
+        u, u_prime = (_parse_complex_matrix(doc[name], n, name) for name in ("U", "U_prime"))
+        # a V that overflows comes from a U or U_prime that fails first
+        with np.errstate(all="ignore"):
+            stack = np.array([u, u_prime, matmul(adjoint(u), u_prime)])
+        names = ("field 'U'", "field 'U_prime'", "the product V = U^+ U_prime")
+    try:
+        validated = _validate_unitaries(stack)
+    except _InvalidUnitary as exc:
+        raise ProblemFileError(f"{names[exc.index]}: {exc}") from exc
+    v = UnitaryMatrix._from_stack(stack, validated, -1)
     try:
         return MassPairInput(a=a, b=b, v=v)
     except ValueError as exc:

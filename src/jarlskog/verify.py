@@ -13,13 +13,13 @@ out of the rendered report and surfaced separately by the CLI.
 Trials run in chunks of TRIAL_CHUNK.  A chunk draws all of its trials at
 once through sampling.draw_trials: one fixed-size block of 2 n^2 + 4n
 outputs per trial from the start of its own stream.  Then every layer
-(validation, plaquettes, determinants, closed forms, residual families)
-runs once on the stack of the chunk's trials.  V and its rephased copy
-share one (2, 2T, K) plaquette store: every store reader takes the (2, T,
-K) view of V's part, and the rephasing row compares the halves of the one
-phase_table slice of the whole store.  Each stacked draw and layer
-gives, in slice t, the bits of its call on the stack of trial t alone, so
-the report does not depend on the chunk size.
+(validation, determinants, closed forms, residual families) runs once on
+the stack of the chunk's trials.  V and its rephased copy share one
+validation, which builds their (2, 2T, K) plaquette store: every store
+reader takes the (2, T, K) view of V's part, and the rephasing row
+compares the halves of the one phase_table slice.  Each stacked draw and
+layer gives, in slice t, the bits of its call on the stack of trial t
+alone, so the report does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .determinant import _sum_rule, det3_closed, det4_closed, det_direct, t_factors
-from .linalg import _modulus, _plaquette_layout, _plaquettes, _validate_unitaries
+from .linalg import _modulus, _plaquette_layout, _validate_unitaries
 from .phases import (
     _check_plaquettes,
     _reconstructions,
@@ -225,8 +225,7 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     # and at n = 4 the b, a, a of the difference factors
     spectra = np.concatenate([b, b, a, a])
     b2, a2 = spectra[:2 * t], spectra[2 * t:]
-    _, cols = _validate_unitaries(both)
-    plaq = _plaquettes(both)
+    _, cols, plaq = _validate_unitaries(both)
     dets = det_direct(a2, b2, cols)
     if n == 3:
         closed = det3_closed(a2, b2, plaq)

@@ -143,3 +143,29 @@ def signed_permutations(n):
 def bits(x):
     """float64 bit patterns as uint64, so signed zeros compare unequal."""
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def record_validations(monkeypatch):
+    """Lists that fill, while monkeypatch is active, with (stack, results)
+    of every linalg._validate_unitaries call, at each module that calls it,
+    and with every UnitaryMatrix built (construction, too, fills its fields
+    through UnitaryMatrix._from_stack)."""
+    from jarlskog import problem_io, verify
+
+    calls, built = [], []
+    validate = linalg._validate_unitaries
+
+    def recorded(m):
+        calls.append((m, validate(m)))
+        return calls[-1][1]
+
+    for module in (linalg, problem_io, verify):
+        monkeypatch.setattr(module, "_validate_unitaries", recorded)
+    from_stack = UnitaryMatrix._from_stack.__func__
+
+    def recorded_from_stack(cls, *args):
+        built.append(from_stack(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(UnitaryMatrix, "_from_stack", classmethod(recorded_from_stack))
+    return calls, built

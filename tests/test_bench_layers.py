@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from conftest import record_validations
 from jarlskog import cli, verify
 
 TRACING = os.path.join(
@@ -101,14 +102,18 @@ def test_traced_phases_report_defines_the_gate_pass_ratio(capsys):
 
 
 @pytest.mark.parametrize("argv", (["det", "--method", "both"], ["phases"]), ids=("det", "phases"))
-def test_traced_u_form_problem_builds_one_unitary_matrix_and_keeps_its_bytes(argv, capsys):
-    # U and U_prime are validated as one stack; only V = U^+ U_prime is
-    # wrapped as a UnitaryMatrix
+def test_traced_u_form_problem_builds_one_unitary_matrix_and_keeps_its_bytes(
+        argv, capsys, monkeypatch):
+    # U, U_prime and V = U^+ U_prime are validated as one stack, and V is
+    # wrapped as a UnitaryMatrix from its results, with no second validation
     problem = os.path.join(DATA, "problem_n4_uu_seed602.json")
     assert cli.main([*argv[:1], problem, *argv[1:]]) == 0
     plain = capsys.readouterr().out
+    calls, built = record_validations(monkeypatch)
     tracer = tracing.Tracer()
     with tracer.installed():
         assert cli.main([*argv[:1], problem, *argv[1:]]) == 0
     assert capsys.readouterr().out == plain
-    assert tracer.layer_metrics(1)["linalg.UnitaryMatrix.__post_init__.calls_per_op"][0] == 1
+    assert len(calls) == 1 and len(calls[0][0]) == 3
+    assert len(built) == 1
+    assert tracer.layer_metrics(1)["linalg.UnitaryMatrix.__post_init__.calls_per_op"][0] == 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, haar, haar_unitaries, seeded_input
+from conftest import bits, haar, haar_unitaries, record_validations, seeded_input
 from jarlskog import linalg, phases, problem_io
 from jarlskog.cli import main
 from jarlskog.problem_io import ProblemFileError, parse_problem, render_problem
@@ -497,14 +497,14 @@ def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monke
     k = n * n * (n * n + 1) // 2
     target = next(c for c, partner in enumerate(linalg._plaquette_layout(n)[2].tolist())
                   if partner != c and k + c not in read)
-    exact = verify._plaquettes
+    exact = verify._validate_unitaries
 
     def flip_one_im_bit_of_trial_2(m):
-        plaq = exact(m)
+        defects, cols, plaq = exact(m)
         plaq[1].view(np.uint64)[2, target] ^= np.uint64(1)
-        return plaq
+        return defects, cols, plaq
 
-    monkeypatch.setattr(verify, "_plaquettes", flip_one_im_bit_of_trial_2)
+    monkeypatch.setattr(verify, "_validate_unitaries", flip_one_im_bit_of_trial_2)
     report = run_suite(n, 5, 11)
     row = next(r for r in report.identities if r.name == "phase_antisymmetry_bitwise")
     assert not row.passed
@@ -522,14 +522,14 @@ def test_verify_fails_a_plaquette_entry_that_breaks_the_sum_rule_symmetry(n, par
     # other row passing, so the antisymmetry row alone must fail it
     import jarlskog.verify as verify
 
-    exact = verify._plaquettes
+    exact = verify._validate_unitaries
 
     def flip_one_bit_of_trial_2(m):
-        plaq = exact(m)
+        defects, cols, plaq = exact(m)
         plaq[("re", "im").index(part)].view(np.uint64)[2, 0] ^= np.uint64(1)
-        return plaq
+        return defects, cols, plaq
 
-    monkeypatch.setattr(verify, "_plaquettes", flip_one_bit_of_trial_2)
+    monkeypatch.setattr(verify, "_validate_unitaries", flip_one_bit_of_trial_2)
     report = run_suite(n, 5, 11)
     row = next(r for r in report.identities if r.name == "phase_antisymmetry_bitwise")
     assert not row.passed
@@ -554,16 +554,16 @@ def test_one_ulp_in_a_rephased_canonical_column_shows_in_the_phase_shift_row_alo
         return {name: residual for name, _, residual, *_ in verify._check_chunk(
             n, seeds, verify.CLOSED_REL[n], verify.PARITY_ABS)}
 
-    exact, plaquettes = residuals(), verify._plaquettes
+    exact, validate = residuals(), verify._validate_unitaries
     column = (n * (n - 1) // 2) ** 2 - 1
 
     def one_ulp_off(m):
-        plaq = plaquettes(m)
+        defects, cols, plaq = validate(m)
         x = plaq[("re", "im").index(part), len(seeds) + 2]
         x[column] = np.nextafter(x[column], np.inf)
-        return plaq
+        return defects, cols, plaq
 
-    monkeypatch.setattr(verify, "_plaquettes", one_ulp_off)
+    monkeypatch.setattr(verify, "_validate_unitaries", one_ulp_off)
     mutated = residuals()
     shift = mutated.pop("rephasing_phase_shift")
     assert not exact.pop("rephasing_phase_shift").any()
@@ -721,6 +721,7 @@ def test_single_fault_message_names_the_field(field, fault, tail, tmp_path, caps
 
 
 NOT_UNITARY = _at([0, 0], [5.0, 0.0])
+OVERFLOWING = _at([1, 2], [1e300, 0.0])
 
 
 #: faults of a U / U_prime file: structure faults of both fields are named
@@ -744,6 +745,18 @@ PAIR_FAULT_ORDER = {
     "non_unitary_U_then_malformed_U_prime": (
         {"U": NOT_UNITARY, "U_prime": _at([1, 2, 0], True)},
         "field 'U_prime' entry (2,3) must be a [re, im] pair"),
+    # a finite entry of 1e300 overflows its factor's V V^+ to inf, and in
+    # both factors V = U^+ U_prime too; the factor fails first, U before
+    # U_prime, with no warning from the overflowing V
+    "overflowing_U_prime": (
+        {"U_prime": OVERFLOWING},
+        "field 'U_prime': matrix is not unitary: max|V V+ - I| = inf > 1e-10"),
+    "overflowing_U": (
+        {"U": OVERFLOWING},
+        "field 'U': matrix is not unitary: max|V V+ - I| = inf > 1e-10"),
+    "overflowing_U_then_overflowing_U_prime": (
+        {"U": OVERFLOWING, "U_prime": OVERFLOWING},
+        "field 'U': matrix is not unitary: max|V V+ - I| = inf > 1e-10"),
 }
 
 
@@ -754,6 +767,39 @@ def test_pair_faults_are_named_structure_first_then_in_field_order(case, tmp_pat
     for field, fault in faults.items():
         doc[field] = fault(doc[field])
     assert _input_error(doc, tmp_path, capsys) == f"error: {message}\n"
+
+
+#: a problem file of each kind: n = 3 and n = 4, in the V and the U/U_prime forms
+PROBLEM_KINDS = ("problem_n3_seed501.json", "problem_n3_uu_seed601.json",
+                 "problem_n4_seed2024.json", "problem_n4_uu_seed602.json")
+
+
+@pytest.mark.parametrize("argv", (["det", "--method", "both"], ["phases"]), ids=("det", "phases"))
+@pytest.mark.parametrize("name", PROBLEM_KINDS)
+def test_a_problem_command_validates_one_stack_and_reads_its_store(
+        name, argv, monkeypatch, capsys):
+    # one validation per command: the stack of V, or of U, U_prime and V,
+    # whose results give V's UnitaryMatrix its column products and store
+    path = os.path.join(DATA, name)
+    assert main([argv[0], path, *argv[1:]]) == 0
+    plain = capsys.readouterr().out
+    calls, built = record_validations(monkeypatch)
+    assert main([argv[0], path, *argv[1:]]) == 0
+    assert capsys.readouterr().out == plain
+    assert len(calls) == 1 and len(built) == 1
+    [(stack, (defects, cols, plaq))], [v] = calls, built
+    assert len(stack) == (3 if "_uu_" in name else 1)
+    assert np.array_equal(bits(v.matrix.view(float)), bits(stack[-1].view(float)))
+    assert v.unitarity_defect == defects[-1]
+    assert np.array_equal(bits(v.plaquettes), bits(plaq[:, -1]))
+    for got, ref in zip(v.column_products, cols):
+        assert np.array_equal(bits(got), bits(ref[-1]))
+    for x in (v.matrix, v.plaquettes, *v.column_products):
+        assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        v.plaquettes[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        v.plaquettes = plaq[:, -1].copy()
 
 
 def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys):

@@ -20,7 +20,7 @@ from jarlskog import (
     t_factors,
 )
 from jarlskog.determinant import CYCLES, DET4_GROUPS, PAIRINGS, _commutators, _sum_rule
-from jarlskog.linalg import _plaquettes, _validate_unitaries
+from jarlskog.linalg import _validate_unitaries
 
 
 def identity_input(n):
@@ -38,7 +38,7 @@ def seeded_stack(n, seeds):
     """(a, b, cols, plaq) of the trials of seeded_input for each of seeds,
     drawn as one stack."""
     v, a, b, _, _ = draw_trials(n, seed_array(seeds))
-    return a, b, _validate_unitaries(v)[1], _plaquettes(v)
+    return a, b, *_validate_unitaries(v)[1:]
 
 
 def commutator(inp):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import SEED, bits, haar_stack, signed_permutations, uniforms
@@ -153,6 +155,44 @@ def test_spectrum_accepts_distinct_and_rejects_repeats(values):
     else:
         with pytest.raises(DegenerateSpectrumError):
             Spectrum(tuple(float(v) for v in values))
+
+
+def all_pairs_gap(values):
+    """The smallest |x - y| over every pair of values, the definition that
+    Spectrum's sorted-neighbour minimum must match bit for bit."""
+    return min(abs(x - y) for i, x in enumerate(values) for y in values[i + 1:])
+
+
+#: values that make repeats (+-0.0 among them), overflowing gaps (+-1e308)
+#: and non-finite entries likely
+SPECTRUM_POOL = (0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e308, -1e308, 0.1, 0.30000000000000004,
+                 math.nan, math.inf, -math.inf)
+
+
+@given(st.lists(st.sampled_from(SPECTRUM_POOL) | st.floats(), min_size=0, max_size=10))
+@example([0.0, -0.0, 1.0])
+@example([1e308, -1e308])
+@example([-1e308, 1e308])
+@example([math.nan, 1.0, 1.0])
+@example([math.nan] * 9)
+def test_spectrum_gap_is_the_all_pairs_minimum_and_errors_keep_their_order(values):
+    # errors come in the order dimension, finiteness, gap; a gap that
+    # overflows reads inf under both definitions
+    if not 2 <= len(values) <= 8:
+        with pytest.raises(DimensionError):
+            Spectrum(tuple(values))
+    elif not all(map(math.isfinite, values)):
+        with pytest.raises(ValueError, match="must be finite") as exc:
+            Spectrum(tuple(values))
+        assert type(exc.value) is ValueError
+    elif all_pairs_gap(values) == 0.0:
+        with pytest.raises(DegenerateSpectrumError):
+            Spectrum(tuple(values))
+    else:
+        gap = Spectrum(tuple(values)).min_gap
+        assert bits([gap]) == bits([all_pairs_gap(values)])
+        if sorted(values) == [-1e308, 1e308]:
+            assert gap == math.inf
 
 
 # ---------------------------------------------------------------- UnitaryMatrix

@@ -32,7 +32,7 @@ from jarlskog import (
     reconstruct_J,
     unitary_relation_residuals,
 )
-from jarlskog.linalg import _plaquettes
+from jarlskog.linalg import _validate_unitaries
 from jarlskog.phases import N3_SIGN_PATTERN, _band_systems, _canonical_pairs, _check_plaquettes
 
 
@@ -156,7 +156,7 @@ def plaquette_views(n):
     """A (2, 5, K) plaquette store of Haar matrices, a Fortran-ordered copy
     and views of it that are not contiguous: trials sliced as verify slices
     V from its rephased copy, a stack of one and the whole store reversed."""
-    buffer = _plaquettes(haar_stack(n, 5, 90 + n))
+    buffer = _validate_unitaries(haar_stack(n, 5, 90 + n))[2]
     return [buffer, buffer[:, :3], np.asfortranarray(buffer), buffer[:, 2:3], buffer[::-1, ::-2]]
 
 

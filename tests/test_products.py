@@ -408,7 +408,7 @@ def test_every_store_column_is_the_scalar_plaquette_at_both_index_orders(n):
     # each column serves (a, b; j, k) and (b, a; k, j), the same two
     # operands in either order; both must have its bits
     for m in store_test_stacks(n):
-        re, im = linalg._plaquettes(m)
+        re, im = linalg._validate_unitaries(m)[2]
         assert re.shape == (len(m), n * n * (n * n + 1) // 2)
         for t in range(len(m)):
             assert_every_index_order_is_the_scalar_plaquette(m[t], re[t], im[t])
@@ -547,10 +547,10 @@ def test_det4_groups_of_a_verify_stack_are_bit_equal_to_scalar_reference():
     t = len(a)
     v = np.concatenate([np.array([x.matrix for x in mats]), drawn[len(mats):]])
     both = np.concatenate([v, sampling.rephase(v, row, col)])
-    _, cols = linalg._validate_unitaries(both)
+    _, cols, plaq = linalg._validate_unitaries(both)
     factors = t_factors(np.concatenate([a, b]))
     a_factors = tuple(np.concatenate([x[:t], x[:t]]) for x in factors)
-    groups = decompose_det4(a_factors, np.concatenate([b, b]), cols, linalg._plaquettes(both))
+    groups = decompose_det4(a_factors, np.concatenate([b, b]), cols, plaq)
     for s in range(2 * t):
         inp = MassPairInput(a=Spectrum(a[s % t]), b=Spectrum(b[s % t]), v=UnitaryMatrix(both[s]))
         assert_groups_match_scalar_reference(groups, s, inp)
@@ -631,8 +631,8 @@ def near_identity4():
 def assert_reconstructions_match_scalar_reference(v):
     """_reconstructions on the (T, 4, 4) stack v, bit-equal in every slice
     to scalar_band_reconstruction, NaN positions included."""
-    _, cols = linalg._validate_unitaries(v)
-    j, r = jr_matrices(linalg._plaquettes(v))
+    _, cols, plaq = linalg._validate_unitaries(v)
+    j, r = jr_matrices(plaq)
     ratio, degenerate, recon, max_error = phases._reconstructions(cols, j, r)
     for t, m in enumerate(v):
         ref = scalar_band_reconstruction(UnitaryMatrix(m))
@@ -854,20 +854,20 @@ def stacked_layers(n):
     g = ginibre_stack(n, trials, 1000 + n)
     v, a, b, row, col = draw_trials(n, trial_seeds(trials, 1000 + n))
     w = sampling.rephase(v, row, col)
-    _, cols = linalg._validate_unitaries(v)
-    plaq = linalg._plaquettes(v)
+    _, cols, plaq = linalg._validate_unitaries(v)
     layers = {
         "householder_qr": (householder_qr, (g,), 0),
         "haar_from_ginibre": (sampling._haar_from_ginibre, (g,), 0),
         "rephased": (sampling.rephase, (v, row, col), 0),
-        "validate_unitaries": (linalg._validate_unitaries, (w,), 0),
-        "plaquettes": (linalg._plaquettes, (v,), 1),
+        # the defects and column products, then the store, with its trials on axis 1
+        "validate_unitaries": (lambda m: linalg._validate_unitaries(m)[:2], (w,), 0),
+        "plaquettes": (lambda m: linalg._validate_unitaries(m)[2], (v,), 1),
         "commutators": (determinant._commutators, (a, b, cols), 0),
         "det": (det, (determinant._commutators(a, b, cols),), 0),
         "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, plaq), 0),
         "product_residuals": (phases.nonlinear_relation_residuals, (plaq,), 0),
         "antisymmetry_residuals": (verify._antisymmetry_residuals, (plaq,), 0),
-        "phase_shifts": (phase_shifts, (plaq, linalg._plaquettes(w)), 0),
+        "phase_shifts": (phase_shifts, (plaq, linalg._validate_unitaries(w)[2]), 0),
     }
     if n == 3:
         layers["det3_closed"] = (determinant.det3_closed, (a, b, plaq), 0)
@@ -909,7 +909,7 @@ def test_slice_of_a_stacked_layer_is_bit_equal_to_its_stack_of_one(n, name):
 
 def haar_plaquettes(n, trials, master_seed):
     """The plaquettes of a stack of Haar unitaries, drawn as verify draws them."""
-    return linalg._plaquettes(haar_stack(n, trials, master_seed))
+    return linalg._validate_unitaries(haar_stack(n, trials, master_seed))[2]
 
 
 def assert_bit_equal_to_every_tuple(plaq):
@@ -1169,8 +1169,9 @@ def assert_sum_rules_match_the_four_axis_sums(mats):
     sequential j sum, bit for bit, at every n."""
     m = np.asarray(mats)
     n = m.shape[-1]
+    # the stacks include matrices that are not unitary, so no validation
     cols = linalg._row_products(m.swapaxes(-1, -2))
-    plaq = linalg._plaquettes(m)
+    plaq = linalg._plaquette_store(np.array(linalg._row_products(m)))
     got = phases.unitary_relation_residuals(cols, plaq)
     ref = four_axis_sum_rules(cols, *plaq)
     assert list(got) == list(ref)
@@ -1292,8 +1293,8 @@ def test_every_dropped_sum_is_zero_or_bit_equal_to_its_kept_sum(n):
     # ordered pair swapped: the premises of unitary_relation_residuals
     split = sum_rule_split(n)
     for m in sum_rule_test_stacks(n):
-        _, cols = linalg._validate_unitaries(m)
-        everything = every_sum_rule_residual(cols, *linalg._plaquettes(m))
+        _, cols, plaq = linalg._validate_unitaries(m)
+        everything = every_sum_rule_residual(cols, *plaq)
         for f, (kept, (_, _, pair)) in enumerate(zip(split, SUM_RULE_TABLE_FAMILIES)):
             values = bits(everything[f])
             swapped = values.swapaxes(1 + pair[0], 1 + pair[1])

@@ -165,9 +165,8 @@ def test_haar_mean_phase_unchanged_by_fixed_rephasing():
     theta, theta_prime = (0.3, 1.1, 5.2), (2.5, 0.4, 3.9)
     v = validated_haar_stack(3, 17, 10_000)
     w = sampling.rephase(v, *(sampling._unit_phases([x]) for x in (theta, theta_prime)))
-    linalg._validate_unitaries(w)
-    # im(12;12), the store's first column
-    plain, shifted = (linalg._plaquettes(x)[1][:, 0] for x in (v, w))
+    # im(12;12), the store's first column, of the stores that validation builds
+    plain, shifted = (linalg._validate_unitaries(x)[2][1][:, 0] for x in (v, w))
     assert_first_draws_match_the_scalar_loop(
         plain, lambda v: phase(v, 1, 2, 1, 2).imag, 17)
     assert_first_draws_match_the_scalar_loop(

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from jarlskog.cli import main
 from jarlskog.verify import TRIAL_CHUNK
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -58,15 +59,47 @@ def test_study_scripts_reject_counts_below_one(name, option, count):
     assert res.stderr.splitlines()[-1].endswith(f"error: {option} must be >= 1")
 
 
-def test_byte_identity_runs_verify_on_the_trial_chunk_and_one_past_it(tmp_path):
+def load_byte_identity():
     spec = importlib.util.spec_from_file_location("byte_identity",
                                                   os.path.join(SCRIPTS, "byte_identity.py"))
     byte_identity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(byte_identity)
-    argvs = byte_identity.commands(str(tmp_path))
+    return byte_identity
+
+
+def test_byte_identity_runs_verify_on_the_trial_chunk_and_one_past_it(tmp_path):
+    argvs = load_byte_identity().commands(str(tmp_path))
     for n in (3, 4):
         for trials in (TRIAL_CHUNK, TRIAL_CHUNK + 1):
             assert ["verify", "--n", str(n), "--trials", str(trials), "--seed", "0"] in argvs
+
+
+#: the message that each U/U_prime error file of byte_identity.py must give
+PAIR_FAULT_MESSAGES = {
+    "u_not_unitary": "field 'U': matrix is not unitary: ",
+    "u_prime_nan": "field 'U_prime': matrix entries must be finite",
+    "v_not_unitary": "the product V = U^+ U_prime: matrix is not unitary: ",
+    "u_prime_overflow": "field 'U_prime': matrix is not unitary: max|V V+ - I| = inf > 1e-10",
+}
+
+
+def test_byte_identity_runs_the_u_form_faults_at_n3_and_n4(tmp_path, capsys):
+    # each U/U_prime file of the matrix reaches the fault it is named for,
+    # through both det and phases
+    byte_identity = load_byte_identity()
+    tmp = str(tmp_path)
+    byte_identity.error_files(os.path.join(os.path.dirname(SCRIPTS), "src"), tmp)
+    argvs = byte_identity.commands(tmp)
+    assert list(byte_identity.PAIR_FAULTS) == list(PAIR_FAULT_MESSAGES)
+    for n in (3, 4):
+        for fault, message in PAIR_FAULT_MESSAGES.items():
+            path = os.path.join(tmp, f"{fault}{n}.json")
+            for command in ("det", "phases"):
+                assert [command, path] in argvs
+                assert main([command, path]) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_byte_identity_names_a_changed_verify_report(tmp_path):
