@@ -10,19 +10,22 @@ and compares stdout, stderr and the exit code of every command:
     det <file> --method both and phases <file>, for every tests/data/problem_*.json
     and for the structured problems of structured_files: signed permutations
     with +-0.0 parts at n=3 and n=4, 1 (+) V3 and a real rotation
+    det <file> --method direct on sampled problems at n = 2, 5, 6, 7 and 8
+    (written by the first tree's sample --n <n>), where the stacked layers
+    meet sums of 8 entries on a stack of one
     sample --n {2,3,4,8} --seed 0..49, and sample --n 4 at the seeds -1
     and 2^64 + 5, outside the uint64 range
-    every input-error exit: a missing file, an n=5 problem (written by the
-    first tree's sample --n 5), spectra that overflow det, U/U_prime
-    problems at n=3 and n=4 with a non-unitary U, a non-finite U_prime, a
-    defect in V = U^+ U_prime alone and an overflowing U_prime, verify and
-    sample arguments out of range, and --out onto an existing file
+    every input-error exit: a missing file, phases and the closed forms of
+    the n=5 problem, spectra that overflow det, U/U_prime problems at n=3
+    and n=4 with a non-unitary U, a non-finite U_prime, a defect in
+    V = U^+ U_prime alone and an overflowing U_prime, verify and sample
+    arguments out of range, and --out onto an existing file
 
 Each tree is imported by its own interpreter, which runs the whole matrix
 in process.  stderr lines that start with "wall_time_s:" (verify's timing)
 are dropped before comparing.  Prints each command whose output differs
 and exits 1 on any difference, 0 when every stdout, stderr and exit code
-agree.  The matrix holds 281 commands and runs in a few seconds.
+agree.  The matrix holds 286 commands and runs in a few seconds.
 
 Usage: python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
 
@@ -64,6 +67,8 @@ json.dump([jarlskog.__file__, results], sys.stdout)
 """
 
 
+#: the dimensions of the sampled problems that det --method direct reads
+SAMPLED_DIMENSIONS = (2, 5, 6, 7, 8)
 #: the U/U_prime fixture of each n
 PAIR_FIXTURES = {3: "problem_n3_uu_seed601.json", 4: "problem_n4_uu_seed602.json"}
 #: the faults of the U/U_prime error files, named by file stem: the entry
@@ -74,13 +79,15 @@ PAIR_FAULTS = {"u_not_unitary": ("U", [5.0, 0.0]), "u_prime_nan": ("U_prime", [m
 
 
 def error_files(src, tmp):
-    """Write the inputs of the error commands into tmp: an n=5 problem made
-    by the sample command of the tree at src, the n=3 and n=4 fixtures with
+    """Write the inputs of the n != 3, 4 and error commands into tmp: the
+    problems n2.json, n5.json, ..., n8.json made by the sample command of
+    the tree at src, the n=3 and n=4 fixtures with
     a and b scaled by 1e60, the U/U_prime fixtures with each of PAIR_FAULTS
     (as <fault><n>.json), and an existing file named taken."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    subprocess.run([sys.executable, "-m", "jarlskog", "sample", "--n", "5", "--seed", "2",
-                    "--out", os.path.join(tmp, "n5.json")], env=env, check=True)
+    for n in SAMPLED_DIMENSIONS:
+        subprocess.run([sys.executable, "-m", "jarlskog", "sample", "--n", str(n), "--seed", "2",
+                        "--out", os.path.join(tmp, f"n{n}.json")], env=env, check=True)
     for n, name in ((3, "problem_n3_seed501.json"), (4, "problem_n4_seed2024.json")):
         with open(os.path.join(DATA, name), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -155,6 +162,8 @@ def commands(tmp):
              for seed in (0, 13579)]
     for path in sorted(glob.glob(os.path.join(DATA, "problem_*.json"))) + structured_files(tmp):
         argvs += [["det", path, "--method", "both"], ["phases", path]]
+    argvs += [["det", os.path.join(tmp, f"n{n}.json"), "--method", "direct"]
+              for n in SAMPLED_DIMENSIONS]
     argvs += [["sample", "--n", str(n), "--seed", str(seed)]
               for n in (2, 3, 4, 8) for seed in range(50)]
     # seeds outside [0, 2^64), which name the stream of their value mod 2^64

@@ -35,7 +35,9 @@ def main():
 
     # trial t draws from the stream seeded with derive_seed(seed, t); every
     # determinant runs once on the stack of all trials
+    # every array from validation on holds the trials on its last axis
     v, a, b, _, _ = draw_trials(4, derive_seed(args.seed, np.arange(args.trials)))
+    a, b = a.T, b.T
     _, cols, plaq = _validate_unitaries(v)
     a_factors = t_factors(a)
     d = det_direct(a, b, cols)
@@ -43,7 +45,7 @@ def main():
     weights, raw = decompose_det4(a_factors, b, cols, plaq)[1]
     # the total of the six cycle groups of each trial kept as raw complex
     # values, and what the closed form would be with them
-    raw_cycles = np.add.reduce(weights * _complex(*raw), axis=1)
+    raw_cycles = np.add.reduce(weights * _complex(*raw), axis=0)
     raw_total = c - raw_cycles.real + raw_cycles
     mod_d, error, raw_error = _modulus(np.array([d, c - d, raw_total - d]))
     scale = np.maximum(1.0, mod_d)

@@ -26,8 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .determinant import MassPairInput, det3_closed, det4_closed, det_direct, t_factors
-from .linalg import Spectrum, UnitaryMatrix
+from .determinant import det3_closed, det4_closed, det_direct, t_factors
 from .phases import (
     N3_SIGN_PATTERN,
     _canonical_pairs,
@@ -103,14 +102,14 @@ def _cmd_det(args):
     values = {}
     # the problem as a stack of one trial, shared by the direct and the
     # closed route
-    a, b = np.array([inp.a.values]), np.array([inp.b.values])
-    cols = tuple(x[None] for x in inp.v.column_products)
+    a, b = np.array([inp.a.values]).T, np.array([inp.b.values]).T
+    cols = tuple(x[..., None] for x in inp.v.column_products)
     # overflow is reported below as an input error, not as a numpy warning
     with np.errstate(all="ignore"):
         if method in ("direct", "both"):
             values["det_direct"] = d = complex(det_direct(a, b, cols)[0])
         if method in ("closed", "both"):
-            plaq = inp.v.plaquettes[:, None]
+            plaq = inp.v.plaquettes[..., None]
             closed = (det3_closed(a, b, plaq) if n == 3
                       else det4_closed(t_factors(a), b, cols, plaq))
             values["det_closed"] = c = complex(closed[0])
@@ -148,14 +147,14 @@ def _phase_report_text(v):
     lines.append(f"tool_version: {__version__}")
     lines.append(f"n: {v.n}")
     # every phase layer runs on v's plaquette store as a stack of one
-    res, ims = phase_table(v.plaquettes[:, None])
+    res, ims = phase_table(v.plaquettes[..., None])
     lines.append("")
     lines.append("canonical phases (rows alpha<beta, columns j<k):")
     labels = _phase_labels(v.n)
-    for label, x, y in zip(labels, ims[0].tolist(), res[0].tolist()):
+    for label, x, y in zip(labels, ims[:, 0].tolist(), res[:, 0].tolist()):
         lines.append(f"  {label}  im {x:+.17e}  re {y:+.17e}")
     if v.n == 3:
-        base, signs, residuals, indeterminate = (x[0] for x in n3_phase_table(ims))
+        base, signs, residuals, indeterminate = (x[..., 0] for x in n3_phase_table(ims))
         lines.append("")
         lines.append(f"base phase (12;12): {base:+.17e}")
         if indeterminate:
@@ -174,7 +173,7 @@ def _phase_report_text(v):
         for name, m in (("J", recon.j), ("R", recon.r)):
             for i, row in enumerate(m.tolist(), 1):
                 lines.append(f"  {name}[{i},:] " + "  ".join(f"{x:+.17e}" for x in row))
-        worst = expansion_residual(ims, expand_phases(recon.j[None]))[0]
+        worst = expansion_residual(ims, expand_phases(recon.j[..., None]))[0]
         lines.append("")
         lines.append(f"expansion check (36 phases from J): max residual {worst:.17e}")
         lines.append("")
@@ -203,8 +202,7 @@ def _cmd_verify(args):
 def _cmd_sample(args):
     # any integer seed names the stream of its value mod 2^64
     v, a, b, _, _ = draw_trials(args.n, np.array([args.seed & _MASK64], dtype=np.uint64))
-    inp = MassPairInput(a=Spectrum(a[0]), b=Spectrum(b[0]), v=UnitaryMatrix(v[0]))
-    return render_problem(inp), EXIT_OK
+    return render_problem(a[0], b[0], v[0]), EXIT_OK
 
 
 def build_parser():

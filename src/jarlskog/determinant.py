@@ -30,8 +30,9 @@ Three evaluations are provided:
   on operands gathered from one array of atoms, so every group is
   bit-equal to its scalar evaluation.
 
-Every evaluation runs on a stack of T trials: (T, n) spectra a and b, the
-(re, im) pair cols of (T, n, n, n) column products of V and its (2, T, K)
+Every evaluation runs on a stack of T trials, with the trials on the last
+axis of every argument: (n, T) spectra a and b, the (re, im) pair cols of
+(n, n, n, T) column products c[k, i, j, t] of V and its (2, K, T)
 plaquette store plaq (both from linalg._validate_unitaries), with
 a_factors = t_factors(a) at n = 4:
 
@@ -99,8 +100,8 @@ class MassPairInput:
 
 
 def _commutators(a, b, cols):
-    """(T, n, n) commutator entries from (T, n) spectra a, b and the (re, im)
-    pair of (T, n, n, n) column products c[t, k, i, j] = V_t[i,k] conj(V_t[j,k]).
+    """(n, n, T) commutator entries from (n, T) spectra a, b and the (re, im)
+    pair of (n, n, n, T) column products c[k, i, j, t] = V_t[i,k] conj(V_t[j,k]).
 
     Entry (i, j) is (a_i - a_j) * sum_k b_k (V[i,k] conj(V[j,k])), with the
     k-sum accumulated in ascending order.  The bracketed products are the
@@ -109,32 +110,32 @@ def _commutators(a, b, cols):
     """
     cr, ci = cols
     # term k of entry (i, j) is b_k c[k, i, j]
-    tr, ti = _cmul(b[:, :, None, None], 0.0, cr, ci)
-    diff = a[:, :, None] - a[:, None, :]
-    return _complex(*_cmul(diff, 0.0, _ksum(tr, axis=1), _ksum(ti, axis=1)))
+    tr, ti = _cmul(b[:, None, None], 0.0, cr, ci)
+    diff = a[:, None] - a[None, :]
+    return _complex(*_cmul(diff, 0.0, _ksum(tr), _ksum(ti)))
 
 
 def det_direct(a, b, cols):
     """(T,) determinants of the commutators, evaluated directly.  The oracle."""
-    return det(_commutators(a, b, cols))
+    return det(_commutators(a, b, cols).transpose(2, 0, 1))
 
 
 def _check_n(n, *spectra):
-    """DimensionError unless every (T, m) spectrum has m = n."""
+    """DimensionError unless every (m, T) spectrum has m = n."""
     for s in spectra:
-        if s.shape[1] != n:
-            raise DimensionError(f"the closed form for n={n} got spectra of n={s.shape[1]}")
+        if s.shape[0] != n:
+            raise DimensionError(f"the closed form for n={n} got spectra of n={s.shape[0]}")
 
 
 def det3_closed(a, b, plaq):
-    """Closed form for n = 3: 2i T B im(12;12), (T,) complex, for (T, 3)
-    spectra and the (2, T, 45) plaquette store, whose first column is
+    """Closed form for n = 3: 2i T B im(12;12), (T,) complex, for (3, T)
+    spectra and the (2, 45, T) plaquette store, whose first column is
     (12;12)."""
     _check_n(3, a, b)
-    t = (a[:, 0] - a[:, 1]) * (a[:, 1] - a[:, 2]) * (a[:, 2] - a[:, 0])
-    bb = (b[:, 0] - b[:, 1]) * (b[:, 1] - b[:, 2]) * (b[:, 2] - b[:, 0])
+    t = (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0])
+    bb = (b[0] - b[1]) * (b[1] - b[2]) * (b[2] - b[0])
     # 2j * x is the scalar complex product (0, 2) (x, 0)
-    return _complex(*_cmul(0.0, 2.0, t * bb * plaq[1][:, 0], 0.0))
+    return _complex(*_cmul(0.0, 2.0, t * bb * plaq[1, 0], 0.0))
 
 
 #: index content of the squared-pair and 4-cycle factors
@@ -143,11 +144,11 @@ CYCLES = ((1, 2, 4, 3), (1, 3, 2, 4), (1, 2, 3, 4))
 
 
 def _sum_rule(pair, cycle):
-    """(residual, scale) of the difference-factor sum rule for (T, 3) pair
+    """(residual, scale) of the difference-factor sum rule for (3, T) pair
     and cycle factors: pair-sum minus twice the cycle-sum, and the sum of the
     absolute term magnitudes.  The four 3-term sums are one batched _ksum,
     each accumulated left to right from 0.0."""
-    sums = _ksum(np.array([pair, cycle, np.abs(pair), 2.0 * np.abs(cycle)]), axis=2)
+    sums = _ksum(np.array([pair, cycle, np.abs(pair), 2.0 * np.abs(cycle)]), axis=1)
     return sums[0] - 2.0 * sums[1], sums[2] + sums[3]
 
 
@@ -158,24 +159,24 @@ _FACTOR_COLUMNS = np.concatenate([np.array(PAIRINGS).reshape(3, 4).T, np.array(C
 
 
 def t_factors(s):
-    """The eigenvalue-difference factors (pair, cycle) of (T, 4) spectra s,
-    each a (T, 3) array:
+    """The eigenvalue-difference factors (pair, cycle) of (4, T) spectra s,
+    each a (3, T) array:
 
-    pair[:, g]  = (s_i - s_j)^2 (s_k - s_l)^2 for ((i,j),(k,l)) = PAIRINGS[g]
-                  (always >= 0)
-    cycle[:, g] = (s_i - s_j)(s_j - s_k)(s_k - s_l)(s_l - s_i) for
-                  (i,j,k,l) = CYCLES[g]
+    pair[g]  = (s_i - s_j)^2 (s_k - s_l)^2 for ((i,j),(k,l)) = PAIRINGS[g]
+               (always >= 0)
+    cycle[g] = (s_i - s_j)(s_j - s_k)(s_k - s_l)(s_l - s_i) for
+               (i,j,k,l) = CYCLES[g]
 
     The three pair factors minus twice the three cycle factors sum to zero;
     _sum_rule evaluates that combination.  One gather takes the columns of
     all six factors, and each formula runs on all six, of which the pair
     factors keep the first three and the cycle factors the last three.
     """
-    i, j, k, l = s.take(_FACTOR_COLUMNS, axis=1).transpose(1, 0, 2)
+    i, j, k, l = s.take(_FACTOR_COLUMNS, axis=0)
     ij, kl = i - j, k - l
     pair = (ij * ij) * (kl * kl)
     cycle = ij * (j - k) * kl * (l - i)
-    return pair[:, :3], cycle[:, 3:]
+    return pair[:3], cycle[3:]
 
 
 # Every summand of the nine groups is a product of factors that each depend
@@ -240,21 +241,21 @@ _STAGE2 = _stage(("t0 d0", "t1 d1", "t2 d2", "s9 x2_5", "s10 x2_3", "s11 x2_6",
                   "s9 x5", "s10 x3", "s11 x6"))
 #: the weights of the six cycle groups: -2 T, then 2 T of the 4-cycle factors
 _CYCLE_T = np.tile(np.arange(3), 2)
-_CYCLE_WEIGHT = np.repeat([-2.0, 2.0], 3)
+_CYCLE_WEIGHT = np.repeat([-2.0, 2.0], 3)[:, None]
 
 
 def decompose_det4(a_factors, b, cols, plaq):
     """The term groups of det4_closed and the six raw cycle groups, for the
-    t_factors (pair, cycle) of the (T, 4) a-spectra, the (T, 4) b-spectra
+    t_factors (pair, cycle) of the (4, T) a-spectra, the (4, T) b-spectra
     and the column products and plaquettes of V.
 
-    Returns (parts, cycles).  parts is the (re, im) pair of (T, 9) arrays of
+    Returns (parts, cycles).  parts is the (re, im) pair of (9, T) arrays of
     the nine groups in DET4_GROUPS order.  Pair groups are complex sums
     whose imaginary parts cancel to roundoff; cycle groups carry only the
     real part of their orientation sum (see the module docstring).  Summed
     in DET4_GROUPS order from 0.0 they give exactly det4_closed.
 
-    cycles is (weights, (re, im)), three (T, 6) arrays of the six cycle
+    cycles is (weights, (re, im)), three (6, T) arrays of the six cycle
     groups before their real part is taken: raw is the complex sum over one
     orientation of the 3-cycle and weight its factor -2 T_(ijkl) (cycle3)
     or +2 T_(ijkl) (cycle4).  parts holds weight * raw.real for each;
@@ -266,38 +267,37 @@ def decompose_det4(a_factors, b, cols, plaq):
     so each group is bit-equal to its scalar evaluation.
     """
     _check_n(4, b)
-    t = len(b)
+    t = b.shape[1]
     tp, tc = a_factors
-    bw = b[:, :3] - b[:, 3:]
-    w = np.concatenate([bw[:, :, None], (bw * bw)[:, :, None]], axis=2)[:, :, :, None]
+    bw = b[:3] - b[3:]
+    w = np.concatenate([bw[:, None], (bw * bw)[:, None]], axis=1)[:, :, None]
     # the items weighted over k: the nine column products V[a,k]
     # conj(V[b,k]), then the |V|^2 rows and the cycle4 row-pair sums, which
     # are real
-    cr, ci = (x[:, :3, :3, :3].reshape(t, 3, 1, 9) for x in cols)
-    rows = _moduli_squared(cols).swapaxes(1, 2)[:, :3, :3]
-    pairs = rows.take(_CYCLE_ROWS, axis=2)
-    real = np.concatenate([rows, pairs[:, :, 0] + pairs[:, :, 1]], axis=2)
-    terms = np.concatenate([*_cmul(w, 0.0, cr, ci), w * real[:, :, None]], axis=3)
-    sums = _ksum(terms[:, 1:], terms[:, 0], axis=1).reshape(t, 48)
+    cr, ci = (x[:3, :3, :3].reshape(3, 1, 9, t) for x in cols)
+    rows = _moduli_squared(cols).swapaxes(0, 1)[:3, :3]
+    pairs = rows.take(_CYCLE_ROWS, axis=1)
+    real = np.concatenate([rows, pairs[:, 0] + pairs[:, 1]], axis=1)
+    terms = np.concatenate([*_cmul(w, 0.0, cr, ci), w * real[:, None]], axis=2)
+    sums = _ksum(terms[1:], terms[0]).reshape(48, t)
     # the plaquette forms: 9 terms over (k1, k2), k2 innermost
-    ww = (bw[:, :, None] * bw[:, None, :]).reshape(t, 9, 1)
-    q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.take(_Q_TAKE, axis=1) for p in plaq)), axis=2),
-              axis=1)
-    # the stages, laid out as _ATOMS lists them; m is sums[:, 18:21] and mp
-    # sums[:, 21:24]
-    m = sums[:, 18:21]
-    atoms = np.concatenate([sums, q, m * m, np.zeros((t, 1))], axis=1)
-    sr, si = _cmul(*atoms.take(_STAGE1, axis=1).transpose(1, 0, 2))
+    ww = (bw[:, None] * bw[None, :]).reshape(9, 1, t)
+    q = _ksum(np.concatenate(_cmul(ww, 0.0, *(p.take(_Q_TAKE, axis=0) for p in plaq)), axis=1))
+    # the stages, laid out as _ATOMS lists them; m is sums[18:21] and mp
+    # sums[21:24]
+    m = sums[18:21]
+    atoms = np.concatenate([sums, q, m * m, np.zeros((1, t))])
+    sr, si = _cmul(*atoms.take(_STAGE1, axis=0))
     # s1 - s2 - s3 of each pair group, real and imaginary parts at once
-    s = np.concatenate([sr, si], axis=1).reshape(t, 2, 4, 3)
-    d = s[:, :, 0] - s[:, :, 1] - s[:, :, 2]
-    atoms = np.concatenate([atoms, sr, si, d.reshape(t, 6), tp], axis=1)
-    sr, si = _cmul(*atoms.take(_STAGE2, axis=1).transpose(1, 0, 2))
-    raw4 = _cmul(sr[:, 6:], si[:, 6:], sums[:, 21:24], 0.0)
-    weights = tc.take(_CYCLE_T, axis=1) * _CYCLE_WEIGHT
-    raw = tuple(np.concatenate([x[:, 3:6], y], axis=1) for x, y in zip((sr, si), raw4))
-    parts = (np.concatenate([sr[:, :3], weights * raw[0]], axis=1),
-             np.concatenate([si[:, :3], np.zeros((t, 6))], axis=1))
+    s = np.concatenate([sr, si]).reshape(2, 4, 3, t)
+    d = s[:, 0] - s[:, 1] - s[:, 2]
+    atoms = np.concatenate([atoms, sr, si, d.reshape(6, t), tp])
+    sr, si = _cmul(*atoms.take(_STAGE2, axis=0))
+    raw4 = _cmul(sr[6:], si[6:], sums[21:24], 0.0)
+    weights = tc.take(_CYCLE_T, axis=0) * _CYCLE_WEIGHT
+    raw = tuple(np.concatenate([x[3:6], y]) for x, y in zip((sr, si), raw4))
+    parts = (np.concatenate([sr[:3], weights * raw[0]]),
+             np.concatenate([si[:3], np.zeros((6, t))]))
     return parts, (weights, raw)
 
 
@@ -306,4 +306,4 @@ def det4_closed(a_factors, b, cols, plaq):
     decompose_det4 summed in DET4_GROUPS order from 0.0.  The imaginary part
     is a pure roundoff residue of the pair groups; the real part is the
     determinant."""
-    return _complex(*(_ksum(x, axis=1) for x in decompose_det4(a_factors, b, cols, plaq)[0]))
+    return _complex(*(_ksum(x) for x in decompose_det4(a_factors, b, cols, plaq)[0]))

@@ -9,12 +9,14 @@ Every complex product goes through one kernel, _cmul on split real and
 imaginary float arrays, and every k-sum through _ksum.  Determinants use LU
 with partial pivoting on the complex modulus.
 
-The kernels take a leading trial axis: det and the unitarity check work on
-a (T, n, n) stack at once, one numpy call per step for the whole stack, and
-a single matrix is the stack of one.  Slice t of a stacked result is
-bit-equal to the call on matrix t alone.  The check also builds the stack's
-plaquettes, one (2, T, K) store, re then im (_plaquette_layout), which its
-readers take through index tables composed with the layout's map.
+The kernels run on a stack of T matrices at once, one numpy call per step
+for the whole stack; a single matrix is the stack of one, and trial t of a
+stacked result is bit-equal to the call on matrix t alone.  det and the
+unitarity check take a (T, n, n) stack and work with the trials on the last
+axis, so that each inner loop runs over the T trials, not over n entries.
+The check's results keep that layout: the column products c[k, i, j, t]
+and the stack's (2, K, T) plaquette store, re then im (_plaquette_layout),
+which its readers take through index tables composed with the layout's map.
 
 Stacks are small (a few trials, or one), so most of a call is numpy's
 per-call dispatch.  The kernels here and in the modules built on them call
@@ -26,7 +28,9 @@ methods with the same bits; tests/test_numpy_dispatch.py guards that.  The
 identity is one read-only array per n (_identity).  A gather by a fixed
 index table is ndarray.take on a flat table, never advanced indexing.
 _ksum takes the same route where that keeps its loop's bits: one
-np.add.reduce from +0.0 over its first entries, fewer than 8.
+np.add.reduce from +0.0 over its first entries, fewer than 8.  Every sum
+of 8 or more entries goes through _ksum, for a trials-last stack of one
+puts them on an axis that numpy sums pairwise (see _ksum).
 """
 
 from __future__ import annotations
@@ -116,10 +120,11 @@ def _ksum(t, start=0.0, axis=0):
     of the k entries are one np.add.reduce from initial=0.0, and the loop
     adds entries 7 onward to it in order.  Over fewer than 8 entries that
     reduce has the loop's bits in every memory layout: numpy adds along an
-    outer axis in index order onto initial, and along the innermost one in
-    index order too (pairwise only from 8 entries on) before adding that
-    onto initial, which moves no bit.  Other starts, -0.0 and arrays, take
-    the loop from the first entry.
+    outer axis in index order onto initial, and along the innermost one, or
+    a leading one whose later axes all have length 1 (a trials-last stack
+    of one), in index order too (pairwise only from 8 entries on) before
+    adding that onto initial, which moves no bit.  Other starts, -0.0 and
+    arrays, take the loop from the first entry.
     """
     acc, first = start, 0
     lead = (slice(None),) * axis
@@ -133,17 +138,16 @@ def _ksum(t, start=0.0, axis=0):
     return acc
 
 
-def _row_products(m, out=None):
-    """h[..., a, j, k] = m[..., a, j] * conj(m[..., a, k]) as a (re, im) pair
-    of float arrays (or into out, as _cmul), for one matrix or a stack.
+def _row_products(re, im, out=None):
+    """h[..., a, j, k, t] = m[..., a, j, t] * conj(m[..., a, k, t]) as a
+    (re, im) pair (or into out, as _cmul), from the planes re, im of a stack.
 
     The one place where products of a matrix with its own conjugate are
-    formed: _validate_unitaries takes it once on the stack of V^T (for
-    V V^+ and the commutator entries) and V (for the plaquettes).
+    formed: _validate_unitaries takes it once on the planes of V (for the
+    plaquettes) and V^T (for V V^+ and the commutator entries).
     """
-    re, im = m.real, m.imag
-    return _cmul(re[..., :, :, None], im[..., :, :, None], re[..., :, None, :], -im[..., :, None, :],
-                 out=out)
+    return _cmul(re[..., :, :, None, :], im[..., :, :, None, :], re[..., :, None, :, :],
+                 -im[..., :, None, :, :], out=out)
 
 
 def _modulus(z):
@@ -154,10 +158,10 @@ def _modulus(z):
 
 
 def _moduli_squared(cols):
-    """|V_t[i,k]|^2 as (T, n, n), the one place it is formed: the real
-    diagonal c[t, k, i, i] of the column products, re*re + im*im (the
+    """|V_t[i,k]|^2 as (n, n, T), the one place it is formed: the real
+    diagonal c[k, i, i, t] of the column products, re*re + im*im (the
     imaginary diagonal is exactly +-0)."""
-    return cols[0].diagonal(0, 2, 3).swapaxes(1, 2)
+    return cols[0].diagonal(0, 1, 2).transpose(2, 0, 1)
 
 
 def _complex(re, im):
@@ -203,15 +207,16 @@ def det(m):
     A zero pivot column means the matrix is singular and its determinant is
     exactly 0j.
 
-    Each step is one set of numpy calls for the whole stack, with the
-    operations of the scalar elimination: moduli by _modulus (the bits of
-    CPython's abs), pivots multiplied into the product by the
-    scalar complex product _cmul, row updates by numpy's complex product.
+    The working copy keeps the trials last.  Each step is one set of numpy
+    calls for the whole stack, with the operations of the scalar
+    elimination: moduli by _modulus (the bits of CPython's abs), pivot rows
+    swapped by one gather, pivots multiplied in by the scalar complex
+    product _cmul, row updates by numpy's complex product.
     """
     a = _as_square(m, stack=True)
     single = a.ndim == 2
-    a = a.reshape(-1, *a.shape[-2:]).copy()
-    t, n = a.shape[0], a.shape[-1]
+    a = a.reshape(-1, *a.shape[-2:]).transpose(1, 2, 0).copy()
+    n, t = a.shape[0], a.shape[-1]
     trials = np.arange(t)
     odd = np.zeros(t, dtype=bool)
     singular = None
@@ -220,31 +225,30 @@ def det(m):
         last = k + 1 == n
         # the last column has one candidate row, so it needs no search
         if not last:
-            col = a[:, k:, k]
-            mag = _modulus(col)
+            mag = _modulus(a[k:, k])
             # argmax takes the first maximum; a NaN candidate is lifted to -1
             # so it never wins, except on the diagonal, where it keeps its row
             key = np.fmax(mag, -1.0)
-            key[:, 0] = np.fmin(mag[:, 0], np.inf)
-            offset = key.argmax(axis=1)
+            key[0] = np.fmin(mag[0], np.inf)
+            offset = key.argmax(axis=0)
             if any(offset.tolist()):
                 rows = k + offset
-                top = a[:, k].copy()
-                a[:, k] = a[trials, rows]
-                a[trials, rows] = top
+                top = a[k].copy()
+                a[k] = a[rows, :, trials].T
+                a[rows, :, trials] = top.T
                 odd ^= offset != 0
-        pivot = a[:, k, k]
+        pivot = a[k, k]
         if 0j in pivot.tolist():
             # a zero pivot column: the matrix is singular.  It carries the
             # identity through the remaining steps, so they raise no
             # warnings, and reports 0j.
             zero = pivot == 0.0
             singular = zero if singular is None else singular | zero
-            a[zero] = _identity(n)
+            a[:, :, zero] = _identity(n)[:, :, None]
         vr, vi = _cmul(vr, vi, pivot.real, pivot.imag)
         if not last:
-            factor = a[:, k + 1:, k] / pivot[:, None]
-            a[:, k + 1:, k + 1:] -= factor[:, :, None] * a[:, None, k, k + 1:]
+            factor = a[k + 1:, k] / pivot
+            a[k + 1:, k + 1:] -= factor[:, None] * a[None, k, k + 1:]
     # the sign of the row permutation: 1.0 - 2.0 * odd is exactly +-1.0
     vr, vi = _cmul(1.0 - 2.0 * odd, 0.0, vr, vi)
     if singular is not None:
@@ -286,13 +290,15 @@ def _validate_unitaries(m):
     """Validate a (T, n, n) stack of candidate unitaries.
 
     Returns (defects, column_products, plaquettes): max|V V^+ - I| per
-    matrix, the (re, im) pair of c[t, k, i, j] = V_t[i,k] conj(V_t[j,k]),
-    whose k-sums are the V V^+ entries, and the stack's plaquette store.
-    One _row_products call on the stack of V^T and V gives c and the row
-    products h of V, from which _plaquette_store builds the store once
-    every defect passes.  Raises _InvalidUnitary, a ValueError that holds
-    the index of the first matrix that fails, on that matrix's first check
-    failed of: finite entries, the defect within UNITARITY_TOL.
+    matrix, the (re, im) pair of (n, n, n, T) c[k, i, j, t] = V_t[i,k]
+    conj(V_t[j,k]), whose k-sums are the V V^+ entries, and the stack's
+    (2, K, T) plaquette store.  The stack is turned once into the real and
+    imaginary planes of V and V^T with the trials last; one _row_products
+    call on them gives the row products h of V and c, from which
+    _plaquette_store builds the store once every defect passes.  Raises
+    _InvalidUnitary, a ValueError that holds the index of the first matrix
+    that fails, on that matrix's first check failed of: finite entries, the
+    defect within UNITARITY_TOL.
 
     The defect bound also puts |det V| within n * UNITARITY_TOL / 2 of 1 (to
     first order), so no determinant is taken: V V^+ = I + E with E Hermitian
@@ -307,20 +313,23 @@ def _validate_unitaries(m):
         first = int(np.logical_and.reduce(np.isfinite(m), axis=(1, 2)).argmin())
         _validate_unitaries(m[:first])
         raise _InvalidUnitary("matrix entries must be finite", first)
-    products = np.empty((2, 2 * t, n, n, n))
+    # planes[p, w, r, c, t]: part p (re, im) of V_t (w = 0) and V_t^T (w = 1)
+    parts = np.array((m.real, m.imag))
+    planes = np.concatenate([parts.transpose(0, 2, 3, 1), parts.transpose(0, 3, 2, 1)], axis=1)
+    products = np.empty((2, 2, n, n, n, t))
     with np.errstate(all="ignore"):  # overflow gives an inf or NaN defect, which fails
-        _row_products(np.concatenate([m.swapaxes(-1, -2), m]), out=products)
+        _row_products(*planes.reshape(2, 2, n, n, t), out=products)
         # copied so the buffer is freed on return; held, it fragments the heap
-        cr, ci = products[:, :t].copy()
-        gram = _complex(_ksum(cr, axis=1), _ksum(ci, axis=1))
-        defects = np.maximum.reduce(np.abs(gram - _identity(n)), axis=(1, 2))
+        cr, ci = products[:, 1].copy()
+        gram = _complex(_ksum(cr), _ksum(ci))
+        defects = np.maximum.reduce(np.abs(gram - _identity(n)[:, :, None]), axis=(0, 1))
     for i, defect in enumerate(defects.tolist()):
         if not defect <= UNITARITY_TOL:
             raise _InvalidUnitary(
                 f"matrix is not unitary: max|V V+ - I| = {defect:.3e} > {UNITARITY_TOL:.0e}",
                 i,
             )
-    return defects, (cr, ci), _plaquette_store(products[:, t:])
+    return defects, (cr, ci), _plaquette_store(products.reshape(2, 2 * n ** 3, t), n)
 
 
 @cache
@@ -352,15 +361,16 @@ def _plaquette_layout(n):
     return tables
 
 
-def _plaquette_store(h):
-    """The (2, T, K) plaquette store, re then im, in the layout of
-    _plaquette_layout, of the (2, T, n, n, n) row products h of a stack:
-    one take of both operands of every column, then one _cmul."""
-    t, n = h.shape[1], h.shape[-1]
+def _plaquette_store(rows, n):
+    """The (2, K, T) plaquette store, re then im, in the layout of
+    _plaquette_layout, of a stack of n x n matrices: one take of both
+    operands of every column, then one _cmul.  rows is a C-contiguous
+    (2, R, T) array, re then im, whose first n^3 rows are the row products
+    h[a, j, k] of the stack in C order, so that the take reads it in place."""
+    t = rows.shape[-1]
     operands = _plaquette_layout(n)[0]
-    x = h.reshape(2, t, n ** 3).take(operands, axis=2)
-    return _cmul(x[0, :, 0], x[1, :, 0], x[0, :, 1], x[1, :, 1],
-                 out=np.empty((2, t, operands.shape[1])))
+    x = rows.take(operands, axis=1)
+    return _cmul(x[0, 0], x[1, 0], x[0, 1], x[1, 1], out=np.empty((2, operands.shape[1], t)))
 
 
 @dataclass(frozen=True)
@@ -378,10 +388,11 @@ class UnitaryMatrix:
     row products of V^T, as an (re, im) pair of float tensors.  Their k-sums
     are the entries of V V^+ checked at construction; the commutator
     entries, the n=4 closed form and every |V|^2 (their real diagonal)
-    reuse them.  plaquettes is the (2, K) plaquette store of V, and
-    plaquettes[:, None] its stack of one.  Each entry, at every index
-    order, is bit-equal to the scalar complex evaluation with the grouping
-    (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).
+    reuse them.  plaquettes is the (2, K) plaquette store of V; each entry,
+    at every index order, is bit-equal to the scalar complex evaluation
+    with the grouping (V[a,j] conj(V[a,k])) * (V[b,k] conj(V[b,j])).  The
+    stacked layers take x[..., None] of each array as its stack of one,
+    with the trials on the last axis.
     """
 
     matrix: np.ndarray
@@ -399,7 +410,7 @@ class UnitaryMatrix:
         _validate_unitaries(stack) returned; v, if given, is filled in."""
         v = object.__new__(cls) if v is None else v
         defects, (cr, ci), plaq = validated
-        m, cr, ci, plaq = stack[t].copy(), cr[t], ci[t], plaq[:, t]
+        m, cr, ci, plaq = stack[t].copy(), cr[..., t], ci[..., t], plaq[..., t]
         for x in (m, cr, ci, plaq):
             x.setflags(write=False)
         for name, value in zip(("matrix", "unitarity_defect", "column_products", "plaquettes"),

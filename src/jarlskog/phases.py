@@ -10,15 +10,16 @@ are unchanged when rows and columns of V are multiplied by phases.
 The phases have one representation: the plaquette store of
 linalg._validate_unitaries, one column per unordered operand pair, with the
 canonical entries alpha < beta, j < k first.  A stack of T matrices holds
-it in one (2, T, K) array, re then im, and that array is the one argument
-of every reader: phase_table (a slice, n in {3, 4}), jr_matrices (one
-take) and unitary_relation_residuals and nonlinear_relation_residuals
-(each one gather of a table of store columns from a trials-last copy it
-makes).  Readers take their entries through index tables composed with
-the layout's map of the n^4 index orders to the columns
-(linalg._plaquette_layout).  n3_phase_table and expansion_residual run on
-phase_table's slice, expand_phases on J.  UnitaryMatrix.plaquettes is the
-(2, K) store of one matrix, and v.plaquettes[:, None] its stack of one.
+it in one (2, K, T) array, re then im, with the trials on the last axis, and
+that array is the one argument of every reader: phase_table (a slice, n in
+{3, 4}), jr_matrices (one take) and unitary_relation_residuals and
+nonlinear_relation_residuals (each one gather of a table of store rows,
+each row the T trials of one column).  Readers take their entries through
+index tables composed with the layout's map of the n^4 index orders to the
+columns (linalg._plaquette_layout).  n3_phase_table and expansion_residual
+run on phase_table's slice, expand_phases on J; every array they take or
+give keeps the trials last too.  UnitaryMatrix.plaquettes is the (2, K)
+store of one matrix, and v.plaquettes[..., None] its stack of one.
 verify runs the readers on a chunk, the `phases` report on a stack of one
 (reconstruct_J is its one single-matrix entry point).
 
@@ -88,21 +89,24 @@ def _canonical_pairs(n):
 
 
 def _check_plaquettes(x, dims=range(MIN_DIM, MAX_DIM + 1), what="not a plaquette store"):
-    """n, if the last axis of x holds the K = n^2 (n^2 + 1) / 2 columns of a
-    plaquette store for an n in dims (8 K + 1 = (2 n^2 + 1)^2); else DimensionError."""
-    n = math.isqrt(math.isqrt(8 * x.shape[-1] + 1) // 2)
-    if n not in dims or x.shape[-1] != n * n * (n * n + 1) // 2:
+    """n, if the next to last axis of x, the one before the trials, holds the
+    K = n^2 (n^2 + 1) / 2 columns of a plaquette store for an n in dims
+    (8 K + 1 = (2 n^2 + 1)^2); else DimensionError."""
+    k = x.shape[-2] if x.ndim > 1 else 0
+    n = math.isqrt(math.isqrt(8 * k + 1) // 2)
+    if n not in dims or k != n * n * (n * n + 1) // 2:
         raise DimensionError(f"{what}, got plaquettes of shape {x.shape}")
     return n
 
 
 def phase_table(x):
-    """The canonical entries alpha < beta, j < k of (..., K) plaquette
-    stores, n in {3, 4}: the (..., 9) or (..., 36) block that the store
-    holds first, row pairs outer and column pairs inner, both as listed by
-    _canonical_pairs(n).  A view; DimensionError for any other store."""
+    """The canonical entries alpha < beta, j < k of (..., K, T) plaquette
+    stores, n in {3, 4}: the (..., 9, T) or (..., 36, T) block that the
+    store holds first, row pairs outer and column pairs inner, both as
+    listed by _canonical_pairs(n).  A view; DimensionError for any other
+    store."""
     n = _check_plaquettes(x, (3, 4), "phase tables are defined for n in {3, 4}")
-    return x[..., :(n * (n - 1) // 2) ** 2]
+    return x[..., :(n * (n - 1) // 2) ** 2, :]
 
 
 #: the sum rules' families, in the order of unitary_relation_residuals
@@ -118,13 +122,13 @@ def _sum_rule_table(n):
     """The evaluation table of the sum rules for n x n matrices, built on
     first use.
 
-    Returns (index, starts).  index is a read-only (n + 1, S) array of rows
-    of the trials-last array [re; im; |V|^2; 0] (the (K,) stores, the flat
-    (n^2,) squared moduli and one row of +0.0) that
-    unitary_relation_residuals gathers: column s holds the n terms of sum
-    s, in ascending summed index, then its target, a |V[c, l]|^2 entry or
-    the +0.0 row.  The families follow each other, each in flat order of
-    its free indices:
+    Returns (index, starts).  index is a read-only (n + 1, S) array that
+    unitary_relation_residuals gathers by: column s holds, in its first n
+    rows, the rows of the (2 K, T) store, re then im, that hold the n terms
+    of sum s, in ascending summed index, and in its last row the row of its
+    target in the (n^2 + 1, T) array [|V|^2; 0] (the flat squared moduli and
+    one row of +0.0): a |V[c, l]|^2 entry or the +0.0 row.  The families
+    follow each other, each in flat order of its free indices:
       - im over alpha at (beta, j < k);
       - im over j at (alpha < beta, k);
       - re over alpha at (beta, j <= k), target delta_jk |V[beta, j]|^2;
@@ -134,15 +138,14 @@ def _sum_rule_table(n):
     family: 9, 9, 18, 18 at n = 3 and 24, 24, 40, 40 at n = 4.
     """
     at = _plaquette_layout(n)[1].reshape((n,) * 4)
-    size = n * n * (n * n + 1) // 2
-    im, mod2, zero = size, 2 * size, 2 * size + n * n
+    im, zero = n * n * (n * n + 1) // 2, n * n
     r = range(n)
     families = (
         [[im + at[x, b, j, k] for x in r] + [zero] for b in r for j in r for k in r[j + 1:]],
         [[im + at[a, b, x, k] for x in r] + [zero] for a in r for b in r[a + 1:] for k in r],
-        [[at[x, b, j, k] for x in r] + [mod2 + b * n + j if j == k else zero]
+        [[at[x, b, j, k] for x in r] + [b * n + j if j == k else zero]
          for b in r for j in r for k in r[j:]],
-        [[at[a, b, x, k] for x in r] + [mod2 + a * n + k if a == b else zero]
+        [[at[a, b, x, k] for x in r] + [a * n + k if a == b else zero]
          for a in r for b in r[a:] for k in r],
     )
     # C order, since take copies an index array of any other layout first
@@ -156,7 +159,7 @@ def _sum_rule_table(n):
 def unitary_relation_residuals(cols, plaq):
     """{family: (T,) max residual} of the eight sum rules, for the column
     products and the plaquette stores of (T, n, n) matrices, the latter as
-    one (2, T, K) array of re and im (linalg._validate_unitaries).
+    one (2, K, T) array of re and im (linalg._validate_unitaries).
 
     Summing a plaquette's imaginary part over either full row index or
     either full column index gives zero; the same sums of the real part
@@ -167,13 +170,13 @@ def unitary_relation_residuals(cols, plaq):
     that can be nonzero and can differ from every other sum's bits: the
     alpha sums at j < k (im) or j <= k (re), the j sums at alpha < beta
     (im) or alpha <= beta (re).  Each is added in ascending index order by
-    one np.add.reduce over the leading axis of the gather (a leading axis
-    is summed in order at every n and T), then its target is subtracted
-    (x - +0.0 is x).  That gives the maximum over every sum of all four
-    index choices, bit for bit, wherever verify's phase_antisymmetry_bitwise
-    row passes on the same store: im is then bitwise antisymmetric and re
-    bitwise symmetric under alpha<->beta and under j<->k, up to the sign of
-    a zero, and im(ab;jj) and im(aa;jk) are zeros.  A dropped sum is
+    one _ksum over the leading axis of the gather, then its target is
+    subtracted (x - +0.0 is x).  That gives the maximum over every sum of
+    all four index choices, bit for bit, wherever verify's
+    phase_antisymmetry_bitwise row passes on the same store: im is then
+    bitwise antisymmetric and re bitwise symmetric under alpha<->beta and
+    under j<->k, up to the sign of a zero, and im(ab;jj) and im(aa;jk) are
+    zeros.  A dropped sum is
       - an im sum at j = k (over alpha) or alpha = beta (over j): a sum of
         zeros, which IEEE + gives as +/-0, so |residual| is +0.0;
       - an alpha sum at j > k, or a j sum at alpha > beta: term by term and
@@ -188,17 +191,12 @@ def unitary_relation_residuals(cols, plaq):
         maximum, and the table evaluates it once.
     The sign of a zero changes no bit of |residual|.
     """
-    t, n = cols[0].shape[:2]
-    k = plaq.shape[-1]
+    n, t = cols[0].shape[0], plaq.shape[-1]
     index, starts = _sum_rule_table(n)
-    # trials on the last axis, so that each gathered entry is a row of T
-    flat = np.empty((2 * k + n * n + 1, t))
-    flat[-1] = 0.0
-    np.concatenate([plaq[0].T, plaq[1].T, _moduli_squared(cols).reshape(t, n * n).T],
-                   out=flat[:-1])
-    terms = flat.take(index, axis=0)
-    sums = np.add.reduce(terms[:n], axis=0)
-    np.subtract(sums, terms[n], out=sums)
+    # each gathered row holds the T trials of one store column
+    sums = _ksum(plaq.reshape(-1, t).take(index[:n], axis=0))
+    targets = np.concatenate([_moduli_squared(cols).reshape(n * n, t), np.zeros((1, t))])
+    np.subtract(sums, targets.take(index[n], axis=0), out=sums)
     worst = np.maximum.reduceat(np.abs(sums, out=sums), starts)
     # alpha, beta, j, k of im, then of re
     return dict(zip(_SUM_RULE_FAMILIES, worst.take(_SUM_RULE_SOURCES, axis=0)))
@@ -213,24 +211,23 @@ _N3_DEGENERATE_TOL = 1e-12
 
 
 def n3_phase_table(ims):
-    """The n = 3 sign table of the (T, 9) canonical imaginary phases that
-    phase_table slices from (T, 45) plaquette stores: all nine are +/- the
+    """The n = 3 sign table of the (9, T) canonical imaginary phases that
+    phase_table slices from (45, T) plaquette stores: all nine are +/- the
     single base phase im(12;12), the first of them.
 
     Returns (base, signs, residuals, indeterminate): base (T,), signs and
-    residuals (T, 9) in table order, as N3_SIGN_PATTERN, and indeterminate
+    residuals (9, T) in table order, as N3_SIGN_PATTERN, and indeterminate
     (T,).  signs holds +1/-1 and residuals |value - sign * base|; where the
     base phase is zero (indeterminate) the residuals are |value| and the
     signs carry no meaning.
     """
-    if ims.shape[-1] != 9:
+    if ims.shape[0] != 9:
         raise DimensionError("single-phase structure requires n=3, got a table of "
-                             f"{ims.shape[-1]} phases")
-    base = ims[:, 0]
+                             f"{ims.shape[0]} phases")
+    base = ims[0]
     indeterminate = np.abs(base) <= _N3_DEGENERATE_TOL
-    b = base[:, None]
-    signs = np.where(np.abs(ims - b) <= np.abs(ims + b), 1, -1)
-    residuals = np.where(indeterminate[:, None], np.abs(ims), np.abs(ims - signs * b))
+    signs = np.where(np.abs(ims - base) <= np.abs(ims + base), 1, -1)
+    residuals = np.where(indeterminate, np.abs(ims), np.abs(ims - signs * base))
     return base, signs, residuals, indeterminate
 
 
@@ -240,14 +237,14 @@ _JR_INDEX = np.array([[6 * r + c for c in _ADJACENT] for r in _ADJACENT])
 
 
 def jr_matrices(plaq):
-    """The adjacent-index phase arrays (J, R) of the (2, T, K) plaquette
-    store of (T, 4, 4) matrices, each (T, 3, 3): J[:, a, j] (0-based) holds
+    """The adjacent-index phase arrays (J, R) of the (2, K, T) plaquette
+    store of (T, 4, 4) matrices, each (3, 3, T): J[a, j] (0-based) holds
     im(a+1, a+2; j+1, j+2) and R the matching real parts.
 
     One take of _JR_INDEX.  Raises DimensionError unless plaq holds the
     store of n = 4."""
     _check_plaquettes(plaq, (4,), "adjacent-index arrays require n=4")
-    r, j = plaq.take(_JR_INDEX, axis=-1)
+    r, j = plaq.take(_JR_INDEX, axis=1)
     return j, r
 
 
@@ -260,7 +257,7 @@ _BLOCK_ORDER = np.array([6 * r + c for r in _PAIR_ORDER for c in _PAIR_ORDER])
 
 def expand_phases(j):
     """All 36 canonical imaginary phases of 4x4 unitaries from J alone: a
-    (T, 36) array in table order from (T, 3, 3) J.
+    (36, T) array in table order from (3, 3, T) J.
 
     Blocks: adjacent/adjacent entries are J itself; adjacent rows with
     non-adjacent columns are J A; non-adjacent rows with adjacent columns
@@ -269,17 +266,16 @@ def expand_phases(j):
     """
     # block column [J; A J] and, right-multiplied by A, [J A; A J A]; each
     # product x y is the ascending k-sum of x[i, k] y[k, j]
-    left = np.concatenate([j, _ksum(A_MATRIX.T[None, :, :, None] * j[:, :, None, :], axis=1)],
-                          axis=1)
-    right = _ksum(left[:, :, :, None] * A_MATRIX[None, None], axis=2)
-    return np.concatenate([left, right], axis=2).reshape(len(j), 36).take(_BLOCK_ORDER, axis=1)
+    left = np.concatenate([j, _ksum(A_MATRIX.T[:, :, None, None] * j[:, None])])
+    right = _ksum(left[:, :, None] * A_MATRIX[:, :, None], axis=1)
+    return np.concatenate([left, right], axis=1).reshape(36, -1).take(_BLOCK_ORDER, axis=0)
 
 
 def expansion_residual(direct, expanded):
     """Largest |expanded - direct| over the canonical imaginary phases, for
     the direct phase_table entries and the expand_phases entries: (T,)
-    from two (T, 36) arrays."""
-    return np.maximum.reduce(np.abs(expanded - direct), axis=-1)
+    from two (36, T) arrays."""
+    return np.maximum.reduce(np.abs(expanded - direct), axis=0)
 
 
 #: the product identities as residuals t1 +/- t2 - t3 over their free
@@ -385,7 +381,7 @@ def _product_table(n):
 
 def nonlinear_relation_residuals(plaq):
     """{family: (T,) max residual} of the four product identity families
-    for the (2, T, K) plaquette store of (T, n, n) matrices:
+    for the (2, K, T) plaquette store of (T, n, n) matrices:
 
     mixed_same_rows:   re(ab;jk) im(ab;kl) + re(ab;kl) im(ab;jk)
                          = re(ab;kk) im(ab;jl)
@@ -426,13 +422,9 @@ def nonlinear_relation_residuals(plaq):
     later step writes into its first half (see _product_table for the row
     layout), so a chunk's transient memory is that one buffer.
     """
-    t, k = plaq.shape[1:]
     index, starts, combines = _product_table(_check_plaquettes(plaq))
-    # trials on the last axis, so that each gathered entry is a row of T;
-    # in C order, since take copies any other layout first (concatenate
-    # would keep the transposes' order)
-    flat = np.concatenate([plaq[0].T, plaq[1].T], out=np.empty((2 * k, t)))
-    factors = flat.take(index, axis=0)
+    # each gathered row holds the T trials of one store column
+    factors = plaq.reshape(-1, plaq.shape[-1]).take(index, axis=0)
     t1, t2, t3 = np.multiply(factors[:3], factors[3:], out=factors[:3])
     for combine, lo, hi in zip(combines, starts, starts[1:] + (None,)):
         combine(t1[lo:hi], t2[lo:hi], out=t1[lo:hi])
@@ -489,8 +481,8 @@ _BAND_CONSTANTS = np.array([[-0.0], [1.0], [-1.0]])
 
 def _band_systems(cols, jd, r):
     """The band systems of (T, 4, 4) matrices, given by their column
-    products, with (T, 3, 3) J and R arrays: a (24, T) array of the
-    coefficients a, b, -b and c, six rows each, with trials on the last axis.
+    products, with (3, 3, T) J and R arrays: a (24, T) array of the
+    coefficients a, b, -b and c, six rows each.
 
     Equation i reads a_i y_i + b_i y_(i+1 mod 6) = c_i in the unknowns
     y = (J12, J13, J23, J21, J31, J32) (1-based labels).  Each is a product
@@ -499,10 +491,9 @@ def _band_systems(cols, jd, r):
     coefficient is an R entry or a squared modulus product of two V entries
     (_BAND_COEFFICIENTS), built in one gather from one array of atoms.
     """
-    t = len(jd)
-    m2 = _moduli_squared(cols).reshape(t, 16).T
-    q1, q2 = m2.take(_BAND_Q_TAKE, axis=0)
-    atoms = np.concatenate([q1 * q2, r.reshape(t, 9).T, jd.reshape(t, 9).T,
+    t = jd.shape[-1]
+    q1, q2 = _moduli_squared(cols).reshape(16, t).take(_BAND_Q_TAKE, axis=0)
+    atoms = np.concatenate([q1 * q2, r.reshape(9, t), jd.reshape(9, t),
                             _BAND_CONSTANTS.repeat(t, axis=1)])
     x, y, z = atoms.take(_BAND_TERMS, axis=0)
     return np.multiply(np.add(x, y, out=x), z, out=x)
@@ -521,21 +512,21 @@ _CRAMER_ROWS = (6 * np.array([2, 3, 0])[np.sign(np.arange(6)[:, None, None]
 
 def _reconstructions(cols, jd, r):
     """Band reconstructions of (T, 4, 4) matrices, given by their column
-    products, with (T, 3, 3) J and R.
+    products, with (3, 3, T) J and R.
 
-    Returns (gate_ratio (T,), degenerate (T,), reconstructed (T, 3, 3),
+    Returns (gate_ratio (T,), degenerate (T,), reconstructed (3, 3, T),
     max_error (T,)); reconstructed and max_error are NaN where degenerate.
     The system's determinant is prod a - prod b; the gate is its
     cancellation ratio |prod a - prod b| / (|prod a| + |prod b|), 0 when both
     products are 0.  Cramer's rule divides by that determinant only, never by
     a single coefficient, and only where the gate passes.
 
-    Trials run on the last axis.  Every product, prod a, prod b and each
-    Cramer term, is one np.multiply.reduce over the leading axis of a
-    gather of the coefficients, which multiplies left to right; the Cramer
-    numerators are _ksum sums over the terms, from 0.0 in ascending m.
+    Every product, prod a, prod b and each Cramer term, is one
+    np.multiply.reduce over an index axis of a gather of the coefficients,
+    which multiplies left to right; the Cramer numerators are _ksum sums
+    over the terms, from 0.0 in ascending m.
     """
-    t = len(jd)
+    t = jd.shape[-1]
     coefficients = _band_systems(cols, jd, r)
     pa, pb = np.multiply.reduce(coefficients[:12].reshape(2, 6, t), axis=1)
     determinant = pa - pb
@@ -544,13 +535,13 @@ def _reconstructions(cols, jd, r):
     degenerate = ratio < RECONSTRUCTION_GATE
     numerators = _ksum(np.multiply.reduce(coefficients.take(_CRAMER_ROWS, axis=0), axis=0))
     # the direct J with its cycle entries solved, and NaN where degenerate
-    direct = jd.reshape(t, 9).T
+    direct = jd.reshape(9, t)
     fill = direct.copy()
     fill[_CYCLE_ENTRIES] = np.divide(numerators, determinant, out=np.full((6, t), np.nan),
                                      where=~degenerate)
     max_error = np.maximum.reduce(np.abs(fill - direct), axis=0)
     fill[:, degenerate] = np.nan
-    return ratio, degenerate, fill.T.reshape(t, 3, 3), max_error
+    return ratio, degenerate, fill.reshape(3, 3, t), max_error
 
 
 def reconstruct_J(v):
@@ -561,14 +552,14 @@ def reconstruct_J(v):
     determinant cancels (ratio below RECONSTRUCTION_GATE) the result is
     flagged degenerate instead of solved.
     """
-    j, r = jr_matrices(v.plaquettes[:, None])
+    j, r = jr_matrices(v.plaquettes[..., None])
     ratio, degenerate, recon, max_error = _reconstructions(
-        tuple(x[None] for x in v.column_products), j, r)
+        tuple(x[..., None] for x in v.column_products), j, r)
     solved = not degenerate[0]
     return ReconstructionResult(
-        j=j[0],
-        r=r[0],
-        j_reconstructed=recon[0] if solved else None,
+        j=j[..., 0],
+        r=r[..., 0],
+        j_reconstructed=recon[..., 0] if solved else None,
         gate_ratio=float(ratio[0]),
         degenerate=bool(degenerate[0]),
         max_error=float(max_error[0]) if solved else None,

@@ -163,17 +163,15 @@ def load_problem(path):
     return parse_problem(text)
 
 
-def _matrix_payload(m):
-    return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
-def render_problem(inp):
-    """Serialise a MassPairInput to problem-file text (V form)."""
+def render_problem(a, b, v):
+    """Serialise spectra a, b and a mixing matrix v, given as a float and a
+    complex array (or sequences of them), to problem-file text (V form)."""
+    v = np.asarray(v, dtype=np.complex128)
     doc = {
         "format": FORMAT_TAG,
-        "n": inp.n,
-        "a": list(inp.a.values),
-        "b": list(inp.b.values),
-        "V": _matrix_payload(inp.v.matrix),
+        "n": len(v),
+        "a": np.asarray(a, dtype=float).tolist(),
+        "b": np.asarray(b, dtype=float).tolist(),
+        "V": np.array([v.real, v.imag]).transpose(1, 2, 0).tolist(),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -14,12 +14,13 @@ Trials run in chunks of TRIAL_CHUNK.  A chunk draws all of its trials at
 once through sampling.draw_trials: one fixed-size block of 2 n^2 + 4n
 outputs per trial from the start of its own stream.  Then every layer
 (validation, determinants, closed forms, residual families) runs once on
-the stack of the chunk's trials.  V and its rephased copy share one
-validation, which builds their (2, 2T, K) plaquette store: every store
-reader takes the (2, T, K) view of V's part, and the rephasing row
-compares the halves of the one phase_table slice.  Each stacked draw and
-layer gives, in slice t, the bits of its call on the stack of trial t
-alone, so the report does not depend on the chunk size.
+the stack of the chunk's trials, and from validation on every array holds
+the trials on its last axis.  V and its rephased copy share one
+validation, which builds their (2, K, 2T) plaquette store: every store
+reader takes one copy of V's (2, K, T) part, and the rephasing row compares
+the halves of the one phase_table slice.  Each stacked draw and layer
+gives, in trial t, the bits of its call on the stack of trial t alone, so
+the report does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ RECONSTRUCT_REL = 1e-9
 REPHASE_PHASE_ABS = 1e-12
 REPHASE_DET_REL = 1e-10
 
-#: N3_SIGN_PATTERN as the array the n = 3 row compares with
-_N3_SIGNS = np.array(N3_SIGN_PATTERN)
+#: N3_SIGN_PATTERN as the (9, 1) column the n = 3 row compares with
+_N3_SIGNS = np.array(N3_SIGN_PATTERN)[:, None]
 
 
 @dataclass
@@ -173,8 +174,8 @@ class VerificationReport:
 
 
 def _antisymmetry_residuals(plaq):
-    """(T,) the exact comparison of the phase symmetries across the (2, T,
-    K) plaquette store of T matrices: the largest |im + im| and |re - re| of
+    """(T,) the exact comparison of the phase symmetries across the (2, K,
+    T) plaquette store of T matrices: the largest |im + im| and |re - re| of
     each column and its a <-> b (and j <-> k) partner
     (linalg._plaquette_layout), a column with operands of its own, or
     itself at a = b or j = k, where 2 im pins im to a zero.
@@ -189,10 +190,10 @@ def _antisymmetry_residuals(plaq):
     One take of the partner columns, one add and one subtract into it, then
     one reduce.
     """
-    partner = plaq.take(_plaquette_layout(_check_plaquettes(plaq))[2], axis=-1)
+    partner = plaq.take(_plaquette_layout(_check_plaquettes(plaq))[2], axis=1)
     np.add(plaq[1], partner[1], out=partner[1])
     np.subtract(plaq[0], partner[0], out=partner[0])
-    return np.maximum.reduce(np.abs(partner, out=partner), axis=(0, 2))
+    return np.maximum.reduce(np.abs(partner, out=partner), axis=(0, 1))
 
 
 def check_tolerance(value, name="tolerance"):
@@ -221,10 +222,10 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     t = len(seeds)
     # V and its rephased copy share every layer up to the closed forms
     both = np.concatenate([v, rephase(v, row_phases, col_phases)])
-    # the spectra b, b, a, a of each trial: b2 and a2 for the 2T matrices,
-    # and at n = 4 the b, a, a of the difference factors
-    spectra = np.concatenate([b, b, a, a])
-    b2, a2 = spectra[:2 * t], spectra[2 * t:]
+    # the (n, 4T) spectra b, b, a, a of each trial: b2 and a2 for the 2T
+    # matrices, and at n = 4 the b, a, a of the difference factors
+    spectra = np.concatenate([b.T, b.T, a.T, a.T], axis=1)
+    b2, a2 = spectra[:, :2 * t], spectra[:, 2 * t:]
     _, cols, plaq = _validate_unitaries(both)
     dets = det_direct(a2, b2, cols)
     if n == 3:
@@ -232,18 +233,19 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     else:
         # the difference factors of the spectra b, a, a of each trial, as
         # one stack of 3T: the closed forms of V and its rephased copy take
-        # the a rows, the sum rule the b rows and the first a rows
-        factors = t_factors(spectra[t:])
-        a_factors = tuple(x[t:] for x in factors)
+        # the a trials, the sum rule the b trials and the first a trials
+        factors = t_factors(spectra[:, t:])
+        a_factors = tuple(x[:, t:] for x in factors)
         closed = det4_closed(a_factors, b2, cols, plaq)
     d, d2, c, c2 = dets[:t], dets[t:], closed[:t], closed[t:]
-    cols = tuple(x[:t] for x in cols)
+    cols = tuple(x[..., :t] for x in cols)
     # the canonical phases of V and of its rephased copy: the imaginary
-    # ones of V, (T, m), and the largest change of any under rephasing
+    # ones of V, (m, T), and the largest change of any under rephasing
     table = phase_table(plaq)
-    ims = table[1, :t]
-    phase_shift = np.maximum.reduce(np.abs(table[:, t:] - table[:, :t]), axis=(0, 2))
-    plaq = plaq[:, :t]
+    ims = table[1, :, :t]
+    phase_shift = np.maximum.reduce(np.abs(table[..., t:] - table[..., :t]), axis=(0, 1))
+    # V's part, laid out for the gathers of its readers
+    plaq = plaq[..., :t].copy()
 
     mod_d, closed_error, det_shift, closed_shift = _modulus(
         np.concatenate([d, c - d, d2 - d, c2 - c]).reshape(4, t))
@@ -274,17 +276,17 @@ def _check_chunk(n, seeds, closed_rel, parity_abs):
     ]
     if n == 3:
         base, signs, residuals, indeterminate = n3_phase_table(ims)
-        matches = indeterminate | np.logical_and.reduce(signs == _N3_SIGNS, axis=1)
+        matches = indeterminate | np.logical_and.reduce(signs == _N3_SIGNS, axis=0)
         # a wrong sign pattern fails its trial whatever the residual
         limit = np.where(matches, SIGN_TABLE_REL * np.maximum(1.0, np.abs(base)), -np.inf)
         rows.append(row("single_phase_sign_table", f"{SIGN_TABLE_REL:.0e}*max(1,|base|)",
-                        np.maximum.reduce(residuals, axis=1), limit))
+                        np.maximum.reduce(residuals, axis=0), limit))
         return rows
     j, r = jr_matrices(plaq)
-    res, scale = _sum_rule(*(x[:2 * t] for x in factors))
+    res, scale = _sum_rule(*(x[:, :2 * t] for x in factors))
     factor_sum = np.abs(res) / scale
     _, degenerate, _, max_error = _reconstructions(cols, j, r)
-    j_scale = np.maximum(1.0, np.maximum.reduce(np.abs(j), axis=(1, 2)))
+    j_scale = np.maximum(1.0, np.maximum.reduce(np.abs(j), axis=(0, 1)))
     rows += [
         row("phase_expansion_36", f"{EXPANSION_ABS:.0e}",
             expansion_residual(ims, expand_phases(j)), EXPANSION_ABS),

@@ -56,12 +56,13 @@ def seeded_input(n, seed):
 
 
 def stack_of_one(inp):
-    """(a, b, cols, plaq) of one MassPairInput as stacks of one trial: the
-    (1, n) spectra, the (re, im) column products and the (2, 1, K)
-    plaquette store of V, which the determinant kernels take."""
-    return (np.array([inp.a.values]), np.array([inp.b.values]),
-            tuple(x[None] for x in inp.v.column_products),
-            inp.v.plaquettes[:, None])
+    """(a, b, cols, plaq) of one MassPairInput as stacks of one trial, the
+    trials on the last axis: the (n, 1) spectra, the (re, im) column
+    products and the (2, K, 1) plaquette store of V, which the determinant
+    kernels take."""
+    return (np.array([inp.a.values]).T, np.array([inp.b.values]).T,
+            tuple(x[..., None] for x in inp.v.column_products),
+            inp.v.plaquettes[..., None])
 
 
 def uniforms(seed, count):
@@ -94,9 +95,10 @@ def rephased(v, theta, theta_prime):
 
 def tensor(store):
     """The (..., n, n, n, n) plaquettes of every 0-based index order from
-    (..., K) plaquette stores: one take of the layout's map of entries to
-    columns (linalg._plaquette_layout)."""
-    n = phases._check_plaquettes(store)
+    (..., K) plaquette stores, the columns on the last axis (a stack's
+    store, with its trials last, enters transposed): one take of the
+    layout's map of entries to columns (linalg._plaquette_layout)."""
+    n = phases._check_plaquettes(store[..., None])
     return store.take(linalg._plaquette_layout(n)[1], axis=-1).reshape(*store.shape[:-1],
                                                                         *(n,) * 4)
 

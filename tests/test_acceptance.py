@@ -119,7 +119,7 @@ def test_acceptance_05_unitarity_sum_rules(reports):
 def test_acceptance_06_single_phase_structure(reports):
     # the det link 2i T B base is det3_closed, covered by criterion 01
     started = time.perf_counter()
-    im = np.array([v.plaquettes[1] for v in haar_draws(3, DIRECT_DRAWS)])
+    im = np.array([v.plaquettes[1] for v in haar_draws(3, DIRECT_DRAWS)]).T
     indeterminate = int(n3_phase_table(phase_table(im))[3].sum())
     criterion(6, "n=3 single-phase sign table", started,
               [(reports[3], "single_phase_sign_table", "1e-12*max(1,|base|)", TRIALS)],
@@ -131,7 +131,7 @@ def test_acceptance_07_phase_expansion(reports):
     started = time.perf_counter()
     worst_spot = 0.0
     for v in haar_draws(4, DIRECT_DRAWS):
-        j = jr_matrices(v.plaquettes[:, None])[0][0]
+        j = jr_matrices(v.plaquettes[..., None])[0][..., 0]
         spots = (
             phase(v, 1, 2, 2, 4).imag - (j[0, 0] - j[0, 1]),
             phase(v, 1, 2, 1, 3).imag - (-j[0, 1] + j[0, 2]),

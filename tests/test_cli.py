@@ -37,9 +37,14 @@ def run_cli(*args, **kwargs):
 
 # ---------------------------------------------------------------- file format
 
+def rendered(inp):
+    """The problem file text of a MassPairInput."""
+    return render_problem(inp.a.values, inp.b.values, inp.v.matrix)
+
+
 def test_problem_round_trip_is_bitwise():
     inp = seeded_input(4, 8)
-    back = parse_problem(render_problem(inp))
+    back = parse_problem(rendered(inp))
     assert back.a.values == inp.a.values
     assert back.b.values == inp.b.values
     assert np.array_equal(back.v.matrix, inp.v.matrix)
@@ -69,7 +74,7 @@ def test_problem_rejects_both_forms():
 
 
 def render_problem_sample():
-    return render_problem(seeded_input(3, 3))
+    return rendered(seeded_input(3, 3))
 
 
 def test_problem_rejects_bad_json_with_location():
@@ -138,7 +143,7 @@ def test_sample_seed_names_the_stream_of_its_value_mod_2_64(capsys, seed, same_a
     for s in (seed, same_as):
         assert main(["sample", "--n", "4", "--seed", str(s)]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs == [render_problem(seeded_input(4, same_as))] * 2
+    assert outputs == [rendered(seeded_input(4, same_as))] * 2
 
 
 @pytest.mark.parametrize(("seed", "same_as"), ((-1, 2 ** 64 - 1), (2 ** 64 + 5, 5)))
@@ -157,7 +162,7 @@ def test_sample_round_trips_through_parser():
     assert inp.n == 3
     assert inp.v.unitarity_defect <= 1e-12
     assert inp.a.min_gap >= 0.05
-    assert render_problem(inp) == out.stdout
+    assert rendered(inp) == out.stdout
 
 
 # ---------------------------------------------------------------- det
@@ -501,7 +506,7 @@ def test_verify_fails_a_plaquette_tensor_that_breaks_the_orbit_symmetry(n, monke
 
     def flip_one_im_bit_of_trial_2(m):
         defects, cols, plaq = exact(m)
-        plaq[1].view(np.uint64)[2, target] ^= np.uint64(1)
+        plaq[1].view(np.uint64)[target, 2] ^= np.uint64(1)
         return defects, cols, plaq
 
     monkeypatch.setattr(verify, "_validate_unitaries", flip_one_im_bit_of_trial_2)
@@ -526,7 +531,7 @@ def test_verify_fails_a_plaquette_entry_that_breaks_the_sum_rule_symmetry(n, par
 
     def flip_one_bit_of_trial_2(m):
         defects, cols, plaq = exact(m)
-        plaq[("re", "im").index(part)].view(np.uint64)[2, 0] ^= np.uint64(1)
+        plaq[("re", "im").index(part)].view(np.uint64)[0, 2] ^= np.uint64(1)
         return defects, cols, plaq
 
     monkeypatch.setattr(verify, "_validate_unitaries", flip_one_bit_of_trial_2)
@@ -559,7 +564,7 @@ def test_one_ulp_in_a_rephased_canonical_column_shows_in_the_phase_shift_row_alo
 
     def one_ulp_off(m):
         defects, cols, plaq = validate(m)
-        x = plaq[("re", "im").index(part), len(seeds) + 2]
+        x = plaq[("re", "im").index(part), :, len(seeds) + 2]
         x[column] = np.nextafter(x[column], np.inf)
         return defects, cols, plaq
 
@@ -791,15 +796,15 @@ def test_a_problem_command_validates_one_stack_and_reads_its_store(
     assert len(stack) == (3 if "_uu_" in name else 1)
     assert np.array_equal(bits(v.matrix.view(float)), bits(stack[-1].view(float)))
     assert v.unitarity_defect == defects[-1]
-    assert np.array_equal(bits(v.plaquettes), bits(plaq[:, -1]))
+    assert np.array_equal(bits(v.plaquettes), bits(plaq[..., -1]))
     for got, ref in zip(v.column_products, cols):
-        assert np.array_equal(bits(got), bits(ref[-1]))
+        assert np.array_equal(bits(got), bits(ref[..., -1]))
     for x in (v.matrix, v.plaquettes, *v.column_products):
         assert not x.flags.writeable
     with pytest.raises(ValueError):
         v.plaquettes[0, 0] = 0.0
     with pytest.raises(AttributeError):
-        v.plaquettes = plaq[:, -1].copy()
+        v.plaquettes = plaq[..., -1].copy()
 
 
 def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys):

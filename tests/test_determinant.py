@@ -36,14 +36,14 @@ def swapped(inp):
 
 def seeded_stack(n, seeds):
     """(a, b, cols, plaq) of the trials of seeded_input for each of seeds,
-    drawn as one stack."""
+    drawn as one stack, with the trials last."""
     v, a, b, _, _ = draw_trials(n, seed_array(seeds))
-    return a, b, *_validate_unitaries(v)[1:]
+    return a.T, b.T, *_validate_unitaries(v)[1:]
 
 
 def commutator(inp):
     """The commutator entries of one input, a stack of one."""
-    return _commutators(*stack_of_one(inp)[:3])[0]
+    return _commutators(*stack_of_one(inp)[:3])[..., 0]
 
 
 def direct(inp):
@@ -171,11 +171,11 @@ def test_det3_degeneracy_limit_is_linear():
 # ---------------------------------------------------------------- T factors
 
 def test_t_factors_hand_values():
-    pair, _ = t_factors(np.array([[0.0, 1.0, 2.0, 3.0]]))
+    pair, _ = t_factors(np.array([[0.0, 1.0, 2.0, 3.0]]).T)
     assert PAIRINGS[0] == ((1, 2), (3, 4))
     assert PAIRINGS[2] == ((1, 4), (2, 3))
     assert pair[0, 0] == 1.0
-    assert pair[0, 2] == 9.0
+    assert pair[2, 0] == 9.0
 
 
 def test_t_factors_match_defining_products():
@@ -186,7 +186,7 @@ def test_t_factors_match_defining_products():
     def gap(i, j):
         return v[i - 1] - v[j - 1]
 
-    pair, cycle = (x[0] for x in t_factors(np.array([s.values])))
+    pair, cycle = (x[:, 0] for x in t_factors(np.array([s.values]).T))
     assert len(pair) == len(PAIRINGS) and len(cycle) == len(CYCLES)
     for value, ((i, j), (k, l)) in zip(pair, PAIRINGS):
         assert value == pytest.approx(gap(i, j) ** 2 * gap(k, l) ** 2, rel=1e-14)
@@ -195,18 +195,18 @@ def test_t_factors_match_defining_products():
 
 
 def test_t_factors_pair_values_nonnegative():
-    pair, _ = t_factors(spectra(4, 50))
+    pair, _ = t_factors(spectra(4, 50).T)
     assert np.all(pair >= 0.0)
 
 
 def test_t_factor_sum_rule_on_integers():
-    residual, _ = _sum_rule(*t_factors(np.array([[0.0, 1.0, 2.0, 3.0]])))
+    residual, _ = _sum_rule(*t_factors(np.array([[0.0, 1.0, 2.0, 3.0]]).T))
     assert residual[0] == 0.0
 
 
 def test_t_factor_sum_rule_over_ensemble():
     s = spectra(4, 2000)
-    residual, scale = _sum_rule(*t_factors(s))
+    residual, scale = _sum_rule(*t_factors(s.T))
     assert np.all(np.abs(residual) <= 1e-12 * scale)
 
 
@@ -215,7 +215,7 @@ def test_t_factor_sum_rule_over_ensemble():
 def test_t_factors_translation_invariant(shift):
     base = Spectrum((-0.9, -0.2, 0.3, 0.8))
     moved = Spectrum(tuple(x + shift for x in base.values))
-    tf0, tf1 = (np.concatenate(t_factors(np.array([s.values])), axis=1)[0].tolist()
+    tf0, tf1 = (np.concatenate(t_factors(np.array([s.values]).T))[:, 0].tolist()
                 for s in (base, moved))
     scale = max(1.0, abs(shift))
     for x0, x1 in zip(tf0, tf1):
@@ -284,7 +284,7 @@ def test_decompose_det4_wrong_dimension():
 def test_decompose_identity_mixing_all_groups_zero():
     a, b, cols, plaq = stack_of_one(identity_input(4))
     parts, _ = decompose_det4(t_factors(a), b, cols, plaq)
-    assert [x.shape for x in parts] == [(1, len(DET4_GROUPS))] * 2
+    assert [x.shape for x in parts] == [(len(DET4_GROUPS), 1)] * 2
     assert np.all(parts[0] == 0.0) and np.all(parts[1] == 0.0)
 
 
@@ -294,7 +294,7 @@ def test_decompose_parts_sum_bitwise_to_closed_form():
     (re, im), _ = decompose_det4(a_factors, b, cols, plaq)
     acc = 0j
     for g in range(len(DET4_GROUPS)):
-        acc += complex(re[0, g], im[0, g])
+        acc += complex(re[g, 0], im[g, 0])
     assert acc == det4_closed(a_factors, b, cols, plaq)[0]
 
 

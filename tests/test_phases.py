@@ -38,26 +38,26 @@ from jarlskog.phases import N3_SIGN_PATTERN, _band_systems, _canonical_pairs, _c
 
 def sum_rule_residuals(v):
     """{family: max residual} of the sum rules of one matrix."""
-    families = unitary_relation_residuals(tuple(x[None] for x in v.column_products),
-                                          v.plaquettes[:, None])
+    families = unitary_relation_residuals(tuple(x[..., None] for x in v.column_products),
+                                          v.plaquettes[..., None])
     return {name: float(x[0]) for name, x in families.items()}
 
 
 def product_residuals(v):
     """{family: max residual} of the product identities of one matrix."""
-    families = nonlinear_relation_residuals(v.plaquettes[:, None])
+    families = nonlinear_relation_residuals(v.plaquettes[..., None])
     return {name: float(x[0]) for name, x in families.items()}
 
 
 def n3_signs(v):
     """(base, signs, residuals, indeterminate) of the n = 3 sign table of
     one matrix."""
-    return tuple(x[0] for x in n3_phase_table(phase_table(v.plaquettes[1][None])))
+    return tuple(x[..., 0] for x in n3_phase_table(phase_table(v.plaquettes[1][:, None])))
 
 
 def jr(v):
     """The (3, 3) J and R arrays of one matrix."""
-    return tuple(x[0] for x in jr_matrices(v.plaquettes[:, None]))
+    return tuple(x[..., 0] for x in jr_matrices(v.plaquettes[..., None]))
 
 
 def canonical_keys(n):
@@ -119,19 +119,21 @@ def test_phase_table_sizes():
     for t, (n, size) in enumerate(((3, 9), (4, 36))):
         v = haar(n, derive_seed(SEED, t))
         for x in v.plaquettes:
-            assert phase_table(x).shape == (size,)
-            assert phase_table(x[None]).shape == (1, size)
+            assert phase_table(x[:, None]).shape == (size, 1)
+        assert phase_table(v.plaquettes[..., None]).shape == (2, size, 1)
 
 
 def test_phase_table_rejects_other_dimensions():
     with pytest.raises(DimensionError):
-        phase_table(haar(5, SEED).plaquettes[1][None])
+        phase_table(haar(5, SEED).plaquettes[1][:, None])
 
 
 def test_phase_table_and_jr_reject_arrays_that_are_not_a_store():
-    # the 256 entries of a flattened 4^4 tensor, the 4^4 tensor itself, and
-    # a store of one column too many
-    for x in (np.zeros((3, 256)), np.zeros((3, 4, 4, 4, 4)), np.zeros((3, 137))):
+    # the 256 entries of a flattened 4^4 tensor, the 4^4 tensor itself, a
+    # store of one column too many, each with three trials last, and an n=4
+    # store with its trials first
+    for x in (np.zeros((256, 3)), np.zeros((4, 4, 4, 4, 3)), np.zeros((137, 3)),
+              np.zeros((2, 3, 136))):
         with pytest.raises(DimensionError):
             phase_table(x)
         with pytest.raises(DimensionError):
@@ -139,32 +141,36 @@ def test_phase_table_and_jr_reject_arrays_that_are_not_a_store():
 
 
 def indexed_phase_table(x):
-    """The canonical entries by advanced indexing on the last four axes of
-    the tensor of every index order that the store x maps to."""
-    return tensor(x)[(..., *(np.array(axis) - 1 for axis in zip(*canonical_keys(
-        _check_plaquettes(x)))))]
+    """The canonical entries by advanced indexing on the four index axes of
+    the tensor of every index order that the store x maps to, with the
+    trials last."""
+    canonical = np.array(canonical_keys(_check_plaquettes(x))).T - 1
+    return np.moveaxis(tensor(np.swapaxes(x, -1, -2))[(..., *canonical)], -2, -1)
 
 
 def indexed_jr(re, im):
-    """J and R by advanced indexing on the last four axes of the tensors."""
+    """J and R by advanced indexing on the four index axes of the tensors,
+    with the trials last."""
     rows, cols = np.arange(3), np.arange(1, 4)
     index = (..., rows[:, None], cols[:, None], rows[None, :], cols[None, :])
-    return tensor(im)[index], tensor(re)[index]
+    return tuple(np.moveaxis(tensor(x.T)[index], 0, -1) for x in (im, re))
 
 
 def plaquette_views(n):
-    """A (2, 5, K) plaquette store of Haar matrices, a Fortran-ordered copy
+    """A (2, K, 5) plaquette store of Haar matrices, a Fortran-ordered copy
     and views of it that are not contiguous: trials sliced as verify slices
     V from its rephased copy, a stack of one and the whole store reversed."""
     buffer = _validate_unitaries(haar_stack(n, 5, 90 + n))[2]
-    return [buffer, buffer[:, :3], np.asfortranarray(buffer), buffer[:, 2:3], buffer[::-1, ::-2]]
+    return [buffer, buffer[..., :3], np.asfortranarray(buffer), buffer[..., 2:3],
+            buffer[::-1, :, ::-2]]
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_phase_table_takes_the_entries_of_the_indexed_form_from_any_view(n):
     for x in plaquette_views(n):
         assert np.array_equal(bits(phase_table(x)), bits(indexed_phase_table(x)))
-        assert np.array_equal(bits(phase_table(x[1, 0])), bits(indexed_phase_table(x[1, 0])))
+        assert np.array_equal(bits(phase_table(x[1, :, :1])),
+                              bits(indexed_phase_table(x[1, :, :1])))
 
 
 def test_jr_takes_the_entries_of_the_indexed_form_from_any_view():
@@ -175,9 +181,9 @@ def test_jr_takes_the_entries_of_the_indexed_form_from_any_view():
 
 def test_phase_table_symmetry_lookup_bitwise():
     v = haar(4, SEED)
-    re, im = v.plaquettes
-    ims = phase_table(im).tolist()
-    res = phase_table(re).tolist()
+    re, im = v.plaquettes[..., None]
+    ims = phase_table(im)[:, 0].tolist()
+    res = phase_table(re)[:, 0].tolist()
     for (a, b, j, k), value, real in zip(canonical_keys(4), ims, res, strict=True):
         assert phase(v, a, b, j, k).imag == value
         assert phase(v, b, a, j, k).imag == -value
@@ -189,7 +195,7 @@ def test_phase_table_symmetry_lookup_bitwise():
 
 
 def test_phase_table_identity_pattern():
-    re, im = UnitaryMatrix(np.eye(4)).plaquettes
+    re, im = UnitaryMatrix(np.eye(4)).plaquettes[..., None]
     assert np.all(phase_table(im) == 0.0)
     # real parts: |delta| products, all zero off the diagonal pairs
     assert np.all(phase_table(re) == 0.0)
@@ -242,12 +248,12 @@ def test_n3_real_orthogonal_is_indeterminate():
     _, _, residuals, indeterminate = n3_signs(v)
     assert indeterminate
     # with no base phase to compare with, each residual is the phase itself
-    assert np.array_equal(residuals, np.abs(phase_table(v.plaquettes[1])))
+    assert np.array_equal(residuals, np.abs(phase_table(v.plaquettes[1][:, None])[:, 0]))
 
 
 def test_n3_requires_three_levels():
     with pytest.raises(DimensionError):
-        n3_phase_table(phase_table(haar(4, SEED).plaquettes[1][None]))
+        n3_phase_table(phase_table(haar(4, SEED).plaquettes[1][:, None]))
 
 
 def test_n3_base_phase_ties_to_determinant():
@@ -279,13 +285,14 @@ def test_jr_entries_match_scalar_phases_bitwise():
 
 def test_jr_requires_four_levels():
     with pytest.raises(DimensionError):
-        jr_matrices(haar(3, SEED).plaquettes[:, None])
+        jr_matrices(haar(3, SEED).plaquettes[..., None])
 
 
 def test_expansion_spot_values():
     # the three worked rows of the column expansion
     j = jr(haar(4, SEED))[0]
-    expanded = dict(zip(canonical_keys(4), expand_phases(j[None])[0].tolist(), strict=True))
+    expanded = dict(zip(canonical_keys(4), expand_phases(j[..., None])[:, 0].tolist(),
+                        strict=True))
     assert expanded[1, 2, 2, 4] == pytest.approx(j[0, 0] - j[0, 1], abs=1e-15)
     assert expanded[1, 2, 1, 4] == pytest.approx(-j[0, 0] + j[0, 1] - j[0, 2], abs=1e-15)
     assert expanded[1, 2, 1, 3] == pytest.approx(-j[0, 1] + j[0, 2], abs=1e-15)
@@ -293,9 +300,9 @@ def test_expansion_spot_values():
 
 def test_expansion_matches_direct_table():
     for v in haar_unitaries(4, 50):
-        direct = phase_table(v.plaquettes[1][None])
-        expanded = expand_phases(jr(v)[0][None])
-        for value, ref in zip(expanded[0].tolist(), direct[0].tolist(), strict=True):
+        direct = phase_table(v.plaquettes[1][:, None])
+        expanded = expand_phases(jr(v)[0][..., None])
+        for value, ref in zip(expanded[:, 0].tolist(), direct[:, 0].tolist(), strict=True):
             assert abs(value - ref) <= 1e-12
 
 
@@ -345,8 +352,8 @@ def test_product_identities_real_orthogonal_residual_zero():
 
 def band_system(v):
     """(a, b, c) of the band system of one matrix."""
-    j, r = jr_matrices(v.plaquettes[:, None])
-    coefficients = _band_systems(tuple(x[None] for x in v.column_products), j, r)[:, 0]
+    j, r = jr_matrices(v.plaquettes[..., None])
+    coefficients = _band_systems(tuple(x[..., None] for x in v.column_products), j, r)[:, 0]
     return coefficients[0:6], coefficients[6:12], coefficients[18:24]
 
 
@@ -429,7 +436,7 @@ def test_all_invariants_survive_rephasing(seed):
     v = haar(4, seed)
     # the angles of two more seeds
     w = rephased(v, *([u * 6.0 for u in uniforms(derive_seed(seed, t), 4)] for t in (0, 1)))
-    for x, y in zip(v.plaquettes, w.plaquettes):
+    for x, y in zip(v.plaquettes[..., None], w.plaquettes[..., None]):
         assert np.max(np.abs(phase_table(x) - phase_table(y))) <= 1e-12
     for x, y in zip(jr(v), jr(w)):
         assert np.max(np.abs(x - y)) <= 1e-13

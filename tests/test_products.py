@@ -122,7 +122,7 @@ def scalar_det4_groups(inp):
         wm = wsum(row)
         return t * (qform(q) * w2sum(row) - qform(qx) * qform(qy) - qform(q) * (wm * wm))
 
-    tp, tc = (x[0].tolist() for x in t_factors(np.array([inp.a.values])))
+    tp, tc = (x[:, 0].tolist() for x in t_factors(np.array([inp.a.values]).T))
     parts = {
         "pair_12_34": pair(tp[0], q12, m3, q13, q23),
         "pair_13_24": pair(tp[1], q13, m2, q12, q23),
@@ -201,12 +201,12 @@ def scalar_qr(a):
 
 def full_product_residual_tensors(re, im):
     """{family: |t1 +/- t2 - t3| at every index tuple} of the four product
-    identities for (T, K) plaquette stores, each a (T, n, ..., n) tensor
+    identities for (K, T) plaquette stores, each a (T, n, ..., n) tensor
     with the family's free indices as axes in the order of
     phases._PRODUCT_IDENTITIES: the broadcast evaluation over every tuple
     of the tensors of every index order that the stores map to, of which
     the library evaluates the tuples that its table keeps."""
-    re, im = tensor(re), tensor(im)
+    re, im = tensor(re.T), tensor(im.T)
     re_kk = np.einsum("tabkk->tabk", re)
     re_bb = np.einsum("tbbjk->tbjk", re)
     families = {
@@ -248,7 +248,7 @@ def full_product_residual_tensors(re, im):
 def full_product_residuals(re, im):
     """{family: (T,) max residual} of the product identities over every
     index tuple, as phases.nonlinear_relation_residuals reports them."""
-    return {name: x.reshape(len(re), -1).max(axis=1)
+    return {name: x.reshape(len(x), -1).max(axis=1)
             for name, x in full_product_residual_tensors(re, im).items()}
 
 
@@ -355,6 +355,12 @@ def cbits(z):
     return bits([z.real, z.imag])
 
 
+def planes(m):
+    """The (re, im) planes of a (T, n, n) stack with the trials last, as
+    linalg._row_products takes them."""
+    return m.real.transpose(1, 2, 0), m.imag.transpose(1, 2, 0)
+
+
 def pinned_matrices():
     mats = [*haar_unitaries(3, 40, 20261017), *haar_unitaries(4, 40, 20261017, first=40)]
     for n in (3, 4):
@@ -409,9 +415,9 @@ def test_every_store_column_is_the_scalar_plaquette_at_both_index_orders(n):
     # operands in either order; both must have its bits
     for m in store_test_stacks(n):
         re, im = linalg._validate_unitaries(m)[2]
-        assert re.shape == (len(m), n * n * (n * n + 1) // 2)
+        assert re.shape == (n * n * (n * n + 1) // 2, len(m))
         for t in range(len(m)):
-            assert_every_index_order_is_the_scalar_plaquette(m[t], re[t], im[t])
+            assert_every_index_order_is_the_scalar_plaquette(m[t], re[:, t], im[:, t])
 
 
 def test_plaquette_tensor_is_read_only_and_computed_once():
@@ -467,7 +473,7 @@ def test_moduli_squared_are_the_exact_real_diagonal_of_the_column_products():
         ref = np.array([[m[i, k].real * m[i, k].real + m[i, k].imag * m[i, k].imag
                          for k in range(v.n)] for i in range(v.n)])
         assert np.array_equal(bits(np.diagonal(cr, axis1=1, axis2=2).T), bits(ref))
-        got = linalg._moduli_squared(tuple(x[None] for x in v.column_products))[0]
+        got = linalg._moduli_squared(tuple(x[..., None] for x in v.column_products))[..., 0]
         assert np.array_equal(bits(got), bits(ref))
 
 
@@ -476,7 +482,7 @@ def test_commutator_matrix_is_bit_equal_to_scalar_reference():
     for s, v in enumerate(mats):
         drawn = seeded_input(v.n, derive_seed(777, s))
         inp = MassPairInput(a=drawn.a, b=drawn.b, v=v)
-        got = determinant._commutators(*stack_of_one(inp)[:3])[0]
+        got = determinant._commutators(*stack_of_one(inp)[:3])[..., 0]
         ref = scalar_commutator(inp)
         assert np.array_equal(bits(got.real), bits(ref.real))
         assert np.array_equal(bits(got.imag), bits(ref.imag))
@@ -510,13 +516,13 @@ def assert_groups_match_scalar_reference(groups, s, inp):
     scalar_det4_groups(inp); returns the reference parts."""
     (re, im), (weights, (raw_re, raw_im)) = groups
     ref_parts, ref_cycles = scalar_det4_groups(inp)
-    assert re.shape[1] == im.shape[1] == len(DET4_GROUPS)
+    assert re.shape[0] == im.shape[0] == len(DET4_GROUPS)
     for g, name in enumerate(DET4_GROUPS):
-        assert np.array_equal(cbits(complex(re[s, g], im[s, g])), cbits(ref_parts[name])), name
+        assert np.array_equal(cbits(complex(re[g, s], im[g, s])), cbits(ref_parts[name])), name
     assert list(ref_cycles) == list(DET4_GROUPS[3:])
     for g, (name, (weight, raw)) in enumerate(ref_cycles.items()):
-        assert bits([weights[s, g]]) == bits([weight]), name
-        assert np.array_equal(cbits(complex(raw_re[s, g], raw_im[s, g])), cbits(raw)), name
+        assert bits([weights[g, s]]) == bits([weight]), name
+        assert np.array_equal(cbits(complex(raw_re[g, s], raw_im[g, s])), cbits(raw)), name
     return ref_parts
 
 
@@ -548,9 +554,9 @@ def test_det4_groups_of_a_verify_stack_are_bit_equal_to_scalar_reference():
     v = np.concatenate([np.array([x.matrix for x in mats]), drawn[len(mats):]])
     both = np.concatenate([v, sampling.rephase(v, row, col)])
     _, cols, plaq = linalg._validate_unitaries(both)
-    factors = t_factors(np.concatenate([a, b]))
-    a_factors = tuple(np.concatenate([x[:t], x[:t]]) for x in factors)
-    groups = decompose_det4(a_factors, np.concatenate([b, b]), cols, plaq)
+    factors = t_factors(np.concatenate([a, b]).T)
+    a_factors = tuple(np.concatenate([x[:, :t], x[:, :t]], axis=1) for x in factors)
+    groups = decompose_det4(a_factors, np.concatenate([b, b]).T, cols, plaq)
     for s in range(2 * t):
         inp = MassPairInput(a=Spectrum(a[s % t]), b=Spectrum(b[s % t]), v=UnitaryMatrix(both[s]))
         assert_groups_match_scalar_reference(groups, s, inp)
@@ -638,7 +644,7 @@ def assert_reconstructions_match_scalar_reference(v):
         ref = scalar_band_reconstruction(UnitaryMatrix(m))
         assert bits([ratio[t]]) == bits([ref[0]]), t
         assert bool(degenerate[t]) is ref[1], t
-        assert np.array_equal(bits(recon[t]), bits(ref[2])), t
+        assert np.array_equal(bits(recon[..., t]), bits(ref[2])), t
         assert bits([max_error[t]]) == bits([ref[3]]), t
     return degenerate
 
@@ -670,8 +676,8 @@ def test_band_reconstruction_is_bit_equal_to_scalar_reference_on_structured_matr
 def test_phase_expansion_is_bit_equal_to_spelled_out_products():
     mats = [v for v in pinned_matrices() if v.n == 4] + list(signed_permutations(4))
     for v in mats:
-        j = jr_matrices(v.plaquettes[:, None])[0]
-        assert np.array_equal(bits(expand_phases(j)[0]), bits(reference_expansion(j[0])))
+        j = jr_matrices(v.plaquettes[..., None])[0]
+        assert np.array_equal(bits(expand_phases(j)[:, 0]), bits(reference_expansion(j[..., 0])))
 
 
 def verify_report_matches_golden_file(n, trials, capsys):
@@ -814,13 +820,12 @@ def test_stacked_qr_and_haar_fix_are_bit_equal_to_scalar_references(group):
 
 # ---------------------------------------------------------------- every stacked layer
 
-def stack_slice(x, t):
-    """Trial t of a stacked argument, kept as a stack of one.  An array with
-    a leading axis of 2 (LAYER_TRIALS is not 2) holds re and im: the
-    plaquette buffer or the phase tables read from it, trials on axis 1."""
+def stack_slice(x, t, axis):
+    """Trial t of a stacked argument whose trials are on axis (0 or -1),
+    kept as a stack of one."""
     if isinstance(x, tuple):
-        return tuple(stack_slice(y, t) for y in x)
-    return x[:, t:t + 1] if len(x) == 2 else x[t:t + 1]
+        return tuple(stack_slice(y, t, axis) for y in x)
+    return x[t:t + 1] if axis == 0 else x[..., t:t + 1]
 
 
 def leaves(x):
@@ -841,64 +846,75 @@ def phase_shifts(plaq, rephased):
     """verify's rephasing_phase_shift row, the largest |rephased - direct|
     of a canonical phase, from the stores of a stack and of its rephased
     copy, which verify holds as one store and reads with one phase_table."""
-    table = phases.phase_table(np.concatenate([plaq, rephased], axis=1))
-    t = plaq.shape[1]
-    return np.maximum.reduce(np.abs(table[:, t:] - table[:, :t]), axis=(0, 2))
+    table = phases.phase_table(np.concatenate([plaq, rephased], axis=-1))
+    t = plaq.shape[-1]
+    return np.maximum.reduce(np.abs(table[..., t:] - table[..., :t]), axis=(0, 1))
 
 
 def stacked_layers(n):
-    """{name: (function, stacked arguments, trial axis of its results)} of
-    every layer that takes a leading trial axis, on LAYER_TRIALS seeded
-    trials."""
+    """{name: (function, stacked arguments, trial axis of the arguments,
+    trial axis of the results)} of every layer that takes a stack of
+    trials, on LAYER_TRIALS seeded trials: at n = 8 the layers that take
+    any n, validation, the store, the commutators and the direct
+    determinant, and at n = 3 and 4 every layer.  The draws and the LU
+    keep the trials first, every later layer keeps them last."""
     trials = LAYER_TRIALS
-    g = ginibre_stack(n, trials, 1000 + n)
     v, a, b, row, col = draw_trials(n, trial_seeds(trials, 1000 + n))
+    a, b = a.T, b.T
     w = sampling.rephase(v, row, col)
     _, cols, plaq = linalg._validate_unitaries(v)
     layers = {
-        "householder_qr": (householder_qr, (g,), 0),
-        "haar_from_ginibre": (sampling._haar_from_ginibre, (g,), 0),
-        "rephased": (sampling.rephase, (v, row, col), 0),
-        # the defects and column products, then the store, with its trials on axis 1
-        "validate_unitaries": (lambda m: linalg._validate_unitaries(m)[:2], (w,), 0),
-        "plaquettes": (lambda m: linalg._validate_unitaries(m)[2], (v,), 1),
-        "commutators": (determinant._commutators, (a, b, cols), 0),
-        "det": (det, (determinant._commutators(a, b, cols),), 0),
-        "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, plaq), 0),
-        "product_residuals": (phases.nonlinear_relation_residuals, (plaq,), 0),
-        "antisymmetry_residuals": (verify._antisymmetry_residuals, (plaq,), 0),
-        "phase_shifts": (phase_shifts, (plaq, linalg._validate_unitaries(w)[2]), 0),
+        # the defects and column products, then the store
+        "validate_unitaries": (lambda m: linalg._validate_unitaries(m)[:2], (w,), 0, -1),
+        "plaquettes": (lambda m: linalg._validate_unitaries(m)[2], (v,), 0, -1),
+        "commutators": (determinant._commutators, (a, b, cols), -1, -1),
+        "det": (det, (determinant._commutators(a, b, cols).transpose(2, 0, 1),), 0, 0),
+        "det_direct": (determinant.det_direct, (a, b, cols), -1, -1),
     }
+    if n == 8:
+        return layers
+    g = ginibre_stack(n, trials, 1000 + n)
+    layers.update({
+        "householder_qr": (householder_qr, (g,), 0, 0),
+        "haar_from_ginibre": (sampling._haar_from_ginibre, (g,), 0, 0),
+        "rephased": (sampling.rephase, (v, row, col), 0, 0),
+        "sum_rule_residuals": (phases.unitary_relation_residuals, (cols, plaq), -1, -1),
+        "product_residuals": (phases.nonlinear_relation_residuals, (plaq,), -1, -1),
+        "antisymmetry_residuals": (verify._antisymmetry_residuals, (plaq,), -1, -1),
+        "phase_shifts": (phase_shifts, (plaq, linalg._validate_unitaries(w)[2]), -1, -1),
+    })
     if n == 3:
-        layers["det3_closed"] = (determinant.det3_closed, (a, b, plaq), 0)
-        layers["n3_signs"] = (phases.n3_phase_table, (phases.phase_table(plaq[1]),), 0)
+        layers["det3_closed"] = (determinant.det3_closed, (a, b, plaq), -1, -1)
+        layers["n3_signs"] = (phases.n3_phase_table, (phases.phase_table(plaq[1]),), -1, -1)
     else:
         j, r = phases.jr_matrices(plaq)
         layers.update({
-            "det4_groups": (determinant.decompose_det4, (t_factors(a), b, cols, plaq), 0),
-            "det4_closed": (determinant.det4_closed, (t_factors(a), b, cols, plaq), 0),
-            "t_factors": (determinant.t_factors, (a,), 0),
-            "sum_rule": (determinant._sum_rule, determinant.t_factors(b), 0),
-            "jr": (phases.jr_matrices, (plaq,), 0),
-            "expand_block": (phases.expand_phases, (j,), 0),
+            "det4_groups": (determinant.decompose_det4, (t_factors(a), b, cols, plaq), -1, -1),
+            "det4_closed": (determinant.det4_closed, (t_factors(a), b, cols, plaq), -1, -1),
+            "t_factors": (determinant.t_factors, (a,), -1, -1),
+            "sum_rule": (determinant._sum_rule, determinant.t_factors(b), -1, -1),
+            "jr": (phases.jr_matrices, (plaq,), -1, -1),
+            "expand_block": (phases.expand_phases, (j,), -1, -1),
             "expansion_residuals": (phases.expansion_residual,
-                                    (phases.phase_table(plaq[1]), phases.expand_phases(j)), 0),
-            # the coefficients carry trials on their last axis
-            "band_systems": (phases._band_systems, (cols, j, r), -1),
-            "reconstructions": (phases._reconstructions, (cols, j, r), 0),
+                                    (phases.phase_table(plaq[1]), phases.expand_phases(j)), -1,
+                                    -1),
+            "band_systems": (phases._band_systems, (cols, j, r), -1, -1),
+            "reconstructions": (phases._reconstructions, (cols, j, r), -1, -1),
         })
     return layers
 
 
-LAYER_CASES = [(n, name) for n in (3, 4) for name in stacked_layers(n)]
+LAYER_CASES = [(n, name) for n in (3, 4, 8) for name in stacked_layers(n)]
 
 
 @pytest.mark.parametrize(("n", "name"), LAYER_CASES, ids=[f"n{n}-{name}" for n, name in LAYER_CASES])
 def test_slice_of_a_stacked_layer_is_bit_equal_to_its_stack_of_one(n, name):
-    fn, args, axis = stacked_layers(n)[name]
+    # at n = 8 the trials-last stack of one meets sums of 8 entries with
+    # every later axis of length 1, which numpy would add pairwise
+    fn, args, arg_axis, axis = stacked_layers(n)[name]
     full = leaves(fn(*args))
     for t in range(LAYER_TRIALS):
-        single = leaves(fn(*(stack_slice(x, t) for x in args)))
+        single = leaves(fn(*(stack_slice(x, t, arg_axis) for x in args)))
         assert len(single) == len(full)
         for got, ref in zip(full, single):
             assert np.array_equal(bits(np.take(got, t, axis=axis).astype(float)),
@@ -943,10 +959,10 @@ def traced_peak(fn, *args):
 def test_product_residuals_keep_their_transient_memory_at_the_one_gather():
     plaq = haar_plaquettes(4, 64, 44)
     phases.nonlinear_relation_residuals(plaq)  # the table is built on first use
-    # the gather of the factors and the trials-last (2 K, T) copy of the
-    # store it is taken from, the one transient the size of the input
+    # the gather of the factors, taken from the store in place: no copy of
+    # the store, nor a second gather-sized temporary
     gather = phases._product_table(4)[0].size * 64 * 8
-    assert traced_peak(phases.nonlinear_relation_residuals, plaq) <= 1.05 * (gather + plaq.nbytes)
+    assert traced_peak(phases.nonlinear_relation_residuals, plaq) <= 1.05 * gather
 
 
 def test_verify_peak_memory_stays_at_one_chunk_gather():
@@ -978,11 +994,11 @@ def structured_matrices(n):
 
 
 def structured_plaquettes(n, size=64):
-    """The (2, T, K) plaquette stores of structured_matrices(n) in stacks of
+    """The (2, K, T) plaquette stores of structured_matrices(n) in stacks of
     up to size."""
     mats = structured_matrices(n)
     for first in range(0, len(mats), size):
-        yield np.array([v.plaquettes for v in mats[first:first + size]]).swapaxes(0, 1)
+        yield np.array([v.plaquettes for v in mats[first:first + size]]).transpose(1, 2, 0)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -990,7 +1006,7 @@ def test_product_residuals_by_orbit_are_bit_equal_to_every_tuple_on_structured_m
     for plaq in structured_plaquettes(n):
         assert_bit_equal_to_every_tuple(plaq)
     for v in structured_matrices(n):
-        plaq = v.plaquettes[:, None]
+        plaq = v.plaquettes[..., None]
         got, ref = nonlinear_relation_residuals(plaq), full_product_residuals(*plaq)
         assert list(got) == list(ref)
         for name in ref:
@@ -1089,7 +1105,7 @@ def test_the_rule_merges_a_column_with_its_swapped_and_negated_terms_only():
                         [im1, neg3, neg2], [im2, im2, neg1], [im3, neg1, neg3]])
     assert phases._kept_columns(3, columns, np.add).tolist() == [True, True, False]
     re, im = haar_plaquettes(3, 64, 110)
-    factors = np.concatenate([re, im], axis=1)[:, columns]
+    factors = np.concatenate([re, im]).T[:, columns]
     t = factors[:, :3] * factors[:, 3:]
     residual = bits(np.abs((t[:, 0] + t[:, 1]) - t[:, 2]))
     assert np.array_equal(residual[:, 2], residual[:, 0])
@@ -1148,9 +1164,9 @@ def four_axis_sum_rules(cols, re, im):
     axis by numpy on the tensors of every index order of the stores re and
     im, the evaluation that unitary_relation_residuals prunes to the
     distinct alpha and j sums."""
-    re, im = tensor(re), tensor(im)
+    re, im = tensor(re.T), tensor(im.T)
     t, n = re.shape[:2]
-    mod2 = linalg._moduli_squared(cols)
+    mod2 = np.moveaxis(linalg._moduli_squared(cols), -1, 0)
     eye = np.eye(n)
     both = np.stack([im, re])
     sums = np.empty((2, 4, t, n, n, n))
@@ -1170,8 +1186,9 @@ def assert_sum_rules_match_the_four_axis_sums(mats):
     m = np.asarray(mats)
     n = m.shape[-1]
     # the stacks include matrices that are not unitary, so no validation
-    cols = linalg._row_products(m.swapaxes(-1, -2))
-    plaq = linalg._plaquette_store(np.array(linalg._row_products(m)))
+    cols = linalg._row_products(*planes(m.swapaxes(-1, -2)))
+    plaq = linalg._plaquette_store(np.array(linalg._row_products(*planes(m))).reshape(2, n ** 3, -1),
+                                   n)
     got = phases.unitary_relation_residuals(cols, plaq)
     ref = four_axis_sum_rules(cols, *plaq)
     assert list(got) == list(ref)
@@ -1236,9 +1253,9 @@ def every_sum_rule_residual(cols, re, im):
     every free index tuple, (beta, j, k) over alpha and (alpha, beta, k) over
     j, each summed in ascending index order on the tensors of every index
     order of the stores re and im."""
-    parts = {"re": tensor(re), "im": tensor(im)}
+    parts = {"re": tensor(re.T), "im": tensor(im.T)}
     n = parts["re"].shape[-1]
-    mod2 = linalg._moduli_squared(cols)
+    mod2 = np.moveaxis(linalg._moduli_squared(cols), -1, 0)
     eye = np.eye(n)
     out = []
     for axis, part, _ in SUM_RULE_TABLE_FAMILIES:
@@ -1260,13 +1277,13 @@ def sum_rule_split(n):
     layout = linalg._plaquette_layout(n)[1].reshape((n,) * 4)
     k = n * n * (n * n + 1) // 2
     x, y, z = np.indices((n,) * 3)
-    zero = np.full_like(x, 2 * k + n * n)
+    zero = np.full_like(x, n * n)
     kept = []
     for f, (axis, part, _) in enumerate(SUM_RULE_TABLE_FAMILIES):
         # terms of the sum at free tuple (x, y, z), in ascending summed index
         terms = np.moveaxis(layout, 0 if axis == "alpha" else 2, -1) + (k if part == "im" else 0)
         diagonal, modulus = ((y == z, x * n + y) if axis == "alpha" else (x == y, x * n + z))
-        target = np.where(diagonal & (part == "re"), 2 * k + modulus, zero)
+        target = np.where(diagonal & (part == "re"), modulus, zero)
         rows = np.concatenate([terms, target[..., None]], axis=-1).reshape(n ** 3, n + 1)
         block = index[:, starts[f]:starts[f + 1] if f < 3 else None].T
         held = {row.tobytes() for row in block}
@@ -1363,14 +1380,16 @@ def stack_of_eight_haar_matrices():
 @pytest.mark.parametrize("length", range(8, 13))
 def test_ksum_prefix_route_is_bit_equal_to_the_loop(length):
     # from +0.0 over 8 or more entries, _ksum reduces the first 7 and adds
-    # the rest one by one; a reduce over 8 would add an innermost axis
-    # pairwise, which the lines of 1e16 and ones tell from the loop
+    # the rest one by one; a reduce over 8 would add an innermost axis, or a
+    # leading one whose later axes all have length 1 (a trials-last stack of
+    # one), pairwise, which the lines of 1e16 and ones tell from the loop
     big = np.tile([1e16] + [1.0] * (length - 1), (3, 1))
-    cases = [(big, 1), (big.T, 0)]
+    cases = [(big, 1), (big.T, 0), (big.T[:, :1].copy(), 0), (big.T[:, :1, None].copy(), 0)]
     if length == 8:
-        # the unitarity check's Gram sum at n = 8: k is innermost in memory
-        m = stack_of_eight_haar_matrices()
-        cases += [(x, 1) for x in linalg._row_products(m.swapaxes(-1, -2))]
+        # the unitarity check's Gram sum at n = 8, k leading, on a stack and
+        # on a stack of one
+        m = stack_of_eight_haar_matrices().swapaxes(-1, -2)
+        cases += [(x, 0) for stack in (m, m[:1]) for x in linalg._row_products(*planes(stack))]
     with np.errstate(invalid="ignore"):
         for axis in range(3):
             for seed in range(4):
@@ -1380,15 +1399,15 @@ def test_ksum_prefix_route_is_bit_equal_to_the_loop(length):
 
 
 def test_ksum_keeps_the_loop_from_8_entries_and_for_other_starts():
-    # numpy sums an innermost axis of 8 or more entries pairwise, so one
-    # reduce over all of them would move bits; _ksum reduces only the first
-    # 7 there (test_ksum_prefix_route_is_bit_equal_to_the_loop) and these
-    # stacks tell a reduce over the whole axis from the loop
+    # numpy sums an innermost axis of 8 or more entries pairwise, and so a
+    # leading axis whose later axes all have length 1, as in a trials-last
+    # stack of one, so one reduce over all of them would move bits; _ksum
+    # reduces only the first 7 there
+    # (test_ksum_prefix_route_is_bit_equal_to_the_loop) and these stacks
+    # tell a reduce over the whole axis from the loop
     big = np.array([1e16] + [1.0] * 8)
-    cr, _ = linalg._row_products(stack_of_eight_haar_matrices().swapaxes(-1, -2))
     cases = [(big[:8], 0), (big, 0), (np.tile(big[:8], (3, 1)), 1),
-             # the unitarity check's Gram sum at n = 8: k is innermost in memory
-             (cr, 1)]
+             (big[:8, None].copy(), 0), (big[:, None, None].copy(), 0)]
     for t, axis in cases:
         ref = ksum_loop(t, 0.0, axis)
         assert np.array_equal(bits(linalg._ksum(t, axis=axis)), bits(ref))

@@ -102,6 +102,21 @@ def test_byte_identity_runs_the_u_form_faults_at_n3_and_n4(tmp_path, capsys):
                 assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def test_byte_identity_runs_det_direct_on_sampled_problems_at_other_n(tmp_path, capsys):
+    # the stacked layers on a stack of one at n = 2 and 5..8, where the
+    # commutator and Gram sums reach 8 entries at n = 8
+    byte_identity = load_byte_identity()
+    tmp = str(tmp_path)
+    byte_identity.error_files(os.path.join(os.path.dirname(SCRIPTS), "src"), tmp)
+    argvs = byte_identity.commands(tmp)
+    assert byte_identity.SAMPLED_DIMENSIONS == (2, 5, 6, 7, 8)
+    for n in byte_identity.SAMPLED_DIMENSIONS:
+        argv = ["det", os.path.join(tmp, f"n{n}.json"), "--method", "direct"]
+        assert argv in argvs
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"n: {n}\ndet_direct: ")
+
+
 def test_byte_identity_names_a_changed_verify_report(tmp_path):
     src = os.path.join(os.path.dirname(SCRIPTS), "src")
     changed = tmp_path / "src"
