@@ -4,11 +4,12 @@
 Copies the jarlskog package of each tree into a temporary directory under
 its own name (jarlskog_parent, jarlskog_change) and imports both, so that
 the two run in the same interpreter, on the same heap and under the same
-host load.  First it checks that both give the same output for every op
-of a round: the rendered verify reports and the stdout, stderr and exit
-code of each CLI call.  It names each op whose outputs differ, times the
-trees anyway (a change may move report bytes on purpose), and exits 1 at
-the end if any op differed.
+host load.  The copies stay until the script exits: a tree may import a
+module only when an op first runs it.  First it checks that both give the
+same output for every op of a round: the rendered verify reports and the
+stdout, stderr and exit code of each CLI call.  It names each op whose
+outputs differ, times the trees anyway (a change may move report bytes on
+purpose), and exits 1 at the end if any op differed.
 
 Then it times the ops of the benchmark's three workloads:
 
@@ -108,11 +109,17 @@ def main():
     parser.add_argument("--ops", type=int, default=300,
                         help="ops per workload and round (default 300)")
     args = parser.parse_args()
-    seeds = range(args.ops)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         trees = [workloads(*load(src, side, tmp))
                  for src, side in zip((args.parent_src, args.change_src), SIDES)]
+        return compare_and_time(trees, args)
+
+
+def compare_and_time(trees, args):
+    """Check the outputs of the two trees, time them, and return the exit
+    code: 1 if any op's outputs differed."""
+    seeds = range(args.ops)
     differing = [f"{name} seed {s}" for name in trees[0] for s in seeds
                  if text(trees[0][name](s)) != text(trees[1][name](s))]
     for what in differing:

@@ -24,64 +24,40 @@ Library layout:
                 reconstruction of J for one matrix (reconstruct_J)
 * verify      - seeded ensemble verification of every identity above
 * cli         - the `jarlskog` command (det / phases / verify / sample)
+
+Importing the package loads none of these modules: each public name below
+is looked up in its defining module on first use (PEP 562), so that a
+process compiles only the modules it runs.  `import jarlskog.cli` adds cli
+alone, and each command loads its own modules when it runs (see cli).
 """
 
 __version__ = "0.1.0"
 
-from .determinant import (
-    MassPairInput,
-    decompose_det4,
-    det3_closed,
-    det4_closed,
-    det_direct,
-    t_factors,
-)
-from .linalg import (
-    DegenerateSpectrumError,
-    DimensionError,
-    Spectrum,
-    UnitaryMatrix,
-    adjoint,
-    det,
-    matmul,
-)
-from .phases import (
-    expand_phases,
-    expansion_residual,
-    jr_matrices,
-    n3_phase_table,
-    nonlinear_relation_residuals,
-    phase_table,
-    reconstruct_J,
-    unitary_relation_residuals,
-)
-from .sampling import derive_seed, draw_trials, householder_qr, rephase
+#: the public names, by the module that defines them
+_SOURCES = {
+    "determinant": ("MassPairInput", "decompose_det4", "det3_closed", "det4_closed", "det_direct",
+                    "t_factors"),
+    "linalg": ("DegenerateSpectrumError", "DimensionError", "Spectrum", "UnitaryMatrix", "adjoint",
+               "det", "matmul"),
+    "phases": ("expand_phases", "expansion_residual", "jr_matrices", "n3_phase_table",
+               "nonlinear_relation_residuals", "phase_table", "reconstruct_J",
+               "unitary_relation_residuals"),
+    "sampling": ("derive_seed", "draw_trials", "householder_qr", "rephase"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "DegenerateSpectrumError",
-    "DimensionError",
-    "MassPairInput",
-    "Spectrum",
-    "UnitaryMatrix",
-    "__version__",
-    "adjoint",
-    "decompose_det4",
-    "derive_seed",
-    "det",
-    "det3_closed",
-    "det4_closed",
-    "det_direct",
-    "draw_trials",
-    "expand_phases",
-    "expansion_residual",
-    "householder_qr",
-    "jr_matrices",
-    "matmul",
-    "n3_phase_table",
-    "nonlinear_relation_residuals",
-    "phase_table",
-    "reconstruct_J",
-    "rephase",
-    "t_factors",
-    "unitary_relation_residuals",
-]
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name):
+    """The public name `name`, imported from its defining module."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

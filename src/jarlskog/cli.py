@@ -13,6 +13,18 @@ stderr and the input-error exit.  Exit codes: 0 success, 1 input error, 2
 identity violation.  Reports are append-only: an existing --out path is
 never overwritten.  verify's wall time goes to stderr so that report bytes
 depend only on the inputs.
+
+Importing this module loads no other module of the package, and each
+command imports the modules it runs when it runs, so a process compiles
+only those:
+
+    det     problem_io, linalg, determinant
+    phases  problem_io, linalg, determinant, phases
+    verify  linalg, determinant, phases, sampling, verify
+    sample  problem_io, linalg, determinant, sampling
+
+--version and usage errors load none (a malformed --tol-rel or --tol-abs
+loads determinant, whose check_tolerance it applies).
 """
 
 from __future__ import annotations
@@ -26,19 +38,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .determinant import det3_closed, det4_closed, det_direct, t_factors
-from .phases import (
-    N3_SIGN_PATTERN,
-    _canonical_pairs,
-    expand_phases,
-    expansion_residual,
-    n3_phase_table,
-    phase_table,
-    reconstruct_J,
-)
-from .problem_io import load_problem, render_problem
-from .sampling import _MASK64, draw_trials
-from .verify import CLOSED_REL, check_tolerance, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,7 +65,9 @@ def _finite(z):
 
 
 def _tolerance(text):
-    """argparse type of --tol-rel/--tol-abs: verify.check_tolerance's rule."""
+    """argparse type of --tol-rel/--tol-abs: determinant.check_tolerance's rule."""
+    from .determinant import check_tolerance
+
     try:
         return check_tolerance(float(text))
     except ValueError:
@@ -93,7 +94,9 @@ def _emit(text, out_path):
 
 
 def _cmd_det(args):
-    inp = load_problem(args.file)
+    from . import determinant, problem_io
+
+    inp = problem_io.load_problem(args.file)
     n, method = inp.n, args.method
     if method in ("closed", "both") and n not in (3, 4):
         raise ValueError(f"no closed form for n={n}; closed evaluation supports n in {{3, 4}}")
@@ -107,11 +110,11 @@ def _cmd_det(args):
     # overflow is reported below as an input error, not as a numpy warning
     with np.errstate(all="ignore"):
         if method in ("direct", "both"):
-            values["det_direct"] = d = complex(det_direct(a, b, cols)[0])
+            values["det_direct"] = d = complex(determinant.det_direct(a, b, cols)[0])
         if method in ("closed", "both"):
             plaq = inp.v.plaquettes[..., None]
-            closed = (det3_closed(a, b, plaq) if n == 3
-                      else det4_closed(t_factors(a), b, cols, plaq))
+            closed = (determinant.det3_closed(a, b, plaq) if n == 3
+                      else determinant.det4_closed(determinant.t_factors(a), b, cols, plaq))
             values["det_closed"] = c = complex(closed[0])
     for name, value in values.items():
         if not _finite(value):
@@ -120,7 +123,7 @@ def _cmd_det(args):
         lines.append(f"{name}: {_fmt_complex(value)}")
     code = EXIT_OK
     if method == "both":
-        tol_rel = args.tol_rel if args.tol_rel is not None else CLOSED_REL[n]
+        tol_rel = args.tol_rel if args.tol_rel is not None else determinant.CLOSED_REL[n]
         tol_abs = args.tol_abs if args.tol_abs is not None else 0.0
         disc = abs(c - d)
         bound = tol_rel * max(1.0, abs(d)) + tol_abs
@@ -137,24 +140,31 @@ def _cmd_det(args):
 @functools.cache
 def _phase_labels(n):
     """The labels of the canonical phases of the report, in table order."""
+    from .phases import _canonical_pairs
+
     pairs = _canonical_pairs(n)
     return tuple(f"({a}{b};{j}{k})" for (a, b) in pairs for (j, k) in pairs)
 
 
-def _phase_report_text(v):
+def _cmd_phases(args):
+    from . import phases, problem_io
+
+    v = problem_io.load_problem(args.file).v
+    if v.n not in (3, 4):
+        raise ValueError(f"phase reports support n in {{3, 4}}, got n={v.n}")
     lines = []
     lines.append("invariant-phase report")
     lines.append(f"tool_version: {__version__}")
     lines.append(f"n: {v.n}")
     # every phase layer runs on v's plaquette store as a stack of one
-    res, ims = phase_table(v.plaquettes[..., None])
+    res, ims = phases.phase_table(v.plaquettes[..., None])
     lines.append("")
     lines.append("canonical phases (rows alpha<beta, columns j<k):")
     labels = _phase_labels(v.n)
     for label, x, y in zip(labels, ims[:, 0].tolist(), res[:, 0].tolist()):
         lines.append(f"  {label}  im {x:+.17e}  re {y:+.17e}")
     if v.n == 3:
-        base, signs, residuals, indeterminate = (x[..., 0] for x in n3_phase_table(ims))
+        base, signs, residuals, indeterminate = (x[..., 0] for x in phases.n3_phase_table(ims))
         lines.append("")
         lines.append(f"base phase (12;12): {base:+.17e}")
         if indeterminate:
@@ -164,16 +174,16 @@ def _phase_report_text(v):
             lines.append("sign table (phase = sign * base):")
             for label, sign, residual in zip(labels, signs, residuals.tolist()):
                 lines.append(f"  {label}  sign {sign:+d}  residual {residual:.17e}")
-            lines.append(f"sign pattern matches expected: {signs == N3_SIGN_PATTERN}")
+            lines.append(f"sign pattern matches expected: {signs == phases.N3_SIGN_PATTERN}")
         lines.append(f"max sign-table residual: {np.maximum.reduce(residuals):.17e}")
     else:
-        recon = reconstruct_J(v)
+        recon = phases.reconstruct_J(v)
         lines.append("")
         lines.append("adjacent-index J (im) and R (re), entries (a, a+1; j, j+1):")
         for name, m in (("J", recon.j), ("R", recon.r)):
             for i, row in enumerate(m.tolist(), 1):
                 lines.append(f"  {name}[{i},:] " + "  ".join(f"{x:+.17e}" for x in row))
-        worst = expansion_residual(ims, expand_phases(recon.j[..., None]))[0]
+        worst = phases.expansion_residual(ims, phases.expand_phases(recon.j[..., None]))[0]
         lines.append("")
         lines.append(f"expansion check (36 phases from J): max residual {worst:.17e}")
         lines.append("")
@@ -184,25 +194,23 @@ def _phase_report_text(v):
             lines.append("  status: degenerate (gate failed; no solve attempted)")
         else:
             lines.append(f"  status: solved, max |reconstructed - direct| = {recon.max_error:.17e}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_phases(args):
-    inp = load_problem(args.file)
-    if inp.n not in (3, 4):
-        raise ValueError(f"phase reports support n in {{3, 4}}, got n={inp.n}")
-    return _phase_report_text(inp.v), EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _cmd_verify(args):
+    from .verify import run_suite
+
     report = run_suite(args.n, args.trials, args.seed, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
     return report.render(), EXIT_OK if report.passed() else EXIT_VIOLATION
 
 
 def _cmd_sample(args):
+    from . import problem_io, sampling
+
     # any integer seed names the stream of its value mod 2^64
-    v, a, b, _, _ = draw_trials(args.n, np.array([args.seed & _MASK64], dtype=np.uint64))
-    return render_problem(a[0], b[0], v[0]), EXIT_OK
+    seeds = np.array([args.seed & sampling._MASK64], dtype=np.uint64)
+    v, a, b, _, _ = sampling.draw_trials(args.n, seeds)
+    return problem_io.render_problem(a[0], b[0], v[0]), EXIT_OK
 
 
 def build_parser():

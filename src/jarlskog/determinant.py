@@ -41,7 +41,10 @@ a_factors = t_factors(a) at n = 4:
     det4_closed(a_factors, b, cols, plaq)     (T,) complex, n = 4
     decompose_det4(a_factors, b, cols, plaq)  its nine groups, n = 4
 
-One problem is the stack of one.
+One problem is the stack of one.  CLOSED_REL, the bound on a closed form's
+distance from det_direct, and check_tolerance, the rule for a tolerance
+given in its place, live here too, shared by `det --method both` and the
+verify suite, so that `det` loads no module beyond its own.
 
 Reconciliation note for det4_closed: the three pair-weighted groups are
 self-conjugate sums (their imaginary parts cancel index-by-index), but each
@@ -57,12 +60,29 @@ this module does, and what the term-by-term tests pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (DimensionError, Spectrum, UnitaryMatrix, _cmul, _complex, _ksum,
                      _moduli_squared, _plaquette_layout, det)
+
+#: closed form vs det_direct, relative, by n: the agreement bound of
+#: `det --method both` and of verify's closed-form rows
+CLOSED_REL = {3: 1e-10, 4: 1e-9}
+
+
+def check_tolerance(value, name="tolerance"):
+    """value, if it is a usable tolerance (finite and >= 0); else ValueError.
+
+    A check passes when `residual <= limit`, so a NaN or negative
+    tolerance would fail every trial.
+    """
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
 
 #: canonical order of the nine term groups of det4_closed; decompose_det4
 #: returns them in this order and det4_closed sums them in this order.

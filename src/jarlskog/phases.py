@@ -225,10 +225,10 @@ def n3_phase_table(ims):
         raise DimensionError("single-phase structure requires n=3, got a table of "
                              f"{ims.shape[0]} phases")
     base = ims[0]
-    indeterminate = np.abs(base) <= _N3_DEGENERATE_TOL
-    signs = np.where(np.abs(ims - base) <= np.abs(ims + base), 1, -1)
-    residuals = np.where(indeterminate, np.abs(ims), np.abs(ims - signs * base))
-    return base, signs, residuals, indeterminate
+    minus, plus = np.abs(ims - base), np.abs(ims + base)
+    positive, indeterminate = minus <= plus, np.abs(base) <= _N3_DEGENERATE_TOL
+    residuals = np.where(indeterminate, np.abs(ims), np.where(positive, minus, plus))
+    return base, np.where(positive, 1, -1), residuals, indeterminate
 
 
 #: store columns of (a, a+1; j, j+1) as the 3x3 of J, all in the canonical block

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .determinant import _sum_rule, det3_closed, det4_closed, det_direct, t_factors
+from .determinant import (CLOSED_REL, _sum_rule, check_tolerance, det3_closed, det4_closed,
+                          det_direct, t_factors)
 from .linalg import _modulus, _plaquette_layout, _validate_unitaries
 from .phases import (
     _check_plaquettes,
@@ -56,11 +57,10 @@ from .sampling import _MASK64, derive_seed, draw_trials, rephase
 TRIAL_CHUNK = 256
 
 #: default tolerances, keyed by identity name; (rel, abs) pairs where a
-#: relative part applies
+#: relative part applies.  The closed-form bound, determinant.CLOSED_REL,
+#: is shared with `det --method both`.
 PARITY_REL = 1e-9
 PARITY_ABS = 1e-12
-#: closed form vs det_direct, by n; `det --method both` uses it too
-CLOSED_REL = {3: 1e-10, 4: 1e-9}
 SUM_RULE_ABS = 1e-13
 SIGN_TABLE_REL = 1e-12
 EXPANSION_ABS = 1e-12
@@ -194,17 +194,6 @@ def _antisymmetry_residuals(plaq):
     np.add(plaq[1], partner[1], out=partner[1])
     np.subtract(plaq[0], partner[0], out=partner[0])
     return np.maximum.reduce(np.abs(partner, out=partner), axis=(0, 1))
-
-
-def check_tolerance(value, name="tolerance"):
-    """value, if it is a usable tolerance (finite and >= 0); else ValueError.
-
-    A check passes when `residual <= limit`, so a NaN or negative
-    tolerance would fail every trial.
-    """
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-    return value
 
 
 def _check_chunk(n, seeds, closed_rel, parity_abs):

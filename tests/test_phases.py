@@ -251,6 +251,25 @@ def test_n3_real_orthogonal_is_indeterminate():
     assert np.array_equal(residuals, np.abs(phase_table(v.plaquettes[1][:, None])[:, 0]))
 
 
+def test_n3_sign_table_matches_its_scalar_definition_bit_for_bit():
+    # each sign is that of the nearer of +base and -base (ties +1) and each
+    # residual |value - sign * base|, or |value| where the base is below the
+    # degeneracy tolerance; on signed zeros, infinities and NaNs too
+    special = [0.0, -0.0, 1e-13, -1e-13, 0.3, -0.3, np.inf, -np.inf, np.nan]
+    ims = np.array([[x, y, -y, x + y, x - y, y, -x, 2 * y, 0.5 * x] for x in special
+                    for y in special]).T
+    with np.errstate(invalid="ignore"):
+        base, signs, residuals, indeterminate = n3_phase_table(ims)
+    assert signs.dtype.kind == "i"
+    for t, b in enumerate(ims[0].tolist()):
+        assert indeterminate[t] == (abs(b) <= 1e-12)
+        for row, x in enumerate(ims[:, t].tolist()):
+            sign = 1 if abs(x - b) <= abs(x + b) else -1
+            residual = abs(x) if abs(b) <= 1e-12 else abs(x - sign * b)
+            assert signs[row, t] == sign
+            assert bits(residuals[row, t]) == bits(residual)
+
+
 def test_n3_requires_three_levels():
     with pytest.raises(DimensionError):
         n3_phase_table(phase_table(haar(4, SEED).plaquettes[1][:, None]))

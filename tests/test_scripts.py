@@ -164,3 +164,28 @@ def test_ab_ops_times_a_tree_against_itself_and_refuses_a_changed_report(tmp_pat
     assert lines[:5] == differs + ["outputs: 2 ops per workload, 4 differing"]
     assert lines[5].startswith("round 1: verify-n4 p5 ")
     assert [line.split(":")[0] for line in lines[6:]] == ["verify-n4", "verify-n3", "problems-cli"]
+
+
+def test_ab_startup_times_a_tree_against_itself_and_names_a_changed_command(tmp_path):
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    names = ["import", "det", "phases", "verify", "sample", "version"]
+    lines = run_script("ab_startup.py", src, src, "--rounds", "1")
+    assert lines[0] == "outputs: 6 commands, identical"
+    assert [line.split(":")[0] for line in lines[1:]] == names
+    assert all("paired median saving" in line and line.endswith(("in 0/1 rounds", "in 1/1 rounds"))
+               for line in lines[1:])
+    # the version string is in --version, the phases report and verify's
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    path = changed / "jarlskog" / "__init__.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count('__version__ = "0.1.0"\n') == 1
+    path.write_text(text.replace('__version__ = "0.1.0"\n', '__version__ = "0.1.1"\n'),
+                    encoding="utf-8")
+    res = subprocess.run([sys.executable, os.path.join(SCRIPTS, "ab_startup.py"), src,
+                          str(changed), "--rounds", "1"], capture_output=True, text=True)
+    assert res.returncode == 1, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[:4] == ["differs: phases", "differs: verify", "differs: version",
+                         "outputs: 6 commands, 3 differing"]
+    assert [line.split(":")[0] for line in lines[4:]] == names
