@@ -15,8 +15,8 @@ never overwritten.  verify's wall time goes to stderr so that report bytes
 depend only on the inputs.
 
 Importing this module loads no other module of the package, and each
-command imports the modules it runs when it runs, so a process compiles
-only those:
+command imports the modules it runs when it runs (through _module), so a
+process compiles only those:
 
     det     problem_io, linalg, determinant
     phases  problem_io, linalg, determinant, phases
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import sys
 import time
@@ -42,6 +43,17 @@ from . import __version__
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
+
+
+@functools.cache
+def _module(name):
+    """The package's module `name`, imported on the first call.
+
+    The commands reach their modules through this cached lookup rather than
+    an import statement, because a relative import inside a function runs
+    importlib's Python-level fromlist handling on every call.
+    """
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,10 +78,8 @@ def _finite(z):
 
 def _tolerance(text):
     """argparse type of --tol-rel/--tol-abs: determinant.check_tolerance's rule."""
-    from .determinant import check_tolerance
-
     try:
-        return check_tolerance(float(text))
+        return _module("determinant").check_tolerance(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
 
@@ -94,9 +104,8 @@ def _emit(text, out_path):
 
 
 def _cmd_det(args):
-    from . import determinant, problem_io
-
-    inp = problem_io.load_problem(args.file)
+    determinant = _module("determinant")
+    inp = _module("problem_io").load_problem(args.file)
     n, method = inp.n, args.method
     if method in ("closed", "both") and n not in (3, 4):
         raise ValueError(f"no closed form for n={n}; closed evaluation supports n in {{3, 4}}")
@@ -140,16 +149,13 @@ def _cmd_det(args):
 @functools.cache
 def _phase_labels(n):
     """The labels of the canonical phases of the report, in table order."""
-    from .phases import _canonical_pairs
-
-    pairs = _canonical_pairs(n)
+    pairs = _module("phases")._canonical_pairs(n)
     return tuple(f"({a}{b};{j}{k})" for (a, b) in pairs for (j, k) in pairs)
 
 
 def _cmd_phases(args):
-    from . import phases, problem_io
-
-    v = problem_io.load_problem(args.file).v
+    phases = _module("phases")
+    v = _module("problem_io").load_problem(args.file).v
     if v.n not in (3, 4):
         raise ValueError(f"phase reports support n in {{3, 4}}, got n={v.n}")
     lines = []
@@ -198,19 +204,17 @@ def _cmd_phases(args):
 
 
 def _cmd_verify(args):
-    from .verify import run_suite
-
-    report = run_suite(args.n, args.trials, args.seed, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
+    report = _module("verify").run_suite(args.n, args.trials, args.seed,
+                                         tol_rel=args.tol_rel, tol_abs=args.tol_abs)
     return report.render(), EXIT_OK if report.passed() else EXIT_VIOLATION
 
 
 def _cmd_sample(args):
-    from . import problem_io, sampling
-
+    sampling = _module("sampling")
     # any integer seed names the stream of its value mod 2^64
     seeds = np.array([args.seed & sampling._MASK64], dtype=np.uint64)
     v, a, b, _, _ = sampling.draw_trials(args.n, seeds)
-    return problem_io.render_problem(a[0], b[0], v[0]), EXIT_OK
+    return _module("problem_io").render_problem(a[0], b[0], v[0]), EXIT_OK
 
 
 def build_parser():
